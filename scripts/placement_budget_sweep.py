@@ -3,10 +3,12 @@
 
 For a fixed whitened primary and noise cross-correlation, solves the
 budgeted design at each feasible budget and records the multiplier, the
-objective, the stationarity residual, and the perturbation-probe outcome
-(how often a random feasible perturbation beats the stationary point;
-first-order stationarity is what the closed form guarantees, so probe
-violations are data, not errors).
+objective, the stationarity residual (the norm of the analytic Lagrangian
+gradient, whose two algebraic forms are checked against each other on
+every solve), and the perturbation-probe outcome (how often a random
+feasible perturbation beats the stationary point; first-order
+stationarity is what the closed form guarantees, so probe violations are
+data, not errors).
 """
 
 import argparse

@@ -18,6 +18,7 @@ from .errors import SingularNormalMatrix, SingularPosterior
 from .matrixkit import (
     SINGULAR_CONDITION,
     condition_estimate,
+    pd_factor,
     psd_inverse,
     require_symmetric,
     symmetrize,
@@ -78,15 +79,20 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     (a different numerical route than :func:`wls_estimate`, which forms
     the weight matrix explicitly). The error covariance is the inverse
     of the SNR matrix ``A^T sigma^-1 A``.
+
+    Raises
+    ------
+    NotPD
+        If the noise covariance is not positive definite.
     """
     sigma = require_symmetric(sigma, name="noise covariance")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
     A = model.A
-    c, low = scipy.linalg.cho_factor(sigma, lower=True)
-    si_A = scipy.linalg.cho_solve((c, low), A)
-    si_x = scipy.linalg.cho_solve((c, low), x)
+    factor = pd_factor(sigma, name="noise covariance")
+    si_A = scipy.linalg.cho_solve(factor, A)
+    si_x = scipy.linalg.cho_solve(factor, x)
     snr = symmetrize(A.T @ si_A)
     s_hat = _solve_normal(snr, A.T @ si_x, "ml_estimate")
     error_cov = symmetrize(_solve_normal(snr, np.eye(model.m), "ml_estimate"))

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPD, NotPSD, Singular
+from .errors import FormDisagreement, NotPD, NotPSD, Singular
 
 # Condition estimate above which a solve is refused as numerically singular.
 SINGULAR_CONDITION = 1e12
+
+# Relative Frobenius tolerance between two algebraic forms of one quantity.
+FORM_TOL = 1e-8
 
 # Absolute eigenvalue tolerance for PSD checks, scaled by the matrix norm
 # when the norm exceeds one.
@@ -103,22 +106,50 @@ def psd_inverse(M, name: str = "matrix") -> np.ndarray:
     cond = condition_estimate(M)
     if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
         raise Singular(f"{name} is numerically singular (cond~{cond:.3e})", condition=cond)
+    inv = scipy.linalg.cho_solve(pd_factor(M, name=name), np.eye(M.shape[0]))
+    return symmetrize(inv)
+
+
+def pd_factor(M, name: str = "matrix") -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of a symmetric PD matrix, in ``cho_solve`` form.
+
+    Raises
+    ------
+    NotPD
+        If the factorization fails.
+    """
     try:
-        c, low = scipy.linalg.cho_factor(M, lower=True)
+        return scipy.linalg.cho_factor(M, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NotPD(f"{name} is not positive definite: {exc}") from exc
-    inv = scipy.linalg.cho_solve((c, low), np.eye(M.shape[0]))
-    return symmetrize(inv)
 
 
 def pd_solve(M, B, name: str = "matrix") -> np.ndarray:
     """Solve ``M x = B`` for symmetric PD ``M`` through Cholesky."""
     M = require_symmetric(M, name=name)
-    try:
-        c, low = scipy.linalg.cho_factor(M, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPD(f"{name} is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve((c, low), np.asarray(B, dtype=float))
+    return scipy.linalg.cho_solve(pd_factor(M, name=name), np.asarray(B, dtype=float))
+
+
+def forms_agree(form1, form2, what: str) -> np.ndarray:
+    """Return ``form1`` once it has been checked against ``form2``.
+
+    The two are algebraically distinct forms of one quantity; their
+    relative Frobenius distance ``||form1 - form2|| / (1 + ||form1||)``
+    must stay below ``FORM_TOL``.
+
+    Raises
+    ------
+    FormDisagreement
+        If it does not; the error carries the relative distance.
+    """
+    err = float(np.linalg.norm(form1 - form2, "fro")) / (
+        1.0 + float(np.linalg.norm(form1, "fro"))
+    )
+    if err >= FORM_TOL:
+        raise FormDisagreement(
+            f"{what} disagree (relative error {err:.3e})", max_relative_error=err
+        )
+    return form1
 
 
 def condition_estimate(M) -> float:

@@ -16,9 +16,9 @@ from typing import Callable
 import numpy as np
 
 from ._parallel import block_plan, map_blocks
-from .errors import FormDisagreement, NonFinite
+from .errors import NonFinite
 from .information import McInfoEstimate
-from .matrixkit import BlockCovariance, psd_inverse, symmetrize, sym_sqrt
+from .matrixkit import BlockCovariance, forms_agree, psd_inverse, symmetrize, sym_sqrt
 from .model import SourcePrior
 
 __all__ = [
@@ -183,16 +183,7 @@ def joint_information_nonlinear(
         form1 = symmetrize(M1 @ K_a @ M1.T + Dh.T @ Dh)
         M2 = Dg.T @ rho.T - Dh.T
         form2 = symmetrize(M2 @ K_b @ M2.T + Dg.T @ Dg)
-        err = float(np.linalg.norm(form1 - form2, "fro")) / (
-            1.0 + float(np.linalg.norm(form1, "fro"))
-        )
-        if err >= 1e-8:
-            raise FormDisagreement(
-                f"joint nonlinear information forms disagree per sample "
-                f"(relative error {err:.3e})",
-                max_relative_error=err,
-            )
-        return form1
+        return forms_agree(form1, form2, "joint nonlinear information forms per sample")
 
     J, std_err = _mc_matrix(prior, N, seed, per_sample)
     if prior.has_info:

@@ -10,9 +10,10 @@ fixed by a scalar root equation in the singular values of rho.
 
 The root is taken on the branch containing lambda = 0 on which all
 denominators stay positive (keeping B~* finite). First-order
-stationarity is verified by finite differences on every solve; whether
-the stationary point is a global maximizer is measured empirically by
-the perturbation probe, not asserted.
+stationarity is verified on every solve by the analytic gradient of the
+Lagrangian, evaluated in two algebraically distinct forms that must
+agree; whether the stationary point is a global maximizer is measured
+empirically by the perturbation probe, not asserted.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import DegenerateBudget, FormDisagreement, Inadmissible, NoRoot
-from .information import whitened_joint_fisher
-from .matrixkit import symmetrize
+from .errors import DegenerateBudget, Inadmissible, NoRoot
+from .information import _cross_solve, whitened_joint_fisher
+from .matrixkit import forms_agree, symmetrize
 from .model import SourcePrior
 
 
@@ -34,9 +35,11 @@ class PlacementSolution:
 
     ``B_star`` is in the whitened domain (map back with
     :func:`unwhiten_secondary`). ``kkt_residual`` is the Frobenius norm
-    of the finite-difference gradient of the Lagrangian at the solution,
-    normalized by ``1 + |objective|``. Degenerate solutions (rho = 0)
-    carry no matrix, only the analysis note.
+    of the analytic gradient of the Lagrangian at the solution,
+    ``2K(B~ - rho^T A~) - 2 lambda B~`` with ``K = (I - rho^T rho)^-1``,
+    normalized by ``1 + |objective|``; a second form of the gradient must
+    agree with it on every solve. Degenerate solutions (rho = 0) carry no
+    matrix, only the analysis note.
     """
 
     B_star: np.ndarray | None
@@ -133,15 +136,7 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
     Kp = np.linalg.solve(symmetrize(np.eye(n1) - rho @ rho.T), np.eye(n1))
     N = B.T @ rho.T - A.T
     form2 = (2.0 * (B + rho.T @ Kp @ N.T) @ N @ Kp).T
-
-    err = float(np.linalg.norm(form1 - form2, "fro")) / (
-        1.0 + float(np.linalg.norm(form1, "fro"))
-    )
-    if err >= 1e-8:
-        raise FormDisagreement(
-            f"gradient forms disagree (relative error {err:.3e})", max_relative_error=err
-        )
-    return form1
+    return forms_agree(form1, form2, "gradient forms")
 
 
 def svd_of_rho(A_tilde, rho) -> SvdOfRho:
@@ -329,21 +324,29 @@ def optimal_secondary(
     )
 
 
+def _lagrangian_gradient_forms(A_tilde, B_tilde, rho, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of ``e(B~) - lambda Tr(B~^T B~)`` with respect to B~, in two forms.
+
+    The first differentiates the objective written around the secondary,
+    ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~`` and
+    ``K = (I - rho^T rho)^-1``; the second the same objective written
+    around the primary, ``Tr(B~^T B~) + Tr(E^T K' E)`` with
+    ``E = A~ - rho B~`` and ``K' = (I - rho rho^T)^-1``.
+    """
+    n1, n2 = rho.shape
+    D = B_tilde - rho.T @ A_tilde
+    form1 = 2.0 * np.linalg.solve(symmetrize(np.eye(n2) - rho.T @ rho), D)
+    E = A_tilde - rho @ B_tilde
+    form2 = 2.0 * B_tilde - 2.0 * rho.T @ np.linalg.solve(
+        symmetrize(np.eye(n1) - rho @ rho.T), E
+    )
+    return form1 - 2.0 * lam * B_tilde, form2 - 2.0 * lam * B_tilde
+
+
 def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float) -> float:
-    """Normalized FD-gradient norm of the Lagrangian at the solution."""
-
-    def lagrangian(B):
-        return synergy_objective(A_tilde, B, rho) - lam * float(np.sum(B * B))
-
-    grad = np.zeros_like(B_star)
-    for i in range(B_star.shape[0]):
-        for j in range(B_star.shape[1]):
-            h = 1e-6 * (1.0 + abs(B_star[i, j]))
-            Bp = B_star.copy()
-            Bp[i, j] += h
-            Bm = B_star.copy()
-            Bm[i, j] -= h
-            grad[i, j] = (lagrangian(Bp) - lagrangian(Bm)) / (2.0 * h)
+    """Normalized norm of the analytic Lagrangian gradient at the solution."""
+    forms = _lagrangian_gradient_forms(A_tilde, B_star, rho, lam)
+    grad = forms_agree(*forms, "Lagrangian gradient forms")
     return float(np.linalg.norm(grad, "fro")) / (1.0 + abs(e))
 
 
@@ -367,30 +370,53 @@ def local_optimality_probe(
     ``delta`` and renormalizes back to the budget sphere; improvements of
     the objective beyond 1e-8 are counted as violations of local
     optimality and reported (never hidden): first-order stationarity does
-    not imply the stationary point maximizes the objective.
+    not imply the stationary point maximizes the objective. The prior only
+    shifts the objective by a constant, so it does not change any gain.
     """
     if solution.B_star is None:
         raise ValueError("degenerate solutions have no matrix to probe")
-    A_tilde = np.asarray(A_tilde, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    B0 = solution.B_star
+    gains = _perturbation_gains(
+        np.asarray(A_tilde, dtype=float),
+        np.asarray(rho, dtype=float),
+        solution.B_star,
+        n_perturbations,
+        seed,
+        delta,
+    )
+    improved = gains[gains > 1e-8]
+    return ProbeReport(
+        n_perturbations=n_perturbations,
+        n_violations=int(improved.size),
+        max_improvement=float(np.max(improved, initial=0.0)),
+        seed=seed,
+    )
+
+
+def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta: float):
+    """Objective gain of each random budget-feasible perturbation of ``B0``.
+
+    The objective is ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~``
+    and ``K = (I - rho^T rho)^-1``. The first term is the same for every
+    ``B~``, so a gain is a difference of ``sum(D * (K D))``, with ``K``
+    factorized once under the singularity guard of the objective.
+    """
+    _check_admissible(rho)
+    n2 = rho.shape[1]
+    K = _cross_solve(symmetrize(np.eye(n2) - rho.T @ rho), np.eye(n2), "(I - rho^T rho)")
+    target = rho.T @ A_tilde
+
+    def score(B):
+        D = B - target
+        return float(np.sum(D * (K @ D)))
+
     p = float(np.sum(B0 * B0))
-    base = synergy_objective(A_tilde, B0, rho, prior=prior)
+    base = score(B0)
     rng = np.random.default_rng(seed)
-    violations = 0
-    max_gain = 0.0
-    for _ in range(n_perturbations):
+    gains = np.empty(n_perturbations)
+    for k in range(n_perturbations):
         Z = rng.standard_normal(B0.shape)
         Z *= delta / max(float(np.linalg.norm(Z, "fro")), 1e-300)
         B = B0 + Z
         B *= np.sqrt(p / float(np.sum(B * B)))
-        gain = synergy_objective(A_tilde, B, rho, prior=prior) - base
-        if gain > 1e-8:
-            violations += 1
-            max_gain = max(max_gain, gain)
-    return ProbeReport(
-        n_perturbations=n_perturbations,
-        n_violations=violations,
-        max_improvement=max_gain,
-        seed=seed,
-    )
+        gains[k] = score(B) - base
+    return gains

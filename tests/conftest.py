@@ -8,7 +8,7 @@ measure algebraic identity, not conditioning luck.
 import numpy as np
 import pytest
 
-from fusionkit import BlockCovariance, LinearModel, ModalityPair
+from fusionkit import BlockCovariance, LinearModel, ModalityPair, synergy_objective
 
 
 def random_orthogonal(rng, n):
@@ -54,6 +54,30 @@ def random_admissible_rho(rng, n1, n2, sigma_max=0.8):
 def rel_fro(actual, expected):
     denom = max(float(np.linalg.norm(expected, "fro")), 1e-300)
     return float(np.linalg.norm(np.asarray(actual) - np.asarray(expected), "fro")) / denom
+
+
+def fd_lagrangian_gradient(A_tilde, B_star, rho, lam):
+    """Central-difference gradient of the placement Lagrangian, entry by entry."""
+
+    def lagrangian(B):
+        return synergy_objective(A_tilde, B, rho) - lam * float(np.sum(B * B))
+
+    grad = np.zeros_like(B_star)
+    for i in range(B_star.shape[0]):
+        for j in range(B_star.shape[1]):
+            h = 1e-6 * (1.0 + abs(B_star[i, j]))
+            Bp = B_star.copy()
+            Bp[i, j] += h
+            Bm = B_star.copy()
+            Bm[i, j] -= h
+            grad[i, j] = (lagrangian(Bp) - lagrangian(Bm)) / (2.0 * h)
+    return grad
+
+
+def fd_lagrangian_stationarity(A_tilde, B_star, rho, lam, e):
+    """Normalized FD-gradient norm of the Lagrangian at the solution."""
+    grad = fd_lagrangian_gradient(A_tilde, B_star, rho, lam)
+    return float(np.linalg.norm(grad, "fro")) / (1.0 + abs(e))
 
 
 @pytest.fixture

@@ -35,6 +35,7 @@ from fusionkit.information import joint_fisher_routes, route_disagreement
 from fusionkit.placement import _budget_terms, _budget_value
 
 from conftest import (
+    fd_lagrangian_stationarity,
     random_admissible_rho,
     random_conditioned_matrix,
     random_joint_noise,
@@ -213,6 +214,7 @@ def test_criterion_07_placement_kkt():
     ok = True
     worst_constraint = 0.0
     worst_kkt = 0.0
+    worst_fd = 0.0
     worst_resid = 0.0
     for _ in range(50):
         n1, n2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
@@ -230,6 +232,8 @@ def test_criterion_07_placement_kkt():
         trace = float(np.sum(sol.B_star**2))
         worst_constraint = max(worst_constraint, abs(trace - p) / (1.0 + p))
         worst_kkt = max(worst_kkt, sol.kkt_residual)
+        fd = fd_lagrangian_stationarity(A, sol.B_star, rho, sol.lambda_, sol.objective_e)
+        worst_fd = max(worst_fd, fd)
 
     # unitary corner: exact multiplier and configuration
     Q, _ = np.linalg.qr(rng.standard_normal((4, 3)))
@@ -237,12 +241,19 @@ def test_criterion_07_placement_kkt():
     corner = optimal_secondary(A, Q, p=9.0)
     corner_ok = corner.lambda_ == 0.0 and np.array_equal(corner.B_star, Q.T @ A)
 
-    ok = worst_constraint <= 1e-8 and worst_kkt <= 1e-5 and worst_resid <= 1e-10 and corner_ok
+    ok = (
+        worst_constraint <= 1e-8
+        and worst_kkt <= 1e-5
+        and worst_fd <= 1e-5
+        and worst_resid <= 1e-10
+        and corner_ok
+    )
     report(
         7,
         ok,
         f"placement over 50 instances: constraint {worst_constraint:.3e} (<=1e-8 "
-        f"scaled), FD stationarity {worst_kkt:.3e} (<=1e-5), root residual "
+        f"scaled), analytic two-form stationarity {worst_kkt:.3e} (<=1e-5), FD "
+        f"stationarity {worst_fd:.3e} (<=1e-5), root residual "
         f"{worst_resid:.3e} (<=1e-10 rel), unitary corner exact={corner_ok}",
     )
 

@@ -4,6 +4,7 @@ import pytest
 from fusionkit import (
     GaussianPrior,
     LinearModel,
+    NotPD,
     SingularNormalMatrix,
     error_covariance,
     ml_estimate,
@@ -53,6 +54,10 @@ class TestMl:
         # oracle: snr = 1 + 1/3, rhs = x1 + x2/3 -> s = (3 x1 + x2)/4
         est = ml_estimate(LinearModel([[1.0], [1.0]]), np.diag([1.0, 3.0]), [0.0, 4.0])
         assert est.s_hat[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_indefinite_noise_is_not_pd(self):
+        with pytest.raises(NotPD):
+            ml_estimate(LinearModel(np.eye(2)), [[1.0, 2.0], [2.0, 1.0]], np.ones(2))
 
     def test_matches_wls_on_random_instances(self, rng):
         # dual-path comparison on 100 random instances

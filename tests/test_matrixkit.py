@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import BlockCovariance, NotPSD, Singular, block_inverse, is_psd, schur_factors, sym_sqrt
-from fusionkit.matrixkit import condition_estimate, require_symmetric, symmetrize
+from fusionkit import (
+    BlockCovariance,
+    FormDisagreement,
+    NotPSD,
+    Singular,
+    block_inverse,
+    is_psd,
+    schur_factors,
+    sym_sqrt,
+)
+from fusionkit.matrixkit import condition_estimate, forms_agree, require_symmetric, symmetrize
 
 from conftest import random_joint_noise, random_pd, rel_fro
 
@@ -134,6 +143,20 @@ def test_require_symmetric_rejects_asymmetry():
 
 def test_condition_estimate_identity():
     assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
+
+
+def test_forms_agree_returns_first_form_within_tolerance(rng):
+    M = rng.standard_normal((3, 2))
+    assert forms_agree(M, M + 1e-12, "forms") is M
+
+
+def test_forms_agree_raises_beyond_tolerance(rng):
+    M = rng.standard_normal((3, 2))
+    E = np.zeros_like(M)
+    E[0, 0] = 1e-7 * (1.0 + np.linalg.norm(M, "fro"))
+    with pytest.raises(FormDisagreement, match="forms disagree") as exc_info:
+        forms_agree(M, M + E, "forms")
+    assert exc_info.value.max_relative_error == pytest.approx(1e-7)
 
 
 def test_symmetrize_idempotent(rng):

@@ -3,21 +3,50 @@ import pytest
 
 from fusionkit import (
     DegenerateBudget,
+    FormDisagreement,
     GaussianPrior,
     NoRoot,
+    PlacementSolution,
+    Singular,
     joint_information,
     lambda_root,
     local_optimality_probe,
     optimal_secondary,
+    prewhiten,
     svd_of_rho,
     synergy_gradient_rho,
     synergy_objective,
     unwhiten_secondary,
 )
 from fusionkit import BlockCovariance, LinearModel, ModalityPair
-from fusionkit.placement import _budget_terms, _budget_value
+from fusionkit import placement
+from fusionkit.placement import (
+    _budget_terms,
+    _budget_value,
+    _lagrangian_gradient_forms,
+    _perturbation_gains,
+)
 
-from conftest import random_admissible_rho, rel_fro
+from conftest import fd_lagrangian_gradient, random_admissible_rho, random_pair, rel_fro
+
+
+def probe_instance(rng):
+    """The small instance of the probe tests: (3, 3) rho, 1.5x the minimum budget."""
+    A = rng.standard_normal((3, 2))
+    rho = random_admissible_rho(rng, 3, 3, 0.7)
+    svd = svd_of_rho(A, rho)
+    c, oms = _budget_terms(svd)
+    p = _budget_value(0.0, c, oms) * 1.5
+    return A, rho, optimal_secondary(A, rho, p)
+
+
+def medium_probe_instance():
+    """A whitened (40, 30, 10) pair at twice its minimum budget."""
+    wp = prewhiten(random_pair(np.random.default_rng(4030), 40, 30, 10))
+    svd = svd_of_rho(wp.A_tilde, wp.rho)
+    c, oms = _budget_terms(svd)
+    p = _budget_value(0.0, c, oms) * 2.0
+    return wp.A_tilde, wp.rho, optimal_secondary(wp.A_tilde, wp.rho, p)
 
 
 def fd_gradient_rho(A, B, rho, h=1e-5):
@@ -186,6 +215,38 @@ class TestOptimalSecondary:
             assert sol.kkt_residual <= 1e-5
             assert sol.lambda_ > 0.0
 
+    def test_gradient_forms_match_finite_differences_off_optimum(self, rng):
+        # at B* the gradient is about zero, so only an off-optimum point
+        # checks the formula itself
+        for _ in range(20):
+            n1, n2 = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            m = int(rng.integers(1, 4))
+            A = rng.standard_normal((n1, m))
+            B = rng.standard_normal((n2, m))
+            rho = random_admissible_rho(rng, n1, n2, float(rng.uniform(0.2, 0.9)))
+            lam = float(rng.uniform(0.0, 2.0))
+            fd = fd_lagrangian_gradient(A, B, rho, lam)
+            form1, form2 = _lagrangian_gradient_forms(A, B, rho, lam)
+            assert rel_fro(form1, fd) <= 1e-6
+            assert rel_fro(form2, fd) <= 1e-6
+
+    def test_form_disagreement_raises(self, rng, monkeypatch):
+        A = rng.standard_normal((3, 2))
+        rho = random_admissible_rho(rng, 3, 3, 0.6)
+        svd = svd_of_rho(A, rho)
+        c, oms = _budget_terms(svd)
+        p = _budget_value(0.0, c, oms) * 1.5
+        forms = placement._lagrangian_gradient_forms
+
+        def skewed(*args):
+            form1, form2 = forms(*args)
+            return form1, form2 + 1e-6
+
+        monkeypatch.setattr(placement, "_lagrangian_gradient_forms", skewed)
+        with pytest.raises(FormDisagreement) as exc_info:
+            optimal_secondary(A, rho, p)
+        assert exc_info.value.max_relative_error >= 1e-8
+
     def test_prior_shifts_objective_only(self, rng):
         A = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.6)
@@ -212,12 +273,7 @@ class TestProbeAndUnwhiten:
     def test_probe_reports_deterministically(self, rng):
         # first-order stationarity does not claim optimality: the probe
         # measures and reports improvements instead of hiding them
-        A = rng.standard_normal((3, 2))
-        rho = random_admissible_rho(rng, 3, 3, 0.7)
-        svd = svd_of_rho(A, rho)
-        c, oms = _budget_terms(svd)
-        p = _budget_value(0.0, c, oms) * 1.5
-        sol = optimal_secondary(A, rho, p)
+        A, rho, sol = probe_instance(rng)
         r1 = local_optimality_probe(A, rho, sol, n_perturbations=200, seed=3)
         r2 = local_optimality_probe(A, rho, sol, n_perturbations=200, seed=3)
         assert (r1.n_violations, r1.max_improvement) == (r2.n_violations, r2.max_improvement)
@@ -225,3 +281,58 @@ class TestProbeAndUnwhiten:
             f"placement probe: {r1.n_violations}/200 perturbations improved the "
             f"objective (max gain {r1.max_improvement:.3e})"
         )
+
+    def test_probe_gains_match_objective_differences(self, rng):
+        A, rho, sol = probe_instance(rng)
+        delta = 1e-2
+        gains = _perturbation_gains(A, rho, sol.B_star, 50, 11, delta)
+        # the perturbations, drawn as the probe draws them
+        B0 = sol.B_star
+        p = float(np.sum(B0 * B0))
+        base = synergy_objective(A, B0, rho)
+        draws = np.random.default_rng(11)
+        for gain in gains:
+            Z = draws.standard_normal(B0.shape)
+            Z *= delta / np.linalg.norm(Z, "fro")
+            B = B0 + Z
+            B *= np.sqrt(p / float(np.sum(B * B)))
+            assert abs(gain - (synergy_objective(A, B, rho) - base)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "instance, delta, violations",
+        [
+            ("small", 1e-3, 200),
+            ("small", 1e-4, 47),
+            ("medium", 1e-3, 200),
+            ("medium", 1.1e-4, 108),
+        ],
+    )
+    def test_probe_violation_counts_pinned(self, rng, instance, delta, violations):
+        # counts of the probe that evaluated the full objective per
+        # perturbation; the smaller deltas put gains on both sides of the
+        # 1e-8 threshold
+        if instance == "small":
+            A, rho, sol = probe_instance(rng)
+            seed = 3
+        else:
+            A, rho, sol = medium_probe_instance()
+            seed = 0
+        report = local_optimality_probe(A, rho, sol, seed=seed, delta=delta)
+        assert report.n_violations == violations
+        prior = GaussianPrior(mean=np.zeros(A.shape[1]), cov=0.5 * np.eye(A.shape[1]))
+        assert local_optimality_probe(A, rho, sol, seed=seed, delta=delta, prior=prior) == report
+
+    def test_probe_refuses_singular_cap(self, rng):
+        # sigma_max(rho) = 1 - 1e-13: admissible, but cond(I - rho^T rho) > 1e12
+        Q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rho = (Q1 * np.array([1.0 - 1e-13, 0.5, 0.2])) @ Q2.T
+        A = rng.standard_normal((3, 2))
+        B = rng.standard_normal((3, 2))
+        sol = PlacementSolution(
+            B_star=B, lambda_=0.1, budget_p=float(np.sum(B * B)), objective_e=0.0, kkt_residual=0.0
+        )
+        with pytest.raises(Singular):
+            local_optimality_probe(A, rho, sol)
+        with pytest.raises(Singular):
+            optimal_secondary(A, rho, 5.0)
