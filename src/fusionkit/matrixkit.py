@@ -21,6 +21,11 @@ SINGULAR_CONDITION = 1e12
 # Relative Frobenius tolerance between two algebraic forms of one quantity.
 FORM_TOL = 1e-8
 
+# Forms built on an inverse of condition number kappa are each accurate to
+# about kappa * machine epsilon; their tolerance is this many times that
+# when it exceeds FORM_TOL.
+FORM_CONDITION_SLACK = 100.0
+
 # Absolute eigenvalue tolerance for PSD checks, scaled by the matrix norm
 # when the norm exceeds one.
 PSD_EIG_TOL = 1e-10
@@ -130,12 +135,15 @@ def pd_solve(M, B, name: str = "matrix") -> np.ndarray:
     return scipy.linalg.cho_solve(pd_factor(M, name=name), np.asarray(B, dtype=float))
 
 
-def forms_agree(form1, form2, what: str) -> np.ndarray:
+def forms_agree(form1, form2, what: str, condition: float = 1.0) -> np.ndarray:
     """Return ``form1`` once it has been checked against ``form2``.
 
     The two are algebraically distinct forms of one quantity; their
     relative Frobenius distance ``||form1 - form2|| / (1 + ||form1||)``
-    must stay below ``FORM_TOL``.
+    must stay below ``FORM_TOL``. Forms that apply an inverse of
+    condition number ``condition`` cannot agree better than about
+    ``condition`` times machine epsilon, so the tolerance becomes
+    ``FORM_CONDITION_SLACK * condition * eps`` where that is larger.
 
     Raises
     ------
@@ -145,7 +153,7 @@ def forms_agree(form1, form2, what: str) -> np.ndarray:
     err = float(np.linalg.norm(form1 - form2, "fro")) / (
         1.0 + float(np.linalg.norm(form1, "fro"))
     )
-    if err >= FORM_TOL:
+    if err >= max(FORM_TOL, FORM_CONDITION_SLACK * condition * np.finfo(float).eps):
         raise FormDisagreement(
             f"{what} disagree (relative error {err:.3e})", max_relative_error=err
         )

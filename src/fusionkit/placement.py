@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import DegenerateBudget, Inadmissible, NoRoot
-from .information import _cross_solve, whitened_joint_fisher
-from .matrixkit import forms_agree, symmetrize
+from .errors import DegenerateBudget, Inadmissible, NoRoot, Singular
+from .information import whitened_joint_fisher
+from .matrixkit import SINGULAR_CONDITION, forms_agree, symmetrize
 from .model import SourcePrior
 
 
@@ -37,8 +37,9 @@ class PlacementSolution:
     :func:`unwhiten_secondary`). ``kkt_residual`` is the Frobenius norm
     of the analytic gradient of the Lagrangian at the solution,
     ``2K(B~ - rho^T A~) - 2 lambda B~`` with ``K = (I - rho^T rho)^-1``,
-    normalized by ``1 + |objective|``; a second form of the gradient must
-    agree with it on every solve. Degenerate solutions (rho = 0) carry no
+    normalized by ``1 + |objective|``; a second form of the objective
+    gradient must agree with it on every solve, to within the rounding
+    that ``cond(I - rho^T rho)`` allows. Degenerate solutions (rho = 0) carry no
     matrix, only the analysis note.
     """
 
@@ -89,7 +90,10 @@ class ProbeReport:
 def _check_admissible(rho: np.ndarray, strict: bool = True) -> float:
     if not np.any(rho):
         return 0.0
-    sigma_max = float(np.linalg.svd(rho, compute_uv=False)[0])
+    return _admissible_sigma_max(float(np.linalg.svd(rho, compute_uv=False)[0]), strict)
+
+
+def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
     limit_ok = sigma_max < 1.0 if strict else sigma_max <= 1.0 + 1e-10
     if not limit_ok:
         raise Inadmissible(
@@ -126,17 +130,17 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
     A = np.asarray(A_tilde, dtype=float)
     B = np.asarray(B_tilde, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    _check_admissible(rho)
     n1, n2 = rho.shape
+    solve_k, solve_kp, k_norm = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
 
-    K = np.linalg.solve(symmetrize(np.eye(n2) - rho.T @ rho), np.eye(n2))
+    K = solve_k(np.eye(n2))
     M = A.T @ rho - B.T
     form1 = 2.0 * (A + rho @ K @ M.T) @ M @ K
 
-    Kp = np.linalg.solve(symmetrize(np.eye(n1) - rho @ rho.T), np.eye(n1))
+    Kp = solve_kp(np.eye(n1))
     N = B.T @ rho.T - A.T
     form2 = (2.0 * (B + rho.T @ Kp @ N.T) @ N @ Kp).T
-    return forms_agree(form1, form2, "gradient forms")
+    return forms_agree(form1, form2, "gradient forms", condition=k_norm)
 
 
 def svd_of_rho(A_tilde, rho) -> SvdOfRho:
@@ -146,6 +150,42 @@ def svd_of_rho(A_tilde, rho) -> SvdOfRho:
     U, s, Vt = np.linalg.svd(rho)
     d = np.diag(U.T @ A_tilde @ A_tilde.T @ U).copy()
     return SvdOfRho(U=U, singular_values=s, V=Vt.T, d=np.maximum(d, 0.0))
+
+
+def _cross_solvers(rho, singular_values):
+    """Solvers applying ``K = (I - rho^T rho)^-1`` and ``K' = (I - rho rho^T)^-1``, and their norm.
+
+    Both have 2-norm ``1 / (1 - sigma_max^2)``, read off the singular values
+    of rho like ``cond(I - rho^T rho)``, so the guard costs no eigen-solve.
+    Each solver solves with its matrix rather than multiplying by an
+    explicit inverse, which near a unitary rho loses up to ten times more.
+
+    Raises
+    ------
+    Inadmissible
+        If ``sigma_max(rho) >= 1``.
+    Singular
+        If ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``, the
+        guard of :func:`whitened_joint_fisher`.
+    """
+    s = np.asarray(singular_values, dtype=float)
+    _admissible_sigma_max(float(s[0]) if s.size else 0.0)
+    n1, n2 = rho.shape
+    gap = np.ones(n2)
+    gap[: s.size] -= s**2
+    cond = float(np.max(gap) / np.min(gap)) if np.min(gap) > 0.0 else np.inf
+    if cond > SINGULAR_CONDITION:
+        raise Singular(f"(I - rho^T rho) is numerically singular (cond~{cond:.3e})", condition=cond)
+    cap = symmetrize(np.eye(n2) - rho.T @ rho)
+    cap_p = symmetrize(np.eye(n1) - rho @ rho.T)
+
+    def solve_k(X):
+        return np.linalg.solve(cap, X)
+
+    def solve_kp(X):
+        return np.linalg.solve(cap_p, X)
+
+    return solve_k, solve_kp, 1.0 / float(np.min(gap))
 
 
 def _budget_terms(svd: SvdOfRho) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +352,7 @@ def optimal_secondary(
     lam = lambda_root(svd, p)
     B_star = np.linalg.solve(np.eye(n2) - lam * (np.eye(n2) - gram), rho.T @ A_tilde)
     e = synergy_objective(A_tilde, B_star, rho, prior=prior)
-    kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e)
+    kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e, svd)
     return PlacementSolution(
         B_star=B_star,
         lambda_=lam,
@@ -324,8 +364,8 @@ def optimal_secondary(
     )
 
 
-def _lagrangian_gradient_forms(A_tilde, B_tilde, rho, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of ``e(B~) - lambda Tr(B~^T B~)`` with respect to B~, in two forms.
+def _objective_gradient_forms(A_tilde, B_tilde, rho, solve_k, solve_kp) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the synergy objective ``e(B~)`` with respect to B~, in two forms.
 
     The first differentiates the objective written around the secondary,
     ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~`` and
@@ -333,21 +373,29 @@ def _lagrangian_gradient_forms(A_tilde, B_tilde, rho, lam: float) -> tuple[np.nd
     around the primary, ``Tr(B~^T B~) + Tr(E^T K' E)`` with
     ``E = A~ - rho B~`` and ``K' = (I - rho rho^T)^-1``.
     """
-    n1, n2 = rho.shape
     D = B_tilde - rho.T @ A_tilde
-    form1 = 2.0 * np.linalg.solve(symmetrize(np.eye(n2) - rho.T @ rho), D)
     E = A_tilde - rho @ B_tilde
-    form2 = 2.0 * B_tilde - 2.0 * rho.T @ np.linalg.solve(
-        symmetrize(np.eye(n1) - rho @ rho.T), E
-    )
-    return form1 - 2.0 * lam * B_tilde, form2 - 2.0 * lam * B_tilde
+    return 2.0 * solve_k(D), 2.0 * B_tilde - 2.0 * rho.T @ solve_kp(E)
 
 
-def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float) -> float:
-    """Normalized norm of the analytic Lagrangian gradient at the solution."""
-    forms = _lagrangian_gradient_forms(A_tilde, B_star, rho, lam)
-    grad = forms_agree(*forms, "Lagrangian gradient forms")
-    return float(np.linalg.norm(grad, "fro")) / (1.0 + abs(e))
+def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float, svd: SvdOfRho) -> float:
+    """Normalized norm of the analytic Lagrangian gradient at the solution.
+
+    The two forms are compared on the objective gradient, before the
+    multiplier term ``2 lambda B~`` is subtracted: at the solution the
+    Lagrangian gradient is about zero. Each form applies ``K`` or ``K'``,
+    of norm ``k``, to differences of terms of size up to
+    ``||A~|| + ||B~||``, and the inverse itself is accurate to about
+    ``k`` times machine epsilon; relative to the gradient ``g``, the
+    condition of the check is ``k (||A~|| + ||B~|| + ||g||) / (1 + ||g||)``.
+    """
+    solve_k, solve_kp, k_norm = _cross_solvers(rho, svd.singular_values)
+    forms = _objective_gradient_forms(A_tilde, B_star, rho, solve_k, solve_kp)
+    g = float(np.linalg.norm(forms[0], "fro"))
+    scale = float(np.linalg.norm(A_tilde, "fro") + np.linalg.norm(B_star, "fro"))
+    condition = k_norm * (scale + g) / (1.0 + g)
+    grad = forms_agree(*forms, "objective gradient forms", condition=condition)
+    return float(np.linalg.norm(grad - 2.0 * lam * B_star, "fro")) / (1.0 + abs(e))
 
 
 def unwhiten_secondary(B_star, L_u) -> np.ndarray:
@@ -370,8 +418,10 @@ def local_optimality_probe(
     ``delta`` and renormalizes back to the budget sphere; improvements of
     the objective beyond 1e-8 are counted as violations of local
     optimality and reported (never hidden): first-order stationarity does
-    not imply the stationary point maximizes the objective. The prior only
-    shifts the objective by a constant, so it does not change any gain.
+    not imply the stationary point maximizes the objective.
+
+    ``prior`` is ignored and kept only so existing calls still work: a
+    prior shifts the objective by a constant, which cancels in every gain.
     """
     if solution.B_star is None:
         raise ValueError("degenerate solutions have no matrix to probe")
@@ -398,11 +448,10 @@ def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta
     The objective is ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~``
     and ``K = (I - rho^T rho)^-1``. The first term is the same for every
     ``B~``, so a gain is a difference of ``sum(D * (K D))``, with ``K``
-    factorized once under the singularity guard of the objective.
+    taken once, under the singularity guard of the objective.
     """
-    _check_admissible(rho)
-    n2 = rho.shape[1]
-    K = _cross_solve(symmetrize(np.eye(n2) - rho.T @ rho), np.eye(n2), "(I - rho^T rho)")
+    solve_k = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0]
+    K = solve_k(np.eye(rho.shape[1]))
     target = rho.T @ A_tilde
 
     def score(B):

@@ -159,6 +159,18 @@ def test_forms_agree_raises_beyond_tolerance(rng):
     assert exc_info.value.max_relative_error == pytest.approx(1e-7)
 
 
+def test_forms_agree_tolerance_widens_only_with_condition(rng):
+    M = rng.standard_normal((3, 2))
+    E = np.zeros_like(M)
+    E[0, 0] = 1e-7 * (1.0 + np.linalg.norm(M, "fro"))
+    # 100 * cond * eps reaches 1e-8 at cond ~ 4.5e5: below it the tolerance is unchanged
+    with pytest.raises(FormDisagreement):
+        forms_agree(M, M + E, "forms", condition=1e5)
+    assert forms_agree(M, M + E, "forms", condition=1e8) is M
+    with pytest.raises(FormDisagreement):
+        forms_agree(M, M + 100.0 * E, "forms", condition=1e8)
+
+
 def test_symmetrize_idempotent(rng):
     M = rng.standard_normal((4, 4))
     S = symmetrize(M)

@@ -5,6 +5,7 @@ from fusionkit import (
     DegenerateBudget,
     FormDisagreement,
     GaussianPrior,
+    Inadmissible,
     NoRoot,
     PlacementSolution,
     Singular,
@@ -23,11 +24,18 @@ from fusionkit import placement
 from fusionkit.placement import (
     _budget_terms,
     _budget_value,
-    _lagrangian_gradient_forms,
+    _cross_solvers,
+    _objective_gradient_forms,
     _perturbation_gains,
 )
 
-from conftest import fd_lagrangian_gradient, random_admissible_rho, random_pair, rel_fro
+from conftest import (
+    fd_lagrangian_gradient,
+    fd_lagrangian_stationarity,
+    random_admissible_rho,
+    random_pair,
+    rel_fro,
+)
 
 
 def probe_instance(rng):
@@ -226,9 +234,9 @@ class TestOptimalSecondary:
             rho = random_admissible_rho(rng, n1, n2, float(rng.uniform(0.2, 0.9)))
             lam = float(rng.uniform(0.0, 2.0))
             fd = fd_lagrangian_gradient(A, B, rho, lam)
-            form1, form2 = _lagrangian_gradient_forms(A, B, rho, lam)
-            assert rel_fro(form1, fd) <= 1e-6
-            assert rel_fro(form2, fd) <= 1e-6
+            solvers = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[:2]
+            for form in _objective_gradient_forms(A, B, rho, *solvers):
+                assert rel_fro(form - 2.0 * lam * B, fd) <= 1e-6
 
     def test_form_disagreement_raises(self, rng, monkeypatch):
         A = rng.standard_normal((3, 2))
@@ -236,16 +244,36 @@ class TestOptimalSecondary:
         svd = svd_of_rho(A, rho)
         c, oms = _budget_terms(svd)
         p = _budget_value(0.0, c, oms) * 1.5
-        forms = placement._lagrangian_gradient_forms
+        forms = placement._objective_gradient_forms
 
         def skewed(*args):
             form1, form2 = forms(*args)
             return form1, form2 + 1e-6
 
-        monkeypatch.setattr(placement, "_lagrangian_gradient_forms", skewed)
+        monkeypatch.setattr(placement, "_objective_gradient_forms", skewed)
         with pytest.raises(FormDisagreement) as exc_info:
             optimal_secondary(A, rho, p)
         assert exc_info.value.max_relative_error >= 1e-8
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11])
+    def test_near_unitary_rho_is_solved(self, gap):
+        # sigma_max(rho) = 1 - gap keeps cond(I - rho^T rho) below the
+        # Singular guard; the two forms then agree only to about cond * eps,
+        # which must not be taken for a disagreement
+        rng = np.random.default_rng(9)
+        U, _ = np.linalg.qr(rng.standard_normal((12, 8)))
+        V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        s = np.sort(rng.uniform(0.2, 0.9, 8))[::-1]
+        s[0] = 1.0 - gap
+        rho = (U * s) @ V.T
+        A = rng.standard_normal((12, 4))
+        svd = svd_of_rho(A, rho)
+        c, oms = _budget_terms(svd)
+        p = _budget_value(0.0, c, oms) * 2.0
+        sol = optimal_secondary(A, rho, p)
+        assert sol.kkt_residual <= 1e-5
+        fd = fd_lagrangian_stationarity(A, sol.B_star, rho, sol.lambda_, sol.objective_e)
+        assert fd <= 1e-5
 
     def test_prior_shifts_objective_only(self, rng):
         A = rng.standard_normal((3, 2))
@@ -321,6 +349,18 @@ class TestProbeAndUnwhiten:
         assert report.n_violations == violations
         prior = GaussianPrior(mean=np.zeros(A.shape[1]), cov=0.5 * np.eye(A.shape[1]))
         assert local_optimality_probe(A, rho, sol, seed=seed, delta=delta, prior=prior) == report
+
+    def test_cross_solvers(self, rng):
+        for n1, n2 in [(4, 3), (3, 4), (3, 3)]:
+            rho = random_admissible_rho(rng, n1, n2, 0.9)
+            solve_k, solve_kp, k_norm = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
+            K, Kp = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
+            assert rel_fro(K, np.linalg.inv(np.eye(n2) - rho.T @ rho)) <= 1e-12
+            assert rel_fro(Kp, np.linalg.inv(np.eye(n1) - rho @ rho.T)) <= 1e-12
+            assert k_norm == pytest.approx(np.linalg.norm(K, 2), rel=1e-10)
+            assert k_norm == pytest.approx(np.linalg.norm(Kp, 2), rel=1e-10)
+        with pytest.raises(Inadmissible):
+            _cross_solvers(np.diag([1.0, 0.5]), np.array([1.0, 0.5]))
 
     def test_probe_refuses_singular_cap(self, rng):
         # sigma_max(rho) = 1 - 1e-13: admissible, but cond(I - rho^T rho) > 1e12
