@@ -26,6 +26,8 @@ FORM_TOL = 1e-8
 # when it exceeds FORM_TOL.
 FORM_CONDITION_SLACK = 100.0
 
+_EPS = float(np.finfo(float).eps)
+
 # Absolute eigenvalue tolerance for PSD checks, scaled by the matrix norm
 # when the norm exceeds one.
 PSD_EIG_TOL = 1e-10
@@ -153,7 +155,7 @@ def forms_agree(form1, form2, what: str, condition: float = 1.0) -> np.ndarray:
     err = float(np.linalg.norm(form1 - form2, "fro")) / (
         1.0 + float(np.linalg.norm(form1, "fro"))
     )
-    if err >= max(FORM_TOL, FORM_CONDITION_SLACK * condition * np.finfo(float).eps):
+    if err >= FORM_TOL and err >= FORM_CONDITION_SLACK * condition * _EPS:
         raise FormDisagreement(
             f"{what} disagree (relative error {err:.3e})", max_relative_error=err
         )
