@@ -16,10 +16,10 @@ import scipy.linalg
 
 from .errors import SingularNormalMatrix, SingularPosterior
 from .matrixkit import (
-    SINGULAR_CONDITION,
     condition_estimate,
     pd_factor,
     psd_inverse,
+    require_conditioned,
     require_symmetric,
     symmetrize,
 )
@@ -36,12 +36,7 @@ class Estimate:
 
 
 def _solve_normal(N: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    cond = condition_estimate(N)
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-        raise SingularNormalMatrix(
-            f"{context}: normal matrix is numerically singular (cond~{cond:.3e})",
-            condition=cond,
-        )
+    require_conditioned(condition_estimate(N), f"{context}: normal matrix", SingularNormalMatrix)
     return np.linalg.solve(N, rhs)
 
 
@@ -121,12 +116,9 @@ def mmse_gaussian_estimate(
     gamma_inv = prior.info_matrix()
     sigma_inv = psd_inverse(sigma, name="noise covariance")
     posterior_info = symmetrize(gamma_inv + A.T @ sigma_inv @ A)
-    cond = condition_estimate(posterior_info)
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-        raise SingularPosterior(
-            f"posterior information matrix is numerically singular (cond~{cond:.3e})",
-            condition=cond,
-        )
+    require_conditioned(
+        condition_estimate(posterior_info), "posterior information matrix", SingularPosterior
+    )
     error_cov = symmetrize(np.linalg.solve(posterior_info, np.eye(model.m)))
 
     if form == "information":
@@ -146,9 +138,5 @@ def error_covariance(model: LinearModel, sigma) -> np.ndarray:
     sigma = require_symmetric(sigma, name="noise covariance")
     sigma_inv = psd_inverse(sigma, name="noise covariance")
     snr = symmetrize(model.A.T @ sigma_inv @ model.A)
-    cond = condition_estimate(snr)
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-        raise SingularNormalMatrix(
-            f"SNR matrix is numerically singular (cond~{cond:.3e})", condition=cond
-        )
+    require_conditioned(condition_estimate(snr), "SNR matrix", SingularNormalMatrix)
     return symmetrize(np.linalg.solve(snr, np.eye(model.m)))

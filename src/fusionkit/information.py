@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import block_plan, map_blocks
-from .errors import NotPD, RouteDisagreement, Singular, SingularInformation
+from .errors import NotPD, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
     block_inverse,
     condition_estimate,
     psd_inverse,
+    require_conditioned,
     require_symmetric,
     schur_factors,
     sym_sqrt,
@@ -198,9 +199,7 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
 
 
 def _cross_solve(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    cond = condition_estimate(M)
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-        raise Singular(f"{what} is numerically singular (cond~{cond:.3e})", condition=cond)
+    require_conditioned(condition_estimate(M), what)
     return np.linalg.solve(M, rhs)
 
 

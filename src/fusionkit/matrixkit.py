@@ -110,9 +110,7 @@ def psd_inverse(M, name: str = "matrix") -> np.ndarray:
         If the condition estimate exceeds ``SINGULAR_CONDITION``.
     """
     M = require_symmetric(M, name=name)
-    cond = condition_estimate(M)
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-        raise Singular(f"{name} is numerically singular (cond~{cond:.3e})", condition=cond)
+    require_conditioned(condition_estimate(M), name)
     inv = scipy.linalg.cho_solve(pd_factor(M, name=name), np.eye(M.shape[0]))
     return symmetrize(inv)
 
@@ -160,6 +158,19 @@ def forms_agree(form1, form2, what: str, condition: float = 1.0) -> np.ndarray:
             f"{what} disagree (relative error {err:.3e})", max_relative_error=err
         )
     return form1
+
+
+def require_conditioned(cond: float, what: str, error: type[Singular] = Singular) -> None:
+    """Refuse a solve whose condition estimate exceeds ``SINGULAR_CONDITION``.
+
+    Raises
+    ------
+    Singular
+        Or the given subclass, carrying the condition, if ``cond`` is not
+        finite or exceeds the limit.
+    """
+    if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
+        raise error(f"{what} is numerically singular (cond~{cond:.3e})", condition=cond)
 
 
 def condition_estimate(M) -> float:
@@ -259,12 +270,7 @@ def schur_factors(block: BlockCovariance) -> tuple[np.ndarray, np.ndarray]:
         scale = max(float(np.linalg.norm(parent, 2)), float(np.max(np.abs(w))))
         lo = float(w[0])
         cond = np.inf if lo <= 0.0 else scale / lo
-        if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-            raise Singular(
-                f"Schur complement of {name} block is numerically singular "
-                f"(cond~{cond:.3e})",
-                condition=cond,
-            )
+        require_conditioned(cond, f"Schur complement of {name} block")
     F = psd_inverse(schur_u, name="Schur complement (u block)")
     G = psd_inverse(schur_v, name="Schur complement (v block)")
     return F, G

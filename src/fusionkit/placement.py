@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import DegenerateBudget, Inadmissible, NoRoot, Singular
+from .errors import DegenerateBudget, Inadmissible, NoRoot
 from .information import whitened_joint_fisher
-from .matrixkit import SINGULAR_CONDITION, forms_agree, symmetrize
+from .matrixkit import forms_agree, require_conditioned, symmetrize
 from .model import SourcePrior
 
 
@@ -174,8 +174,7 @@ def _cross_solvers(rho, singular_values):
     gap = np.ones(n2)
     gap[: s.size] -= s**2
     cond = float(np.max(gap) / np.min(gap)) if np.min(gap) > 0.0 else np.inf
-    if cond > SINGULAR_CONDITION:
-        raise Singular(f"(I - rho^T rho) is numerically singular (cond~{cond:.3e})", condition=cond)
+    require_conditioned(cond, "(I - rho^T rho)")
     cap = symmetrize(np.eye(n2) - rho.T @ rho)
     cap_p = symmetrize(np.eye(n1) - rho @ rho.T)
 
@@ -364,7 +363,9 @@ def optimal_secondary(
     )
 
 
-def _objective_gradient_forms(A_tilde, B_tilde, rho, solve_k, solve_kp) -> tuple[np.ndarray, np.ndarray]:
+def _objective_gradient_forms(
+    A_tilde, B_tilde, rho, solve_k, solve_kp
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the synergy objective ``e(B~)`` with respect to B~, in two forms.
 
     The first differentiates the objective written around the secondary,

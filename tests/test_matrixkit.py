@@ -8,12 +8,19 @@ from fusionkit import (
     FormDisagreement,
     NotPSD,
     Singular,
+    SingularPosterior,
     block_inverse,
     is_psd,
     schur_factors,
     sym_sqrt,
 )
-from fusionkit.matrixkit import condition_estimate, forms_agree, require_symmetric, symmetrize
+from fusionkit.matrixkit import (
+    condition_estimate,
+    forms_agree,
+    require_conditioned,
+    require_symmetric,
+    symmetrize,
+)
 
 from conftest import random_joint_noise, random_pd, rel_fro
 
@@ -169,6 +176,16 @@ def test_forms_agree_tolerance_widens_only_with_condition(rng):
     assert forms_agree(M, M + E, "forms", condition=1e8) is M
     with pytest.raises(FormDisagreement):
         forms_agree(M, M + 100.0 * E, "forms", condition=1e8)
+
+
+def test_require_conditioned_raises_the_given_error_type():
+    require_conditioned(1e12, "M")
+    message = r"M is numerically singular \(cond~1\.000e\+13\)"
+    with pytest.raises(SingularPosterior, match=message) as exc:
+        require_conditioned(1e13, "M", SingularPosterior)
+    assert exc.value.condition == 1e13
+    with pytest.raises(Singular):
+        require_conditioned(np.inf, "M")
 
 
 def test_symmetrize_idempotent(rng):
