@@ -50,6 +50,7 @@ from .harness import (
 from .information import (
     InfoMatrix,
     McInfoEstimate,
+    PairFactorization,
     SynergyReport,
     WhitenedPair,
     crlb,

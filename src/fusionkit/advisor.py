@@ -17,14 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import Inadmissible
-from .information import (
-    InfoMatrix,
-    WhitenedPair,
-    joint_information,
-    prewhiten,
-    snr_matrix,
-    synergy_matrices,
-)
+from .information import InfoMatrix, PairFactorization, WhitenedPair
 from .matrixkit import BlockCovariance, symmetrize
 from .model import LinearModel, ModalityPair, SourcePrior
 
@@ -84,8 +77,11 @@ def compare_modalities(snr1, snr2, tol: float = 1e-9) -> str:
     S2 = snr2.matrix if isinstance(snr2, InfoMatrix) else np.asarray(snr2, dtype=float)
     if S1.shape != S2.shape:
         raise ValueError(f"SNR shapes differ: {S1.shape} vs {S2.shape}")
-    diff = symmetrize(S1 - S2)
-    w = np.linalg.eigvalsh(diff)
+    return _dominance(np.linalg.eigvalsh(symmetrize(S1 - S2)), tol)
+
+
+def _dominance(w: np.ndarray, tol: float) -> str:
+    """:func:`compare_modalities` from the ascending eigenvalues of ``snr1 - snr2``."""
     if float(np.max(np.abs(w))) <= tol:
         return "Tie"
     if float(w[0]) > tol:
@@ -105,6 +101,14 @@ def detect_redundancy(wp: WhitenedPair, tol: float = 1e-8) -> RedundancyResult:
     is cross-checked against the synergy matrices (the matching synergy
     norm must be negligible relative to the joint information).
     """
+    # Information, hence synergy, is the same in whitened coordinates.
+    noise = BlockCovariance(np.eye(wp.rho.shape[0]), np.eye(wp.rho.shape[1]), wp.rho)
+    whitened = ModalityPair(LinearModel(wp.A_tilde), LinearModel(wp.B_tilde), noise)
+    return _redundancy(wp, tol, wp.sigma_max_rho, lambda: PairFactorization.from_pair(whitened))
+
+
+def _redundancy(wp: WhitenedPair, tol: float, sigma_max: float, factorize) -> RedundancyResult:
+    """:func:`detect_redundancy`, with ``factorize()`` giving the pair's factorization."""
     A, B, rho = wp.A_tilde, wp.B_tilde, wp.rho
     r2 = float(np.linalg.norm(B - rho.T @ A, "fro")) / (1.0 + float(np.linalg.norm(B, "fro")))
     r1 = float(np.linalg.norm(A - rho @ B, "fro")) / (1.0 + float(np.linalg.norm(A, "fro")))
@@ -113,27 +117,13 @@ def detect_redundancy(wp: WhitenedPair, tol: float = 1e-8) -> RedundancyResult:
 
     verdict = "SecondRedundant" if r2 <= r1 else "FirstRedundant"
     synergy_residual = None
-    if wp.sigma_max_rho < 1.0 - 1e-8:
-        pair = _pair_from_whitened(wp)
-        rep = synergy_matrices(pair)
-        J = joint_information(pair).matrix
-        S = rep.S_x if verdict == "SecondRedundant" else rep.S_y
+    if sigma_max < 1.0 - 1e-8:
+        fac = factorize()
+        S = fac.S_x if verdict == "SecondRedundant" else fac.S_y
         synergy_residual = float(np.linalg.norm(S, "fro")) / max(
-            float(np.linalg.norm(J, "fro")), 1e-300
+            float(np.linalg.norm(fac.routes["prewhitened"], "fro")), 1e-300
         )
     return RedundancyResult(verdict=verdict, r1=r1, r2=r2, synergy_residual=synergy_residual)
-
-
-def _pair_from_whitened(wp: WhitenedPair) -> ModalityPair:
-    """Reassemble the unwhitened pair carried by a WhitenedPair."""
-    sigma_v = symmetrize(wp.L_v @ wp.L_v.T)
-    sigma_u = symmetrize(wp.L_u @ wp.L_u.T)
-    sigma_vu = wp.L_v @ wp.rho @ wp.L_u.T
-    return ModalityPair(
-        first=LinearModel(wp.L_v @ wp.A_tilde),
-        second=LinearModel(wp.L_u @ wp.B_tilde),
-        noise=BlockCovariance(sigma_v, sigma_u, sigma_vu),
-    )
 
 
 def classify_regime(rho, eps: float = 1e-6) -> str:
@@ -152,6 +142,11 @@ def classify_regime(rho, eps: float = 1e-6) -> str:
     rho = np.asarray(rho, dtype=float)
     frob = float(np.linalg.norm(rho, "fro"))
     sigma_max = 0.0 if frob == 0.0 else float(np.linalg.svd(rho, compute_uv=False)[0])
+    return _regime(frob, sigma_max, eps)
+
+
+def _regime(frob: float, sigma_max: float, eps: float) -> str:
+    """:func:`classify_regime` from ``||rho||_F`` and ``sigma_max(rho)``."""
     if sigma_max >= 1.0:
         raise Inadmissible(
             f"sigma_max(rho) = {sigma_max:.6f} >= 1: joint noise covariance not PD",
@@ -177,31 +172,29 @@ def advise(
     default whenever both modalities contribute measurable information.
     Every quantity entering a branch is recorded in the evidence.
     """
-    wp = prewhiten(pair)
-    snr1 = snr_matrix(pair.first, pair.noise.sigma_v)
-    snr2 = snr_matrix(pair.second, pair.noise.sigma_u)
-    scale = 1.0 + float(np.linalg.norm(snr1.matrix, 2)) + float(np.linalg.norm(snr2.matrix, 2))
-    dominance = compare_modalities(snr1, snr2, tol=tols.dominance * scale)
-    regime = classify_regime(wp.rho, eps=tols.regime_eps)
-    red = detect_redundancy(wp, tol=tols.redundancy)
-    J = joint_information(pair, prior)
-    rep = synergy_matrices(pair)
+    fac = PairFactorization.from_pair(pair)
+    wp, snr1, snr2, sigma_max = fac.whitened, fac.snr_first, fac.snr_second, fac.sigma_max_rho
+    scale = 1.0 + float(np.linalg.norm(snr1, 2)) + float(np.linalg.norm(snr2, 2))
+    diff_eigs = np.linalg.eigvalsh(symmetrize(snr1 - snr2))
+    dominance = _dominance(diff_eigs, tols.dominance * scale)
+    regime = _regime(float(np.linalg.norm(wp.rho, "fro")), sigma_max, tols.regime_eps)
+    red = _redundancy(wp, tols.redundancy, sigma_max, lambda: fac)
+    J = fac.joint_information(prior)
     trace_J = float(np.trace(J.matrix))
-    gain_second = float(np.trace(rep.S_x)) / max(trace_J, 1e-300)
-    gain_first = float(np.trace(rep.S_y)) / max(trace_J, 1e-300)
+    gain_second = float(np.trace(fac.S_x)) / max(trace_J, 1e-300)
+    gain_first = float(np.trace(fac.S_y)) / max(trace_J, 1e-300)
 
-    diff_eigs = np.linalg.eigvalsh(symmetrize(snr1.matrix - snr2.matrix))
     evidence = {
         "min_eig_diff": float(diff_eigs[0]),
         "max_eig_diff": float(diff_eigs[-1]),
         "r1": red.r1,
         "r2": red.r2,
-        "sigma_max_rho": wp.sigma_max_rho,
+        "sigma_max_rho": sigma_max,
         "trace_J_joint": trace_J,
-        "trace_snr1": float(np.trace(snr1.matrix)),
-        "trace_snr2": float(np.trace(snr2.matrix)),
-        "trace_S_x": float(np.trace(rep.S_x)),
-        "trace_S_y": float(np.trace(rep.S_y)),
+        "trace_snr1": float(np.trace(snr1)),
+        "trace_snr2": float(np.trace(snr2)),
+        "trace_S_x": float(np.trace(fac.S_x)),
+        "trace_S_y": float(np.trace(fac.S_y)),
         "gain_from_second": gain_second,
         "gain_from_first": gain_first,
         "dominance": dominance,

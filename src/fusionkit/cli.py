@@ -19,16 +19,7 @@ import numpy as np
 from .advisor import AdvisorTolerances, advise
 from .errors import FusionKitError
 from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
-from .information import (
-    crlb,
-    joint_fisher_routes,
-    joint_information,
-    prewhiten,
-    route_disagreement,
-    snr_matrix,
-    synergy_matrices,
-    total_information,
-)
+from .information import PairFactorization, crlb, prewhiten, snr_matrix, total_information
 from .matrixkit import BlockCovariance
 from .model import (
     GaussianPrior,
@@ -197,23 +188,22 @@ def cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_SCENARIO
-        routes = joint_fisher_routes(pair)
-        J = joint_information(pair, scenario.prior)
-        rep = synergy_matrices(pair)
-        wp = prewhiten(pair)
+        fac = PairFactorization.from_pair(pair)
+        J = fac.joint_information(scenario.prior)
+        rep = fac.synergy()
         report = {
             "scenario_id": scenario.id,
             "pair": [first, second],
-            "snr_first": _tolist(snr_matrix(pair.first, pair.noise.sigma_v).matrix),
-            "snr_second": _tolist(snr_matrix(pair.second, pair.noise.sigma_u).matrix),
+            "snr_first": _tolist(fac.snr_first),
+            "snr_second": _tolist(fac.snr_second),
             "J_joint": _tolist(J.matrix),
             "crlb_joint": _tolist(crlb(J)),
             "S_x": _tolist(rep.S_x),
             "S_y": _tolist(rep.S_y),
             "min_eig_S_x": rep.min_eigenvalues[0],
             "min_eig_S_y": rep.min_eigenvalues[1],
-            "route_max_rel_disagreement": route_disagreement(routes),
-            "sigma_max_rho": wp.sigma_max_rho,
+            "route_max_rel_disagreement": fac.route_error,
+            "sigma_max_rho": fac.sigma_max_rho,
             "near_singular": J.near_singular,
         }
         _emit(

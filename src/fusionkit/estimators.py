@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SingularNormalMatrix, SingularPosterior
+from .information import crlb, snr_matrix
 from .matrixkit import (
     condition_estimate,
     pd_factor,
@@ -134,9 +135,11 @@ def mmse_gaussian_estimate(
 
 
 def error_covariance(model: LinearModel, sigma) -> np.ndarray:
-    """Closed-form ML/WLS error covariance ``(A^T sigma^-1 A)^-1``."""
-    sigma = require_symmetric(sigma, name="noise covariance")
-    sigma_inv = psd_inverse(sigma, name="noise covariance")
-    snr = symmetrize(model.A.T @ sigma_inv @ model.A)
-    require_conditioned(condition_estimate(snr), "SNR matrix", SingularNormalMatrix)
-    return symmetrize(np.linalg.solve(snr, np.eye(model.m)))
+    """Closed-form ML/WLS error covariance ``(A^T sigma^-1 A)^-1``: ``crlb(snr_matrix(...))``.
+
+    Raises
+    ------
+    SingularInformation
+        If the SNR matrix is numerically singular.
+    """
+    return crlb(snr_matrix(model, sigma))

@@ -18,16 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import block_plan, map_blocks
-from .errors import NotPD, RouteDisagreement, SingularInformation
+from .errors import Inadmissible, NotPD, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
-    block_inverse,
-    condition_estimate,
+    factor_noise,
+    pd_sqrt,
     psd_inverse,
     require_conditioned,
     require_symmetric,
-    schur_factors,
-    sym_sqrt,
     symmetrize,
 )
 from .model import LinearModel, ModalityPair, SourcePrior
@@ -182,65 +180,78 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
     correlation ``rho = L_v^-1 sigma_vu L_u^-T``; the joint covariance
     being PD forces every singular value of rho below one.
     """
-    noise = pair.noise
-    for name, S in (("sigma_v", noise.sigma_v), ("sigma_u", noise.sigma_u)):
-        min_eig = float(np.linalg.eigvalsh(S)[0])
-        if min_eig <= 0.0:
-            raise NotPD(
-                f"{name} is not PD (min eigenvalue {min_eig:.3e})", min_eigenvalue=min_eig
-            )
-    L_v = sym_sqrt(noise.sigma_v)
-    L_u = sym_sqrt(noise.sigma_u)
-    A_tilde = np.linalg.solve(L_v, pair.first.A)
-    B_tilde = np.linalg.solve(L_u, pair.second.A)
+    return _whiten(pair, *_whiten_noise(pair.noise))
+
+
+def _whiten_noise(noise, L_v=None, L_u=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``L_v``, ``L_u`` (PD-checked roots unless given) and ``rho`` of a joint noise."""
+    L_v = pd_sqrt(noise.sigma_v, "sigma_v")[0] if L_v is None else L_v
+    L_u = pd_sqrt(noise.sigma_u, "sigma_u")[0] if L_u is None else L_u
     # L_u is symmetric, so sigma_vu L_u^-T solves from the right transposed.
-    rho = np.linalg.solve(L_v, np.linalg.solve(L_u, noise.sigma_vu.T).T)
-    return WhitenedPair(A_tilde=A_tilde, B_tilde=B_tilde, rho=rho, L_v=L_v, L_u=L_u)
+    return L_v, L_u, np.linalg.solve(L_v, np.linalg.solve(L_u, noise.sigma_vu.T).T)
 
 
-def _cross_solve(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    require_conditioned(condition_estimate(M), what)
-    return np.linalg.solve(M, rhs)
+def _whiten(pair: ModalityPair, L_v, L_u, rho) -> WhitenedPair:
+    A_tilde = np.linalg.solve(L_v, pair.first.A)
+    return WhitenedPair(A_tilde, np.linalg.solve(L_u, pair.second.A), rho, L_v, L_u)
 
 
-def joint_fisher_routes(pair: ModalityPair) -> dict[str, np.ndarray]:
-    """Source-conditional joint Fisher information by every algebraic route.
+def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
+    limit_ok = sigma_max < 1.0 if strict else sigma_max <= 1.0 + 1e-10
+    if not limit_ok:
+        raise Inadmissible(
+            f"sigma_max(rho) = {sigma_max:.8f} outside the admissible range",
+            sigma_max=sigma_max,
+        )
+    return sigma_max
 
-    Returns the four routes keyed "block", "schur_f", "schur_g",
-    "prewhitened" (prior information excluded; it is common to all).
+
+def _cross_solvers(rho, singular_values):
+    """Solvers applying ``K = (I - rho^T rho)^-1`` and ``K' = (I - rho rho^T)^-1``, and their norm.
+
+    Both have 2-norm ``1 / (1 - sigma_max^2)``, read off the singular values
+    of rho like ``cond(I - rho^T rho)``, so the guard costs no eigen-solve.
+    Each solver solves with its matrix rather than multiplying by an
+    explicit inverse, which near a unitary rho loses up to ten times more.
+    Raises :class:`Inadmissible` if ``sigma_max(rho) >= 1`` and
+    :class:`Singular` if ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``.
     """
-    A, B = pair.first.A, pair.second.A
-    noise = pair.noise
+    s = np.asarray(singular_values, dtype=float)
+    _admissible_sigma_max(float(s[0]) if s.size else 0.0)
+    n1, n2 = rho.shape
+    gap = np.ones(n2)
+    gap[: s.size] -= s**2
+    cond = float(np.max(gap) / np.min(gap)) if np.min(gap) > 0.0 else np.inf
+    require_conditioned(cond, "(I - rho^T rho)")
+    cap = symmetrize(np.eye(n2) - rho.T @ rho)
+    cap_p = symmetrize(np.eye(n1) - rho @ rho.T)
 
-    o11, o12, o21, o22 = block_inverse(noise)
-    J_block = symmetrize(A.T @ o11 @ A + A.T @ o12 @ B + B.T @ o21 @ A + B.T @ o22 @ B)
+    def solve_k(X):
+        return np.linalg.solve(cap, X)
 
-    F, G = schur_factors(noise)
-    sv_inv = psd_inverse(noise.sigma_v, name="sigma_v")
-    su_inv = psd_inverse(noise.sigma_u, name="sigma_u")
-    M_f = A.T @ sv_inv @ noise.sigma_vu - B.T
-    J_f = symmetrize(A.T @ sv_inv @ A + M_f @ F @ M_f.T)
-    M_g = B.T @ su_inv @ noise.sigma_uv - A.T
-    J_g = symmetrize(B.T @ su_inv @ B + M_g @ G @ M_g.T)
+    def solve_kp(X):
+        return np.linalg.solve(cap_p, X)
 
-    wp = prewhiten(pair)
-    J_white = symmetrize(whitened_joint_fisher(wp.A_tilde, wp.B_tilde, wp.rho))
-
-    return {"block": J_block, "schur_f": J_f, "schur_g": J_g, "prewhitened": J_white}
+    return solve_k, solve_kp, 1.0 / float(np.min(gap))
 
 
 def whitened_joint_fisher(A_tilde, B_tilde, rho) -> np.ndarray:
     """Joint Fisher information in whitened coordinates.
 
     ``(A~^T rho - B~^T)(I - rho^T rho)^-1 (A~^T rho - B~^T)^T + A~^T A~``.
+    Raises :class:`Inadmissible` if ``sigma_max(rho) >= 1`` and
+    :class:`Singular` if ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``.
     """
     A_tilde = np.asarray(A_tilde, dtype=float)
     B_tilde = np.asarray(B_tilde, dtype=float)
     rho = np.asarray(rho, dtype=float)
+    solve_k = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0]
+    return _whitened_fisher(A_tilde, B_tilde, rho, solve_k)
+
+
+def _whitened_fisher(A_tilde, B_tilde, rho, solve_k) -> np.ndarray:
     M = A_tilde.T @ rho - B_tilde.T
-    cap = np.eye(rho.shape[1]) - rho.T @ rho
-    quad = M @ _cross_solve(symmetrize(cap), M.T, "(I - rho^T rho)")
-    return symmetrize(A_tilde.T @ A_tilde + quad)
+    return symmetrize(A_tilde.T @ A_tilde + M @ solve_k(M.T))
 
 
 def route_disagreement(routes: dict[str, np.ndarray]) -> float:
@@ -254,30 +265,108 @@ def route_disagreement(routes: dict[str, np.ndarray]) -> float:
     return worst
 
 
+@dataclass(frozen=True)
+class PairFactorization:
+    """A modality pair with every block factorized once, and all that is read from it.
+
+    Built by :meth:`from_pair`: the whitened pair, ``sigma_max(rho)``, both
+    SNR matrices, the four joint Fisher information routes with their
+    largest disagreement, and ``S_x``, ``S_y``.
+    """
+
+    pair: ModalityPair
+    whitened: WhitenedPair
+    sigma_max_rho: float
+    snr_first: np.ndarray
+    snr_second: np.ndarray
+    routes: dict[str, np.ndarray]
+    route_error: float
+    S_x: np.ndarray
+    S_y: np.ndarray
+
+    @classmethod
+    def from_pair(cls, pair: ModalityPair) -> "PairFactorization":
+        """Factorize ``pair``; cross-validate the routes and the synergy matrices once.
+
+        Raises :class:`NotPD` or :class:`Singular` as :func:`factor_noise`
+        does, :class:`Singular` if ``cond(I - rho^T rho)`` exceeds
+        ``SINGULAR_CONDITION``, and :class:`RouteDisagreement` if the routes,
+        or a synergy matrix and ``J_joint - J_single``, differ by
+        ``ROUTE_TOL`` or more (an input conditioning problem).
+        """
+        A, B = pair.first.A, pair.second.A
+        nf = factor_noise(pair.noise)
+        sv_inv, su_inv = nf.sigma_v_inv, nf.sigma_u_inv
+
+        o11, o12, o21, o22 = nf.inverse_blocks
+        J_block = symmetrize(A.T @ o11 @ A + A.T @ o12 @ B + B.T @ o21 @ A + B.T @ o22 @ B)
+        snr1 = A.T @ sv_inv @ A
+        snr2 = B.T @ su_inv @ B
+        M_f = A.T @ sv_inv @ pair.noise.sigma_vu - B.T
+        quad_f = M_f @ nf.F @ M_f.T
+        M_g = B.T @ su_inv @ pair.noise.sigma_uv - A.T
+        quad_g = M_g @ nf.G @ M_g.T
+
+        wp = _whiten(pair, *_whiten_noise(pair.noise, nf.L_v, nf.L_u))
+        s = np.linalg.svd(wp.rho, compute_uv=False)
+        solve_k = _cross_solvers(wp.rho, s)[0]
+        routes = {
+            "block": J_block,
+            "schur_f": symmetrize(snr1 + quad_f),
+            "schur_g": symmetrize(snr2 + quad_g),
+            "prewhitened": _whitened_fisher(wp.A_tilde, wp.B_tilde, wp.rho, solve_k),
+        }
+        worst = route_disagreement(routes)
+        if worst >= ROUTE_TOL:
+            raise RouteDisagreement(
+                f"joint-information routes disagree (max relative error {worst:.3e})",
+                max_relative_error=worst,
+            )
+        snr1, snr2 = symmetrize(snr1), symmetrize(snr2)
+        S_x, S_y = symmetrize(quad_f), symmetrize(quad_g)
+        scale = 1.0 + float(np.linalg.norm(J_block, "fro"))
+        err_x = float(np.linalg.norm(S_x - (J_block - snr1), "fro")) / scale
+        err_y = float(np.linalg.norm(S_y - (J_block - snr2), "fro")) / scale
+        if max(err_x, err_y) >= ROUTE_TOL:
+            raise RouteDisagreement(
+                "synergy matrices disagree with J_joint - J_single "
+                f"(relative errors {err_x:.3e}, {err_y:.3e})",
+                max_relative_error=max(err_x, err_y),
+            )
+        return cls(pair, wp, float(s[0]), snr1, snr2, routes, worst, S_x, S_y)
+
+    def joint_information(self, prior: SourcePrior | None = None) -> InfoMatrix:
+        """Total information of the fused observation (see :func:`joint_information`)."""
+        J = self.routes["prewhitened"] + _prior_info(prior, self.pair.m)
+        return InfoMatrix(J, kind="joint", near_singular=self.sigma_max_rho >= NEAR_SINGULAR_RHO)
+
+    def synergy(self) -> SynergyReport:
+        """The synergy matrices with their smallest eigenvalues."""
+        eigs = (float(np.linalg.eigvalsh(self.S_x)[0]), float(np.linalg.eigvalsh(self.S_y)[0]))
+        return SynergyReport(S_x=self.S_x, S_y=self.S_y, min_eigenvalues=eigs)
+
+
+def joint_fisher_routes(pair: ModalityPair) -> dict[str, np.ndarray]:
+    """Source-conditional joint Fisher information by every algebraic route.
+
+    Returns the four routes keyed "block", "schur_f", "schur_g",
+    "prewhitened" (prior information excluded; it is common to all),
+    after they have been cross-validated (see :class:`PairFactorization`).
+    """
+    return dict(PairFactorization.from_pair(pair).routes)
+
+
 def joint_information(pair: ModalityPair, prior: SourcePrior | None = None) -> InfoMatrix:
     """Total information of the fused two-modality observation.
 
     All four algebraic routes are computed and cross-validated to a
     relative Frobenius tolerance of 1e-8; the prewhitened-route value is
     returned. A whitened cross-correlation within 1e-8 of unitary sets
-    the ``near_singular`` flag on the result instead of raising.
-
-    Raises
-    ------
-    RouteDisagreement
-        If the routes disagree beyond tolerance (an input conditioning
-        problem, not a modeling statement).
+    the ``near_singular`` flag on the result instead of raising. Raises as
+    :meth:`PairFactorization.from_pair` does, :class:`RouteDisagreement`
+    when the routes disagree.
     """
-    routes = joint_fisher_routes(pair)
-    worst = route_disagreement(routes)
-    if worst >= ROUTE_TOL:
-        raise RouteDisagreement(
-            f"joint-information routes disagree (max relative error {worst:.3e})",
-            max_relative_error=worst,
-        )
-    near = prewhiten(pair).sigma_max_rho >= NEAR_SINGULAR_RHO
-    J = routes["prewhitened"] + _prior_info(prior, pair.m)
-    return InfoMatrix(J, kind="joint", near_singular=near)
+    return PairFactorization.from_pair(pair).joint_information(prior)
 
 
 def synergy_matrices(pair: ModalityPair) -> SynergyReport:
@@ -288,32 +377,7 @@ def synergy_matrices(pair: ModalityPair) -> SynergyReport:
     Schur complements, hence PSD; each is cross-checked against the
     difference ``J_joint - J_single`` from the route machinery.
     """
-    A, B = pair.first.A, pair.second.A
-    noise = pair.noise
-    F, G = schur_factors(noise)
-    sv_inv = psd_inverse(noise.sigma_v, name="sigma_v")
-    su_inv = psd_inverse(noise.sigma_u, name="sigma_u")
-    M_f = A.T @ sv_inv @ noise.sigma_vu - B.T
-    M_g = B.T @ su_inv @ noise.sigma_uv - A.T
-    S_x = symmetrize(M_f @ F @ M_f.T)
-    S_y = symmetrize(M_g @ G @ M_g.T)
-
-    routes = joint_fisher_routes(pair)
-    J_fisher = routes["block"]
-    scale = 1.0 + float(np.linalg.norm(J_fisher, "fro"))
-    snr1 = symmetrize(A.T @ sv_inv @ A)
-    snr2 = symmetrize(B.T @ su_inv @ B)
-    err_x = float(np.linalg.norm(S_x - (J_fisher - snr1), "fro")) / scale
-    err_y = float(np.linalg.norm(S_y - (J_fisher - snr2), "fro")) / scale
-    if max(err_x, err_y) >= ROUTE_TOL:
-        raise RouteDisagreement(
-            "synergy matrices disagree with J_joint - J_single "
-            f"(relative errors {err_x:.3e}, {err_y:.3e})",
-            max_relative_error=max(err_x, err_y),
-        )
-    eig_x = float(np.linalg.eigvalsh(S_x)[0])
-    eig_y = float(np.linalg.eigvalsh(S_y)[0])
-    return SynergyReport(S_x=S_x, S_y=S_y, min_eigenvalues=(eig_x, eig_y))
+    return PairFactorization.from_pair(pair).synergy()
 
 
 def prior_information_mc(prior: SourcePrior, N: int, seed: int) -> McInfoEstimate:

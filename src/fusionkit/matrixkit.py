@@ -95,8 +95,22 @@ def sym_sqrt(M) -> np.ndarray:
         raise NotPSD(
             f"matrix is not PSD: min eigenvalue {w[0]:.6e}", min_eigenvalue=float(w[0])
         )
-    w = np.clip(w, 0.0, None)
-    return symmetrize((V * np.sqrt(w)) @ V.T)
+    return _root(w, V)
+
+
+def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    return symmetrize((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
+
+
+def pd_sqrt(M, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric square root of a PD matrix, and its ascending eigenvalues.
+
+    Raises :class:`NotPD` if the smallest eigenvalue is not positive.
+    """
+    w, V = np.linalg.eigh(symmetrize(M))
+    if w[0] <= 0.0:
+        raise NotPD(f"{name} is not PD (min eigenvalue {w[0]:.3e})", min_eigenvalue=float(w[0]))
+    return _root(w, V), w
 
 
 def psd_inverse(M, name: str = "matrix") -> np.ndarray:
@@ -111,8 +125,15 @@ def psd_inverse(M, name: str = "matrix") -> np.ndarray:
     """
     M = require_symmetric(M, name=name)
     require_conditioned(condition_estimate(M), name)
-    inv = scipy.linalg.cho_solve(pd_factor(M, name=name), np.eye(M.shape[0]))
-    return symmetrize(inv)
+    return _factor_inverse(pd_factor(M, name=name))
+
+
+def _factor_inverse(factor) -> np.ndarray:
+    return symmetrize(_factor_solve(factor, np.eye(factor[0].shape[0])))
+
+
+def _factor_solve(factor, B) -> np.ndarray:
+    return scipy.linalg.cho_solve(factor, B)
 
 
 def pd_factor(M, name: str = "matrix") -> tuple[np.ndarray, bool]:
@@ -127,12 +148,6 @@ def pd_factor(M, name: str = "matrix") -> tuple[np.ndarray, bool]:
         return scipy.linalg.cho_factor(M, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NotPD(f"{name} is not positive definite: {exc}") from exc
-
-
-def pd_solve(M, B, name: str = "matrix") -> np.ndarray:
-    """Solve ``M x = B`` for symmetric PD ``M`` through Cholesky."""
-    M = require_symmetric(M, name=name)
-    return scipy.linalg.cho_solve(pd_factor(M, name=name), np.asarray(B, dtype=float))
 
 
 def forms_agree(form1, form2, what: str, condition: float = 1.0) -> np.ndarray:
@@ -244,6 +259,66 @@ class BlockCovariance:
         return BlockCovariance(sv, su, np.zeros((sv.shape[0], su.shape[0])))
 
 
+@dataclass(frozen=True)
+class NoiseFactors:
+    """A joint noise covariance with each block factorized once (:func:`factor_noise`).
+
+    ``L_v``, ``L_u`` are the symmetric roots of the marginals, ``F``, ``G``
+    as in :func:`schur_factors`, ``inverse_blocks`` as in :func:`block_inverse`.
+    """
+
+    L_v: np.ndarray
+    L_u: np.ndarray
+    sigma_v_inv: np.ndarray
+    sigma_u_inv: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    inverse_blocks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def factor_noise(block: BlockCovariance) -> NoiseFactors:
+    """Factorize every block of a joint noise covariance once.
+
+    Per marginal, one eigen-solve gives the PD check (:class:`NotPD`), the
+    condition (:class:`Singular` above ``SINGULAR_CONDITION``) and the root;
+    per Schur complement, one gives the condition relative to its block.
+    One Cholesky factor of each of the four gives the inverses.
+    """
+    sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
+    norm_v, L_v, chol_v = _factor_marginal(sv, "sigma_v")
+    norm_u, L_u, chol_u = _factor_marginal(su, "sigma_u")
+    schur_u = symmetrize(su - svu.T @ _factor_solve(chol_v, svu))
+    schur_v = symmetrize(sv - svu @ _factor_solve(chol_u, svu.T))
+    F = _schur_inverse(schur_u, norm_u, "sigma_u", "Schur complement (u block)")
+    G = _schur_inverse(schur_v, norm_v, "sigma_v", "Schur complement (v block)")
+    sv_inv, su_inv = _factor_inverse(chol_v), _factor_inverse(chol_u)
+    if not np.any(svu):
+        # Block-diagonal input: keep the zero blocks exact.
+        z = np.zeros_like(svu)
+        return NoiseFactors(L_v, L_u, sv_inv, su_inv, F, G, (sv_inv, z, z.T, su_inv))
+    sv_inv_svu = sv_inv @ svu
+    omega_12 = -sv_inv_svu @ F
+    omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
+    return NoiseFactors(L_v, L_u, sv_inv, su_inv, F, G, (omega_11, omega_12, omega_12.T, F))
+
+
+def _factor_marginal(S: np.ndarray, name: str):
+    L, w = pd_sqrt(S, name)
+    require_conditioned(float(w[-1] / w[0]), name)
+    return float(w[-1]), L, pd_factor(S, name=name)
+
+
+def _schur_inverse(S: np.ndarray, block_norm: float, block: str, name: str) -> np.ndarray:
+    w = np.linalg.eigvalsh(S)
+    # Condition measured against the parent block's scale: a Schur
+    # complement tiny relative to its block signals joint collapse even
+    # when it is well-conditioned in isolation.
+    scale = max(block_norm, float(np.max(np.abs(w))))
+    lo = float(w[0])
+    require_conditioned(np.inf if lo <= 0.0 else scale / lo, f"Schur complement of {block} block")
+    return _factor_inverse(pd_factor(S, name=name))
+
+
 def schur_factors(block: BlockCovariance) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of the two Schur complements of the joint covariance.
 
@@ -259,21 +334,8 @@ def schur_factors(block: BlockCovariance) -> tuple[np.ndarray, np.ndarray]:
     Singular
         If either Schur complement has condition estimate above 1e12.
     """
-    sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
-    schur_u = symmetrize(su - svu.T @ pd_solve(sv, svu, name="sigma_v"))
-    schur_v = symmetrize(sv - svu @ pd_solve(su, svu.T, name="sigma_u"))
-    for name, parent, S in (("sigma_u", su, schur_u), ("sigma_v", sv, schur_v)):
-        w = np.linalg.eigvalsh(S)
-        # Condition measured against the parent block's scale: a Schur
-        # complement tiny relative to its block signals joint collapse
-        # even when it is well-conditioned in isolation.
-        scale = max(float(np.linalg.norm(parent, 2)), float(np.max(np.abs(w))))
-        lo = float(w[0])
-        cond = np.inf if lo <= 0.0 else scale / lo
-        require_conditioned(cond, f"Schur complement of {name} block")
-    F = psd_inverse(schur_u, name="Schur complement (u block)")
-    G = psd_inverse(schur_v, name="Schur complement (v block)")
-    return F, G
+    factors = factor_noise(block)
+    return factors.F, factors.G
 
 
 def block_inverse(
@@ -290,15 +352,4 @@ def block_inverse(
     (omega_11, omega_12, omega_21, omega_22)
         Blocks of ``joint()^-1`` with shapes (n1,n1), (n1,n2), (n2,n1), (n2,n2).
     """
-    sv, svu = block.sigma_v, block.sigma_vu
-    F, _ = schur_factors(block)
-    sv_inv = psd_inverse(sv, name="sigma_v")
-    if not np.any(svu):
-        # Block-diagonal input: keep the zero blocks exact.
-        su_inv = psd_inverse(block.sigma_u, name="sigma_u")
-        z = np.zeros_like(svu)
-        return sv_inv, z, z.T, su_inv
-    sv_inv_svu = sv_inv @ svu
-    omega_12 = -sv_inv_svu @ F
-    omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
-    return omega_11, omega_12, omega_12.T, F
+    return factor_noise(block).inverse_blocks

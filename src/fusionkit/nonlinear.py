@@ -17,8 +17,8 @@ import numpy as np
 
 from ._parallel import block_plan, map_blocks
 from .errors import NonFinite
-from .information import McInfoEstimate
-from .matrixkit import BlockCovariance, forms_agree, psd_inverse, symmetrize, sym_sqrt
+from .information import McInfoEstimate, _cross_solvers, _whiten_noise
+from .matrixkit import BlockCovariance, forms_agree, psd_inverse, symmetrize
 from .model import SourcePrior
 
 __all__ = [
@@ -169,12 +169,10 @@ def joint_information_nonlinear(
         raise ValueError("N must be positive")
     if h.m != g.m:
         raise ValueError(f"modalities must share the source dimension: {h.m} != {g.m}")
-    L_v = sym_sqrt(noise.sigma_v)
-    L_u = sym_sqrt(noise.sigma_u)
-    rho = np.linalg.solve(L_v, np.linalg.solve(L_u, noise.sigma_vu.T).T)
+    L_v, L_u, rho = _whiten_noise(noise)
     n1, n2 = rho.shape
-    K_a = np.linalg.solve(symmetrize(np.eye(n2) - rho.T @ rho), np.eye(n2))
-    K_b = np.linalg.solve(symmetrize(np.eye(n1) - rho @ rho.T), np.eye(n1))
+    solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
+    K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
 
     def per_sample(s):
         Dh = np.linalg.solve(L_v, h.jac(s))  # whitened Jacobian, (n1, m)

@@ -3,17 +3,21 @@
 Everything here lives in the whitened domain: the primary mixing matrix
 ``A~``, the candidate secondary ``B~`` and the noise cross-correlation
 ``rho`` after both modalities are whitened. The design objective is the
-trace of the joint information, maximized subject to the budget
-``Tr(B~^T B~) <= p``; stationarity gives the closed form
+trace of the joint information on the budget sphere ``Tr(B~^T B~) = p``;
+stationarity gives the closed form
 ``B~* = [I - lambda (I - rho^T rho)]^-1 rho^T A~`` with the multiplier
 fixed by a scalar root equation in the singular values of rho.
 
 The root is taken on the branch containing lambda = 0 on which all
-denominators stay positive (keeping B~* finite). First-order
-stationarity is verified on every solve by the analytic gradient of the
-Lagrangian, evaluated in two algebraically distinct forms that must
-agree; whether the stationary point is a global maximizer is measured
-empirically by the perturbation probe, not asserted.
+denominators stay positive (keeping B~* finite). On that branch lambda
+stays below the smallest eigenvalue of ``K = (I - rho^T rho)^-1``, so
+``K - lambda I`` is positive definite, the Lagrangian is convex in B~,
+and the stationary point is the budget-constrained *minimizer* of the
+objective; the maximizing branch, ``lambda > lambda_max(K)``, is not
+solved here. First-order stationarity is verified on every solve by the
+analytic gradient of the Lagrangian, evaluated in two algebraically
+distinct forms that must agree; the perturbation probe reports how
+perturbations move the objective.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import DegenerateBudget, Inadmissible, NoRoot
-from .information import whitened_joint_fisher
-from .matrixkit import forms_agree, require_conditioned, symmetrize
+from .errors import DegenerateBudget, NoRoot
+from .information import _admissible_sigma_max, _cross_solvers, whitened_joint_fisher
+from .matrixkit import forms_agree
 from .model import SourcePrior
 
 
@@ -87,32 +91,12 @@ class ProbeReport:
     seed: int
 
 
-def _check_admissible(rho: np.ndarray, strict: bool = True) -> float:
-    if not np.any(rho):
-        return 0.0
-    return _admissible_sigma_max(float(np.linalg.svd(rho, compute_uv=False)[0]), strict)
-
-
-def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
-    limit_ok = sigma_max < 1.0 if strict else sigma_max <= 1.0 + 1e-10
-    if not limit_ok:
-        raise Inadmissible(
-            f"sigma_max(rho) = {sigma_max:.8f} outside the admissible range",
-            sigma_max=sigma_max,
-        )
-    return sigma_max
-
-
 def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -> float:
     """Trace of the joint information for a whitened pair (the synergy score).
 
     Equals the trace of the information-module joint matrix; the inverse
     of the minimum mean square error in the scalar sense.
     """
-    A_tilde = np.asarray(A_tilde, dtype=float)
-    B_tilde = np.asarray(B_tilde, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    _check_admissible(rho)
     e = float(np.trace(whitened_joint_fisher(A_tilde, B_tilde, rho)))
     if prior is not None:
         e += float(np.trace(prior.info_matrix()))
@@ -150,41 +134,6 @@ def svd_of_rho(A_tilde, rho) -> SvdOfRho:
     U, s, Vt = np.linalg.svd(rho)
     d = np.diag(U.T @ A_tilde @ A_tilde.T @ U).copy()
     return SvdOfRho(U=U, singular_values=s, V=Vt.T, d=np.maximum(d, 0.0))
-
-
-def _cross_solvers(rho, singular_values):
-    """Solvers applying ``K = (I - rho^T rho)^-1`` and ``K' = (I - rho rho^T)^-1``, and their norm.
-
-    Both have 2-norm ``1 / (1 - sigma_max^2)``, read off the singular values
-    of rho like ``cond(I - rho^T rho)``, so the guard costs no eigen-solve.
-    Each solver solves with its matrix rather than multiplying by an
-    explicit inverse, which near a unitary rho loses up to ten times more.
-
-    Raises
-    ------
-    Inadmissible
-        If ``sigma_max(rho) >= 1``.
-    Singular
-        If ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``, the
-        guard of :func:`whitened_joint_fisher`.
-    """
-    s = np.asarray(singular_values, dtype=float)
-    _admissible_sigma_max(float(s[0]) if s.size else 0.0)
-    n1, n2 = rho.shape
-    gap = np.ones(n2)
-    gap[: s.size] -= s**2
-    cond = float(np.max(gap) / np.min(gap)) if np.min(gap) > 0.0 else np.inf
-    require_conditioned(cond, "(I - rho^T rho)")
-    cap = symmetrize(np.eye(n2) - rho.T @ rho)
-    cap_p = symmetrize(np.eye(n1) - rho @ rho.T)
-
-    def solve_k(X):
-        return np.linalg.solve(cap, X)
-
-    def solve_kp(X):
-        return np.linalg.solve(cap_p, X)
-
-    return solve_k, solve_kp, 1.0 / float(np.min(gap))
 
 
 def _budget_terms(svd: SvdOfRho) -> tuple[np.ndarray, np.ndarray]:
@@ -293,10 +242,14 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
 def optimal_secondary(
     A_tilde, rho, p: float, prior: SourcePrior | None = None
 ) -> PlacementSolution:
-    """Whitened secondary mixing matrix maximizing synergy under the budget.
+    """Stationary whitened secondary mixing matrix under the budget.
 
     Closed form ``B~* = [I - lambda (I - rho^T rho)]^-1 rho^T A~`` with
-    the multiplier from :func:`lambda_root`. Corner cases:
+    the multiplier from :func:`lambda_root`, on the branch containing
+    lambda = 0. There ``K - lambda I`` is positive definite, with
+    ``K = (I - rho^T rho)^-1``, so ``B~*`` *minimizes* synergy over the
+    budget sphere, and the probe reports perturbations that increase it;
+    it does not maximize synergy. Corner cases:
 
     * ``rho^T rho = I``: the multiplier vanishes and ``B~* = rho^T A~``
       regardless of the budget (equivalent to the redundancy relation).
@@ -309,7 +262,8 @@ def optimal_secondary(
     rho = np.asarray(rho, dtype=float)
     if p <= 0.0:
         raise ValueError("budget p must be positive")
-    _check_admissible(rho, strict=False)
+    if np.any(rho):
+        _admissible_sigma_max(float(np.linalg.svd(rho, compute_uv=False)[0]), strict=False)
 
     prior_trace = 0.0 if prior is None else float(np.trace(prior.info_matrix()))
 
@@ -411,7 +365,6 @@ def local_optimality_probe(
     n_perturbations: int = 200,
     seed: int = 0,
     delta: float = 1e-3,
-    prior: SourcePrior | None = None,
 ) -> ProbeReport:
     """Probe a solution with random budget-feasible perturbations.
 
@@ -419,10 +372,8 @@ def local_optimality_probe(
     ``delta`` and renormalizes back to the budget sphere; improvements of
     the objective beyond 1e-8 are counted as violations of local
     optimality and reported (never hidden): first-order stationarity does
-    not imply the stationary point maximizes the objective.
-
-    ``prior`` is ignored and kept only so existing calls still work: a
-    prior shifts the objective by a constant, which cancels in every gain.
+    not imply the stationary point maximizes the objective. A prior would
+    shift the objective by a constant, which cancels in every gain.
     """
     if solution.B_star is None:
         raise ValueError("degenerate solutions have no matrix to probe")

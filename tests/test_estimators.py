@@ -5,7 +5,10 @@ from fusionkit import (
     GaussianPrior,
     LinearModel,
     NotPD,
+    Singular,
+    SingularInformation,
     SingularNormalMatrix,
+    crlb,
     error_covariance,
     ml_estimate,
     mmse_gaussian_estimate,
@@ -150,6 +153,19 @@ class TestErrorCovariance:
         assert np.allclose(
             error_covariance(LinearModel(2.0 * np.eye(2)), np.eye(2)), 0.25 * np.eye(2)
         )
+
+    def test_is_the_crlb_of_the_snr_matrix(self, rng):
+        model = LinearModel(rng.standard_normal((5, 3)))
+        sigma = random_pd(rng, 5)
+        expected = crlb(snr_matrix(model, sigma))
+        assert np.array_equal(error_covariance(model, sigma), expected)
+
+    def test_singular_snr_matrix_raises_singular_information(self):
+        # rank-one mixing: the data carry nothing about s1 - s2
+        with pytest.raises(SingularInformation) as exc:
+            error_covariance(LinearModel(np.ones((3, 2))), np.eye(3))
+        assert isinstance(exc.value, Singular)
+        assert exc.value.null_space.shape == (2, 1)
 
     def test_matches_empirical(self, rng):
         # Monte-Carlo oracle (the harness covers this at scale; quick check here)

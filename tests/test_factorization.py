@@ -1,0 +1,170 @@
+"""One factorization per modality pair: contents, guards and LAPACK call counts."""
+
+import collections
+import dataclasses
+import sys
+
+import numpy as np
+import pytest
+
+from fusionkit import (
+    BlockCovariance,
+    GaussianPrior,
+    LinearModel,
+    ModalityPair,
+    NotPD,
+    PairFactorization,
+    RouteDisagreement,
+    Singular,
+    advise,
+    joint_information,
+    prewhiten,
+    snr_matrix,
+    sym_sqrt,
+    synergy_matrices,
+)
+from fusionkit import information
+
+from conftest import random_admissible_rho, random_pair, random_pd, rel_fro
+
+# Entry points of numpy.linalg and scipy.linalg that the library could call
+# (scipy only if the library imported it).
+LAPACK = {
+    "numpy.linalg": ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq", "pinv",
+                     "qr", "slogdet", "det", "solve", "svd"),
+    "scipy.linalg": ("cho_factor", "cho_solve", "cholesky", "eigh", "inv", "lu_factor",
+                     "lu_solve", "solve", "solve_triangular", "svd"),
+}
+
+
+def planted_pair(rng, n1, n2, m, redundant=False):
+    """Pair with whitened cross-correlation rho; ``B~ = rho^T A~`` when redundant."""
+    sigma_v, sigma_u = random_pd(rng, n1), random_pd(rng, n2)
+    L_v, L_u = sym_sqrt(sigma_v), sym_sqrt(sigma_u)
+    rho = random_admissible_rho(rng, n1, n2, 0.8)
+    A_t = rng.standard_normal((n1, m))
+    B_t = rho.T @ A_t if redundant else rng.standard_normal((n2, m))
+    return ModalityPair(
+        LinearModel(L_v @ A_t),
+        LinearModel(L_u @ B_t),
+        BlockCovariance(sigma_v, sigma_u, L_v @ rho @ L_u),
+    )
+
+
+def lapack_calls(monkeypatch, fn):
+    counts = collections.Counter()
+    for modname, names in LAPACK.items():
+        module = sys.modules.get(modname)
+        for name in names if module is not None else ():
+            original = getattr(module, name)
+
+            def counted(*args, _f=original, _n=f"{modname}.{name}", **kwargs):
+                counts[_n] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    fn()
+    monkeypatch.undo()
+    return dict(counts)
+
+
+BUILD = {
+    "numpy.linalg.eigh": 2,  # one per marginal: PD check, condition, square root
+    "numpy.linalg.eigvalsh": 2,  # one per Schur complement: its condition
+    "scipy.linalg.cho_factor": 4,  # marginals and Schur complements
+    "scipy.linalg.cho_solve": 6,  # two inverses, two Schur solves, F and G
+    "numpy.linalg.solve": 5,  # A~, B~, rho (two) and (I - rho^T rho)
+    "numpy.linalg.svd": 1,  # rho
+}
+
+
+@pytest.mark.parametrize("redundant", [False, True])
+@pytest.mark.parametrize(
+    "call, extra_eigvalsh",
+    [("joint_information", 0), ("synergy_matrices", 2), ("advise", 1)],
+)
+def test_lapack_calls_pinned(monkeypatch, call, extra_eigvalsh, redundant):
+    rng = np.random.default_rng(40)
+    pair = planted_pair(rng, 40, 30, 10, redundant)
+    prior = GaussianPrior(mean=np.zeros(10), cov=random_pd(rng, 10))
+    calls = {
+        "joint_information": lambda: joint_information(pair, prior),
+        "synergy_matrices": lambda: synergy_matrices(pair),
+        "advise": lambda: advise(pair, prior),
+    }
+    expected = dict(BUILD)
+    expected["numpy.linalg.eigvalsh"] += extra_eigvalsh
+    assert lapack_calls(monkeypatch, calls[call]) == expected
+    if call == "advise":
+        adv = advise(pair, prior)
+        assert adv.verdict == ("SecondRedundant" if redundant else "Fuse")
+        if redundant:
+            assert adv.evidence["synergy_residual"] <= 1e-8
+
+
+def test_contents_match_the_single_purpose_functions(rng):
+    pair = random_pair(rng, 4, 3, 2)
+    fac = PairFactorization.from_pair(pair)
+    wp = prewhiten(pair)
+    for got, want in zip(
+        (fac.whitened.A_tilde, fac.whitened.B_tilde, fac.whitened.rho, fac.whitened.L_v),
+        (wp.A_tilde, wp.B_tilde, wp.rho, wp.L_v),
+    ):
+        assert np.array_equal(got, want)
+    assert fac.sigma_max_rho == wp.sigma_max_rho
+    assert np.array_equal(fac.snr_first, snr_matrix(pair.first, pair.noise.sigma_v).matrix)
+    assert np.array_equal(fac.snr_second, snr_matrix(pair.second, pair.noise.sigma_u).matrix)
+    # independent oracle: GLS information of the stacked model
+    H = np.vstack([pair.first.A, pair.second.A])
+    dense = H.T @ np.linalg.solve(pair.noise.joint(), H)
+    for J in fac.routes.values():
+        assert rel_fro(J, dense) <= 1e-10
+    assert rel_fro(fac.S_x, dense - fac.snr_first) <= 1e-10
+    assert rel_fro(fac.S_y, dense - fac.snr_second) <= 1e-10
+
+
+def test_not_pd_marginal_raises_not_pd(rng):
+    noise = BlockCovariance(np.diag([1.0, -0.5]), np.eye(2), np.zeros((2, 2)))
+    pair = ModalityPair(LinearModel(np.eye(2)), LinearModel(np.eye(2)), noise)
+    with pytest.raises(NotPD):
+        PairFactorization.from_pair(pair)
+
+
+def test_ill_conditioned_marginal_raises_singular():
+    noise = BlockCovariance(np.diag([1.0, 1e-13]), np.eye(2), np.zeros((2, 2)))
+    pair = ModalityPair(LinearModel(np.eye(2)), LinearModel(np.eye(2)), noise)
+    with pytest.raises(Singular, match="sigma_v is numerically singular"):
+        joint_information(pair)
+
+
+def test_collapsing_schur_complement_raises_singular():
+    noise = BlockCovariance(np.eye(1), np.eye(1), [[1.0 - 1e-14]])
+    pair = ModalityPair(LinearModel([[1.0]]), LinearModel([[2.0]]), noise)
+    with pytest.raises(Singular, match="Schur complement"):
+        synergy_matrices(pair)
+
+
+def test_route_disagreement_raises(rng, monkeypatch):
+    pair = random_pair(rng, 3, 2, 2)
+    whitened = information._whitened_fisher
+    monkeypatch.setattr(
+        information, "_whitened_fisher", lambda *a: whitened(*a) * (1.0 + 1e-6)
+    )
+    with pytest.raises(RouteDisagreement) as exc:
+        joint_information(pair)
+    assert exc.value.max_relative_error >= 1e-8
+
+
+def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
+    # the routes are declared in agreement, so only the synergy check can fire
+    pair = random_pair(rng, 3, 2, 2)
+    factor_noise = information.factor_noise
+
+    def perturbed(block):
+        nf = factor_noise(block)
+        return dataclasses.replace(nf, inverse_blocks=tuple(1.001 * b for b in nf.inverse_blocks))
+
+    monkeypatch.setattr(information, "route_disagreement", lambda routes: 0.0)
+    monkeypatch.setattr(information, "factor_noise", perturbed)
+    with pytest.raises(RouteDisagreement, match="synergy"):
+        synergy_matrices(pair)

@@ -9,6 +9,7 @@ from fusionkit import (
     NonFinite,
     NonlinearModel,
     SamplerPrior,
+    Singular,
     fisher_nonlinear,
     joint_information_nonlinear,
     joint_information,
@@ -176,6 +177,19 @@ class TestJointInformationNonlinear:
         joint = joint_information_nonlinear(h, g, noise, prior, N=20_000, seed=11)
         single = fisher_nonlinear(h, np.eye(2), prior, N=20_000, seed=11)
         assert abs(joint.J[0, 0] - single.J[0, 0]) <= 3.0 * (single.std_err[0, 0] + 1e-12)
+
+    def test_near_unitary_rho_is_singular(self):
+        # cond(I - rho^T rho) ~ 5e12 exceeds the guard; an unguarded solve
+        # returned trace(J) ~ 2.4e12 here
+        noise = BlockCovariance(np.eye(2), np.eye(2), np.diag([1.0 - 1e-13, 0.5]))
+        prior = GaussianPrior(mean=np.zeros(1), cov=np.eye(1))
+        A, B = np.array([[1.0], [0.5]]), np.array([[0.3], [1.0]])
+        with pytest.raises(Singular):
+            joint_information_nonlinear(
+                NonlinearModel.linear(A), NonlinearModel.linear(B), noise, prior, N=10, seed=0
+            )
+        with pytest.raises(Singular):
+            joint_information(ModalityPair(LinearModel(A), LinearModel(B), noise), prior)
 
     def test_shared_source_dimension_required(self):
         h = squared_scalar()

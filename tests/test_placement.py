@@ -21,10 +21,10 @@ from fusionkit import (
 )
 from fusionkit import BlockCovariance, LinearModel, ModalityPair
 from fusionkit import placement
+from fusionkit.information import _cross_solvers
 from fusionkit.placement import (
     _budget_terms,
     _budget_value,
-    _cross_solvers,
     _objective_gradient_forms,
     _perturbation_gains,
 )
@@ -347,8 +347,6 @@ class TestProbeAndUnwhiten:
             seed = 0
         report = local_optimality_probe(A, rho, sol, seed=seed, delta=delta)
         assert report.n_violations == violations
-        prior = GaussianPrior(mean=np.zeros(A.shape[1]), cov=0.5 * np.eye(A.shape[1]))
-        assert local_optimality_probe(A, rho, sol, seed=seed, delta=delta, prior=prior) == report
 
     def test_cross_solvers(self, rng):
         for n1, n2 in [(4, 3), (3, 4), (3, 3)]:
