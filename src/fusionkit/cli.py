@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .advisor import AdvisorTolerances, advise
-from .errors import FusionKitError
+from .errors import FusionKitError, NotPD
 from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
 from .information import PairFactorization, crlb, prewhiten, snr_matrix, total_information
 from .matrixkit import BlockCovariance
@@ -81,6 +81,21 @@ def _matrix(obj, what: str) -> np.ndarray:
     return M
 
 
+def _cross_entry(entry, names: list[str]) -> tuple[tuple[str, str], np.ndarray]:
+    """Modality names and matrix of one ``cross_cov`` entry."""
+    try:
+        i, j = entry["pair"]
+        matrix = _matrix(entry["matrix"], "cross_cov matrix")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ScenarioError(f"bad cross_cov entry: {exc}") from exc
+    indices = (i, j)
+    if not all(type(k) is int and 0 <= k < len(names) for k in indices):
+        raise ScenarioError(f"cross_cov pair {list(indices)} out of range")
+    if i == j:
+        raise ScenarioError(f"cross_cov pair {list(indices)} must name two distinct modalities")
+    return (names[i], names[j]), matrix
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario JSON document."""
     path = Path(path)
@@ -91,8 +106,10 @@ def load_scenario(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
 
-    if "sources" not in doc or "modalities" not in doc:
+    if not isinstance(doc, dict) or "sources" not in doc or "modalities" not in doc:
         raise ScenarioError("scenario must define 'sources' and 'modalities'")
+    if not isinstance(doc["modalities"], list):
+        raise ScenarioError("'modalities' must be a list of modality entries")
 
     src = doc["sources"]
     try:
@@ -105,7 +122,7 @@ def load_scenario(path: str | Path) -> Scenario:
             prior = InfoOnlyPrior(_matrix(src["info_only"]["J_s"], "J_s"))
         else:
             raise ScenarioError("sources must be 'gaussian' or 'info_only'")
-    except (ValueError, KeyError, FusionKitError) as exc:
+    except (ValueError, KeyError, TypeError, FusionKitError) as exc:
         raise ScenarioError(f"bad source prior: {exc}") from exc
 
     modalities: dict[str, tuple[LinearModel, np.ndarray]] = {}
@@ -115,7 +132,7 @@ def load_scenario(path: str | Path) -> Scenario:
             name = str(entry["name"])
             model = LinearModel(_matrix(entry["A"], f"modality {name} A"))
             noise = _matrix(entry["noise_cov"], f"modality {name} noise_cov")
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ScenarioError(f"bad modality entry: {exc}") from exc
         if name in modalities:
             raise ScenarioError(f"duplicate modality name {name!r}")
@@ -134,25 +151,28 @@ def load_scenario(path: str | Path) -> Scenario:
     if raw_cross is not None:
         entries = raw_cross if isinstance(raw_cross, list) else [raw_cross]
         for entry in entries:
+            key, matrix = _cross_entry(entry, names)
+            if key in cross or key[::-1] in cross:
+                raise ScenarioError(f"cross_cov for {list(key)} given twice")
             try:
-                i, j = entry["pair"]
-                matrix = _matrix(entry["matrix"], "cross_cov matrix")
-            except (ValueError, KeyError) as exc:
-                raise ScenarioError(f"bad cross_cov entry: {exc}") from exc
-            try:
-                key = (names[int(i)], names[int(j)])
-            except (IndexError, ValueError) as exc:
-                raise ScenarioError(f"cross_cov pair {entry['pair']} out of range") from exc
+                BlockCovariance(modalities[key[0]][1], modalities[key[1]][1], matrix).check_pd()
+            except (ValueError, NotPD) as exc:
+                raise ScenarioError(f"cross_cov {list(key)}: {exc}") from exc
             cross[key] = matrix
 
     tols = AdvisorTolerances()
     if "tolerances" in doc:
+        raw_tols = doc["tolerances"]
+        if not isinstance(raw_tols, dict):
+            raise ScenarioError("'tolerances' must be an object of named values")
         known = {"dominance", "redundancy", "regime_eps", "select_gain"}
-        overrides = {k: float(v) for k, v in doc["tolerances"].items() if k in known}
-        unknown = set(doc["tolerances"]) - known
+        unknown = set(raw_tols) - known
         if unknown:
             raise ScenarioError(f"unknown tolerance keys: {sorted(unknown)}")
-        tols = AdvisorTolerances(**overrides)
+        try:
+            tols = AdvisorTolerances(**{k: float(v) for k, v in raw_tols.items()})
+        except (ValueError, TypeError) as exc:
+            raise ScenarioError(f"bad tolerances: {exc}") from exc
 
     return Scenario(
         id=str(doc.get("id", path.stem)),

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularNormalMatrix, SingularPosterior
 from .information import crlb, snr_matrix
@@ -71,10 +70,10 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
 def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     """Gaussian maximum likelihood estimate; equals WLS with W = sigma^-1.
 
-    Solves through a Cholesky factorization of the noise covariance
-    (a different numerical route than :func:`wls_estimate`, which forms
-    the weight matrix explicitly). The error covariance is the inverse
-    of the SNR matrix ``A^T sigma^-1 A``.
+    Whitens ``[A | x]`` with one solve against the Cholesky factor of the
+    noise covariance (a different numerical route than :func:`wls_estimate`,
+    which forms the weight matrix explicitly). The error covariance is the
+    inverse of the SNR matrix ``A^T sigma^-1 A``.
 
     Raises
     ------
@@ -86,11 +85,11 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     if x.shape != (model.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
     A = model.A
-    factor = pd_factor(sigma, name="noise covariance")
-    si_A = scipy.linalg.cho_solve(factor, A)
-    si_x = scipy.linalg.cho_solve(factor, x)
-    snr = symmetrize(A.T @ si_A)
-    s_hat = _solve_normal(snr, A.T @ si_x, "ml_estimate")
+    L = pd_factor(sigma, name="noise covariance")
+    white = np.linalg.solve(L, np.column_stack([A, x]))
+    white_A, white_x = white[:, :-1], white[:, -1]
+    snr = symmetrize(white_A.T @ white_A)
+    s_hat = _solve_normal(snr, white_A.T @ white_x, "ml_estimate")
     error_cov = symmetrize(_solve_normal(snr, np.eye(model.m), "ml_estimate"))
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="ML")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import block_plan, map_blocks
-from .errors import Inadmissible, NotPD, RouteDisagreement, SingularInformation
+from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
     factor_noise,
@@ -124,16 +124,12 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     ------
     NotPD
         If the noise covariance is not positive definite.
+    Singular
+        If its condition number exceeds ``SINGULAR_CONDITION``.
     """
     sigma = require_symmetric(sigma, name="noise covariance")
     if sigma.shape[0] != model.n:
         raise ValueError(f"noise covariance is {sigma.shape}, model has {model.n} channels")
-    min_eig = float(np.linalg.eigvalsh(sigma)[0])
-    if min_eig <= 0.0:
-        raise NotPD(
-            f"noise covariance is not PD (min eigenvalue {min_eig:.3e})",
-            min_eigenvalue=min_eig,
-        )
     sigma_inv = psd_inverse(sigma, name="noise covariance")
     return InfoMatrix(symmetrize(model.A.T @ sigma_inv @ model.A), kind="snr")
 
@@ -185,8 +181,8 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
 
 def _whiten_noise(noise, L_v=None, L_u=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``L_v``, ``L_u`` (PD-checked roots unless given) and ``rho`` of a joint noise."""
-    L_v = pd_sqrt(noise.sigma_v, "sigma_v")[0] if L_v is None else L_v
-    L_u = pd_sqrt(noise.sigma_u, "sigma_u")[0] if L_u is None else L_u
+    L_v = pd_sqrt(noise.sigma_v, "sigma_v") if L_v is None else L_v
+    L_u = pd_sqrt(noise.sigma_u, "sigma_u") if L_u is None else L_u
     # L_u is symmetric, so sigma_vu L_u^-T solves from the right transposed.
     return L_v, L_u, np.linalg.solve(L_v, np.linalg.solve(L_u, noise.sigma_vu.T).T)
 

@@ -1,9 +1,12 @@
 """Dense symmetric-matrix toolkit: PSD square roots, block inversion, Schur factors.
 
-All operations are pure functions on small dense arrays. Inverses are
-always computed through factorizations (Cholesky / eigendecomposition),
-and condition estimates are surfaced in error objects when a solve is
-refused.
+All operations are pure functions on small dense arrays. An inverse is
+read off the symmetric eigendecomposition ``M = V diag(w) V^T`` as
+``(V / w) V^T``, from the same eigen-solve that checks definiteness
+(:class:`NotPD`) and gives the condition ``w_max / w_min`` (refused as
+:class:`Singular` above ``SINGULAR_CONDITION``) and, for a noise
+marginal, the symmetric root. Only :func:`pd_factor`, for the Gaussian
+ML whitening, takes a Cholesky factor.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FormDisagreement, NotPD, NotPSD, Singular
 
@@ -102,42 +104,47 @@ def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return symmetrize((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
-def pd_sqrt(M, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root of a PD matrix, and its ascending eigenvalues.
+def pd_sqrt(M, name: str = "matrix") -> np.ndarray:
+    """Symmetric square root of a PD matrix.
 
     Raises :class:`NotPD` if the smallest eigenvalue is not positive.
     """
+    return _root(*_pd_eigh(M, name))
+
+
+def _pd_eigh(M, name: str) -> tuple[np.ndarray, np.ndarray]:
     w, V = np.linalg.eigh(symmetrize(M))
     if w[0] <= 0.0:
         raise NotPD(f"{name} is not PD (min eigenvalue {w[0]:.3e})", min_eigenvalue=float(w[0]))
-    return _root(w, V), w
+    return w, V
+
+
+def _conditioned_eigh(M, name: str) -> tuple[np.ndarray, np.ndarray]:
+    w, V = _pd_eigh(M, name)
+    require_conditioned(float(w[-1] / w[0]), name)
+    return w, V
+
+
+def _eig_inverse(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    return symmetrize((V / w) @ V.T)
 
 
 def psd_inverse(M, name: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric PD matrix via Cholesky; raises on indefiniteness.
+    """Inverse of a symmetric PD matrix from one eigen-solve.
 
     Raises
     ------
     NotPD
-        If the Cholesky factorization fails.
+        If the smallest eigenvalue is not positive; the error carries it.
     Singular
-        If the condition estimate exceeds ``SINGULAR_CONDITION``.
+        If the condition number exceeds ``SINGULAR_CONDITION``.
     """
     M = require_symmetric(M, name=name)
-    require_conditioned(condition_estimate(M), name)
-    return _factor_inverse(pd_factor(M, name=name))
+    return _eig_inverse(*_conditioned_eigh(M, name))
 
 
-def _factor_inverse(factor) -> np.ndarray:
-    return symmetrize(_factor_solve(factor, np.eye(factor[0].shape[0])))
-
-
-def _factor_solve(factor, B) -> np.ndarray:
-    return scipy.linalg.cho_solve(factor, B)
-
-
-def pd_factor(M, name: str = "matrix") -> tuple[np.ndarray, bool]:
-    """Lower Cholesky factor of a symmetric PD matrix, in ``cho_solve`` form.
+def pd_factor(M, name: str = "matrix") -> np.ndarray:
+    """Lower Cholesky factor ``L`` of a symmetric PD matrix, ``L @ L.T == M``.
 
     Raises
     ------
@@ -145,8 +152,8 @@ def pd_factor(M, name: str = "matrix") -> tuple[np.ndarray, bool]:
         If the factorization fails.
     """
     try:
-        return scipy.linalg.cho_factor(M, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         raise NotPD(f"{name} is not positive definite: {exc}") from exc
 
 
@@ -280,43 +287,39 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
     """Factorize every block of a joint noise covariance once.
 
     Per marginal, one eigen-solve gives the PD check (:class:`NotPD`), the
-    condition (:class:`Singular` above ``SINGULAR_CONDITION``) and the root;
-    per Schur complement, one gives the condition relative to its block.
-    One Cholesky factor of each of the four gives the inverses.
+    condition (:class:`Singular` above ``SINGULAR_CONDITION``), the root
+    and the inverse; per Schur complement, one gives the condition relative
+    to its block and the inverse.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
-    norm_v, L_v, chol_v = _factor_marginal(sv, "sigma_v")
-    norm_u, L_u, chol_u = _factor_marginal(su, "sigma_u")
-    schur_u = symmetrize(su - svu.T @ _factor_solve(chol_v, svu))
-    schur_v = symmetrize(sv - svu @ _factor_solve(chol_u, svu.T))
-    F = _schur_inverse(schur_u, norm_u, "sigma_u", "Schur complement (u block)")
-    G = _schur_inverse(schur_v, norm_v, "sigma_v", "Schur complement (v block)")
-    sv_inv, su_inv = _factor_inverse(chol_v), _factor_inverse(chol_u)
+    norm_v, L_v, sv_inv = _factor_marginal(sv, "sigma_v")
+    norm_u, L_u, su_inv = _factor_marginal(su, "sigma_u")
+    sv_inv_svu = sv_inv @ svu
+    F = _schur_inverse(symmetrize(su - svu.T @ sv_inv_svu), norm_u, "sigma_u")
+    G = _schur_inverse(symmetrize(sv - svu @ su_inv @ svu.T), norm_v, "sigma_v")
     if not np.any(svu):
         # Block-diagonal input: keep the zero blocks exact.
         z = np.zeros_like(svu)
         return NoiseFactors(L_v, L_u, sv_inv, su_inv, F, G, (sv_inv, z, z.T, su_inv))
-    sv_inv_svu = sv_inv @ svu
     omega_12 = -sv_inv_svu @ F
     omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
     return NoiseFactors(L_v, L_u, sv_inv, su_inv, F, G, (omega_11, omega_12, omega_12.T, F))
 
 
 def _factor_marginal(S: np.ndarray, name: str):
-    L, w = pd_sqrt(S, name)
-    require_conditioned(float(w[-1] / w[0]), name)
-    return float(w[-1]), L, pd_factor(S, name=name)
+    w, V = _conditioned_eigh(S, name)
+    return float(w[-1]), _root(w, V), _eig_inverse(w, V)
 
 
-def _schur_inverse(S: np.ndarray, block_norm: float, block: str, name: str) -> np.ndarray:
-    w = np.linalg.eigvalsh(S)
+def _schur_inverse(S: np.ndarray, block_norm: float, block: str) -> np.ndarray:
+    w, V = np.linalg.eigh(S)
     # Condition measured against the parent block's scale: a Schur
     # complement tiny relative to its block signals joint collapse even
     # when it is well-conditioned in isolation.
     scale = max(block_norm, float(np.max(np.abs(w))))
     lo = float(w[0])
     require_conditioned(np.inf if lo <= 0.0 else scale / lo, f"Schur complement of {block} block")
-    return _factor_inverse(pd_factor(S, name=name))
+    return _eig_inverse(w, V)
 
 
 def schur_factors(block: BlockCovariance) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DegenerateBudget, NoRoot
 from .information import _admissible_sigma_max, _cross_solvers, whitened_joint_fisher
@@ -154,10 +153,14 @@ def _budget_slope(lam: float, c: np.ndarray, oms: np.ndarray) -> float:
 def lambda_root(svd: SvdOfRho, p: float) -> float:
     """Multiplier solving the budget equation on the positive-denominator branch.
 
-    The left side is monotone increasing on ``[0, lambda_hi)`` where
+    The left side is increasing and convex on ``[0, lambda_hi)`` where
     ``lambda_hi`` keeps every denominator (and the secondary closed form)
-    finite, so the root nearest zero is bracketed and refined with Brent
-    plus a Newton polish to relative residual 1e-10.
+    finite. The root nearest zero is bracketed in ``[0, hi]`` and found by
+    Newton's method on the analytic slope, started at ``hi``: on a convex
+    increasing function the iterates fall monotonically onto the root. A
+    step that leaves the bracket, which only rounding can cause, is
+    replaced by bisection. The residual is at most ``1e-12 p`` unless the
+    bracket shrinks to adjacent floats first.
 
     Raises
     ------
@@ -218,24 +221,21 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
             )
         hi = nxt
 
-    lam = float(
-        scipy.optimize.brentq(
-            lambda t: _budget_value(t, c, oms) - p, 0.0, hi, xtol=1e-30, rtol=8.9e-16
-        )
-    )
-    # Newton polish against the analytic slope for the residual contract.
-    for _ in range(8):
+    lo, lam = 0.0, hi
+    for _ in range(200):
         resid = _budget_value(lam, c, oms) - p
         if abs(resid) <= 1e-12 * p:
             break
-        slope = _budget_slope(lam, c, oms)
-        if slope <= 0.0:
+        if resid > 0.0:
+            hi = lam
+        else:
+            lo = lam
+        step = lam - resid / _budget_slope(lam, c, oms)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step in (lo, hi):  # the bracket is down to adjacent floats
             break
-        step = resid / slope
-        candidate = lam - step
-        if candidate < 0.0 or (np.isfinite(lam_hi) and candidate >= lam_hi):
-            break
-        lam = candidate
+        lam = step
     return lam
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fusionkit
 from fusionkit.cli import load_scenario, main
 
 
@@ -55,6 +60,34 @@ class TestScenarioLoading:
         two_modality_doc["modalities"][1]["noise_cov"] = [[1.0, 0.0], [0.0, -1.0]]
         with pytest.raises(Exception):
             load_scenario(write_scenario(tmp_path / "s.json", two_modality_doc))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(modalities=[1]), "bad modality entry"),
+            (lambda d: d.update(modalities=5), "must be a list"),
+            (lambda d: d.update(tolerances=[]), "'tolerances' must be an object"),
+            (lambda d: d.update(tolerances={"dominance": None}), "bad tolerances"),
+            (lambda d: d["cross_cov"].update(pair=[0, 0]), "two distinct modalities"),
+            (lambda d: d["cross_cov"].update(pair=[-1, 0]), "out of range"),
+            (lambda d: d["cross_cov"].update(pair=3), "bad cross_cov entry"),
+            (lambda d: d.update(cross_cov=[d["cross_cov"], {"pair": [1, 0], "matrix":
+                                 np.transpose(d["cross_cov"]["matrix"]).tolist()}]),
+             "given twice"),
+            (lambda d: d["cross_cov"].update(matrix=[[0.1, 0.0]]), "does not match"),
+            (lambda d: d["cross_cov"].update(matrix=(20 * np.array(d["cross_cov"]["matrix"]))
+                                             .tolist()), "not PD"),
+        ],
+        ids=["modality-not-object", "modalities-not-list", "tolerances-list",
+             "tolerance-null", "same-modality-twice", "negative-index", "pair-not-list",
+             "pair-given-twice", "cross-shape", "joint-not-pd"],
+    )
+    def test_malformed_scenario_exits_2(self, tmp_path, two_modality_doc, capsys, edit, message):
+        edit(two_modality_doc)
+        path = write_scenario(tmp_path / "s.json", two_modality_doc)
+        assert main(["advise", path, "--pair", "a,b"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and message in err
 
 
 class TestAnalyze:
@@ -242,3 +275,14 @@ class TestExitCodes:
         path = write_scenario(tmp_path / "s.json", doc)
         assert main(["analyze", path, "--joint", "m1,m2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_imports_no_scipy():
+    # a fresh interpreter, so modules imported by the test session do not count
+    src = str(Path(fusionkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, fusionkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

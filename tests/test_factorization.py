@@ -69,10 +69,9 @@ def lapack_calls(monkeypatch, fn):
 
 
 BUILD = {
-    "numpy.linalg.eigh": 2,  # one per marginal: PD check, condition, square root
-    "numpy.linalg.eigvalsh": 2,  # one per Schur complement: its condition
-    "scipy.linalg.cho_factor": 4,  # marginals and Schur complements
-    "scipy.linalg.cho_solve": 6,  # two inverses, two Schur solves, F and G
+    # one per marginal (PD check, condition, root, inverse) and one per
+    # Schur complement (condition, inverse)
+    "numpy.linalg.eigh": 4,
     "numpy.linalg.solve": 5,  # A~, B~, rho (two) and (I - rho^T rho)
     "numpy.linalg.svd": 1,  # rho
 }
@@ -92,8 +91,8 @@ def test_lapack_calls_pinned(monkeypatch, call, extra_eigvalsh, redundant):
         "synergy_matrices": lambda: synergy_matrices(pair),
         "advise": lambda: advise(pair, prior),
     }
-    expected = dict(BUILD)
-    expected["numpy.linalg.eigvalsh"] += extra_eigvalsh
+    expected = dict(collections.Counter(BUILD) + collections.Counter(
+        {"numpy.linalg.eigvalsh": extra_eigvalsh}))
     assert lapack_calls(monkeypatch, calls[call]) == expected
     if call == "advise":
         adv = advise(pair, prior)

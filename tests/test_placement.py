@@ -165,6 +165,42 @@ class TestLambdaRoot:
             lam = lambda_root(svd, p)
             assert abs(_budget_value(lam, c, oms) - p) <= 1e-10 * p
 
+    @pytest.mark.parametrize("where", ["inside", "above_minimum", "below_supremum"])
+    def test_residual_contract_at_the_branch_ends(self, rng, where):
+        # Budgets just above the value at lambda = 0 and just below the
+        # branch supremum (infinite, or finite when rho^T rho has padded
+        # zero eigenvalues), with sigma_max(rho) up to 1 - 1e-9.
+        for _ in range(100):
+            n1, n2 = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            A = rng.standard_normal((n1, int(rng.integers(1, 5))))
+            s_max = float(rng.choice([rng.uniform(0.05, 0.99), 1.0 - 10.0 ** -rng.uniform(3, 9)]))
+            svd = svd_of_rho(A, random_admissible_rho(rng, n1, n2, s_max))
+            c, oms = _budget_terms(svd)
+            tau = np.zeros(n2)
+            tau[: svd.singular_values.shape[0]] = svd.singular_values**2
+            lam_hi = 1.0 / float(np.max(1.0 - tau))
+            frac = {
+                "inside": rng.uniform(0.0, 1.0),
+                "above_minimum": 10.0 ** -rng.uniform(3, 14),
+                "below_supremum": 1.0 - 10.0 ** -rng.uniform(3, 12),
+            }[where]
+            p = _budget_value(frac * lam_hi, c, oms)
+            lam = lambda_root(svd, p)
+            assert 0.0 <= lam < lam_hi
+            assert abs(_budget_value(lam, c, oms) - p) <= 1e-12 * p
+
+    def test_no_root_above_finite_supremum(self, rng):
+        # rho is 1 x 2, so rho^T rho has a zero eigenvalue, lambda_hi = 1 and
+        # the budget curve stays finite up to it: c / sigma^4 is its supremum.
+        A = rng.standard_normal((1, 2))
+        svd = svd_of_rho(A, np.array([[0.6, 0.0]]))
+        c, oms = _budget_terms(svd)
+        sup = float(c[0]) / 0.6**4
+        assert lambda_root(svd, 0.999 * sup) < 1.0
+        with pytest.raises(NoRoot, match="supremum") as exc_info:
+            lambda_root(svd, 1.001 * sup)
+        assert exc_info.value.attainable_min == pytest.approx(_budget_value(0.0, c, oms))
+
     def test_degenerate_budget_when_all_singular_values_at_one(self):
         A = np.eye(2)
         svd = svd_of_rho(A, np.eye(2))
