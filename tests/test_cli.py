@@ -282,7 +282,8 @@ def test_cli_imports_no_scipy():
     src = str(Path(fusionkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, fusionkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, fusionkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
