@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import block_plan, map_blocks
+from ._parallel import mc_moments
 from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
@@ -25,6 +25,7 @@ from .matrixkit import (
     pd_sqrt,
     psd_inverse,
     require_conditioned,
+    require_finite,
     require_symmetric,
     symmetrize,
 )
@@ -126,12 +127,16 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
         If the noise covariance is not positive definite.
     Singular
         If its condition number exceeds ``SINGULAR_CONDITION``.
+    NonFinite
+        If the product overflows.
     """
     sigma = require_symmetric(sigma, name="noise covariance")
     if sigma.shape[0] != model.n:
         raise ValueError(f"noise covariance is {sigma.shape}, model has {model.n} channels")
     sigma_inv = psd_inverse(sigma, name="noise covariance")
-    return InfoMatrix(symmetrize(model.A.T @ sigma_inv @ model.A), kind="snr")
+    snr = symmetrize(model.A.T @ sigma_inv @ model.A)
+    require_finite(snr, "the SNR matrix")
+    return InfoMatrix(snr, kind="snr")
 
 
 def total_information(snr: InfoMatrix, prior: SourcePrior | None) -> InfoMatrix:
@@ -251,7 +256,12 @@ def _whitened_fisher(A_tilde, B_tilde, rho, solve_k) -> np.ndarray:
 
 
 def route_disagreement(routes: dict[str, np.ndarray]) -> float:
-    """Maximum pairwise relative Frobenius distance between the routes."""
+    """Maximum pairwise relative Frobenius distance between the routes.
+
+    Raises :class:`NonFinite` if a route has a non-finite entry.
+    """
+    for name, M in routes.items():
+        require_finite(M, f"joint-information route {name!r}")
     mats = list(routes.values())
     scale = max(max(float(np.linalg.norm(M, "fro")) for M in mats), 1e-300)
     worst = 0.0
@@ -286,9 +296,10 @@ class PairFactorization:
 
         Raises :class:`NotPD` or :class:`Singular` as :func:`factor_noise`
         does, :class:`Singular` if ``cond(I - rho^T rho)`` exceeds
-        ``SINGULAR_CONDITION``, and :class:`RouteDisagreement` if the routes,
-        or a synergy matrix and ``J_joint - J_single``, differ by
-        ``ROUTE_TOL`` or more (an input conditioning problem).
+        ``SINGULAR_CONDITION``, :class:`NonFinite` if a route overflows, and
+        :class:`RouteDisagreement` if the routes, or a synergy matrix and
+        ``J_joint - J_single``, differ by ``ROUTE_TOL`` or more (an input
+        conditioning problem).
         """
         A, B = pair.first.A, pair.second.A
         nf = factor_noise(pair.noise)
@@ -393,20 +404,10 @@ def prior_information_mc(prior: SourcePrior, N: int, seed: int) -> McInfoEstimat
     """
     if N < 1:
         raise ValueError("N must be positive")
-    m = prior.m
 
-    def one_block(ss, count):
-        if count == 0:
-            return np.zeros((m, m)), np.zeros((m, m))
-        s = prior.sample(np.random.default_rng(ss), count)
+    def score_outer_products(s):
         g = prior.score(s)
-        prods = np.einsum("ki,kj->kij", g, g)
-        return prods.sum(axis=0), (prods**2).sum(axis=0)
+        return np.einsum("ki,kj->kij", g, g)
 
-    sums = map_blocks(one_block, block_plan(seed, N))
-    s1 = sum(b[0] for b in sums)
-    s2 = sum(b[1] for b in sums)
-    mean = s1 / N
-    var = np.maximum(s2 / N - mean**2, 0.0)
-    std_err = np.sqrt(var / N)
-    return McInfoEstimate(J=symmetrize(mean), std_err=std_err, N=N, seed=seed)
+    J, std_err = mc_moments(prior, N, seed, score_outer_products)
+    return McInfoEstimate(J=J, std_err=std_err, N=N, seed=seed)

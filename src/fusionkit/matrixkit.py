@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormDisagreement, NotPD, NotPSD, Singular
+from .errors import FormDisagreement, NonFinite, NotPD, NotPSD, Singular
 
 # Condition estimate above which a solve is refused as numerically singular.
 SINGULAR_CONDITION = 1e12
@@ -53,9 +53,9 @@ def require_symmetric(M, name: str = "matrix", tol: float = 1e-12) -> np.ndarray
 
 
 def symmetrize(M) -> np.ndarray:
-    """Return the symmetric part (M + M^T) / 2."""
+    """Return the symmetric part (M + M^T) / 2, of each matrix of a (..., k, k) stack."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def psd_tolerance(M: np.ndarray, tol: float = PSD_EIG_TOL) -> float:
@@ -92,12 +92,16 @@ def sym_sqrt(M) -> np.ndarray:
     """
     M = require_symmetric(M)
     w, V = np.linalg.eigh(symmetrize(M))
+    _require_psd(w)
+    return _root(w, V)
+
+
+def _require_psd(w: np.ndarray) -> None:
     norm2 = max(abs(float(w[0])), abs(float(w[-1])))
     if w[0] < -1e-8 * max(norm2, 1e-300):
         raise NotPSD(
             f"matrix is not PSD: min eigenvalue {w[0]:.6e}", min_eigenvalue=float(w[0])
         )
-    return _root(w, V)
 
 
 def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -112,15 +116,17 @@ def pd_sqrt(M, name: str = "matrix") -> np.ndarray:
     return _root(*_pd_eigh(M, name))
 
 
-def _pd_eigh(M, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _pd_eigh(M, name: str, psd_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
     w, V = np.linalg.eigh(symmetrize(M))
+    if psd_first:  # clearly indefinite input raises NotPSD, as sym_sqrt does
+        _require_psd(w)
     if w[0] <= 0.0:
         raise NotPD(f"{name} is not PD (min eigenvalue {w[0]:.3e})", min_eigenvalue=float(w[0]))
     return w, V
 
 
-def _conditioned_eigh(M, name: str) -> tuple[np.ndarray, np.ndarray]:
-    w, V = _pd_eigh(M, name)
+def _conditioned_eigh(M, name: str, psd_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    w, V = _pd_eigh(M, name, psd_first)
     require_conditioned(float(w[-1] / w[0]), name)
     return w, V
 
@@ -160,26 +166,39 @@ def pd_factor(M, name: str = "matrix") -> np.ndarray:
 def forms_agree(form1, form2, what: str, condition: float = 1.0) -> np.ndarray:
     """Return ``form1`` once it has been checked against ``form2``.
 
-    The two are algebraically distinct forms of one quantity; their
-    relative Frobenius distance ``||form1 - form2|| / (1 + ||form1||)``
-    must stay below ``FORM_TOL``. Forms that apply an inverse of
-    condition number ``condition`` cannot agree better than about
-    ``condition`` times machine epsilon, so the tolerance becomes
+    The two are algebraically distinct forms of one quantity, or stacks
+    (..., k, k) of such pairs; the relative Frobenius distance
+    ``||form1 - form2|| / (1 + ||form1||)`` of every matrix must stay
+    below ``FORM_TOL``. Forms that apply an inverse of condition number
+    ``condition`` cannot agree better than about ``condition`` times
+    machine epsilon, so the tolerance becomes
     ``FORM_CONDITION_SLACK * condition * eps`` where that is larger.
 
     Raises
     ------
+    NonFinite
+        If either form has a non-finite entry.
     FormDisagreement
-        If it does not; the error carries the relative distance.
+        If they disagree; the error carries the largest relative distance.
     """
-    err = float(np.linalg.norm(form1 - form2, "fro")) / (
-        1.0 + float(np.linalg.norm(form1, "fro"))
-    )
+    require_finite(form1, what)
+    require_finite(form2, what)
+    dist = np.linalg.norm(form1 - form2, axis=(-2, -1))
+    err = float(np.max(dist / (1.0 + np.linalg.norm(form1, axis=(-2, -1)))))
     if err >= FORM_TOL and err >= FORM_CONDITION_SLACK * condition * _EPS:
         raise FormDisagreement(
             f"{what} disagree (relative error {err:.3e})", max_relative_error=err
         )
     return form1
+
+
+def require_finite(M, what: str) -> None:
+    """Raise :class:`NonFinite` if ``M`` has a NaN or infinite entry.
+
+    Comparisons with NaN are false, so a tolerance check alone would pass it.
+    """
+    if not np.all(np.isfinite(M)):
+        raise NonFinite(f"non-finite entries in {what}")
 
 
 def require_conditioned(cond: float, what: str, error: type[Singular] = Singular) -> None:

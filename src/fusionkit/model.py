@@ -16,7 +16,9 @@ import numpy as np
 from .errors import NoPriorInfo, NoScore, NotSampleable
 from .matrixkit import (
     BlockCovariance,
-    psd_inverse,
+    _conditioned_eigh,
+    _eig_inverse,
+    _root,
     psd_tolerance,
     require_symmetric,
     sym_sqrt,
@@ -110,8 +112,11 @@ class GaussianPrior(SourcePrior):
             raise ValueError(f"mean shape {mean.shape} does not match cov {cov.shape}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_sqrt", sym_sqrt(cov))
-        object.__setattr__(self, "_info", psd_inverse(cov, name="source covariance"))
+        # One eigen-solve gives the sampling root and the information; it
+        # raises NotPSD, NotPD or Singular as sym_sqrt and psd_inverse would.
+        w, V = _conditioned_eigh(cov, "source covariance", psd_first=True)
+        object.__setattr__(self, "_sqrt", _root(w, V))
+        object.__setattr__(self, "_info", _eig_inverse(w, V))
 
     @property
     def m(self) -> int:

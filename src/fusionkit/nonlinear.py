@@ -4,8 +4,12 @@ For ``x = h(s) + v`` with Gaussian noise, the conditional Fisher
 information is the prior expectation of ``D_h(s)^T Sigma^-1 D_h(s)``
 with ``D_h`` the Jacobian of the map. Expectations are plain Monte Carlo
 over seed-split sample blocks; the variance of the estimate is reported,
-never hidden. Models with constant Jacobians reproduce the linear module
-exactly because the integrand does not vary across samples.
+never hidden. Each block evaluates its integrand as stacked arrays: one
+(count, n, m) Jacobian array per model, then one matrix product (and one
+whitening solve per modality) for the whole block. ``h`` itself is
+still called once per perturbed point. Models with constant Jacobians
+reproduce the linear module exactly because the integrand does not vary
+across samples.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._parallel import block_plan, map_blocks
+from ._parallel import mc_moments
 from .errors import NonFinite
 from .information import McInfoEstimate, _cross_solvers, _whiten_noise
 from .matrixkit import BlockCovariance, forms_agree, psd_inverse, symmetrize
@@ -29,6 +33,10 @@ __all__ = [
     "total_information_nonlinear",
     "joint_information_nonlinear",
 ]
+
+# Source vectors whose map evaluations are held at once: bounds the memory
+# of a block's ``h`` outputs without changing any result.
+JACOBIAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -46,15 +54,38 @@ class NonlinearModel:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def jac(self, s: np.ndarray) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.jacobian is not None:
-            D = np.asarray(self.jacobian(s), dtype=float)
-        else:
-            D = numeric_jacobian(self.h, s)
-        if D.shape != (self.n, self.m):
-            raise ValueError(f"Jacobian has shape {D.shape}, expected {(self.n, self.m)}")
-        if not np.all(np.isfinite(D)):
-            raise NonFinite("Jacobian evaluation produced non-finite entries")
+        """The (n, m) Jacobian at one source vector: :meth:`jacobians` of one row."""
+        return self.jacobians(np.atleast_1d(np.asarray(s, dtype=float))[None, :])[0]
+
+    def jacobians(self, S) -> np.ndarray:
+        """Jacobians at the rows of ``S``: (count, m) -> (count, n, m).
+
+        ``jacobian`` is called once per row, or ``h`` once per perturbed
+        point (:func:`numeric_jacobian`), a chunk of rows at a time; the
+        outputs are checked once per chunk.
+
+        Raises
+        ------
+        ValueError
+            If a Jacobian does not have shape (n, m).
+        NonFinite
+            If an evaluation is non-finite.
+        """
+        S = np.asarray(S, dtype=float)
+        D = np.empty((S.shape[0], self.n, self.m))
+        for lo in range(0, S.shape[0], JACOBIAN_CHUNK):
+            rows = S[lo : lo + JACOBIAN_CHUNK]
+            if self.jacobian is None:
+                chunk = _central_differences(self.h, rows)
+            else:
+                chunk = _stack(map(self.jacobian, rows), "jacobian")
+            if chunk.shape[1:] != (self.n, self.m):
+                raise ValueError(
+                    f"Jacobian has shape {chunk.shape[1:]}, expected {(self.n, self.m)}"
+                )
+            if not np.all(np.isfinite(chunk)):
+                raise NonFinite("Jacobian evaluation produced non-finite entries")
+            D[lo : lo + len(rows)] = chunk
         return D
 
     @staticmethod
@@ -76,40 +107,46 @@ def numeric_jacobian(h, s, step: float | None = None) -> np.ndarray:
     ------
     NonFinite
         If any function evaluation is non-finite.
+    ValueError
+        If ``h`` does not return vectors of one length.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    m = s.shape[0]
-    cols = []
-    for k in range(m):
-        hk = step if step is not None else 1e-5 * (1.0 + abs(s[k]))
-        sp = s.copy()
-        sp[k] += hk
-        sm = s.copy()
-        sm[k] -= hk
-        fp = np.atleast_1d(np.asarray(h(sp), dtype=float))
-        fm = np.atleast_1d(np.asarray(h(sm), dtype=float))
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise NonFinite(f"h evaluated to non-finite values near coordinate {k}")
-        cols.append((fp - fm) / (2.0 * hk))
-    return np.stack(cols, axis=1)
+    return _central_differences(h, s[None, :], step)[0]
 
 
-def _mc_matrix(prior: SourcePrior, N: int, seed: int, per_sample) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo mean and std-error of a per-sample symmetric matrix."""
+def _central_differences(h, S: np.ndarray, step: float | None = None) -> np.ndarray:
+    """Central-difference Jacobians (count, n, m) of ``h`` at the rows of ``S``.
 
-    def one_block(ss, count):
-        if count == 0:
-            return None
-        s_block = prior.sample(np.random.default_rng(ss), count)
-        mats = np.stack([per_sample(s_block[i]) for i in range(count)])
-        return mats.sum(axis=0), (mats**2).sum(axis=0)
+    All 2m perturbed points of every row are built at once, each step
+    added on the diagonal only, and ``h`` is called once per point, in the
+    order row, coordinate, plus before minus.
+    """
+    count, m = S.shape
+    steps = 1e-5 * (1.0 + np.abs(S)) if step is None else np.full(S.shape, step, dtype=float)
+    points = np.broadcast_to(S[:, None, None, :], (count, m, 2, m)).copy()
+    k = np.arange(m)
+    points[:, k, 0, k] += steps
+    points[:, k, 1, k] -= steps
+    F = _stack(map(h, points.reshape(-1, m)), "h")
+    if F.ndim == 1:
+        F = F[:, None]  # scalar outputs of a one-channel map
+    if F.ndim != 2:
+        raise ValueError(f"h must return a vector, got outputs of shape {F.shape[1:]}")
+    F = F.reshape(count, m, 2, F.shape[1])
+    finite = np.isfinite(F).all(axis=(2, 3))
+    if not finite.all():
+        k_bad = int(np.argwhere(~finite)[0][1])
+        raise NonFinite(f"h evaluated to non-finite values near coordinate {k_bad}")
+    cols = (F[:, :, 0] - F[:, :, 1]) / (2.0 * steps)[:, :, None]
+    return np.ascontiguousarray(np.swapaxes(cols, 1, 2))
 
-    parts = [b for b in map_blocks(one_block, block_plan(seed, N)) if b is not None]
-    s1 = sum(b[0] for b in parts)
-    s2 = sum(b[1] for b in parts)
-    mean = s1 / N
-    var = np.maximum(s2 / N - mean**2, 0.0)
-    return symmetrize(mean), np.sqrt(var / N)
+
+def _stack(outputs, what: str) -> np.ndarray:
+    """One float array from a sequence of same-shape outputs, never broadcast."""
+    try:
+        return np.array(list(outputs), dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{what} returned outputs of different shapes: {exc}") from exc
 
 
 def fisher_nonlinear(
@@ -125,11 +162,11 @@ def fisher_nonlinear(
         raise ValueError("N must be positive")
     sigma_inv = psd_inverse(sigma, name="noise covariance")
 
-    def per_sample(s):
-        D = model.jac(s)
-        return symmetrize(D.T @ sigma_inv @ D)
+    def fisher_integrand(S):
+        D = model.jacobians(S)
+        return symmetrize(np.swapaxes(D, 1, 2) @ sigma_inv @ D)
 
-    J, std_err = _mc_matrix(prior, N, seed, per_sample)
+    J, std_err = mc_moments(prior, N, seed, fisher_integrand)
     return McInfoEstimate(J=J, std_err=std_err, N=N, seed=seed)
 
 
@@ -160,8 +197,9 @@ def joint_information_nonlinear(
 
     Whitens both maps with the symmetric square roots of their marginal
     noise covariances, then averages the whitened quadratic form over
-    prior draws. Both published algebraic forms are evaluated per sample
-    and must agree to 1e-8 relative; their mean is taken from the first.
+    prior draws. Each block is whitened with one solve per modality. Both
+    published algebraic forms are evaluated for every sample and must
+    agree to 1e-8 relative; their mean is taken from the first.
     Prior information is added when the prior exposes it; a prior that
     can only be sampled contributes zero.
     """
@@ -174,16 +212,17 @@ def joint_information_nonlinear(
     solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
     K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
 
-    def per_sample(s):
-        Dh = np.linalg.solve(L_v, h.jac(s))  # whitened Jacobian, (n1, m)
-        Dg = np.linalg.solve(L_u, g.jac(s))  # whitened Jacobian, (n2, m)
-        M1 = Dh.T @ rho - Dg.T
-        form1 = symmetrize(M1 @ K_a @ M1.T + Dh.T @ Dh)
-        M2 = Dg.T @ rho.T - Dh.T
-        form2 = symmetrize(M2 @ K_b @ M2.T + Dg.T @ Dg)
+    def joint_integrand(S):
+        Dh = np.linalg.solve(L_v, h.jacobians(S))  # whitened Jacobians, (count, n1, m)
+        Dg = np.linalg.solve(L_u, g.jacobians(S))  # whitened Jacobians, (count, n2, m)
+        Dh_t, Dg_t = np.swapaxes(Dh, 1, 2), np.swapaxes(Dg, 1, 2)
+        M1 = Dh_t @ rho - Dg_t
+        form1 = symmetrize(M1 @ K_a @ np.swapaxes(M1, 1, 2) + Dh_t @ Dh)
+        M2 = Dg_t @ rho.T - Dh_t
+        form2 = symmetrize(M2 @ K_b @ np.swapaxes(M2, 1, 2) + Dg_t @ Dg)
         return forms_agree(form1, form2, "joint nonlinear information forms per sample")
 
-    J, std_err = _mc_matrix(prior, N, seed, per_sample)
+    J, std_err = mc_moments(prior, N, seed, joint_integrand)
     if prior.has_info:
         J = J + prior.info_matrix()
     return McInfoEstimate(J=symmetrize(J), std_err=std_err, N=N, seed=seed)

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from fusionkit import BlockCovariance, LinearModel, ModalityPair, synergy_objective
+from fusionkit._parallel import block_plan
+from fusionkit.information import _cross_solvers, _whiten_noise
+from fusionkit.matrixkit import forms_agree, psd_inverse, symmetrize
 
 
 def random_orthogonal(rng, n):
@@ -78,6 +81,76 @@ def fd_lagrangian_stationarity(A_tilde, B_star, rho, lam, e):
     """Normalized FD-gradient norm of the Lagrangian at the solution."""
     grad = fd_lagrangian_gradient(A_tilde, B_star, rho, lam)
     return float(np.linalg.norm(grad, "fro")) / (1.0 + abs(e))
+
+
+def fd_jacobian(h, s):
+    """Central-difference Jacobian of ``h`` at one point, one coordinate at a time."""
+    cols = []
+    for k in range(s.shape[0]):
+        hk = 1e-5 * (1.0 + abs(s[k]))
+        sp = s.copy()
+        sp[k] += hk
+        sm = s.copy()
+        sm[k] -= hk
+        fp = np.atleast_1d(np.asarray(h(sp), dtype=float))
+        fm = np.atleast_1d(np.asarray(h(sm), dtype=float))
+        cols.append((fp - fm) / (2.0 * hk))
+    return np.stack(cols, axis=1)
+
+
+def _per_sample_jac(model, s):
+    return fd_jacobian(model.h, s) if model.jacobian is None else model.jacobian(s)
+
+
+def mc_per_sample(prior, N, seed, per_sample):
+    """Monte-Carlo mean and std-error of ``per_sample``, evaluated one draw at a time.
+
+    Draws and block sums follow the library's block plan, so the result
+    is comparable bit for bit with the block-batched estimates.
+    """
+    parts = []
+    for ss, count in block_plan(seed, N):
+        s_block = prior.sample(np.random.default_rng(ss), count)
+        mats = np.stack([per_sample(s_block[i]) for i in range(count)])
+        parts.append((mats.sum(axis=0), (mats**2).sum(axis=0)))
+    s1 = sum(b[0] for b in parts)
+    s2 = sum(b[1] for b in parts)
+    mean = s1 / N
+    var = np.maximum(s2 / N - mean**2, 0.0)
+    return symmetrize(mean), np.sqrt(var / N)
+
+
+def fisher_per_sample(model, sigma, prior, N, seed):
+    """Per-sample reference for ``fisher_nonlinear``: (J, std_err)."""
+    sigma_inv = psd_inverse(sigma, name="noise covariance")
+
+    def per_sample(s):
+        D = _per_sample_jac(model, s)
+        return symmetrize(D.T @ sigma_inv @ D)
+
+    return mc_per_sample(prior, N, seed, per_sample)
+
+
+def joint_per_sample(h, g, noise, prior, N, seed):
+    """Per-sample reference for ``joint_information_nonlinear``: (J, std_err)."""
+    L_v, L_u, rho = _whiten_noise(noise)
+    n1, n2 = rho.shape
+    solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
+    K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
+
+    def per_sample(s):
+        Dh = np.linalg.solve(L_v, _per_sample_jac(h, s))
+        Dg = np.linalg.solve(L_u, _per_sample_jac(g, s))
+        M1 = Dh.T @ rho - Dg.T
+        form1 = symmetrize(M1 @ K_a @ M1.T + Dh.T @ Dh)
+        M2 = Dg.T @ rho.T - Dh.T
+        form2 = symmetrize(M2 @ K_b @ M2.T + Dg.T @ Dg)
+        return forms_agree(form1, form2, "joint nonlinear information forms per sample")
+
+    J, std_err = mc_per_sample(prior, N, seed, per_sample)
+    if prior.has_info:
+        J = J + prior.info_matrix()
+    return symmetrize(J), std_err
 
 
 @pytest.fixture

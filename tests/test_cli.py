@@ -276,6 +276,26 @@ class TestExitCodes:
         assert main(["analyze", path, "--joint", "m1,m2"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--modality", "big"], ["analyze", "--joint", "big,unit"],
+         ["advise", "--pair", "big,unit"]],
+    )
+    def test_snr_overflow_is_3(self, tmp_path, capsys, argv):
+        # A^T Sigma^-1 A = 1e600 overflows: a numerical failure, not a bad scenario
+        doc = {
+            "sources": {"gaussian": {"mean": [0.0], "cov": [[1.0]]}},
+            "modalities": [
+                {"name": "big", "A": [[1e200]], "noise_cov": [[1e-200]]},
+                {"name": "unit", "A": [[1.0]], "noise_cov": [[1.0]]},
+            ],
+        }
+        path = write_scenario(tmp_path / "s.json", doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([argv[0], path, *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "(NonFinite)" in err
+
 
 def test_cli_imports_no_scipy():
     # a fresh interpreter, so modules imported by the test session do not count

@@ -9,6 +9,7 @@ from fusionkit import (
     ModalityPair,
     NoPriorInfo,
     NoScore,
+    NonFinite,
     NotPD,
     SamplerPrior,
     SingularInformation,
@@ -274,6 +275,20 @@ class TestSynergyMatrices:
             rep = synergy_matrices(pair)
             assert rep.min_eigenvalues[0] >= -1e-10
             assert rep.min_eigenvalues[1] >= -1e-10
+
+
+def test_route_disagreement_rejects_a_non_finite_route():
+    # max(0.0, nan) is 0.0 in Python: an all-NaN route read as full agreement
+    routes = {"block": np.full((2, 2), np.nan), "prewhitened": np.eye(2)}
+    with pytest.raises(NonFinite, match="'block'"):
+        route_disagreement(routes)
+    routes["block"] = np.eye(2)
+    assert route_disagreement(routes) == 0.0
+
+
+def test_snr_overflow_raises_non_finite():
+    with np.errstate(over="ignore"), pytest.raises(NonFinite):
+        snr_matrix(LinearModel([[1e200]]), [[1e-200]])
 
 
 class TestPriorInformationMc:

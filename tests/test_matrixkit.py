@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fusionkit import (
     BlockCovariance,
     FormDisagreement,
+    NonFinite,
     NotPSD,
     Singular,
     SingularPosterior,
@@ -176,6 +177,36 @@ def test_forms_agree_tolerance_widens_only_with_condition(rng):
     assert forms_agree(M, M + E, "forms", condition=1e8) is M
     with pytest.raises(FormDisagreement):
         forms_agree(M, M + 100.0 * E, "forms", condition=1e8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forms_agree_rejects_non_finite_forms(bad):
+    # NaN compares false against the tolerance: a NaN form passed before
+    M = np.full((2, 2), bad)
+    with pytest.raises(NonFinite):
+        forms_agree(M, np.zeros((2, 2)), "forms")
+    with pytest.raises(NonFinite):
+        forms_agree(np.zeros((2, 2)), M, "forms")
+
+
+def test_forms_agree_on_stacks_checks_every_matrix(rng):
+    F = rng.standard_normal((5, 3, 3))
+    assert forms_agree(F, F + 1e-12, "forms") is F
+    E = np.zeros_like(F)
+    E[3, 0, 0] = 1e-7 * (1.0 + np.linalg.norm(F[3], "fro"))  # one matrix of five
+    with pytest.raises(FormDisagreement, match="forms disagree") as exc_info:
+        forms_agree(F, F + E, "forms")
+    assert exc_info.value.max_relative_error == pytest.approx(1e-7)
+    F[2, 1, 1] = np.nan
+    with pytest.raises(NonFinite):
+        forms_agree(F, F, "forms")
+
+
+def test_symmetrize_stack_matches_each_matrix(rng):
+    M = rng.standard_normal((4, 3, 3))
+    S = symmetrize(M)
+    for i in range(4):
+        assert np.array_equal(S[i], symmetrize(M[i]))
 
 
 def test_require_conditioned_raises_the_given_error_type():

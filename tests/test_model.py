@@ -8,12 +8,17 @@ from fusionkit import (
     ModalityPair,
     NoPriorInfo,
     NoScore,
+    NotPD,
+    NotPSD,
     NotSampleable,
+    Singular,
     SamplerPrior,
     no_prior,
     simulate,
     validate,
 )
+
+from fusionkit.matrixkit import psd_inverse, sym_sqrt
 
 from conftest import random_joint_noise, random_pd, rel_fro
 
@@ -29,6 +34,22 @@ class TestTypes:
         prior = GaussianPrior(mean=np.zeros(3), cov=cov)
         assert rel_fro(prior.info_matrix(), np.linalg.inv(cov)) < 1e-12
         assert prior.covariance() is cov or np.allclose(prior.covariance(), cov)
+
+    def test_gaussian_prior_root_and_info_from_one_eigen_solve(self, rng):
+        cov = random_pd(rng, 3)
+        prior = GaussianPrior(mean=np.zeros(3), cov=cov)
+        assert np.array_equal(prior._sqrt, sym_sqrt(cov))
+        assert np.array_equal(prior.info_matrix(), psd_inverse(cov))
+
+    @pytest.mark.parametrize(
+        "diag, error",
+        [([1.0, -1.0], NotPSD), ([1.0, -1e-12], NotPD), ([1.0, 0.0], NotPD), ([1.0, 1e-13], Singular)],
+    )
+    def test_gaussian_prior_bad_cov_error_types(self, diag, error):
+        # a clearly indefinite cov is NotPSD (the sampling root), a marginal
+        # one NotPD and an ill-conditioned one Singular (the information)
+        with pytest.raises(error):
+            GaussianPrior(mean=np.zeros(2), cov=np.diag(diag))
 
     def test_info_only_prior_rejects_indefinite(self):
         with pytest.raises(ValueError):

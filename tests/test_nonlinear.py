@@ -18,7 +18,27 @@ from fusionkit import (
     total_information_nonlinear,
 )
 
-from conftest import random_admissible_rho, random_pd, rel_fro
+from conftest import (
+    fd_jacobian,
+    fisher_per_sample,
+    joint_per_sample,
+    random_admissible_rho,
+    random_joint_noise,
+    random_pd,
+    rel_fro,
+)
+
+
+def poly_model(rng, n, m, analytic=False):
+    """``h(s) = A s + C (s * s)``, with its Jacobian ``A + 2 C diag(s)`` when ``analytic``."""
+    A = rng.standard_normal((n, m))
+    C = 0.5 * rng.standard_normal((n, m))
+    jacobian = (lambda s: A + 2.0 * C * s) if analytic else None
+    return NonlinearModel(h=lambda s: A @ s + C @ (s * s), n=n, m=m, jacobian=jacobian)
+
+
+def gaussian_prior(rng, m):
+    return GaussianPrior(mean=rng.standard_normal(m), cov=random_pd(rng, m))
 
 
 def squared_scalar():
@@ -198,3 +218,117 @@ class TestJointInformationNonlinear:
         prior = GaussianPrior(mean=np.zeros(1), cov=np.eye(1))
         with pytest.raises(ValueError):
             joint_information_nonlinear(h, g, noise, prior, N=10, seed=0)
+
+
+class TestBlockBatching:
+    """The block-batched integrands against the per-sample formulas (``conftest``)."""
+
+    # N below one block (8192 draws) and one block plus a remainder
+    @pytest.mark.parametrize(
+        "N, m, analytic",
+        [(3000, 1, False), (9000, 2, False), (3000, 4, False), (9000, 3, True), (3000, 3, True)],
+    )
+    def test_fisher_bit_identical_to_per_sample(self, rng, N, m, analytic):
+        model = poly_model(rng, m + 3, m, analytic)
+        sigma = random_pd(rng, m + 3)
+        prior = gaussian_prior(rng, m)
+        est = fisher_nonlinear(model, sigma, prior, N=N, seed=31)
+        J, std_err = fisher_per_sample(model, sigma, prior, N, 31)
+        assert np.array_equal(est.J, J)
+        assert np.array_equal(est.std_err, std_err)
+
+    @pytest.mark.parametrize("N, n1, n2, m", [(9000, 4, 3, 2), (3000, 3, 2, 1), (3000, 2, 5, 3)])
+    def test_joint_bit_identical_to_per_sample(self, rng, N, n1, n2, m):
+        h, g = poly_model(rng, n1, m), poly_model(rng, n2, m, analytic=True)
+        noise = random_joint_noise(rng, n1, n2)
+        prior = gaussian_prior(rng, m)
+        est = joint_information_nonlinear(h, g, noise, prior, N=N, seed=37)
+        J, std_err = joint_per_sample(h, g, noise, prior, N, 37)
+        assert np.array_equal(est.J, J)
+        assert np.array_equal(est.std_err, std_err)
+
+    def test_thread_count_does_not_change_results(self, rng, monkeypatch):
+        # three blocks, so two workers share them unevenly
+        model = poly_model(rng, 3, 1)
+        h, g = poly_model(rng, 2, 1), poly_model(rng, 3, 1, analytic=True)
+        sigma, noise, prior = random_pd(rng, 3), random_joint_noise(rng, 2, 3), gaussian_prior(rng, 1)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FUSIONKIT_THREADS", threads)
+            runs.append((
+                fisher_nonlinear(model, sigma, prior, N=17_000, seed=5),
+                total_information_nonlinear(model, sigma, prior, N=17_000, seed=5),
+                joint_information_nonlinear(h, g, noise, prior, N=17_000, seed=5),
+            ))
+        for one, two in zip(*runs):
+            assert np.array_equal(one.J, two.J)
+            assert np.array_equal(one.std_err, two.std_err)
+
+    def test_h_called_once_per_perturbed_point(self, rng):
+        calls = []
+        base = poly_model(rng, 4, 3)
+        model = NonlinearModel(h=lambda s: calls.append(1) or base.h(s), n=4, m=3)
+        fisher_nonlinear(model, np.eye(4), gaussian_prior(rng, 3), N=2500, seed=1)
+        assert len(calls) == 2 * 3 * 2500
+
+    def test_jac_is_one_row_of_jacobians(self, rng):
+        model = poly_model(rng, 4, 3)
+        S = rng.standard_normal((5, 3))
+        D = model.jacobians(S)
+        for i in range(5):
+            assert np.array_equal(model.jac(S[i]), D[i])
+            assert np.array_equal(numeric_jacobian(model.h, S[i]), D[i])
+            assert np.array_equal(D[i], fd_jacobian(model.h, S[i]))
+
+    @staticmethod
+    def _edge_prior(N, row):
+        """Prior drawing zeros except one row in the middle of the block."""
+
+        def draw(rng, n):
+            S = np.zeros((n, 2))
+            S[n // 2] = row
+            return S
+
+        return SamplerPrior(m=2, draw=draw)
+
+    def test_non_finite_h_mid_block_names_the_coordinate(self):
+        # finite everywhere except beyond s_1 = 1: only the "+" step along
+        # coordinate 1 of the middle draw leaves the domain
+        def h(s):
+            return np.array([s[0], s[1], np.inf if s[1] > 1.0 else 0.0])
+
+        model = NonlinearModel(h=h, n=3, m=2)
+        prior = self._edge_prior(4000, [0.0, 1.0])
+        with pytest.raises(NonFinite, match="near coordinate 1"):
+            fisher_nonlinear(model, np.eye(3), prior, N=4000, seed=0)
+        with pytest.raises(NonFinite, match="near coordinate 1"):
+            numeric_jacobian(h, np.array([0.0, 1.0]))
+
+    def test_scalar_h_is_not_broadcast_into_a_row(self, rng):
+        model = NonlinearModel(h=lambda s: float(s[0] * s[1]), n=2, m=2)
+        with pytest.raises(ValueError, match="Jacobian has shape"):
+            fisher_nonlinear(model, np.eye(2), gaussian_prior(rng, 2), N=100, seed=0)
+        with pytest.raises(ValueError, match="Jacobian has shape"):
+            model.jac(np.ones(2))
+
+    def test_wrong_length_h_raises(self, rng):
+        long_model = NonlinearModel(h=lambda s: np.array([s[0], s[1], 1.0]), n=2, m=2)
+        with pytest.raises(ValueError, match="Jacobian has shape"):
+            fisher_nonlinear(long_model, np.eye(2), gaussian_prior(rng, 2), N=100, seed=0)
+
+        # one draw in the middle of the block gets a shorter output
+        def h(s):
+            return s[:1] if s[1] > 1.0 else s
+
+        model = NonlinearModel(h=h, n=2, m=2)
+        prior = self._edge_prior(4000, [0.0, 2.0])
+        with pytest.raises(ValueError, match="different shapes"):
+            fisher_nonlinear(model, np.eye(2), prior, N=4000, seed=0)
+
+    def test_non_finite_analytic_jacobian_raises(self, rng):
+        model = NonlinearModel(
+            h=lambda s: s, n=2, m=2,
+            jacobian=lambda s: np.full((2, 2), np.nan) if s[1] > 1.0 else np.eye(2),
+        )
+        with pytest.raises(NonFinite, match="Jacobian evaluation"):
+            fisher_nonlinear(model, np.eye(2), self._edge_prior(4000, [0.0, 2.0]), N=4000, seed=0)
