@@ -55,7 +55,7 @@ def require_symmetric(M, name: str = "matrix", tol: float = 1e-12) -> np.ndarray
 def symmetrize(M) -> np.ndarray:
     """Return the symmetric part (M + M^T) / 2, of each matrix of a (..., k, k) stack."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + np.swapaxes(M, -1, -2))
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def psd_tolerance(M: np.ndarray, tol: float = PSD_EIG_TOL) -> float:
@@ -197,7 +197,7 @@ def require_finite(M, what: str) -> None:
 
     Comparisons with NaN are false, so a tolerance check alone would pass it.
     """
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NonFinite(f"non-finite entries in {what}")
 
 
