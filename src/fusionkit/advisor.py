@@ -16,8 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import Inadmissible
-from .information import InfoMatrix, PairFactorization, WhitenedPair
+from .information import InfoMatrix, PairFactorization, WhitenedPair, _admissible_sigma_max
 from .matrixkit import BlockCovariance, symmetrize
 from .model import LinearModel, ModalityPair, SourcePrior
 
@@ -104,10 +103,10 @@ def detect_redundancy(wp: WhitenedPair, tol: float = 1e-8) -> RedundancyResult:
     # Information, hence synergy, is the same in whitened coordinates.
     noise = BlockCovariance(np.eye(wp.rho.shape[0]), np.eye(wp.rho.shape[1]), wp.rho)
     whitened = ModalityPair(LinearModel(wp.A_tilde), LinearModel(wp.B_tilde), noise)
-    return _redundancy(wp, tol, wp.sigma_max_rho, lambda: PairFactorization.from_pair(whitened))
+    return _redundancy(wp, tol, lambda: PairFactorization.from_pair(whitened))
 
 
-def _redundancy(wp: WhitenedPair, tol: float, sigma_max: float, factorize) -> RedundancyResult:
+def _redundancy(wp: WhitenedPair, tol: float, factorize) -> RedundancyResult:
     """:func:`detect_redundancy`, with ``factorize()`` giving the pair's factorization."""
     A, B, rho = wp.A_tilde, wp.B_tilde, wp.rho
     r2 = float(np.linalg.norm(B - rho.T @ A, "fro")) / (1.0 + float(np.linalg.norm(B, "fro")))
@@ -117,7 +116,7 @@ def _redundancy(wp: WhitenedPair, tol: float, sigma_max: float, factorize) -> Re
 
     verdict = "SecondRedundant" if r2 <= r1 else "FirstRedundant"
     synergy_residual = None
-    if sigma_max < 1.0 - 1e-8:
+    if wp.sigma_max_rho < 1.0 - 1e-8:
         fac = factorize()
         S = fac.S_x if verdict == "SecondRedundant" else fac.S_y
         synergy_residual = float(np.linalg.norm(S, "fro")) / max(
@@ -147,11 +146,7 @@ def classify_regime(rho, eps: float = 1e-6) -> str:
 
 def _regime(frob: float, sigma_max: float, eps: float) -> str:
     """:func:`classify_regime` from ``||rho||_F`` and ``sigma_max(rho)``."""
-    if sigma_max >= 1.0:
-        raise Inadmissible(
-            f"sigma_max(rho) = {sigma_max:.6f} >= 1: joint noise covariance not PD",
-            sigma_max=sigma_max,
-        )
+    _admissible_sigma_max(sigma_max)
     if frob <= eps:
         return "Uncorrelated"
     if sigma_max >= 1.0 - eps:
@@ -178,7 +173,7 @@ def advise(
     diff_eigs = np.linalg.eigvalsh(symmetrize(snr1 - snr2))
     dominance = _dominance(diff_eigs, tols.dominance * scale)
     regime = _regime(float(np.linalg.norm(wp.rho, "fro")), sigma_max, tols.regime_eps)
-    red = _redundancy(wp, tols.redundancy, sigma_max, lambda: fac)
+    red = _redundancy(wp, tols.redundancy, lambda: fac)
     J = fac.joint_information(prior)
     trace_J = float(np.trace(J.matrix))
     gain_second = float(np.trace(fac.S_x)) / max(trace_J, 1e-300)

@@ -3,7 +3,9 @@
 Commands are deterministic given (scenario file, flags, seed). Reports
 are machine-first: JSON to stdout or ``--out``, with a one-line human
 summary on stderr. Exit codes: 0 success, 1 usage error, 2 scenario or
-validation error, 3 numerical error.
+validation error, 3 numerical error. Commands run with numpy's
+floating-point warnings off: an overflow surfaces as the typed
+:class:`NonFinite` error (exit 3), the only line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .advisor import AdvisorTolerances, advise
-from .errors import FusionKitError, NotPD
+from .errors import FusionKitError, NonFinite, NotPD
 from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
 from .information import PairFactorization, crlb, prewhiten, snr_matrix, total_information
 from .matrixkit import BlockCovariance
@@ -184,7 +186,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _emit(report: dict | list, out: str | None, summary: str) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # JSON has no token for inf or NaN
+        raise NonFinite(f"non-finite value in the report: {exc}") from exc
     if out:
         Path(out).write_text(text)
     else:
@@ -412,7 +417,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .information import InfoMatrix, crlb
-from .matrixkit import psd_inverse, require_symmetric, symmetrize
+from .matrixkit import psd_inverse, require_finite, require_symmetric, symmetrize
 from .model import GaussianPrior, LinearModel, SourcePrior, simulate
 from .nonlinear import NonlinearModel
 
@@ -86,6 +86,7 @@ def empirical_error_covariance(
     A = model.A
     sigma_inv = psd_inverse(sigma, name="noise covariance")
     snr = symmetrize(A.T @ sigma_inv @ A)
+    require_finite(snr, "the SNR matrix")
 
     batch = simulate(model, prior, N, seed, noise=sigma)
     X, S = batch.observations, batch.sources

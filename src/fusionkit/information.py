@@ -13,7 +13,7 @@ than being averaged away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from ._parallel import mc_moments
 from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
+    NoiseFactors,
     factor_noise,
-    pd_sqrt,
     psd_inverse,
     require_conditioned,
     require_finite,
@@ -67,6 +67,8 @@ class WhitenedPair:
     ``rho = L_v^-1 sigma_vu L_u^-T`` where L_v, L_u are the symmetric PSD
     square roots of the marginal noise covariances. All singular values
     of rho are strictly below one whenever the joint covariance is PD.
+    ``rho_singular_values`` (descending) are taken once, when the pair is
+    built, and ``sigma_max_rho`` reads them.
     """
 
     A_tilde: np.ndarray
@@ -74,12 +76,16 @@ class WhitenedPair:
     rho: np.ndarray
     L_v: np.ndarray
     L_u: np.ndarray
+    rho_singular_values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        s = np.linalg.svd(self.rho, compute_uv=False)
+        object.__setattr__(self, "rho_singular_values", s)
 
     @property
     def sigma_max_rho(self) -> float:
-        if not np.any(self.rho):
-            return 0.0
-        return float(np.linalg.svd(self.rho, compute_uv=False)[0])
+        s = self.rho_singular_values
+        return float(s[0]) if s.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -179,22 +185,15 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
 
     After whitening the noises have identity covariance and cross
     correlation ``rho = L_v^-1 sigma_vu L_u^-T``; the joint covariance
-    being PD forces every singular value of rho below one.
+    being PD forces every singular value of rho below one. Raises
+    :class:`NotPD` or :class:`Singular` as :func:`factor_noise` does.
     """
-    return _whiten(pair, *_whiten_noise(pair.noise))
+    return _whiten(pair, factor_noise(pair.noise))
 
 
-def _whiten_noise(noise, L_v=None, L_u=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``L_v``, ``L_u`` (PD-checked roots unless given) and ``rho`` of a joint noise."""
-    L_v = pd_sqrt(noise.sigma_v, "sigma_v") if L_v is None else L_v
-    L_u = pd_sqrt(noise.sigma_u, "sigma_u") if L_u is None else L_u
-    # L_u is symmetric, so sigma_vu L_u^-T solves from the right transposed.
-    return L_v, L_u, np.linalg.solve(L_v, np.linalg.solve(L_u, noise.sigma_vu.T).T)
-
-
-def _whiten(pair: ModalityPair, L_v, L_u, rho) -> WhitenedPair:
-    A_tilde = np.linalg.solve(L_v, pair.first.A)
-    return WhitenedPair(A_tilde, np.linalg.solve(L_u, pair.second.A), rho, L_v, L_u)
+def _whiten(pair: ModalityPair, nf: NoiseFactors) -> WhitenedPair:
+    A_tilde = np.linalg.solve(nf.L_v, pair.first.A)
+    return WhitenedPair(A_tilde, np.linalg.solve(nf.L_u, pair.second.A), nf.rho, nf.L_v, nf.L_u)
 
 
 def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
@@ -207,13 +206,15 @@ def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
     return sigma_max
 
 
-def _cross_solvers(rho, singular_values):
+def _cross_solvers(rho, singular_values, cap=None):
     """Solvers applying ``K = (I - rho^T rho)^-1`` and ``K' = (I - rho rho^T)^-1``, and their norm.
 
     Both have 2-norm ``1 / (1 - sigma_max^2)``, read off the singular values
     of rho like ``cond(I - rho^T rho)``, so the guard costs no eigen-solve.
     Each solver solves with its matrix rather than multiplying by an
     explicit inverse, which near a unitary rho loses up to ten times more.
+    ``cap`` is ``I - rho^T rho`` when the caller has built it already;
+    ``I - rho rho^T`` is built only when ``K'`` is applied.
     Raises :class:`Inadmissible` if ``sigma_max(rho) >= 1`` and
     :class:`Singular` if ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``.
     """
@@ -224,14 +225,14 @@ def _cross_solvers(rho, singular_values):
     gap[: s.size] -= s**2
     cond = float(np.max(gap) / np.min(gap)) if np.min(gap) > 0.0 else np.inf
     require_conditioned(cond, "(I - rho^T rho)")
-    cap = symmetrize(np.eye(n2) - rho.T @ rho)
-    cap_p = symmetrize(np.eye(n1) - rho @ rho.T)
+    if cap is None:
+        cap = symmetrize(np.eye(n2) - rho.T @ rho)
 
     def solve_k(X):
         return np.linalg.solve(cap, X)
 
     def solve_kp(X):
-        return np.linalg.solve(cap_p, X)
+        return np.linalg.solve(symmetrize(np.eye(n1) - rho @ rho.T), X)
 
     return solve_k, solve_kp, 1.0 / float(np.min(gap))
 
@@ -275,14 +276,13 @@ def route_disagreement(routes: dict[str, np.ndarray]) -> float:
 class PairFactorization:
     """A modality pair with every block factorized once, and all that is read from it.
 
-    Built by :meth:`from_pair`: the whitened pair, ``sigma_max(rho)``, both
-    SNR matrices, the four joint Fisher information routes with their
-    largest disagreement, and ``S_x``, ``S_y``.
+    Built by :meth:`from_pair`: the whitened pair, which carries the
+    singular values of rho, both SNR matrices, the four joint Fisher
+    information routes with their largest disagreement, and ``S_x``, ``S_y``.
     """
 
     pair: ModalityPair
     whitened: WhitenedPair
-    sigma_max_rho: float
     snr_first: np.ndarray
     snr_second: np.ndarray
     routes: dict[str, np.ndarray]
@@ -314,9 +314,8 @@ class PairFactorization:
         M_g = B.T @ su_inv @ pair.noise.sigma_uv - A.T
         quad_g = M_g @ nf.G @ M_g.T
 
-        wp = _whiten(pair, *_whiten_noise(pair.noise, nf.L_v, nf.L_u))
-        s = np.linalg.svd(wp.rho, compute_uv=False)
-        solve_k = _cross_solvers(wp.rho, s)[0]
+        wp = _whiten(pair, nf)
+        solve_k = _cross_solvers(wp.rho, wp.rho_singular_values)[0]
         routes = {
             "block": J_block,
             "schur_f": symmetrize(snr1 + quad_f),
@@ -340,7 +339,11 @@ class PairFactorization:
                 f"(relative errors {err_x:.3e}, {err_y:.3e})",
                 max_relative_error=max(err_x, err_y),
             )
-        return cls(pair, wp, float(s[0]), snr1, snr2, routes, worst, S_x, S_y)
+        return cls(pair, wp, snr1, snr2, routes, worst, S_x, S_y)
+
+    @property
+    def sigma_max_rho(self) -> float:
+        return self.whitened.sigma_max_rho
 
     def joint_information(self, prior: SourcePrior | None = None) -> InfoMatrix:
         """Total information of the fused observation (see :func:`joint_information`)."""

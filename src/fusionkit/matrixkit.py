@@ -5,8 +5,11 @@ read off the symmetric eigendecomposition ``M = V diag(w) V^T`` as
 ``(V / w) V^T``, from the same eigen-solve that checks definiteness
 (:class:`NotPD`) and gives the condition ``w_max / w_min`` (refused as
 :class:`Singular` above ``SINGULAR_CONDITION``) and, for a noise
-marginal, the symmetric root. Only :func:`pd_factor`, for the Gaussian
-ML whitening, takes a Cholesky factor.
+marginal, the symmetric root. :func:`factor_noise` is the one place a
+joint noise covariance is factorized and whitened: it gives the roots,
+the inverses, the Schur factors and the whitened cross-correlation
+``rho``. Only :func:`pd_factor`, for the Gaussian ML whitening, takes a
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -108,25 +111,12 @@ def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return symmetrize((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
-def pd_sqrt(M, name: str = "matrix") -> np.ndarray:
-    """Symmetric square root of a PD matrix.
-
-    Raises :class:`NotPD` if the smallest eigenvalue is not positive.
-    """
-    return _root(*_pd_eigh(M, name))
-
-
-def _pd_eigh(M, name: str, psd_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _conditioned_eigh(M, name: str, psd_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
     w, V = np.linalg.eigh(symmetrize(M))
     if psd_first:  # clearly indefinite input raises NotPSD, as sym_sqrt does
         _require_psd(w)
     if w[0] <= 0.0:
         raise NotPD(f"{name} is not PD (min eigenvalue {w[0]:.3e})", min_eigenvalue=float(w[0]))
-    return w, V
-
-
-def _conditioned_eigh(M, name: str, psd_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    w, V = _pd_eigh(M, name, psd_first)
     require_conditioned(float(w[-1] / w[0]), name)
     return w, V
 
@@ -269,7 +259,15 @@ class BlockCovariance:
         return np.block([[self.sigma_v, self.sigma_vu], [self.sigma_uv, self.sigma_u]])
 
     def check_pd(self, tol: float = PSD_EIG_TOL) -> float:
-        """Minimum eigenvalue of the joint matrix; raises NotPD if <= tol-negative."""
+        """Minimum eigenvalue of the joint matrix; raises NotPD if it is indefinite.
+
+        Indefinite means a minimum eigenvalue at or below ``-tol``, scaled
+        by the norm above unit norm. A singular (rank-deficient) joint
+        passes: its minimum eigenvalue is rounding noise of either sign,
+        and a positive tolerance would also refuse valid near-singular pairs.
+        :func:`factor_noise` refuses a singular joint as :class:`Singular`
+        through its Schur-complement guard when the pair is used.
+        """
         min_eig = float(np.linalg.eigvalsh(symmetrize(self.joint()))[0])
         if min_eig <= -psd_tolerance(self.joint(), tol):
             raise NotPD(
@@ -290,7 +288,8 @@ class NoiseFactors:
     """A joint noise covariance with each block factorized once (:func:`factor_noise`).
 
     ``L_v``, ``L_u`` are the symmetric roots of the marginals, ``F``, ``G``
-    as in :func:`schur_factors`, ``inverse_blocks`` as in :func:`block_inverse`.
+    as in :func:`schur_factors`, ``inverse_blocks`` as in :func:`block_inverse`,
+    and ``rho = L_v^-1 sigma_vu L_u^-1`` the whitened cross-correlation.
     """
 
     L_v: np.ndarray
@@ -300,6 +299,7 @@ class NoiseFactors:
     F: np.ndarray
     G: np.ndarray
     inverse_blocks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    rho: np.ndarray
 
 
 def factor_noise(block: BlockCovariance) -> NoiseFactors:
@@ -308,7 +308,8 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
     Per marginal, one eigen-solve gives the PD check (:class:`NotPD`), the
     condition (:class:`Singular` above ``SINGULAR_CONDITION``), the root
     and the inverse; per Schur complement, one gives the condition relative
-    to its block and the inverse.
+    to its block and the inverse. Two solves with the roots whiten the
+    cross-covariance into ``rho``.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
     norm_v, L_v, sv_inv = _factor_marginal(sv, "sigma_v")
@@ -316,13 +317,17 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
     sv_inv_svu = sv_inv @ svu
     F = _schur_inverse(symmetrize(su - svu.T @ sv_inv_svu), norm_u, "sigma_u")
     G = _schur_inverse(symmetrize(sv - svu @ su_inv @ svu.T), norm_v, "sigma_v")
+    # L_u is symmetric, so sigma_vu L_u^-1 solves from the right transposed.
+    rho = np.linalg.solve(L_v, np.linalg.solve(L_u, svu.T).T)
     if not np.any(svu):
         # Block-diagonal input: keep the zero blocks exact.
         z = np.zeros_like(svu)
-        return NoiseFactors(L_v, L_u, sv_inv, su_inv, F, G, (sv_inv, z, z.T, su_inv))
-    omega_12 = -sv_inv_svu @ F
-    omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
-    return NoiseFactors(L_v, L_u, sv_inv, su_inv, F, G, (omega_11, omega_12, omega_12.T, F))
+        inverse_blocks = (sv_inv, z, z.T, su_inv)
+    else:
+        omega_12 = -sv_inv_svu @ F
+        omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
+        inverse_blocks = (omega_11, omega_12, omega_12.T, F)
+    return NoiseFactors(L_v, L_u, sv_inv, su_inv, F, G, inverse_blocks, rho)
 
 
 def _factor_marginal(S: np.ndarray, name: str):

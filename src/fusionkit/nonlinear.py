@@ -21,8 +21,8 @@ import numpy as np
 
 from ._parallel import mc_moments
 from .errors import NonFinite
-from .information import McInfoEstimate, _cross_solvers, _whiten_noise
-from .matrixkit import BlockCovariance, forms_agree, psd_inverse, symmetrize
+from .information import McInfoEstimate, _cross_solvers
+from .matrixkit import BlockCovariance, factor_noise, forms_agree, psd_inverse, symmetrize
 from .model import SourcePrior
 
 __all__ = [
@@ -201,13 +201,16 @@ def joint_information_nonlinear(
     published algebraic forms are evaluated for every sample and must
     agree to 1e-8 relative; their mean is taken from the first.
     Prior information is added when the prior exposes it; a prior that
-    can only be sampled contributes zero.
+    can only be sampled contributes zero. The noise is factorized by
+    :func:`factor_noise`, so its :class:`NotPD` and :class:`Singular`
+    guards apply before any sample is drawn.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if h.m != g.m:
         raise ValueError(f"modalities must share the source dimension: {h.m} != {g.m}")
-    L_v, L_u, rho = _whiten_noise(noise)
+    nf = factor_noise(noise)
+    L_v, L_u, rho = nf.L_v, nf.L_u, nf.rho
     n1, n2 = rho.shape
     solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
     K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))

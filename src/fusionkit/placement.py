@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBudget, NoRoot
-from .information import _admissible_sigma_max, _cross_solvers, whitened_joint_fisher
-from .matrixkit import forms_agree
+from .information import _admissible_sigma_max, _cross_solvers, _whitened_fisher
+from .matrixkit import forms_agree, require_finite, symmetrize
 from .model import SourcePrior
 
 
@@ -43,7 +43,8 @@ class PlacementSolution:
     normalized by ``1 + |objective|``; a second form of the objective
     gradient must agree with it on every solve, to within the rounding
     that ``cond(I - rho^T rho)`` allows. Degenerate solutions (rho = 0) carry no
-    matrix, only the analysis note.
+    matrix, only the analysis note. A solution holds finite numbers only:
+    an overflowing ``B_star`` or objective raises :class:`NonFinite`.
     """
 
     B_star: np.ndarray | None
@@ -53,6 +54,11 @@ class PlacementSolution:
     kkt_residual: float
     degenerate: bool = False
     note: str = ""
+
+    def __post_init__(self):
+        require_finite(self.objective_e, "the placement objective")
+        if self.B_star is not None:
+            require_finite(self.B_star, "the secondary B~*")
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,7 +102,16 @@ def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -
     Equals the trace of the information-module joint matrix; the inverse
     of the minimum mean square error in the scalar sense.
     """
-    e = float(np.trace(whitened_joint_fisher(A_tilde, B_tilde, rho)))
+    A_tilde = np.asarray(A_tilde, dtype=float)
+    B_tilde = np.asarray(B_tilde, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    solve_k = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0]
+    return _objective(A_tilde, B_tilde, rho, solve_k, prior)
+
+
+def _objective(A_tilde, B_tilde, rho, solve_k, prior: SourcePrior | None) -> float:
+    """:func:`synergy_objective` with ``solve_k`` applying ``(I - rho^T rho)^-1``."""
+    e = float(np.trace(_whitened_fisher(A_tilde, B_tilde, rho, solve_k)))
     if prior is not None:
         e += float(np.trace(prior.info_matrix()))
     return e
@@ -170,9 +185,12 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
     DegenerateBudget
         If every active singular value is at 1, making the equation
         independent of the multiplier.
+    NonFinite
+        If the weights ``d``, or the budget value at lambda = 0, overflow.
     """
     if p <= 0.0:
         raise ValueError("budget p must be positive")
+    require_finite(svd.d, "the budget weights")
     c, oms = _budget_terms(svd)
     if not np.any(svd.singular_values > 0.0):
         raise ValueError("rho has no nonzero singular values; budget equation is void")
@@ -186,6 +204,7 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
         )
 
     at_zero = _budget_value(0.0, c, oms)
+    require_finite(at_zero, "the budget value at lambda = 0")
     if abs(p - at_zero) <= 1e-12 * max(p, at_zero):
         return 0.0
     if p < at_zero:
@@ -257,13 +276,19 @@ def optimal_secondary(
       objective is direction-independent on the budget sphere, so a
       degenerate solution with that analysis is returned instead of a
       misleading zero matrix.
+
+    One SVD of rho (:func:`svd_of_rho`) feeds the admissibility check, the
+    root, the objective and the stationarity check, and ``I - rho^T rho``
+    is built once. Raises :class:`NonFinite` if the budget weights,
+    ``B~*`` or the objective overflow.
     """
     A_tilde = np.asarray(A_tilde, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if p <= 0.0:
         raise ValueError("budget p must be positive")
-    if np.any(rho):
-        _admissible_sigma_max(float(np.linalg.svd(rho, compute_uv=False)[0]), strict=False)
+    svd = svd_of_rho(A_tilde, rho)
+    s = svd.singular_values
+    _admissible_sigma_max(float(s[0]) if s.size else 0.0, strict=False)
 
     prior_trace = 0.0 if prior is None else float(np.trace(prior.info_matrix()))
 
@@ -284,8 +309,8 @@ def optimal_secondary(
         )
 
     n2 = rho.shape[1]
-    gram = rho.T @ rho
-    if float(np.max(np.abs(gram - np.eye(n2)))) <= 1e-8:
+    cap = symmetrize(np.eye(n2) - rho.T @ rho)
+    if float(np.max(np.abs(cap))) <= 1e-8:
         B_star = rho.T @ A_tilde
         e = float(np.trace(A_tilde.T @ A_tilde)) + prior_trace
         return PlacementSolution(
@@ -301,11 +326,11 @@ def optimal_secondary(
             ),
         )
 
-    svd = svd_of_rho(A_tilde, rho)
     lam = lambda_root(svd, p)
-    B_star = np.linalg.solve(np.eye(n2) - lam * (np.eye(n2) - gram), rho.T @ A_tilde)
-    e = synergy_objective(A_tilde, B_star, rho, prior=prior)
-    kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e, svd)
+    solvers = _cross_solvers(rho, s, cap)
+    B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
+    e = _objective(A_tilde, B_star, rho, solvers[0], prior)
+    kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e, solvers)
     return PlacementSolution(
         B_star=B_star,
         lambda_=lam,
@@ -333,7 +358,7 @@ def _objective_gradient_forms(
     return 2.0 * solve_k(D), 2.0 * B_tilde - 2.0 * rho.T @ solve_kp(E)
 
 
-def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float, svd: SvdOfRho) -> float:
+def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float, solvers) -> float:
     """Normalized norm of the analytic Lagrangian gradient at the solution.
 
     The two forms are compared on the objective gradient, before the
@@ -343,8 +368,9 @@ def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float, svd: Sv
     ``||A~|| + ||B~||``, and the inverse itself is accurate to about
     ``k`` times machine epsilon; relative to the gradient ``g``, the
     condition of the check is ``k (||A~|| + ||B~|| + ||g||) / (1 + ||g||)``.
+    ``solvers`` are those of :func:`_cross_solvers` for rho.
     """
-    solve_k, solve_kp, k_norm = _cross_solvers(rho, svd.singular_values)
+    solve_k, solve_kp, k_norm = solvers
     forms = _objective_gradient_forms(A_tilde, B_star, rho, solve_k, solve_kp)
     g = float(np.linalg.norm(forms[0], "fro"))
     scale = float(np.linalg.norm(A_tilde, "fro") + np.linalg.norm(B_star, "fro"))

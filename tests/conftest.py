@@ -10,8 +10,8 @@ import pytest
 
 from fusionkit import BlockCovariance, LinearModel, ModalityPair, synergy_objective
 from fusionkit._parallel import block_plan
-from fusionkit.information import _cross_solvers, _whiten_noise
-from fusionkit.matrixkit import forms_agree, psd_inverse, symmetrize
+from fusionkit.information import _cross_solvers
+from fusionkit.matrixkit import factor_noise, forms_agree, psd_inverse, symmetrize
 
 
 def random_orthogonal(rng, n):
@@ -133,7 +133,8 @@ def fisher_per_sample(model, sigma, prior, N, seed):
 
 def joint_per_sample(h, g, noise, prior, N, seed):
     """Per-sample reference for ``joint_information_nonlinear``: (J, std_err)."""
-    L_v, L_u, rho = _whiten_noise(noise)
+    nf = factor_noise(noise)
+    L_v, L_u, rho = nf.L_v, nf.L_u, nf.rho
     n1, n2 = rho.shape
     solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
     K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))

@@ -297,13 +297,61 @@ class TestExitCodes:
         assert "numerical failure" in err and "(NonFinite)" in err
 
 
+def test_non_finite_report_value_is_3(tmp_path, capsys):
+    # every matrix is finite, but the traces of 0.6e308 I_3 overflow in the
+    # advise evidence; JSON has no token for inf or NaN
+    a = (0.6e308) ** 0.5
+    doc = {
+        "sources": {"gaussian": {"mean": [0.0] * 3, "cov": np.eye(3).tolist()}},
+        "modalities": [
+            {"name": "a", "A": (a * np.eye(3)).tolist(), "noise_cov": np.eye(3).tolist()},
+            {"name": "b", "A": np.eye(3).tolist(), "noise_cov": np.eye(3).tolist()},
+        ],
+    }
+    path = write_scenario(tmp_path / "s.json", doc)
+    assert main(["advise", path, "--pair", "a,b"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(NonFinite): non-finite value in the report" in captured.err
+
+
+def fresh_interpreter_env():
+    """Environment for a fresh interpreter that imports this checkout's fusionkit."""
+    src = str(Path(fusionkit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--joint", "a,b"], ["advise", "--pair", "a,b"], ["analyze", "--modality", "a"],
+     ["place", "--primary", "a", "--budget", "5"], ["simulate", "--method", "ml", "--N", "1000"]],
+)
+def test_overflow_is_one_typed_line(tmp_path, argv):
+    # A~ = 1e300 after whitening: every command must fail with NonFinite alone on
+    # stderr, without numpy's RuntimeWarning lines; a fresh interpreter shows them
+    doc = {
+        "sources": {"gaussian": {"mean": [0.0], "cov": [[1.0]]}},
+        "modalities": [
+            {"name": "a", "A": [[1e200]], "noise_cov": [[1e-200]]},
+            {"name": "b", "A": [[1.0]], "noise_cov": [[1.0]]},
+        ],
+        "cross_cov": {"pair": [0, 1], "matrix": [[0.5e-100]]},
+    }
+    path = write_scenario(tmp_path / "s.json", doc)
+    out = subprocess.run([sys.executable, "-m", "fusionkit.cli", argv[0], path, *argv[1:]],
+                         env=fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and "(NonFinite)" in lines[0], out.stderr
+    assert "Warning" not in out.stderr
+
+
 def test_cli_imports_no_scipy():
     # a fresh interpreter, so modules imported by the test session do not count
-    src = str(Path(fusionkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import sys, fusionkit.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
+                         capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

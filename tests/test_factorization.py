@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import sys
 
 import numpy as np
@@ -12,18 +13,22 @@ from fusionkit import (
     GaussianPrior,
     LinearModel,
     ModalityPair,
+    NonlinearModel,
     NotPD,
     PairFactorization,
     RouteDisagreement,
     Singular,
     advise,
     joint_information,
+    joint_information_nonlinear,
+    optimal_secondary,
     prewhiten,
     snr_matrix,
     sym_sqrt,
     synergy_matrices,
 )
 from fusionkit import information
+from fusionkit.cli import main
 
 from conftest import random_admissible_rho, random_pair, random_pd, rel_fro
 
@@ -167,3 +172,44 @@ def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
     monkeypatch.setattr(information, "factor_noise", perturbed)
     with pytest.raises(RouteDisagreement, match="synergy"):
         synergy_matrices(pair)
+
+
+def test_optimal_secondary_takes_one_svd(monkeypatch):
+    # the SVD of rho feeds the admissibility check, the root, the objective
+    # and the stationarity check
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((40, 10))
+    rho = random_admissible_rho(rng, 40, 30, 0.8)
+    counts = lapack_calls(monkeypatch, lambda: optimal_secondary(A, rho, 50.0))
+    assert counts["numpy.linalg.svd"] == 1
+
+
+def ill_conditioned_marginal_pair():
+    noise = BlockCovariance(np.diag([1.0, 1e-13]), np.eye(2), [[0.1, 0.0], [0.0, 0.0]])
+    return ModalityPair(LinearModel(np.eye(2)), LinearModel(np.eye(2)), noise)
+
+
+def test_every_whitening_applies_the_marginal_guard():
+    pair = ill_conditioned_marginal_pair()
+    with pytest.raises(Singular, match="sigma_v is numerically singular"):
+        prewhiten(pair)
+    h, g = NonlinearModel.linear(pair.first.A), NonlinearModel.linear(pair.second.A)
+    prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+    with pytest.raises(Singular, match="sigma_v is numerically singular"):
+        joint_information_nonlinear(h, g, pair.noise, prior, N=10, seed=0)
+
+
+def test_place_applies_the_marginal_guard(tmp_path, capsys):
+    pair = ill_conditioned_marginal_pair()
+    doc = {
+        "sources": {"gaussian": {"mean": [0.0, 0.0], "cov": np.eye(2).tolist()}},
+        "modalities": [
+            {"name": "a", "A": pair.first.A.tolist(), "noise_cov": pair.noise.sigma_v.tolist()},
+            {"name": "b", "A": pair.second.A.tolist(), "noise_cov": pair.noise.sigma_u.tolist()},
+        ],
+        "cross_cov": {"pair": [0, 1], "matrix": pair.noise.sigma_vu.tolist()},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["place", str(path), "--primary", "a", "--budget", "5"]) == 3
+    assert "(Singular)" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,12 @@ from fusionkit import (
     synergy_matrices,
     total_information,
 )
-from fusionkit.information import InfoMatrix, joint_fisher_routes, route_disagreement
+from fusionkit.information import (
+    InfoMatrix,
+    joint_fisher_routes,
+    route_disagreement,
+    whitened_joint_fisher,
+)
 
 from conftest import random_joint_noise, random_pair, random_pd, rel_fro
 
@@ -289,6 +296,32 @@ def test_route_disagreement_rejects_a_non_finite_route():
 def test_snr_overflow_raises_non_finite():
     with np.errstate(over="ignore"), pytest.raises(NonFinite):
         snr_matrix(LinearModel([[1e200]]), [[1e-200]])
+
+
+def exact_trace_at_scaled_identity(A_tilde, B_tilde, c):
+    """Trace of the whitened joint Fisher information at rho = c I, in exact rationals.
+
+    There ``(I - rho^T rho)^-1 = I / (1 - c^2)``, so the trace is
+    ``||A~||_F^2 + ||c A~^T - B~^T||_F^2 / (1 - c^2)``.
+    """
+    c = Fraction(c)
+    a_sq = sum(Fraction(x) ** 2 for x in np.ravel(A_tilde))
+    m_sq = sum((c * Fraction(a) - Fraction(b)) ** 2
+               for a, b in zip(np.ravel(A_tilde), np.ravel(B_tilde)))
+    return a_sq + m_sq / (1 - c * c)
+
+
+@pytest.mark.parametrize(
+    "A_tilde, B_tilde",
+    [([[1.0, 0.5], [0.0, 2.0]], [[0.3, 0.0], [1.0, -1.0]]), (np.eye(2), np.eye(2))],
+)
+def test_near_unitary_trace_matches_exact_value(A_tilde, B_tilde):
+    # sigma_max(rho) = 1 - 1e-10 keeps cond(I - rho^T rho) near 5e9, inside the guard
+    c = 1.0 - 1e-10
+    A_tilde, B_tilde = np.asarray(A_tilde), np.asarray(B_tilde)
+    J = whitened_joint_fisher(A_tilde, B_tilde, c * np.eye(2))
+    exact = exact_trace_at_scaled_identity(A_tilde, B_tilde, c)
+    assert abs(Fraction(float(np.trace(J))) - exact) / exact <= Fraction(5, 10**10)
 
 
 class TestPriorInformationMc:

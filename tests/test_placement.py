@@ -6,9 +6,11 @@ from fusionkit import (
     FormDisagreement,
     GaussianPrior,
     Inadmissible,
+    NonFinite,
     NoRoot,
     PlacementSolution,
     Singular,
+    SvdOfRho,
     joint_information,
     lambda_root,
     local_optimality_probe,
@@ -241,6 +243,34 @@ class TestOptimalSecondary:
         assert sol.B_star is None
         assert "direction-independent" in sol.note
         assert sol.objective_e == pytest.approx(float(np.trace(A.T @ A)) + 2.0)
+
+    @pytest.mark.parametrize("rho", [[[0.5]], [[0.0]], [[1.0]]])
+    def test_overflow_raises_non_finite(self, rho):
+        # A~ = 1e300: the budget weights A~ A~^T overflow, and with them the
+        # objective of the corner cases; abs(p - inf) <= 1e-12 inf holds, so
+        # an unchecked root equation reads lambda = 0 as its root
+        A = np.array([[1e300]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+            optimal_secondary(A, np.array(rho), 5.0)
+
+    def test_lambda_root_refuses_overflowing_weights(self):
+        with np.errstate(over="ignore"):
+            svd = svd_of_rho(np.array([[1e300]]), np.array([[0.5]]))
+        with pytest.raises(NonFinite, match="budget weights"):
+            lambda_root(svd, 5.0)
+        # finite weights whose sum at lambda = 0 overflows
+        s = np.array([0.999, 0.999])
+        svd = SvdOfRho(U=np.eye(2), singular_values=s, V=np.eye(2), d=np.array([1e308, 1e308]))
+        with np.errstate(over="ignore"), pytest.raises(NonFinite, match="lambda = 0"):
+            lambda_root(svd, 5.0)
+
+    def test_solution_is_finite(self):
+        with pytest.raises(NonFinite):
+            PlacementSolution(B_star=None, lambda_=0.0, budget_p=1.0, objective_e=np.inf,
+                              kkt_residual=0.0)
+        with pytest.raises(NonFinite):
+            PlacementSolution(B_star=np.array([[np.nan]]), lambda_=0.0, budget_p=1.0,
+                              objective_e=1.0, kkt_residual=0.0)
 
     def test_constraint_and_stationarity_sweep(self, rng):
         for _ in range(25):
