@@ -276,12 +276,15 @@ def route_disagreement(routes: dict[str, np.ndarray]) -> float:
 class PairFactorization:
     """A modality pair with every block factorized once, and all that is read from it.
 
-    Built by :meth:`from_pair`: the whitened pair, which carries the
-    singular values of rho, both SNR matrices, the four joint Fisher
-    information routes with their largest disagreement, and ``S_x``, ``S_y``.
+    Built by :meth:`from_pair`, which memoizes it on the pair: the whitened
+    pair, which carries the singular values of rho, both SNR matrices, the
+    four joint Fisher information routes with their largest disagreement,
+    and ``S_x``, ``S_y``. Every array is read-only, as it is shared by each
+    call on the pair. It holds no reference back to the pair, so a pair and
+    its factorization form no reference cycle and are freed together as
+    soon as the pair is dropped.
     """
 
-    pair: ModalityPair
     whitened: WhitenedPair
     snr_first: np.ndarray
     snr_second: np.ndarray
@@ -294,6 +297,10 @@ class PairFactorization:
     def from_pair(cls, pair: ModalityPair) -> "PairFactorization":
         """Factorize ``pair``; cross-validate the routes and the synergy matrices once.
 
+        The result is memoized on the pair, which is immutable, so later
+        calls on the same pair return it without further work. A failure is
+        not memoized: every call on a failing pair raises again.
+
         Raises :class:`NotPD` or :class:`Singular` as :func:`factor_noise`
         does, :class:`Singular` if ``cond(I - rho^T rho)`` exceeds
         ``SINGULAR_CONDITION``, :class:`NonFinite` if a route overflows, and
@@ -301,6 +308,8 @@ class PairFactorization:
         ``J_joint - J_single``, differ by ``ROUTE_TOL`` or more (an input
         conditioning problem).
         """
+        if pair._factorization is not None:
+            return pair._factorization
         A, B = pair.first.A, pair.second.A
         nf = factor_noise(pair.noise)
         sv_inv, su_inv = nf.sigma_v_inv, nf.sigma_u_inv
@@ -339,7 +348,12 @@ class PairFactorization:
                 f"(relative errors {err_x:.3e}, {err_y:.3e})",
                 max_relative_error=max(err_x, err_y),
             )
-        return cls(pair, wp, snr1, snr2, routes, worst, S_x, S_y)
+        for M in (wp.A_tilde, wp.B_tilde, wp.rho, wp.L_v, wp.L_u, wp.rho_singular_values,
+                  snr1, snr2, S_x, S_y, *routes.values()):
+            M.setflags(write=False)
+        fac = cls(wp, snr1, snr2, routes, worst, S_x, S_y)
+        object.__setattr__(pair, "_factorization", fac)
+        return fac
 
     @property
     def sigma_max_rho(self) -> float:
@@ -347,7 +361,7 @@ class PairFactorization:
 
     def joint_information(self, prior: SourcePrior | None = None) -> InfoMatrix:
         """Total information of the fused observation (see :func:`joint_information`)."""
-        J = self.routes["prewhitened"] + _prior_info(prior, self.pair.m)
+        J = self.routes["prewhitened"] + _prior_info(prior, self.snr_first.shape[0])
         return InfoMatrix(J, kind="joint", near_singular=self.sigma_max_rho >= NEAR_SINGULAR_RHO)
 
     def synergy(self) -> SynergyReport:

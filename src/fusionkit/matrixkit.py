@@ -55,6 +55,18 @@ def require_symmetric(M, name: str = "matrix", tol: float = 1e-12) -> np.ndarray
     return M
 
 
+def _read_only_copy(M) -> np.ndarray:
+    """A float copy of ``M`` that owns its data and refuses writes.
+
+    Model and covariance types keep their arrays this way, so a result
+    computed from them, or memoized on them, cannot go stale when the
+    caller later writes to the array it passed in.
+    """
+    M = np.array(M, dtype=float)
+    M.setflags(write=False)
+    return M
+
+
 def symmetrize(M) -> np.ndarray:
     """Return the symmetric part (M + M^T) / 2, of each matrix of a (..., k, k) stack."""
     M = np.asarray(M, dtype=float)
@@ -220,7 +232,9 @@ class BlockCovariance:
 
     ``sigma_v`` (n1 x n1) and ``sigma_u`` (n2 x n2) are the marginal
     covariances, ``sigma_vu`` (n1 x n2) the cross-covariance. The
-    assembled joint matrix must be symmetric positive definite.
+    assembled joint matrix must be symmetric positive definite. Each block
+    is kept as a read-only float copy: writing to the arrays passed in
+    changes nothing here, and writing to a block raises ``ValueError``.
     """
 
     sigma_v: np.ndarray
@@ -228,9 +242,9 @@ class BlockCovariance:
     sigma_vu: np.ndarray
 
     def __post_init__(self):
-        sv = require_symmetric(self.sigma_v, name="sigma_v")
-        su = require_symmetric(self.sigma_u, name="sigma_u")
-        svu = np.asarray(self.sigma_vu, dtype=float)
+        sv = require_symmetric(_read_only_copy(self.sigma_v), name="sigma_v")
+        su = require_symmetric(_read_only_copy(self.sigma_u), name="sigma_u")
+        svu = _read_only_copy(self.sigma_vu)
         if svu.shape != (sv.shape[0], su.shape[0]):
             raise ValueError(
                 f"sigma_vu shape {svu.shape} does not match blocks "
@@ -268,8 +282,10 @@ class BlockCovariance:
         :func:`factor_noise` refuses a singular joint as :class:`Singular`
         through its Schur-complement guard when the pair is used.
         """
-        min_eig = float(np.linalg.eigvalsh(symmetrize(self.joint()))[0])
-        if min_eig <= -psd_tolerance(self.joint(), tol):
+        w = np.linalg.eigvalsh(symmetrize(self.joint()))
+        min_eig = float(w[0])
+        # The 2-norm of the symmetric joint is its largest absolute eigenvalue.
+        if min_eig <= -tol * max(1.0, abs(min_eig), abs(float(w[-1]))):
             raise NotPD(
                 f"joint covariance is not PD: min eigenvalue {min_eig:.6e}",
                 min_eigenvalue=min_eig,

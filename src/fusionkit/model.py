@@ -9,7 +9,7 @@ the source and may have cross-correlated noise, described jointly by a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .matrixkit import (
     BlockCovariance,
     _conditioned_eigh,
     _eig_inverse,
+    _read_only_copy,
     _root,
     psd_tolerance,
     require_symmetric,
@@ -25,15 +26,22 @@ from .matrixkit import (
     symmetrize,
 )
 
+if TYPE_CHECKING:
+    from .information import PairFactorization
+
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Linear mixing model ``x = A s + v`` with A of shape (n, m)."""
+    """Linear mixing model ``x = A s + v`` with A of shape (n, m).
+
+    ``A`` is kept as a read-only float copy: writing to the array passed in
+    changes nothing here, and writing to ``A`` raises ``ValueError``.
+    """
 
     A: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = _read_only_copy(self.A)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise ValueError(f"mixing matrix must be 2-D and nonempty, got {A.shape}")
         if not np.all(np.isfinite(A)):
@@ -98,7 +106,11 @@ class SourcePrior:
 
 @dataclass(frozen=True)
 class GaussianPrior(SourcePrior):
-    """Gaussian source prior N(mean, cov); information matrix is cov^-1."""
+    """Gaussian source prior N(mean, cov); information matrix is cov^-1.
+
+    ``mean`` and ``cov`` are kept as read-only float copies, as are the
+    information matrix and the sampling root computed from them once.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -106,8 +118,8 @@ class GaussianPrior(SourcePrior):
     _info: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = require_symmetric(self.cov, name="source covariance")
+        mean = np.atleast_1d(_read_only_copy(self.mean))
+        cov = require_symmetric(_read_only_copy(self.cov), name="source covariance")
         if mean.shape != (cov.shape[0],):
             raise ValueError(f"mean shape {mean.shape} does not match cov {cov.shape}")
         object.__setattr__(self, "mean", mean)
@@ -115,8 +127,11 @@ class GaussianPrior(SourcePrior):
         # One eigen-solve gives the sampling root and the information; it
         # raises NotPSD, NotPD or Singular as sym_sqrt and psd_inverse would.
         w, V = _conditioned_eigh(cov, "source covariance", psd_first=True)
-        object.__setattr__(self, "_sqrt", _root(w, V))
-        object.__setattr__(self, "_info", _eig_inverse(w, V))
+        root, info = _root(w, V), _eig_inverse(w, V)
+        root.setflags(write=False)
+        info.setflags(write=False)
+        object.__setattr__(self, "_sqrt", root)
+        object.__setattr__(self, "_info", info)
 
     @property
     def m(self) -> int:
@@ -142,12 +157,13 @@ class InfoOnlyPrior(SourcePrior):
 
     ``J_s = 0`` represents a deterministic/unknown source with no prior
     information, unifying the deterministic CRLB with the Bayesian one.
+    ``J_s`` is kept as a read-only float copy.
     """
 
     J_s: np.ndarray
 
     def __post_init__(self):
-        J = require_symmetric(self.J_s, name="J_s")
+        J = require_symmetric(_read_only_copy(self.J_s), name="J_s")
         min_eig = float(np.linalg.eigvalsh(J)[0])
         if min_eig < -psd_tolerance(J):
             raise ValueError(f"J_s must be PSD, min eigenvalue {min_eig:.3e}")
@@ -198,11 +214,20 @@ class SamplerPrior(SourcePrior):
 
 @dataclass(frozen=True)
 class ModalityPair:
-    """Two sensor groups observing the same source with jointly Gaussian noise."""
+    """Two sensor groups observing the same source with jointly Gaussian noise.
+
+    The pair is immutable (its models and noise hold read-only arrays), so
+    :meth:`~fusionkit.information.PairFactorization.from_pair` memoizes its
+    result in ``_factorization``: ``joint_information``,
+    ``synergy_matrices`` and ``advise`` on one pair share one factorization.
+    """
 
     first: LinearModel
     second: LinearModel
     noise: BlockCovariance
+    _factorization: PairFactorization | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.first.m != self.second.m:

@@ -1,9 +1,11 @@
-"""One factorization per modality pair: contents, guards and LAPACK call counts."""
+"""One factorization per modality pair, memoized on it: contents, guards, ownership and LAPACK counts."""
 
 import collections
 import dataclasses
+import gc
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from fusionkit import (
 from fusionkit import information
 from fusionkit.cli import main
 
-from conftest import random_admissible_rho, random_pair, random_pd, rel_fro
+from conftest import random_admissible_rho, random_joint_noise, random_pair, random_pd, rel_fro
 
 # Entry points of numpy.linalg and scipy.linalg that the library could call
 # (scipy only if the library imported it).
@@ -106,6 +108,91 @@ def test_lapack_calls_pinned(monkeypatch, call, extra_eigvalsh, redundant):
             assert adv.evidence["synergy_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("redundant", [False, True])
+def test_calls_on_one_pair_share_one_factorization(monkeypatch, redundant):
+    rng = np.random.default_rng(42)
+    pair = planted_pair(rng, 40, 30, 10, redundant)
+    prior = GaussianPrior(mean=np.zeros(10), cov=random_pd(rng, 10))
+
+    def three_calls():
+        joint_information(pair, prior)
+        synergy_matrices(pair)
+        advise(pair, prior)
+
+    # one BUILD, plus the extra eigvalsh of each call (0 + 2 + 1)
+    expected = dict(collections.Counter(BUILD) + collections.Counter(
+        {"numpy.linalg.eigvalsh": 3}))
+    assert lapack_calls(monkeypatch, three_calls) == expected
+    assert lapack_calls(monkeypatch, three_calls) == {"numpy.linalg.eigvalsh": 3}
+
+
+def test_memoized_answers_equal_a_fresh_pair(rng):
+    pair = random_pair(rng, 5, 4, 3)
+    prior = GaussianPrior(mean=np.zeros(3), cov=random_pd(rng, 3))
+    first = (joint_information(pair, prior).matrix, synergy_matrices(pair).S_y)
+    again = (joint_information(pair, prior).matrix, synergy_matrices(pair).S_y)
+    twin = ModalityPair(pair.first, pair.second, pair.noise)
+    fresh = (joint_information(twin, prior).matrix, synergy_matrices(twin).S_y)
+    for got, want, new in zip(first, again, fresh):
+        assert np.array_equal(got, want) and np.array_equal(got, new)
+    assert advise(pair, prior) == advise(twin, prior)
+
+
+def test_failed_factorization_raises_on_every_call(rng, monkeypatch):
+    noise = BlockCovariance(np.diag([1.0, -0.5]), np.eye(2), np.zeros((2, 2)))
+    pair = ModalityPair(LinearModel(np.eye(2)), LinearModel(np.eye(2)), noise)
+    for call in (joint_information, synergy_matrices, advise, joint_information):
+        with pytest.raises(NotPD):
+            call(pair)
+    # a pair that fails only while a route is skewed succeeds once it is not
+    whitened = information._whitened_fisher
+    monkeypatch.setattr(
+        information, "_whitened_fisher", lambda *a: whitened(*a) * (1.0 + 1e-6)
+    )
+    pair = random_pair(rng, 3, 2, 2)
+    for _ in range(2):
+        with pytest.raises(RouteDisagreement):
+            joint_information(pair)
+    monkeypatch.undo()
+    assert joint_information(pair).matrix.shape == (2, 2)
+
+
+def test_factorized_pair_is_freed_without_the_cycle_collector(rng):
+    pair = random_pair(rng, 4, 3, 2)
+    advise(pair)
+    ref = weakref.ref(pair)
+    gc.disable()
+    try:
+        del pair
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_model_and_noise_arrays_are_read_only(rng):
+    pair = random_pair(rng, 4, 3, 2)
+    fac = PairFactorization.from_pair(pair)
+    for array in (pair.first.A, pair.second.A, pair.noise.sigma_v, pair.noise.sigma_u,
+                  pair.noise.sigma_vu, pair.noise.sigma_uv, fac.snr_first, fac.S_x,
+                  fac.routes["prewhitened"], fac.whitened.rho):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+
+
+def test_writing_to_the_inputs_changes_no_result(rng):
+    A, B = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+    noise = random_joint_noise(rng, 4, 3)
+    sigma_v, sigma_u, sigma_vu = (np.array(M) for M in (noise.sigma_v, noise.sigma_u,
+                                                       noise.sigma_vu))
+    kept = [M.copy() for M in (A, B, sigma_v, sigma_u, sigma_vu)]
+    pair = ModalityPair(LinearModel(A), LinearModel(B), BlockCovariance(sigma_v, sigma_u, sigma_vu))
+    for M in (A, B, sigma_v, sigma_u, sigma_vu):
+        M *= 2.0
+    twin = ModalityPair(LinearModel(kept[0]), LinearModel(kept[1]), BlockCovariance(*kept[2:]))
+    assert np.array_equal(joint_information(pair).matrix, joint_information(twin).matrix)
+    assert np.array_equal(synergy_matrices(pair).S_x, synergy_matrices(twin).S_x)
+
+
 def test_contents_match_the_single_purpose_functions(rng):
     pair = random_pair(rng, 4, 3, 2)
     fac = PairFactorization.from_pair(pair)
@@ -149,11 +236,12 @@ def test_collapsing_schur_complement_raises_singular():
 
 
 def test_route_disagreement_raises(rng, monkeypatch):
-    pair = random_pair(rng, 3, 2, 2)
     whitened = information._whitened_fisher
     monkeypatch.setattr(
         information, "_whitened_fisher", lambda *a: whitened(*a) * (1.0 + 1e-6)
     )
+    # built after the patch, so no memoized factorization can bypass it
+    pair = random_pair(rng, 3, 2, 2)
     with pytest.raises(RouteDisagreement) as exc:
         joint_information(pair)
     assert exc.value.max_relative_error >= 1e-8
@@ -161,7 +249,6 @@ def test_route_disagreement_raises(rng, monkeypatch):
 
 def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
     # the routes are declared in agreement, so only the synergy check can fire
-    pair = random_pair(rng, 3, 2, 2)
     factor_noise = information.factor_noise
 
     def perturbed(block):
@@ -170,6 +257,7 @@ def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
 
     monkeypatch.setattr(information, "route_disagreement", lambda routes: 0.0)
     monkeypatch.setattr(information, "factor_noise", perturbed)
+    pair = random_pair(rng, 3, 2, 2)
     with pytest.raises(RouteDisagreement, match="synergy"):
         synergy_matrices(pair)
 

@@ -51,6 +51,24 @@ class TestTypes:
         with pytest.raises(error):
             GaussianPrior(mean=np.zeros(2), cov=np.diag(diag))
 
+    def test_priors_own_their_arrays(self, rng):
+        # the information is computed once at construction, so a prior that
+        # aliased the caller's covariance would go stale when it is written to
+        cov, mean = random_pd(rng, 3), np.ones(3)
+        prior = GaussianPrior(mean=mean, cov=cov)
+        kept, info = cov.copy(), prior.info_matrix().copy()
+        cov[0, 0], mean[0] = 4.0, 9.0
+        assert np.array_equal(prior.cov, kept) and np.array_equal(prior.mean, np.ones(3))
+        assert np.array_equal(prior.info_matrix(), info)
+        assert rel_fro(prior.info_matrix() @ prior.cov, np.eye(3)) < 1e-12
+        J = random_pd(rng, 3)
+        info_only = InfoOnlyPrior(J)
+        J[0, 0] = -5.0
+        assert info_only.J_s[0, 0] != -5.0
+        for array in (prior.cov, prior.mean, prior.info_matrix(), info_only.J_s):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_info_only_prior_rejects_indefinite(self):
         with pytest.raises(ValueError):
             InfoOnlyPrior(np.diag([1.0, -1.0]))
