@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Sweep planted noise spectra through the Cholesky inverse guard.
+
+``matrixkit.inverse_factor`` certifies a matrix's condition with a bound
+read off its inverse Cholesky factor and takes one ``eigvalsh`` only when
+the bound is inconclusive or Cholesky fails. This sweep plants spectra of
+known condition (1e2 to 1e14, straddling the 1e12 limit) and of minimum
+eigenvalue -1e-12, 0 and 1e-13, at several sizes, under the plain guard and
+the Schur-complement guard (condition against a parent block 10x larger).
+It records how often the fallback runs and whether every decision (error
+type and carried value) matches the eigenvalue guard, which it must on
+every trial. Emits a CSV (one row per size, spectrum and guard) and a JSON
+summary; exits 1 if any decision disagrees.
+"""
+
+import argparse
+import csv
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from fusionkit import NotPD, Singular
+from fusionkit.matrixkit import SINGULAR_CONDITION, _schur_inverse, inverse_factor, symmetrize
+
+SPECTRA = [f"cond=1e{e}" for e in ("2", "6", "10", "11", "11.5", "12.5", "13", "14")] + [
+    "min=-1e-12",
+    "min=0",
+    "min=1e-13",
+]
+
+
+def planted(rng, n, spectrum):
+    """Symmetric matrix of unit norm with the named spectrum, in a random basis."""
+    kind, value = spectrum.split("=")
+    if kind == "cond":
+        log_cond = float(value[2:])
+        w = 10.0 ** rng.uniform(-log_cond, 0.0, size=n)
+        w[0] = 10.0**-log_cond
+    else:
+        w = 10.0 ** rng.uniform(-2.0, 0.0, size=n)
+        w[0] = float(value)
+    w[-1] = 1.0
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q *= np.sign(np.diag(R))
+    return symmetrize((Q * w) @ Q.T)
+
+
+def eigen_decision(M, scale, schur):
+    """(error type, carried value) of the eigenvalue guard; (None, cond) if it passes."""
+    w = np.linalg.eigvalsh(M)
+    if w[0] <= 0.0:
+        return (Singular, np.inf) if schur else (NotPD, float(w[0]))
+    cond = max(scale, float(w[-1])) / float(w[0])
+    return (Singular, cond) if cond > SINGULAR_CONDITION else (None, cond)
+
+
+class CountedEigvalsh:
+    """Counts the ``np.linalg.eigvalsh`` calls made inside the ``with`` block."""
+
+    def __enter__(self):
+        self.calls = 0
+        self._original = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return self._original(*args, **kwargs)
+
+        np.linalg.eigvalsh = counted
+        return self
+
+    def __exit__(self, *exc):
+        np.linalg.eigvalsh = self._original
+
+
+def cholesky_decision(M, scale, schur):
+    """(error type, carried value, inverse or None, eigvalsh calls) of the Cholesky guard."""
+    with CountedEigvalsh() as counter:
+        try:
+            if schur:
+                inverse = _schur_inverse(M, scale, "sigma_v")
+            else:
+                L_inv = inverse_factor(M, "M")
+                inverse = L_inv.T @ L_inv
+            decision = (None, None, inverse)
+        except NotPD as exc:
+            decision = (NotPD, exc.min_eigenvalue, None)
+        except Singular as exc:
+            decision = (type(exc), exc.condition, None)
+    return (*decision, counter.calls)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--sizes", type=int, nargs="+", default=[1, 2, 8, 32, 63, 64, 65, 128, 400])
+    ap.add_argument("--trials", type=int, default=10, help="Trials per size, spectrum and guard")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--out", default="noise_guard_sweep", help="Output base path")
+    args = ap.parse_args()
+
+    rng = np.random.default_rng(args.seed)
+    fields = ["n", "spectrum", "guard", "trials", "fallbacks", "agreements", "refusals",
+              "worst_inverse_error_over_cond"]
+    rows = []
+    for n in args.sizes:
+        for spectrum in SPECTRA:
+            for guard in ("plain", "schur"):
+                schur = guard == "schur"
+                row = dict.fromkeys(fields[3:], 0)
+                row.update(n=n, spectrum=spectrum, guard=guard, trials=args.trials)
+                row["worst_inverse_error_over_cond"] = 0.0
+                for _ in range(args.trials):
+                    M = planted(rng, n, spectrum)
+                    scale = 10.0 if schur else 0.0
+                    want, carried = eigen_decision(M, scale, schur)
+                    got, got_carried, inverse, calls = cholesky_decision(M, scale, schur)
+                    row["fallbacks"] += calls
+                    row["agreements"] += got is want and (want is None or got_carried == carried)
+                    row["refusals"] += got is not None
+                    if inverse is not None:
+                        exact = np.linalg.inv(M)
+                        err = np.linalg.norm(inverse - exact) / np.linalg.norm(exact)
+                        w = np.linalg.eigvalsh(M)
+                        row["worst_inverse_error_over_cond"] = max(
+                            row["worst_inverse_error_over_cond"], float(err * w[0] / w[-1])
+                        )
+                rows.append(row)
+
+    base = Path(args.out)
+    with base.with_suffix(".csv").open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+    trials = sum(r["trials"] for r in rows)
+    agreements = sum(r["agreements"] for r in rows)
+    summary = {
+        "sizes": args.sizes,
+        "trials_per_cell": args.trials,
+        "seed": args.seed,
+        "trials": trials,
+        "fallback_rate": sum(r["fallbacks"] for r in rows) / trials,
+        "agreement_rate": agreements / trials,
+        "worst_inverse_error_over_cond": max(r["worst_inverse_error_over_cond"] for r in rows),
+        "passed": agreements == trials,
+    }
+    base.with_suffix(".json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    print(
+        f"noise guard sweep: {trials} trials, eigvalsh fallback on "
+        f"{summary['fallback_rate']:.1%}, agreement with the eigenvalue guard "
+        f"{summary['agreement_rate']:.1%}",
+        file=sys.stderr,
+    )
+    return 0 if summary["passed"] else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

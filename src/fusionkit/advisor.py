@@ -169,7 +169,8 @@ def advise(
     """
     fac = PairFactorization.from_pair(pair)
     wp, snr1, snr2, sigma_max = fac.whitened, fac.snr_first, fac.snr_second, fac.sigma_max_rho
-    scale = 1.0 + float(np.linalg.norm(snr1, 2)) + float(np.linalg.norm(snr2, 2))
+    # The 2-norm of a PSD SNR matrix is its top eigenvalue.
+    scale = 1.0 + float(np.linalg.eigvalsh(snr1)[-1]) + float(np.linalg.eigvalsh(snr2)[-1])
     diff_eigs = np.linalg.eigvalsh(symmetrize(snr1 - snr2))
     dominance = _dominance(diff_eigs, tols.dominance * scale)
     regime = _regime(float(np.linalg.norm(wp.rho, "fro")), sigma_max, tols.regime_eps)

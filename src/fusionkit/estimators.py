@@ -17,8 +17,7 @@ from .errors import SingularNormalMatrix, SingularPosterior
 from .information import crlb, snr_matrix
 from .matrixkit import (
     condition_estimate,
-    pd_factor,
-    psd_inverse,
+    inverse_factor,
     require_conditioned,
     require_symmetric,
     symmetrize,
@@ -67,11 +66,25 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="WLS")
 
 
+def _whiten(model: LinearModel, sigma, x) -> tuple[np.ndarray, np.ndarray]:
+    """``L^-1 A`` and ``L^-1 x`` for the Cholesky factor ``L`` of the noise covariance.
+
+    Raises :class:`NotPD` or :class:`Singular` as :func:`~fusionkit.matrixkit.inverse_factor`
+    does, and ``ValueError`` if ``x`` has the wrong shape.
+    """
+    sigma = require_symmetric(sigma, name="noise covariance")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (model.n,):
+        raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
+    white = inverse_factor(sigma, "noise covariance") @ np.column_stack([model.A, x])
+    return white[:, :-1], white[:, -1]
+
+
 def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     """Gaussian maximum likelihood estimate; equals WLS with W = sigma^-1.
 
-    Whitens ``[A | x]`` with one solve against the Cholesky factor of the
-    noise covariance (a different numerical route than :func:`wls_estimate`,
+    Whitens ``[A | x]`` with the inverse Cholesky factor of the noise
+    covariance (a different numerical route than :func:`wls_estimate`,
     which forms the weight matrix explicitly). The error covariance is the
     inverse of the SNR matrix ``A^T sigma^-1 A``.
 
@@ -79,15 +92,12 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     ------
     NotPD
         If the noise covariance is not positive definite.
+    Singular
+        If its condition number exceeds ``SINGULAR_CONDITION``.
+    SingularNormalMatrix
+        If the SNR matrix has condition estimate above 1e12.
     """
-    sigma = require_symmetric(sigma, name="noise covariance")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
-    A = model.A
-    L = pd_factor(sigma, name="noise covariance")
-    white = np.linalg.solve(L, np.column_stack([A, x]))
-    white_A, white_x = white[:, :-1], white[:, -1]
+    white_A, white_x = _whiten(model, sigma, x)
     snr = symmetrize(white_A.T @ white_A)
     s_hat = _solve_normal(snr, white_A.T @ white_x, "ml_estimate")
     error_cov = symmetrize(_solve_normal(snr, np.eye(model.m), "ml_estimate"))
@@ -107,24 +117,33 @@ def mmse_gaussian_estimate(
     where G is the prior covariance. Both attach the posterior covariance
     ``(G^-1 + snr)^-1``; the quadratic-cost weight of the Bayes risk never
     enters because the conditional mean is optimal for every PSD weight.
+    The SNR matrix and ``A^T sigma^-1 x`` come from ``[A | x]`` whitened
+    with the inverse Cholesky factor of the noise covariance, under the
+    noise guard of :func:`ml_estimate`.
+
+    Raises
+    ------
+    NotPD
+        If the noise covariance is not positive definite.
+    Singular
+        If its condition number exceeds ``SINGULAR_CONDITION``.
+    SingularPosterior
+        If the posterior information matrix has condition estimate above 1e12.
     """
-    sigma = require_symmetric(sigma, name="noise covariance")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
+    white_A, white_x = _whiten(model, sigma, x)
     A = model.A
     gamma_inv = prior.info_matrix()
-    sigma_inv = psd_inverse(sigma, name="noise covariance")
-    posterior_info = symmetrize(gamma_inv + A.T @ sigma_inv @ A)
+    posterior_info = symmetrize(gamma_inv + white_A.T @ white_A)
     require_conditioned(
         condition_estimate(posterior_info), "posterior information matrix", SingularPosterior
     )
     error_cov = symmetrize(np.linalg.solve(posterior_info, np.eye(model.m)))
 
     if form == "information":
-        s_hat = np.linalg.solve(posterior_info, A.T @ (sigma_inv @ x) + gamma_inv @ prior.mean)
+        s_hat = np.linalg.solve(posterior_info, white_A.T @ white_x + gamma_inv @ prior.mean)
     elif form == "gain":
         gamma = prior.cov
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         innovation_cov = symmetrize(A @ gamma @ A.T + sigma)
         gain = gamma @ A.T @ np.linalg.solve(innovation_cov, np.eye(model.n))
         s_hat = prior.mean + gain @ (x - A @ prior.mean)

@@ -23,7 +23,7 @@ from .matrixkit import (
     SINGULAR_CONDITION,
     NoiseFactors,
     factor_noise,
-    psd_inverse,
+    inverse_factor,
     require_conditioned,
     require_finite,
     require_symmetric,
@@ -125,7 +125,10 @@ def _prior_info(prior: SourcePrior | None, m: int) -> np.ndarray:
 
 
 def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
-    """SNR matrix ``A^T sigma^-1 A`` of a single modality.
+    """SNR matrix ``A^T sigma^-1 A`` of a single modality, as ``W^T W`` with ``W = L^-1 A``.
+
+    ``L`` is the Cholesky factor of the noise covariance (see
+    :func:`~fusionkit.matrixkit.inverse_factor`).
 
     Raises
     ------
@@ -139,8 +142,8 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     sigma = require_symmetric(sigma, name="noise covariance")
     if sigma.shape[0] != model.n:
         raise ValueError(f"noise covariance is {sigma.shape}, model has {model.n} channels")
-    sigma_inv = psd_inverse(sigma, name="noise covariance")
-    snr = symmetrize(model.A.T @ sigma_inv @ model.A)
+    white = inverse_factor(sigma, "noise covariance") @ model.A
+    snr = symmetrize(white.T @ white)
     require_finite(snr, "the SNR matrix")
     return InfoMatrix(snr, kind="snr")
 

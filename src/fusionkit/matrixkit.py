@@ -1,15 +1,17 @@
 """Dense symmetric-matrix toolkit: PSD square roots, block inversion, Schur factors.
 
-All operations are pure functions on small dense arrays. An inverse is
-read off the symmetric eigendecomposition ``M = V diag(w) V^T`` as
-``(V / w) V^T``, from the same eigen-solve that checks definiteness
-(:class:`NotPD`) and gives the condition ``w_max / w_min`` (refused as
-:class:`Singular` above ``SINGULAR_CONDITION``) and, for a noise
-marginal, the symmetric root. :func:`factor_noise` is the one place a
-joint noise covariance is factorized and whitened: it gives the roots,
-the inverses, the Schur factors and the whitened cross-correlation
-``rho``. Only :func:`pd_factor`, for the Gaussian ML whitening, takes a
-Cholesky factor.
+All operations are pure functions on small dense arrays. An inverse that
+needs no symmetric root comes from the Cholesky factor: :func:`inverse_factor`
+returns ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1`` (:func:`psd_inverse`)
+and ``L^-1 X`` whitens ``X``. Its guard certifies the condition with a bound
+read off ``L^-1`` and takes one ``eigvalsh`` only where the bound is
+inconclusive. Where a symmetric root is read, one eigen-solve
+``M = V diag(w) V^T`` gives the definiteness check (:class:`NotPD`), the
+condition ``w_max / w_min`` (refused as :class:`Singular` above
+``SINGULAR_CONDITION``), the root and the inverse ``(V / w) V^T``.
+:func:`factor_noise` is the one place a joint noise covariance is factorized
+and whitened: it gives the marginal roots and inverses (eigen-solves), the
+Schur factors (Cholesky), and the whitened cross-correlation ``rho``.
 """
 
 from __future__ import annotations
@@ -73,9 +75,12 @@ def symmetrize(M) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def psd_tolerance(M: np.ndarray, tol: float = PSD_EIG_TOL) -> float:
-    """Effective PSD eigenvalue tolerance: absolute, norm-scaled above unit norm."""
-    norm = float(np.linalg.norm(M, 2)) if M.size else 0.0
+def psd_tolerance(norm: float, tol: float = PSD_EIG_TOL) -> float:
+    """Effective PSD eigenvalue tolerance: absolute, scaled by the 2-norm above unit norm.
+
+    A caller that has the eigenvalues of the symmetric matrix passes the
+    largest absolute one, which is its 2-norm.
+    """
     return tol * max(1.0, norm)
 
 
@@ -137,8 +142,78 @@ def _eig_inverse(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return symmetrize((V / w) @ V.T)
 
 
+# Size up to which a triangular inverse is one LAPACK inverse; larger ones
+# are split in 2x2 blocks, since numpy has no triangular inverse or solve.
+_TRIANGULAR_BLOCK = 64
+
+# A Cholesky bound must clear SINGULAR_CONDITION by this factor to certify a
+# matrix. The computed factor is exact for a matrix within about n eps ||M||
+# of M, which moves the bound by a relative n eps kappa (under 0.1 at n = 400
+# near the limit); the margin keeps that from passing a matrix that the
+# eigenvalue guard would refuse.
+_CERTIFY_MARGIN = 2.0
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular ``L``, lower triangular itself.
+
+    ``[[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]]`` with
+    ``Xii = Lii^-1``, recursively; a block of at most ``_TRIANGULAR_BLOCK``
+    rows is inverted by ``np.linalg.inv``.
+    """
+    n = L.shape[0]
+    if n <= _TRIANGULAR_BLOCK:
+        return np.tril(np.linalg.inv(L))
+    k = n // 2
+    X11, X22 = _tril_inverse(L[:k, :k]), _tril_inverse(L[k:, k:])
+    X = np.zeros_like(L)
+    X[:k, :k] = X11
+    X[k:, k:] = X22
+    X[k:, :k] = -X22 @ (L[k:, :k] @ X11)
+    return X
+
+
+def inverse_factor(M, name: str = "matrix", scale: float = 0.0) -> np.ndarray:
+    """Inverse ``L^-1`` of the lower Cholesky factor of a symmetric PD ``M``.
+
+    ``M^-1 = L^-T L^-1``, and ``L^-1 X`` whitens ``X``. The guard refuses
+    ``M`` when its condition ``max(scale, lambda_max) / lambda_min`` exceeds
+    ``SINGULAR_CONDITION``; ``scale`` measures ``M`` against a larger
+    matrix it was derived from. It needs no eigenvalue when the bound
+    ``max(scale, ||M||_F) ||L^-1||_F^2`` clears the limit (by
+    ``_CERTIFY_MARGIN``): ``||M||_F >= lambda_max`` and
+    ``||L^-1||_F^2 = tr(M^-1) >= 1 / lambda_min``. Where the bound is
+    inconclusive, or Cholesky fails, one ``eigvalsh`` decides.
+
+    Raises
+    ------
+    NotPD
+        If the smallest eigenvalue is not positive; the error carries it.
+    Singular
+        If the condition exceeds ``SINGULAR_CONDITION``; the error carries it.
+    """
+    M = symmetrize(M)
+    try:
+        L_inv = _tril_inverse(np.linalg.cholesky(M))
+    except np.linalg.LinAlgError:
+        L_inv = None
+    else:
+        bound = max(scale, float(np.linalg.norm(M))) * float(np.vdot(L_inv, L_inv))
+        if bound <= SINGULAR_CONDITION / _CERTIFY_MARGIN:
+            return L_inv
+    w = np.linalg.eigvalsh(M)
+    if w[0] <= 0.0:
+        raise NotPD(f"{name} is not PD (min eigenvalue {w[0]:.3e})", min_eigenvalue=float(w[0]))
+    cond = max(scale, float(w[-1])) / float(w[0])
+    require_conditioned(cond, name)
+    if L_inv is None:  # a breakdown the eigenvalues do not show: refused as singular
+        raise Singular(f"{name}: Cholesky factorization broke down (cond~{cond:.3e})",
+                       condition=cond)
+    return L_inv
+
+
 def psd_inverse(M, name: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric PD matrix from one eigen-solve.
+    """Inverse ``L^-T L^-1`` of a symmetric PD matrix, from :func:`inverse_factor`.
 
     Raises
     ------
@@ -147,22 +222,8 @@ def psd_inverse(M, name: str = "matrix") -> np.ndarray:
     Singular
         If the condition number exceeds ``SINGULAR_CONDITION``.
     """
-    M = require_symmetric(M, name=name)
-    return _eig_inverse(*_conditioned_eigh(M, name))
-
-
-def pd_factor(M, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor ``L`` of a symmetric PD matrix, ``L @ L.T == M``.
-
-    Raises
-    ------
-    NotPD
-        If the factorization fails.
-    """
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotPD(f"{name} is not positive definite: {exc}") from exc
+    L_inv = inverse_factor(require_symmetric(M, name=name), name)
+    return symmetrize(L_inv.T @ L_inv)
 
 
 def forms_agree(form1, form2, what: str, condition: float = 1.0) -> np.ndarray:
@@ -323,9 +384,9 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
 
     Per marginal, one eigen-solve gives the PD check (:class:`NotPD`), the
     condition (:class:`Singular` above ``SINGULAR_CONDITION``), the root
-    and the inverse; per Schur complement, one gives the condition relative
-    to its block and the inverse. Two solves with the roots whiten the
-    cross-covariance into ``rho``.
+    and the inverse; per Schur complement, :func:`inverse_factor` gives the
+    inverse under a guard on its condition relative to its block. Two solves
+    with the roots whiten the cross-covariance into ``rho``.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
     norm_v, L_v, sv_inv = _factor_marginal(sv, "sigma_v")
@@ -352,14 +413,16 @@ def _factor_marginal(S: np.ndarray, name: str):
 
 
 def _schur_inverse(S: np.ndarray, block_norm: float, block: str) -> np.ndarray:
-    w, V = np.linalg.eigh(S)
     # Condition measured against the parent block's scale: a Schur
     # complement tiny relative to its block signals joint collapse even
-    # when it is well-conditioned in isolation.
-    scale = max(block_norm, float(np.max(np.abs(w))))
-    lo = float(w[0])
-    require_conditioned(np.inf if lo <= 0.0 else scale / lo, f"Schur complement of {block} block")
-    return _eig_inverse(w, V)
+    # when it is well-conditioned in isolation. An indefinite one is a
+    # collapsed joint too, so it is Singular rather than NotPD.
+    what = f"Schur complement of {block} block"
+    try:
+        L_inv = inverse_factor(S, what, scale=block_norm)
+    except NotPD as exc:
+        raise Singular(f"{what} is numerically singular (cond~inf)", condition=np.inf) from exc
+    return symmetrize(L_inv.T @ L_inv)
 
 
 def schur_factors(block: BlockCovariance) -> tuple[np.ndarray, np.ndarray]:

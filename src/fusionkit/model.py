@@ -164,8 +164,9 @@ class InfoOnlyPrior(SourcePrior):
 
     def __post_init__(self):
         J = require_symmetric(_read_only_copy(self.J_s), name="J_s")
-        min_eig = float(np.linalg.eigvalsh(J)[0])
-        if min_eig < -psd_tolerance(J):
+        w = np.linalg.eigvalsh(J)
+        min_eig = float(w[0])
+        if min_eig < -psd_tolerance(float(np.max(np.abs(w)))):
             raise ValueError(f"J_s must be PSD, min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "J_s", J)
 
@@ -313,8 +314,9 @@ def validate(model, prior: SourcePrior | None = None, noise=None) -> list[Diagno
         except ValueError as exc:
             report.append(Diagnostic("error", "BadCovariance", str(exc)))
             continue
-        min_eig = float(np.linalg.eigvalsh(C)[0])
-        if min_eig <= -psd_tolerance(C):
+        w = np.linalg.eigvalsh(C)
+        min_eig = float(w[0])
+        if min_eig <= -psd_tolerance(float(np.max(np.abs(w)))):
             report.append(
                 Diagnostic(
                     "error",

@@ -22,7 +22,7 @@ perturbations move the objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class PlacementSolution:
     that ``cond(I - rho^T rho)`` allows. Degenerate solutions (rho = 0) carry no
     matrix, only the analysis note. A solution holds finite numbers only:
     an overflowing ``B_star`` or objective raises :class:`NonFinite`.
+    ``rho_singular_values`` are those of the rho it was solved for, as
+    :func:`optimal_secondary` took them, kept for
+    :func:`local_optimality_probe`; they are not part of the report.
     """
 
     B_star: np.ndarray | None
@@ -54,6 +57,7 @@ class PlacementSolution:
     kkt_residual: float
     degenerate: bool = False
     note: str = ""
+    rho_singular_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(self.objective_e, "the placement objective")
@@ -278,8 +282,8 @@ def optimal_secondary(
       misleading zero matrix.
 
     One SVD of rho (:func:`svd_of_rho`) feeds the admissibility check, the
-    root, the objective and the stationarity check, and ``I - rho^T rho``
-    is built once. Raises :class:`NonFinite` if the budget weights,
+    root, the objective, the stationarity check and, carried on the
+    solution, :func:`local_optimality_probe`; ``I - rho^T rho`` is built once. Raises :class:`NonFinite` if the budget weights,
     ``B~*`` or the objective overflow.
     """
     A_tilde = np.asarray(A_tilde, dtype=float)
@@ -324,6 +328,7 @@ def optimal_secondary(
                 "rho^T rho = I: multiplier vanishes and B* = rho^T A is optimal "
                 "regardless of the budget (redundancy corner)"
             ),
+            rho_singular_values=s,
         )
 
     lam = lambda_root(svd, p)
@@ -339,6 +344,7 @@ def optimal_secondary(
         kkt_residual=kkt,
         degenerate=False,
         note="",
+        rho_singular_values=s,
     )
 
 
@@ -400,6 +406,9 @@ def local_optimality_probe(
     optimality and reported (never hidden): first-order stationarity does
     not imply the stationary point maximizes the objective. A prior would
     shift the objective by a constant, which cancels in every gain.
+    ``rho`` is the one the solution was computed for: its singular values,
+    which the guard of ``(I - rho^T rho)^-1`` reads, are taken from the
+    solution when it carries them.
     """
     if solution.B_star is None:
         raise ValueError("degenerate solutions have no matrix to probe")
@@ -410,6 +419,7 @@ def local_optimality_probe(
         n_perturbations,
         seed,
         delta,
+        solution.rho_singular_values,
     )
     improved = gains[gains > 1e-8]
     return ProbeReport(
@@ -420,15 +430,20 @@ def local_optimality_probe(
     )
 
 
-def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta: float):
+def _perturbation_gains(
+    A_tilde, rho, B0, n_perturbations: int, seed: int, delta: float, singular_values=None
+):
     """Objective gain of each random budget-feasible perturbation of ``B0``.
 
     The objective is ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~``
     and ``K = (I - rho^T rho)^-1``. The first term is the same for every
     ``B~``, so a gain is a difference of ``sum(D * (K D))``, with ``K``
-    taken once, under the singularity guard of the objective.
+    taken once, under the singularity guard of the objective; the guard
+    reads ``singular_values`` of rho, taken here when not given.
     """
-    solve_k = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0]
+    if singular_values is None:
+        singular_values = np.linalg.svd(rho, compute_uv=False)
+    solve_k = _cross_solvers(rho, singular_values)[0]
     K = solve_k(np.eye(rho.shape[1]))
     target = rho.T @ A_tilde
 

@@ -62,6 +62,28 @@ class TestMl:
         with pytest.raises(NotPD):
             ml_estimate(LinearModel(np.eye(2)), [[1.0, 2.0], [2.0, 1.0]], np.ones(2))
 
+    @pytest.mark.parametrize(
+        "diag, error, carried",
+        [([1.0, -0.5], NotPD, -0.5), ([1.0, 1e-13], Singular, 1e13)],
+    )
+    def test_ml_and_mmse_share_one_noise_guard(self, diag, error, carried):
+        # ML refused only an indefinite noise before: with one source seen
+        # by both channels its normal matrix is well conditioned, so it
+        # answered; a noise condition above 1e12 is now Singular for ML as
+        # it is for MMSE
+        model, sigma = LinearModel([[1.0], [1.0]]), np.diag(diag)
+        prior = GaussianPrior(mean=np.zeros(1), cov=np.eye(1))
+        for estimate in (
+            lambda: ml_estimate(model, sigma, np.ones(2)),
+            lambda: mmse_gaussian_estimate(model, sigma, prior, np.ones(2)),
+            lambda: mmse_gaussian_estimate(model, sigma, prior, np.ones(2), form="gain"),
+        ):
+            with pytest.raises(error) as exc:
+                estimate()
+            assert type(exc.value) is error
+            value = exc.value.min_eigenvalue if error is NotPD else exc.value.condition
+            assert value == pytest.approx(carried, rel=1e-12)
+
     def test_matches_wls_on_random_instances(self, rng):
         # dual-path comparison on 100 random instances
         for _ in range(100):

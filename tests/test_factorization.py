@@ -1,4 +1,6 @@
-"""One factorization per modality pair, memoized on it: contents, guards, ownership and LAPACK counts."""
+"""One factorization per modality pair, memoized on it: contents, guards, ownership and LAPACK counts.
+
+Also the LAPACK counts of a placement question and of the estimators."""
 
 import collections
 import dataclasses
@@ -23,6 +25,9 @@ from fusionkit import (
     advise,
     joint_information,
     joint_information_nonlinear,
+    local_optimality_probe,
+    ml_estimate,
+    mmse_gaussian_estimate,
     optimal_secondary,
     prewhiten,
     snr_matrix,
@@ -76,9 +81,12 @@ def lapack_calls(monkeypatch, fn):
 
 
 BUILD = {
-    # one per marginal (PD check, condition, root, inverse) and one per
-    # Schur complement (condition, inverse)
-    "numpy.linalg.eigh": 4,
+    # one per marginal (PD check, condition, root, inverse)
+    "numpy.linalg.eigh": 2,
+    # one per Schur complement (factor, inverse and a condition bound that
+    # certifies it); a 30 or 40 row factor is inverted in one block
+    "numpy.linalg.cholesky": 2,
+    "numpy.linalg.inv": 2,
     "numpy.linalg.solve": 5,  # A~, B~, rho (two) and (I - rho^T rho)
     "numpy.linalg.svd": 1,  # rho
 }
@@ -87,7 +95,7 @@ BUILD = {
 @pytest.mark.parametrize("redundant", [False, True])
 @pytest.mark.parametrize(
     "call, extra_eigvalsh",
-    [("joint_information", 0), ("synergy_matrices", 2), ("advise", 1)],
+    [("joint_information", 0), ("synergy_matrices", 2), ("advise", 3)],
 )
 def test_lapack_calls_pinned(monkeypatch, call, extra_eigvalsh, redundant):
     rng = np.random.default_rng(40)
@@ -119,11 +127,11 @@ def test_calls_on_one_pair_share_one_factorization(monkeypatch, redundant):
         synergy_matrices(pair)
         advise(pair, prior)
 
-    # one BUILD, plus the extra eigvalsh of each call (0 + 2 + 1)
+    # one BUILD, plus the extra eigvalsh of each call (0 + 2 + 3)
     expected = dict(collections.Counter(BUILD) + collections.Counter(
-        {"numpy.linalg.eigvalsh": 3}))
+        {"numpy.linalg.eigvalsh": 5}))
     assert lapack_calls(monkeypatch, three_calls) == expected
-    assert lapack_calls(monkeypatch, three_calls) == {"numpy.linalg.eigvalsh": 3}
+    assert lapack_calls(monkeypatch, three_calls) == {"numpy.linalg.eigvalsh": 5}
 
 
 def test_memoized_answers_equal_a_fresh_pair(rng):
@@ -203,8 +211,11 @@ def test_contents_match_the_single_purpose_functions(rng):
     ):
         assert np.array_equal(got, want)
     assert fac.sigma_max_rho == wp.sigma_max_rho
-    assert np.array_equal(fac.snr_first, snr_matrix(pair.first, pair.noise.sigma_v).matrix)
-    assert np.array_equal(fac.snr_second, snr_matrix(pair.second, pair.noise.sigma_u).matrix)
+    # snr_matrix whitens with the Cholesky factor and the factorization uses
+    # the eigen-solve it takes for the root: two routes to one matrix, which
+    # agree to rounding
+    assert rel_fro(fac.snr_first, snr_matrix(pair.first, pair.noise.sigma_v).matrix) <= 1e-12
+    assert rel_fro(fac.snr_second, snr_matrix(pair.second, pair.noise.sigma_u).matrix) <= 1e-12
     # independent oracle: GLS information of the stacked model
     H = np.vstack([pair.first.A, pair.second.A])
     dense = H.T @ np.linalg.solve(pair.noise.joint(), H)
@@ -262,14 +273,33 @@ def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
         synergy_matrices(pair)
 
 
-def test_optimal_secondary_takes_one_svd(monkeypatch):
-    # the SVD of rho feeds the admissibility check, the root, the objective
-    # and the stationarity check
+def test_placement_question_takes_one_svd(monkeypatch):
+    # the SVD of rho feeds the admissibility check, the root, the objective,
+    # the stationarity check and, carried on the solution, the probe
     rng = np.random.default_rng(41)
     A = rng.standard_normal((40, 10))
     rho = random_admissible_rho(rng, 40, 30, 0.8)
-    counts = lapack_calls(monkeypatch, lambda: optimal_secondary(A, rho, 50.0))
+    counts = lapack_calls(
+        monkeypatch, lambda: local_optimality_probe(A, rho, optimal_secondary(A, rho, 50.0))
+    )
     assert counts["numpy.linalg.svd"] == 1
+    solution = optimal_secondary(A, rho, 50.0)
+    assert "rho_singular_values" not in solution.to_json_dict()
+
+
+def test_estimators_whiten_with_the_cholesky_factor(monkeypatch):
+    # the noise guard is certified from the factor: no eigen-solve of the noise
+    rng = np.random.default_rng(43)
+    model, sigma = LinearModel(rng.standard_normal((350, 20))), random_pd(rng, 350)
+    prior = GaussianPrior(mean=np.zeros(20), cov=random_pd(rng, 20))
+    x = rng.standard_normal(350)
+    factor = {"numpy.linalg.cholesky": 1, "numpy.linalg.inv": 8}  # 350 rows in blocks of 43-44
+    normal = {"numpy.linalg.eigvalsh": 2, "numpy.linalg.solve": 2}  # two guarded solves
+    posterior = {"numpy.linalg.eigvalsh": 1, "numpy.linalg.solve": 2}  # guard, error_cov, s_hat
+    assert lapack_calls(monkeypatch, lambda: ml_estimate(model, sigma, x)) == {**factor, **normal}
+    assert lapack_calls(
+        monkeypatch, lambda: mmse_gaussian_estimate(model, sigma, prior, x)
+    ) == {**factor, **posterior}
 
 
 def ill_conditioned_marginal_pair():

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +13,7 @@ from fusionkit import (
     BlockCovariance,
     FormDisagreement,
     NonFinite,
+    NotPD,
     NotPSD,
     Singular,
     SingularPosterior,
@@ -16,14 +23,17 @@ from fusionkit import (
     sym_sqrt,
 )
 from fusionkit.matrixkit import (
+    SINGULAR_CONDITION,
+    _schur_inverse,
     condition_estimate,
     forms_agree,
+    inverse_factor,
     require_conditioned,
     require_symmetric,
     symmetrize,
 )
 
-from conftest import random_joint_noise, random_pd, rel_fro
+from conftest import random_joint_noise, random_orthogonal, random_pd, rel_fro
 
 
 class TestSymSqrt:
@@ -224,3 +234,102 @@ def test_symmetrize_idempotent(rng):
     S = symmetrize(M)
     assert np.allclose(S, S.T)
     assert rel_fro(symmetrize(S), S) < 1e-15
+
+
+def eigen_guard(M, scale=0.0):
+    """The eigenvalue guard ``inverse_factor`` must decide as: (error type, carried value)."""
+    w = np.linalg.eigvalsh(symmetrize(M))
+    if w[0] <= 0.0:
+        return NotPD, float(w[0])
+    cond = max(scale, float(w[-1])) / float(w[0])
+    return (Singular, cond) if cond > SINGULAR_CONDITION else (None, cond)
+
+
+def guard_outcome(fn):
+    try:
+        return None, fn()
+    except NotPD as exc:
+        return NotPD, exc.min_eigenvalue
+    except Singular as exc:
+        return type(exc), exc.condition
+
+
+def planted_spectrum(draw_log_cond, min_eig, n, top, rng):
+    """Eigenvalues with the top one ``top`` and, unless ``min_eig`` is given,
+    the condition ``10**draw_log_cond``; the rest log-uniform between."""
+    if min_eig is None:
+        low = top * 10.0 ** -draw_log_cond
+        w = top * 10.0 ** rng.uniform(-draw_log_cond, 0.0, size=n)
+        w[0] = low
+    else:
+        w = top * 10.0 ** rng.uniform(-2.0, 0.0, size=n)
+        w[0] = min_eig
+    w[-1] = top
+    return w
+
+
+# Sizes 63, 64 and 65 straddle the block size of the triangular inverse.
+guard_sizes = st.one_of(st.sampled_from([1, 2, 3, 63, 64, 65, 400]), st.integers(1, 400))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=guard_sizes,
+    log_cond=st.floats(2.0, 14.0),
+    min_eig=st.sampled_from([None, None, None, -1e-12, 0.0, 1e-13]),
+    top_exp=st.integers(-3, 3),
+    schur=st.booleans(),
+    scale_exp=st.floats(0.0, 3.0),
+)
+def test_cholesky_guard_decides_as_the_eigen_guard(
+    seed, n, log_cond, min_eig, top_exp, schur, scale_exp
+):
+    # conditions from 1e2 to 1e14 straddle the 1e12 limit; the planted
+    # minimum eigenvalues -1e-12, 0 and 1e-13 sit at and below it
+    rng = np.random.default_rng(seed)
+    top = 10.0**top_exp
+    w = planted_spectrum(log_cond, None if min_eig is None else min_eig * top, n, top, rng)
+    Q = random_orthogonal(rng, n)
+    M = symmetrize((Q * w) @ Q.T)
+    if schur:  # condition against a parent block larger than M
+        scale = top * 10.0**scale_exp
+        expected = eigen_guard(M, scale)
+        if expected[0] is NotPD:
+            expected = (Singular, np.inf)
+        outcome = guard_outcome(lambda: _schur_inverse(M, scale, "sigma_v"))
+    else:
+        expected = eigen_guard(M)
+        outcome = guard_outcome(lambda: inverse_factor(M, "M"))
+    assert outcome[0] is expected[0]
+    if expected[0] is not None:
+        assert outcome[1] == expected[1]
+        return
+    inverse = outcome[1] if schur else outcome[1].T @ outcome[1]
+    if not schur:
+        assert np.all(np.triu(outcome[1], 1) == 0.0)
+    kappa = float(w[-1] / np.min(np.linalg.eigvalsh(M)))
+    assert rel_fro(inverse, np.linalg.inv(M)) <= kappa * 1e-13
+
+
+def test_cholesky_guard_certifies_without_an_eigenvalue(rng, monkeypatch):
+    M = random_pd(rng, 70)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    L_inv = inverse_factor(M)
+    assert rel_fro(L_inv.T @ L_inv, np.linalg.inv(M)) <= 1e-13
+
+
+def test_noise_guard_sweep_smoke(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "guard"
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "noise_guard_sweep.py"),
+         "--sizes", "1", "3", "--trials", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert summary["trials"] == 2 * 11 * 2 * 2 and summary["agreement_rate"] == 1.0
+    rows = out.with_suffix(".csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 11 * 2

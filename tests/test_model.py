@@ -18,7 +18,7 @@ from fusionkit import (
     validate,
 )
 
-from fusionkit.matrixkit import psd_inverse, sym_sqrt
+from fusionkit.matrixkit import _conditioned_eigh, _eig_inverse, psd_inverse, sym_sqrt
 
 from conftest import random_joint_noise, random_pd, rel_fro
 
@@ -39,7 +39,9 @@ class TestTypes:
         cov = random_pd(rng, 3)
         prior = GaussianPrior(mean=np.zeros(3), cov=cov)
         assert np.array_equal(prior._sqrt, sym_sqrt(cov))
-        assert np.array_equal(prior.info_matrix(), psd_inverse(cov))
+        w, V = _conditioned_eigh(cov, "source covariance", psd_first=True)
+        assert np.array_equal(prior.info_matrix(), _eig_inverse(w, V))
+        assert rel_fro(prior.info_matrix(), psd_inverse(cov)) < 1e-12
 
     @pytest.mark.parametrize(
         "diag, error",
