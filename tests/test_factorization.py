@@ -273,9 +273,10 @@ def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
         synergy_matrices(pair)
 
 
-def test_placement_question_takes_one_svd(monkeypatch):
+def test_optimal_secondary_takes_one_svd(monkeypatch):
     # the SVD of rho feeds the admissibility check, the root, the objective,
-    # the stationarity check and, carried on the solution, the probe
+    # the stationarity check and, carried on the solution, the probe: a
+    # placement question (solve and probe) takes one
     rng = np.random.default_rng(41)
     A = rng.standard_normal((40, 10))
     rho = random_admissible_rho(rng, 40, 30, 0.8)

@@ -254,13 +254,12 @@ def guard_outcome(fn):
         return type(exc), exc.condition
 
 
-def planted_spectrum(draw_log_cond, min_eig, n, top, rng):
+def planted_spectrum(log_cond, min_eig, n, top, rng):
     """Eigenvalues with the top one ``top`` and, unless ``min_eig`` is given,
-    the condition ``10**draw_log_cond``; the rest log-uniform between."""
+    the condition ``10**log_cond``; the rest log-uniform between."""
     if min_eig is None:
-        low = top * 10.0 ** -draw_log_cond
-        w = top * 10.0 ** rng.uniform(-draw_log_cond, 0.0, size=n)
-        w[0] = low
+        w = top * 10.0 ** rng.uniform(-log_cond, 0.0, size=n)
+        w[0] = top * 10.0**-log_cond
     else:
         w = top * 10.0 ** rng.uniform(-2.0, 0.0, size=n)
         w[0] = min_eig
@@ -285,8 +284,9 @@ guard_sizes = st.one_of(st.sampled_from([1, 2, 3, 63, 64, 65, 400]), st.integers
 def test_cholesky_guard_decides_as_the_eigen_guard(
     seed, n, log_cond, min_eig, top_exp, schur, scale_exp
 ):
-    # conditions from 1e2 to 1e14 straddle the 1e12 limit; the planted
-    # minimum eigenvalues -1e-12, 0 and 1e-13 sit at and below it
+    # conditions from 1e2 to 1e14 straddle the 1e12 limit; a planted minimum
+    # eigenvalue of -1e-12, 0 or 1e-13 times the top one makes M indefinite,
+    # singular or too ill conditioned
     rng = np.random.default_rng(seed)
     top = 10.0**top_exp
     w = planted_spectrum(log_cond, None if min_eig is None else min_eig * top, n, top, rng)
