@@ -34,9 +34,11 @@ class Estimate:
     method: str  # "WLS" | "ML" | "MMSE"
 
 
-def _solve_normal(N: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    require_conditioned(condition_estimate(N), f"{context}: normal matrix", SingularNormalMatrix)
-    return np.linalg.solve(N, rhs)
+def _solve_normal(N: np.ndarray, rhs: np.ndarray, what: str, error=SingularNormalMatrix):
+    """``N^-1 rhs`` and ``N^-1`` under one guard, from one solve against ``[rhs | I]``."""
+    require_conditioned(condition_estimate(N), what, error)
+    X = np.linalg.solve(N, np.column_stack([rhs, np.eye(N.shape[0])]))
+    return X[:, 0], symmetrize(X[:, 1:])
 
 
 def wls_estimate(model: LinearModel, W, x) -> Estimate:
@@ -61,8 +63,7 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
     A = model.A
     WA = W @ A
     N = symmetrize(A.T @ WA)
-    s_hat = _solve_normal(N, WA.T @ x, "wls_estimate")
-    error_cov = symmetrize(_solve_normal(N, np.eye(model.m), "wls_estimate"))
+    s_hat, error_cov = _solve_normal(N, WA.T @ x, "wls_estimate: normal matrix")
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="WLS")
 
 
@@ -99,8 +100,7 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     """
     white_A, white_x = _whiten(model, sigma, x)
     snr = symmetrize(white_A.T @ white_A)
-    s_hat = _solve_normal(snr, white_A.T @ white_x, "ml_estimate")
-    error_cov = symmetrize(_solve_normal(snr, np.eye(model.m), "ml_estimate"))
+    s_hat, error_cov = _solve_normal(snr, white_A.T @ white_x, "ml_estimate: normal matrix")
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="ML")
 
 
@@ -130,25 +130,24 @@ def mmse_gaussian_estimate(
     SingularPosterior
         If the posterior information matrix has condition estimate above 1e12.
     """
+    if form not in ("information", "gain"):
+        raise ValueError(f"unknown form {form!r}, expected 'information' or 'gain'")
     white_A, white_x = _whiten(model, sigma, x)
     A = model.A
     gamma_inv = prior.info_matrix()
     posterior_info = symmetrize(gamma_inv + white_A.T @ white_A)
-    require_conditioned(
-        condition_estimate(posterior_info), "posterior information matrix", SingularPosterior
+    s_hat, error_cov = _solve_normal(
+        posterior_info,
+        white_A.T @ white_x + gamma_inv @ prior.mean,
+        "posterior information matrix",
+        SingularPosterior,
     )
-    error_cov = symmetrize(np.linalg.solve(posterior_info, np.eye(model.m)))
-
-    if form == "information":
-        s_hat = np.linalg.solve(posterior_info, white_A.T @ white_x + gamma_inv @ prior.mean)
-    elif form == "gain":
+    if form == "gain":
         gamma = prior.cov
         x = np.atleast_1d(np.asarray(x, dtype=float))
         innovation_cov = symmetrize(A @ gamma @ A.T + sigma)
         gain = gamma @ A.T @ np.linalg.solve(innovation_cov, np.eye(model.n))
         s_hat = prior.mean + gain @ (x - A @ prior.mean)
-    else:
-        raise ValueError(f"unknown form {form!r}, expected 'information' or 'gain'")
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="MMSE")
 
 

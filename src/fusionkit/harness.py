@@ -82,6 +82,10 @@ def empirical_error_covariance(
     if N < 1000:
         raise ValueError("N must be at least 1e3 for a meaningful estimate")
     method = method.lower()
+    if method not in ("ml", "wls", "mmse"):
+        raise ValueError(f"unknown method {method!r}, expected 'ml', 'wls' or 'mmse'")
+    if method == "mmse" and not isinstance(prior, GaussianPrior):
+        raise ValueError("MMSE requires Gaussian prior")
     sigma = require_symmetric(noise, name="noise covariance")
     A = model.A
     sigma_inv = psd_inverse(sigma, name="noise covariance")
@@ -96,9 +100,7 @@ def empirical_error_covariance(
         estimator = ref @ A.T @ sigma_inv
         S_hat = X @ estimator.T
         J_total = snr
-    elif method == "mmse":
-        if not isinstance(prior, GaussianPrior):
-            raise ValueError("MMSE requires Gaussian prior")
+    else:
         J_total = symmetrize(snr + prior.info_matrix())
         ref = crlb(InfoMatrix(J_total, kind="total"))
         # Gain form: a different algebraic route than the posterior
@@ -106,8 +108,6 @@ def empirical_error_covariance(
         innovation_cov = symmetrize(A @ prior.cov @ A.T + sigma)
         gain = prior.cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(model.n))
         S_hat = prior.mean + (X - prior.mean @ A.T) @ gain.T
-    else:
-        raise ValueError(f"unknown method {method!r}, expected 'ml', 'wls' or 'mmse'")
 
     E = S - S_hat
     emp = symmetrize(E.T @ E / N)

@@ -9,15 +9,20 @@ quadratic forms, and the prewhitened representation) which are
 cross-validated on every call: their agreement is this module's core
 self-test, and disagreement signals an ill-conditioned input rather
 than being averaged away.
+
+:func:`mc_moments` is the one Monte-Carlo reduction, shared with the
+nonlinear module: it runs seed-split blocks of prior draws one after
+another and adds their sums in block order, so an estimate depends only
+on its seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from ._parallel import mc_moments
 from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
@@ -36,6 +41,9 @@ NEAR_SINGULAR_RHO = 1.0 - 1e-8
 
 # Relative Frobenius tolerance for the four-route cross-validation.
 ROUTE_TOL = 1e-8
+
+# Prior draws per Monte-Carlo block.
+DEFAULT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -407,13 +415,45 @@ def synergy_matrices(pair: ModalityPair) -> SynergyReport:
     return PairFactorization.from_pair(pair).synergy()
 
 
+def block_plan(seed: int, N: int, block: int = DEFAULT_BLOCK):
+    """Split N draws into seed-derived blocks: list of (SeedSequence, count)."""
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    counts = [block] * (N // block)
+    if N % block:
+        counts.append(N % block)
+    if not counts:
+        counts = [0]
+    children = np.random.SeedSequence(seed).spawn(len(counts))
+    return list(zip(children, counts))
+
+
+def mc_moments(prior, N: int, seed: int, integrand: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo mean and per-entry standard error of a matrix-valued integrand.
+
+    ``integrand`` maps a (count, m) block of prior draws to the
+    (count, k, k) stack of its values. The blocks of :func:`block_plan`
+    run one after another; each adds its sum and sum of squares over the
+    whole block, in block order, so the estimate depends only on the
+    seed. Returns the symmetrized mean and ``sqrt(var / N)``.
+    """
+    s1 = s2 = 0
+    for ss, count in block_plan(seed, N):
+        mats = integrand(prior.sample(np.random.default_rng(ss), count))
+        s1 += mats.sum(axis=0)
+        s2 += (mats**2).sum(axis=0)
+    mean = s1 / N
+    var = np.maximum(s2 / N - mean**2, 0.0)
+    return symmetrize(mean), np.sqrt(var / N)
+
+
 def prior_information_mc(prior: SourcePrior, N: int, seed: int) -> McInfoEstimate:
     """Monte-Carlo prior information: mean outer product of the score.
 
     Draws N samples from the prior and averages
     ``score(s) score(s)^T``; per-entry standard errors come from the
-    sample variance of the products. Deterministic per seed; blocks are
-    seed-split so the reduction is order-fixed.
+    sample variance of the products. Deterministic per seed: the draws
+    come in the seed-split blocks of :func:`mc_moments`.
 
     Raises
     ------

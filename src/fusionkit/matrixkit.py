@@ -75,13 +75,17 @@ def symmetrize(M) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def psd_tolerance(norm: float, tol: float = PSD_EIG_TOL) -> float:
-    """Effective PSD eigenvalue tolerance: absolute, scaled by the 2-norm above unit norm.
+def psd_check(M, tol: float = PSD_EIG_TOL) -> tuple[float, bool]:
+    """Smallest eigenvalue of a symmetric ``M``, and whether it shows ``M`` indefinite.
 
-    A caller that has the eigenvalues of the symmetric matrix passes the
-    largest absolute one, which is its 2-norm.
+    Indefinite means a smallest eigenvalue at or below ``-tol``, scaled by
+    the 2-norm above unit norm; the 2-norm is the largest absolute
+    eigenvalue. ``M`` is not symmetrized here, so the eigenvalue returned
+    is that of ``np.linalg.eigvalsh(M)`` bit for bit.
     """
-    return tol * max(1.0, norm)
+    w = np.linalg.eigvalsh(M)
+    min_eig = float(w[0])
+    return min_eig, min_eig <= -tol * max(1.0, abs(min_eig), abs(float(w[-1])))
 
 
 def is_psd(M, tol: float = PSD_EIG_TOL) -> tuple[bool, float]:
@@ -336,17 +340,15 @@ class BlockCovariance:
     def check_pd(self, tol: float = PSD_EIG_TOL) -> float:
         """Minimum eigenvalue of the joint matrix; raises NotPD if it is indefinite.
 
-        Indefinite means a minimum eigenvalue at or below ``-tol``, scaled
-        by the norm above unit norm. A singular (rank-deficient) joint
-        passes: its minimum eigenvalue is rounding noise of either sign,
-        and a positive tolerance would also refuse valid near-singular pairs.
+        Indefinite is decided by :func:`psd_check`. A singular
+        (rank-deficient) joint passes: its minimum eigenvalue is rounding
+        noise of either sign, and a positive tolerance would also refuse
+        valid near-singular pairs.
         :func:`factor_noise` refuses a singular joint as :class:`Singular`
         through its Schur-complement guard when the pair is used.
         """
-        w = np.linalg.eigvalsh(symmetrize(self.joint()))
-        min_eig = float(w[0])
-        # The 2-norm of the symmetric joint is its largest absolute eigenvalue.
-        if min_eig <= -tol * max(1.0, abs(min_eig), abs(float(w[-1]))):
+        min_eig, indefinite = psd_check(symmetrize(self.joint()), tol)
+        if indefinite:
             raise NotPD(
                 f"joint covariance is not PD: min eigenvalue {min_eig:.6e}",
                 min_eigenvalue=min_eig,

@@ -20,7 +20,7 @@ from .matrixkit import (
     _eig_inverse,
     _read_only_copy,
     _root,
-    psd_tolerance,
+    psd_check,
     require_symmetric,
     sym_sqrt,
     symmetrize,
@@ -164,9 +164,8 @@ class InfoOnlyPrior(SourcePrior):
 
     def __post_init__(self):
         J = require_symmetric(_read_only_copy(self.J_s), name="J_s")
-        w = np.linalg.eigvalsh(J)
-        min_eig = float(w[0])
-        if min_eig < -psd_tolerance(float(np.max(np.abs(w)))):
+        min_eig, indefinite = psd_check(J)
+        if indefinite:
             raise ValueError(f"J_s must be PSD, min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "J_s", J)
 
@@ -314,9 +313,8 @@ def validate(model, prior: SourcePrior | None = None, noise=None) -> list[Diagno
         except ValueError as exc:
             report.append(Diagnostic("error", "BadCovariance", str(exc)))
             continue
-        w = np.linalg.eigvalsh(C)
-        min_eig = float(w[0])
-        if min_eig <= -psd_tolerance(float(np.max(np.abs(w)))):
+        min_eig, indefinite = psd_check(C)
+        if indefinite:
             report.append(
                 Diagnostic(
                     "error",

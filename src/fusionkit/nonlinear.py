@@ -3,10 +3,12 @@
 For ``x = h(s) + v`` with Gaussian noise, the conditional Fisher
 information is the prior expectation of ``D_h(s)^T Sigma^-1 D_h(s)``
 with ``D_h`` the Jacobian of the map. Expectations are plain Monte Carlo
-over seed-split sample blocks; the variance of the estimate is reported,
-never hidden. Each block evaluates its integrand as stacked arrays: one
-(count, n, m) Jacobian array per model, then one matrix product (and one
-whitening solve per modality) for the whole block. ``h`` itself is
+over seed-split sample blocks, run one after another by
+:func:`~fusionkit.information.mc_moments`, so they depend only on the
+seed; the variance of the estimate is reported, never hidden. Each
+block evaluates its integrand as stacked arrays: one (count, n, m)
+Jacobian array per model, then one matrix product (and one whitening
+solve per modality) for the whole block. ``h`` itself is
 still called once per perturbed point. Models with constant Jacobians
 reproduce the linear module exactly because the integrand does not vary
 across samples.
@@ -19,9 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._parallel import mc_moments
 from .errors import NonFinite
-from .information import McInfoEstimate, _cross_solvers
+from .information import McInfoEstimate, _cross_solvers, mc_moments
 from .matrixkit import BlockCovariance, factor_noise, forms_agree, psd_inverse, symmetrize
 from .model import SourcePrior
 

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from fusionkit import BlockCovariance, LinearModel, ModalityPair, synergy_objective
-from fusionkit._parallel import block_plan
-from fusionkit.information import _cross_solvers
+from fusionkit.information import _cross_solvers, block_plan
 from fusionkit.matrixkit import factor_noise, forms_agree, psd_inverse, symmetrize
 
 

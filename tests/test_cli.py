@@ -349,9 +349,11 @@ def test_overflow_is_one_typed_line(tmp_path, argv):
 
 
 def test_cli_imports_no_scipy():
-    # a fresh interpreter, so modules imported by the test session do not count
+    # a fresh interpreter, so modules imported by the test session do not
+    # count; no thread pool either (concurrent.futures also pulls in logging)
     code = ("import sys, fusionkit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

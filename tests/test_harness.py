@@ -50,6 +50,25 @@ class TestEmpiricalErrorCovariance:
         with pytest.raises(ValueError, match="MMSE requires Gaussian prior"):
             empirical_error_covariance("mmse", model, prior, np.eye(2), N=1000, seed=0)
 
+    @pytest.mark.parametrize("method, gaussian, match", [
+        ("kalman", True, "unknown method 'kalman'"),
+        ("mmse", False, "MMSE requires Gaussian prior"),
+    ])
+    def test_bad_method_fails_before_simulating(self, monkeypatch, method, gaussian, match):
+        from fusionkit import SamplerPrior, harness
+
+        def simulate_not_called(*args, **kwargs):
+            raise AssertionError("simulated before the method was checked")
+
+        monkeypatch.setattr(harness, "simulate", simulate_not_called)
+        model = LinearModel(np.eye(2))
+        if gaussian:
+            prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+        else:
+            prior = SamplerPrior(m=2, draw=lambda rng, n: rng.standard_normal((n, 2)))
+        with pytest.raises(ValueError, match=match):
+            empirical_error_covariance(method, model, prior, np.eye(2), N=200_000, seed=0)
+
     def test_minimum_sample_count_enforced(self):
         model = LinearModel(np.eye(2))
         prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))

@@ -28,12 +28,13 @@ from fusionkit import (
 )
 from fusionkit.information import (
     InfoMatrix,
+    block_plan,
     joint_fisher_routes,
     route_disagreement,
     whitened_joint_fisher,
 )
 
-from conftest import random_joint_noise, random_pair, random_pd, rel_fro
+from conftest import mc_per_sample, random_joint_noise, random_pair, random_pd, rel_fro
 
 
 class TestSnrMatrix:
@@ -356,13 +357,22 @@ class TestPriorInformationMc:
         with pytest.raises(NoScore):
             prior_information_mc(prior, N=100, seed=0)
 
-    def test_thread_count_does_not_change_results(self, rng, monkeypatch):
-        # seed-split blocks merge in block order: the worker count set via
-        # FUSIONKIT_THREADS must not affect the estimate
-        prior = GaussianPrior(mean=np.zeros(2), cov=random_pd(rng, 2))
-        monkeypatch.setenv("FUSIONKIT_THREADS", "1")
-        seq = prior_information_mc(prior, N=30_000, seed=12)
-        monkeypatch.setenv("FUSIONKIT_THREADS", "4")
-        par = prior_information_mc(prior, N=30_000, seed=12)
-        assert np.array_equal(seq.J, par.J)
-        assert np.array_equal(seq.std_err, par.std_err)
+    def test_three_blocks_bit_identical_to_per_sample(self):
+        # 17 000 draws are three seed-split blocks; a logistic prior's score
+        # is elementwise, so each draw's outer product has the same bits
+        # one draw at a time
+        prior = SamplerPrior(
+            m=2,
+            draw=lambda rng, n: rng.logistic(size=(n, 2)),
+            score_fn=lambda s: -np.tanh(s / 2.0),
+        )
+
+        def per_sample(s):
+            score = prior.score(s)[0]
+            return np.outer(score, score)
+
+        assert len(block_plan(12, 17_000)) == 3
+        est = prior_information_mc(prior, N=17_000, seed=12)
+        J, std_err = mc_per_sample(prior, 17_000, 12, per_sample)
+        assert np.array_equal(est.J, J)
+        assert np.array_equal(est.std_err, std_err)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fusionkit import (
+    BlockCovariance,
     GaussianPrior,
     InfoOnlyPrior,
     LinearModel,
@@ -110,6 +111,27 @@ class TestValidate:
         model = LinearModel(np.eye(2))
         report = validate(model, None, np.diag([1.0, -0.2]))
         assert any(d.code == "NotPSD" and d.level == "error" for d in report)
+
+    @pytest.mark.parametrize("norm", [0.5, 4.0])
+    def test_one_psd_rule_at_its_boundary(self, norm):
+        # the validator, the prior and the joint noise check all refuse a
+        # smallest eigenvalue at -1e-10 max(1, ||M||_2), and admit one above
+        for factor, refused in ((1.0, True), (0.99, False)):
+            lo = -factor * 1e-10 * max(1.0, norm)
+            M = np.diag([lo, norm])
+            assert np.linalg.eigvalsh(M)[0] == lo
+            report = validate(LinearModel(np.eye(2)), None, M)
+            verdicts = [any(d.code == "NotPSD" for d in report)]
+            for check in (
+                lambda: InfoOnlyPrior(M),
+                lambda: BlockCovariance(M[:1, :1], M[1:, 1:], np.zeros((1, 1))).check_pd(),
+            ):
+                try:
+                    check()
+                    verdicts.append(False)
+                except (ValueError, NotPD):
+                    verdicts.append(True)
+            assert verdicts == [refused] * 3
 
     def test_prior_dimension_mismatch(self):
         model = LinearModel(np.eye(2))

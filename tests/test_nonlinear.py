@@ -247,23 +247,6 @@ class TestBlockBatching:
         assert np.array_equal(est.J, J)
         assert np.array_equal(est.std_err, std_err)
 
-    def test_thread_count_does_not_change_results(self, rng, monkeypatch):
-        # three blocks, so two workers share them unevenly
-        model = poly_model(rng, 3, 1)
-        h, g = poly_model(rng, 2, 1), poly_model(rng, 3, 1, analytic=True)
-        sigma, noise, prior = random_pd(rng, 3), random_joint_noise(rng, 2, 3), gaussian_prior(rng, 1)
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FUSIONKIT_THREADS", threads)
-            runs.append((
-                fisher_nonlinear(model, sigma, prior, N=17_000, seed=5),
-                total_information_nonlinear(model, sigma, prior, N=17_000, seed=5),
-                joint_information_nonlinear(h, g, noise, prior, N=17_000, seed=5),
-            ))
-        for one, two in zip(*runs):
-            assert np.array_equal(one.J, two.J)
-            assert np.array_equal(one.std_err, two.std_err)
-
     def test_h_called_once_per_perturbed_point(self, rng):
         calls = []
         base = poly_model(rng, 4, 3)
