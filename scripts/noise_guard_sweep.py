@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from fusionkit import NotPD, Singular
-from fusionkit.matrixkit import SINGULAR_CONDITION, _schur_inverse, inverse_factor, symmetrize
+from fusionkit.matrixkit import SINGULAR_CONDITION, derived_inverse, inverse_factor, symmetrize
 
 SPECTRA = [f"cond=1e{e}" for e in ("2", "6", "10", "11", "11.5", "12.5", "13", "14")] + [
     "min=-1e-12",
@@ -79,7 +79,7 @@ def cholesky_decision(M, scale, schur):
     with CountedEigvalsh() as counter:
         try:
             if schur:
-                inverse = _schur_inverse(M, scale, "sigma_v")
+                inverse = derived_inverse(M, "Schur complement", scale=scale)
             else:
                 L_inv = inverse_factor(M, "M")
                 inverse = L_inv.T @ L_inv

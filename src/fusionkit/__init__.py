@@ -61,13 +61,7 @@ from .information import (
     synergy_matrices,
     total_information,
 )
-from .matrixkit import (
-    BlockCovariance,
-    block_inverse,
-    is_psd,
-    schur_factors,
-    sym_sqrt,
-)
+from .matrixkit import BlockCovariance, sym_sqrt
 from .model import (
     GaussianPrior,
     InfoOnlyPrior,

@@ -16,7 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from .information import InfoMatrix, PairFactorization, WhitenedPair, _admissible_sigma_max
+from .information import NEAR_SINGULAR_RHO, InfoMatrix, PairFactorization, WhitenedPair
+from .information import _admissible_sigma_max
 from .matrixkit import BlockCovariance, symmetrize
 from .model import LinearModel, ModalityPair, SourcePrior
 
@@ -116,7 +117,7 @@ def _redundancy(wp: WhitenedPair, tol: float, factorize) -> RedundancyResult:
 
     verdict = "SecondRedundant" if r2 <= r1 else "FirstRedundant"
     synergy_residual = None
-    if wp.sigma_max_rho < 1.0 - 1e-8:
+    if wp.sigma_max_rho < NEAR_SINGULAR_RHO:
         fac = factorize()
         S = fac.S_x if verdict == "SecondRedundant" else fac.S_y
         synergy_residual = float(np.linalg.norm(S, "fro")) / max(

@@ -63,6 +63,8 @@ class Scenario:
     def pair(self, first: str, second: str) -> ModalityPair:
         model_a, noise_a = self.modality(first)
         model_b, noise_b = self.modality(second)
+        if first == second:
+            raise ScenarioError(f"pair {[first, second]} must name two distinct modalities")
         if (first, second) in self.cross:
             sigma_vu = self.cross[(first, second)]
         elif (second, first) in self.cross:
@@ -105,6 +107,8 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(path.read_text())
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
+    except OSError as exc:  # a directory, say
+        raise ScenarioError(f"scenario file cannot be read: {path} ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
 
@@ -434,6 +438,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
+    except OSError as exc:  # an --out that cannot be written
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

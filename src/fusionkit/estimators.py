@@ -4,7 +4,9 @@ For the linear model with noise covariance S, the weighted least squares
 solution with weight W = S^-1 coincides with the Gaussian maximum
 likelihood estimate; its error covariance is the inverse of the SNR
 matrix ``A^T S^-1 A``. The Gaussian-prior posterior mean adds prior
-information to the same normal equations.
+information to the same normal equations. The normal and posterior
+matrices are inverted through the Cholesky guard of
+:func:`~fusionkit.matrixkit.derived_inverse`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ import numpy as np
 
 from .errors import SingularNormalMatrix, SingularPosterior
 from .information import crlb, snr_matrix
-from .matrixkit import (
-    condition_estimate,
-    inverse_factor,
-    require_conditioned,
-    require_symmetric,
-    symmetrize,
-)
+from .matrixkit import derived_inverse, inverse_factor, require_symmetric, symmetrize
 from .model import GaussianPrior, LinearModel
 
 
@@ -35,10 +31,9 @@ class Estimate:
 
 
 def _solve_normal(N: np.ndarray, rhs: np.ndarray, what: str, error=SingularNormalMatrix):
-    """``N^-1 rhs`` and ``N^-1`` under one guard, from one solve against ``[rhs | I]``."""
-    require_conditioned(condition_estimate(N), what, error)
-    X = np.linalg.solve(N, np.column_stack([rhs, np.eye(N.shape[0])]))
-    return X[:, 0], symmetrize(X[:, 1:])
+    """``N^-1 rhs`` and ``N^-1``, from one guarded Cholesky inverse of ``N``."""
+    inverse = derived_inverse(N, what, error)
+    return inverse @ rhs, inverse
 
 
 def wls_estimate(model: LinearModel, W, x) -> Estimate:
@@ -51,8 +46,9 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
     Raises
     ------
     SingularNormalMatrix
-        If ``A^T W A`` has condition estimate above 1e12 (rank-deficient
-        mixing or fewer channels than sources). No silent pseudo-inverse
+        If ``A^T W A`` is indefinite (an indefinite weight) or has condition
+        above 1e12 (rank-deficient mixing or fewer channels than sources).
+        No silent pseudo-inverse
         fallback: singularity here means the data carry no information
         on some source direction.
     """
@@ -96,7 +92,7 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     Singular
         If its condition number exceeds ``SINGULAR_CONDITION``.
     SingularNormalMatrix
-        If the SNR matrix has condition estimate above 1e12.
+        If the SNR matrix has condition above 1e12.
     """
     white_A, white_x = _whiten(model, sigma, x)
     snr = symmetrize(white_A.T @ white_A)
@@ -128,7 +124,7 @@ def mmse_gaussian_estimate(
     Singular
         If its condition number exceeds ``SINGULAR_CONDITION``.
     SingularPosterior
-        If the posterior information matrix has condition estimate above 1e12.
+        If the posterior information matrix has condition above 1e12.
     """
     if form not in ("information", "gain"):
         raise ValueError(f"unknown form {form!r}, expected 'information' or 'gain'")

@@ -415,13 +415,13 @@ def synergy_matrices(pair: ModalityPair) -> SynergyReport:
     return PairFactorization.from_pair(pair).synergy()
 
 
-def block_plan(seed: int, N: int, block: int = DEFAULT_BLOCK):
-    """Split N draws into seed-derived blocks: list of (SeedSequence, count)."""
+def block_plan(seed: int, N: int):
+    """Split N draws into seed-derived blocks of ``DEFAULT_BLOCK``: [(SeedSequence, count)]."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    counts = [block] * (N // block)
-    if N % block:
-        counts.append(N % block)
+    counts = [DEFAULT_BLOCK] * (N // DEFAULT_BLOCK)
+    if N % DEFAULT_BLOCK:
+        counts.append(N % DEFAULT_BLOCK)
     if not counts:
         counts = [0]
     children = np.random.SeedSequence(seed).spawn(len(counts))

@@ -1,17 +1,18 @@
-"""Dense symmetric-matrix toolkit: PSD square roots, block inversion, Schur factors.
+"""Dense symmetric-matrix toolkit: PSD square roots, guarded inverses, noise-pair factors.
 
-All operations are pure functions on small dense arrays. An inverse that
-needs no symmetric root comes from the Cholesky factor: :func:`inverse_factor`
-returns ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1`` (:func:`psd_inverse`)
-and ``L^-1 X`` whitens ``X``. Its guard certifies the condition with a bound
-read off ``L^-1`` and takes one ``eigvalsh`` only where the bound is
-inconclusive. Where a symmetric root is read, one eigen-solve
-``M = V diag(w) V^T`` gives the definiteness check (:class:`NotPD`), the
-condition ``w_max / w_min`` (refused as :class:`Singular` above
-``SINGULAR_CONDITION``), the root and the inverse ``(V / w) V^T``.
-:func:`factor_noise` is the one place a joint noise covariance is factorized
-and whitened: it gives the marginal roots and inverses (eigen-solves), the
-Schur factors (Cholesky), and the whitened cross-correlation ``rho``.
+All operations are pure functions on small dense arrays. Every inverse
+refuses its matrix by one rule (:func:`_require_pd_conditioned`): :class:`NotPD`
+unless the smallest eigenvalue is positive, :class:`Singular` when the
+condition exceeds ``SINGULAR_CONDITION``. An inverse that needs no
+symmetric root comes from the Cholesky factor: :func:`inverse_factor`
+returns ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1`` and ``L^-1 X``
+whitens ``X``; its guard reads a condition bound off ``L^-1`` and takes
+one ``eigvalsh`` only where the bound is inconclusive. The Schur
+complements and the estimators' normal and posterior matrices go through
+it by :func:`derived_inverse`. Where a symmetric root is read, one
+eigen-solve ``M = V diag(w) V^T`` gives the rule's eigenvalues, the root
+and the inverse ``(V / w) V^T``. :func:`factor_noise` is the one entry to
+a joint noise covariance's factors.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ _EPS = float(np.finfo(float).eps)
 PSD_EIG_TOL = 1e-10
 
 
-def require_symmetric(M, name: str = "matrix", tol: float = 1e-12) -> np.ndarray:
+def require_symmetric(M, name: str = "matrix") -> np.ndarray:
     """Validate that ``M`` is square, finite and symmetric; return it as float array.
 
-    Symmetry tolerance is ``tol * max(1, |M_ij|)`` per entry.
+    Symmetry tolerance is ``1e-12 * max(1, |M_ij|)`` per entry.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -51,7 +52,7 @@ def require_symmetric(M, name: str = "matrix", tol: float = 1e-12) -> np.ndarray
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
     scale = np.maximum(1.0, np.abs(M))
-    if np.any(np.abs(M - M.T) > tol * scale):
+    if np.any(np.abs(M - M.T) > 1e-12 * scale):
         worst = float(np.max(np.abs(M - M.T)))
         raise ValueError(f"{name} is not symmetric (max asymmetry {worst:.3e})")
     return M
@@ -75,37 +76,17 @@ def symmetrize(M) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def psd_check(M, tol: float = PSD_EIG_TOL) -> tuple[float, bool]:
+def psd_check(M) -> tuple[float, bool]:
     """Smallest eigenvalue of a symmetric ``M``, and whether it shows ``M`` indefinite.
 
-    Indefinite means a smallest eigenvalue at or below ``-tol``, scaled by
+    Indefinite means a smallest eigenvalue at or below ``-PSD_EIG_TOL``, scaled by
     the 2-norm above unit norm; the 2-norm is the largest absolute
     eigenvalue. ``M`` is not symmetrized here, so the eigenvalue returned
     is that of ``np.linalg.eigvalsh(M)`` bit for bit.
     """
     w = np.linalg.eigvalsh(M)
     min_eig = float(w[0])
-    return min_eig, min_eig <= -tol * max(1.0, abs(min_eig), abs(float(w[-1])))
-
-
-def is_psd(M, tol: float = PSD_EIG_TOL) -> tuple[bool, float]:
-    """Check positive semidefiniteness of a symmetric matrix.
-
-    Parameters
-    ----------
-    M:
-        Symmetric matrix.
-    tol:
-        Eigenvalues >= -tol count as nonnegative.
-
-    Returns
-    -------
-    (bool, float)
-        Whether the minimum eigenvalue is >= -tol, and that eigenvalue.
-    """
-    M = require_symmetric(M)
-    min_eig = float(np.linalg.eigvalsh(symmetrize(M))[0])
-    return min_eig >= -tol, min_eig
+    return min_eig, min_eig <= -PSD_EIG_TOL * max(1.0, abs(min_eig), abs(float(w[-1])))
 
 
 def sym_sqrt(M) -> np.ndarray:
@@ -136,10 +117,21 @@ def _conditioned_eigh(M, name: str, psd_first: bool = False) -> tuple[np.ndarray
     w, V = np.linalg.eigh(symmetrize(M))
     if psd_first:  # clearly indefinite input raises NotPSD, as sym_sqrt does
         _require_psd(w)
+    _require_pd_conditioned(w, name)
+    return w, V
+
+
+def _require_pd_conditioned(w: np.ndarray, name: str, scale: float = 0.0) -> float:
+    """The refusal rule of every inverse, on the ascending eigenvalues ``w`` of ``M``.
+
+    :class:`NotPD` unless ``w[0] > 0``; :class:`Singular` when the condition
+    ``max(scale, w[-1]) / w[0]``, which is returned, exceeds ``SINGULAR_CONDITION``.
+    """
     if w[0] <= 0.0:
         raise NotPD(f"{name} is not PD (min eigenvalue {w[0]:.3e})", min_eigenvalue=float(w[0]))
-    require_conditioned(float(w[-1] / w[0]), name)
-    return w, V
+    cond = max(scale, float(w[-1])) / float(w[0])
+    require_conditioned(cond, name)
+    return cond
 
 
 def _eig_inverse(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -187,7 +179,8 @@ def inverse_factor(M, name: str = "matrix", scale: float = 0.0) -> np.ndarray:
     ``max(scale, ||M||_F) ||L^-1||_F^2`` clears the limit (by
     ``_CERTIFY_MARGIN``): ``||M||_F >= lambda_max`` and
     ``||L^-1||_F^2 = tr(M^-1) >= 1 / lambda_min``. Where the bound is
-    inconclusive, or Cholesky fails, one ``eigvalsh`` decides.
+    inconclusive, or Cholesky fails, one ``eigvalsh`` decides by
+    :func:`_require_pd_conditioned`.
 
     Raises
     ------
@@ -205,11 +198,7 @@ def inverse_factor(M, name: str = "matrix", scale: float = 0.0) -> np.ndarray:
         bound = max(scale, float(np.linalg.norm(M))) * float(np.vdot(L_inv, L_inv))
         if bound <= SINGULAR_CONDITION / _CERTIFY_MARGIN:
             return L_inv
-    w = np.linalg.eigvalsh(M)
-    if w[0] <= 0.0:
-        raise NotPD(f"{name} is not PD (min eigenvalue {w[0]:.3e})", min_eigenvalue=float(w[0]))
-    cond = max(scale, float(w[-1])) / float(w[0])
-    require_conditioned(cond, name)
+    cond = _require_pd_conditioned(np.linalg.eigvalsh(M), name, scale)
     if L_inv is None:  # a breakdown the eigenvalues do not show: refused as singular
         raise Singular(f"{name}: Cholesky factorization broke down (cond~{cond:.3e})",
                        condition=cond)
@@ -227,6 +216,26 @@ def psd_inverse(M, name: str = "matrix") -> np.ndarray:
         If the condition number exceeds ``SINGULAR_CONDITION``.
     """
     L_inv = inverse_factor(require_symmetric(M, name=name), name)
+    return symmetrize(L_inv.T @ L_inv)
+
+
+def derived_inverse(
+    M, what: str, error: type[Singular] = Singular, scale: float = 0.0
+) -> np.ndarray:
+    """``M^-1 = L^-T L^-1`` by :func:`inverse_factor`, every refusal raised as ``error``.
+
+    ``M`` (a Schur complement, an estimator's normal or posterior matrix) is
+    derived from other matrices, so an indefinite one is their collapse: it
+    is refused as ``error``, a :class:`Singular` subtype, with infinite condition.
+    """
+    try:
+        L_inv = inverse_factor(M, what, scale)
+    except NotPD as exc:
+        raise error(f"{what} is numerically singular (cond~inf)", condition=np.inf) from exc
+    except Singular as exc:
+        if isinstance(exc, error):
+            raise
+        raise error(str(exc), condition=exc.condition) from exc
     return symmetrize(L_inv.T @ L_inv)
 
 
@@ -268,27 +277,16 @@ def require_finite(M, what: str) -> None:
         raise NonFinite(f"non-finite entries in {what}")
 
 
-def require_conditioned(cond: float, what: str, error: type[Singular] = Singular) -> None:
+def require_conditioned(cond: float, what: str) -> None:
     """Refuse a solve whose condition estimate exceeds ``SINGULAR_CONDITION``.
 
     Raises
     ------
     Singular
-        Or the given subclass, carrying the condition, if ``cond`` is not
-        finite or exceeds the limit.
+        Carrying the condition, if ``cond`` is not finite or exceeds the limit.
     """
     if not np.isfinite(cond) or cond > SINGULAR_CONDITION:
-        raise error(f"{what} is numerically singular (cond~{cond:.3e})", condition=cond)
-
-
-def condition_estimate(M) -> float:
-    """Two-norm condition number estimate of a symmetric matrix."""
-    w = np.abs(np.linalg.eigvalsh(symmetrize(np.asarray(M, dtype=float))))
-    hi = float(np.max(w))
-    lo = float(np.min(w))
-    if lo == 0.0:
-        return np.inf
-    return hi / lo
+        raise Singular(f"{what} is numerically singular (cond~{cond:.3e})", condition=cond)
 
 
 @dataclass(frozen=True)
@@ -337,7 +335,7 @@ class BlockCovariance:
         """Assemble the full (n1+n2) x (n1+n2) covariance."""
         return np.block([[self.sigma_v, self.sigma_vu], [self.sigma_uv, self.sigma_u]])
 
-    def check_pd(self, tol: float = PSD_EIG_TOL) -> float:
+    def check_pd(self) -> float:
         """Minimum eigenvalue of the joint matrix; raises NotPD if it is indefinite.
 
         Indefinite is decided by :func:`psd_check`. A singular
@@ -347,7 +345,7 @@ class BlockCovariance:
         :func:`factor_noise` refuses a singular joint as :class:`Singular`
         through its Schur-complement guard when the pair is used.
         """
-        min_eig, indefinite = psd_check(symmetrize(self.joint()), tol)
+        min_eig, indefinite = psd_check(symmetrize(self.joint()))
         if indefinite:
             raise NotPD(
                 f"joint covariance is not PD: min eigenvalue {min_eig:.6e}",
@@ -366,9 +364,12 @@ class BlockCovariance:
 class NoiseFactors:
     """A joint noise covariance with each block factorized once (:func:`factor_noise`).
 
-    ``L_v``, ``L_u`` are the symmetric roots of the marginals, ``F``, ``G``
-    as in :func:`schur_factors`, ``inverse_blocks`` as in :func:`block_inverse`,
-    and ``rho = L_v^-1 sigma_vu L_u^-1`` the whitened cross-correlation.
+    ``L_v``, ``L_u`` are the symmetric roots of the marginals, ``F`` and ``G``
+    the inverse Schur complements ``(sigma_u - sigma_uv sigma_v^-1 sigma_vu)^-1``
+    and ``(sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``, ``inverse_blocks`` the
+    blocks ``(omega_11, omega_12, omega_21, omega_22)`` of ``joint()^-1`` (exact
+    zeros off the diagonal for block-diagonal input), and
+    ``rho = L_v^-1 sigma_vu L_u^-1`` the whitened cross-correlation.
     """
 
     L_v: np.ndarray
@@ -386,7 +387,7 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
 
     Per marginal, one eigen-solve gives the PD check (:class:`NotPD`), the
     condition (:class:`Singular` above ``SINGULAR_CONDITION``), the root
-    and the inverse; per Schur complement, :func:`inverse_factor` gives the
+    and the inverse; per Schur complement, :func:`derived_inverse` gives the
     inverse under a guard on its condition relative to its block. Two solves
     with the roots whiten the cross-covariance into ``rho``.
     """
@@ -394,8 +395,12 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
     norm_v, L_v, sv_inv = _factor_marginal(sv, "sigma_v")
     norm_u, L_u, su_inv = _factor_marginal(su, "sigma_u")
     sv_inv_svu = sv_inv @ svu
-    F = _schur_inverse(symmetrize(su - svu.T @ sv_inv_svu), norm_u, "sigma_u")
-    G = _schur_inverse(symmetrize(sv - svu @ su_inv @ svu.T), norm_v, "sigma_v")
+    # A Schur complement tiny relative to its parent block signals joint
+    # collapse even when it is well conditioned in isolation.
+    F = derived_inverse(symmetrize(su - svu.T @ sv_inv_svu), "Schur complement of sigma_u block",
+                        scale=norm_u)
+    G = derived_inverse(symmetrize(sv - svu @ su_inv @ svu.T), "Schur complement of sigma_v block",
+                        scale=norm_v)
     # L_u is symmetric, so sigma_vu L_u^-1 solves from the right transposed.
     rho = np.linalg.solve(L_v, np.linalg.solve(L_u, svu.T).T)
     if not np.any(svu):
@@ -412,52 +417,3 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
 def _factor_marginal(S: np.ndarray, name: str):
     w, V = _conditioned_eigh(S, name)
     return float(w[-1]), _root(w, V), _eig_inverse(w, V)
-
-
-def _schur_inverse(S: np.ndarray, block_norm: float, block: str) -> np.ndarray:
-    # Condition measured against the parent block's scale: a Schur
-    # complement tiny relative to its block signals joint collapse even
-    # when it is well-conditioned in isolation. An indefinite one is a
-    # collapsed joint too, so it is Singular rather than NotPD.
-    what = f"Schur complement of {block} block"
-    try:
-        L_inv = inverse_factor(S, what, scale=block_norm)
-    except NotPD as exc:
-        raise Singular(f"{what} is numerically singular (cond~inf)", condition=np.inf) from exc
-    return symmetrize(L_inv.T @ L_inv)
-
-
-def schur_factors(block: BlockCovariance) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of the two Schur complements of the joint covariance.
-
-    Returns
-    -------
-    (F, G)
-        ``F = (sigma_u - sigma_uv sigma_v^-1 sigma_vu)^-1`` and
-        ``G = (sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``; both PD
-        whenever the joint covariance is PD.
-
-    Raises
-    ------
-    Singular
-        If either Schur complement has condition estimate above 1e12.
-    """
-    factors = factor_noise(block)
-    return factors.F, factors.G
-
-
-def block_inverse(
-    block: BlockCovariance,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Four blocks of the inverse of the joint covariance.
-
-    Uses the block matrix inversion lemma around the v-block:
-    the (2,2) block is the inverse Schur complement F, and the
-    off-diagonal blocks are exactly zero for block-diagonal input.
-
-    Returns
-    -------
-    (omega_11, omega_12, omega_21, omega_22)
-        Blocks of ``joint()^-1`` with shapes (n1,n1), (n1,n2), (n2,n1), (n2,n2).
-    """
-    return factor_noise(block).inverse_blocks

@@ -169,6 +169,13 @@ def _budget_slope(lam: float, c: np.ndarray, oms: np.ndarray) -> float:
     return float(np.sum(2.0 * c * oms / (1.0 - lam * oms) ** 3))
 
 
+def _require_budget(p: float) -> None:
+    if p <= 0.0:
+        raise ValueError("budget p must be positive")
+    if not np.isfinite(p):  # NaN passes the comparison above
+        raise ValueError("budget p must be finite")
+
+
 def lambda_root(svd: SvdOfRho, p: float) -> float:
     """Multiplier solving the budget equation on the positive-denominator branch.
 
@@ -192,8 +199,7 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
     NonFinite
         If the weights ``d``, or the budget value at lambda = 0, overflow.
     """
-    if p <= 0.0:
-        raise ValueError("budget p must be positive")
+    _require_budget(p)
     require_finite(svd.d, "the budget weights")
     c, oms = _budget_terms(svd)
     if not np.any(svd.singular_values > 0.0):
@@ -288,8 +294,7 @@ def optimal_secondary(
     """
     A_tilde = np.asarray(A_tilde, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if p <= 0.0:
-        raise ValueError("budget p must be positive")
+    _require_budget(p)
     svd = svd_of_rho(A_tilde, rho)
     s = svd.singular_values
     _admissible_sigma_max(float(s[0]) if s.size else 0.0, strict=False)

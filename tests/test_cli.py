@@ -348,6 +348,42 @@ def test_overflow_is_one_typed_line(tmp_path, argv):
     assert "Warning" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["analyze", "{scenario}", "--joint", "a,a"], 2, id="analyze-same-pair"),
+        pytest.param(["advise", "{scenario}", "--pair", "b,b"], 2, id="advise-same-pair"),
+        pytest.param(["place", "{scenario}", "--primary", "a", "--secondary", "a", "--budget",
+                      "5"], 2, id="place-same-pair"),
+        pytest.param(["analyze", "{dir}", "--modality", "a"], 2, id="scenario-is-a-directory"),
+        pytest.param(["analyze", "{scenario}", "--modality", "a", "--out", "{unwritable}"], 1,
+                     id="analyze-unwritable-out"),
+        pytest.param(["advise", "{scenario}", "--pair", "a,b", "--out", "{unwritable}"], 1,
+                     id="advise-unwritable-out"),
+        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "5", "--out",
+                      "{unwritable}"], 1, id="place-unwritable-out"),
+        pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "1000", "--out",
+                      "{unwritable}"], 1, id="simulate-unwritable-out"),
+        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "nan"], 2,
+                     id="place-nan-budget"),
+        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "inf"], 2,
+                     id="place-inf-budget"),
+    ],
+)
+def test_bad_input_is_one_typed_line(tmp_path, two_modality_doc, argv, code):
+    # a fresh interpreter shows what a user sees: the exit code and stderr
+    # alone, a traceback included
+    paths = {"{scenario}": write_scenario(tmp_path / "s.json", two_modality_doc),
+             "{dir}": str(tmp_path), "{unwritable}": str(tmp_path / "missing" / "report")}
+    out = subprocess.run([sys.executable, "-m", "fusionkit.cli", *(paths.get(a, a) for a in argv)],
+                         env=fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        {1: "usage error:", 2: "scenario error:"}[code]), out.stderr
+
+
 def test_cli_imports_no_scipy():
     # a fresh interpreter, so modules imported by the test session do not
     # count; no thread pool either (concurrent.futures also pulls in logging)

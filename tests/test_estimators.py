@@ -45,6 +45,14 @@ class TestWls:
         with pytest.raises(SingularNormalMatrix):
             wls_estimate(model, np.eye(2), [1.0, 2.0])
 
+    def test_indefinite_weight_raises(self):
+        # an indefinite normal matrix has no error covariance: once its
+        # condition was |lambda|_max / |lambda|_min = 1 and the "covariance"
+        # returned had diagonal (1, -1)
+        with pytest.raises(SingularNormalMatrix) as exc:
+            wls_estimate(LinearModel(np.eye(2)), np.diag([1.0, -1.0]), [1.0, 2.0])
+        assert exc.value.condition == np.inf
+
 
 class TestMl:
     def test_identity(self):

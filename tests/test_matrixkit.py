@@ -16,16 +16,15 @@ from fusionkit import (
     NotPD,
     NotPSD,
     Singular,
+    SingularNormalMatrix,
     SingularPosterior,
-    block_inverse,
-    is_psd,
-    schur_factors,
     sym_sqrt,
 )
+from fusionkit.estimators import _solve_normal
 from fusionkit.matrixkit import (
     SINGULAR_CONDITION,
-    _schur_inverse,
-    condition_estimate,
+    derived_inverse,
+    factor_noise,
     forms_agree,
     inverse_factor,
     require_conditioned,
@@ -83,7 +82,7 @@ class TestSymSqrt:
 class TestBlockInverse:
     def test_block_diagonal_gives_exact_zero_off_blocks(self, rng):
         noise = BlockCovariance(random_pd(rng, 3), random_pd(rng, 2), np.zeros((3, 2)))
-        o11, o12, o21, o22 = block_inverse(noise)
+        o11, o12, o21, o22 = factor_noise(noise).inverse_blocks
         assert np.all(o12 == 0.0) and np.all(o21 == 0.0)
         assert np.allclose(o11, np.linalg.inv(noise.sigma_v))
         assert np.allclose(o22, np.linalg.inv(noise.sigma_u))
@@ -91,7 +90,7 @@ class TestBlockInverse:
     def test_two_by_two_formula(self):
         c = 0.5
         noise = BlockCovariance([[1.0]], [[1.0]], [[c]])
-        o11, o12, o21, o22 = block_inverse(noise)
+        o11, o12, o21, o22 = factor_noise(noise).inverse_blocks
         factor = 1.0 / (1.0 - c**2)
         assert np.allclose([o11[0, 0], o12[0, 0], o21[0, 0], o22[0, 0]],
                            [factor, -c * factor, -c * factor, factor])
@@ -99,7 +98,7 @@ class TestBlockInverse:
     def test_matches_dense_inverse(self, rng):
         # independent oracle: dense inversion of the assembled joint matrix
         noise = random_joint_noise(rng, 4, 2)
-        o11, o12, o21, o22 = block_inverse(noise)
+        o11, o12, o21, o22 = factor_noise(noise).inverse_blocks
         dense = np.linalg.inv(noise.joint())
         assembled = np.block([[o11, o12], [o21, o22]])
         assert np.max(np.abs(assembled - dense)) < 1e-9
@@ -110,21 +109,23 @@ class TestBlockInverse:
         eps = 1e-14
         noise = BlockCovariance([[1.0]], [[1.0]], [[1.0 - eps]])
         with pytest.raises(Singular):
-            block_inverse(noise)
+            factor_noise(noise).inverse_blocks
 
 
 class TestSchurFactors:
     def test_zero_cross_term(self, rng):
         sv, su = random_pd(rng, 3), random_pd(rng, 3)
         noise = BlockCovariance(sv, su, np.zeros((3, 3)))
-        F, G = schur_factors(noise)
+        factors = factor_noise(noise)
+        F, G = factors.F, factors.G
         assert np.allclose(F, np.linalg.inv(su))
         assert np.allclose(G, np.linalg.inv(sv))
 
     def test_scalar_schur(self):
         c = 0.3
         noise = BlockCovariance([[1.0]], [[1.0]], [[c]])
-        F, G = schur_factors(noise)
+        factors = factor_noise(noise)
+        F, G = factors.F, factors.G
         assert F[0, 0] == pytest.approx(1.0 / (1.0 - c**2), rel=1e-12)
         assert G[0, 0] == pytest.approx(1.0 / (1.0 - c**2), rel=1e-12)
 
@@ -134,33 +135,15 @@ class TestSchurFactors:
             n1 = int(rng.integers(1, 4))
             n2 = int(rng.integers(1, 4))
             noise = random_joint_noise(rng, n1, n2)
-            F, G = schur_factors(noise)
+            factors = factor_noise(noise)
+            F, G = factors.F, factors.G
             assert np.linalg.eigvalsh(F)[0] > 0
             assert np.linalg.eigvalsh(G)[0] > 0
-
-
-class TestIsPsd:
-    def test_identity(self):
-        ok, eig = is_psd(np.eye(3))
-        assert ok and eig == pytest.approx(1.0)
-
-    def test_indefinite(self):
-        ok, eig = is_psd(np.diag([1.0, -0.5]), tol=1e-10)
-        assert not ok and eig == pytest.approx(-0.5)
-
-    def test_rank_one(self, rng):
-        a = rng.standard_normal(4)
-        ok, eig = is_psd(np.outer(a, a))
-        assert ok and abs(eig) < 1e-10
 
 
 def test_require_symmetric_rejects_asymmetry():
     with pytest.raises(ValueError):
         require_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_condition_estimate_identity():
-    assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
 
 
 def test_forms_agree_returns_first_form_within_tolerance(rng):
@@ -219,11 +202,11 @@ def test_symmetrize_stack_matches_each_matrix(rng):
         assert np.array_equal(S[i], symmetrize(M[i]))
 
 
-def test_require_conditioned_raises_the_given_error_type():
+def test_require_conditioned_refuses_above_the_limit():
     require_conditioned(1e12, "M")
     message = r"M is numerically singular \(cond~1\.000e\+13\)"
-    with pytest.raises(SingularPosterior, match=message) as exc:
-        require_conditioned(1e13, "M", SingularPosterior)
+    with pytest.raises(Singular, match=message) as exc:
+        require_conditioned(1e13, "M")
     assert exc.value.condition == 1e13
     with pytest.raises(Singular):
         require_conditioned(np.inf, "M")
@@ -271,6 +254,16 @@ def planted_spectrum(log_cond, min_eig, n, top, rng):
 guard_sizes = st.one_of(st.sampled_from([1, 2, 3, 63, 64, 65, 400]), st.integers(1, 400))
 
 
+# The refusal each derived inverse raises: a Schur complement (measured
+# against its parent block) and the estimators' normal and posterior matrices.
+derived_guards = {
+    Singular: lambda M, scale: derived_inverse(M, "Schur complement", scale=scale),
+    SingularNormalMatrix: lambda M, scale: _solve_normal(M, np.ones(len(M)), "normal matrix")[1],
+    SingularPosterior: lambda M, scale: _solve_normal(
+        M, np.ones(len(M)), "posterior information matrix", SingularPosterior)[1],
+}
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -278,11 +271,11 @@ guard_sizes = st.one_of(st.sampled_from([1, 2, 3, 63, 64, 65, 400]), st.integers
     log_cond=st.floats(2.0, 14.0),
     min_eig=st.sampled_from([None, None, None, -1e-12, 0.0, 1e-13]),
     top_exp=st.integers(-3, 3),
-    schur=st.booleans(),
+    derived=st.sampled_from([None, Singular, SingularNormalMatrix, SingularPosterior]),
     scale_exp=st.floats(0.0, 3.0),
 )
 def test_cholesky_guard_decides_as_the_eigen_guard(
-    seed, n, log_cond, min_eig, top_exp, schur, scale_exp
+    seed, n, log_cond, min_eig, top_exp, derived, scale_exp
 ):
     # conditions from 1e2 to 1e14 straddle the 1e12 limit; a planted minimum
     # eigenvalue of -1e-12, 0 or 1e-13 times the top one makes M indefinite,
@@ -292,21 +285,21 @@ def test_cholesky_guard_decides_as_the_eigen_guard(
     w = planted_spectrum(log_cond, None if min_eig is None else min_eig * top, n, top, rng)
     Q = random_orthogonal(rng, n)
     M = symmetrize((Q * w) @ Q.T)
-    if schur:  # condition against a parent block larger than M
-        scale = top * 10.0**scale_exp
-        expected = eigen_guard(M, scale)
-        if expected[0] is NotPD:
-            expected = (Singular, np.inf)
-        outcome = guard_outcome(lambda: _schur_inverse(M, scale, "sigma_v"))
-    else:
+    if derived is None:
         expected = eigen_guard(M)
         outcome = guard_outcome(lambda: inverse_factor(M, "M"))
+    else:  # every refusal is the derived type, an indefinite M with infinite condition
+        # a Schur complement's condition is against a parent block larger than M
+        scale = top * 10.0**scale_exp if derived is Singular else 0.0
+        kind, value = eigen_guard(M, scale)
+        expected = (kind, value) if kind is None else (derived, np.inf if kind is NotPD else value)
+        outcome = guard_outcome(lambda: derived_guards[derived](M, scale))
     assert outcome[0] is expected[0]
     if expected[0] is not None:
         assert outcome[1] == expected[1]
         return
-    inverse = outcome[1] if schur else outcome[1].T @ outcome[1]
-    if not schur:
+    inverse = outcome[1].T @ outcome[1] if derived is None else outcome[1]
+    if derived is None:
         assert np.all(np.triu(outcome[1], 1) == 0.0)
     kappa = float(w[-1] / np.min(np.linalg.eigvalsh(M)))
     assert rel_fro(inverse, np.linalg.inv(M)) <= kappa * 1e-13

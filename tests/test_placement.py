@@ -203,6 +203,16 @@ class TestLambdaRoot:
             lambda_root(svd, 1.001 * sup)
         assert exc_info.value.attainable_min == pytest.approx(_budget_value(0.0, c, oms))
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan])
+    def test_budget_must_be_positive_and_finite(self, rng, p):
+        # an unchecked inf or NaN budget returned a multiplier off the budget sphere
+        A = rng.standard_normal((4, 2))
+        rho = random_admissible_rho(rng, 4, 3, 0.7)
+        with pytest.raises(ValueError, match="budget p must be"):
+            lambda_root(svd_of_rho(A, rho), p)
+        with pytest.raises(ValueError, match="budget p must be"):
+            optimal_secondary(A, rho, p)
+
     def test_degenerate_budget_when_all_singular_values_at_one(self):
         A = np.eye(2)
         svd = svd_of_rho(A, np.eye(2))
