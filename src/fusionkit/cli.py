@@ -79,7 +79,10 @@ class Scenario:
 
 
 def _matrix(obj, what: str) -> np.ndarray:
-    M = np.asarray(obj, dtype=float)
+    try:
+        M = np.asarray(obj, dtype=float)
+    except OverflowError as exc:  # a JSON integer beyond float range
+        raise ScenarioError(f"{what} has an entry beyond float range") from exc
     if not np.all(np.isfinite(M)):
         raise ScenarioError(f"{what} has non-finite entries")
     return M
@@ -128,7 +131,7 @@ def load_scenario(path: str | Path) -> Scenario:
             prior = InfoOnlyPrior(_matrix(src["info_only"]["J_s"], "J_s"))
         else:
             raise ScenarioError("sources must be 'gaussian' or 'info_only'")
-    except (ValueError, KeyError, TypeError, FusionKitError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, FusionKitError) as exc:
         raise ScenarioError(f"bad source prior: {exc}") from exc
 
     modalities: dict[str, tuple[LinearModel, np.ndarray]] = {}
@@ -177,7 +180,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"unknown tolerance keys: {sorted(unknown)}")
         try:
             tols = AdvisorTolerances(**{k: float(v) for k, v in raw_tols.items()})
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"bad tolerances: {exc}") from exc
 
     return Scenario(
@@ -317,6 +320,8 @@ def cmd_place(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     scenario = load_scenario(args.scenario)
     name = args.modality
     if name is None:
@@ -331,15 +336,18 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_SCENARIO
-    result = empirical_error_covariance(
-        args.method,
-        model,
-        scenario.prior,
-        noise,
-        N=args.N,
-        seed=args.seed,
-        scenario_id=f"{scenario.id}:{name}",
-    )
+    try:
+        result = empirical_error_covariance(
+            args.method,
+            model,
+            scenario.prior,
+            noise,
+            N=args.N,
+            seed=args.seed,
+            scenario_id=f"{scenario.id}:{name}",
+        )
+    except MemoryError as exc:  # numpy refuses the N-row draw
+        raise UsageError(f"--N {args.N} is too large: the draw cannot be allocated") from exc
     results = [result]
     json_text = campaign_to_json(results) + "\n"
     csv_text = campaign_to_csv(results)

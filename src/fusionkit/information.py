@@ -194,7 +194,10 @@ def crlb(J) -> np.ndarray:
 def prewhiten(pair: ModalityPair) -> WhitenedPair:
     """Whiten both modalities with the symmetric square roots of their noise.
 
-    After whitening the noises have identity covariance and cross
+    ``A_tilde = L_v^-1 A`` and ``B_tilde = L_u^-1 B`` are products with the
+    inverse roots that :func:`factor_noise` takes from its eigen-solves of
+    the marginals, as is ``rho``; no solve is run against a root. After
+    whitening the noises have identity covariance and cross
     correlation ``rho = L_v^-1 sigma_vu L_u^-T``; the joint covariance
     being PD forces every singular value of rho below one. Raises
     :class:`NotPD` or :class:`Singular` as :func:`factor_noise` does.
@@ -203,8 +206,8 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
 
 
 def _whiten(pair: ModalityPair, nf: NoiseFactors) -> WhitenedPair:
-    A_tilde = np.linalg.solve(nf.L_v, pair.first.A)
-    return WhitenedPair(A_tilde, np.linalg.solve(nf.L_u, pair.second.A), nf.rho, nf.L_v, nf.L_u)
+    A_tilde = nf.L_v_inv @ pair.first.A
+    return WhitenedPair(A_tilde, nf.L_u_inv @ pair.second.A, nf.rho, nf.L_v, nf.L_u)
 
 
 def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:

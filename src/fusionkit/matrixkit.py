@@ -44,13 +44,16 @@ PSD_EIG_TOL = 1e-10
 def require_symmetric(M, name: str = "matrix") -> np.ndarray:
     """Validate that ``M`` is square, finite and symmetric; return it as float array.
 
-    Symmetry tolerance is ``1e-12 * max(1, |M_ij|)`` per entry.
+    Symmetry tolerance is ``1e-12 * max(1, |M_ij|)`` per entry; an exactly
+    symmetric ``M`` is accepted by one comparison with its transpose.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
+    if np.array_equal(M, M.T):  # exactly symmetric: the per-entry test cannot fail
+        return M
     scale = np.maximum(1.0, np.abs(M))
     if np.any(np.abs(M - M.T) > 1e-12 * scale):
         worst = float(np.max(np.abs(M - M.T)))
@@ -364,7 +367,8 @@ class BlockCovariance:
 class NoiseFactors:
     """A joint noise covariance with each block factorized once (:func:`factor_noise`).
 
-    ``L_v``, ``L_u`` are the symmetric roots of the marginals, ``F`` and ``G``
+    ``L_v``, ``L_u`` are the symmetric roots of the marginals and ``L_v_inv``,
+    ``L_u_inv`` their inverses, which whiten; ``F`` and ``G`` are
     the inverse Schur complements ``(sigma_u - sigma_uv sigma_v^-1 sigma_vu)^-1``
     and ``(sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``, ``inverse_blocks`` the
     blocks ``(omega_11, omega_12, omega_21, omega_22)`` of ``joint()^-1`` (exact
@@ -374,6 +378,8 @@ class NoiseFactors:
 
     L_v: np.ndarray
     L_u: np.ndarray
+    L_v_inv: np.ndarray
+    L_u_inv: np.ndarray
     sigma_v_inv: np.ndarray
     sigma_u_inv: np.ndarray
     F: np.ndarray
@@ -386,14 +392,15 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
     """Factorize every block of a joint noise covariance once.
 
     Per marginal, one eigen-solve gives the PD check (:class:`NotPD`), the
-    condition (:class:`Singular` above ``SINGULAR_CONDITION``), the root
-    and the inverse; per Schur complement, :func:`derived_inverse` gives the
-    inverse under a guard on its condition relative to its block. Two solves
-    with the roots whiten the cross-covariance into ``rho``.
+    condition (:class:`Singular` above ``SINGULAR_CONDITION``), the root,
+    the inverse root and the inverse; per Schur complement,
+    :func:`derived_inverse` gives the inverse under a guard on its condition
+    relative to its block. Two products with the inverse roots whiten the
+    cross-covariance into ``rho``.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
-    norm_v, L_v, sv_inv = _factor_marginal(sv, "sigma_v")
-    norm_u, L_u, su_inv = _factor_marginal(su, "sigma_u")
+    norm_v, L_v, L_v_inv, sv_inv = _factor_marginal(sv, "sigma_v")
+    norm_u, L_u, L_u_inv, su_inv = _factor_marginal(su, "sigma_u")
     sv_inv_svu = sv_inv @ svu
     # A Schur complement tiny relative to its parent block signals joint
     # collapse even when it is well conditioned in isolation.
@@ -401,8 +408,7 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
                         scale=norm_u)
     G = derived_inverse(symmetrize(sv - svu @ su_inv @ svu.T), "Schur complement of sigma_v block",
                         scale=norm_v)
-    # L_u is symmetric, so sigma_vu L_u^-1 solves from the right transposed.
-    rho = np.linalg.solve(L_v, np.linalg.solve(L_u, svu.T).T)
+    rho = L_v_inv @ svu @ L_u_inv
     if not np.any(svu):
         # Block-diagonal input: keep the zero blocks exact.
         z = np.zeros_like(svu)
@@ -411,9 +417,9 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
         omega_12 = -sv_inv_svu @ F
         omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
         inverse_blocks = (omega_11, omega_12, omega_12.T, F)
-    return NoiseFactors(L_v, L_u, sv_inv, su_inv, F, G, inverse_blocks, rho)
+    return NoiseFactors(L_v, L_u, L_v_inv, L_u_inv, sv_inv, su_inv, F, G, inverse_blocks, rho)
 
 
 def _factor_marginal(S: np.ndarray, name: str):
     w, V = _conditioned_eigh(S, name)
-    return float(w[-1]), _root(w, V), _eig_inverse(w, V)
+    return float(w[-1]), _root(w, V), symmetrize((V / np.sqrt(w)) @ V.T), _eig_inverse(w, V)

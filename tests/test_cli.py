@@ -349,31 +349,42 @@ def test_overflow_is_one_typed_line(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, names",
     [
-        pytest.param(["analyze", "{scenario}", "--joint", "a,a"], 2, id="analyze-same-pair"),
-        pytest.param(["advise", "{scenario}", "--pair", "b,b"], 2, id="advise-same-pair"),
+        pytest.param(["analyze", "{scenario}", "--joint", "a,a"], 2, (), id="analyze-same-pair"),
+        pytest.param(["advise", "{scenario}", "--pair", "b,b"], 2, (), id="advise-same-pair"),
         pytest.param(["place", "{scenario}", "--primary", "a", "--secondary", "a", "--budget",
-                      "5"], 2, id="place-same-pair"),
-        pytest.param(["analyze", "{dir}", "--modality", "a"], 2, id="scenario-is-a-directory"),
-        pytest.param(["analyze", "{scenario}", "--modality", "a", "--out", "{unwritable}"], 1,
+                      "5"], 2, (), id="place-same-pair"),
+        pytest.param(["analyze", "{dir}", "--modality", "a"], 2, (),
+                     id="scenario-is-a-directory"),
+        pytest.param(["analyze", "{scenario}", "--modality", "a", "--out", "{unwritable}"], 1, (),
                      id="analyze-unwritable-out"),
-        pytest.param(["advise", "{scenario}", "--pair", "a,b", "--out", "{unwritable}"], 1,
+        pytest.param(["advise", "{scenario}", "--pair", "a,b", "--out", "{unwritable}"], 1, (),
                      id="advise-unwritable-out"),
         pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "5", "--out",
-                      "{unwritable}"], 1, id="place-unwritable-out"),
+                      "{unwritable}"], 1, (), id="place-unwritable-out"),
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "1000", "--out",
-                      "{unwritable}"], 1, id="simulate-unwritable-out"),
-        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "nan"], 2,
+                      "{unwritable}"], 1, (), id="simulate-unwritable-out"),
+        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "nan"], 2, (),
                      id="place-nan-budget"),
-        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "inf"], 2,
+        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "inf"], 2, (),
                      id="place-inf-budget"),
+        pytest.param(["simulate", "{scenario}", "--method", "ml", "--seed", "-1"], 1,
+                     ("--seed", "-1"), id="simulate-negative-seed"),
+        # numpy refuses a 29 TiB draw at once, so nothing is allocated
+        pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "2000000000000"], 1,
+                     ("--N", "2000000000000"), id="simulate-unallocatable-N"),
+        pytest.param(["analyze", "{huge_entry}", "--modality", "a"], 2,
+                     ("modality a A", "beyond float range"), id="entry-beyond-float-range"),
     ],
 )
-def test_bad_input_is_one_typed_line(tmp_path, two_modality_doc, argv, code):
+def test_bad_input_is_one_typed_line(tmp_path, two_modality_doc, argv, code, names):
     # a fresh interpreter shows what a user sees: the exit code and stderr
     # alone, a traceback included
+    huge = json.loads(json.dumps(two_modality_doc))
+    huge["modalities"][0]["A"][0][0] = 10**400  # a JSON integer no float can hold
     paths = {"{scenario}": write_scenario(tmp_path / "s.json", two_modality_doc),
+             "{huge_entry}": write_scenario(tmp_path / "huge.json", huge),
              "{dir}": str(tmp_path), "{unwritable}": str(tmp_path / "missing" / "report")}
     out = subprocess.run([sys.executable, "-m", "fusionkit.cli", *(paths.get(a, a) for a in argv)],
                          env=fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
@@ -382,6 +393,7 @@ def test_bad_input_is_one_typed_line(tmp_path, two_modality_doc, argv, code):
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
         {1: "usage error:", 2: "scenario error:"}[code]), out.stderr
+    assert all(name in lines[0] for name in names), out.stderr
 
 
 def test_cli_imports_no_scipy():

@@ -36,8 +36,16 @@ from fusionkit import (
 )
 from fusionkit import information
 from fusionkit.cli import main
+from fusionkit.matrixkit import symmetrize
 
-from conftest import random_admissible_rho, random_joint_noise, random_pair, random_pd, rel_fro
+from conftest import (
+    random_admissible_rho,
+    random_joint_noise,
+    random_orthogonal,
+    random_pair,
+    random_pd,
+    rel_fro,
+)
 
 # Entry points of numpy.linalg and scipy.linalg that the library could call
 # (scipy only if the library imported it).
@@ -81,13 +89,13 @@ def lapack_calls(monkeypatch, fn):
 
 
 BUILD = {
-    # one per marginal (PD check, condition, root, inverse)
+    # one per marginal (PD check, condition, root, inverse root, inverse)
     "numpy.linalg.eigh": 2,
     # one per Schur complement (factor, inverse and a condition bound that
     # certifies it); a 30 or 40 row factor is inverted in one block
     "numpy.linalg.cholesky": 2,
     "numpy.linalg.inv": 2,
-    "numpy.linalg.solve": 5,  # A~, B~, rho (two) and (I - rho^T rho)
+    "numpy.linalg.solve": 1,  # (I - rho^T rho); A~, B~ and rho are products
     "numpy.linalg.svd": 1,  # rho
 }
 
@@ -223,6 +231,33 @@ def test_contents_match_the_single_purpose_functions(rng):
         assert rel_fro(J, dense) <= 1e-10
     assert rel_fro(fac.S_x, dense - fac.snr_first) <= 1e-10
     assert rel_fro(fac.S_y, dense - fac.snr_second) <= 1e-10
+
+
+@pytest.mark.parametrize("log_cond", [0.0, 4.0, 8.0, 11.5])
+def test_whitening_products_match_solves_against_the_roots(log_cond):
+    # A~, B~ and rho are products with the inverse roots factor_noise takes
+    # from its eigen-solves; an LU solve with the root gives each of them to
+    # within the rounding that whitening a condition-kappa marginal allows
+    rng = np.random.default_rng(int(10 * log_cond) + 1)
+    kappa = 10.0**log_cond
+    for _ in range(3):
+        blocks, roots = [], []
+        for n in (12, 9):
+            Q = random_orthogonal(rng, n)
+            w = 10.0 ** rng.uniform(-log_cond, 0.0, size=n)
+            w[0], w[-1] = 1.0 / kappa, 1.0
+            blocks.append(symmetrize((Q * w) @ Q.T))
+            roots.append(symmetrize((Q * np.sqrt(w)) @ Q.T))
+        R = rng.standard_normal((12, 9))
+        R *= 0.5 / np.linalg.norm(R, 2)
+        pair = ModalityPair(LinearModel(rng.standard_normal((12, 4))),
+                            LinearModel(rng.standard_normal((9, 4))),
+                            BlockCovariance(*blocks, roots[0] @ R @ roots[1]))
+        wp = prewhiten(pair)
+        solved = (np.linalg.solve(wp.L_v, pair.first.A), np.linalg.solve(wp.L_u, pair.second.A),
+                  np.linalg.solve(wp.L_v, np.linalg.solve(wp.L_u, pair.noise.sigma_uv).T))
+        for got, want in zip((wp.A_tilde, wp.B_tilde, wp.rho), solved):
+            assert rel_fro(got, want) <= 100.0 * kappa * np.finfo(float).eps
 
 
 def test_not_pd_marginal_raises_not_pd(rng):

@@ -146,6 +146,57 @@ def test_require_symmetric_rejects_asymmetry():
         require_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_require_symmetric_accepts_asymmetry_within_tolerance():
+    # 1e-13 against a tolerance of 1e-12 * 2: not exactly symmetric, so the
+    # per-entry test decides, and the matrix comes back as given
+    M = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
+    assert M[1, 0] != M[0, 1]
+    assert np.array_equal(require_symmetric(M), M)
+
+
+def test_require_symmetric_refuses_just_beyond_tolerance_with_its_message():
+    M = np.array([[1.0, 2.0], [2.0 + 3e-12, 1.0]])
+    worst = abs(M[1, 0] - M[0, 1])
+    message = rf"^noise is not symmetric \(max asymmetry {worst:.3e}\)$"
+    with pytest.raises(ValueError, match=message):
+        require_symmetric(M, name="noise")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3)])
+def test_require_symmetric_refuses_nan_as_non_finite(shape):
+    M = np.eye(shape[0])
+    M[-1, -1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        require_symmetric(M)
+
+
+@pytest.mark.parametrize(
+    "M", [[[5.0]], [[-0.0]], np.zeros((0, 0))], ids=["1x1", "1x1-zero", "empty"]
+)
+def test_require_symmetric_accepts_one_by_one_and_empty(M):
+    out = require_symmetric(M)
+    assert out.shape == np.shape(M) and np.array_equal(out, np.asarray(M, dtype=float))
+
+
+def test_require_symmetric_decides_as_the_per_entry_rule():
+    # exact, in-tolerance and beyond-tolerance asymmetry at several scales: the
+    # exact-symmetry shortcut must not change a single decision
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        S = symmetrize(rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4))
+        M = S + np.tril(rng.standard_normal((n, n)), -1) * 10.0 ** rng.uniform(-15, -10)
+        if rng.random() < 0.3:
+            M = S
+        expected = not np.any(np.abs(M - M.T) > 1e-12 * np.maximum(1.0, np.abs(M)))
+        try:
+            require_symmetric(M)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected
+
+
 def test_forms_agree_returns_first_form_within_tolerance(rng):
     M = rng.standard_normal((3, 2))
     assert forms_agree(M, M + 1e-12, "forms") is M
@@ -326,3 +377,19 @@ def test_noise_guard_sweep_smoke(tmp_path):
     assert summary["trials"] == 2 * 11 * 2 * 2 and summary["agreement_rate"] == 1.0
     rows = out.with_suffix(".csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 11 * 2
+
+
+def test_whitening_accuracy_sweep_smoke(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "whitening"
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "whitening_accuracy_sweep.py"),
+         "--trials", "1", "--dims", "3", "2", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert summary["passed"] and summary["worst_over_kappa_eps"] <= 100.0
+    rows = out.with_suffix(".csv").read_text().splitlines()
+    assert len(rows) == 1 + 12
