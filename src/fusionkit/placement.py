@@ -31,6 +31,9 @@ from .information import _admissible_sigma_max, _cross_solvers, _whitened_fisher
 from .matrixkit import forms_agree, require_finite, symmetrize
 from .model import SourcePrior
 
+# Perturbations drawn and scored together by the probe; bounds its memory.
+PROBE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class PlacementSolution:
@@ -406,15 +409,29 @@ def local_optimality_probe(
     """Probe a solution with random budget-feasible perturbations.
 
     Each perturbation displaces ``B~*`` by a random direction of norm
-    ``delta`` and renormalizes back to the budget sphere; improvements of
-    the objective beyond 1e-8 are counted as violations of local
-    optimality and reported (never hidden): first-order stationarity does
-    not imply the stationary point maximizes the objective. A prior would
-    shift the objective by a constant, which cancels in every gain.
-    ``rho`` is the one the solution was computed for: its singular values,
-    which the guard of ``(I - rho^T rho)^-1`` reads, are taken from the
-    solution when it carries them.
+    ``delta`` and renormalizes back to the budget sphere. A violation is
+    a perturbation that *increases* the objective by more than 1e-8;
+    violations are counted and reported, never hidden. The solver returns
+    the budget-constrained minimizer (see :func:`optimal_secondary`), so
+    at the default delta every perturbation is a violation; smaller
+    deltas put gains on both sides of the threshold, where rounding
+    decides. A prior would shift the objective by a constant, which
+    cancels in every gain. The perturbations are drawn and scored in
+    blocks of ``PROBE_BLOCK`` (see :func:`_perturbation_gains`): memory
+    stays bounded for any ``n_perturbations``, and the gains equal those
+    of drawing them one at a time, up to rounding. ``rho`` is the one the solution was
+    computed for: its singular values, which the guard of
+    ``(I - rho^T rho)^-1`` reads, are taken from the solution when it
+    carries them.
+
+    Raises :class:`ValueError` if ``delta`` is not finite and positive or
+    ``n_perturbations`` is not a non-negative integer: a NaN, infinite or
+    zero displacement would report no violation without probing anything.
     """
+    if not isinstance(n_perturbations, (int, np.integer)) or n_perturbations < 0:
+        raise ValueError("n_perturbations must be a non-negative integer")
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if solution.B_star is None:
         raise ValueError("degenerate solutions have no matrix to probe")
     gains = _perturbation_gains(
@@ -445,6 +462,15 @@ def _perturbation_gains(
     ``B~``, so a gain is a difference of ``sum(D * (K D))``, with ``K``
     taken once, under the singularity guard of the objective; the guard
     reads ``singular_values`` of rho, taken here when not given.
+
+    Perturbations are handled as a stack of up to ``PROBE_BLOCK`` at a
+    time: one normal draw of shape ``(block, n2, m)``, each scaled to norm
+    ``delta``, added to ``B0`` and scaled back onto the budget sphere,
+    then scored by one matrix product of ``K`` with the stack. The
+    generator yields the same numbers in the same order as one draw per
+    perturbation, so each gain equals the one-at-a-time gain up to
+    rounding; memory is two stacks of ``PROBE_BLOCK * n2 * m`` floats,
+    whatever ``n_perturbations``.
     """
     if singular_values is None:
         singular_values = np.linalg.svd(rho, compute_uv=False)
@@ -452,18 +478,19 @@ def _perturbation_gains(
     K = solve_k(np.eye(rho.shape[1]))
     target = rho.T @ A_tilde
 
-    def score(B):
-        D = B - target
-        return float(np.sum(D * (K @ D)))
+    def sums(X, Y):  # sum(X * Y) of each matrix of a stack
+        return np.einsum("...ij,...ij->...", X, Y)
 
     p = float(np.sum(B0 * B0))
-    base = score(B0)
+    D0 = B0 - target
+    base = float(sums(D0, K @ D0))
     rng = np.random.default_rng(seed)
     gains = np.empty(n_perturbations)
-    for k in range(n_perturbations):
-        Z = rng.standard_normal(B0.shape)
-        Z *= delta / max(float(np.linalg.norm(Z, "fro")), 1e-300)
-        B = B0 + Z
-        B *= np.sqrt(p / float(np.sum(B * B)))
-        gains[k] = score(B) - base
+    for lo in range(0, n_perturbations, PROBE_BLOCK):
+        B = rng.standard_normal((min(PROBE_BLOCK, n_perturbations - lo),) + B0.shape)
+        B *= (delta / np.maximum(np.sqrt(sums(B, B)), 1e-300))[:, None, None]
+        B += B0
+        B *= np.sqrt(p / sums(B, B))[:, None, None]
+        B -= target  # D = B~ - rho^T A~ of each perturbation
+        gains[lo : lo + B.shape[0]] = sums(B, K @ B) - base
     return gains

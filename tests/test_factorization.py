@@ -34,7 +34,7 @@ from fusionkit import (
     sym_sqrt,
     synergy_matrices,
 )
-from fusionkit import information
+from fusionkit import information, placement
 from fusionkit.cli import main
 from fusionkit.matrixkit import symmetrize
 
@@ -319,6 +319,17 @@ def test_optimal_secondary_takes_one_svd(monkeypatch):
         monkeypatch, lambda: local_optimality_probe(A, rho, optimal_secondary(A, rho, 50.0))
     )
     assert counts["numpy.linalg.svd"] == 1
+    # the probe takes K = (I - rho^T rho)^-1 in one solve and makes no
+    # LAPACK call per perturbation, in one block or in several
+    solve_only = lapack_calls(monkeypatch, lambda: optimal_secondary(A, rho, 50.0))
+    for n in (200, 3 * placement.PROBE_BLOCK + 1):
+        counts = lapack_calls(
+            monkeypatch,
+            lambda: local_optimality_probe(A, rho, optimal_secondary(A, rho, 50.0), n),
+        )
+        assert counts == dict(
+            collections.Counter(solve_only) + collections.Counter({"numpy.linalg.solve": 1})
+        )
     solution = optimal_secondary(A, rho, 50.0)
     assert "rho_singular_values" not in solution.to_json_dict()
 

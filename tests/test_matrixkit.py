@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -393,3 +394,21 @@ def test_whitening_accuracy_sweep_smoke(tmp_path):
     assert summary["passed"] and summary["worst_over_kappa_eps"] <= 100.0
     rows = out.with_suffix(".csv").read_text().splitlines()
     assert len(rows) == 1 + 12
+
+
+def test_placement_budget_sweep_smoke(tmp_path):
+    # 300 probes per budget cross a block of the probe
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "placement.csv"
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "placement_budget_sweep.py"),
+         "--budgets", "3", "--probes", "300", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "p,lambda,objective,kkt_residual,probe_violations,probe_max_gain"
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 3
+    assert all(float(row["kkt_residual"]) <= 1e-5 for row in rows)

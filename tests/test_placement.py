@@ -50,13 +50,40 @@ def probe_instance(rng):
     return A, rho, optimal_secondary(A, rho, p)
 
 
-def medium_probe_instance():
-    """A whitened (40, 30, 10) pair at twice its minimum budget."""
-    wp = prewhiten(random_pair(np.random.default_rng(4030), 40, 30, 10))
+def whitened_probe_instance(n1, n2, m):
+    """A whitened (n1, n2, m) pair at twice its minimum budget."""
+    wp = prewhiten(random_pair(np.random.default_rng(4030), n1, n2, m))
     svd = svd_of_rho(wp.A_tilde, wp.rho)
     c, oms = _budget_terms(svd)
     p = _budget_value(0.0, c, oms) * 2.0
     return wp.A_tilde, wp.rho, optimal_secondary(wp.A_tilde, wp.rho, p)
+
+
+def medium_probe_instance():
+    """A whitened (40, 30, 10) pair at twice its minimum budget."""
+    return whitened_probe_instance(40, 30, 10)
+
+
+def one_at_a_time_gains(A, rho, B0, n_perturbations, seed, delta):
+    """The probe's gains drawn and scored one perturbation at a time, and the base score."""
+    K = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0](np.eye(rho.shape[1]))
+    target = rho.T @ A
+
+    def score(B):
+        D = B - target
+        return float(np.sum(D * (K @ D)))
+
+    p = float(np.sum(B0 * B0))
+    base = score(B0)
+    rng = np.random.default_rng(seed)
+    gains = np.empty(n_perturbations)
+    for k in range(n_perturbations):
+        Z = rng.standard_normal(B0.shape)
+        Z *= delta / max(float(np.linalg.norm(Z, "fro")), 1e-300)
+        B = B0 + Z
+        B *= np.sqrt(p / float(np.sum(B * B)))
+        gains[k] = score(B) - base
+    return gains, base
 
 
 def fd_gradient_rho(A, B, rho, h=1e-5):
@@ -423,6 +450,44 @@ class TestProbeAndUnwhiten:
             seed = 0
         report = local_optimality_probe(A, rho, sol, seed=seed, delta=delta)
         assert report.n_violations == violations
+
+    @pytest.mark.parametrize("dims", [(3, 3, 2), (40, 30, 10), (200, 150, 20)])
+    @pytest.mark.parametrize("delta", [1e-3, 1.1e-4])
+    def test_probe_gains_match_one_at_a_time(self, dims, delta):
+        A, rho, sol = whitened_probe_instance(*dims)
+        gains = _perturbation_gains(A, rho, sol.B_star, 200, 5, delta, sol.rho_singular_values)
+        oracle, base = one_at_a_time_gains(A, rho, sol.B_star, 200, 5, delta)
+        assert np.max(np.abs(gains - oracle)) <= 1e-12 * (1.0 + abs(base))
+
+    def test_probe_blocks_keep_the_draw_order(self):
+        # more perturbations than one block: the second block continues
+        # the draws where the first stopped
+        A, rho, sol = medium_probe_instance()
+        n = placement.PROBE_BLOCK + 44
+        gains = _perturbation_gains(A, rho, sol.B_star, n, 7, 1.1e-4)
+        oracle, base = one_at_a_time_gains(A, rho, sol.B_star, n, 7, 1.1e-4)
+        assert np.max(np.abs(gains - oracle)) <= 1e-12 * (1.0 + abs(base))
+        report = local_optimality_probe(A, rho, sol, n_perturbations=n, seed=7, delta=1.1e-4)
+        assert report.n_violations == int(np.sum(oracle > 1e-8))
+
+    def test_probe_of_no_perturbations(self, rng):
+        A, rho, sol = probe_instance(rng)
+        report = local_optimality_probe(A, rho, sol, n_perturbations=0)
+        assert (report.n_perturbations, report.n_violations) == (0, 0)
+        assert report.max_improvement == 0.0
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+    def test_probe_refuses_a_displacement_that_probes_nothing(self, rng, delta):
+        # a NaN or infinite delta reported no violation, as a zero one does
+        A, rho, sol = probe_instance(rng)
+        with pytest.raises(ValueError, match="delta"):
+            local_optimality_probe(A, rho, sol, delta=delta)
+
+    @pytest.mark.parametrize("n_perturbations", [-3, 2.5, "200", None])
+    def test_probe_refuses_a_count_that_is_not_a_count(self, rng, n_perturbations):
+        A, rho, sol = probe_instance(rng)
+        with pytest.raises(ValueError, match="n_perturbations"):
+            local_optimality_probe(A, rho, sol, n_perturbations=n_perturbations)
 
     def test_cross_solvers(self, rng):
         for n1, n2 in [(4, 3), (3, 4), (3, 3)]:
