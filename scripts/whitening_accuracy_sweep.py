@@ -5,9 +5,9 @@
 ``L_u^-1`` from the eigen-solve of each marginal, and ``prewhiten``
 forms ``A_tilde = L_v^-1 A``, ``B_tilde = L_u^-1 B`` and
 ``rho = L_v^-1 sigma_vu L_u^-1`` as products with them. This sweep
-compares each product with the LU solve against the root, ``solve(L, .)``,
-on pairs whose marginals have a planted condition drawn log-uniformly
-within each decade from 1e0 to 1e12, and reports the worst relative
+compares each product with the LU solve ``solve(L, .)`` against the root
+``L = sym_sqrt(sigma)``, on pairs whose marginals have a planted condition
+drawn log-uniformly within each decade from 1e0 to 1e12, and reports the worst relative
 Frobenius difference per decade, and the worst over ``kappa * eps``.
 Whitening a marginal of condition kappa is itself sensitive to rounding of
 the input at about ``kappa * eps``, so it also reports how far each way's
@@ -26,7 +26,7 @@ import numpy as np
 
 from fusionkit import BlockCovariance, LinearModel, ModalityPair
 from fusionkit.information import prewhiten
-from fusionkit.matrixkit import factor_noise, symmetrize
+from fusionkit.matrixkit import sym_sqrt, symmetrize
 
 EPS = float(np.finfo(float).eps)
 SLACK = 100.0
@@ -65,12 +65,12 @@ def whitening_differences(pair, planted_rho) -> dict:
     ``rho_product_error`` and ``rho_solve_error`` are each way's relative
     distance from the planted rho.
     """
-    nf = factor_noise(pair.noise)
+    L_v, L_u = sym_sqrt(pair.noise.sigma_v), sym_sqrt(pair.noise.sigma_u)
     wp = prewhiten(pair)
     solved = {
-        "A_tilde": np.linalg.solve(nf.L_v, pair.first.A),
-        "B_tilde": np.linalg.solve(nf.L_u, pair.second.A),
-        "rho": np.linalg.solve(nf.L_v, np.linalg.solve(nf.L_u, pair.noise.sigma_vu.T).T),
+        "A_tilde": np.linalg.solve(L_v, pair.first.A),
+        "B_tilde": np.linalg.solve(L_u, pair.second.A),
+        "rho": np.linalg.solve(L_v, np.linalg.solve(L_u, pair.noise.sigma_vu.T).T),
     }
     diffs = {name: relative(getattr(wp, name), old) for name, old in solved.items()}
     errors = {

@@ -22,7 +22,7 @@ from .advisor import AdvisorTolerances, advise
 from .errors import FusionKitError, NonFinite, NotPD
 from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
 from .information import PairFactorization, crlb, prewhiten, snr_matrix, total_information
-from .matrixkit import BlockCovariance
+from .matrixkit import BlockCovariance, sym_sqrt
 from .model import (
     GaussianPrior,
     InfoOnlyPrior,
@@ -309,7 +309,8 @@ def cmd_place(args) -> int:
     report = {"scenario_id": scenario.id, "primary": primary, "secondary_noise": secondary}
     report.update(solution.to_json_dict())
     if solution.B_star is not None:
-        report["B_star_unwhitened"] = _tolist(unwhiten_secondary(solution.B_star, wp.L_u))
+        L_u = sym_sqrt(pair.noise.sigma_u)
+        report["B_star_unwhitened"] = _tolist(unwhiten_secondary(solution.B_star, L_u))
     _emit(
         report,
         args.out,
@@ -322,6 +323,8 @@ def cmd_place(args) -> int:
 def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.N < 1000:
+        raise UsageError(f"--N must be at least 1000 for a meaningful estimate, got {args.N}")
     scenario = load_scenario(args.scenario)
     name = args.modality
     if name is None:

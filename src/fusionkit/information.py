@@ -72,9 +72,11 @@ class WhitenedPair:
     """Prewhitened two-modality model.
 
     ``A_tilde = L_v^-1 A``, ``B_tilde = L_u^-1 B`` and
-    ``rho = L_v^-1 sigma_vu L_u^-T`` where L_v, L_u are the symmetric PSD
-    square roots of the marginal noise covariances. All singular values
-    of rho are strictly below one whenever the joint covariance is PD.
+    ``rho = L_v^-1 sigma_vu L_u^-1`` where ``L_v^-1``, ``L_u^-1`` are the
+    inverse symmetric PSD square roots of the marginal noise covariances
+    (:func:`~fusionkit.matrixkit.sym_sqrt` gives the roots themselves). All
+    singular values of rho are strictly below one whenever the joint
+    covariance is PD.
     ``rho_singular_values`` (descending) are taken once, when the pair is
     built, and ``sigma_max_rho`` reads them.
     """
@@ -82,8 +84,6 @@ class WhitenedPair:
     A_tilde: np.ndarray
     B_tilde: np.ndarray
     rho: np.ndarray
-    L_v: np.ndarray
-    L_u: np.ndarray
     rho_singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -198,7 +198,7 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
     inverse roots that :func:`factor_noise` takes from its eigen-solves of
     the marginals, as is ``rho``; no solve is run against a root. After
     whitening the noises have identity covariance and cross
-    correlation ``rho = L_v^-1 sigma_vu L_u^-T``; the joint covariance
+    correlation ``rho = L_v^-1 sigma_vu L_u^-1``; the joint covariance
     being PD forces every singular value of rho below one. Raises
     :class:`NotPD` or :class:`Singular` as :func:`factor_noise` does.
     """
@@ -206,8 +206,7 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
 
 
 def _whiten(pair: ModalityPair, nf: NoiseFactors) -> WhitenedPair:
-    A_tilde = nf.L_v_inv @ pair.first.A
-    return WhitenedPair(A_tilde, nf.L_u_inv @ pair.second.A, nf.rho, nf.L_v, nf.L_u)
+    return WhitenedPair(nf.L_v_inv @ pair.first.A, nf.L_u_inv @ pair.second.A, nf.rho)
 
 
 def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
@@ -266,8 +265,14 @@ def whitened_joint_fisher(A_tilde, B_tilde, rho) -> np.ndarray:
 
 
 def _whitened_fisher(A_tilde, B_tilde, rho, solve_k) -> np.ndarray:
-    M = A_tilde.T @ rho - B_tilde.T
-    return symmetrize(A_tilde.T @ A_tilde + M @ solve_k(M.T))
+    """``A~^T A~ + M K M^T`` with ``M = A~^T rho - B~^T``, of a pair or of stacks (..., n, m).
+
+    ``solve_k`` applies ``K``; on the swapped pair ``(B~, A~, rho^T)`` with
+    ``K'`` this is the second published form of the same information.
+    """
+    A_t = np.swapaxes(A_tilde, -1, -2)
+    M = A_t @ rho - np.swapaxes(B_tilde, -1, -2)
+    return symmetrize(A_t @ A_tilde + M @ solve_k(np.swapaxes(M, -1, -2)))
 
 
 def route_disagreement(routes: dict[str, np.ndarray]) -> float:
@@ -362,7 +367,7 @@ class PairFactorization:
                 f"(relative errors {err_x:.3e}, {err_y:.3e})",
                 max_relative_error=max(err_x, err_y),
             )
-        for M in (wp.A_tilde, wp.B_tilde, wp.rho, wp.L_v, wp.L_u, wp.rho_singular_values,
+        for M in (wp.A_tilde, wp.B_tilde, wp.rho, wp.rho_singular_values,
                   snr1, snr2, S_x, S_y, *routes.values()):
             M.setflags(write=False)
         fac = cls(wp, snr1, snr2, routes, worst, S_x, S_y)

@@ -9,10 +9,12 @@ returns ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1`` and ``L^-1 X``
 whitens ``X``; its guard reads a condition bound off ``L^-1`` and takes
 one ``eigvalsh`` only where the bound is inconclusive. The Schur
 complements and the estimators' normal and posterior matrices go through
-it by :func:`derived_inverse`. Where a symmetric root is read, one
-eigen-solve ``M = V diag(w) V^T`` gives the rule's eigenvalues, the root
-and the inverse ``(V / w) V^T``. :func:`factor_noise` is the one entry to
-a joint noise covariance's factors.
+it by :func:`derived_inverse`. A noise pair is whitened with the
+symmetric inverse roots of its marginals instead, which fix the basis of
+its whitened cross-correlation: one eigen-solve ``M = V diag(w) V^T``
+gives the rule's eigenvalues, the inverse root ``(V / sqrt(w)) V^T`` and
+the inverse ``(V / w) V^T``. :func:`factor_noise` is the one entry to a
+joint noise covariance's factors.
 """
 
 from __future__ import annotations
@@ -95,8 +97,10 @@ def psd_check(M) -> tuple[float, bool]:
 def sym_sqrt(M) -> np.ndarray:
     """Unique symmetric PSD square root L with ``L @ L.T == M``.
 
-    Eigenvalues in [-1e-10, 0] are clamped to zero before rooting; a
-    minimum eigenvalue below ``-1e-8 * ||M||_2`` raises :class:`NotPSD`.
+    A minimum eigenvalue below ``-1e-8 * ||M||_2`` raises :class:`NotPSD`;
+    every negative eigenvalue above it is clamped to zero before rooting.
+    This is a looser rule than :func:`psd_check`'s: ``diag(-5e-9, 1)`` is
+    indefinite there and has a root here.
     """
     M = require_symmetric(M)
     w, V = np.linalg.eigh(symmetrize(M))
@@ -356,19 +360,13 @@ class BlockCovariance:
             )
         return min_eig
 
-    @staticmethod
-    def uncorrelated(sigma_v, sigma_u) -> "BlockCovariance":
-        sv = np.asarray(sigma_v, dtype=float)
-        su = np.asarray(sigma_u, dtype=float)
-        return BlockCovariance(sv, su, np.zeros((sv.shape[0], su.shape[0])))
-
 
 @dataclass(frozen=True)
 class NoiseFactors:
     """A joint noise covariance with each block factorized once (:func:`factor_noise`).
 
-    ``L_v``, ``L_u`` are the symmetric roots of the marginals and ``L_v_inv``,
-    ``L_u_inv`` their inverses, which whiten; ``F`` and ``G`` are
+    ``L_v_inv``, ``L_u_inv`` are the inverse symmetric roots of the
+    marginals, the pair's one whitening; ``F`` and ``G`` are
     the inverse Schur complements ``(sigma_u - sigma_uv sigma_v^-1 sigma_vu)^-1``
     and ``(sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``, ``inverse_blocks`` the
     blocks ``(omega_11, omega_12, omega_21, omega_22)`` of ``joint()^-1`` (exact
@@ -376,8 +374,6 @@ class NoiseFactors:
     ``rho = L_v^-1 sigma_vu L_u^-1`` the whitened cross-correlation.
     """
 
-    L_v: np.ndarray
-    L_u: np.ndarray
     L_v_inv: np.ndarray
     L_u_inv: np.ndarray
     sigma_v_inv: np.ndarray
@@ -392,15 +388,15 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
     """Factorize every block of a joint noise covariance once.
 
     Per marginal, one eigen-solve gives the PD check (:class:`NotPD`), the
-    condition (:class:`Singular` above ``SINGULAR_CONDITION``), the root,
-    the inverse root and the inverse; per Schur complement,
+    condition (:class:`Singular` above ``SINGULAR_CONDITION``), the inverse
+    root and the inverse; per Schur complement,
     :func:`derived_inverse` gives the inverse under a guard on its condition
     relative to its block. Two products with the inverse roots whiten the
     cross-covariance into ``rho``.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
-    norm_v, L_v, L_v_inv, sv_inv = _factor_marginal(sv, "sigma_v")
-    norm_u, L_u, L_u_inv, su_inv = _factor_marginal(su, "sigma_u")
+    norm_v, L_v_inv, sv_inv = _factor_marginal(sv, "sigma_v")
+    norm_u, L_u_inv, su_inv = _factor_marginal(su, "sigma_u")
     sv_inv_svu = sv_inv @ svu
     # A Schur complement tiny relative to its parent block signals joint
     # collapse even when it is well conditioned in isolation.
@@ -417,9 +413,9 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
         omega_12 = -sv_inv_svu @ F
         omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
         inverse_blocks = (omega_11, omega_12, omega_12.T, F)
-    return NoiseFactors(L_v, L_u, L_v_inv, L_u_inv, sv_inv, su_inv, F, G, inverse_blocks, rho)
+    return NoiseFactors(L_v_inv, L_u_inv, sv_inv, su_inv, F, G, inverse_blocks, rho)
 
 
 def _factor_marginal(S: np.ndarray, name: str):
     w, V = _conditioned_eigh(S, name)
-    return float(w[-1]), _root(w, V), symmetrize((V / np.sqrt(w)) @ V.T), _eig_inverse(w, V)
+    return float(w[-1]), symmetrize((V / np.sqrt(w)) @ V.T), _eig_inverse(w, V)

@@ -245,10 +245,6 @@ class ModalityPair:
     def m(self) -> int:
         return self.first.m
 
-    def stacked(self) -> LinearModel:
-        """Augmented model [A; B] acting on the shared source."""
-        return LinearModel(np.vstack([self.first.A, self.second.A]))
-
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -267,18 +263,17 @@ class Diagnostic:
     message: str
 
 
-def validate(model, prior: SourcePrior | None = None, noise=None) -> list[Diagnostic]:
-    """Report-only consistency check of a scenario.
+def validate(model: LinearModel, prior: SourcePrior | None = None, noise=None) -> list[Diagnostic]:
+    """Report-only consistency check of a single-modality scenario.
 
     Parameters
     ----------
     model:
-        LinearModel or ModalityPair.
+        The modality's LinearModel.
     prior:
         Optional source prior; checked for dimension agreement.
     noise:
-        For a LinearModel, the noise covariance (n x n). Ignored for a
-        ModalityPair, which carries its own BlockCovariance.
+        Optional noise covariance (n x n).
 
     Returns
     -------
@@ -289,49 +284,30 @@ def validate(model, prior: SourcePrior | None = None, noise=None) -> list[Diagno
         no ML estimate exists without prior information).
     """
     report: list[Diagnostic] = []
-
-    if isinstance(model, ModalityPair):
-        models = [model.first, model.second]
-        covs = [("first", model.noise.sigma_v), ("second", model.noise.sigma_u)]
+    m = model.m
+    if noise is not None:
+        noise = np.asarray(noise, dtype=float)
         try:
-            model.noise.check_pd()
-        except Exception as exc:
-            report.append(Diagnostic("error", "NotPSD", f"joint noise covariance: {exc}"))
-        n_total = model.first.n + model.second.n
-        m = model.m
-    else:
-        models = [model]
-        covs = []
-        if noise is not None:
-            covs = [("noise", np.asarray(noise, dtype=float))]
-        n_total = model.n
-        m = model.m
-
-    for name, cov in covs:
-        try:
-            C = require_symmetric(cov, name=f"{name} covariance")
+            C = require_symmetric(noise, name="noise covariance")
         except ValueError as exc:
             report.append(Diagnostic("error", "BadCovariance", str(exc)))
-            continue
-        min_eig, indefinite = psd_check(C)
-        if indefinite:
-            report.append(
-                Diagnostic(
-                    "error",
-                    "NotPSD",
-                    f"{name} covariance has negative eigenvalue {min_eig:.3e}",
+        else:
+            min_eig, indefinite = psd_check(C)
+            if indefinite:
+                report.append(
+                    Diagnostic(
+                        "error", "NotPSD", f"noise covariance has negative eigenvalue {min_eig:.3e}"
+                    )
                 )
-            )
-        sub = models[0] if name != "second" else models[1]
-        if C.shape[0] != sub.n:
-            report.append(
-                Diagnostic(
-                    "error",
-                    "DimMismatch",
-                    f"{name} covariance is {C.shape[0]}x{C.shape[0]} but the model "
-                    f"has {sub.n} channels",
+            if C.shape[0] != model.n:
+                report.append(
+                    Diagnostic(
+                        "error",
+                        "DimMismatch",
+                        f"noise covariance is {C.shape[0]}x{C.shape[0]} but the model "
+                        f"has {model.n} channels",
+                    )
                 )
-            )
 
     if prior is not None and prior.m != m:
         report.append(
@@ -342,12 +318,12 @@ def validate(model, prior: SourcePrior | None = None, noise=None) -> list[Diagno
             )
         )
 
-    if n_total < m:
+    if model.n < m:
         report.append(
             Diagnostic(
                 "warning",
                 "FisherSingular",
-                f"observation count {n_total} < source count {m}: the Fisher "
+                f"observation count {model.n} < source count {m}: the Fisher "
                 "information matrix is singular and the ML estimate does not exist",
             )
         )

@@ -7,8 +7,10 @@ over seed-split sample blocks, run one after another by
 :func:`~fusionkit.information.mc_moments`, so they depend only on the
 seed; the variance of the estimate is reported, never hidden. Each
 block evaluates its integrand as stacked arrays: one (count, n, m)
-Jacobian array per model, then one matrix product (and one whitening
-solve per modality) for the whole block. ``h`` itself is
+Jacobian array per model, whitened by one product with the linear
+module's whitener (the inverse Cholesky factor for one modality, the
+inverse symmetric roots of :func:`~fusionkit.matrixkit.factor_noise`
+for a pair), then stacked matrix products. ``h`` itself is
 still called once per perturbed point. Models with constant Jacobians
 reproduce the linear module exactly because the integrand does not vary
 across samples.
@@ -22,8 +24,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite
-from .information import McInfoEstimate, _cross_solvers, mc_moments
-from .matrixkit import BlockCovariance, factor_noise, forms_agree, psd_inverse, symmetrize
+from .information import McInfoEstimate, _cross_solvers, _whitened_fisher, mc_moments
+from .matrixkit import (
+    BlockCovariance,
+    factor_noise,
+    forms_agree,
+    inverse_factor,
+    require_symmetric,
+    symmetrize,
+)
 from .model import SourcePrior
 
 __all__ = [
@@ -155,17 +164,19 @@ def fisher_nonlinear(
 ) -> McInfoEstimate:
     """Monte-Carlo conditional Fisher information of a nonlinear model.
 
-    Averages ``D_h(s)^T Sigma^-1 D_h(s)`` over N prior draws; the result
-    is deterministic per seed and exact (zero variance) whenever the
+    Averages ``D_h(s)^T Sigma^-1 D_h(s) = W^T W`` over N prior draws, with
+    ``W = L^-1 D_h(s)`` whitened by the inverse Cholesky factor of Sigma as
+    in :func:`~fusionkit.information.snr_matrix`; the result is
+    deterministic per seed and exact (zero variance) whenever the
     Jacobian is constant.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    sigma_inv = psd_inverse(sigma, name="noise covariance")
+    L_inv = inverse_factor(require_symmetric(sigma, name="noise covariance"), "noise covariance")
 
     def fisher_integrand(S):
-        D = model.jacobians(S)
-        return symmetrize(np.swapaxes(D, 1, 2) @ sigma_inv @ D)
+        W = L_inv @ model.jacobians(S)
+        return symmetrize(np.swapaxes(W, 1, 2) @ W)
 
     J, std_err = mc_moments(prior, N, seed, fisher_integrand)
     return McInfoEstimate(J=J, std_err=std_err, N=N, seed=seed)
@@ -196,11 +207,13 @@ def joint_information_nonlinear(
 ) -> McInfoEstimate:
     """Monte-Carlo joint Fisher information of two nonlinear modalities.
 
-    Whitens both maps with the symmetric square roots of their marginal
-    noise covariances, then averages the whitened quadratic form over
-    prior draws. Each block is whitened with one solve per modality. Both
-    published algebraic forms are evaluated for every sample and must
-    agree to 1e-8 relative; their mean is taken from the first.
+    Whitens both maps by products with the inverse symmetric roots of
+    their marginal noise covariances, as :func:`~fusionkit.information.prewhiten`
+    does, then averages the whitened quadratic form over prior draws.
+    Both published algebraic forms, the whitened joint Fisher information
+    (:func:`~fusionkit.information.whitened_joint_fisher`) of the pair and
+    of the swapped pair, are evaluated for every sample and must agree to
+    1e-8 relative; their mean is taken from the first.
     Prior information is added when the prior exposes it; a prior that
     can only be sampled contributes zero. The noise is factorized by
     :func:`factor_noise`, so its :class:`NotPD` and :class:`Singular`
@@ -211,19 +224,16 @@ def joint_information_nonlinear(
     if h.m != g.m:
         raise ValueError(f"modalities must share the source dimension: {h.m} != {g.m}")
     nf = factor_noise(noise)
-    L_v, L_u, rho = nf.L_v, nf.L_u, nf.rho
+    rho = nf.rho
     n1, n2 = rho.shape
     solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
     K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
 
     def joint_integrand(S):
-        Dh = np.linalg.solve(L_v, h.jacobians(S))  # whitened Jacobians, (count, n1, m)
-        Dg = np.linalg.solve(L_u, g.jacobians(S))  # whitened Jacobians, (count, n2, m)
-        Dh_t, Dg_t = np.swapaxes(Dh, 1, 2), np.swapaxes(Dg, 1, 2)
-        M1 = Dh_t @ rho - Dg_t
-        form1 = symmetrize(M1 @ K_a @ np.swapaxes(M1, 1, 2) + Dh_t @ Dh)
-        M2 = Dg_t @ rho.T - Dh_t
-        form2 = symmetrize(M2 @ K_b @ np.swapaxes(M2, 1, 2) + Dg_t @ Dg)
+        Dh = nf.L_v_inv @ h.jacobians(S)  # whitened Jacobians, (count, n1, m)
+        Dg = nf.L_u_inv @ g.jacobians(S)  # whitened Jacobians, (count, n2, m)
+        form1 = _whitened_fisher(Dh, Dg, rho, K_a.__matmul__)
+        form2 = _whitened_fisher(Dg, Dh, rho.T, K_b.__matmul__)
         return forms_agree(form1, form2, "joint nonlinear information forms per sample")
 
     J, std_err = mc_moments(prior, N, seed, joint_integrand)

@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 from fusionkit import BlockCovariance, LinearModel, ModalityPair, synergy_objective
-from fusionkit.information import _cross_solvers, block_plan
-from fusionkit.matrixkit import factor_noise, forms_agree, psd_inverse, symmetrize
+from fusionkit.information import _cross_solvers, _whitened_fisher, block_plan
+from fusionkit.matrixkit import (
+    factor_noise,
+    forms_agree,
+    inverse_factor,
+    require_symmetric,
+    symmetrize,
+)
 
 
 def random_orthogonal(rng, n):
@@ -121,11 +127,11 @@ def mc_per_sample(prior, N, seed, per_sample):
 
 def fisher_per_sample(model, sigma, prior, N, seed):
     """Per-sample reference for ``fisher_nonlinear``: (J, std_err)."""
-    sigma_inv = psd_inverse(sigma, name="noise covariance")
+    L_inv = inverse_factor(require_symmetric(sigma, name="noise covariance"), "noise covariance")
 
     def per_sample(s):
-        D = _per_sample_jac(model, s)
-        return symmetrize(D.T @ sigma_inv @ D)
+        W = L_inv @ _per_sample_jac(model, s)
+        return symmetrize(W.T @ W)
 
     return mc_per_sample(prior, N, seed, per_sample)
 
@@ -133,18 +139,16 @@ def fisher_per_sample(model, sigma, prior, N, seed):
 def joint_per_sample(h, g, noise, prior, N, seed):
     """Per-sample reference for ``joint_information_nonlinear``: (J, std_err)."""
     nf = factor_noise(noise)
-    L_v, L_u, rho = nf.L_v, nf.L_u, nf.rho
+    rho = nf.rho
     n1, n2 = rho.shape
     solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
     K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
 
     def per_sample(s):
-        Dh = np.linalg.solve(L_v, _per_sample_jac(h, s))
-        Dg = np.linalg.solve(L_u, _per_sample_jac(g, s))
-        M1 = Dh.T @ rho - Dg.T
-        form1 = symmetrize(M1 @ K_a @ M1.T + Dh.T @ Dh)
-        M2 = Dg.T @ rho.T - Dh.T
-        form2 = symmetrize(M2 @ K_b @ M2.T + Dg.T @ Dg)
+        Dh = nf.L_v_inv @ _per_sample_jac(h, s)
+        Dg = nf.L_u_inv @ _per_sample_jac(g, s)
+        form1 = _whitened_fisher(Dh, Dg, rho, K_a.__matmul__)
+        form2 = _whitened_fisher(Dg, Dh, rho.T, K_b.__matmul__)
         return forms_agree(form1, form2, "joint nonlinear information forms per sample")
 
     J, std_err = mc_per_sample(prior, N, seed, per_sample)

@@ -52,7 +52,7 @@ class TestDetectRedundancy:
 
     def test_constructed_second_redundancy(self, rng):
         A, rho = self._whitened(rng)
-        wp = WhitenedPair(A_tilde=A, B_tilde=rho.T @ A, rho=rho, L_v=np.eye(3), L_u=np.eye(3))
+        wp = WhitenedPair(A_tilde=A, B_tilde=rho.T @ A, rho=rho)
         res = detect_redundancy(wp)
         assert res.verdict == "SecondRedundant"
         assert res.r2 <= 1e-10
@@ -67,7 +67,7 @@ class TestDetectRedundancy:
     def test_constructed_first_redundancy(self, rng):
         B = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.6)
-        wp = WhitenedPair(A_tilde=rho @ B, B_tilde=B, rho=rho, L_v=np.eye(3), L_u=np.eye(3))
+        wp = WhitenedPair(A_tilde=rho @ B, B_tilde=B, rho=rho)
         res = detect_redundancy(wp)
         assert res.verdict == "FirstRedundant"
         assert res.r1 <= 1e-10
@@ -88,9 +88,7 @@ class TestDetectRedundancy:
             m = int(rng.integers(1, 4))
             A = rng.standard_normal((n1, m))
             rho = random_admissible_rho(rng, n1, n2, float(rng.uniform(0.1, 0.95)))
-            wp = WhitenedPair(
-                A_tilde=A, B_tilde=rho.T @ A, rho=rho, L_v=np.eye(n1), L_u=np.eye(n2)
-            )
+            wp = WhitenedPair(A_tilde=A, B_tilde=rho.T @ A, rho=rho)
             assert detect_redundancy(wp, tol=1e-10).verdict == "SecondRedundant"
 
 

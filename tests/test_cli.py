@@ -374,6 +374,10 @@ def test_overflow_is_one_typed_line(tmp_path, argv):
         # numpy refuses a 29 TiB draw at once, so nothing is allocated
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "2000000000000"], 1,
                      ("--N", "2000000000000"), id="simulate-unallocatable-N"),
+        pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "10"], 1,
+                     ("--N", "10"), id="simulate-small-N"),
+        pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "-5"], 1,
+                     ("--N", "-5"), id="simulate-negative-N"),
         pytest.param(["analyze", "{huge_entry}", "--modality", "a"], 2,
                      ("modality a A", "beyond float range"), id="entry-beyond-float-range"),
     ],
@@ -405,3 +409,20 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_demo_reports_smoke(tmp_path):
+    # every README demo command answers, except the budget below the
+    # attainable minimum, which no solution branch reaches yet (exit 3)
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_reports.py"), "--out", str(tmp_path)],
+        env=fresh_interpreter_env(), capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    codes = {d.name: int((d / "exit_code").read_text()) for d in tmp_path.iterdir() if d.is_dir()}
+    assert len(codes) == 10
+    assert codes.pop("place-ecg-0.001") == 3
+    assert set(codes.values()) == {0}
+    assert json.loads((tmp_path / "analyze-joint" / "stdout").read_text())["pair"] == ["ecg", "ppg"]
+    assert (tmp_path / "simulate-ml" / "campaign.csv").is_file()

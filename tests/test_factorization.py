@@ -23,6 +23,7 @@ from fusionkit import (
     RouteDisagreement,
     Singular,
     advise,
+    fisher_nonlinear,
     joint_information,
     joint_information_nonlinear,
     local_optimality_probe,
@@ -89,7 +90,7 @@ def lapack_calls(monkeypatch, fn):
 
 
 BUILD = {
-    # one per marginal (PD check, condition, root, inverse root, inverse)
+    # one per marginal (PD check, condition, inverse root, inverse)
     "numpy.linalg.eigh": 2,
     # one per Schur complement (factor, inverse and a condition bound that
     # certifies it); a 30 or 40 row factor is inverted in one block
@@ -214,8 +215,8 @@ def test_contents_match_the_single_purpose_functions(rng):
     fac = PairFactorization.from_pair(pair)
     wp = prewhiten(pair)
     for got, want in zip(
-        (fac.whitened.A_tilde, fac.whitened.B_tilde, fac.whitened.rho, fac.whitened.L_v),
-        (wp.A_tilde, wp.B_tilde, wp.rho, wp.L_v),
+        (fac.whitened.A_tilde, fac.whitened.B_tilde, fac.whitened.rho),
+        (wp.A_tilde, wp.B_tilde, wp.rho),
     ):
         assert np.array_equal(got, want)
     assert fac.sigma_max_rho == wp.sigma_max_rho
@@ -254,8 +255,9 @@ def test_whitening_products_match_solves_against_the_roots(log_cond):
                             LinearModel(rng.standard_normal((9, 4))),
                             BlockCovariance(*blocks, roots[0] @ R @ roots[1]))
         wp = prewhiten(pair)
-        solved = (np.linalg.solve(wp.L_v, pair.first.A), np.linalg.solve(wp.L_u, pair.second.A),
-                  np.linalg.solve(wp.L_v, np.linalg.solve(wp.L_u, pair.noise.sigma_uv).T))
+        L_v, L_u = sym_sqrt(pair.noise.sigma_v), sym_sqrt(pair.noise.sigma_u)
+        solved = (np.linalg.solve(L_v, pair.first.A), np.linalg.solve(L_u, pair.second.A),
+                  np.linalg.solve(L_v, np.linalg.solve(L_u, pair.noise.sigma_uv).T))
         for got, want in zip((wp.A_tilde, wp.B_tilde, wp.rho), solved):
             assert rel_fro(got, want) <= 100.0 * kappa * np.finfo(float).eps
 
@@ -379,3 +381,23 @@ def test_place_applies_the_marginal_guard(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["place", str(path), "--primary", "a", "--budget", "5"]) == 3
     assert "(Singular)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", [100, 3 * information.DEFAULT_BLOCK + 1])
+def test_nonlinear_whitening_takes_no_solve_per_block(monkeypatch, N):
+    # each integrand whitens a block's Jacobians by a product with the
+    # linear module's whitener: the Fisher noise factor, or the pair's
+    # inverse roots; only K and K' are solves, once per call
+    rng = np.random.default_rng(44)
+    A1, A2, C = (rng.standard_normal(shape) for shape in ((4, 2), (3, 2), (4, 2)))
+    h = NonlinearModel(h=lambda s: A1 @ s + C @ (s * s), n=4, m=2)
+    g = NonlinearModel.linear(A2)
+    noise = random_joint_noise(rng, 4, 3)
+    prior = GaussianPrior(mean=np.zeros(2), cov=random_pd(rng, 2))
+    fisher = lapack_calls(monkeypatch, lambda: fisher_nonlinear(h, noise.sigma_v, prior, N, 5))
+    assert fisher == {"numpy.linalg.cholesky": 1, "numpy.linalg.inv": 1}
+    joint = lapack_calls(
+        monkeypatch, lambda: joint_information_nonlinear(h, g, noise, prior, N, 5)
+    )
+    assert joint == {"numpy.linalg.eigh": 2, "numpy.linalg.cholesky": 2, "numpy.linalg.inv": 2,
+                     "numpy.linalg.svd": 1, "numpy.linalg.solve": 2}

@@ -23,6 +23,7 @@ from fusionkit import (
     prior_information_mc,
     simulate,
     snr_matrix,
+    sym_sqrt,
     synergy_matrices,
     total_information,
 )
@@ -145,8 +146,8 @@ class TestPrewhiten:
         batch = simulate(pair, prior, N=N, seed=13)
         v = batch.observations - batch.sources @ pair.first.A.T
         u = batch.second_observations - batch.sources @ pair.second.A.T
-        v_t = np.linalg.solve(wp.L_v, v.T).T
-        u_t = np.linalg.solve(wp.L_u, u.T).T
+        v_t = np.linalg.solve(sym_sqrt(pair.noise.sigma_v), v.T).T
+        u_t = np.linalg.solve(sym_sqrt(pair.noise.sigma_u), u.T).T
         z = np.hstack([v_t, u_t])
         emp = z.T @ z / N
         expected = np.block([
