@@ -72,7 +72,6 @@ from .model import (
     SourcePrior,
     no_prior,
     simulate,
-    validate,
 )
 from .nonlinear import (
     NonlinearModel,

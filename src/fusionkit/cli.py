@@ -2,10 +2,10 @@
 
 Commands are deterministic given (scenario file, flags, seed). Reports
 are machine-first: JSON to stdout or ``--out``, with a one-line human
-summary on stderr. Exit codes: 0 success, 1 usage error, 2 scenario or
-validation error, 3 numerical error. Commands run with numpy's
-floating-point warnings off: an overflow surfaces as the typed
-:class:`NonFinite` error (exit 3), the only line on stderr.
+summary on stderr. Exit codes: 0 success, 1 usage error, 2 scenario
+error, 3 numerical error. :func:`main` prints every refusal, as one typed
+line on stderr. Commands run with numpy's floating-point warnings off:
+an overflow surfaces as the typed :class:`NonFinite` error (exit 3).
 """
 
 from __future__ import annotations
@@ -22,15 +22,8 @@ from .advisor import AdvisorTolerances, advise
 from .errors import FusionKitError, NonFinite, NotPD
 from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
 from .information import PairFactorization, crlb, prewhiten, snr_matrix, total_information
-from .matrixkit import BlockCovariance, sym_sqrt
-from .model import (
-    GaussianPrior,
-    InfoOnlyPrior,
-    LinearModel,
-    ModalityPair,
-    SourcePrior,
-    validate,
-)
+from .matrixkit import BlockCovariance, psd_check, require_noise, sym_sqrt
+from .model import GaussianPrior, InfoOnlyPrior, LinearModel, ModalityPair, SourcePrior
 from .placement import optimal_secondary, unwhiten_secondary
 
 EXIT_OK = 0
@@ -40,7 +33,7 @@ EXIT_NUMERICAL = 3
 
 
 class ScenarioError(Exception):
-    """Scenario file cannot be loaded or fails validation."""
+    """Scenario file cannot be loaded, or cannot answer the command asked of it."""
 
 
 @dataclass
@@ -71,11 +64,9 @@ class Scenario:
             sigma_vu = self.cross[(second, first)].T
         else:
             sigma_vu = np.zeros((model_a.n, model_b.n))
-        try:
-            noise = BlockCovariance(noise_a, noise_b, sigma_vu)
-            return ModalityPair(first=model_a, second=model_b, noise=noise)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        # the loader has checked every block this assembles
+        noise = BlockCovariance(noise_a, noise_b, sigma_vu)
+        return ModalityPair(first=model_a, second=model_b, noise=noise)
 
 
 def _matrix(obj, what: str) -> np.ndarray:
@@ -103,8 +94,23 @@ def _cross_entry(entry, names: list[str]) -> tuple[tuple[str, str], np.ndarray]:
     return (names[i], names[j]), matrix
 
 
+def _tolerance(key: str, value) -> float:
+    """One ``tolerances`` entry: a finite, non-negative JSON number, not a string or a bool."""
+    if type(value) not in (int, float):
+        raise ScenarioError(f"bad tolerances: {key!r} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError as exc:  # a JSON integer beyond float range
+        raise ScenarioError(f"bad tolerances: {key!r} is beyond float range") from exc
+    if not 0.0 <= number < np.inf:
+        raise ScenarioError(
+            f"bad tolerances: {key!r} must be finite and non-negative, got {value!r}"
+        )
+    return number
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario JSON document."""
+    """Load a scenario JSON document; the first fault found raises :class:`ScenarioError`."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -149,9 +155,15 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(
                 f"modality {name!r} has {model.m} sources but the prior has {prior.m}"
             )
-        for diag in validate(model, prior, noise):
-            if diag.level == "error":
-                raise ScenarioError(f"modality {name!r}: {diag.message}")
+        try:
+            noise = require_noise(noise, model.n)
+        except ValueError as exc:
+            raise ScenarioError(f"modality {name!r}: {exc}") from exc
+        min_eig, indefinite = psd_check(noise)
+        if indefinite:
+            raise ScenarioError(
+                f"modality {name!r}: noise covariance has negative eigenvalue {min_eig:.3e}"
+            )
         modalities[name] = (model, noise)
         names.append(name)
 
@@ -178,10 +190,7 @@ def load_scenario(path: str | Path) -> Scenario:
         unknown = set(raw_tols) - known
         if unknown:
             raise ScenarioError(f"unknown tolerance keys: {sorted(unknown)}")
-        try:
-            tols = AdvisorTolerances(**{k: float(v) for k, v in raw_tols.items()})
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ScenarioError(f"bad tolerances: {exc}") from exc
+        tols = AdvisorTolerances(**{k: _tolerance(k, v) for k, v in raw_tols.items()})
 
     return Scenario(
         id=str(doc.get("id", path.stem)),
@@ -214,12 +223,10 @@ def cmd_analyze(args) -> int:
         first, second = _split_pair(args.joint, "--joint")
         pair = scenario.pair(first, second)
         if pair.first.n + pair.second.n < pair.m:
-            print(
-                "validation error: Fisher information matrix is singular "
-                f"(total channels {pair.first.n + pair.second.n} < sources {pair.m})",
-                file=sys.stderr,
+            raise ScenarioError(
+                "Fisher information matrix is singular "
+                f"(total channels {pair.first.n + pair.second.n} < sources {pair.m})"
             )
-            return EXIT_SCENARIO
         fac = PairFactorization.from_pair(pair)
         J = fac.joint_information(scenario.prior)
         rep = fac.synergy()
@@ -253,12 +260,10 @@ def cmd_analyze(args) -> int:
         name = next(iter(scenario.modalities))
     model, noise = scenario.modality(name)
     if model.n < model.m:
-        print(
-            "validation error: Fisher information matrix is singular "
-            f"(channels {model.n} < sources {model.m}); the ML estimate does not exist",
-            file=sys.stderr,
+        raise ScenarioError(
+            "Fisher information matrix is singular "
+            f"(channels {model.n} < sources {model.m}); the ML estimate does not exist"
         )
-        return EXIT_SCENARIO
     snr = snr_matrix(model, noise)
     J = total_information(snr, scenario.prior)
     report = {
@@ -331,14 +336,9 @@ def cmd_simulate(args) -> int:
         name = next(iter(scenario.modalities))
     model, noise = scenario.modality(name)
     if args.method.lower() == "mmse" and not isinstance(scenario.prior, GaussianPrior):
-        print("validation error: MMSE requires Gaussian prior", file=sys.stderr)
-        return EXIT_SCENARIO
+        raise ScenarioError("MMSE requires Gaussian prior")
     if not scenario.prior.sampleable:
-        print(
-            "validation error: scenario prior is not sampleable (info_only sources)",
-            file=sys.stderr,
-        )
-        return EXIT_SCENARIO
+        raise ScenarioError("scenario prior is not sampleable (info_only sources)")
     try:
         result = empirical_error_covariance(
             args.method,
@@ -434,10 +434,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):
             return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioError as exc:
+    except (ScenarioError, ValueError) as exc:  # ValueError: a library's input check
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except FusionKitError as exc:
@@ -446,10 +443,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except OSError as exc:  # an --out that cannot be written
+    except (UsageError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

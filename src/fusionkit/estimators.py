@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SingularNormalMatrix, SingularPosterior
 from .information import crlb, snr_matrix
-from .matrixkit import derived_inverse, inverse_factor, require_symmetric, symmetrize
+from .matrixkit import derived_inverse, inverse_factor, require_noise, symmetrize
 from .model import GaussianPrior, LinearModel
 
 
@@ -36,6 +36,14 @@ def _solve_normal(N: np.ndarray, rhs: np.ndarray, what: str, error=SingularNorma
     return inverse @ rhs, inverse
 
 
+def _observation(model: LinearModel, x) -> np.ndarray:
+    """``x`` as a float vector of the model's ``n`` channels, else ``ValueError``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (model.n,):
+        raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
+    return x
+
+
 def wls_estimate(model: LinearModel, W, x) -> Estimate:
     """Weighted least squares estimate ``(A^T W A)^-1 A^T W x``.
 
@@ -52,10 +60,8 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
         fallback: singularity here means the data carry no information
         on some source direction.
     """
-    W = require_symmetric(W, name="weight matrix")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
+    W = require_noise(W, model.n, name="weight matrix")
+    x = _observation(model, x)
     A = model.A
     WA = W @ A
     N = symmetrize(A.T @ WA)
@@ -67,12 +73,10 @@ def _whiten(model: LinearModel, sigma, x) -> tuple[np.ndarray, np.ndarray]:
     """``L^-1 A`` and ``L^-1 x`` for the Cholesky factor ``L`` of the noise covariance.
 
     Raises :class:`NotPD` or :class:`Singular` as :func:`~fusionkit.matrixkit.inverse_factor`
-    does, and ``ValueError`` if ``x`` has the wrong shape.
+    does, and ``ValueError`` if ``sigma`` is not n x n or ``x`` has the wrong shape.
     """
-    sigma = require_symmetric(sigma, name="noise covariance")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
+    sigma = require_noise(sigma, model.n)
+    x = _observation(model, x)
     white = inverse_factor(sigma, "noise covariance") @ np.column_stack([model.A, x])
     return white[:, :-1], white[:, -1]
 
@@ -140,7 +144,7 @@ def mmse_gaussian_estimate(
     )
     if form == "gain":
         gamma = prior.cov
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = _observation(model, x)
         innovation_cov = symmetrize(A @ gamma @ A.T + sigma)
         gain = gamma @ A.T @ np.linalg.solve(innovation_cov, np.eye(model.n))
         s_hat = prior.mean + gain @ (x - A @ prior.mean)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .information import InfoMatrix, crlb
-from .matrixkit import psd_inverse, require_finite, require_symmetric, symmetrize
+from .matrixkit import psd_inverse, require_finite, require_noise, require_symmetric, symmetrize
 from .model import GaussianPrior, LinearModel, SourcePrior, simulate
 from .nonlinear import NonlinearModel
 
@@ -86,7 +86,7 @@ def empirical_error_covariance(
         raise ValueError(f"unknown method {method!r}, expected 'ml', 'wls' or 'mmse'")
     if method == "mmse" and not isinstance(prior, GaussianPrior):
         raise ValueError("MMSE requires Gaussian prior")
-    sigma = require_symmetric(noise, name="noise covariance")
+    sigma = require_noise(noise, model.n)
     A = model.A
     sigma_inv = psd_inverse(sigma, name="noise covariance")
     snr = symmetrize(A.T @ sigma_inv @ A)
@@ -153,7 +153,7 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
     used, for which the curvature term vanishes).
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    sigma = require_symmetric(sigma, name="noise covariance")
+    sigma = require_noise(sigma, model.n)
     sigma_inv = psd_inverse(sigma, name="noise covariance")
     if x is None:
         if isinstance(model, LinearModel):

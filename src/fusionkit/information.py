@@ -31,6 +31,7 @@ from .matrixkit import (
     inverse_factor,
     require_conditioned,
     require_finite,
+    require_noise,
     require_symmetric,
     symmetrize,
 )
@@ -140,6 +141,8 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
 
     Raises
     ------
+    ValueError
+        If the noise covariance is not a symmetric n x n matrix.
     NotPD
         If the noise covariance is not positive definite.
     Singular
@@ -147,10 +150,7 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     NonFinite
         If the product overflows.
     """
-    sigma = require_symmetric(sigma, name="noise covariance")
-    if sigma.shape[0] != model.n:
-        raise ValueError(f"noise covariance is {sigma.shape}, model has {model.n} channels")
-    white = inverse_factor(sigma, "noise covariance") @ model.A
+    white = inverse_factor(require_noise(sigma, model.n), "noise covariance") @ model.A
     snr = symmetrize(white.T @ white)
     require_finite(snr, "the SNR matrix")
     return InfoMatrix(snr, kind="snr")
@@ -314,7 +314,7 @@ class PairFactorization:
 
     @classmethod
     def from_pair(cls, pair: ModalityPair) -> "PairFactorization":
-        """Factorize ``pair``; cross-validate the routes and the synergy matrices once.
+        """Factorize ``pair``; cross-check the routes and the synergy matrices once.
 
         The result is memoized on the pair, which is immutable, so later
         calls on the same pair return it without further work. A failure is
@@ -424,14 +424,16 @@ def synergy_matrices(pair: ModalityPair) -> SynergyReport:
 
 
 def block_plan(seed: int, N: int):
-    """Split N draws into seed-derived blocks of ``DEFAULT_BLOCK``: [(SeedSequence, count)]."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    """Split N draws into seed-derived blocks of ``DEFAULT_BLOCK``: [(SeedSequence, count)].
+
+    Every Monte-Carlo estimate plans its draws here, so this is where a
+    draw count below one is refused.
+    """
+    if N < 1:
+        raise ValueError("N must be positive")
     counts = [DEFAULT_BLOCK] * (N // DEFAULT_BLOCK)
     if N % DEFAULT_BLOCK:
         counts.append(N % DEFAULT_BLOCK)
-    if not counts:
-        counts = [0]
     children = np.random.SeedSequence(seed).spawn(len(counts))
     return list(zip(children, counts))
 
@@ -470,8 +472,6 @@ def prior_information_mc(prior: SourcePrior, N: int, seed: int) -> McInfoEstimat
     NotSampleable
         If the prior cannot produce samples.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
 
     def score_outer_products(s):
         g = prior.score(s)

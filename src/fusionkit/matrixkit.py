@@ -63,6 +63,18 @@ def require_symmetric(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def require_noise(sigma, n: int, name: str = "noise covariance") -> np.ndarray:
+    """:func:`require_symmetric`, and refuse ``sigma`` unless it is ``n x n``.
+
+    Every entry point that takes a model and its noise covariance (or
+    weight) checks it here, before any draw or product.
+    """
+    sigma = require_symmetric(sigma, name=name)
+    if sigma.shape[0] != n:
+        raise ValueError(f"{name} is {sigma.shape}, model has {n} channels")
+    return sigma
+
+
 def _read_only_copy(M) -> np.ndarray:
     """A float copy of ``M`` that owns its data and refuses writes.
 

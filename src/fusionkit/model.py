@@ -21,6 +21,7 @@ from .matrixkit import (
     _read_only_copy,
     _root,
     psd_check,
+    require_noise,
     require_symmetric,
     sym_sqrt,
     symmetrize,
@@ -122,6 +123,8 @@ class GaussianPrior(SourcePrior):
         cov = require_symmetric(_read_only_copy(self.cov), name="source covariance")
         if mean.shape != (cov.shape[0],):
             raise ValueError(f"mean shape {mean.shape} does not match cov {cov.shape}")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("source mean has non-finite entries")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         # One eigen-solve gives the sampling root and the information; it
@@ -230,20 +233,28 @@ class ModalityPair:
     )
 
     def __post_init__(self):
-        if self.first.m != self.second.m:
-            raise ValueError(
-                f"modalities must share the source dimension: "
-                f"{self.first.m} != {self.second.m}"
-            )
-        if self.noise.n1 != self.first.n or self.noise.n2 != self.second.n:
-            raise ValueError(
-                f"noise block dims ({self.noise.n1}, {self.noise.n2}) do not match "
-                f"channel counts ({self.first.n}, {self.second.n})"
-            )
+        require_pair_shapes(self.first, self.second, self.noise)
 
     @property
     def m(self) -> int:
         return self.first.m
+
+
+def require_pair_shapes(first, second, noise: BlockCovariance) -> None:
+    """Refuse a pair whose models differ in ``m`` or whose noise blocks do not match their ``n``.
+
+    ``first`` and ``second`` are any models with ``n`` and ``m``, linear or
+    nonlinear; the check reads nothing else, so it runs before any map.
+    """
+    if first.m != second.m:
+        raise ValueError(
+            f"modalities must share the source dimension: {first.m} != {second.m}"
+        )
+    if noise.n1 != first.n or noise.n2 != second.n:
+        raise ValueError(
+            f"noise block dims ({noise.n1}, {noise.n2}) do not match "
+            f"channel counts ({first.n}, {second.n})"
+        )
 
 
 @dataclass(frozen=True)
@@ -254,80 +265,6 @@ class SampleBatch:
     observations: np.ndarray
     seed: int
     second_observations: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    level: str  # "error" | "warning"
-    code: str
-    message: str
-
-
-def validate(model: LinearModel, prior: SourcePrior | None = None, noise=None) -> list[Diagnostic]:
-    """Report-only consistency check of a single-modality scenario.
-
-    Parameters
-    ----------
-    model:
-        The modality's LinearModel.
-    prior:
-        Optional source prior; checked for dimension agreement.
-    noise:
-        Optional noise covariance (n x n).
-
-    Returns
-    -------
-    list[Diagnostic]
-        Empty when the scenario is consistent. Dimension mismatches and
-        non-PSD covariances are errors; a channel count below the source
-        count is a warning (the Fisher information matrix is singular and
-        no ML estimate exists without prior information).
-    """
-    report: list[Diagnostic] = []
-    m = model.m
-    if noise is not None:
-        noise = np.asarray(noise, dtype=float)
-        try:
-            C = require_symmetric(noise, name="noise covariance")
-        except ValueError as exc:
-            report.append(Diagnostic("error", "BadCovariance", str(exc)))
-        else:
-            min_eig, indefinite = psd_check(C)
-            if indefinite:
-                report.append(
-                    Diagnostic(
-                        "error", "NotPSD", f"noise covariance has negative eigenvalue {min_eig:.3e}"
-                    )
-                )
-            if C.shape[0] != model.n:
-                report.append(
-                    Diagnostic(
-                        "error",
-                        "DimMismatch",
-                        f"noise covariance is {C.shape[0]}x{C.shape[0]} but the model "
-                        f"has {model.n} channels",
-                    )
-                )
-
-    if prior is not None and prior.m != m:
-        report.append(
-            Diagnostic(
-                "error",
-                "DimMismatch",
-                f"prior dimension {prior.m} does not match source count {m}",
-            )
-        )
-
-    if model.n < m:
-        report.append(
-            Diagnostic(
-                "warning",
-                "FisherSingular",
-                f"observation count {model.n} < source count {m}: the Fisher "
-                "information matrix is singular and the ML estimate does not exist",
-            )
-        )
-    return report
 
 
 def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> SampleBatch:
@@ -345,22 +282,18 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
+    pair = isinstance(model, ModalityPair)
+    # the noise is checked before any draw
+    sigma = symmetrize(model.noise.joint()) if pair else require_noise(noise, model.n)
     ss = np.random.SeedSequence(seed)
     src_ss, noise_ss = ss.spawn(2)
     sources = prior.sample(np.random.default_rng(src_ss), N)
-
-    if isinstance(model, ModalityPair):
-        joint = model.noise.joint()
-        L = sym_sqrt(symmetrize(joint))
-        z = np.random.default_rng(noise_ss).standard_normal((N, joint.shape[0]))
-        noise_rows = z @ L.T
-        n1 = model.first.n
-        x = sources @ model.first.A.T + noise_rows[:, :n1]
-        y = sources @ model.second.A.T + noise_rows[:, n1:]
-        return SampleBatch(sources=sources, observations=x, seed=seed, second_observations=y)
-
-    sigma = require_symmetric(noise, name="noise covariance")
     L = sym_sqrt(sigma)
-    z = np.random.default_rng(noise_ss).standard_normal((N, model.n))
-    x = sources @ model.A.T + z @ L.T
-    return SampleBatch(sources=sources, observations=x, seed=seed)
+    noise_rows = np.random.default_rng(noise_ss).standard_normal((N, sigma.shape[0])) @ L.T
+    if not pair:
+        return SampleBatch(sources=sources, observations=sources @ model.A.T + noise_rows,
+                           seed=seed)
+    n1 = model.first.n
+    x = sources @ model.first.A.T + noise_rows[:, :n1]
+    y = sources @ model.second.A.T + noise_rows[:, n1:]
+    return SampleBatch(sources=sources, observations=x, seed=seed, second_observations=y)

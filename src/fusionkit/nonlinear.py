@@ -30,10 +30,10 @@ from .matrixkit import (
     factor_noise,
     forms_agree,
     inverse_factor,
-    require_symmetric,
+    require_noise,
     symmetrize,
 )
-from .model import SourcePrior
+from .model import SourcePrior, require_pair_shapes
 
 __all__ = [
     "NonlinearModel",
@@ -170,9 +170,7 @@ def fisher_nonlinear(
     deterministic per seed and exact (zero variance) whenever the
     Jacobian is constant.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    L_inv = inverse_factor(require_symmetric(sigma, name="noise covariance"), "noise covariance")
+    L_inv = inverse_factor(require_noise(sigma, model.n), "noise covariance")
 
     def fisher_integrand(S):
         W = L_inv @ model.jacobians(S)
@@ -215,14 +213,12 @@ def joint_information_nonlinear(
     of the swapped pair, are evaluated for every sample and must agree to
     1e-8 relative; their mean is taken from the first.
     Prior information is added when the prior exposes it; a prior that
-    can only be sampled contributes zero. The noise is factorized by
-    :func:`factor_noise`, so its :class:`NotPD` and :class:`Singular`
-    guards apply before any sample is drawn.
+    can only be sampled contributes zero. The block sizes are checked as
+    :class:`~fusionkit.model.ModalityPair` checks them, and the noise is
+    factorized by :func:`factor_noise`, so those checks and its
+    :class:`NotPD` and :class:`Singular` guards apply before any sample is drawn.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    if h.m != g.m:
-        raise ValueError(f"modalities must share the source dimension: {h.m} != {g.m}")
+    require_pair_shapes(h, g, noise)
     nf = factor_noise(noise)
     rho = nf.rho
     n1, n2 = rho.shape

@@ -77,10 +77,25 @@ class TestScenarioLoading:
             (lambda d: d["cross_cov"].update(matrix=[[0.1, 0.0]]), "does not match"),
             (lambda d: d["cross_cov"].update(matrix=(20 * np.array(d["cross_cov"]["matrix"]))
                                              .tolist()), "not PD"),
+            (lambda d: d["modalities"][1].update(noise_cov=[[1.0, 0.0], [0.0, -1.0]]),
+             "modality 'b': noise covariance has negative eigenvalue -1.000e+00"),
+            (lambda d: d["modalities"][1].update(noise_cov=[[1.0, 0.0]]),
+             "modality 'b': noise covariance must be square"),
+            (lambda d: d["modalities"][1].update(noise_cov=[[0.7, 0.2], [0.1, 0.8]]),
+             "modality 'b': noise covariance is not symmetric"),
+            (lambda d: d["modalities"][1].update(noise_cov=np.eye(3).tolist()),
+             "modality 'b': noise covariance is (3, 3), model has 2 channels"),
+            # the size is reported before the sign of the eigenvalues
+            (lambda d: d["modalities"][1].update(noise_cov=np.diag([1.0, -1.0, 1.0]).tolist()),
+             "modality 'b': noise covariance is (3, 3), model has 2 channels"),
+            (lambda d: d["sources"]["gaussian"].update(mean=[0.0] * 3, cov=np.eye(3).tolist()),
+             "modality 'a' has 2 sources but the prior has 3"),
         ],
         ids=["modality-not-object", "modalities-not-list", "tolerances-list",
              "tolerance-null", "same-modality-twice", "negative-index", "pair-not-list",
-             "pair-given-twice", "cross-shape", "joint-not-pd"],
+             "pair-given-twice", "cross-shape", "joint-not-pd", "noise-indefinite",
+             "noise-not-square", "noise-asymmetric", "noise-wrong-size",
+             "noise-wrong-size-and-indefinite", "prior-wrong-dimension"],
     )
     def test_malformed_scenario_exits_2(self, tmp_path, two_modality_doc, capsys, edit, message):
         edit(two_modality_doc)
@@ -348,6 +363,30 @@ def test_overflow_is_one_typed_line(tmp_path, argv):
     assert "Warning" not in out.stderr
 
 
+def _three_sources(doc):
+    # two one-channel modalities of a three-source scenario
+    doc["sources"]["gaussian"].update(mean=[0.0] * 3, cov=np.eye(3).tolist())
+    doc["modalities"] = [{"name": "c", "A": [[1.0, 0.0, 0.5]], "noise_cov": [[1.0]]},
+                         {"name": "d", "A": [[0.0, 1.0, 0.5]], "noise_cov": [[1.0]]}]
+    del doc["cross_cov"]
+
+
+# scenario variants of the two-modality document, each named by its placeholder
+_VARIANTS = {
+    # a JSON integer no float can hold
+    "{huge_entry}": lambda d: d["modalities"][0]["A"][0].__setitem__(0, 10**400),
+    "{three_sources}": _three_sources,
+    "{info_only}": lambda d: d.update(sources={"info_only": {"J_s": np.eye(2).tolist()}}),
+    "{tol_inf_string}": lambda d: d.update(tolerances={"regime_eps": "inf"}),
+    "{tol_numeric_string}": lambda d: d.update(tolerances={"dominance": "1e-9"}),
+    "{tol_nan}": lambda d: d.update(tolerances={"select_gain": float("nan")}),
+    "{tol_negative}": lambda d: d.update(tolerances={"redundancy": -1}),
+    "{tol_huge}": lambda d: d.update(tolerances={"dominance": 10**400}),
+    "{nan_mean}": lambda d: d["sources"]["gaussian"].update(mean=[float("nan"), 0.0]),
+    "{inf_mean}": lambda d: d["sources"]["gaussian"].update(mean=[float("inf"), 0.0]),
+}
+
+
 @pytest.mark.parametrize(
     "argv, code, names",
     [
@@ -380,16 +419,42 @@ def test_overflow_is_one_typed_line(tmp_path, argv):
                      ("--N", "-5"), id="simulate-negative-N"),
         pytest.param(["analyze", "{huge_entry}", "--modality", "a"], 2,
                      ("modality a A", "beyond float range"), id="entry-beyond-float-range"),
+        pytest.param(["analyze", "{three_sources}", "--modality", "c"], 2,
+                     ("channels 1 < sources 3",), id="analyze-underdetermined-modality"),
+        pytest.param(["analyze", "{three_sources}", "--joint", "c,d"], 2,
+                     ("total channels 2 < sources 3",), id="analyze-underdetermined-pair"),
+        pytest.param(["simulate", "{info_only}", "--method", "mmse", "--N", "1000"], 2,
+                     ("MMSE requires Gaussian prior",), id="simulate-mmse-info-only"),
+        pytest.param(["simulate", "{info_only}", "--method", "ml", "--N", "1000"], 2,
+                     ("not sampleable",), id="simulate-ml-info-only"),
+        pytest.param(["advise", "{tol_inf_string}", "--pair", "a,b"], 2,
+                     ("'regime_eps'", "'inf'"), id="tolerance-string-inf"),
+        pytest.param(["advise", "{tol_numeric_string}", "--pair", "a,b"], 2,
+                     ("'dominance'", "'1e-9'"), id="tolerance-numeric-string"),
+        pytest.param(["advise", "{tol_nan}", "--pair", "a,b"], 2,
+                     ("'select_gain'", "nan"), id="tolerance-nan"),
+        pytest.param(["advise", "{tol_negative}", "--pair", "a,b"], 2,
+                     ("'redundancy'", "-1"), id="tolerance-negative"),
+        pytest.param(["advise", "{tol_huge}", "--pair", "a,b"], 2,
+                     ("'dominance'", "beyond float range"), id="tolerance-beyond-float-range"),
+        pytest.param(["analyze", "{nan_mean}", "--modality", "a"], 2,
+                     ("bad source prior", "source mean has non-finite entries"),
+                     id="analyze-nan-mean"),
+        pytest.param(["simulate", "{inf_mean}", "--method", "mmse", "--N", "1000"], 2,
+                     ("bad source prior", "source mean has non-finite entries"),
+                     id="simulate-inf-mean"),
     ],
 )
 def test_bad_input_is_one_typed_line(tmp_path, two_modality_doc, argv, code, names):
     # a fresh interpreter shows what a user sees: the exit code and stderr
     # alone, a traceback included
-    huge = json.loads(json.dumps(two_modality_doc))
-    huge["modalities"][0]["A"][0][0] = 10**400  # a JSON integer no float can hold
     paths = {"{scenario}": write_scenario(tmp_path / "s.json", two_modality_doc),
-             "{huge_entry}": write_scenario(tmp_path / "huge.json", huge),
              "{dir}": str(tmp_path), "{unwritable}": str(tmp_path / "missing" / "report")}
+    for key, edit in _VARIANTS.items():
+        if key in argv:
+            doc = json.loads(json.dumps(two_modality_doc))
+            edit(doc)
+            paths[key] = write_scenario(tmp_path / "variant.json", doc)
     out = subprocess.run([sys.executable, "-m", "fusionkit.cli", *(paths.get(a, a) for a in argv)],
                          env=fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
     assert out.returncode == code, out.stderr

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,27 @@ from fusionkit import (
     ModalityPair,
     NoPriorInfo,
     NoScore,
+    NonlinearModel,
     NotPD,
     NotPSD,
     NotSampleable,
     Singular,
     SamplerPrior,
+    empirical_error_covariance,
+    error_covariance,
+    fisher_finite_difference,
+    fisher_nonlinear,
+    joint_information_nonlinear,
+    ml_estimate,
+    mmse_gaussian_estimate,
     no_prior,
     simulate,
-    validate,
+    snr_matrix,
+    total_information_nonlinear,
+    wls_estimate,
 )
 
+from fusionkit.cli import ScenarioError, load_scenario
 from fusionkit.matrixkit import _conditioned_eigh, _eig_inverse, psd_inverse, sym_sqrt
 
 from conftest import random_joint_noise, random_pd, rel_fro
@@ -95,49 +108,91 @@ class TestTypes:
         with pytest.raises(ValueError):
             ModalityPair(a, b, random_joint_noise(rng, 3, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gaussian_prior_refuses_non_finite_mean(self, bad):
+        with pytest.raises(ValueError, match="source mean has non-finite entries"):
+            GaussianPrior(mean=[bad, 0.0], cov=np.eye(2))
 
-class TestValidate:
-    def test_consistent_model_gives_empty_report(self, rng):
-        model = LinearModel(rng.standard_normal((4, 2)))
-        prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
-        assert validate(model, prior, np.eye(4)) == []
 
-    def test_underdetermined_flags_fisher_singular(self):
-        model = LinearModel(np.ones((1, 3)))
-        report = validate(model, None, np.eye(1))
-        assert any(d.code == "FisherSingular" and d.level == "warning" for d in report)
+@pytest.mark.parametrize("norm", [0.5, 4.0])
+def test_one_psd_rule_at_its_boundary(tmp_path, norm):
+    # the scenario loader (on a modality's noise), the prior and the joint
+    # noise check all refuse a smallest eigenvalue at -1e-10 max(1, ||M||_2),
+    # and admit one above
+    for factor, refused in ((1.0, True), (0.99, False)):
+        lo = -factor * 1e-10 * max(1.0, norm)
+        M = np.diag([lo, norm])
+        assert np.linalg.eigvalsh(M)[0] == lo
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "sources": {"info_only": {"J_s": np.zeros((2, 2)).tolist()}},
+            "modalities": [{"name": "x", "A": np.eye(2).tolist(), "noise_cov": M.tolist()}],
+        }))
+        verdicts = []
+        for check in (
+            lambda: load_scenario(path),
+            lambda: InfoOnlyPrior(M),
+            lambda: BlockCovariance(M[:1, :1], M[1:, 1:], np.zeros((1, 1))).check_pd(),
+        ):
+            try:
+                check()
+                verdicts.append(False)
+            except (ScenarioError, ValueError, NotPD):
+                verdicts.append(True)
+        assert verdicts == [refused] * 3
 
-    def test_indefinite_noise_flags_not_psd(self):
-        model = LinearModel(np.eye(2))
-        report = validate(model, None, np.diag([1.0, -0.2]))
-        assert any(d.code == "NotPSD" and d.level == "error" for d in report)
 
-    @pytest.mark.parametrize("norm", [0.5, 4.0])
-    def test_one_psd_rule_at_its_boundary(self, norm):
-        # the validator, the prior and the joint noise check all refuse a
-        # smallest eigenvalue at -1e-10 max(1, ||M||_2), and admit one above
-        for factor, refused in ((1.0, True), (0.99, False)):
-            lo = -factor * 1e-10 * max(1.0, norm)
-            M = np.diag([lo, norm])
-            assert np.linalg.eigvalsh(M)[0] == lo
-            report = validate(LinearModel(np.eye(2)), None, M)
-            verdicts = [any(d.code == "NotPSD" for d in report)]
-            for check in (
-                lambda: InfoOnlyPrior(M),
-                lambda: BlockCovariance(M[:1, :1], M[1:, 1:], np.zeros((1, 1))).check_pd(),
-            ):
-                try:
-                    check()
-                    verdicts.append(False)
-                except (ValueError, NotPD):
-                    verdicts.append(True)
-            assert verdicts == [refused] * 3
+# a 4x4 noise given with a 3-channel model, at every entry point that takes both
+_NOISE_4 = r"noise covariance is \(4, 4\), model has 3 channels"
 
-    def test_prior_dimension_mismatch(self):
-        model = LinearModel(np.eye(2))
-        prior = GaussianPrior(mean=np.zeros(3), cov=np.eye(3))
-        report = validate(model, prior, np.eye(2))
-        assert any(d.code == "DimMismatch" for d in report)
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda lin, h, g, prior, S: snr_matrix(lin, S), _NOISE_4, id="snr_matrix"),
+        pytest.param(lambda lin, h, g, prior, S: error_covariance(lin, S), _NOISE_4,
+                     id="error_covariance"),
+        pytest.param(lambda lin, h, g, prior, S: ml_estimate(lin, S, np.zeros(3)), _NOISE_4,
+                     id="ml_estimate"),
+        pytest.param(lambda lin, h, g, prior, S: mmse_gaussian_estimate(
+            lin, S, GaussianPrior(np.zeros(2), np.eye(2)), np.zeros(3)), _NOISE_4,
+            id="mmse_gaussian_estimate"),
+        pytest.param(lambda lin, h, g, prior, S: wls_estimate(lin, S, np.zeros(3)),
+                     r"weight matrix is \(4, 4\), model has 3 channels", id="wls_estimate"),
+        pytest.param(lambda lin, h, g, prior, S: empirical_error_covariance(
+            "ml", lin, prior, S, N=1000, seed=0), _NOISE_4, id="empirical_error_covariance"),
+        pytest.param(lambda lin, h, g, prior, S: fisher_finite_difference(h, S, np.zeros(2)),
+                     _NOISE_4, id="fisher_finite_difference"),
+        pytest.param(lambda lin, h, g, prior, S: simulate(lin, prior, 10, 0, noise=S), _NOISE_4,
+                     id="simulate"),
+        pytest.param(lambda lin, h, g, prior, S: fisher_nonlinear(h, S, prior, 10, 0), _NOISE_4,
+                     id="fisher_nonlinear"),
+        pytest.param(lambda lin, h, g, prior, S: total_information_nonlinear(h, S, prior, 10, 0),
+                     _NOISE_4, id="total_information_nonlinear"),
+        pytest.param(lambda lin, h, g, prior, S: joint_information_nonlinear(
+            h, g, BlockCovariance(S, np.eye(2), np.zeros((4, 2))), prior, 10, 0),
+            r"noise block dims \(4, 2\) do not match channel counts \(3, 2\)",
+            id="joint_information_nonlinear"),
+    ],
+)
+def test_mis_sized_noise_is_named_before_any_draw(call, message):
+    # the refusal names the matrix and the model's channel count, and comes
+    # before any prior draw or call to a nonlinear map
+    A = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]])
+    calls = []
+
+    def counted(f):
+        def wrapped(*args):
+            calls.append(f)
+            return f(*args)
+        return wrapped
+
+    h = NonlinearModel(h=counted(lambda s: A @ s), n=3, m=2)
+    g = NonlinearModel(h=counted(lambda s: s), n=2, m=2)
+    prior = SamplerPrior(m=2, draw=counted(lambda rng, size: rng.standard_normal((size, 2))))
+    with pytest.raises(ValueError, match=message):
+        call(LinearModel(A), h, g, prior, np.eye(4))
+    assert calls == []
 
 
 class TestSimulate:
