@@ -16,8 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from fusionkit import BlockCovariance, LinearModel, ModalityPair, RouteDisagreement
-from fusionkit.information import joint_fisher_routes, route_disagreement
+from fusionkit import (
+    BlockCovariance,
+    LinearModel,
+    ModalityPair,
+    PairFactorization,
+    RouteDisagreement,
+)
+from fusionkit.information import route_disagreement
 
 
 def random_pair(rng, n1, n2, m):
@@ -35,7 +41,7 @@ def disagreement(pair) -> float:
     # The routes are cross-validated when computed; a failed check carries
     # the disagreement it found.
     try:
-        return route_disagreement(joint_fisher_routes(pair))
+        return route_disagreement(PairFactorization.from_pair(pair).routes)
     except RouteDisagreement as exc:
         return exc.max_relative_error
 

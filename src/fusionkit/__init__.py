@@ -9,9 +9,6 @@ from .advisor import (
     Advisory,
     AdvisorTolerances,
     advise,
-    classify_regime,
-    compare_modalities,
-    detect_redundancy,
 )
 from .errors import (
     DegenerateBudget,
@@ -70,7 +67,6 @@ from .model import (
     SampleBatch,
     SamplerPrior,
     SourcePrior,
-    no_prior,
     simulate,
 )
 from .nonlinear import (
@@ -90,7 +86,6 @@ from .placement import (
     svd_of_rho,
     synergy_gradient_rho,
     synergy_objective,
-    unwhiten_secondary,
 )
 
 __version__ = "0.1.0"

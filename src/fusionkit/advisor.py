@@ -16,10 +16,9 @@ from typing import Any
 
 import numpy as np
 
-from .information import NEAR_SINGULAR_RHO, InfoMatrix, PairFactorization, WhitenedPair
-from .information import _admissible_sigma_max
-from .matrixkit import BlockCovariance, symmetrize
-from .model import LinearModel, ModalityPair, SourcePrior
+from .information import NEAR_SINGULAR_RHO, PairFactorization, _admissible_sigma_max
+from .matrixkit import symmetrize
+from .model import ModalityPair, SourcePrior
 
 
 @dataclass(frozen=True)
@@ -64,24 +63,15 @@ class Advisory:
         }
 
 
-def compare_modalities(snr1, snr2, tol: float = 1e-9) -> str:
-    """PSD-order dominance between two SNR matrices.
+def _dominance(w: np.ndarray, tol: float) -> str:
+    """PSD-order dominance from the ascending eigenvalues ``w`` of ``snr1 - snr2``.
 
-    Returns "FirstDominates" when ``snr1 - snr2`` is PD beyond ``tol``
-    (the first modality gives a smaller MMSE for every source entry),
+    "FirstDominates" when the difference is PD beyond ``tol`` (the first
+    modality gives a smaller MMSE for every source entry),
     "SecondDominates" symmetrically, "Tie" when the difference is
     negligible in spectral norm, and "NoDominance" when it is indefinite
     (each modality is better for some source directions).
     """
-    S1 = snr1.matrix if isinstance(snr1, InfoMatrix) else np.asarray(snr1, dtype=float)
-    S2 = snr2.matrix if isinstance(snr2, InfoMatrix) else np.asarray(snr2, dtype=float)
-    if S1.shape != S2.shape:
-        raise ValueError(f"SNR shapes differ: {S1.shape} vs {S2.shape}")
-    return _dominance(np.linalg.eigvalsh(symmetrize(S1 - S2)), tol)
-
-
-def _dominance(w: np.ndarray, tol: float) -> str:
-    """:func:`compare_modalities` from the ascending eigenvalues of ``snr1 - snr2``."""
     if float(np.max(np.abs(w))) <= tol:
         return "Tie"
     if float(w[0]) > tol:
@@ -91,8 +81,8 @@ def _dominance(w: np.ndarray, tol: float) -> str:
     return "NoDominance"
 
 
-def detect_redundancy(wp: WhitenedPair, tol: float = 1e-8) -> RedundancyResult:
-    """Detect whitened-domain modality redundancy.
+def _redundancy(fac: PairFactorization, tol: float) -> RedundancyResult:
+    """Whitened-domain redundancy of a factorized pair.
 
     Residuals are ``r2 = ||B~ - rho^T A~||_F / (1 + ||B~||_F)`` and
     ``r1 = ||A~ - rho B~||_F / (1 + ||A~||_F)``. When one falls at or
@@ -101,14 +91,7 @@ def detect_redundancy(wp: WhitenedPair, tol: float = 1e-8) -> RedundancyResult:
     is cross-checked against the synergy matrices (the matching synergy
     norm must be negligible relative to the joint information).
     """
-    # Information, hence synergy, is the same in whitened coordinates.
-    noise = BlockCovariance(np.eye(wp.rho.shape[0]), np.eye(wp.rho.shape[1]), wp.rho)
-    whitened = ModalityPair(LinearModel(wp.A_tilde), LinearModel(wp.B_tilde), noise)
-    return _redundancy(wp, tol, lambda: PairFactorization.from_pair(whitened))
-
-
-def _redundancy(wp: WhitenedPair, tol: float, factorize) -> RedundancyResult:
-    """:func:`detect_redundancy`, with ``factorize()`` giving the pair's factorization."""
+    wp = fac.whitened
     A, B, rho = wp.A_tilde, wp.B_tilde, wp.rho
     r2 = float(np.linalg.norm(B - rho.T @ A, "fro")) / (1.0 + float(np.linalg.norm(B, "fro")))
     r1 = float(np.linalg.norm(A - rho @ B, "fro")) / (1.0 + float(np.linalg.norm(A, "fro")))
@@ -118,7 +101,6 @@ def _redundancy(wp: WhitenedPair, tol: float, factorize) -> RedundancyResult:
     verdict = "SecondRedundant" if r2 <= r1 else "FirstRedundant"
     synergy_residual = None
     if wp.sigma_max_rho < NEAR_SINGULAR_RHO:
-        fac = factorize()
         S = fac.S_x if verdict == "SecondRedundant" else fac.S_y
         synergy_residual = float(np.linalg.norm(S, "fro")) / max(
             float(np.linalg.norm(fac.routes["prewhitened"], "fro")), 1e-300
@@ -126,27 +108,16 @@ def _redundancy(wp: WhitenedPair, tol: float, factorize) -> RedundancyResult:
     return RedundancyResult(verdict=verdict, r1=r1, r2=r2, synergy_residual=synergy_residual)
 
 
-def classify_regime(rho, eps: float = 1e-6) -> str:
-    """Correlation regime of the whitened noise cross-correlation.
-
-    "Uncorrelated" for negligible rho (information is additive),
-    "NearSingular" for rho within ``eps`` of unitary (information blows
-    up; perfect noise rejection by merging), "Partial" otherwise.
-
-    Raises
-    ------
-    Inadmissible
-        If the largest singular value reaches 1, which a PD joint noise
-        covariance cannot produce.
-    """
-    rho = np.asarray(rho, dtype=float)
-    frob = float(np.linalg.norm(rho, "fro"))
-    sigma_max = 0.0 if frob == 0.0 else float(np.linalg.svd(rho, compute_uv=False)[0])
-    return _regime(frob, sigma_max, eps)
-
-
 def _regime(frob: float, sigma_max: float, eps: float) -> str:
-    """:func:`classify_regime` from ``||rho||_F`` and ``sigma_max(rho)``."""
+    """Correlation regime of the whitened noise cross-correlation rho.
+
+    Read from ``||rho||_F`` and ``sigma_max(rho)``: "Uncorrelated" for
+    negligible rho (information is additive), "NearSingular" for rho
+    within ``eps`` of unitary (information blows up; perfect noise
+    rejection by merging), "Partial" otherwise. Raises
+    :class:`Inadmissible` if ``sigma_max`` reaches 1, which a PD joint
+    noise covariance cannot produce.
+    """
     _admissible_sigma_max(sigma_max)
     if frob <= eps:
         return "Uncorrelated"
@@ -175,7 +146,7 @@ def advise(
     diff_eigs = np.linalg.eigvalsh(symmetrize(snr1 - snr2))
     dominance = _dominance(diff_eigs, tols.dominance * scale)
     regime = _regime(float(np.linalg.norm(wp.rho, "fro")), sigma_max, tols.regime_eps)
-    red = _redundancy(wp, tols.redundancy, lambda: fac)
+    red = _redundancy(fac, tols.redundancy)
     J = fac.joint_information(prior)
     trace_J = float(np.trace(J.matrix))
     gain_second = float(np.trace(fac.S_x)) / max(trace_J, 1e-300)

@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .advisor import AdvisorTolerances, advise
-from .errors import FusionKitError, NonFinite, NotPD
+from .errors import FusionKitError, NonFinite, NotPD, NotSampleable
 from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
 from .information import PairFactorization, crlb, prewhiten, snr_matrix, total_information
 from .matrixkit import BlockCovariance, psd_check, require_noise, sym_sqrt
 from .model import GaussianPrior, InfoOnlyPrior, LinearModel, ModalityPair, SourcePrior
-from .placement import optimal_secondary, unwhiten_secondary
+from .placement import optimal_secondary
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,7 +69,27 @@ class Scenario:
         return ModalityPair(first=model_a, second=model_b, noise=noise)
 
 
+def _known_keys(obj, keys: tuple[str, ...], where: str) -> None:
+    """Refuse a key of the JSON object ``obj`` outside ``keys``; ``where`` is its path."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in keys:
+                raise ScenarioError(f"unknown key {key!r} at {where}; known keys: {list(keys)}")
+
+
+def _numbers(obj, what: str) -> None:
+    """Refuse a leaf of the nested JSON lists ``obj`` that is not a number (a bool, say)."""
+    items = [obj]
+    while items:
+        x = items.pop()
+        if type(x) is list:
+            items.extend(x)
+        elif type(x) not in (int, float):
+            raise ScenarioError(f"{what} has an entry that is not a number: {json.dumps(x)}")
+
+
 def _matrix(obj, what: str) -> np.ndarray:
+    _numbers(obj, what)
     try:
         M = np.asarray(obj, dtype=float)
     except OverflowError as exc:  # a JSON integer beyond float range
@@ -123,28 +143,41 @@ def load_scenario(path: str | Path) -> Scenario:
 
     if not isinstance(doc, dict) or "sources" not in doc or "modalities" not in doc:
         raise ScenarioError("scenario must define 'sources' and 'modalities'")
+    _known_keys(doc, ("id", "sources", "modalities", "cross_cov", "tolerances"), "the top level")
     if not isinstance(doc["modalities"], list):
         raise ScenarioError("'modalities' must be a list of modality entries")
+    scenario_id = doc.get("id", path.stem)
+    if not isinstance(scenario_id, str):
+        raise ScenarioError(f"'id' must be a string, got {json.dumps(scenario_id)}")
 
     src = doc["sources"]
+    _known_keys(src, ("gaussian", "info_only"), "sources")
+    if not isinstance(src, dict) or len(src) != 1:
+        raise ScenarioError("sources must be 'gaussian' or 'info_only'")
     try:
         if "gaussian" in src:
             g = src["gaussian"]
+            _known_keys(g, ("mean", "cov"), "sources.gaussian")
+            _numbers(g["mean"], "source mean")
             prior: SourcePrior = GaussianPrior(
                 mean=np.asarray(g["mean"], dtype=float), cov=_matrix(g["cov"], "source cov")
             )
-        elif "info_only" in src:
-            prior = InfoOnlyPrior(_matrix(src["info_only"]["J_s"], "J_s"))
         else:
-            raise ScenarioError("sources must be 'gaussian' or 'info_only'")
+            _known_keys(src["info_only"], ("J_s",), "sources.info_only")
+            prior = InfoOnlyPrior(_matrix(src["info_only"]["J_s"], "J_s"))
     except (ValueError, KeyError, TypeError, OverflowError, FusionKitError) as exc:
         raise ScenarioError(f"bad source prior: {exc}") from exc
 
     modalities: dict[str, tuple[LinearModel, np.ndarray]] = {}
     names: list[str] = []
-    for entry in doc["modalities"]:
+    for k, entry in enumerate(doc["modalities"]):
+        _known_keys(entry, ("name", "A", "noise_cov"), f"modalities[{k}]")
         try:
-            name = str(entry["name"])
+            name = entry["name"]
+            if not isinstance(name, str):
+                raise ScenarioError(
+                    f"modalities[{k}] 'name' must be a string, got {json.dumps(name)}"
+                )
             model = LinearModel(_matrix(entry["A"], f"modality {name} A"))
             noise = _matrix(entry["noise_cov"], f"modality {name} noise_cov")
         except (ValueError, KeyError, TypeError) as exc:
@@ -171,7 +204,9 @@ def load_scenario(path: str | Path) -> Scenario:
     raw_cross = doc.get("cross_cov")
     if raw_cross is not None:
         entries = raw_cross if isinstance(raw_cross, list) else [raw_cross]
-        for entry in entries:
+        for k, entry in enumerate(entries):
+            where = f"cross_cov[{k}]" if isinstance(raw_cross, list) else "cross_cov"
+            _known_keys(entry, ("pair", "matrix"), where)
             key, matrix = _cross_entry(entry, names)
             if key in cross or key[::-1] in cross:
                 raise ScenarioError(f"cross_cov for {list(key)} given twice")
@@ -186,14 +221,12 @@ def load_scenario(path: str | Path) -> Scenario:
         raw_tols = doc["tolerances"]
         if not isinstance(raw_tols, dict):
             raise ScenarioError("'tolerances' must be an object of named values")
-        known = {"dominance", "redundancy", "regime_eps", "select_gain"}
-        unknown = set(raw_tols) - known
-        if unknown:
-            raise ScenarioError(f"unknown tolerance keys: {sorted(unknown)}")
+        _known_keys(raw_tols, ("dominance", "redundancy", "regime_eps", "select_gain"),
+                    "tolerances")
         tols = AdvisorTolerances(**{k: _tolerance(k, v) for k, v in raw_tols.items()})
 
     return Scenario(
-        id=str(doc.get("id", path.stem)),
+        id=scenario_id,
         prior=prior,
         modalities=modalities,
         cross=cross,
@@ -315,7 +348,7 @@ def cmd_place(args) -> int:
     report.update(solution.to_json_dict())
     if solution.B_star is not None:
         L_u = sym_sqrt(pair.noise.sigma_u)
-        report["B_star_unwhitened"] = _tolist(unwhiten_secondary(solution.B_star, L_u))
+        report["B_star_unwhitened"] = _tolist(L_u @ solution.B_star)
     _emit(
         report,
         args.out,
@@ -335,10 +368,6 @@ def cmd_simulate(args) -> int:
     if name is None:
         name = next(iter(scenario.modalities))
     model, noise = scenario.modality(name)
-    if args.method.lower() == "mmse" and not isinstance(scenario.prior, GaussianPrior):
-        raise ScenarioError("MMSE requires Gaussian prior")
-    if not scenario.prior.sampleable:
-        raise ScenarioError("scenario prior is not sampleable (info_only sources)")
     try:
         result = empirical_error_covariance(
             args.method,
@@ -351,6 +380,8 @@ def cmd_simulate(args) -> int:
         )
     except MemoryError as exc:  # numpy refuses the N-row draw
         raise UsageError(f"--N {args.N} is too large: the draw cannot be allocated") from exc
+    except NotSampleable as exc:
+        raise ScenarioError("scenario prior is not sampleable (info_only sources)") from exc
     results = [result]
     json_text = campaign_to_json(results) + "\n"
     csv_text = campaign_to_csv(results)

@@ -96,13 +96,13 @@ def empirical_error_covariance(
     X, S = batch.observations, batch.sources
 
     if method in ("ml", "wls"):
-        ref = crlb(InfoMatrix(snr, kind="snr"))
+        ref = crlb(InfoMatrix(snr))
         estimator = ref @ A.T @ sigma_inv
         S_hat = X @ estimator.T
         J_total = snr
     else:
         J_total = symmetrize(snr + prior.info_matrix())
-        ref = crlb(InfoMatrix(J_total, kind="total"))
+        ref = crlb(InfoMatrix(J_total))
         # Gain form: a different algebraic route than the posterior
         # information form used by the estimators module.
         innovation_cov = symmetrize(A @ prior.cov @ A.T + sigma)
@@ -120,7 +120,7 @@ def empirical_error_covariance(
     rel_err = float(np.linalg.norm(emp - ref, "fro")) / max(
         float(np.linalg.norm(ref, "fro")), 1e-300
     )
-    check = check_crlb_dominance(emp, InfoMatrix(J_total, kind="total"), slack)
+    check = check_crlb_dominance(emp, InfoMatrix(J_total), slack)
     return CampaignResult(
         scenario_id=scenario_id,
         method=method,

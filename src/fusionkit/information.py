@@ -49,15 +49,13 @@ DEFAULT_BLOCK = 8192
 
 @dataclass(frozen=True)
 class InfoMatrix:
-    """Symmetric PSD information matrix with a provenance tag.
+    """Symmetric PSD information matrix.
 
-    ``kind`` is one of "snr", "fisher_conditional", "total", "joint".
     ``near_singular`` marks joint results computed with the whitened
     noise cross-correlation close to unitary (information blow-up regime).
     """
 
     matrix: np.ndarray
-    kind: str
     near_singular: bool = False
 
     def __post_init__(self):
@@ -153,7 +151,7 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     white = inverse_factor(require_noise(sigma, model.n), "noise covariance") @ model.A
     snr = symmetrize(white.T @ white)
     require_finite(snr, "the SNR matrix")
-    return InfoMatrix(snr, kind="snr")
+    return InfoMatrix(snr)
 
 
 def total_information(snr: InfoMatrix, prior: SourcePrior | None) -> InfoMatrix:
@@ -164,7 +162,7 @@ def total_information(snr: InfoMatrix, prior: SourcePrior | None) -> InfoMatrix:
     to the Fisher information.
     """
     S = _as_matrix(snr)
-    return InfoMatrix(S + _prior_info(prior, S.shape[0]), kind="total")
+    return InfoMatrix(S + _prior_info(prior, S.shape[0]))
 
 
 def crlb(J) -> np.ndarray:
@@ -297,11 +295,12 @@ class PairFactorization:
 
     Built by :meth:`from_pair`, which memoizes it on the pair: the whitened
     pair, which carries the singular values of rho, both SNR matrices, the
-    four joint Fisher information routes with their largest disagreement,
-    and ``S_x``, ``S_y``. Every array is read-only, as it is shared by each
-    call on the pair. It holds no reference back to the pair, so a pair and
-    its factorization form no reference cycle and are freed together as
-    soon as the pair is dropped.
+    four joint Fisher information routes with their largest disagreement
+    (``routes``, keyed "block", "schur_f", "schur_g", "prewhitened"; prior
+    information excluded), and ``S_x``, ``S_y``. Every array is read-only,
+    as it is shared by each call on the pair. It holds no reference back to
+    the pair, so a pair and its factorization form no reference cycle and
+    are freed together as soon as the pair is dropped.
     """
 
     whitened: WhitenedPair
@@ -381,22 +380,12 @@ class PairFactorization:
     def joint_information(self, prior: SourcePrior | None = None) -> InfoMatrix:
         """Total information of the fused observation (see :func:`joint_information`)."""
         J = self.routes["prewhitened"] + _prior_info(prior, self.snr_first.shape[0])
-        return InfoMatrix(J, kind="joint", near_singular=self.sigma_max_rho >= NEAR_SINGULAR_RHO)
+        return InfoMatrix(J, near_singular=self.sigma_max_rho >= NEAR_SINGULAR_RHO)
 
     def synergy(self) -> SynergyReport:
         """The synergy matrices with their smallest eigenvalues."""
         eigs = (float(np.linalg.eigvalsh(self.S_x)[0]), float(np.linalg.eigvalsh(self.S_y)[0]))
         return SynergyReport(S_x=self.S_x, S_y=self.S_y, min_eigenvalues=eigs)
-
-
-def joint_fisher_routes(pair: ModalityPair) -> dict[str, np.ndarray]:
-    """Source-conditional joint Fisher information by every algebraic route.
-
-    Returns the four routes keyed "block", "schur_f", "schur_g",
-    "prewhitened" (prior information excluded; it is common to all),
-    after they have been cross-validated (see :class:`PairFactorization`).
-    """
-    return dict(PairFactorization.from_pair(pair).routes)
 
 
 def joint_information(pair: ModalityPair, prior: SourcePrior | None = None) -> InfoMatrix:

@@ -59,18 +59,13 @@ class LinearModel:
         """Source count."""
         return self.A.shape[1]
 
-    def channel_row(self, k: int) -> np.ndarray:
-        """k-th channel row of the mixing matrix (the per-channel gain vector)."""
-        return self.A[k, :]
-
 
 class SourcePrior:
     """Base class for source priors.
 
-    A prior may be sampleable, may expose an information matrix (the
-    expected outer product of the score of its log-density), and may
-    expose a covariance. Subclasses override whichever pieces exist;
-    the defaults raise.
+    A prior may be sampleable and may expose an information matrix (the
+    expected outer product of the score of its log-density) and a score.
+    Subclasses override whichever pieces exist; the defaults raise.
     """
 
     m: int
@@ -91,18 +86,6 @@ class SourcePrior:
         except NoPriorInfo:
             return False
         return True
-
-    @property
-    def sampleable(self) -> bool:
-        try:
-            self.sample(np.random.default_rng(0), 0)
-        except NotSampleable:
-            return False
-        return True
-
-    def covariance(self) -> np.ndarray | None:
-        """Source covariance P where defined, else None."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -150,9 +133,6 @@ class GaussianPrior(SourcePrior):
     def score(self, s: np.ndarray) -> np.ndarray:
         return -(np.atleast_2d(s) - self.mean) @ self._info
 
-    def covariance(self) -> np.ndarray:
-        return self.cov
-
 
 @dataclass(frozen=True)
 class InfoOnlyPrior(SourcePrior):
@@ -180,11 +160,6 @@ class InfoOnlyPrior(SourcePrior):
         return self.J_s
 
 
-def no_prior(m: int) -> InfoOnlyPrior:
-    """Zero-information prior of dimension m (deterministic-source analysis)."""
-    return InfoOnlyPrior(np.zeros((m, m)))
-
-
 @dataclass(frozen=True)
 class SamplerPrior(SourcePrior):
     """Prior defined by a sampling function and an optional score function.
@@ -192,13 +167,12 @@ class SamplerPrior(SourcePrior):
     ``draw(rng, size)`` returns a (size, m) array. ``score_fn``, when
     given, maps a (N, m) batch to the (N, m) gradient of the log-density;
     without it the prior information matrix is unavailable (not silently
-    zero). ``cov`` optionally records the source covariance P.
+    zero).
     """
 
     m: int
     draw: Callable[[np.random.Generator, int], np.ndarray]
     score_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    cov: np.ndarray | None = None
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.asarray(self.draw(rng, size), dtype=float)
@@ -210,9 +184,6 @@ class SamplerPrior(SourcePrior):
         if self.score_fn is None:
             raise NoScore("SamplerPrior constructed without a score function")
         return np.asarray(self.score_fn(np.atleast_2d(s)), dtype=float)
-
-    def covariance(self) -> np.ndarray | None:
-        return None if self.cov is None else np.asarray(self.cov, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -35,15 +35,6 @@ from .matrixkit import (
 )
 from .model import SourcePrior, require_pair_shapes
 
-__all__ = [
-    "NonlinearModel",
-    "McInfoEstimate",
-    "numeric_jacobian",
-    "fisher_nonlinear",
-    "total_information_nonlinear",
-    "joint_information_nonlinear",
-]
-
 # Source vectors whose map evaluations are held at once: bounds the memory
 # of a block's ``h`` outputs without changing any result.
 JACOBIAN_CHUNK = 256

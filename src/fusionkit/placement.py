@@ -39,9 +39,9 @@ PROBE_BLOCK = 256
 class PlacementSolution:
     """Secondary configuration, multiplier, budget and stationarity diagnostics.
 
-    ``B_star`` is in the whitened domain (map back with
-    :func:`unwhiten_secondary`). ``kkt_residual`` is the Frobenius norm
-    of the analytic gradient of the Lagrangian at the solution,
+    ``B_star`` is in the whitened domain (``L_u B~*`` maps it back, with
+    ``L_u`` the symmetric root of the secondary noise). ``kkt_residual``
+    is the Frobenius norm of the analytic gradient of the Lagrangian at the solution,
     ``2K(B~ - rho^T A~) - 2 lambda B~`` with ``K = (I - rho^T rho)^-1``,
     normalized by ``1 + |objective|``; a second form of the objective
     gradient must agree with it on every solve, to within the rounding
@@ -81,16 +81,17 @@ class PlacementSolution:
 
 @dataclass(frozen=True)
 class SvdOfRho:
-    """SVD of rho plus the diagonal weights of the budget root equation.
+    """Singular values of rho plus the diagonal weights of the budget root equation.
 
-    ``d`` holds the diagonal entries of ``U^T A~ A~^T U``; the root
-    equation is ``sum_i d_i sigma_i^2 / [1 - lambda (1 - sigma_i^2)]^2 = p``.
+    ``d`` holds the diagonal entries of ``U^T A~ A~^T U``, with ``U`` the
+    left singular vectors of rho; the root equation is
+    ``sum_i d_i sigma_i^2 / [1 - lambda (1 - sigma_i^2)]^2 = p``. ``n2`` is
+    the column count of rho, the secondary's channel count.
     """
 
-    U: np.ndarray
     singular_values: np.ndarray
-    V: np.ndarray
     d: np.ndarray
+    n2: int
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,9 @@ def svd_of_rho(A_tilde, rho) -> SvdOfRho:
     """SVD of rho and the primary-side diagonal weights for the root equation."""
     A_tilde = np.asarray(A_tilde, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    U, s, Vt = np.linalg.svd(rho)
+    U, s, _ = np.linalg.svd(rho)
     d = np.diag(U.T @ A_tilde @ A_tilde.T @ U).copy()
-    return SvdOfRho(U=U, singular_values=s, V=Vt.T, d=np.maximum(d, 0.0))
+    return SvdOfRho(singular_values=s, d=np.maximum(d, 0.0), n2=rho.shape[1])
 
 
 def _budget_terms(svd: SvdOfRho) -> tuple[np.ndarray, np.ndarray]:
@@ -230,8 +231,7 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
     # Branch upper limit: every eigenvalue of rho^T rho (including padded
     # zeros when the secondary has more channels than the primary) must
     # keep 1 - lambda (1 - sigma^2) positive.
-    n2 = svd.V.shape[0]
-    tau = np.zeros(n2)
+    tau = np.zeros(svd.n2)
     k = svd.singular_values.shape[0]
     tau[:k] = svd.singular_values**2
     max_one_minus = float(np.max(1.0 - tau))
@@ -391,11 +391,6 @@ def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float, solvers
     condition = k_norm * (scale + g) / (1.0 + g)
     grad = forms_agree(*forms, "objective gradient forms", condition=condition)
     return float(np.linalg.norm(grad - 2.0 * lam * B_star, "fro")) / (1.0 + abs(e))
-
-
-def unwhiten_secondary(B_star, L_u) -> np.ndarray:
-    """Map a whitened secondary mixing matrix back to the raw domain."""
-    return np.asarray(L_u, dtype=float) @ np.asarray(B_star, dtype=float)
 
 
 def local_optimality_probe(

@@ -16,6 +16,7 @@ from fusionkit import (
     LinearModel,
     ModalityPair,
     NonlinearModel,
+    PairFactorization,
     empirical_error_covariance,
     error_covariance,
     fisher_finite_difference,
@@ -31,7 +32,7 @@ from fusionkit import (
     wls_estimate,
 )
 from fusionkit.cli import main as cli_main
-from fusionkit.information import joint_fisher_routes, route_disagreement
+from fusionkit.information import route_disagreement
 from fusionkit.placement import _budget_terms, _budget_value
 
 from conftest import (
@@ -127,7 +128,7 @@ def test_criterion_04_route_equivalence():
         n2 = int(rng.integers(1, 7))
         m = int(rng.integers(1, 5))
         pair = random_pair(rng, n1, n2, m)
-        worst = max(worst, route_disagreement(joint_fisher_routes(pair)))
+        worst = max(worst, route_disagreement(PairFactorization.from_pair(pair).routes))
     elapsed = time.perf_counter() - start
     report(
         4,

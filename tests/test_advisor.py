@@ -10,26 +10,40 @@ from fusionkit import (
     LinearModel,
     ModalityPair,
     advise,
-    classify_regime,
-    compare_modalities,
-    detect_redundancy,
     prewhiten,
 )
-from fusionkit.information import WhitenedPair, joint_information, snr_matrix
+from fusionkit.advisor import _dominance, _regime
+from fusionkit.information import joint_information, snr_matrix
 
 from conftest import random_admissible_rho, random_joint_noise, random_pair, random_pd, rel_fro
 
 
+def dominance(S1, S2, tol=1e-9):
+    return _dominance(np.linalg.eigvalsh(S1 - S2), tol)
+
+
+def regime(rho, eps=1e-6):
+    sigma_max = float(np.linalg.svd(rho, compute_uv=False)[0]) if np.any(rho) else 0.0
+    return _regime(float(np.linalg.norm(rho, "fro")), sigma_max, eps)
+
+
+def advise_whitened(A_tilde, B_tilde, rho, tol=1e-8):
+    """``advise`` on the identity-noise pair whose whitened form is (A~, B~, rho)."""
+    noise = BlockCovariance(np.eye(rho.shape[0]), np.eye(rho.shape[1]), rho)
+    pair = ModalityPair(LinearModel(A_tilde), LinearModel(B_tilde), noise)
+    return advise(pair, tols=AdvisorTolerances(redundancy=tol))
+
+
 class TestCompareModalities:
     def test_first_dominates(self):
-        assert compare_modalities(2.0 * np.eye(2), np.eye(2)) == "FirstDominates"
+        assert dominance(2.0 * np.eye(2), np.eye(2)) == "FirstDominates"
 
     def test_indefinite_difference(self):
-        assert compare_modalities(np.diag([2.0, 1.0]), np.diag([1.0, 2.0])) == "NoDominance"
+        assert dominance(np.diag([2.0, 1.0]), np.diag([1.0, 2.0])) == "NoDominance"
 
     def test_tie(self, rng):
         S = random_pd(rng, 3)
-        assert compare_modalities(S, S) == "Tie"
+        assert dominance(S, S) == "Tie"
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9))
@@ -38,25 +52,20 @@ class TestCompareModalities:
         n = int(rng.integers(1, 5))
         S1 = random_pd(rng, n, eig_range=(0.1, 3.0))
         S2 = random_pd(rng, n, eig_range=(0.1, 3.0))
-        fwd = compare_modalities(S1, S2)
-        rev = compare_modalities(S2, S1)
+        fwd = dominance(S1, S2)
+        rev = dominance(S2, S1)
         swap = {"FirstDominates": "SecondDominates", "SecondDominates": "FirstDominates"}
         assert rev == swap.get(fwd, fwd)
 
 
 class TestDetectRedundancy:
-    def _whitened(self, rng, n1=3, n2=3, m=2, rho_scale=0.7):
-        A = rng.standard_normal((n1, m))
-        rho = random_admissible_rho(rng, n1, n2, rho_scale)
-        return A, rho
-
     def test_constructed_second_redundancy(self, rng):
-        A, rho = self._whitened(rng)
-        wp = WhitenedPair(A_tilde=A, B_tilde=rho.T @ A, rho=rho)
-        res = detect_redundancy(wp)
-        assert res.verdict == "SecondRedundant"
-        assert res.r2 <= 1e-10
-        assert res.synergy_residual is not None and res.synergy_residual <= 1e-8
+        A = rng.standard_normal((3, 2))
+        rho = random_admissible_rho(rng, 3, 3, 0.7)
+        adv = advise_whitened(A, rho.T @ A, rho)
+        assert adv.verdict == "SecondRedundant"
+        assert adv.evidence["r2"] <= 1e-10
+        assert adv.evidence["synergy_residual"] <= 1e-8
         # joint information collapses to the first modality alone
         pair = ModalityPair(
             LinearModel(A), LinearModel(rho.T @ A), BlockCovariance(np.eye(3), np.eye(3), rho)
@@ -67,18 +76,18 @@ class TestDetectRedundancy:
     def test_constructed_first_redundancy(self, rng):
         B = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.6)
-        wp = WhitenedPair(A_tilde=rho @ B, B_tilde=B, rho=rho)
-        res = detect_redundancy(wp)
-        assert res.verdict == "FirstRedundant"
-        assert res.r1 <= 1e-10
+        adv = advise_whitened(rho @ B, B, rho)
+        assert adv.verdict == "FirstRedundant"
+        assert adv.evidence["r1"] <= 1e-10
 
     def test_generic_pair_not_redundant(self):
         rng = np.random.default_rng(606)
         for _ in range(100):
             wp = prewhiten(random_pair(rng, 3, 3, 2))
-            res = detect_redundancy(wp)
-            assert res.verdict is None
-            assert res.r1 > 0.1 and res.r2 > 0.1
+            adv = advise_whitened(wp.A_tilde, wp.B_tilde, wp.rho)
+            assert adv.verdict not in ("FirstRedundant", "SecondRedundant")
+            assert "synergy_residual" not in adv.evidence
+            assert adv.evidence["r1"] > 0.1 and adv.evidence["r2"] > 0.1
 
     def test_redundancy_property_over_random_rho(self):
         rng = np.random.default_rng(707)
@@ -88,23 +97,22 @@ class TestDetectRedundancy:
             m = int(rng.integers(1, 4))
             A = rng.standard_normal((n1, m))
             rho = random_admissible_rho(rng, n1, n2, float(rng.uniform(0.1, 0.95)))
-            wp = WhitenedPair(A_tilde=A, B_tilde=rho.T @ A, rho=rho)
-            assert detect_redundancy(wp, tol=1e-10).verdict == "SecondRedundant"
+            assert advise_whitened(A, rho.T @ A, rho, tol=1e-10).verdict == "SecondRedundant"
 
 
 class TestClassifyRegime:
     def test_zero_rho(self):
-        assert classify_regime(np.zeros((2, 3))) == "Uncorrelated"
+        assert regime(np.zeros((2, 3))) == "Uncorrelated"
 
     def test_near_singular(self):
-        assert classify_regime(0.9999 * np.eye(2), eps=1e-3) == "NearSingular"
+        assert regime(0.9999 * np.eye(2), eps=1e-3) == "NearSingular"
 
     def test_partial(self):
-        assert classify_regime(0.5 * np.eye(2)) == "Partial"
+        assert regime(0.5 * np.eye(2)) == "Partial"
 
     def test_inadmissible(self):
         with pytest.raises(Inadmissible):
-            classify_regime(np.eye(2))
+            regime(np.eye(2))
 
 
 class TestAdvise:

@@ -90,19 +90,52 @@ class TestScenarioLoading:
              "modality 'b': noise covariance is (3, 3), model has 2 channels"),
             (lambda d: d["sources"]["gaussian"].update(mean=[0.0] * 3, cov=np.eye(3).tolist()),
              "modality 'a' has 2 sources but the prior has 3"),
+            # the schema is closed: an unknown key, an entry that is not a number
+            # and a name that is not a string are refused at load
+            (lambda d: d.update(cross_covariance=d.pop("cross_cov")),
+             "unknown key 'cross_covariance' at the top level"),
+            (lambda d: d.update(tolerance={"dominance": 1e-3}),
+             "unknown key 'tolerance' at the top level"),
+            (lambda d: d["sources"].update(info_only={"J_s": np.eye(2).tolist()}),
+             "sources must be 'gaussian' or 'info_only'"),
+            (lambda d: d["sources"]["gaussian"].update(covariance=np.eye(2).tolist()),
+             "unknown key 'covariance' at sources.gaussian"),
+            (lambda d: d.update(sources={"info_only": {"J_s": np.eye(2).tolist(), "m": 2}}),
+             "unknown key 'm' at sources.info_only"),
+            (lambda d: d["modalities"][1].update(noise=[[1.0]]),
+             "unknown key 'noise' at modalities[1]"),
+            (lambda d: d["cross_cov"].update(matrices=[]), "unknown key 'matrices' at cross_cov"),
+            (lambda d: d.update(cross_cov=[d["cross_cov"] | {"weight": 1}]),
+             "unknown key 'weight' at cross_cov[0]"),
+            (lambda d: d["modalities"][0]["A"][0].__setitem__(0, True),
+             "modality a A has an entry that is not a number: true"),
+            (lambda d: d["modalities"][1]["noise_cov"][0].__setitem__(0, "0.7"),
+             "modality b noise_cov has an entry that is not a number: \"0.7\""),
+            (lambda d: d["cross_cov"]["matrix"][0].__setitem__(1, False),
+             "cross_cov matrix has an entry that is not a number: false"),
+            (lambda d: d["sources"]["gaussian"].update(mean=[0.0, True]),
+             "source mean has an entry that is not a number: true"),
+            (lambda d: d["modalities"][1].update(name=7),
+             "modalities[1] 'name' must be a string, got 7"),
+            (lambda d: d.update(id=3), "'id' must be a string, got 3"),
         ],
         ids=["modality-not-object", "modalities-not-list", "tolerances-list",
              "tolerance-null", "same-modality-twice", "negative-index", "pair-not-list",
              "pair-given-twice", "cross-shape", "joint-not-pd", "noise-indefinite",
              "noise-not-square", "noise-asymmetric", "noise-wrong-size",
-             "noise-wrong-size-and-indefinite", "prior-wrong-dimension"],
+             "noise-wrong-size-and-indefinite", "prior-wrong-dimension",
+             "unknown-top-level-cross-covariance", "unknown-top-level-tolerance",
+             "two-priors", "unknown-gaussian-key", "unknown-info-only-key",
+             "unknown-modality-key", "unknown-cross-key", "unknown-cross-list-key",
+             "bool-in-matrix", "string-in-matrix", "bool-in-cross-matrix", "bool-in-mean",
+             "name-not-string", "id-not-string"],
     )
     def test_malformed_scenario_exits_2(self, tmp_path, two_modality_doc, capsys, edit, message):
         edit(two_modality_doc)
         path = write_scenario(tmp_path / "s.json", two_modality_doc)
         assert main(["advise", path, "--pair", "a,b"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("scenario error:") and message in err
+        assert err.startswith("scenario error:") and message in err and err.count("\n") == 1
 
 
 class TestAnalyze:

@@ -13,12 +13,12 @@ from fusionkit import (
     NoScore,
     NonFinite,
     NotPD,
+    PairFactorization,
     SamplerPrior,
     SingularInformation,
     crlb,
     error_covariance,
     joint_information,
-    no_prior,
     prewhiten,
     prior_information_mc,
     simulate,
@@ -30,7 +30,6 @@ from fusionkit import (
 from fusionkit.information import (
     InfoMatrix,
     block_plan,
-    joint_fisher_routes,
     route_disagreement,
     whitened_joint_fisher,
 )
@@ -42,7 +41,6 @@ class TestSnrMatrix:
     def test_identity(self):
         snr = snr_matrix(LinearModel(np.eye(2)), np.eye(2))
         assert np.allclose(snr.matrix, np.eye(2))
-        assert snr.kind == "snr"
 
     def test_channel_accumulation_oracle(self):
         # diagonal noise: snr must equal sum_k a_k a_k^T / sigma_k^2
@@ -68,7 +66,7 @@ class TestSnrMatrix:
 class TestTotalInformation:
     def test_zero_prior(self, rng):
         snr = snr_matrix(LinearModel(rng.standard_normal((3, 2))), np.eye(3))
-        J = total_information(snr, no_prior(2))
+        J = total_information(snr, InfoOnlyPrior(np.zeros((2, 2))))
         assert np.array_equal(J.matrix, snr.matrix)
 
     def test_gaussian_identity_prior(self, rng):
@@ -80,18 +78,18 @@ class TestTotalInformation:
     def test_random_psd_pair_adds(self, rng):
         S = random_pd(rng, 3)
         J_s = random_pd(rng, 3)
-        J = total_information(InfoMatrix(S, kind="snr"), InfoOnlyPrior(J_s))
+        J = total_information(InfoMatrix(S), InfoOnlyPrior(J_s))
         assert np.allclose(J.matrix, S + J_s)
 
     def test_no_prior_info_raises(self):
         prior = SamplerPrior(m=2, draw=lambda rng, n: rng.standard_normal((n, 2)))
         with pytest.raises(NoPriorInfo):
-            total_information(InfoMatrix(np.eye(2), kind="snr"), prior)
+            total_information(InfoMatrix(np.eye(2)), prior)
 
 
 class TestCrlb:
     def test_identity(self):
-        assert np.allclose(crlb(InfoMatrix(np.eye(3), kind="total")), np.eye(3))
+        assert np.allclose(crlb(InfoMatrix(np.eye(3))), np.eye(3))
 
     def test_equals_ml_error_covariance(self, rng):
         model = LinearModel(rng.standard_normal((5, 3)))
@@ -189,7 +187,7 @@ class TestJointInformation:
         A = rng.standard_normal((3, 2))
         B = noise.sigma_uv @ np.linalg.solve(noise.sigma_v, A)
         pair = ModalityPair(LinearModel(A), LinearModel(B), noise)
-        J = joint_information(pair, no_prior(2))
+        J = joint_information(pair, InfoOnlyPrior(np.zeros((2, 2))))
         J_x = snr_matrix(pair.first, noise.sigma_v).matrix
         assert rel_fro(J.matrix, J_x) < 1e-10
 
@@ -213,7 +211,7 @@ class TestJointInformation:
             n2 = int(rng.integers(1, 7))
             m = int(rng.integers(1, 5))
             pair = random_pair(rng, n1, n2, m)
-            worst = max(worst, route_disagreement(joint_fisher_routes(pair)))
+            worst = max(worst, route_disagreement(PairFactorization.from_pair(pair).routes))
         assert worst < 1e-8
 
     def test_fusion_monotonicity(self):

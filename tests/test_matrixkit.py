@@ -364,16 +364,20 @@ def test_cholesky_guard_certifies_without_an_eigenvalue(rng, monkeypatch):
     assert rel_fro(L_inv.T @ L_inv, np.linalg.inv(M)) <= 1e-13
 
 
-def test_noise_guard_sweep_smoke(tmp_path):
+def run_script(name, *args):
+    """Run ``scripts/<name>`` with ``args`` in a fresh interpreter on this checkout's ``src``."""
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = tmp_path / "guard"
     done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "noise_guard_sweep.py"),
-         "--sizes", "1", "3", "--trials", "2", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, str(root / "scripts" / name), *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_noise_guard_sweep_smoke(tmp_path):
+    out = tmp_path / "guard"
+    run_script("noise_guard_sweep.py", "--sizes", "1", "3", "--trials", "2", "--out", out)
     summary = json.loads(out.with_suffix(".json").read_text())
     assert summary["trials"] == 2 * 11 * 2 * 2 and summary["agreement_rate"] == 1.0
     rows = out.with_suffix(".csv").read_text().splitlines()
@@ -381,15 +385,9 @@ def test_noise_guard_sweep_smoke(tmp_path):
 
 
 def test_whitening_accuracy_sweep_smoke(tmp_path):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = tmp_path / "whitening"
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "whitening_accuracy_sweep.py"),
-         "--trials", "1", "--dims", "3", "2", "2", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    run_script("whitening_accuracy_sweep.py", "--trials", "1", "--dims", "3", "2", "2",
+               "--out", out)
     summary = json.loads(out.with_suffix(".json").read_text())
     assert summary["passed"] and summary["worst_over_kappa_eps"] <= 100.0
     rows = out.with_suffix(".csv").read_text().splitlines()
@@ -398,17 +396,31 @@ def test_whitening_accuracy_sweep_smoke(tmp_path):
 
 def test_placement_budget_sweep_smoke(tmp_path):
     # 300 probes per budget cross a block of the probe
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = tmp_path / "placement.csv"
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "placement_budget_sweep.py"),
-         "--budgets", "3", "--probes", "300", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    run_script("placement_budget_sweep.py", "--budgets", "3", "--probes", "300", "--out", out)
     lines = out.read_text().splitlines()
     assert lines[0] == "p,lambda,objective,kkt_residual,probe_violations,probe_max_gain"
     rows = list(csv.DictReader(lines))
     assert len(rows) == 3
     assert all(float(row["kkt_residual"]) <= 1e-5 for row in rows)
+
+
+def test_route_equivalence_sweep_smoke(tmp_path):
+    # one trial for each of the 48 (n1, n2, m) combinations
+    out = tmp_path / "routes"
+    run_script("route_equivalence_sweep.py", "--trials", "1", "--out", out)
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert summary["passed"] and summary["overall_worst"] < 1e-8
+    assert len(out.with_suffix(".csv").read_text().splitlines()) == 1 + 48
+
+
+def test_correlation_synergy_sweep_smoke(tmp_path):
+    # rho = c I for c in {0, 0.45, 0.9}: trace(J) is tr(A^T A) + tr(B^T B) = 8
+    # at c = 0 and grows with c
+    out = tmp_path / "corr.csv"
+    run_script("correlation_synergy_sweep.py", "--levels", "3", "--c-max", "0.9", "--out", out)
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    traces = [float(row["trace_J"]) for row in rows]
+    assert len(rows) == 3 and traces[0] == pytest.approx(8.0, rel=1e-12)
+    assert traces[0] < traces[1] < traces[2]
+    assert [row["near_singular"] for row in rows] == ["False"] * 3

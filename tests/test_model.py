@@ -9,7 +9,6 @@ from fusionkit import (
     InfoOnlyPrior,
     LinearModel,
     ModalityPair,
-    NoPriorInfo,
     NoScore,
     NonlinearModel,
     NotPD,
@@ -24,7 +23,6 @@ from fusionkit import (
     joint_information_nonlinear,
     ml_estimate,
     mmse_gaussian_estimate,
-    no_prior,
     simulate,
     snr_matrix,
     total_information_nonlinear,
@@ -38,16 +36,10 @@ from conftest import random_joint_noise, random_pd, rel_fro
 
 
 class TestTypes:
-    def test_channel_rows(self):
-        model = LinearModel([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        assert model.n == 3 and model.m == 2
-        assert np.allclose(model.channel_row(1), [3.0, 4.0])
-
     def test_gaussian_prior_info_is_cov_inverse(self, rng):
         cov = random_pd(rng, 3)
         prior = GaussianPrior(mean=np.zeros(3), cov=cov)
         assert rel_fro(prior.info_matrix(), np.linalg.inv(cov)) < 1e-12
-        assert prior.covariance() is cov or np.allclose(prior.covariance(), cov)
 
     def test_gaussian_prior_root_and_info_from_one_eigen_solve(self, rng):
         cov = random_pd(rng, 3)
@@ -90,7 +82,7 @@ class TestTypes:
             InfoOnlyPrior(np.diag([1.0, -1.0]))
 
     def test_info_only_prior_not_sampleable(self):
-        prior = no_prior(2)
+        prior = InfoOnlyPrior(np.zeros((2, 2)))
         with pytest.raises(NotSampleable):
             prior.sample(np.random.default_rng(0), 5)
         with pytest.raises(NoScore):
@@ -213,7 +205,7 @@ class TestSimulate:
     def test_info_only_prior_not_sampleable(self):
         model = LinearModel(np.eye(2))
         with pytest.raises(NotSampleable):
-            simulate(model, no_prior(2), N=10, seed=0, noise=np.eye(2))
+            simulate(model, InfoOnlyPrior(np.zeros((2, 2))), N=10, seed=0, noise=np.eye(2))
 
     def test_cross_covariance_matches_within_three_se(self, rng):
         # sample-covariance oracle for the cross block
@@ -264,8 +256,3 @@ class TestSimulate:
         assert batch.observations.shape == (10, 3)
         assert batch.second_observations.shape == (10, 2)
 
-
-def test_no_prior_exposes_zero_info():
-    assert np.all(no_prior(3).info_matrix() == 0.0)
-    with pytest.raises(NoPriorInfo):
-        SamplerPrior(m=1, draw=lambda rng, n: rng.standard_normal((n, 1))).info_matrix()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from fusionkit import (
     svd_of_rho,
     synergy_gradient_rho,
     synergy_objective,
-    unwhiten_secondary,
 )
 from fusionkit import BlockCovariance, LinearModel, ModalityPair
 from fusionkit import placement
@@ -297,7 +298,7 @@ class TestOptimalSecondary:
             lambda_root(svd, 5.0)
         # finite weights whose sum at lambda = 0 overflows
         s = np.array([0.999, 0.999])
-        svd = SvdOfRho(U=np.eye(2), singular_values=s, V=np.eye(2), d=np.array([1e308, 1e308]))
+        svd = SvdOfRho(singular_values=s, d=np.array([1e308, 1e308]), n2=2)
         with np.errstate(over="ignore"), pytest.raises(NonFinite, match="lambda = 0"):
             lambda_root(svd, 5.0)
 
@@ -394,12 +395,30 @@ class TestOptimalSecondary:
 
 
 class TestProbeAndUnwhiten:
-    def test_unwhiten_round_trip(self, rng):
-        from fusionkit import sym_sqrt
+    def test_unwhiten_round_trip(self, tmp_path, capsys):
+        # place reports B~* and its raw-domain L_u B~*; the pair's own
+        # whitener maps the latter back onto B~*
+        from fusionkit.cli import main
+        from fusionkit.matrixkit import factor_noise
 
-        L_u = sym_sqrt(np.diag([2.0, 3.0]))
-        B_t = rng.standard_normal((2, 2))
-        assert np.allclose(unwhiten_secondary(B_t, L_u), L_u @ B_t)
+        sigma_v, sigma_u = np.diag([0.5, 0.4, 0.6]), np.array([[0.7, 0.2], [0.2, 0.8]])
+        sigma_vu = np.array([[0.1, 0.0], [0.05, 0.1], [0.0, 0.05]])
+        doc = {
+            "sources": {"gaussian": {"mean": [0.0, 0.0], "cov": np.eye(2).tolist()}},
+            "modalities": [
+                {"name": "a", "A": [[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]],
+                 "noise_cov": sigma_v.tolist()},
+                {"name": "b", "A": [[0.8, 0.3], [0.2, 0.9]], "noise_cov": sigma_u.tolist()},
+            ],
+            "cross_cov": {"pair": [0, 1], "matrix": sigma_vu.tolist()},
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["place", str(path), "--primary", "a", "--budget", "2.0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        L_u_inv = factor_noise(BlockCovariance(sigma_v, sigma_u, sigma_vu)).L_u_inv
+        B_raw = np.array(report["B_star_unwhitened"])
+        assert rel_fro(L_u_inv @ B_raw, np.array(report["B_star"])) < 1e-12
 
     def test_probe_reports_deterministically(self, rng):
         # first-order stationarity does not claim optimality: the probe

@@ -1,0 +1,39 @@
+"""The public surface: the names ``fusionkit`` exports, and the README's use of them."""
+
+import re
+import types
+from pathlib import Path
+
+import fusionkit
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC = [
+    "AdvisorTolerances", "Advisory", "BlockCovariance", "CampaignResult", "CrlbCheck",
+    "DegenerateBudget", "Estimate", "FormDisagreement", "FusionKitError", "GaussianPrior",
+    "Inadmissible", "InfoMatrix", "InfoOnlyPrior", "LinearModel", "McInfoEstimate",
+    "ModalityPair", "NoPriorInfo", "NoRoot", "NoScore", "NonFinite", "NonlinearModel", "NotPD",
+    "NotPSD", "NotSampleable", "PairFactorization", "PlacementSolution", "ProbeReport",
+    "RouteDisagreement", "SampleBatch", "SamplerPrior", "Singular", "SingularInformation",
+    "SingularNormalMatrix", "SingularPosterior", "SourcePrior", "SvdOfRho", "SynergyReport",
+    "WhitenedPair", "advise", "campaign_to_csv", "campaign_to_json", "check_crlb_dominance",
+    "crlb", "empirical_error_covariance", "error_covariance", "fisher_finite_difference",
+    "fisher_nonlinear", "joint_information", "joint_information_nonlinear", "lambda_root",
+    "local_optimality_probe", "ml_estimate", "mmse_gaussian_estimate", "numeric_jacobian",
+    "optimal_secondary", "prewhiten", "prior_information_mc", "simulate", "snr_matrix",
+    "svd_of_rho", "sym_sqrt", "synergy_gradient_rho", "synergy_matrices", "synergy_objective",
+    "total_information", "total_information_nonlinear", "wls_estimate",
+]
+
+
+def test_public_names_are_pinned():
+    names = [
+        name for name in dir(fusionkit)
+        if not name.startswith("_") and not isinstance(getattr(fusionkit, name), types.ModuleType)
+    ]
+    assert sorted(names) == sorted(PUBLIC) and len(PUBLIC) == 67
+
+
+def test_readme_library_sketch_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    exec(compile(block, str(README), "exec"), {})
