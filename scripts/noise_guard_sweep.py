@@ -5,12 +5,23 @@
 read off its inverse Cholesky factor and takes one ``eigvalsh`` only when
 the bound is inconclusive or Cholesky fails. This sweep plants spectra of
 known condition (1e2 to 1e14, straddling the 1e12 limit) and of minimum
-eigenvalue -1e-12, 0 and 1e-13, at several sizes, under the plain guard and
-the Schur-complement guard (condition against a parent block 10x larger).
+eigenvalue -1e-12, 0 and 1e-13, at several sizes, under three guards:
+
+- ``plain``: ``inverse_factor`` alone;
+- ``schur``: ``derived_inverse`` with its condition measured against a
+  given scale 10x the matrix's norm;
+- ``parent``: ``factor_noise``'s Schur guard, which measures the
+  condition against the largest eigenvalue of the parent block but reads
+  the parent's Frobenius norm instead while that certifies. Each parent
+  has unit largest eigenvalue, taken by 1 to n of its eigenvalues, so its
+  Frobenius norm exceeds that eigenvalue by a factor of 1 to sqrt(n); the
+  planted conditions (relative to it) straddle the 1e12 limit.
+
 It records how often the fallback runs and whether every decision (error
 type and carried value) matches the eigenvalue guard, which it must on
-every trial. Emits a CSV (one row per size, spectrum and guard) and a JSON
-summary; exits 1 if any decision disagrees.
+every trial; for ``parent`` that is the exact rule, with the parent's
+largest eigenvalue as the scale. Emits a CSV (one row per size, spectrum
+and guard) and a JSON summary; exits 1 if any decision disagrees.
 """
 
 import argparse
@@ -22,7 +33,15 @@ from pathlib import Path
 import numpy as np
 
 from fusionkit import NotPD, Singular
-from fusionkit.matrixkit import SINGULAR_CONDITION, derived_inverse, inverse_factor, symmetrize
+from fusionkit.matrixkit import (
+    SINGULAR_CONDITION,
+    _schur_inverse,
+    derived_inverse,
+    inverse_factor,
+    symmetrize,
+)
+
+GUARDS = ("plain", "schur", "parent")
 
 SPECTRA = [f"cond=1e{e}" for e in ("2", "6", "10", "11", "11.5", "12.5", "13", "14")] + [
     "min=-1e-12",
@@ -42,9 +61,20 @@ def planted(rng, n, spectrum):
         w = 10.0 ** rng.uniform(-2.0, 0.0, size=n)
         w[0] = float(value)
     w[-1] = 1.0
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return in_random_basis(rng, w)
+
+
+def in_random_basis(rng, w):
+    Q, R = np.linalg.qr(rng.standard_normal((len(w), len(w))))
     Q *= np.sign(np.diag(R))
     return symmetrize((Q * w) @ Q.T)
+
+
+def parent_block(rng, n):
+    """PD parent of largest eigenvalue 1, held by 1 to n eigenvalues: Frobenius norm 1 to sqrt(n)."""
+    w = rng.uniform(0.01, 1.0, size=n)
+    w[: rng.integers(1, n + 1)] = 1.0
+    return in_random_basis(rng, w)
 
 
 def eigen_decision(M, scale, schur):
@@ -74,12 +104,18 @@ class CountedEigvalsh:
         np.linalg.eigvalsh = self._original
 
 
-def cholesky_decision(M, scale, schur):
-    """(error type, carried value, inverse or None, eigvalsh calls) of the Cholesky guard."""
+def cholesky_decision(M, against, guard):
+    """(error type, carried value, inverse or None, eigvalsh calls) of the Cholesky guard.
+
+    ``against`` is the scale of the ``schur`` guard and the parent block of
+    the ``parent`` guard.
+    """
     with CountedEigvalsh() as counter:
         try:
-            if schur:
-                inverse = derived_inverse(M, "Schur complement", scale=scale)
+            if guard == "parent":
+                inverse = _schur_inverse(M, against, "Schur complement")
+            elif guard == "schur":
+                inverse = derived_inverse(M, "Schur complement", scale=against)
             else:
                 L_inv = inverse_factor(M, "M")
                 inverse = L_inv.T @ L_inv
@@ -105,16 +141,19 @@ def main() -> int:
     rows = []
     for n in args.sizes:
         for spectrum in SPECTRA:
-            for guard in ("plain", "schur"):
-                schur = guard == "schur"
+            for guard in GUARDS:
                 row = dict.fromkeys(fields[3:], 0)
                 row.update(n=n, spectrum=spectrum, guard=guard, trials=args.trials)
                 row["worst_inverse_error_over_cond"] = 0.0
                 for _ in range(args.trials):
                     M = planted(rng, n, spectrum)
-                    scale = 10.0 if schur else 0.0
-                    want, carried = eigen_decision(M, scale, schur)
-                    got, got_carried, inverse, calls = cholesky_decision(M, scale, schur)
+                    if guard == "parent":
+                        against = parent_block(rng, n)
+                        scale = float(np.linalg.eigvalsh(against)[-1])
+                    else:
+                        against = scale = 10.0 if guard == "schur" else 0.0
+                    want, carried = eigen_decision(M, scale, guard != "plain")
+                    got, got_carried, inverse, calls = cholesky_decision(M, against, guard)
                     row["fallbacks"] += calls
                     row["agreements"] += got is want and (want is None or got_carried == carried)
                     row["refusals"] += got is not None
@@ -146,8 +185,8 @@ def main() -> int:
     }
     base.with_suffix(".json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(
-        f"noise guard sweep: {trials} trials, eigvalsh fallback on "
-        f"{summary['fallback_rate']:.1%}, agreement with the eigenvalue guard "
+        f"noise guard sweep: {trials} trials, {summary['fallback_rate']:.3f} eigvalsh "
+        f"calls per trial, agreement with the eigenvalue guard "
         f"{summary['agreement_rate']:.1%}",
         file=sys.stderr,
     )

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Sweep marginal noise conditions through the prewhitening products.
 
-``matrixkit.factor_noise`` takes the inverse symmetric roots ``L_v^-1``,
-``L_u^-1`` from the eigen-solve of each marginal, and ``prewhiten``
-forms ``A_tilde = L_v^-1 A``, ``B_tilde = L_u^-1 B`` and
-``rho = L_v^-1 sigma_vu L_u^-1`` as products with them. This sweep
+``information.prewhiten`` takes the inverse symmetric roots ``L_v^-1``,
+``L_u^-1`` from one eigen-solve of each marginal and forms
+``A_tilde = L_v^-1 A``, ``B_tilde = L_u^-1 B`` and
+``rho = L_v^-1 sigma_vu L_u^-1`` as products with them (the pair's
+factorization whitens with inverse Cholesky factors instead; its answers
+do not depend on the basis). This sweep
 compares each product with the LU solve ``solve(L, .)`` against the root
 ``L = sym_sqrt(sigma)``, on pairs whose marginals have a planted condition
 drawn log-uniformly within each decade from 1e0 to 1e12, and reports the worst relative

@@ -21,8 +21,14 @@ import numpy as np
 from .advisor import AdvisorTolerances, advise
 from .errors import FusionKitError, NonFinite, NotPD, NotSampleable
 from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
-from .information import PairFactorization, crlb, prewhiten, snr_matrix, total_information
-from .matrixkit import BlockCovariance, psd_check, require_noise, sym_sqrt
+from .information import (
+    PairFactorization,
+    _prewhiten_with_root,
+    crlb,
+    snr_matrix,
+    total_information,
+)
+from .matrixkit import BlockCovariance, psd_check, require_noise
 from .model import GaussianPrior, InfoOnlyPrior, LinearModel, ModalityPair, SourcePrior
 from .placement import optimal_secondary
 
@@ -75,6 +81,20 @@ def _known_keys(obj, keys: tuple[str, ...], where: str) -> None:
         for key in obj:
             if key not in keys:
                 raise ScenarioError(f"unknown key {key!r} at {where}; known keys: {list(keys)}")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a key given twice is refused.
+
+    Plain ``json.loads`` keeps the last value of a repeated key, so the
+    earlier one would be silently ignored.
+    """
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
 
 
 def _numbers(obj, what: str) -> None:
@@ -133,7 +153,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario JSON document; the first fault found raises :class:`ScenarioError`."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
     except OSError as exc:  # a directory, say
@@ -342,12 +362,11 @@ def cmd_place(args) -> int:
             )
         secondary = others[0]
     pair = scenario.pair(primary, secondary)
-    wp = prewhiten(pair)
+    wp, L_u = _prewhiten_with_root(pair)
     solution = optimal_secondary(wp.A_tilde, wp.rho, args.budget, prior=scenario.prior)
     report = {"scenario_id": scenario.id, "primary": primary, "secondary_noise": secondary}
     report.update(solution.to_json_dict())
     if solution.B_star is not None:
-        L_u = sym_sqrt(pair.noise.sigma_u)
         report["B_star_unwhitened"] = _tolist(L_u @ solution.B_star)
     _emit(
         report,

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
-    NoiseFactors,
+    _root,
     factor_noise,
     inverse_factor,
     require_conditioned,
@@ -70,12 +70,13 @@ class InfoMatrix:
 class WhitenedPair:
     """Prewhitened two-modality model.
 
-    ``A_tilde = L_v^-1 A``, ``B_tilde = L_u^-1 B`` and
-    ``rho = L_v^-1 sigma_vu L_u^-1`` where ``L_v^-1``, ``L_u^-1`` are the
-    inverse symmetric PSD square roots of the marginal noise covariances
-    (:func:`~fusionkit.matrixkit.sym_sqrt` gives the roots themselves). All
-    singular values of rho are strictly below one whenever the joint
-    covariance is PD.
+    ``A_tilde = W_v A``, ``B_tilde = W_u B`` and ``rho = W_v sigma_vu W_u^T``
+    for whiteners with ``W sigma W^T = I``: the inverse Cholesky factors in
+    :class:`PairFactorization`, the inverse symmetric roots in
+    :func:`prewhiten`. The two bases differ by an orthogonal ``Q`` per
+    modality (``W -> Q W``), which changes no information, synergy,
+    ``sigma(rho)`` or redundancy residual. All singular values of rho are
+    strictly below one whenever the joint covariance is PD.
     ``rho_singular_values`` (descending) are taken once, when the pair is
     built, and ``sigma_max_rho`` reads them.
     """
@@ -190,21 +191,31 @@ def crlb(J) -> np.ndarray:
 
 
 def prewhiten(pair: ModalityPair) -> WhitenedPair:
-    """Whiten both modalities with the symmetric square roots of their noise.
+    """Whiten both modalities with the inverse symmetric roots of their noise.
 
-    ``A_tilde = L_v^-1 A`` and ``B_tilde = L_u^-1 B`` are products with the
-    inverse roots that :func:`factor_noise` takes from its eigen-solves of
-    the marginals, as is ``rho``; no solve is run against a root. After
-    whitening the noises have identity covariance and cross
-    correlation ``rho = L_v^-1 sigma_vu L_u^-1``; the joint covariance
-    being PD forces every singular value of rho below one. Raises
-    :class:`NotPD` or :class:`Singular` as :func:`factor_noise` does.
+    ``A_tilde = L_v^-1 A``, ``B_tilde = L_u^-1 B`` and
+    ``rho = L_v^-1 sigma_vu L_u^-1`` with ``L`` the symmetric root
+    (:func:`~fusionkit.matrixkit.sym_sqrt`): the basis in which ``place``
+    reports ``B_star``. After whitening the noises have identity
+    covariance and cross correlation ``rho``; the joint covariance being PD
+    forces every singular value of rho below one. Raises :class:`NotPD` or
+    :class:`Singular` as :func:`factor_noise` does, whose guards it runs
+    before its one eigen-solve per marginal.
     """
-    return _whiten(pair, factor_noise(pair.noise))
+    return _prewhiten_with_root(pair)[0]
 
 
-def _whiten(pair: ModalityPair, nf: NoiseFactors) -> WhitenedPair:
-    return WhitenedPair(nf.L_v_inv @ pair.first.A, nf.L_u_inv @ pair.second.A, nf.rho)
+def _prewhiten_with_root(pair: ModalityPair) -> tuple[WhitenedPair, np.ndarray]:
+    """:func:`prewhiten`, and the root ``L_u`` of ``sigma_u`` that maps ``B_tilde`` back."""
+    noise = pair.noise
+    factor_noise(noise)  # refuses what the pair's factorization refuses
+    w_v, V_v = np.linalg.eigh(symmetrize(noise.sigma_v))
+    w_u, V_u = np.linalg.eigh(symmetrize(noise.sigma_u))
+    L_v_inv = symmetrize((V_v / np.sqrt(w_v)) @ V_v.T)
+    L_u_inv = symmetrize((V_u / np.sqrt(w_u)) @ V_u.T)
+    wp = WhitenedPair(L_v_inv @ pair.first.A, L_u_inv @ pair.second.A,
+                      L_v_inv @ noise.sigma_vu @ L_u_inv)
+    return wp, _root(w_u, V_u)
 
 
 def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
@@ -294,13 +305,14 @@ class PairFactorization:
     """A modality pair with every block factorized once, and all that is read from it.
 
     Built by :meth:`from_pair`, which memoizes it on the pair: the whitened
-    pair, which carries the singular values of rho, both SNR matrices, the
-    four joint Fisher information routes with their largest disagreement
-    (``routes``, keyed "block", "schur_f", "schur_g", "prewhitened"; prior
-    information excluded), and ``S_x``, ``S_y``. Every array is read-only,
-    as it is shared by each call on the pair. It holds no reference back to
-    the pair, so a pair and its factorization form no reference cycle and
-    are freed together as soon as the pair is dropped.
+    pair (in the basis of :func:`factor_noise`'s inverse Cholesky factors,
+    not :func:`prewhiten`'s), which carries the singular values of rho, both
+    SNR matrices, the four joint Fisher information routes with their
+    largest disagreement (``routes``, keyed "block", "schur_f", "schur_g",
+    "prewhitened"; prior information excluded), and ``S_x``, ``S_y``. Every
+    array is read-only, as it is shared by each call on the pair. It holds
+    no reference back to the pair, so a pair and its factorization form no
+    reference cycle and are freed together as soon as the pair is dropped.
     """
 
     whitened: WhitenedPair
@@ -341,7 +353,7 @@ class PairFactorization:
         M_g = B.T @ su_inv @ pair.noise.sigma_uv - A.T
         quad_g = M_g @ nf.G @ M_g.T
 
-        wp = _whiten(pair, nf)
+        wp = WhitenedPair(nf.L_v_inv @ A, nf.L_u_inv @ B, nf.rho)
         solve_k = _cross_solvers(wp.rho, wp.rho_singular_values)[0]
         routes = {
             "block": J_block,

@@ -9,12 +9,12 @@ returns ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1`` and ``L^-1 X``
 whitens ``X``; its guard reads a condition bound off ``L^-1`` and takes
 one ``eigvalsh`` only where the bound is inconclusive. The Schur
 complements and the estimators' normal and posterior matrices go through
-it by :func:`derived_inverse`. A noise pair is whitened with the
-symmetric inverse roots of its marginals instead, which fix the basis of
-its whitened cross-correlation: one eigen-solve ``M = V diag(w) V^T``
-gives the rule's eigenvalues, the inverse root ``(V / sqrt(w)) V^T`` and
-the inverse ``(V / w) V^T``. :func:`factor_noise` is the one entry to a
-joint noise covariance's factors.
+it by :func:`derived_inverse`, and so does a noise pair:
+:func:`factor_noise`, the one entry to a joint noise covariance's factors,
+whitens each marginal with its inverse Cholesky factor, so whitening is
+decided in one place. A whitened pair's answers do not depend on the
+basis of the whitening; the symmetric roots, which fix the basis that
+``place`` prints, are taken by ``information.prewhiten`` alone.
 """
 
 from __future__ import annotations
@@ -132,10 +132,9 @@ def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return symmetrize((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
-def _conditioned_eigh(M, name: str, psd_first: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _conditioned_eigh(M, name: str) -> tuple[np.ndarray, np.ndarray]:
     w, V = np.linalg.eigh(symmetrize(M))
-    if psd_first:  # clearly indefinite input raises NotPSD, as sym_sqrt does
-        _require_psd(w)
+    _require_psd(w)  # clearly indefinite input raises NotPSD, as sym_sqrt does
     _require_pd_conditioned(w, name)
     return w, V
 
@@ -377,13 +376,15 @@ class BlockCovariance:
 class NoiseFactors:
     """A joint noise covariance with each block factorized once (:func:`factor_noise`).
 
-    ``L_v_inv``, ``L_u_inv`` are the inverse symmetric roots of the
-    marginals, the pair's one whitening; ``F`` and ``G`` are
-    the inverse Schur complements ``(sigma_u - sigma_uv sigma_v^-1 sigma_vu)^-1``
-    and ``(sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``, ``inverse_blocks`` the
+    ``L_v_inv``, ``L_u_inv`` are the lower-triangular inverse Cholesky
+    factors of the marginals (``sigma = L L^T``), the pair's one whitening,
+    and ``sigma_v_inv``, ``sigma_u_inv`` the inverses ``L^-T L^-1``; ``F`` and
+    ``G`` are the inverse Schur complements
+    ``(sigma_u - sigma_uv sigma_v^-1 sigma_vu)^-1`` and
+    ``(sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``, ``inverse_blocks`` the
     blocks ``(omega_11, omega_12, omega_21, omega_22)`` of ``joint()^-1`` (exact
     zeros off the diagonal for block-diagonal input), and
-    ``rho = L_v^-1 sigma_vu L_u^-1`` the whitened cross-correlation.
+    ``rho = L_v^-1 sigma_vu L_u^-T`` the whitened cross-correlation.
     """
 
     L_v_inv: np.ndarray
@@ -399,35 +400,51 @@ class NoiseFactors:
 def factor_noise(block: BlockCovariance) -> NoiseFactors:
     """Factorize every block of a joint noise covariance once.
 
-    Per marginal, one eigen-solve gives the PD check (:class:`NotPD`), the
-    condition (:class:`Singular` above ``SINGULAR_CONDITION``), the inverse
-    root and the inverse; per Schur complement,
-    :func:`derived_inverse` gives the inverse under a guard on its condition
-    relative to its block. Two products with the inverse roots whiten the
-    cross-covariance into ``rho``.
+    Per marginal, :func:`inverse_factor` gives the PD check (:class:`NotPD`),
+    the condition guard (:class:`Singular` above ``SINGULAR_CONDITION``) and
+    the inverse Cholesky factor, whose Gram matrix is the inverse; per
+    Schur complement, :func:`_schur_inverse` gives the inverse under a guard
+    on its condition relative to its block. Two products with the inverse
+    factors whiten the cross-covariance into ``rho``.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
-    norm_v, L_v_inv, sv_inv = _factor_marginal(sv, "sigma_v")
-    norm_u, L_u_inv, su_inv = _factor_marginal(su, "sigma_u")
-    sv_inv_svu = sv_inv @ svu
-    # A Schur complement tiny relative to its parent block signals joint
-    # collapse even when it is well conditioned in isolation.
-    F = derived_inverse(symmetrize(su - svu.T @ sv_inv_svu), "Schur complement of sigma_u block",
-                        scale=norm_u)
-    G = derived_inverse(symmetrize(sv - svu @ su_inv @ svu.T), "Schur complement of sigma_v block",
-                        scale=norm_v)
-    rho = L_v_inv @ svu @ L_u_inv
+    L_v_inv = inverse_factor(sv, "sigma_v")
+    L_u_inv = inverse_factor(su, "sigma_u")
+    sv_inv = symmetrize(L_v_inv.T @ L_v_inv)
+    su_inv = symmetrize(L_u_inv.T @ L_u_inv)
+    # Each Schur complement subtracts a Gram matrix of a half-whitened
+    # cross-covariance: sigma_uv sigma_v^-1 sigma_vu = W_v^T W_v. Near the
+    # condition limit its smallest eigenvalue is far more accurate than with
+    # the explicit inverse in the middle.
+    W_v = L_v_inv @ svu
+    W_u = svu @ L_u_inv.T
+    F = _schur_inverse(symmetrize(su - W_v.T @ W_v), su, "Schur complement of sigma_u block")
+    G = _schur_inverse(symmetrize(sv - W_u @ W_u.T), sv, "Schur complement of sigma_v block")
+    rho = W_v @ L_u_inv.T
     if not np.any(svu):
         # Block-diagonal input: keep the zero blocks exact.
         z = np.zeros_like(svu)
         inverse_blocks = (sv_inv, z, z.T, su_inv)
     else:
+        sv_inv_svu = L_v_inv.T @ W_v
         omega_12 = -sv_inv_svu @ F
         omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
         inverse_blocks = (omega_11, omega_12, omega_12.T, F)
     return NoiseFactors(L_v_inv, L_u_inv, sv_inv, su_inv, F, G, inverse_blocks, rho)
 
 
-def _factor_marginal(S: np.ndarray, name: str):
-    w, V = _conditioned_eigh(S, name)
-    return float(w[-1]), symmetrize((V / np.sqrt(w)) @ V.T), _eig_inverse(w, V)
+def _schur_inverse(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of the Schur complement ``S`` of ``parent``, by :func:`derived_inverse`.
+
+    A Schur complement tiny relative to its parent block signals joint
+    collapse even when it is well conditioned in isolation, so its
+    condition is measured against ``lambda_max(parent)``. ``||parent||_F``,
+    never below it, stands in for that scale wherever it lets ``S`` through:
+    a larger scale only refuses more. Where it refuses, one ``eigvalsh`` of
+    the parent gives ``lambda_max`` and the decision, with its error and
+    condition.
+    """
+    try:
+        return derived_inverse(S, what, scale=float(np.linalg.norm(parent)))
+    except Singular:
+        return derived_inverse(S, what, scale=float(np.linalg.eigvalsh(parent)[-1]))

@@ -112,7 +112,7 @@ class GaussianPrior(SourcePrior):
         object.__setattr__(self, "cov", cov)
         # One eigen-solve gives the sampling root and the information; it
         # raises NotPSD, NotPD or Singular as sym_sqrt and psd_inverse would.
-        w, V = _conditioned_eigh(cov, "source covariance", psd_first=True)
+        w, V = _conditioned_eigh(cov, "source covariance")
         root, info = _root(w, V), _eig_inverse(w, V)
         root.setflags(write=False)
         info.setflags(write=False)

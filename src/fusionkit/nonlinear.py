@@ -8,9 +8,10 @@ over seed-split sample blocks, run one after another by
 seed; the variance of the estimate is reported, never hidden. Each
 block evaluates its integrand as stacked arrays: one (count, n, m)
 Jacobian array per model, whitened by one product with the linear
-module's whitener (the inverse Cholesky factor for one modality, the
-inverse symmetric roots of :func:`~fusionkit.matrixkit.factor_noise`
-for a pair), then stacked matrix products. ``h`` itself is
+module's whitener (the inverse Cholesky factor of the noise for one
+modality, and of each marginal, from
+:func:`~fusionkit.matrixkit.factor_noise`, for a pair), then stacked
+matrix products. ``h`` itself is
 still called once per perturbed point. Models with constant Jacobians
 reproduce the linear module exactly because the integrand does not vary
 across samples.
@@ -196,8 +197,8 @@ def joint_information_nonlinear(
 ) -> McInfoEstimate:
     """Monte-Carlo joint Fisher information of two nonlinear modalities.
 
-    Whitens both maps by products with the inverse symmetric roots of
-    their marginal noise covariances, as :func:`~fusionkit.information.prewhiten`
+    Whitens both maps by products with the inverse Cholesky factors of
+    their marginal noise covariances, as the linear pair's factorization
     does, then averages the whitened quadratic form over prior draws.
     Both published algebraic forms, the whitened joint Fisher information
     (:func:`~fusionkit.information.whitened_joint_fisher`) of the pair and

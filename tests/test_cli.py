@@ -118,6 +118,10 @@ class TestScenarioLoading:
             (lambda d: d["modalities"][1].update(name=7),
              "modalities[1] 'name' must be a string, got 7"),
             (lambda d: d.update(id=3), "'id' must be a string, got 3"),
+            # a dict cannot hold a repeated key: the edit returns the JSON text
+            (lambda d: json.dumps(d).replace(
+                '"noise_cov": ', '"noise_cov": [[0.5]], "noise_cov": ', 1),
+             "key 'noise_cov' is given twice in one object"),
         ],
         ids=["modality-not-object", "modalities-not-list", "tolerances-list",
              "tolerance-null", "same-modality-twice", "negative-index", "pair-not-list",
@@ -128,12 +132,13 @@ class TestScenarioLoading:
              "two-priors", "unknown-gaussian-key", "unknown-info-only-key",
              "unknown-modality-key", "unknown-cross-key", "unknown-cross-list-key",
              "bool-in-matrix", "string-in-matrix", "bool-in-cross-matrix", "bool-in-mean",
-             "name-not-string", "id-not-string"],
+             "name-not-string", "id-not-string", "key-given-twice"],
     )
     def test_malformed_scenario_exits_2(self, tmp_path, two_modality_doc, capsys, edit, message):
-        edit(two_modality_doc)
-        path = write_scenario(tmp_path / "s.json", two_modality_doc)
-        assert main(["advise", path, "--pair", "a,b"]) == 2
+        text = edit(two_modality_doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(two_modality_doc) if text is None else text)
+        assert main(["advise", str(path), "--pair", "a,b"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and message in err and err.count("\n") == 1
 

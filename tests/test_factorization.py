@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fusionkit import (
+    AdvisorTolerances,
     BlockCovariance,
     GaussianPrior,
     LinearModel,
@@ -35,9 +36,9 @@ from fusionkit import (
     sym_sqrt,
     synergy_matrices,
 )
-from fusionkit import information, placement
+from fusionkit import advisor, information, placement
 from fusionkit.cli import main
-from fusionkit.matrixkit import symmetrize
+from fusionkit.matrixkit import factor_noise, symmetrize
 
 from conftest import (
     random_admissible_rho,
@@ -90,12 +91,12 @@ def lapack_calls(monkeypatch, fn):
 
 
 BUILD = {
-    # one per marginal (PD check, condition, inverse root, inverse)
-    "numpy.linalg.eigh": 2,
-    # one per Schur complement (factor, inverse and a condition bound that
-    # certifies it); a 30 or 40 row factor is inverted in one block
-    "numpy.linalg.cholesky": 2,
-    "numpy.linalg.inv": 2,
+    # one per marginal (the whitening inverse factor, its inverse and the
+    # condition bound that certifies it) and one per Schur complement (the
+    # same, against its block); a 30 or 40 row factor is inverted in one
+    # block, and no eigen-solve factorizes the pair
+    "numpy.linalg.cholesky": 4,
+    "numpy.linalg.inv": 4,
     "numpy.linalg.solve": 1,  # (I - rho^T rho); A~, B~ and rho are products
     "numpy.linalg.svd": 1,  # rho
 }
@@ -213,16 +214,17 @@ def test_writing_to_the_inputs_changes_no_result(rng):
 def test_contents_match_the_single_purpose_functions(rng):
     pair = random_pair(rng, 4, 3, 2)
     fac = PairFactorization.from_pair(pair)
-    wp = prewhiten(pair)
+    # the whitened pair is the products with the noise factors' whiteners
+    nf = factor_noise(pair.noise)
     for got, want in zip(
         (fac.whitened.A_tilde, fac.whitened.B_tilde, fac.whitened.rho),
-        (wp.A_tilde, wp.B_tilde, wp.rho),
+        (nf.L_v_inv @ pair.first.A, nf.L_u_inv @ pair.second.A, nf.rho),
     ):
         assert np.array_equal(got, want)
-    assert fac.sigma_max_rho == wp.sigma_max_rho
-    # snr_matrix whitens with the Cholesky factor and the factorization uses
-    # the eigen-solve it takes for the root: two routes to one matrix, which
-    # agree to rounding
+    assert fac.sigma_max_rho == float(np.linalg.svd(nf.rho, compute_uv=False)[0])
+    # snr_matrix whitens with the Cholesky factor, the factorization takes
+    # A^T sigma_v^-1 A with the inverse from the same factor: two routes to
+    # one matrix, which agree to rounding
     assert rel_fro(fac.snr_first, snr_matrix(pair.first, pair.noise.sigma_v).matrix) <= 1e-12
     assert rel_fro(fac.snr_second, snr_matrix(pair.second, pair.noise.sigma_u).matrix) <= 1e-12
     # independent oracle: GLS information of the stacked model
@@ -234,11 +236,70 @@ def test_contents_match_the_single_purpose_functions(rng):
     assert rel_fro(fac.S_y, dense - fac.snr_second) <= 1e-10
 
 
+@pytest.mark.parametrize("redundant", [False, True])
+def test_cholesky_basis_answers_match_the_symmetric_root_basis(redundant):
+    # The factorization whitens with inverse Cholesky factors, prewhiten with
+    # inverse symmetric roots: the two differ by an orthogonal Q per modality,
+    # which changes no answer. The symmetric-basis answers are computed here
+    # from prewhiten's pair, the residuals by the advisor's own rule.
+    rng = np.random.default_rng(45 + redundant)
+    for n1, n2, m in ((4, 3, 2), (12, 9, 4), (40, 30, 10)):
+        pair = planted_pair(rng, n1, n2, m, redundant)
+        fac = PairFactorization.from_pair(pair)
+        wp = prewhiten(pair)
+        J = information.whitened_joint_fisher(wp.A_tilde, wp.B_tilde, wp.rho)
+        S_x = J - wp.A_tilde.T @ wp.A_tilde
+        S_y = J - wp.B_tilde.T @ wp.B_tilde
+        s_chol, s_sym = fac.whitened.rho_singular_values, wp.rho_singular_values
+        assert np.linalg.norm(s_chol - s_sym) <= 1e-12 * np.linalg.norm(s_sym)
+        assert rel_fro(fac.routes["prewhitened"], J) <= 1e-12
+        for got, want in ((fac.S_x, S_x), (fac.S_y, S_y)):
+            # a synergy matrix is the difference J - snr, measured against J
+            # (a redundant pair's S_x is zero up to rounding)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(J)
+        symmetric = advisor._redundancy(
+            dataclasses.replace(fac, whitened=wp, routes={"prewhitened": J}, S_x=S_x, S_y=S_y),
+            AdvisorTolerances().redundancy,
+        )
+        evidence = advise(pair).evidence
+        # the residuals are normalized by the norms of the whitened matrices,
+        # so an absolute difference is relative to those norms; a redundant
+        # pair's r2 and synergy residual are rounding noise in either basis
+        assert abs(evidence["r1"] - symmetric.r1) <= 1e-12 * max(1.0, symmetric.r1)
+        assert abs(evidence["r2"] - symmetric.r2) <= 1e-12 * max(1.0, symmetric.r2)
+        assert ("synergy_residual" in evidence) is redundant
+        if redundant:
+            assert abs(evidence["synergy_residual"] - symmetric.synergy_residual) <= 1e-12
+
+
+def test_place_takes_one_eigen_solve_per_marginal(monkeypatch, tmp_path):
+    # the printed basis: prewhiten's eigen-solves give both inverse roots and
+    # the root of sigma_u that un-whitens B_star; the third is the Gaussian
+    # prior's
+    rng = np.random.default_rng(46)
+    noise = random_joint_noise(rng, 3, 2)
+    doc = {
+        "sources": {"gaussian": {"mean": [0.0, 0.0], "cov": np.eye(2).tolist()}},
+        "modalities": [
+            {"name": "a", "A": rng.standard_normal((3, 2)).tolist(),
+             "noise_cov": noise.sigma_v.tolist()},
+            {"name": "b", "A": rng.standard_normal((2, 2)).tolist(),
+             "noise_cov": noise.sigma_u.tolist()},
+        ],
+        "cross_cov": {"pair": [0, 1], "matrix": noise.sigma_vu.tolist()},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    argv = ["place", str(path), "--primary", "a", "--budget", "5", "--out", str(tmp_path / "r")]
+    counts = lapack_calls(monkeypatch, lambda: main(argv))
+    assert counts["numpy.linalg.eigh"] == 3
+
+
 @pytest.mark.parametrize("log_cond", [0.0, 4.0, 8.0, 11.5])
 def test_whitening_products_match_solves_against_the_roots(log_cond):
-    # A~, B~ and rho are products with the inverse roots factor_noise takes
-    # from its eigen-solves; an LU solve with the root gives each of them to
-    # within the rounding that whitening a condition-kappa marginal allows
+    # A~, B~ and rho are products with prewhiten's inverse symmetric roots;
+    # an LU solve with the root gives each of them to within the rounding
+    # that whitening a condition-kappa marginal allows
     rng = np.random.default_rng(int(10 * log_cond) + 1)
     kappa = 10.0**log_cond
     for _ in range(3):
@@ -386,8 +447,8 @@ def test_place_applies_the_marginal_guard(tmp_path, capsys):
 @pytest.mark.parametrize("N", [100, 3 * information.DEFAULT_BLOCK + 1])
 def test_nonlinear_whitening_takes_no_solve_per_block(monkeypatch, N):
     # each integrand whitens a block's Jacobians by a product with the
-    # linear module's whitener: the Fisher noise factor, or the pair's
-    # inverse roots; only K and K' are solves, once per call
+    # linear module's whitener: the inverse Cholesky factor of the noise, or
+    # of each of the pair's marginals; only K and K' are solves, once per call
     rng = np.random.default_rng(44)
     A1, A2, C = (rng.standard_normal(shape) for shape in ((4, 2), (3, 2), (4, 2)))
     h = NonlinearModel(h=lambda s: A1 @ s + C @ (s * s), n=4, m=2)
@@ -399,5 +460,5 @@ def test_nonlinear_whitening_takes_no_solve_per_block(monkeypatch, N):
     joint = lapack_calls(
         monkeypatch, lambda: joint_information_nonlinear(h, g, noise, prior, N, 5)
     )
-    assert joint == {"numpy.linalg.eigh": 2, "numpy.linalg.cholesky": 2, "numpy.linalg.inv": 2,
+    assert joint == {"numpy.linalg.cholesky": 4, "numpy.linalg.inv": 4,
                      "numpy.linalg.svd": 1, "numpy.linalg.solve": 2}

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import (
+    AdvisorTolerances,
     BlockCovariance,
     GaussianPrior,
     InfoOnlyPrior,
@@ -17,6 +20,7 @@ from fusionkit import (
     SamplerPrior,
     SingularInformation,
     crlb,
+    advise,
     error_covariance,
     joint_information,
     prewhiten,
@@ -33,8 +37,17 @@ from fusionkit.information import (
     route_disagreement,
     whitened_joint_fisher,
 )
+from fusionkit.matrixkit import FORM_CONDITION_SLACK
 
-from conftest import mc_per_sample, random_joint_noise, random_pair, random_pd, rel_fro
+from conftest import (
+    mc_per_sample,
+    random_admissible_rho,
+    random_joint_noise,
+    random_orthogonal,
+    random_pair,
+    random_pd,
+    rel_fro,
+)
 
 
 class TestSnrMatrix:
@@ -296,6 +309,43 @@ def test_route_disagreement_rejects_a_non_finite_route():
 def test_snr_overflow_raises_non_finite():
     with np.errstate(over="ignore"), pytest.raises(NonFinite):
         snr_matrix(LinearModel([[1e200]]), [[1e-200]])
+
+
+# The largest sigma_max(rho) the rotation property draws: cond(I - rho^T rho)
+# up to about 50. Widen it toward unitary rho once answers there carry a
+# certified accuracy.
+ROTATION_SIGMA_MAX = 0.99
+
+
+def whitened_answers(A_tilde, B_tilde, rho):
+    """J, sigma(rho) and advise's (r1, r2) of the identity-noise pair whitened as given."""
+    noise = BlockCovariance(np.eye(rho.shape[0]), np.eye(rho.shape[1]), rho)
+    pair = ModalityPair(LinearModel(A_tilde), LinearModel(B_tilde), noise)
+    evidence = advise(pair, tols=AdvisorTolerances(redundancy=0.0)).evidence
+    return (whitened_joint_fisher(A_tilde, B_tilde, rho), np.linalg.svd(rho, compute_uv=False),
+            np.array([evidence["r1"], evidence["r2"]]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_rotating_a_whitened_pair_changes_no_basis_free_answer(seed, redundant):
+    # W -> Q W whitens as well as W does: A~ -> Q_v A~, B~ -> Q_u B~ and
+    # rho -> Q_v rho Q_u^T leave the joint information, sigma(rho) and the
+    # redundancy residuals as they were, to rounding in cond(I - rho^T rho)
+    rng = np.random.default_rng(seed)
+    n1, n2, m = (int(k) for k in rng.integers(1, 7, size=3))
+    sigma_max = rng.uniform(0.0, ROTATION_SIGMA_MAX)
+    rho = random_admissible_rho(rng, n1, n2, sigma_max)
+    A_tilde = rng.standard_normal((n1, m))
+    B_tilde = rho.T @ A_tilde if redundant else rng.standard_normal((n2, m))
+    Q_v, Q_u = random_orthogonal(rng, n1), random_orthogonal(rng, n2)
+    J, s, r = whitened_answers(A_tilde, B_tilde, rho)
+    J_q, s_q, r_q = whitened_answers(Q_v @ A_tilde, Q_u @ B_tilde, Q_v @ rho @ Q_u.T)
+    tol = FORM_CONDITION_SLACK * np.finfo(float).eps / (1.0 - sigma_max**2)
+    assert rel_fro(J_q, J) <= tol
+    assert np.max(np.abs(s_q - s)) <= tol
+    # the residuals are already relative to the whitened norms
+    assert np.max(np.abs(r_q - r)) <= tol
 
 
 def exact_trace_at_scaled_identity(A_tilde, B_tilde, c):

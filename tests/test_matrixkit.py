@@ -379,9 +379,10 @@ def test_noise_guard_sweep_smoke(tmp_path):
     out = tmp_path / "guard"
     run_script("noise_guard_sweep.py", "--sizes", "1", "3", "--trials", "2", "--out", out)
     summary = json.loads(out.with_suffix(".json").read_text())
-    assert summary["trials"] == 2 * 11 * 2 * 2 and summary["agreement_rate"] == 1.0
+    # 2 sizes, 11 spectra, 3 guards (plain, schur, parent), 2 trials each
+    assert summary["trials"] == 2 * 11 * 3 * 2 and summary["agreement_rate"] == 1.0
     rows = out.with_suffix(".csv").read_text().splitlines()
-    assert len(rows) == 1 + 2 * 11 * 2
+    assert len(rows) == 1 + 2 * 11 * 3
 
 
 def test_whitening_accuracy_sweep_smoke(tmp_path):

@@ -45,7 +45,7 @@ class TestTypes:
         cov = random_pd(rng, 3)
         prior = GaussianPrior(mean=np.zeros(3), cov=cov)
         assert np.array_equal(prior._sqrt, sym_sqrt(cov))
-        w, V = _conditioned_eigh(cov, "source covariance", psd_first=True)
+        w, V = _conditioned_eigh(cov, "source covariance")
         assert np.array_equal(prior.info_matrix(), _eig_inverse(w, V))
         assert rel_fro(prior.info_matrix(), psd_inverse(cov)) < 1e-12
 

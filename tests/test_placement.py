@@ -396,10 +396,11 @@ class TestOptimalSecondary:
 
 class TestProbeAndUnwhiten:
     def test_unwhiten_round_trip(self, tmp_path, capsys):
-        # place reports B~* and its raw-domain L_u B~*; the pair's own
-        # whitener maps the latter back onto B~*
+        # place reports B~* and its raw-domain L_u B~*, with L_u the
+        # symmetric root of sigma_u (the basis of prewhiten); a solve with
+        # that root maps the latter back onto B~*
         from fusionkit.cli import main
-        from fusionkit.matrixkit import factor_noise
+        from fusionkit.matrixkit import sym_sqrt
 
         sigma_v, sigma_u = np.diag([0.5, 0.4, 0.6]), np.array([[0.7, 0.2], [0.2, 0.8]])
         sigma_vu = np.array([[0.1, 0.0], [0.05, 0.1], [0.0, 0.05]])
@@ -416,9 +417,8 @@ class TestProbeAndUnwhiten:
         path.write_text(json.dumps(doc))
         assert main(["place", str(path), "--primary", "a", "--budget", "2.0"]) == 0
         report = json.loads(capsys.readouterr().out)
-        L_u_inv = factor_noise(BlockCovariance(sigma_v, sigma_u, sigma_vu)).L_u_inv
         B_raw = np.array(report["B_star_unwhitened"])
-        assert rel_fro(L_u_inv @ B_raw, np.array(report["B_star"])) < 1e-12
+        assert rel_fro(np.linalg.solve(sym_sqrt(sigma_u), B_raw), np.array(report["B_star"])) < 1e-12
 
     def test_probe_reports_deterministically(self, rng):
         # first-order stationarity does not claim optimality: the probe
