@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SingularNormalMatrix, SingularPosterior
 from .information import crlb, snr_matrix
 from .matrixkit import derived_inverse, inverse_factor, require_noise, symmetrize
-from .model import GaussianPrior, LinearModel
+from .model import GaussianPrior, LinearModel, require_prior_size
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,11 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="ML")
 
 
-def mmse_gaussian_estimate(
-    model: LinearModel, sigma, prior: GaussianPrior, x, form: str = "information"
-) -> Estimate:
+def mmse_gaussian_estimate(model: LinearModel, sigma, prior: GaussianPrior, x) -> Estimate:
     """Posterior mean of a Gaussian source under Gaussian noise.
 
-    Two algebraically equivalent forms are available:
-
-    * ``information``: ``(G^-1 + snr)^-1 (A^T sigma^-1 x + G^-1 mu)``
-    * ``gain``: ``mu + G A^T (A G A^T + sigma)^-1 (x - A mu)``
-
-    where G is the prior covariance. Both attach the posterior covariance
+    The information form ``(G^-1 + snr)^-1 (A^T sigma^-1 x + G^-1 mu)``,
+    with G the prior covariance, attaching the posterior covariance
     ``(G^-1 + snr)^-1``; the quadratic-cost weight of the Bayes risk never
     enters because the conditional mean is optimal for every PSD weight.
     The SNR matrix and ``A^T sigma^-1 x`` come from ``[A | x]`` whitened
@@ -130,10 +124,8 @@ def mmse_gaussian_estimate(
     SingularPosterior
         If the posterior information matrix has condition above 1e12.
     """
-    if form not in ("information", "gain"):
-        raise ValueError(f"unknown form {form!r}, expected 'information' or 'gain'")
+    require_prior_size(prior, model.m)
     white_A, white_x = _whiten(model, sigma, x)
-    A = model.A
     gamma_inv = prior.info_matrix()
     posterior_info = symmetrize(gamma_inv + white_A.T @ white_A)
     s_hat, error_cov = _solve_normal(
@@ -142,12 +134,6 @@ def mmse_gaussian_estimate(
         "posterior information matrix",
         SingularPosterior,
     )
-    if form == "gain":
-        gamma = prior.cov
-        x = _observation(model, x)
-        innovation_cov = symmetrize(A @ gamma @ A.T + sigma)
-        gain = gamma @ A.T @ np.linalg.solve(innovation_cov, np.eye(model.n))
-        s_hat = prior.mean + gain @ (x - A @ prior.mean)
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="MMSE")
 
 

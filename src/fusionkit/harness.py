@@ -3,10 +3,12 @@ finite-difference Fisher information, CRLB dominance checks.
 
 This module is the brute-force counterpart to every closed form in the
 library: it simulates, estimates, and accumulates second moments, then
-compares against the theoretical reference. The slack for PSD dominance
-checks is five times the largest per-entry Monte-Carlo standard error,
-which keeps false alarms around the 1e-6 level under normal
-approximation while still catching real violations.
+compares against the theoretical reference. The MMSE campaign estimates
+with the gain form ``_mmse_gain``, the oracle of the information form
+that :func:`~fusionkit.estimators.mmse_gaussian_estimate` computes. The
+slack for PSD dominance checks is five times the largest per-entry
+Monte-Carlo standard error, which keeps false alarms around the 1e-6
+level under normal approximation while still catching real violations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import NonFinite
 from .information import InfoMatrix, crlb
 from .matrixkit import psd_inverse, require_finite, require_noise, require_symmetric, symmetrize
-from .model import GaussianPrior, LinearModel, SourcePrior, simulate
+from .model import GaussianPrior, LinearModel, SourcePrior, require_prior_size, simulate
 from .nonlinear import NonlinearModel
 
 
@@ -87,6 +89,7 @@ def empirical_error_covariance(
     if method == "mmse" and not isinstance(prior, GaussianPrior):
         raise ValueError("MMSE requires Gaussian prior")
     sigma = require_noise(noise, model.n)
+    require_prior_size(prior, model.m)
     A = model.A
     sigma_inv = psd_inverse(sigma, name="noise covariance")
     snr = symmetrize(A.T @ sigma_inv @ A)
@@ -103,10 +106,7 @@ def empirical_error_covariance(
     else:
         J_total = symmetrize(snr + prior.info_matrix())
         ref = crlb(InfoMatrix(J_total))
-        # Gain form: a different algebraic route than the posterior
-        # information form used by the estimators module.
-        innovation_cov = symmetrize(A @ prior.cov @ A.T + sigma)
-        gain = prior.cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(model.n))
+        gain = _mmse_gain(A, prior.cov, sigma)
         S_hat = prior.mean + (X - prior.mean @ A.T) @ gain.T
 
     E = S - S_hat
@@ -131,6 +131,12 @@ def empirical_error_covariance(
         seed=seed,
         crlb_check=check,
     )
+
+
+def _mmse_gain(A, cov, sigma) -> np.ndarray:
+    """Gain ``G A^T (A G A^T + sigma)^-1`` of the posterior mean ``mu + gain (x - A mu)``."""
+    innovation_cov = symmetrize(A @ cov @ A.T + sigma)
+    return cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(A.shape[0]))
 
 
 def gaussian_log_likelihood(model, sigma_inv: np.ndarray, x: np.ndarray, s: np.ndarray) -> float:

@@ -27,6 +27,7 @@ from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
     _root,
+    derived_inverse,
     factor_noise,
     inverse_factor,
     require_conditioned,
@@ -35,7 +36,7 @@ from .matrixkit import (
     require_symmetric,
     symmetrize,
 )
-from .model import LinearModel, ModalityPair, SourcePrior
+from .model import LinearModel, ModalityPair, SourcePrior, require_prior_size
 
 # sigma_max(rho) at or above this is flagged near-singular (not an error).
 NEAR_SINGULAR_RHO = 1.0 - 1e-8
@@ -126,10 +127,8 @@ def _as_matrix(J) -> np.ndarray:
 def _prior_info(prior: SourcePrior | None, m: int) -> np.ndarray:
     if prior is None:
         return np.zeros((m, m))
-    J_s = prior.info_matrix()
-    if J_s.shape != (m, m):
-        raise ValueError(f"prior information is {J_s.shape}, expected ({m}, {m})")
-    return J_s
+    require_prior_size(prior, m)
+    return prior.info_matrix()
 
 
 def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
@@ -172,22 +171,18 @@ def crlb(J) -> np.ndarray:
     Raises
     ------
     SingularInformation
-        If J is numerically singular; the error carries an orthonormal
-        basis of the (near-)null space, i.e. the source directions the
-        data carry no information about.
+        As :func:`~fusionkit.matrixkit.derived_inverse` refuses ``J``, with its
+        condition; only then is ``J`` eigen-solved, for the carried orthonormal
+        basis of the (near-)null space, the source directions the data carry no
+        information about: eigenvalues up to ``max(w_min, max|w| / SINGULAR_CONDITION)``.
     """
     M = _as_matrix(J)
-    w, V = np.linalg.eigh(M)
-    w_max = float(np.max(np.abs(w))) if M.size else 0.0
-    cutoff = w_max / SINGULAR_CONDITION
-    if w_max == 0.0 or np.any(w <= cutoff):
-        null = V[:, w <= cutoff] if w_max > 0.0 else V
-        raise SingularInformation(
-            f"information matrix is singular ({int(null.shape[1])}-dim null space)",
-            null_space=null,
-            condition=np.inf if w_max == 0.0 else w_max / max(float(np.min(w)), 1e-300),
-        )
-    return symmetrize((V / w) @ V.T)
+    try:
+        return derived_inverse(M, "information matrix", SingularInformation)
+    except SingularInformation as exc:
+        w, V = np.linalg.eigh(M)
+        exc.null_space = V[:, w <= max(w[0], float(np.max(np.abs(w))) / SINGULAR_CONDITION)]
+        raise
 
 
 def prewhiten(pair: ModalityPair) -> WhitenedPair:

@@ -8,8 +8,9 @@ symmetric root comes from the Cholesky factor: :func:`inverse_factor`
 returns ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1`` and ``L^-1 X``
 whitens ``X``; its guard reads a condition bound off ``L^-1`` and takes
 one ``eigvalsh`` only where the bound is inconclusive. The Schur
-complements and the estimators' normal and posterior matrices go through
-it by :func:`derived_inverse`, and so does a noise pair:
+complements, the estimators' normal and posterior matrices and the
+information matrix of ``information.crlb`` go through it by
+:func:`derived_inverse`, and so does a noise pair:
 :func:`factor_noise`, the one entry to a joint noise covariance's factors,
 whitens each marginal with its inverse Cholesky factor, so whitening is
 decided in one place. A whitened pair's answers do not depend on the
@@ -242,7 +243,8 @@ def derived_inverse(
 ) -> np.ndarray:
     """``M^-1 = L^-T L^-1`` by :func:`inverse_factor`, every refusal raised as ``error``.
 
-    ``M`` (a Schur complement, an estimator's normal or posterior matrix) is
+    ``M`` (a Schur complement, an estimator's normal or posterior matrix, an
+    information matrix) is
     derived from other matrices, so an indefinite one is their collapse: it
     is refused as ``error``, a :class:`Singular` subtype, with infinite condition.
     """

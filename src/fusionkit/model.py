@@ -228,6 +228,12 @@ def require_pair_shapes(first, second, noise: BlockCovariance) -> None:
         )
 
 
+def require_prior_size(prior: SourcePrior, m: int) -> None:
+    """Refuse a prior whose source dimension is not the model's ``m``, before any draw."""
+    if prior.m != m:
+        raise ValueError(f"prior has {prior.m} sources, model has {m}")
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """Simulated sources and observations, reproducible from the seed."""
@@ -254,8 +260,9 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     if N < 0:
         raise ValueError("N must be nonnegative")
     pair = isinstance(model, ModalityPair)
-    # the noise is checked before any draw
+    # the noise and the prior are checked before any draw
     sigma = symmetrize(model.noise.joint()) if pair else require_noise(noise, model.n)
+    require_prior_size(prior, model.m)
     ss = np.random.SeedSequence(seed)
     src_ss, noise_ss = ss.spawn(2)
     sources = prior.sample(np.random.default_rng(src_ss), N)

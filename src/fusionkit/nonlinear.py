@@ -34,7 +34,7 @@ from .matrixkit import (
     require_noise,
     symmetrize,
 )
-from .model import SourcePrior, require_pair_shapes
+from .model import SourcePrior, require_pair_shapes, require_prior_size
 
 # Source vectors whose map evaluations are held at once: bounds the memory
 # of a block's ``h`` outputs without changing any result.
@@ -162,6 +162,7 @@ def fisher_nonlinear(
     deterministic per seed and exact (zero variance) whenever the
     Jacobian is constant.
     """
+    require_prior_size(prior, model.m)
     L_inv = inverse_factor(require_noise(sigma, model.n), "noise covariance")
 
     def fisher_integrand(S):
@@ -206,11 +207,13 @@ def joint_information_nonlinear(
     1e-8 relative; their mean is taken from the first.
     Prior information is added when the prior exposes it; a prior that
     can only be sampled contributes zero. The block sizes are checked as
-    :class:`~fusionkit.model.ModalityPair` checks them, and the noise is
+    :class:`~fusionkit.model.ModalityPair` checks them, the prior's source
+    dimension by :func:`~fusionkit.model.require_prior_size`, and the noise is
     factorized by :func:`factor_noise`, so those checks and its
     :class:`NotPD` and :class:`Singular` guards apply before any sample is drawn.
     """
     require_pair_shapes(h, g, noise)
+    require_prior_size(prior, h.m)
     nf = factor_noise(noise)
     rho = nf.rho
     n1, n2 = rho.shape

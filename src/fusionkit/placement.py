@@ -22,14 +22,14 @@ perturbations move the objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateBudget, NoRoot
 from .information import _admissible_sigma_max, _cross_solvers, _whitened_fisher
 from .matrixkit import forms_agree, require_finite, symmetrize
-from .model import SourcePrior
+from .model import SourcePrior, require_prior_size
 
 # Perturbations drawn and scored together by the probe; bounds its memory.
 PROBE_BLOCK = 256
@@ -48,9 +48,6 @@ class PlacementSolution:
     that ``cond(I - rho^T rho)`` allows. Degenerate solutions (rho = 0) carry no
     matrix, only the analysis note. A solution holds finite numbers only:
     an overflowing ``B_star`` or objective raises :class:`NonFinite`.
-    ``rho_singular_values`` are those of the rho it was solved for, as
-    :func:`optimal_secondary` took them, kept for
-    :func:`local_optimality_probe`; they are not part of the report.
     """
 
     B_star: np.ndarray | None
@@ -60,7 +57,6 @@ class PlacementSolution:
     kkt_residual: float
     degenerate: bool = False
     note: str = ""
-    rho_singular_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(self.objective_e, "the placement objective")
@@ -113,6 +109,8 @@ def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -
     A_tilde = np.asarray(A_tilde, dtype=float)
     B_tilde = np.asarray(B_tilde, dtype=float)
     rho = np.asarray(rho, dtype=float)
+    if prior is not None:
+        require_prior_size(prior, A_tilde.shape[1])
     solve_k = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0]
     return _objective(A_tilde, B_tilde, rho, solve_k, prior)
 
@@ -291,13 +289,15 @@ def optimal_secondary(
       misleading zero matrix.
 
     One SVD of rho (:func:`svd_of_rho`) feeds the admissibility check, the
-    root, the objective, the stationarity check and, carried on the
-    solution, :func:`local_optimality_probe`; ``I - rho^T rho`` is built once. Raises :class:`NonFinite` if the budget weights,
+    root, the objective and the stationarity check; ``I - rho^T rho`` is
+    built once. Raises :class:`NonFinite` if the budget weights,
     ``B~*`` or the objective overflow.
     """
     A_tilde = np.asarray(A_tilde, dtype=float)
     rho = np.asarray(rho, dtype=float)
     _require_budget(p)
+    if prior is not None:
+        require_prior_size(prior, A_tilde.shape[1])
     svd = svd_of_rho(A_tilde, rho)
     s = svd.singular_values
     _admissible_sigma_max(float(s[0]) if s.size else 0.0, strict=False)
@@ -336,7 +336,6 @@ def optimal_secondary(
                 "rho^T rho = I: multiplier vanishes and B* = rho^T A is optimal "
                 "regardless of the budget (redundancy corner)"
             ),
-            rho_singular_values=s,
         )
 
     lam = lambda_root(svd, p)
@@ -352,7 +351,6 @@ def optimal_secondary(
         kkt_residual=kkt,
         degenerate=False,
         note="",
-        rho_singular_values=s,
     )
 
 
@@ -414,10 +412,10 @@ def local_optimality_probe(
     cancels in every gain. The perturbations are drawn and scored in
     blocks of ``PROBE_BLOCK`` (see :func:`_perturbation_gains`): memory
     stays bounded for any ``n_perturbations``, and the gains equal those
-    of drawing them one at a time, up to rounding. ``rho`` is the one the solution was
-    computed for: its singular values, which the guard of
-    ``(I - rho^T rho)^-1`` reads, are taken from the solution when it
-    carries them.
+    of drawing them one at a time, up to rounding. ``K = (I - rho^T rho)^-1``
+    is guarded by the singular values of the ``rho`` given, so a ``rho``
+    outside the admissible range raises :class:`Inadmissible`, and one
+    beyond the condition limit :class:`Singular`, whatever the solution.
 
     Raises :class:`ValueError` if ``delta`` is not finite and positive or
     ``n_perturbations`` is not a non-negative integer: a NaN, infinite or
@@ -436,7 +434,6 @@ def local_optimality_probe(
         n_perturbations,
         seed,
         delta,
-        solution.rho_singular_values,
     )
     improved = gains[gains > 1e-8]
     return ProbeReport(
@@ -447,16 +444,14 @@ def local_optimality_probe(
     )
 
 
-def _perturbation_gains(
-    A_tilde, rho, B0, n_perturbations: int, seed: int, delta: float, singular_values=None
-):
+def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta: float):
     """Objective gain of each random budget-feasible perturbation of ``B0``.
 
     The objective is ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~``
     and ``K = (I - rho^T rho)^-1``. The first term is the same for every
     ``B~``, so a gain is a difference of ``sum(D * (K D))``, with ``K``
-    taken once, under the singularity guard of the objective; the guard
-    reads ``singular_values`` of rho, taken here when not given.
+    taken once, under the singularity guard of the objective, which reads
+    the singular values of this ``rho``.
 
     Perturbations are handled as a stack of up to ``PROBE_BLOCK`` at a
     time: one normal draw of shape ``(block, n2, m)``, each scaled to norm
@@ -467,9 +462,7 @@ def _perturbation_gains(
     rounding; memory is two stacks of ``PROBE_BLOCK * n2 * m`` floats,
     whatever ``n_perturbations``.
     """
-    if singular_values is None:
-        singular_values = np.linalg.svd(rho, compute_uv=False)
-    solve_k = _cross_solvers(rho, singular_values)[0]
+    solve_k = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0]
     K = solve_k(np.eye(rho.shape[1]))
     target = rho.T @ A_tilde
 

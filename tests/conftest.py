@@ -7,6 +7,7 @@ measure algebraic identity, not conditioning luck.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fusionkit import BlockCovariance, LinearModel, ModalityPair, synergy_objective
 from fusionkit.information import _cross_solvers, _whitened_fisher, block_plan
@@ -17,6 +18,11 @@ from fusionkit.matrixkit import (
     require_symmetric,
     symmetrize,
 )
+
+# Every property test draws the same examples on every run, so a failure
+# reproduces; no per-example deadline, as example timings vary with load.
+settings.register_profile("fusionkit", derandomize=True, deadline=None)
+settings.load_profile("fusionkit")
 
 
 def random_orthogonal(rng, n):

@@ -45,7 +45,7 @@ class TestCompareModalities:
         S = random_pd(rng, 3)
         assert dominance(S, S) == "Tie"
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.integers(0, 10**9))
     def test_antisymmetry(self, seed):
         rng = np.random.default_rng(seed)

@@ -23,7 +23,9 @@ from fusionkit import (
     PairFactorization,
     RouteDisagreement,
     Singular,
+    SingularInformation,
     advise,
+    crlb,
     fisher_nonlinear,
     joint_information,
     joint_information_nonlinear,
@@ -124,6 +126,30 @@ def test_lapack_calls_pinned(monkeypatch, call, extra_eigvalsh, redundant):
         assert adv.verdict == ("SecondRedundant" if redundant else "Fuse")
         if redundant:
             assert adv.evidence["synergy_residual"] <= 1e-8
+
+
+def test_crlb_takes_one_guarded_inverse(monkeypatch):
+    # J^-1 comes from the guard of every inverse: one Cholesky factor of 10
+    # rows, inverted in one block; J is eigen-solved only on refusal, for
+    # the null space the error carries
+    rng = np.random.default_rng(40)
+    pair = planted_pair(rng, 40, 30, 10)
+    J = joint_information(pair, GaussianPrior(mean=np.zeros(10), cov=random_pd(rng, 10)))
+    assert lapack_calls(monkeypatch, lambda: crlb(J)) == {
+        "numpy.linalg.cholesky": 1, "numpy.linalg.inv": 1}
+    v = rng.standard_normal(10)
+    v /= np.linalg.norm(v)
+    P = np.eye(10) - np.outer(v, v)
+    J_singular = symmetrize(P @ J.matrix @ P)  # carries nothing about v
+    with pytest.raises(SingularInformation) as exc:
+        crlb(J_singular)
+    w = np.linalg.eigvalsh(J_singular)
+    assert exc.value.condition == (w[-1] / w[0] if w[0] > 0.0 else np.inf)
+    assert str(exc.value).startswith("information matrix is numerically singular (cond~")
+    null = exc.value.null_space
+    assert null.shape == (10, 1)
+    assert abs(float(null[:, 0] @ v)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(J_singular @ null) <= 1e-12 * np.linalg.norm(J_singular)
 
 
 @pytest.mark.parametrize("redundant", [False, True])
@@ -372,29 +398,24 @@ def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
 
 
 def test_optimal_secondary_takes_one_svd(monkeypatch):
-    # the SVD of rho feeds the admissibility check, the root, the objective,
-    # the stationarity check and, carried on the solution, the probe: a
-    # placement question (solve and probe) takes one
+    # the SVD of rho feeds the admissibility check, the root, the objective
+    # and the stationarity check; the probe guards K by the singular values
+    # of the rho it is given, so a placement question (solve and probe)
+    # takes two
     rng = np.random.default_rng(41)
     A = rng.standard_normal((40, 10))
     rho = random_admissible_rho(rng, 40, 30, 0.8)
-    counts = lapack_calls(
-        monkeypatch, lambda: local_optimality_probe(A, rho, optimal_secondary(A, rho, 50.0))
-    )
-    assert counts["numpy.linalg.svd"] == 1
+    solve_only = lapack_calls(monkeypatch, lambda: optimal_secondary(A, rho, 50.0))
+    assert solve_only["numpy.linalg.svd"] == 1
     # the probe takes K = (I - rho^T rho)^-1 in one solve and makes no
     # LAPACK call per perturbation, in one block or in several
-    solve_only = lapack_calls(monkeypatch, lambda: optimal_secondary(A, rho, 50.0))
     for n in (200, 3 * placement.PROBE_BLOCK + 1):
         counts = lapack_calls(
             monkeypatch,
             lambda: local_optimality_probe(A, rho, optimal_secondary(A, rho, 50.0), n),
         )
-        assert counts == dict(
-            collections.Counter(solve_only) + collections.Counter({"numpy.linalg.solve": 1})
-        )
-    solution = optimal_secondary(A, rho, 50.0)
-    assert "rho_singular_values" not in solution.to_json_dict()
+        assert counts == dict(collections.Counter(solve_only) + collections.Counter(
+            {"numpy.linalg.svd": 1, "numpy.linalg.solve": 1}))
 
 
 def test_estimators_whiten_with_the_cholesky_factor(monkeypatch):

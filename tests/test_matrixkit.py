@@ -61,7 +61,7 @@ class TestSymSqrt:
         with pytest.raises(NotPSD):
             sym_sqrt(np.diag([1.0, -0.5]))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.integers(0, 10**9), st.integers(1, 12))
     def test_square_reconstruction_property(self, seed, dim):
         rng = np.random.default_rng(seed)
@@ -316,7 +316,7 @@ derived_guards = {
 }
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=guard_sizes,

@@ -20,11 +20,15 @@ from fusionkit import (
     error_covariance,
     fisher_finite_difference,
     fisher_nonlinear,
+    joint_information,
     joint_information_nonlinear,
     ml_estimate,
     mmse_gaussian_estimate,
+    optimal_secondary,
     simulate,
     snr_matrix,
+    synergy_objective,
+    total_information,
     total_information_nonlinear,
     wls_estimate,
 )
@@ -184,6 +188,65 @@ def test_mis_sized_noise_is_named_before_any_draw(call, message):
     prior = SamplerPrior(m=2, draw=counted(lambda rng, size: rng.standard_normal((size, 2))))
     with pytest.raises(ValueError, match=message):
         call(LinearModel(A), h, g, prior, np.eye(4))
+    assert calls == []
+
+
+# a 3-source prior given with a 2-source model, at every entry point that
+# meets a prior with a model
+_PRIOR_3 = "prior has 3 sources, model has 2"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda lin, h, g, prior, S: fisher_nonlinear(h, S, prior, 1000, 0),
+                     id="fisher_nonlinear"),
+        pytest.param(lambda lin, h, g, prior, S: total_information_nonlinear(
+            h, S, prior, 1000, 0), id="total_information_nonlinear"),
+        pytest.param(lambda lin, h, g, prior, S: joint_information_nonlinear(
+            h, g, BlockCovariance(S, np.eye(2), np.zeros((3, 2))), prior, 1000, 0),
+            id="joint_information_nonlinear"),
+        pytest.param(lambda lin, h, g, prior, S: simulate(lin, prior, 1000, 0, noise=S),
+                     id="simulate"),
+        pytest.param(lambda lin, h, g, prior, S: simulate(ModalityPair(
+            lin, LinearModel(np.eye(2)), BlockCovariance(S, np.eye(2), np.zeros((3, 2)))),
+            prior, 1000, 0), id="simulate-pair"),
+        pytest.param(lambda lin, h, g, prior, S: empirical_error_covariance(
+            "ml", lin, prior, S, N=1000, seed=0), id="empirical_error_covariance-ml"),
+        pytest.param(lambda lin, h, g, prior, S: empirical_error_covariance(
+            "mmse", lin, prior, S, N=1000, seed=0), id="empirical_error_covariance-mmse"),
+        pytest.param(lambda lin, h, g, prior, S: mmse_gaussian_estimate(
+            lin, S, prior, np.zeros(3)), id="mmse_gaussian_estimate"),
+        pytest.param(lambda lin, h, g, prior, S: total_information(snr_matrix(lin, S), prior),
+                     id="total_information"),
+        pytest.param(lambda lin, h, g, prior, S: joint_information(ModalityPair(
+            lin, LinearModel(np.eye(2)), BlockCovariance(S, np.eye(2), np.zeros((3, 2)))),
+            prior), id="joint_information"),
+        pytest.param(lambda lin, h, g, prior, S: optimal_secondary(
+            lin.A, 0.5 * np.eye(3, 2), 1.0, prior=prior), id="optimal_secondary"),
+        pytest.param(lambda lin, h, g, prior, S: synergy_objective(
+            lin.A, np.ones((2, 2)), 0.5 * np.eye(3, 2), prior), id="synergy_objective"),
+    ],
+)
+def test_mis_sized_prior_is_named_before_any_draw(monkeypatch, call):
+    # the nonlinear entry points called h 1536 times and then blamed the
+    # map's Jacobian shape; simulate, the campaigns and the MMSE estimate
+    # failed in a numpy broadcast; placement added the prior's trace
+    A = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]])
+    calls = []
+
+    def counted(f):
+        def wrapped(*args):
+            calls.append(f)
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(GaussianPrior, "sample", counted(GaussianPrior.sample))
+    h = NonlinearModel(h=counted(lambda s: A @ s), n=3, m=2)
+    g = NonlinearModel(h=counted(lambda s: s), n=2, m=2)
+    prior = GaussianPrior(np.zeros(3), np.eye(3))
+    with pytest.raises(ValueError, match=_PRIOR_3):
+        call(LinearModel(A), h, g, prior, np.eye(3))
     assert calls == []
 
 

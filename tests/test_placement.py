@@ -474,7 +474,7 @@ class TestProbeAndUnwhiten:
     @pytest.mark.parametrize("delta", [1e-3, 1.1e-4])
     def test_probe_gains_match_one_at_a_time(self, dims, delta):
         A, rho, sol = whitened_probe_instance(*dims)
-        gains = _perturbation_gains(A, rho, sol.B_star, 200, 5, delta, sol.rho_singular_values)
+        gains = _perturbation_gains(A, rho, sol.B_star, 200, 5, delta)
         oracle, base = one_at_a_time_gains(A, rho, sol.B_star, 200, 5, delta)
         assert np.max(np.abs(gains - oracle)) <= 1e-12 * (1.0 + abs(base))
 
@@ -534,3 +534,13 @@ class TestProbeAndUnwhiten:
             local_optimality_probe(A, rho, sol)
         with pytest.raises(Singular):
             optimal_secondary(A, rho, 5.0)
+
+    @pytest.mark.parametrize("sigma_max", [1.5, 1.0])
+    def test_probe_guards_the_rho_it_is_given(self, sigma_max):
+        # the guard of K once read the singular values carried on the
+        # solution: probed with another rho, it scored 107 "violations"
+        # from a meaningless K at 1.5 and raised numpy's LinAlgError at 1.0
+        A = np.random.default_rng(0).standard_normal((2, 3))
+        sol = optimal_secondary(A, np.diag([0.5, 0.3]), 1.0)
+        with pytest.raises(Inadmissible):
+            local_optimality_probe(A, np.diag([sigma_max, 0.3]), sol)
