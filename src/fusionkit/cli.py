@@ -6,6 +6,8 @@ summary on stderr. Exit codes: 0 success, 1 usage error, 2 scenario
 error, 3 numerical error. :func:`main` prints every refusal, as one typed
 line on stderr. Commands run with numpy's floating-point warnings off:
 an overflow surfaces as the typed :class:`NonFinite` error (exit 3).
+``advise``, ``place`` and ``simulate`` import their modules when they run,
+so a cold start compiles only the modules the command runs.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .advisor import AdvisorTolerances, advise
 from .errors import FusionKitError, NonFinite, NotPD, NotSampleable
-from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
 from .information import (
     PairFactorization,
     _prewhiten_with_root,
@@ -30,7 +30,6 @@ from .information import (
 )
 from .matrixkit import BlockCovariance, psd_check, require_noise
 from .model import GaussianPrior, InfoOnlyPrior, LinearModel, ModalityPair, SourcePrior
-from .placement import optimal_secondary
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,7 +49,7 @@ class Scenario:
     prior: SourcePrior
     modalities: dict[str, tuple[LinearModel, np.ndarray]]
     cross: dict[tuple[str, str], np.ndarray]
-    tolerances: AdvisorTolerances
+    tolerances: dict[str, float]  # checked overrides of the AdvisorTolerances defaults
 
     def modality(self, name: str) -> tuple[LinearModel, np.ndarray]:
         if name not in self.modalities:
@@ -236,14 +235,11 @@ def load_scenario(path: str | Path) -> Scenario:
                 raise ScenarioError(f"cross_cov {list(key)}: {exc}") from exc
             cross[key] = matrix
 
-    tols = AdvisorTolerances()
-    if "tolerances" in doc:
-        raw_tols = doc["tolerances"]
-        if not isinstance(raw_tols, dict):
-            raise ScenarioError("'tolerances' must be an object of named values")
-        _known_keys(raw_tols, ("dominance", "redundancy", "regime_eps", "select_gain"),
-                    "tolerances")
-        tols = AdvisorTolerances(**{k: _tolerance(k, v) for k, v in raw_tols.items()})
+    raw_tols = doc.get("tolerances", {})
+    if not isinstance(raw_tols, dict):
+        raise ScenarioError("'tolerances' must be an object of named values")
+    _known_keys(raw_tols, ("dominance", "redundancy", "regime_eps", "select_gain"), "tolerances")
+    tols = {k: _tolerance(k, v) for k, v in raw_tols.items()}
 
     return Scenario(
         id=scenario_id,
@@ -335,10 +331,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_advise(args) -> int:
+    from .advisor import AdvisorTolerances, advise
+
     scenario = load_scenario(args.scenario)
     first, second = _split_pair(args.pair, "--pair")
     pair = scenario.pair(first, second)
-    advisory = advise(pair, scenario.prior, tols=scenario.tolerances)
+    advisory = advise(pair, scenario.prior, tols=AdvisorTolerances(**scenario.tolerances))
     report = {"scenario_id": scenario.id, "pair": [first, second]}
     report.update(advisory.to_json_dict())
     _emit(
@@ -351,6 +349,8 @@ def cmd_advise(args) -> int:
 
 
 def cmd_place(args) -> int:
+    from .placement import optimal_secondary
+
     scenario = load_scenario(args.scenario)
     primary = args.primary
     secondary = args.secondary
@@ -378,6 +378,8 @@ def cmd_place(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
+
     if args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.N < 1000:

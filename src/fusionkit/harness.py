@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite
-from .information import InfoMatrix, crlb
+from .information import InfoMatrix, _as_matrix, crlb
 from .matrixkit import psd_inverse, require_finite, require_noise, require_symmetric, symmetrize
 from .model import GaussianPrior, LinearModel, SourcePrior, require_prior_size, simulate
-from .nonlinear import NonlinearModel
 
 
 @dataclass(frozen=True)
@@ -162,6 +161,8 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
     sigma = require_noise(sigma, model.n)
     sigma_inv = psd_inverse(sigma, name="noise covariance")
     if x is None:
+        from .nonlinear import NonlinearModel  # here, so a campaign does not import nonlinear
+
         if isinstance(model, LinearModel):
             x = model.A @ s0
         elif isinstance(model, NonlinearModel):
@@ -197,9 +198,13 @@ def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
     """Check ``empirical >= J^-1`` in the PSD order up to Monte-Carlo slack.
 
     Passes iff the minimum eigenvalue of ``empirical - J^-1`` is at
-    least ``-slack``.
+    least ``-slack``. Raises ``ValueError`` naming both sizes when
+    ``empirical`` and ``J`` differ in size, before ``J`` is inverted.
     """
     emp = require_symmetric(empirical, name="empirical covariance")
+    J_shape = _as_matrix(J).shape
+    if emp.shape != J_shape:
+        raise ValueError(f"empirical covariance is {emp.shape}, information matrix is {J_shape}")
     bound = crlb(J)
     min_eig = float(np.linalg.eigvalsh(symmetrize(emp - bound))[0])
     return CrlbCheck(min_eig=min_eig, passed=min_eig >= -slack, slack=slack)

@@ -37,6 +37,17 @@ def two_modality_doc():
     }
 
 
+# scenario edits that break the advisor's tolerances, by test id
+_TOLERANCE_CASES = {
+    "tolerances-list": (lambda d: d.update(tolerances=[]), "'tolerances' must be an object"),
+    "tolerance-null": (lambda d: d.update(tolerances={"dominance": None}), "bad tolerances"),
+    "unknown-top-level-tolerance": (lambda d: d.update(tolerance={"dominance": 1e-3}),
+                                    "unknown key 'tolerance' at the top level"),
+    "unknown-tolerance-key": (lambda d: d.update(tolerances={"dominanse": 1e-3}),
+                              "unknown key 'dominanse' at tolerances"),
+}
+
+
 class TestScenarioLoading:
     def test_round_trip(self, tmp_path, two_modality_doc):
         scenario = load_scenario(write_scenario(tmp_path / "s.json", two_modality_doc))
@@ -66,8 +77,6 @@ class TestScenarioLoading:
         [
             (lambda d: d.update(modalities=[1]), "bad modality entry"),
             (lambda d: d.update(modalities=5), "must be a list"),
-            (lambda d: d.update(tolerances=[]), "'tolerances' must be an object"),
-            (lambda d: d.update(tolerances={"dominance": None}), "bad tolerances"),
             (lambda d: d["cross_cov"].update(pair=[0, 0]), "two distinct modalities"),
             (lambda d: d["cross_cov"].update(pair=[-1, 0]), "out of range"),
             (lambda d: d["cross_cov"].update(pair=3), "bad cross_cov entry"),
@@ -94,8 +103,6 @@ class TestScenarioLoading:
             # and a name that is not a string are refused at load
             (lambda d: d.update(cross_covariance=d.pop("cross_cov")),
              "unknown key 'cross_covariance' at the top level"),
-            (lambda d: d.update(tolerance={"dominance": 1e-3}),
-             "unknown key 'tolerance' at the top level"),
             (lambda d: d["sources"].update(info_only={"J_s": np.eye(2).tolist()}),
              "sources must be 'gaussian' or 'info_only'"),
             (lambda d: d["sources"]["gaussian"].update(covariance=np.eye(2).tolist()),
@@ -122,23 +129,34 @@ class TestScenarioLoading:
             (lambda d: json.dumps(d).replace(
                 '"noise_cov": ', '"noise_cov": [[0.5]], "noise_cov": ', 1),
              "key 'noise_cov' is given twice in one object"),
+            *_TOLERANCE_CASES.values(),
         ],
-        ids=["modality-not-object", "modalities-not-list", "tolerances-list",
-             "tolerance-null", "same-modality-twice", "negative-index", "pair-not-list",
-             "pair-given-twice", "cross-shape", "joint-not-pd", "noise-indefinite",
-             "noise-not-square", "noise-asymmetric", "noise-wrong-size",
-             "noise-wrong-size-and-indefinite", "prior-wrong-dimension",
-             "unknown-top-level-cross-covariance", "unknown-top-level-tolerance",
-             "two-priors", "unknown-gaussian-key", "unknown-info-only-key",
-             "unknown-modality-key", "unknown-cross-key", "unknown-cross-list-key",
-             "bool-in-matrix", "string-in-matrix", "bool-in-cross-matrix", "bool-in-mean",
-             "name-not-string", "id-not-string", "key-given-twice"],
+        ids=["modality-not-object", "modalities-not-list", "same-modality-twice",
+             "negative-index", "pair-not-list", "pair-given-twice", "cross-shape",
+             "joint-not-pd", "noise-indefinite", "noise-not-square", "noise-asymmetric",
+             "noise-wrong-size", "noise-wrong-size-and-indefinite", "prior-wrong-dimension",
+             "unknown-top-level-cross-covariance", "two-priors", "unknown-gaussian-key",
+             "unknown-info-only-key", "unknown-modality-key", "unknown-cross-key",
+             "unknown-cross-list-key", "bool-in-matrix", "string-in-matrix",
+             "bool-in-cross-matrix", "bool-in-mean", "name-not-string", "id-not-string",
+             "key-given-twice", *_TOLERANCE_CASES],
     )
     def test_malformed_scenario_exits_2(self, tmp_path, two_modality_doc, capsys, edit, message):
         text = edit(two_modality_doc)
         path = tmp_path / "s.json"
         path.write_text(json.dumps(two_modality_doc) if text is None else text)
         assert main(["advise", str(path), "--pair", "a,b"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", _TOLERANCE_CASES.values(),
+                             ids=list(_TOLERANCE_CASES))
+    def test_bad_tolerances_exit_2_without_advise(self, tmp_path, two_modality_doc, capsys, edit,
+                                                  message):
+        # the loader refuses them, so a command that never imports the advisor does too
+        edit(two_modality_doc)
+        path = write_scenario(tmp_path / "s.json", two_modality_doc)
+        assert main(["analyze", path, "--modality", "a"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and message in err and err.count("\n") == 1
 
@@ -475,6 +493,11 @@ _VARIANTS = {
                      ("'redundancy'", "-1"), id="tolerance-negative"),
         pytest.param(["advise", "{tol_huge}", "--pair", "a,b"], 2,
                      ("'dominance'", "beyond float range"), id="tolerance-beyond-float-range"),
+        # refused at load, so by a command that never imports the advisor too
+        pytest.param(["analyze", "{tol_inf_string}", "--modality", "a"], 2,
+                     ("'regime_eps'", "'inf'"), id="analyze-tolerance-string-inf"),
+        pytest.param(["analyze", "{tol_nan}", "--modality", "a"], 2,
+                     ("'select_gain'", "nan"), id="analyze-tolerance-nan"),
         pytest.param(["analyze", "{nan_mean}", "--modality", "a"], 2,
                      ("bad source prior", "source mean has non-finite entries"),
                      id="analyze-nan-mean"),
@@ -512,6 +535,64 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def fresh_modules(code):
+    """Submodules of fusionkit, and numpy.random, loaded by ``code`` in a fresh interpreter."""
+    probe = (f"{code}\nimport sys\n"
+             "print(' '.join(m for m in sys.modules "
+             "if m.startswith('fusionkit.') or m == 'numpy.random'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=fresh_interpreter_env(),
+                         capture_output=True, text=True, check=True, timeout=120)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+CLI_MODULES = {"fusionkit.cli", "fusionkit.errors", "fusionkit.matrixkit", "fusionkit.model",
+               "fusionkit.information"}
+
+
+def test_package_import_loads_no_submodule():
+    # a name outside the export table is refused without importing anything
+    code = ("import fusionkit\n"
+            "try:\n    fusionkit.nope\nexcept AttributeError as exc:\n"
+            "    assert \"'nope'\" in str(exc), exc\nelse:\n    raise SystemExit(1)")
+    assert fresh_modules(code) == set()
+
+
+def test_submodule_attribute_imports_it():
+    code = "import fusionkit\nfusionkit.placement.optimal_secondary"
+    assert fresh_modules(code) == CLI_MODULES - {"fusionkit.cli"} | {"fusionkit.placement"}
+
+
+def test_cli_import_loads_four_modules():
+    assert fresh_modules("import fusionkit.cli") == CLI_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["analyze", "{scenario}", "--modality", "a"], set()),
+        (["analyze", "{scenario}", "--joint", "a,b"], set()),
+        (["advise", "{scenario}", "--pair", "a,b"], {"fusionkit.advisor"}),
+        (["place", "{scenario}", "--primary", "a", "--budget", "5"], {"fusionkit.placement"}),
+        (["simulate", "{scenario}", "--method", "mmse", "--N", "1000"],
+         {"fusionkit.harness", "numpy.random"}),
+    ],
+    ids=["analyze-modality", "analyze-joint", "advise", "place", "simulate"],
+)
+def test_command_imports_only_what_it_runs(tmp_path, two_modality_doc, argv, extra):
+    path = write_scenario(tmp_path / "s.json", two_modality_doc)
+    argv = [path if a == "{scenario}" else a for a in argv] + ["--out", str(tmp_path / "report")]
+    code = f"from fusionkit.cli import main\nassert main({argv!r}) == 0"
+    assert fresh_modules(code) == CLI_MODULES | extra
+
+
+def test_star_import_binds_the_public_names():
+    from test_surface import PUBLIC
+
+    namespace = {}
+    exec("from fusionkit import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
 
 
 def test_demo_reports_smoke(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from fusionkit import (
     GaussianPrior,
+    InfoMatrix,
     LinearModel,
     NonlinearModel,
     campaign_to_csv,
@@ -146,6 +147,18 @@ class TestCrlbDominance:
         res = empirical_error_covariance("mmse", model, prior, sigma, N=200_000, seed=8)
         assert res.crlb_check.passed
         assert abs(res.crlb_check.min_eig) < 10.0 * res.crlb_check.slack
+
+    @pytest.mark.parametrize("wrap", [InfoMatrix, np.asarray], ids=["info-matrix", "array"])
+    def test_size_mismatch_is_named_before_inverting(self, monkeypatch, wrap):
+        from fusionkit import harness
+
+        def crlb_not_called(J):
+            raise AssertionError("J inverted before the sizes were checked")
+
+        monkeypatch.setattr(harness, "crlb", crlb_not_called)
+        message = r"empirical covariance is \(2, 2\), information matrix is \(3, 3\)"
+        with pytest.raises(ValueError, match=message):
+            check_crlb_dominance(np.eye(2), wrap(np.eye(3)), 0.1)
 
 
 class TestCampaignSerialization:
