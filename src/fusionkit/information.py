@@ -223,14 +223,13 @@ def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
     return sigma_max
 
 
-def _cross_solvers(rho, singular_values, cap=None):
+def _cross_solvers(rho, singular_values):
     """Solvers applying ``K = (I - rho^T rho)^-1`` and ``K' = (I - rho rho^T)^-1``, and their norm.
 
     Both have 2-norm ``1 / (1 - sigma_max^2)``, read off the singular values
     of rho like ``cond(I - rho^T rho)``, so the guard costs no eigen-solve.
     Each solver solves with its matrix rather than multiplying by an
     explicit inverse, which near a unitary rho loses up to ten times more.
-    ``cap`` is ``I - rho^T rho`` when the caller has built it already;
     ``I - rho rho^T`` is built only when ``K'`` is applied.
     Raises :class:`Inadmissible` if ``sigma_max(rho) >= 1`` and
     :class:`Singular` if ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``.
@@ -242,8 +241,7 @@ def _cross_solvers(rho, singular_values, cap=None):
     gap[: s.size] -= s**2
     cond = float(np.max(gap) / np.min(gap)) if np.min(gap) > 0.0 else np.inf
     require_conditioned(cond, "(I - rho^T rho)")
-    if cap is None:
-        cap = symmetrize(np.eye(n2) - rho.T @ rho)
+    cap = symmetrize(np.eye(n2) - rho.T @ rho)
 
     def solve_k(X):
         return np.linalg.solve(cap, X)

@@ -39,15 +39,17 @@ FORM_CONDITION_SLACK = 100.0
 
 _EPS = float(np.finfo(float).eps)
 
-# Absolute eigenvalue tolerance for PSD checks, scaled by the matrix norm
-# when the norm exceeds one.
+# Relative eigenvalue tolerance of the one PSD rule (:func:`_indefinite`): a
+# negative eigenvalue within PSD_EIG_TOL * ||M||_2 of zero is rounding, at
+# every scale of M.
 PSD_EIG_TOL = 1e-10
 
 
 def require_symmetric(M, name: str = "matrix") -> np.ndarray:
     """Validate that ``M`` is square, finite and symmetric; return it as float array.
 
-    Symmetry tolerance is ``1e-12 * max(1, |M_ij|)`` per entry; an exactly
+    Symmetry tolerance is ``1e-12 * max(min(1, max|M|), |M_ij|)`` per entry,
+    the same verdict for every multiple of ``M`` below unit scale; an exactly
     symmetric ``M`` is accepted by one comparison with its transpose.
     """
     M = np.asarray(M, dtype=float)
@@ -57,7 +59,7 @@ def require_symmetric(M, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     if np.array_equal(M, M.T):  # exactly symmetric: the per-entry test cannot fail
         return M
-    scale = np.maximum(1.0, np.abs(M))
+    scale = np.maximum(min(1.0, float(np.max(np.abs(M)))), np.abs(M))
     if np.any(np.abs(M - M.T) > 1e-12 * scale):
         worst = float(np.max(np.abs(M - M.T)))
         raise ValueError(f"{name} is not symmetric (max asymmetry {worst:.3e})")
@@ -94,50 +96,47 @@ def symmetrize(M) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def psd_check(M) -> tuple[float, bool]:
-    """Smallest eigenvalue of a symmetric ``M``, and whether it shows ``M`` indefinite.
+def _indefinite(w: np.ndarray) -> bool:
+    """The one PSD rule, on the ascending eigenvalues ``w`` of a symmetric ``M``.
 
-    Indefinite means a smallest eigenvalue at or below ``-PSD_EIG_TOL``, scaled by
-    the 2-norm above unit norm; the 2-norm is the largest absolute
-    eigenvalue. ``M`` is not symmetrized here, so the eigenvalue returned
-    is that of ``np.linalg.eigvalsh(M)`` bit for bit.
+    Indefinite iff ``w[0] < 0`` and ``w[0] <= -PSD_EIG_TOL * max(|w[0]|, |w[-1]|)``,
+    a tolerance relative to ``||M||_2`` alone: the verdict does not depend on
+    the units of ``M``, and a zero matrix is PSD.
+    """
+    lo = float(w[0])
+    return lo < 0.0 and lo <= -PSD_EIG_TOL * max(-lo, abs(float(w[-1])))
+
+
+def psd_check(M) -> tuple[float, bool]:
+    """Smallest eigenvalue of a symmetric ``M``, and whether :func:`_indefinite` refuses it.
+
+    ``M`` is not symmetrized here, so the eigenvalue returned is that of
+    ``np.linalg.eigvalsh(M)`` bit for bit.
     """
     w = np.linalg.eigvalsh(M)
-    min_eig = float(w[0])
-    return min_eig, min_eig <= -PSD_EIG_TOL * max(1.0, abs(min_eig), abs(float(w[-1])))
+    return float(w[0]), _indefinite(w)
+
+
+def _psd_eigh(M) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of the symmetric part of ``M``; :class:`NotPSD` if :func:`_indefinite`."""
+    w, V = np.linalg.eigh(symmetrize(M))
+    if _indefinite(w):
+        raise NotPSD(f"matrix is not PSD: min eigenvalue {w[0]:.6e}", min_eigenvalue=float(w[0]))
+    return w, V
 
 
 def sym_sqrt(M) -> np.ndarray:
     """Unique symmetric PSD square root L with ``L @ L.T == M``.
 
-    A minimum eigenvalue below ``-1e-8 * ||M||_2`` raises :class:`NotPSD`;
-    every negative eigenvalue above it is clamped to zero before rooting.
-    This is a looser rule than :func:`psd_check`'s: ``diag(-5e-9, 1)`` is
-    indefinite there and has a root here.
+    An ``M`` that :func:`_indefinite` refuses, as :func:`psd_check` does,
+    raises :class:`NotPSD`; every negative eigenvalue it admits is rounding
+    and is clamped to zero before rooting.
     """
-    M = require_symmetric(M)
-    w, V = np.linalg.eigh(symmetrize(M))
-    _require_psd(w)
-    return _root(w, V)
-
-
-def _require_psd(w: np.ndarray) -> None:
-    norm2 = max(abs(float(w[0])), abs(float(w[-1])))
-    if w[0] < -1e-8 * max(norm2, 1e-300):
-        raise NotPSD(
-            f"matrix is not PSD: min eigenvalue {w[0]:.6e}", min_eigenvalue=float(w[0])
-        )
+    return _root(*_psd_eigh(require_symmetric(M)))
 
 
 def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return symmetrize((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
-
-
-def _conditioned_eigh(M, name: str) -> tuple[np.ndarray, np.ndarray]:
-    w, V = np.linalg.eigh(symmetrize(M))
-    _require_psd(w)  # clearly indefinite input raises NotPSD, as sym_sqrt does
-    _require_pd_conditioned(w, name)
-    return w, V
 
 
 def _require_pd_conditioned(w: np.ndarray, name: str, scale: float = 0.0) -> float:
@@ -423,15 +422,10 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
     F = _schur_inverse(symmetrize(su - W_v.T @ W_v), su, "Schur complement of sigma_u block")
     G = _schur_inverse(symmetrize(sv - W_u @ W_u.T), sv, "Schur complement of sigma_v block")
     rho = W_v @ L_u_inv.T
-    if not np.any(svu):
-        # Block-diagonal input: keep the zero blocks exact.
-        z = np.zeros_like(svu)
-        inverse_blocks = (sv_inv, z, z.T, su_inv)
-    else:
-        sv_inv_svu = L_v_inv.T @ W_v
-        omega_12 = -sv_inv_svu @ F
-        omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
-        inverse_blocks = (omega_11, omega_12, omega_12.T, F)
+    sv_inv_svu = L_v_inv.T @ W_v
+    omega_12 = -sv_inv_svu @ F
+    omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
+    inverse_blocks = (omega_11, omega_12, omega_12.T, F)
     return NoiseFactors(L_v_inv, L_u_inv, sv_inv, su_inv, F, G, inverse_blocks, rho)
 
 

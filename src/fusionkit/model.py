@@ -16,9 +16,10 @@ import numpy as np
 from .errors import NoPriorInfo, NoScore, NotSampleable
 from .matrixkit import (
     BlockCovariance,
-    _conditioned_eigh,
     _eig_inverse,
+    _psd_eigh,
     _read_only_copy,
+    _require_pd_conditioned,
     _root,
     psd_check,
     require_noise,
@@ -94,6 +95,9 @@ class GaussianPrior(SourcePrior):
 
     ``mean`` and ``cov`` are kept as read-only float copies, as are the
     information matrix and the sampling root computed from them once.
+    ``cov`` is refused as :class:`NotPSD` by the rule of :func:`psd_check`,
+    then as :class:`NotPD` unless its smallest eigenvalue is positive and as
+    :class:`Singular` above ``SINGULAR_CONDITION``.
     """
 
     mean: np.ndarray
@@ -110,9 +114,9 @@ class GaussianPrior(SourcePrior):
             raise ValueError("source mean has non-finite entries")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        # One eigen-solve gives the sampling root and the information; it
-        # raises NotPSD, NotPD or Singular as sym_sqrt and psd_inverse would.
-        w, V = _conditioned_eigh(cov, "source covariance")
+        # one eigen-solve gives the sampling root and the information
+        w, V = _psd_eigh(cov)
+        _require_pd_conditioned(w, "source covariance")
         root, info = _root(w, V), _eig_inverse(w, V)
         root.setflags(write=False)
         info.setflags(write=False)

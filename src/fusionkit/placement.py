@@ -339,7 +339,7 @@ def optimal_secondary(
         )
 
     lam = lambda_root(svd, p)
-    solvers = _cross_solvers(rho, s, cap)
+    solvers = _cross_solvers(rho, s)
     B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
     e = _objective(A_tilde, B_star, rho, solvers[0], prior)
     kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e, solvers)

@@ -48,6 +48,14 @@ _TOLERANCE_CASES = {
 }
 
 
+def _noise_without_cross(noise_cov):
+    """A scenario edit giving modality b ``noise_cov`` and no cross-covariance."""
+    def edit(doc):
+        del doc["cross_cov"]
+        doc["modalities"][1]["noise_cov"] = noise_cov
+    return edit
+
+
 class TestScenarioLoading:
     def test_round_trip(self, tmp_path, two_modality_doc):
         scenario = load_scenario(write_scenario(tmp_path / "s.json", two_modality_doc))
@@ -88,6 +96,15 @@ class TestScenarioLoading:
                                              .tolist()), "not PD"),
             (lambda d: d["modalities"][1].update(noise_cov=[[1.0, 0.0], [0.0, -1.0]]),
              "modality 'b': noise covariance has negative eigenvalue -1.000e+00"),
+            # the PSD and symmetry rules are relative to the matrix's own
+            # scale: the same refusals in units a trillion times smaller, with
+            # no cross-covariance to refuse the pair instead
+            (_noise_without_cross([[1e-12, 0.0], [0.0, -5e-13]]),
+             "modality 'b': noise covariance has negative eigenvalue -5.000e-13"),
+            (lambda d: d.update(sources={"info_only": {"J_s": [[1e-12, 0.0], [0.0, -5e-13]]}}),
+             "bad source prior: J_s must be PSD, min eigenvalue -5.000e-13"),
+            (_noise_without_cross([[1e-12, 5e-13], [0.0, 1e-12]]),
+             "modality 'b': noise covariance is not symmetric"),
             (lambda d: d["modalities"][1].update(noise_cov=[[1.0, 0.0]]),
              "modality 'b': noise covariance must be square"),
             (lambda d: d["modalities"][1].update(noise_cov=[[0.7, 0.2], [0.1, 0.8]]),
@@ -133,7 +150,8 @@ class TestScenarioLoading:
         ],
         ids=["modality-not-object", "modalities-not-list", "same-modality-twice",
              "negative-index", "pair-not-list", "pair-given-twice", "cross-shape",
-             "joint-not-pd", "noise-indefinite", "noise-not-square", "noise-asymmetric",
+             "joint-not-pd", "noise-indefinite", "noise-indefinite-small-units",
+             "prior-indefinite-small-units", "noise-asymmetric-small-units", "noise-not-square", "noise-asymmetric",
              "noise-wrong-size", "noise-wrong-size-and-indefinite", "prior-wrong-dimension",
              "unknown-top-level-cross-covariance", "two-priors", "unknown-gaussian-key",
              "unknown-info-only-key", "unknown-modality-key", "unknown-cross-key",

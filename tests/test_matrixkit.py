@@ -83,8 +83,12 @@ class TestSymSqrt:
 class TestBlockInverse:
     def test_block_diagonal_gives_exact_zero_off_blocks(self, rng):
         noise = BlockCovariance(random_pd(rng, 3), random_pd(rng, 2), np.zeros((3, 2)))
-        o11, o12, o21, o22 = factor_noise(noise).inverse_blocks
+        factors = factor_noise(noise)
+        o11, o12, o21, o22 = factors.inverse_blocks
         assert np.all(o12 == 0.0) and np.all(o21 == 0.0)
+        # the general path gives the marginal inverses bit for bit
+        assert np.array_equal(o11, factors.sigma_v_inv)
+        assert np.array_equal(o22, factors.sigma_u_inv)
         assert np.allclose(o11, np.linalg.inv(noise.sigma_v))
         assert np.allclose(o22, np.linalg.inv(noise.sigma_u))
 
@@ -180,16 +184,20 @@ def test_require_symmetric_accepts_one_by_one_and_empty(M):
 
 
 def test_require_symmetric_decides_as_the_per_entry_rule():
-    # exact, in-tolerance and beyond-tolerance asymmetry at several scales: the
+    # exact, in-tolerance and beyond-tolerance asymmetry at scales 1e-12 to
+    # 1e3, the asymmetry scaled with the matrix below unit scale: the
     # exact-symmetry shortcut must not change a single decision
     rng = np.random.default_rng(7)
     for _ in range(300):
         n = int(rng.integers(1, 6))
-        S = symmetrize(rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4))
-        M = S + np.tril(rng.standard_normal((n, n)), -1) * 10.0 ** rng.uniform(-15, -10)
+        k = int(rng.integers(-12, 4))
+        S = symmetrize(rng.standard_normal((n, n)) * 10.0**k)
+        skew = 10.0 ** (rng.uniform(-15, -10) + min(k, 0))
+        M = S + np.tril(rng.standard_normal((n, n)), -1) * skew
         if rng.random() < 0.3:
             M = S
-        expected = not np.any(np.abs(M - M.T) > 1e-12 * np.maximum(1.0, np.abs(M)))
+        floor = min(1.0, float(np.max(np.abs(M))))
+        expected = not np.any(np.abs(M - M.T) > 1e-12 * np.maximum(floor, np.abs(M)))
         try:
             require_symmetric(M)
             accepted = True

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fusionkit import (
     BlockCovariance,
@@ -34,9 +36,17 @@ from fusionkit import (
 )
 
 from fusionkit.cli import ScenarioError, load_scenario
-from fusionkit.matrixkit import _conditioned_eigh, _eig_inverse, psd_inverse, sym_sqrt
+from fusionkit.matrixkit import (
+    _eig_inverse,
+    _psd_eigh,
+    _require_pd_conditioned,
+    psd_check,
+    psd_inverse,
+    sym_sqrt,
+    symmetrize,
+)
 
-from conftest import random_joint_noise, random_pd, rel_fro
+from conftest import random_joint_noise, random_orthogonal, random_pd, rel_fro
 
 
 class TestTypes:
@@ -49,7 +59,8 @@ class TestTypes:
         cov = random_pd(rng, 3)
         prior = GaussianPrior(mean=np.zeros(3), cov=cov)
         assert np.array_equal(prior._sqrt, sym_sqrt(cov))
-        w, V = _conditioned_eigh(cov, "source covariance")
+        w, V = _psd_eigh(cov)
+        _require_pd_conditioned(w, "source covariance")
         assert np.array_equal(prior.info_matrix(), _eig_inverse(w, V))
         assert rel_fro(prior.info_matrix(), psd_inverse(cov)) < 1e-12
 
@@ -110,13 +121,23 @@ class TestTypes:
             GaussianPrior(mean=[bad, 0.0], cov=np.eye(2))
 
 
+def _refusal(check):
+    """The type of the exception ``check()`` raises, or None if it returns."""
+    try:
+        check()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
 @pytest.mark.parametrize("norm", [0.5, 4.0])
 def test_one_psd_rule_at_its_boundary(tmp_path, norm):
-    # the scenario loader (on a modality's noise), the prior and the joint
-    # noise check all refuse a smallest eigenvalue at -1e-10 max(1, ||M||_2),
-    # and admit one above
+    # the scenario loader (on a modality's noise), the prior, the joint noise
+    # check, the symmetric root and the Gaussian prior all refuse a smallest
+    # eigenvalue at -1e-10 ||M||_2, and admit one above; past the PSD rule the
+    # Gaussian prior still refuses the negative eigenvalue as NotPD
     for factor, refused in ((1.0, True), (0.99, False)):
-        lo = -factor * 1e-10 * max(1.0, norm)
+        lo = -factor * 1e-10 * norm
         M = np.diag([lo, norm])
         assert np.linalg.eigvalsh(M)[0] == lo
         path = tmp_path / "s.json"
@@ -124,18 +145,44 @@ def test_one_psd_rule_at_its_boundary(tmp_path, norm):
             "sources": {"info_only": {"J_s": np.zeros((2, 2)).tolist()}},
             "modalities": [{"name": "x", "A": np.eye(2).tolist(), "noise_cov": M.tolist()}],
         }))
-        verdicts = []
-        for check in (
+        verdicts = [_refusal(check) for check in (
             lambda: load_scenario(path),
             lambda: InfoOnlyPrior(M),
             lambda: BlockCovariance(M[:1, :1], M[1:, 1:], np.zeros((1, 1))).check_pd(),
-        ):
-            try:
-                check()
-                verdicts.append(False)
-            except (ScenarioError, ValueError, NotPD):
-                verdicts.append(True)
-        assert verdicts == [refused] * 3
+            lambda: sym_sqrt(M),
+            lambda: GaussianPrior(np.zeros(2), M),
+        )]
+        if refused:
+            assert verdicts == [ScenarioError, ValueError, NotPD, NotPSD, NotPSD]
+        else:
+            assert verdicts == [None, None, None, None, NotPD]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5),
+       st.sampled_from(["indefinite", "rounding", "pd"]), st.integers(-12, 12))
+def test_psd_verdicts_do_not_depend_on_units(seed, n, kind, k):
+    # a spectrum planted at least 1% away from the PSD boundary gets the same
+    # verdict from psd_check, sym_sqrt and GaussianPrior at every scale 10^k
+    rng = np.random.default_rng(seed)
+    w = np.append(rng.uniform(0.1, 1.0, n - 1), 1.0)
+    if kind == "indefinite":  # at or beyond 1.01x the boundary, up to |lo| = 10 ||rest||
+        w[0] = -1e-10 * 10.0 ** rng.uniform(np.log10(1.01), 11.0)
+    elif kind == "rounding":  # within 0.99x the boundary
+        w[0] = -1e-10 * rng.uniform(0.01, 0.99)
+    Q = random_orthogonal(rng, n)
+    M = symmetrize((Q * w) @ Q.T)
+
+    def verdicts(S):
+        return (psd_check(S)[1], _refusal(lambda: sym_sqrt(S)),
+                _refusal(lambda: GaussianPrior(np.zeros(n), S)))
+
+    expected = {
+        "indefinite": (True, NotPSD, NotPSD),
+        "rounding": (False, None, NotPD),
+        "pd": (False, None, None),
+    }[kind]
+    assert verdicts(M) == expected
+    assert verdicts(M * 10.0**k) == expected
 
 
 # a 4x4 noise given with a 3-channel model, at every entry point that takes both
