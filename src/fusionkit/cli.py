@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FusionKitError, NonFinite, NotPD, NotSampleable
+from .errors import FusionKitError, NonFinite, NotPSD, NotSampleable
 from .information import (
     PairFactorization,
     _prewhiten_with_root,
@@ -28,7 +28,7 @@ from .information import (
     snr_matrix,
     total_information,
 )
-from .matrixkit import BlockCovariance, psd_check, require_noise
+from .matrixkit import BlockCovariance, _require_psd, require_noise
 from .model import GaussianPrior, InfoOnlyPrior, LinearModel, ModalityPair, SourcePrior
 
 EXIT_OK = 0
@@ -209,31 +209,28 @@ def load_scenario(path: str | Path) -> Scenario:
             )
         try:
             noise = require_noise(noise, model.n)
-        except ValueError as exc:
+            _require_psd(np.linalg.eigvalsh(noise), "noise covariance")
+        except (ValueError, NotPSD) as exc:
             raise ScenarioError(f"modality {name!r}: {exc}") from exc
-        min_eig, indefinite = psd_check(noise)
-        if indefinite:
-            raise ScenarioError(
-                f"modality {name!r}: noise covariance has negative eigenvalue {min_eig:.3e}"
-            )
         modalities[name] = (model, noise)
         names.append(name)
 
     cross: dict[tuple[str, str], np.ndarray] = {}
-    raw_cross = doc.get("cross_cov")
-    if raw_cross is not None:
-        entries = raw_cross if isinstance(raw_cross, list) else [raw_cross]
-        for k, entry in enumerate(entries):
-            where = f"cross_cov[{k}]" if isinstance(raw_cross, list) else "cross_cov"
-            _known_keys(entry, ("pair", "matrix"), where)
-            key, matrix = _cross_entry(entry, names)
-            if key in cross or key[::-1] in cross:
-                raise ScenarioError(f"cross_cov for {list(key)} given twice")
-            try:
-                BlockCovariance(modalities[key[0]][1], modalities[key[1]][1], matrix).check_pd()
-            except (ValueError, NotPD) as exc:
-                raise ScenarioError(f"cross_cov {list(key)}: {exc}") from exc
-            cross[key] = matrix
+    raw_cross = doc.get("cross_cov", [])
+    if not isinstance(raw_cross, (dict, list)):
+        raise ScenarioError("'cross_cov' must be an entry object or a list of them")
+    entries = raw_cross if isinstance(raw_cross, list) else [raw_cross]
+    for k, entry in enumerate(entries):
+        where = f"cross_cov[{k}]" if isinstance(raw_cross, list) else "cross_cov"
+        _known_keys(entry, ("pair", "matrix"), where)
+        key, matrix = _cross_entry(entry, names)
+        if key in cross or key[::-1] in cross:
+            raise ScenarioError(f"cross_cov for {list(key)} given twice")
+        try:
+            BlockCovariance(modalities[key[0]][1], modalities[key[1]][1], matrix).check_pd()
+        except (ValueError, NotPSD) as exc:
+            raise ScenarioError(f"cross_cov {list(key)}: {exc}") from exc
+        cross[key] = matrix
 
     raw_tols = doc.get("tolerances", {})
     if not isinstance(raw_tols, dict):

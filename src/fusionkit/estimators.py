@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SingularNormalMatrix, SingularPosterior
 from .information import crlb, snr_matrix
-from .matrixkit import derived_inverse, inverse_factor, require_noise, symmetrize
+from .matrixkit import derived_inverse, noise_whitener, require_noise, symmetrize
 from .model import GaussianPrior, LinearModel, require_prior_size
 
 
@@ -69,18 +69,6 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="WLS")
 
 
-def _whiten(model: LinearModel, sigma, x) -> tuple[np.ndarray, np.ndarray]:
-    """``L^-1 A`` and ``L^-1 x`` for the Cholesky factor ``L`` of the noise covariance.
-
-    Raises :class:`NotPD` or :class:`Singular` as :func:`~fusionkit.matrixkit.inverse_factor`
-    does, and ``ValueError`` if ``sigma`` is not n x n or ``x`` has the wrong shape.
-    """
-    sigma = require_noise(sigma, model.n)
-    x = _observation(model, x)
-    white = inverse_factor(sigma, "noise covariance") @ np.column_stack([model.A, x])
-    return white[:, :-1], white[:, -1]
-
-
 def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     """Gaussian maximum likelihood estimate; equals WLS with W = sigma^-1.
 
@@ -98,7 +86,8 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     SingularNormalMatrix
         If the SNR matrix has condition above 1e12.
     """
-    white_A, white_x = _whiten(model, sigma, x)
+    white = noise_whitener(sigma, model.n) @ np.column_stack([model.A, _observation(model, x)])
+    white_A, white_x = white[:, :-1], white[:, -1]
     snr = symmetrize(white_A.T @ white_A)
     s_hat, error_cov = _solve_normal(snr, white_A.T @ white_x, "ml_estimate: normal matrix")
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="ML")
@@ -125,7 +114,8 @@ def mmse_gaussian_estimate(model: LinearModel, sigma, prior: GaussianPrior, x) -
         If the posterior information matrix has condition above 1e12.
     """
     require_prior_size(prior, model.m)
-    white_A, white_x = _whiten(model, sigma, x)
+    white = noise_whitener(sigma, model.n) @ np.column_stack([model.A, _observation(model, x)])
+    white_A, white_x = white[:, :-1], white[:, -1]
     gamma_inv = prior.info_matrix()
     posterior_info = symmetrize(gamma_inv + white_A.T @ white_A)
     s_hat, error_cov = _solve_normal(

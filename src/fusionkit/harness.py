@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .information import InfoMatrix, _as_matrix, crlb
-from .matrixkit import psd_inverse, require_finite, require_noise, require_symmetric, symmetrize
+from .matrixkit import noise_whitener, require_finite, require_symmetric, symmetrize
 from .model import GaussianPrior, LinearModel, SourcePrior, require_prior_size, simulate
 
 
@@ -87,14 +87,14 @@ def empirical_error_covariance(
         raise ValueError(f"unknown method {method!r}, expected 'ml', 'wls' or 'mmse'")
     if method == "mmse" and not isinstance(prior, GaussianPrior):
         raise ValueError("MMSE requires Gaussian prior")
-    sigma = require_noise(noise, model.n)
+    L_inv = noise_whitener(noise, model.n)
     require_prior_size(prior, model.m)
     A = model.A
-    sigma_inv = psd_inverse(sigma, name="noise covariance")
+    sigma_inv = symmetrize(L_inv.T @ L_inv)
     snr = symmetrize(A.T @ sigma_inv @ A)
     require_finite(snr, "the SNR matrix")
 
-    batch = simulate(model, prior, N, seed, noise=sigma)
+    batch = simulate(model, prior, N, seed, noise=noise)
     X, S = batch.observations, batch.sources
 
     if method in ("ml", "wls"):
@@ -105,7 +105,7 @@ def empirical_error_covariance(
     else:
         J_total = symmetrize(snr + prior.info_matrix())
         ref = crlb(InfoMatrix(J_total))
-        gain = _mmse_gain(A, prior.cov, sigma)
+        gain = _mmse_gain(A, prior.cov, noise)
         S_hat = prior.mean + (X - prior.mean @ A.T) @ gain.T
 
     E = S - S_hat
@@ -158,8 +158,8 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
     used, for which the curvature term vanishes).
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    sigma = require_noise(sigma, model.n)
-    sigma_inv = psd_inverse(sigma, name="noise covariance")
+    L_inv = noise_whitener(sigma, model.n)
+    sigma_inv = symmetrize(L_inv.T @ L_inv)
     if x is None:
         from .nonlinear import NonlinearModel  # here, so a campaign does not import nonlinear
 

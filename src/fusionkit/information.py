@@ -13,7 +13,8 @@ than being averaged away.
 :func:`mc_moments` is the one Monte-Carlo reduction, shared with the
 nonlinear module: it runs seed-split blocks of prior draws one after
 another and adds their sums in block order, so an estimate depends only
-on its seed.
+on its seed; its variance adds per-block centred sums, so it has no
+cancellation.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from .matrixkit import (
     _root,
     derived_inverse,
     factor_noise,
-    inverse_factor,
+    noise_whitener,
     require_conditioned,
     require_finite,
-    require_noise,
     require_symmetric,
     symmetrize,
 )
@@ -135,7 +135,7 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     """SNR matrix ``A^T sigma^-1 A`` of a single modality, as ``W^T W`` with ``W = L^-1 A``.
 
     ``L`` is the Cholesky factor of the noise covariance (see
-    :func:`~fusionkit.matrixkit.inverse_factor`).
+    :func:`~fusionkit.matrixkit.noise_whitener`).
 
     Raises
     ------
@@ -148,7 +148,7 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     NonFinite
         If the product overflows.
     """
-    white = inverse_factor(require_noise(sigma, model.n), "noise covariance") @ model.A
+    white = noise_whitener(sigma, model.n) @ model.A
     snr = symmetrize(white.T @ white)
     require_finite(snr, "the SNR matrix")
     return InfoMatrix(snr)
@@ -437,18 +437,24 @@ def mc_moments(prior, N: int, seed: int, integrand: Callable) -> tuple[np.ndarra
 
     ``integrand`` maps a (count, m) block of prior draws to the
     (count, k, k) stack of its values. The blocks of :func:`block_plan`
-    run one after another; each adds its sum and sum of squares over the
-    whole block, in block order, so the estimate depends only on the
-    seed. Returns the symmetrized mean and ``sqrt(var / N)``.
+    run one after another, in block order, so the estimate depends only
+    on the seed. The mean is the sum of the block sums over ``N``. The
+    variance is exact to rounding, with no cancellation of two large
+    moments: each block adds its squares about its own mean, and the
+    blocks combine by the pairwise update of Chan, Golub & LeVeque (1983).
+    Returns the symmetrized mean and ``sqrt(var / N)``.
     """
-    s1 = s2 = 0
+    s1 = m2 = n = 0
     for ss, count in block_plan(seed, N):
         mats = integrand(prior.sample(np.random.default_rng(ss), count))
-        s1 += mats.sum(axis=0)
-        s2 += (mats**2).sum(axis=0)
-    mean = s1 / N
-    var = np.maximum(s2 / N - mean**2, 0.0)
-    return symmetrize(mean), np.sqrt(var / N)
+        b1 = mats.sum(axis=0)
+        b2 = ((mats - b1 / count) ** 2).sum(axis=0)
+        if n:  # the spread between the running mean and the block's
+            b2 = b2 + (b1 / count - s1 / n) ** 2 * (n * count / (n + count))
+        m2 = m2 + b2
+        s1 += b1
+        n += count
+    return symmetrize(s1 / N), np.sqrt(m2 / N / N)
 
 
 def prior_information_mc(prior: SourcePrior, N: int, seed: int) -> McInfoEstimate:

@@ -1,7 +1,9 @@
 """Dense symmetric-matrix toolkit: PSD square roots, guarded inverses, noise-pair factors.
 
-All operations are pure functions on small dense arrays. Every inverse
-refuses its matrix by one rule (:func:`_require_pd_conditioned`): :class:`NotPD`
+All operations are pure functions on small dense arrays. A covariance is
+admitted here alone. Every PSD refusal is one rule
+(:func:`_require_psd`), raising :class:`NotPSD`. Every inverse refuses
+its matrix by one rule (:func:`_require_pd_conditioned`): :class:`NotPD`
 unless the smallest eigenvalue is positive, :class:`Singular` when the
 condition exceeds ``SINGULAR_CONDITION``. An inverse that needs no
 symmetric root comes from the Cholesky factor: :func:`inverse_factor`
@@ -12,10 +14,12 @@ complements, the estimators' normal and posterior matrices and the
 information matrix of ``information.crlb`` go through it by
 :func:`derived_inverse`, and so does a noise pair:
 :func:`factor_noise`, the one entry to a joint noise covariance's factors,
-whitens each marginal with its inverse Cholesky factor, so whitening is
-decided in one place. A whitened pair's answers do not depend on the
-basis of the whitening; the symmetric roots, which fix the basis that
-``place`` prints, are taken by ``information.prewhiten`` alone.
+whitens each marginal with its inverse Cholesky factor, as
+:func:`noise_whitener`, the one admission of a single modality's noise,
+whitens it, so whitening is decided in one place. A whitened pair's
+answers do not depend on the basis of the whitening; the symmetric
+roots, which fix the basis that ``place`` prints, are taken by
+``information.prewhiten`` alone.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ FORM_CONDITION_SLACK = 100.0
 
 _EPS = float(np.finfo(float).eps)
 
-# Relative eigenvalue tolerance of the one PSD rule (:func:`_indefinite`): a
+# Relative eigenvalue tolerance of the one PSD rule (:func:`_require_psd`): a
 # negative eigenvalue within PSD_EIG_TOL * ||M||_2 of zero is rounding, at
 # every scale of M.
 PSD_EIG_TOL = 1e-10
@@ -96,41 +100,33 @@ def symmetrize(M) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _indefinite(w: np.ndarray) -> bool:
+def _require_psd(w: np.ndarray, name: str) -> float:
     """The one PSD rule, on the ascending eigenvalues ``w`` of a symmetric ``M``.
 
-    Indefinite iff ``w[0] < 0`` and ``w[0] <= -PSD_EIG_TOL * max(|w[0]|, |w[-1]|)``,
-    a tolerance relative to ``||M||_2`` alone: the verdict does not depend on
-    the units of ``M``, and a zero matrix is PSD.
+    ``M`` is indefinite, and refused as :class:`NotPSD` carrying ``w[0]``,
+    iff ``w[0] < 0`` and ``w[0] <= -PSD_EIG_TOL * max(|w[0]|, |w[-1]|)``: a
+    tolerance relative to ``||M||_2`` alone, so the verdict does not depend
+    on the units of ``M``, and a zero matrix is PSD. Returns ``w[0]``.
     """
     lo = float(w[0])
-    return lo < 0.0 and lo <= -PSD_EIG_TOL * max(-lo, abs(float(w[-1])))
+    if lo < 0.0 and lo <= -PSD_EIG_TOL * max(-lo, abs(float(w[-1]))):
+        raise NotPSD(f"{name} is not PSD (min eigenvalue {lo:.3e})", min_eigenvalue=lo)
+    return lo
 
 
-def psd_check(M) -> tuple[float, bool]:
-    """Smallest eigenvalue of a symmetric ``M``, and whether :func:`_indefinite` refuses it.
-
-    ``M`` is not symmetrized here, so the eigenvalue returned is that of
-    ``np.linalg.eigvalsh(M)`` bit for bit.
-    """
-    w = np.linalg.eigvalsh(M)
-    return float(w[0]), _indefinite(w)
-
-
-def _psd_eigh(M) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of the symmetric part of ``M``; :class:`NotPSD` if :func:`_indefinite`."""
+def _psd_eigh(M, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of the symmetric part of ``M``, refused by :func:`_require_psd`."""
     w, V = np.linalg.eigh(symmetrize(M))
-    if _indefinite(w):
-        raise NotPSD(f"matrix is not PSD: min eigenvalue {w[0]:.6e}", min_eigenvalue=float(w[0]))
+    _require_psd(w, name)
     return w, V
 
 
 def sym_sqrt(M) -> np.ndarray:
     """Unique symmetric PSD square root L with ``L @ L.T == M``.
 
-    An ``M`` that :func:`_indefinite` refuses, as :func:`psd_check` does,
-    raises :class:`NotPSD`; every negative eigenvalue it admits is rounding
-    and is clamped to zero before rooting.
+    An ``M`` that :func:`_require_psd` refuses raises :class:`NotPSD`; every
+    negative eigenvalue it admits is rounding and is clamped to zero before
+    rooting.
     """
     return _root(*_psd_eigh(require_symmetric(M)))
 
@@ -223,18 +219,15 @@ def inverse_factor(M, name: str = "matrix", scale: float = 0.0) -> np.ndarray:
     return L_inv
 
 
-def psd_inverse(M, name: str = "matrix") -> np.ndarray:
-    """Inverse ``L^-T L^-1`` of a symmetric PD matrix, from :func:`inverse_factor`.
+def noise_whitener(sigma, n: int) -> np.ndarray:
+    """``L^-1`` for a modality's noise covariance ``sigma = L L^T``, ``L^-1 X`` whitening ``X``.
 
-    Raises
-    ------
-    NotPD
-        If the smallest eigenvalue is not positive; the error carries it.
-    Singular
-        If the condition number exceeds ``SINGULAR_CONDITION``.
+    The one admission of a single modality's noise: :func:`require_noise`
+    checks ``sigma`` against the model's ``n`` channels (``ValueError``),
+    then :func:`inverse_factor` refuses it as :class:`NotPD` or
+    :class:`Singular` and factorizes it. ``sigma^-1 = L^-T L^-1``.
     """
-    L_inv = inverse_factor(require_symmetric(M, name=name), name)
-    return symmetrize(L_inv.T @ L_inv)
+    return inverse_factor(require_noise(sigma, n), "noise covariance")
 
 
 def derived_inverse(
@@ -355,22 +348,16 @@ class BlockCovariance:
         return np.block([[self.sigma_v, self.sigma_vu], [self.sigma_uv, self.sigma_u]])
 
     def check_pd(self) -> float:
-        """Minimum eigenvalue of the joint matrix; raises NotPD if it is indefinite.
+        """Minimum eigenvalue of the joint matrix; :class:`NotPSD` if it is indefinite.
 
-        Indefinite is decided by :func:`psd_check`. A singular
+        Indefinite is decided by :func:`_require_psd`. A singular
         (rank-deficient) joint passes: its minimum eigenvalue is rounding
         noise of either sign, and a positive tolerance would also refuse
         valid near-singular pairs.
         :func:`factor_noise` refuses a singular joint as :class:`Singular`
         through its Schur-complement guard when the pair is used.
         """
-        min_eig, indefinite = psd_check(symmetrize(self.joint()))
-        if indefinite:
-            raise NotPD(
-                f"joint covariance is not PD: min eigenvalue {min_eig:.6e}",
-                min_eigenvalue=min_eig,
-            )
-        return min_eig
+        return _require_psd(np.linalg.eigvalsh(symmetrize(self.joint())), "joint covariance")
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from .matrixkit import (
     _psd_eigh,
     _read_only_copy,
     _require_pd_conditioned,
+    _require_psd,
     _root,
-    psd_check,
     require_noise,
     require_symmetric,
     sym_sqrt,
@@ -95,9 +95,10 @@ class GaussianPrior(SourcePrior):
 
     ``mean`` and ``cov`` are kept as read-only float copies, as are the
     information matrix and the sampling root computed from them once.
-    ``cov`` is refused as :class:`NotPSD` by the rule of :func:`psd_check`,
-    then as :class:`NotPD` unless its smallest eigenvalue is positive and as
-    :class:`Singular` above ``SINGULAR_CONDITION``.
+    ``cov`` is refused as :class:`NotPSD` by the one PSD rule
+    (:func:`~fusionkit.matrixkit._require_psd`), then as :class:`NotPD`
+    unless its smallest eigenvalue is positive and as :class:`Singular`
+    above ``SINGULAR_CONDITION``.
     """
 
     mean: np.ndarray
@@ -115,7 +116,7 @@ class GaussianPrior(SourcePrior):
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         # one eigen-solve gives the sampling root and the information
-        w, V = _psd_eigh(cov)
+        w, V = _psd_eigh(cov, "source covariance")
         _require_pd_conditioned(w, "source covariance")
         root, info = _root(w, V), _eig_inverse(w, V)
         root.setflags(write=False)
@@ -144,16 +145,15 @@ class InfoOnlyPrior(SourcePrior):
 
     ``J_s = 0`` represents a deterministic/unknown source with no prior
     information, unifying the deterministic CRLB with the Bayesian one.
-    ``J_s`` is kept as a read-only float copy.
+    ``J_s`` is kept as a read-only float copy; an indefinite one is refused
+    as :class:`NotPSD`.
     """
 
     J_s: np.ndarray
 
     def __post_init__(self):
         J = require_symmetric(_read_only_copy(self.J_s), name="J_s")
-        min_eig, indefinite = psd_check(J)
-        if indefinite:
-            raise ValueError(f"J_s must be PSD, min eigenvalue {min_eig:.3e}")
+        _require_psd(np.linalg.eigvalsh(J), "J_s")
         object.__setattr__(self, "J_s", J)
 
     @property
@@ -256,6 +256,9 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     square root of the assembled covariance. Source and noise streams use
     independent children of the seed, so each is reproducible on its own.
 
+    A :class:`ModalityPair` carries its own noise, so ``noise`` must be
+    ``None`` for one.
+
     Raises
     ------
     NotSampleable
@@ -264,6 +267,8 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     if N < 0:
         raise ValueError("N must be nonnegative")
     pair = isinstance(model, ModalityPair)
+    if pair and noise is not None:
+        raise ValueError("a modality pair carries its own noise: pass noise=None")
     # the noise and the prior are checked before any draw
     sigma = symmetrize(model.noise.joint()) if pair else require_noise(noise, model.n)
     require_prior_size(prior, model.m)

@@ -30,8 +30,7 @@ from .matrixkit import (
     BlockCovariance,
     factor_noise,
     forms_agree,
-    inverse_factor,
-    require_noise,
+    noise_whitener,
     symmetrize,
 )
 from .model import SourcePrior, require_pair_shapes, require_prior_size
@@ -159,11 +158,12 @@ def fisher_nonlinear(
     Averages ``D_h(s)^T Sigma^-1 D_h(s) = W^T W`` over N prior draws, with
     ``W = L^-1 D_h(s)`` whitened by the inverse Cholesky factor of Sigma as
     in :func:`~fusionkit.information.snr_matrix`; the result is
-    deterministic per seed and exact (zero variance) whenever the
-    Jacobian is constant.
+    deterministic per seed. Whenever the Jacobian is constant it is exact:
+    every draw gives the same matrix, and the standard error is zero to
+    rounding, about machine epsilon times ``|J|`` at every scale.
     """
     require_prior_size(prior, model.m)
-    L_inv = inverse_factor(require_noise(sigma, model.n), "noise covariance")
+    L_inv = noise_whitener(sigma, model.n)
 
     def fisher_integrand(S):
         W = L_inv @ model.jacobians(S)

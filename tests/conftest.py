@@ -14,8 +14,7 @@ from fusionkit.information import _cross_solvers, _whitened_fisher, block_plan
 from fusionkit.matrixkit import (
     factor_noise,
     forms_agree,
-    inverse_factor,
-    require_symmetric,
+    noise_whitener,
     symmetrize,
 )
 
@@ -116,24 +115,28 @@ def _per_sample_jac(model, s):
 def mc_per_sample(prior, N, seed, per_sample):
     """Monte-Carlo mean and std-error of ``per_sample``, evaluated one draw at a time.
 
-    Draws and block sums follow the library's block plan, so the result
-    is comparable bit for bit with the block-batched estimates.
+    Draws, block sums and the per-block centred sums, combined by the
+    pairwise update of Chan, Golub & LeVeque, follow the library's block
+    plan, so the result is comparable bit for bit with the block-batched
+    estimates.
     """
     parts = []
     for ss, count in block_plan(seed, N):
         s_block = prior.sample(np.random.default_rng(ss), count)
         mats = np.stack([per_sample(s_block[i]) for i in range(count)])
-        parts.append((mats.sum(axis=0), (mats**2).sum(axis=0)))
-    s1 = sum(b[0] for b in parts)
-    s2 = sum(b[1] for b in parts)
-    mean = s1 / N
-    var = np.maximum(s2 / N - mean**2, 0.0)
-    return symmetrize(mean), np.sqrt(var / N)
+        b1 = mats.sum(axis=0)
+        parts.append((count, b1, ((mats - b1 / count) ** 2).sum(axis=0)))
+    n, s1, m2 = parts[0]
+    for count, b1, b2 in parts[1:]:
+        m2 = m2 + (b2 + (b1 / count - s1 / n) ** 2 * (n * count / (n + count)))
+        s1 = s1 + b1
+        n += count
+    return symmetrize(s1 / N), np.sqrt(m2 / N / N)
 
 
 def fisher_per_sample(model, sigma, prior, N, seed):
     """Per-sample reference for ``fisher_nonlinear``: (J, std_err)."""
-    L_inv = inverse_factor(require_symmetric(sigma, name="noise covariance"), "noise covariance")
+    L_inv = noise_whitener(sigma, model.n)
 
     def per_sample(s):
         W = L_inv @ _per_sample_jac(model, s)

@@ -92,17 +92,20 @@ class TestScenarioLoading:
                                  np.transpose(d["cross_cov"]["matrix"]).tolist()}]),
              "given twice"),
             (lambda d: d["cross_cov"].update(matrix=[[0.1, 0.0]]), "does not match"),
+            # null is refused as every other null is, not read as "no cross-covariance"
+            (lambda d: d.update(cross_cov=None),
+             "'cross_cov' must be an entry object or a list of them"),
             (lambda d: d["cross_cov"].update(matrix=(20 * np.array(d["cross_cov"]["matrix"]))
-                                             .tolist()), "not PD"),
+                                             .tolist()), "joint covariance is not PSD"),
             (lambda d: d["modalities"][1].update(noise_cov=[[1.0, 0.0], [0.0, -1.0]]),
-             "modality 'b': noise covariance has negative eigenvalue -1.000e+00"),
+             "modality 'b': noise covariance is not PSD (min eigenvalue -1.000e+00)"),
             # the PSD and symmetry rules are relative to the matrix's own
             # scale: the same refusals in units a trillion times smaller, with
             # no cross-covariance to refuse the pair instead
             (_noise_without_cross([[1e-12, 0.0], [0.0, -5e-13]]),
-             "modality 'b': noise covariance has negative eigenvalue -5.000e-13"),
+             "modality 'b': noise covariance is not PSD (min eigenvalue -5.000e-13)"),
             (lambda d: d.update(sources={"info_only": {"J_s": [[1e-12, 0.0], [0.0, -5e-13]]}}),
-             "bad source prior: J_s must be PSD, min eigenvalue -5.000e-13"),
+             "bad source prior: J_s is not PSD (min eigenvalue -5.000e-13)"),
             (_noise_without_cross([[1e-12, 5e-13], [0.0, 1e-12]]),
              "modality 'b': noise covariance is not symmetric"),
             (lambda d: d["modalities"][1].update(noise_cov=[[1.0, 0.0]]),
@@ -149,7 +152,7 @@ class TestScenarioLoading:
             *_TOLERANCE_CASES.values(),
         ],
         ids=["modality-not-object", "modalities-not-list", "same-modality-twice",
-             "negative-index", "pair-not-list", "pair-given-twice", "cross-shape",
+             "negative-index", "pair-not-list", "pair-given-twice", "cross-shape", "cross-cov-null",
              "joint-not-pd", "noise-indefinite", "noise-indefinite-small-units",
              "prior-indefinite-small-units", "noise-asymmetric-small-units", "noise-not-square", "noise-asymmetric",
              "noise-wrong-size", "noise-wrong-size-and-indefinite", "prior-wrong-dimension",

@@ -40,8 +40,7 @@ from fusionkit.matrixkit import (
     _eig_inverse,
     _psd_eigh,
     _require_pd_conditioned,
-    psd_check,
-    psd_inverse,
+    _require_psd,
     sym_sqrt,
     symmetrize,
 )
@@ -62,7 +61,7 @@ class TestTypes:
         w, V = _psd_eigh(cov)
         _require_pd_conditioned(w, "source covariance")
         assert np.array_equal(prior.info_matrix(), _eig_inverse(w, V))
-        assert rel_fro(prior.info_matrix(), psd_inverse(cov)) < 1e-12
+        assert rel_fro(prior.info_matrix(), np.linalg.inv(cov)) < 1e-12
 
     @pytest.mark.parametrize(
         "diag, error",
@@ -93,7 +92,7 @@ class TestTypes:
                 array[0] = 0.0
 
     def test_info_only_prior_rejects_indefinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPSD, match=r"J_s is not PSD \(min eigenvalue -1.000e\+00\)"):
             InfoOnlyPrior(np.diag([1.0, -1.0]))
 
     def test_info_only_prior_not_sampleable(self):
@@ -134,8 +133,9 @@ def _refusal(check):
 def test_one_psd_rule_at_its_boundary(tmp_path, norm):
     # the scenario loader (on a modality's noise), the prior, the joint noise
     # check, the symmetric root and the Gaussian prior all refuse a smallest
-    # eigenvalue at -1e-10 ||M||_2, and admit one above; past the PSD rule the
-    # Gaussian prior still refuses the negative eigenvalue as NotPD
+    # eigenvalue at -1e-10 ||M||_2, and admit one above, and every refusal
+    # but the loader's is NotPSD; past the PSD rule the Gaussian prior still
+    # refuses the negative eigenvalue as NotPD
     for factor, refused in ((1.0, True), (0.99, False)):
         lo = -factor * 1e-10 * norm
         M = np.diag([lo, norm])
@@ -153,7 +153,7 @@ def test_one_psd_rule_at_its_boundary(tmp_path, norm):
             lambda: GaussianPrior(np.zeros(2), M),
         )]
         if refused:
-            assert verdicts == [ScenarioError, ValueError, NotPD, NotPSD, NotPSD]
+            assert verdicts == [ScenarioError, NotPSD, NotPSD, NotPSD, NotPSD]
         else:
             assert verdicts == [None, None, None, None, NotPD]
 
@@ -162,7 +162,7 @@ def test_one_psd_rule_at_its_boundary(tmp_path, norm):
        st.sampled_from(["indefinite", "rounding", "pd"]), st.integers(-12, 12))
 def test_psd_verdicts_do_not_depend_on_units(seed, n, kind, k):
     # a spectrum planted at least 1% away from the PSD boundary gets the same
-    # verdict from psd_check, sym_sqrt and GaussianPrior at every scale 10^k
+    # verdict from the PSD rule, sym_sqrt and GaussianPrior at every scale 10^k
     rng = np.random.default_rng(seed)
     w = np.append(rng.uniform(0.1, 1.0, n - 1), 1.0)
     if kind == "indefinite":  # at or beyond 1.01x the boundary, up to |lo| = 10 ||rest||
@@ -173,13 +173,14 @@ def test_psd_verdicts_do_not_depend_on_units(seed, n, kind, k):
     M = symmetrize((Q * w) @ Q.T)
 
     def verdicts(S):
-        return (psd_check(S)[1], _refusal(lambda: sym_sqrt(S)),
+        return (_refusal(lambda: _require_psd(np.linalg.eigvalsh(S), "M")),
+                _refusal(lambda: sym_sqrt(S)),
                 _refusal(lambda: GaussianPrior(np.zeros(n), S)))
 
     expected = {
-        "indefinite": (True, NotPSD, NotPSD),
-        "rounding": (False, None, NotPD),
-        "pd": (False, None, None),
+        "indefinite": (NotPSD, NotPSD, NotPSD),
+        "rounding": (None, None, NotPD),
+        "pd": (None, None, None),
     }[kind]
     assert verdicts(M) == expected
     assert verdicts(M * 10.0**k) == expected
@@ -311,6 +312,17 @@ class TestSimulate:
         b2 = simulate(model, prior, N=50, seed=7, noise=np.eye(3))
         assert np.array_equal(b1.sources, b2.sources)
         assert np.array_equal(b1.observations, b2.observations)
+
+    def test_pair_refuses_a_noise_argument_before_any_draw(self, monkeypatch, rng):
+        # a pair carries its own noise: a second one, even all NaN, is refused, not ignored
+        calls = []
+        monkeypatch.setattr(GaussianPrior, "sample", lambda *args: calls.append(args))
+        pair = ModalityPair(LinearModel(rng.standard_normal((4, 2))),
+                            LinearModel(rng.standard_normal((3, 2))), random_joint_noise(rng, 4, 3))
+        prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(ValueError, match="carries its own noise"):
+            simulate(pair, prior, N=10, seed=0, noise=np.full((7, 7), np.nan))
+        assert calls == []
 
     def test_info_only_prior_not_sampleable(self):
         model = LinearModel(np.eye(2))

@@ -90,6 +90,16 @@ class TestFisherNonlinear:
         # constant integrand: std err is pure accumulator roundoff
         assert np.max(est.std_err) < 1e-6 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    def test_constant_jacobian_std_err_is_rounding(self, rng, scale):
+        # two blocks of draws of one matrix: the per-block centred sums leave
+        # only rounding, where a one-pass s2/N - mean^2 left about 1e-9 |J|
+        A = scale * rng.standard_normal((4, 2))
+        prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+        sigma = random_pd(rng, 4)
+        est = fisher_nonlinear(NonlinearModel.linear(A), sigma, prior, N=20_000, seed=1)
+        assert np.max(est.std_err) <= 1e-14 * np.max(np.abs(est.J))
+
     def test_squared_scalar_moment(self):
         prior = GaussianPrior(mean=np.zeros(1), cov=np.eye(1))
         est = fisher_nonlinear(squared_scalar(), np.eye(1), prior, N=100_000, seed=2)
