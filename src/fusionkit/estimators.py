@@ -75,7 +75,11 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     Whitens ``[A | x]`` with the inverse Cholesky factor of the noise
     covariance (a different numerical route than :func:`wls_estimate`,
     which forms the weight matrix explicitly). The error covariance is the
-    inverse of the SNR matrix ``A^T sigma^-1 A``.
+    inverse of the SNR matrix ``A^T sigma^-1 A``. The factor is memoized on
+    ``model`` for a bit-equal ``sigma``
+    (:func:`~fusionkit.matrixkit.noise_whitener`), as a pair memoizes its
+    factorization: :func:`mmse_gaussian_estimate` or :func:`snr_matrix` on
+    the same model and noise reuses it, with bit-identical answers.
 
     Raises
     ------
@@ -86,7 +90,7 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     SingularNormalMatrix
         If the SNR matrix has condition above 1e12.
     """
-    white = noise_whitener(sigma, model.n) @ np.column_stack([model.A, _observation(model, x)])
+    white = noise_whitener(model, sigma) @ np.column_stack([model.A, _observation(model, x)])
     white_A, white_x = white[:, :-1], white[:, -1]
     snr = symmetrize(white_A.T @ white_A)
     s_hat, error_cov = _solve_normal(snr, white_A.T @ white_x, "ml_estimate: normal matrix")
@@ -102,7 +106,8 @@ def mmse_gaussian_estimate(model: LinearModel, sigma, prior: GaussianPrior, x) -
     enters because the conditional mean is optimal for every PSD weight.
     The SNR matrix and ``A^T sigma^-1 x`` come from ``[A | x]`` whitened
     with the inverse Cholesky factor of the noise covariance, under the
-    noise guard of :func:`ml_estimate`.
+    noise guard of :func:`ml_estimate`, and memoized on ``model`` for a
+    bit-equal ``sigma`` as there.
 
     Raises
     ------
@@ -114,7 +119,7 @@ def mmse_gaussian_estimate(model: LinearModel, sigma, prior: GaussianPrior, x) -
         If the posterior information matrix has condition above 1e12.
     """
     require_prior_size(prior, model.m)
-    white = noise_whitener(sigma, model.n) @ np.column_stack([model.A, _observation(model, x)])
+    white = noise_whitener(model, sigma) @ np.column_stack([model.A, _observation(model, x)])
     white_A, white_x = white[:, :-1], white[:, -1]
     gamma_inv = prior.info_matrix()
     posterior_info = symmetrize(gamma_inv + white_A.T @ white_A)

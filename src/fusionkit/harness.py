@@ -87,7 +87,7 @@ def empirical_error_covariance(
         raise ValueError(f"unknown method {method!r}, expected 'ml', 'wls' or 'mmse'")
     if method == "mmse" and not isinstance(prior, GaussianPrior):
         raise ValueError("MMSE requires Gaussian prior")
-    L_inv = noise_whitener(noise, model.n)
+    L_inv = noise_whitener(model, noise)
     require_prior_size(prior, model.m)
     A = model.A
     sigma_inv = symmetrize(L_inv.T @ L_inv)
@@ -155,20 +155,21 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
     matrix up to roundoff. For a :class:`NonlinearModel` the Hessian
     depends on the observation; pass ``x`` explicitly to average over
     draws externally (by default the noise-free observation at ``s0`` is
-    used, for which the curvature term vanishes).
+    used, for which the curvature term vanishes). Any other model type
+    raises ``TypeError``.
     """
+    from .nonlinear import NonlinearModel  # here, so a campaign does not import nonlinear
+
+    if not isinstance(model, (LinearModel, NonlinearModel)):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    L_inv = noise_whitener(sigma, model.n)
+    L_inv = noise_whitener(model, sigma)
     sigma_inv = symmetrize(L_inv.T @ L_inv)
     if x is None:
-        from .nonlinear import NonlinearModel  # here, so a campaign does not import nonlinear
-
         if isinstance(model, LinearModel):
             x = model.A @ s0
-        elif isinstance(model, NonlinearModel):
-            x = np.atleast_1d(np.asarray(model.h(s0), dtype=float))
         else:
-            raise TypeError(f"unsupported model type {type(model).__name__}")
+            x = np.atleast_1d(np.asarray(model.h(s0), dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
 
     def ll(s):

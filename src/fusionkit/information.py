@@ -27,6 +27,7 @@ import numpy as np
 from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
+    _noise_guards,
     _root,
     derived_inverse,
     factor_noise,
@@ -135,7 +136,9 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     """SNR matrix ``A^T sigma^-1 A`` of a single modality, as ``W^T W`` with ``W = L^-1 A``.
 
     ``L`` is the Cholesky factor of the noise covariance (see
-    :func:`~fusionkit.matrixkit.noise_whitener`).
+    :func:`~fusionkit.matrixkit.noise_whitener`), its inverse memoized on
+    ``model`` for a bit-equal ``sigma`` as a pair memoizes its
+    factorization, so the estimators on the same model and noise reuse it.
 
     Raises
     ------
@@ -148,7 +151,7 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     NonFinite
         If the product overflows.
     """
-    white = noise_whitener(sigma, model.n) @ model.A
+    white = noise_whitener(model, sigma) @ model.A
     snr = symmetrize(white.T @ white)
     require_finite(snr, "the SNR matrix")
     return InfoMatrix(snr)
@@ -194,8 +197,9 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
     reports ``B_star``. After whitening the noises have identity
     covariance and cross correlation ``rho``; the joint covariance being PD
     forces every singular value of rho below one. Raises :class:`NotPD` or
-    :class:`Singular` as :func:`factor_noise` does, whose guards it runs
-    before its one eigen-solve per marginal.
+    :class:`Singular` as :func:`factor_noise` does: it runs the same four
+    decisions (two marginal inverse factors, two Schur inverses) before its
+    one eigen-solve per marginal, and none of the products built on them.
     """
     return _prewhiten_with_root(pair)[0]
 
@@ -203,7 +207,7 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
 def _prewhiten_with_root(pair: ModalityPair) -> tuple[WhitenedPair, np.ndarray]:
     """:func:`prewhiten`, and the root ``L_u`` of ``sigma_u`` that maps ``B_tilde`` back."""
     noise = pair.noise
-    factor_noise(noise)  # refuses what the pair's factorization refuses
+    _noise_guards(noise)  # refuses what the pair's factorization refuses
     w_v, V_v = np.linalg.eigh(symmetrize(noise.sigma_v))
     w_u, V_u = np.linalg.eigh(symmetrize(noise.sigma_u))
     L_v_inv = symmetrize((V_v / np.sqrt(w_v)) @ V_v.T)

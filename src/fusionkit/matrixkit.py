@@ -16,7 +16,9 @@ information matrix of ``information.crlb`` go through it by
 :func:`factor_noise`, the one entry to a joint noise covariance's factors,
 whitens each marginal with its inverse Cholesky factor, as
 :func:`noise_whitener`, the one admission of a single modality's noise,
-whitens it, so whitening is decided in one place. A whitened pair's
+whitens it, so whitening is decided in one place. The pair's four
+refusals are :func:`_noise_guards`; a single modality's factor is
+memoized on its model for a bit-equal noise. A whitened pair's
 answers do not depend on the basis of the whitening; the symmetric
 roots, which fix the basis that ``place`` prints, are taken by
 ``information.prewhiten`` alone.
@@ -219,15 +221,34 @@ def inverse_factor(M, name: str = "matrix", scale: float = 0.0) -> np.ndarray:
     return L_inv
 
 
-def noise_whitener(sigma, n: int) -> np.ndarray:
+def noise_whitener(model, sigma) -> np.ndarray:
     """``L^-1`` for a modality's noise covariance ``sigma = L L^T``, ``L^-1 X`` whitening ``X``.
 
     The one admission of a single modality's noise: :func:`require_noise`
     checks ``sigma`` against the model's ``n`` channels (``ValueError``),
     then :func:`inverse_factor` refuses it as :class:`NotPD` or
     :class:`Singular` and factorizes it. ``sigma^-1 = L^-T L^-1``.
+
+    The factor is memoized on ``model``, in its ``_whitener`` slot, with a
+    read-only copy of the admitted ``sigma``, as a pair memoizes its
+    factorization: a later call with a ``sigma`` of the same shape and the
+    same bits (``-0.0`` is not ``0.0``) returns the same read-only ``L^-1``,
+    which is what a fresh call would compute. Any other ``sigma`` is
+    admitted afresh and replaces the slot as a whole, so a concurrent
+    reader sees the old key and factor or the new ones. A refusal is not
+    memoized: every call on a refused ``sigma`` raises again.
     """
-    return inverse_factor(require_noise(sigma, n), "noise covariance")
+    memo = model._whitener
+    if memo is not None:
+        key, L_inv = memo
+        given = np.asarray(sigma, dtype=float)
+        if given.shape == key.shape and np.array_equal(given.view(np.int64), key.view(np.int64)):
+            return L_inv
+    sigma = _read_only_copy(require_noise(sigma, model.n))
+    L_inv = inverse_factor(sigma, "noise covariance")
+    L_inv.setflags(write=False)
+    object.__setattr__(model, "_whitener", (sigma, L_inv))
+    return L_inv
 
 
 def derived_inverse(
@@ -388,18 +409,35 @@ class NoiseFactors:
 def factor_noise(block: BlockCovariance) -> NoiseFactors:
     """Factorize every block of a joint noise covariance once.
 
+    The refusals and the factors they leave come from :func:`_noise_guards`;
+    the marginal inverses are the Gram matrices of the inverse factors, and
+    one more product whitens the cross-covariance into ``rho``.
+    """
+    L_v_inv, L_u_inv, W_v, F, G = _noise_guards(block)
+    sv_inv = symmetrize(L_v_inv.T @ L_v_inv)
+    su_inv = symmetrize(L_u_inv.T @ L_u_inv)
+    rho = W_v @ L_u_inv.T
+    sv_inv_svu = L_v_inv.T @ W_v
+    omega_12 = -sv_inv_svu @ F
+    # sv_inv_svu F sv_inv_svu^T is -omega_12 sv_inv_svu^T: negation is exact,
+    # so reusing omega_12 changes no bit
+    omega_11 = symmetrize(sv_inv - omega_12 @ sv_inv_svu.T)
+    inverse_blocks = (omega_11, omega_12, omega_12.T, F)
+    return NoiseFactors(L_v_inv, L_u_inv, sv_inv, su_inv, F, G, inverse_blocks, rho)
+
+
+def _noise_guards(block: BlockCovariance):
+    """The four decisions on a joint noise covariance, in the order they refuse.
+
     Per marginal, :func:`inverse_factor` gives the PD check (:class:`NotPD`),
     the condition guard (:class:`Singular` above ``SINGULAR_CONDITION``) and
-    the inverse Cholesky factor, whose Gram matrix is the inverse; per
-    Schur complement, :func:`_schur_inverse` gives the inverse under a guard
-    on its condition relative to its block. Two products with the inverse
-    factors whiten the cross-covariance into ``rho``.
+    the inverse Cholesky factor; per Schur complement, :func:`_schur_inverse`
+    gives the inverse under a guard on its condition relative to its block.
+    Returns ``(L_v^-1, L_u^-1, W_v, F, G)`` with ``W_v = L_v^-1 sigma_vu``.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
     L_v_inv = inverse_factor(sv, "sigma_v")
     L_u_inv = inverse_factor(su, "sigma_u")
-    sv_inv = symmetrize(L_v_inv.T @ L_v_inv)
-    su_inv = symmetrize(L_u_inv.T @ L_u_inv)
     # Each Schur complement subtracts a Gram matrix of a half-whitened
     # cross-covariance: sigma_uv sigma_v^-1 sigma_vu = W_v^T W_v. Near the
     # condition limit its smallest eigenvalue is far more accurate than with
@@ -408,12 +446,7 @@ def factor_noise(block: BlockCovariance) -> NoiseFactors:
     W_u = svu @ L_u_inv.T
     F = _schur_inverse(symmetrize(su - W_v.T @ W_v), su, "Schur complement of sigma_u block")
     G = _schur_inverse(symmetrize(sv - W_u @ W_u.T), sv, "Schur complement of sigma_v block")
-    rho = W_v @ L_u_inv.T
-    sv_inv_svu = L_v_inv.T @ W_v
-    omega_12 = -sv_inv_svu @ F
-    omega_11 = symmetrize(sv_inv + sv_inv_svu @ F @ sv_inv_svu.T)
-    inverse_blocks = (omega_11, omega_12, omega_12.T, F)
-    return NoiseFactors(L_v_inv, L_u_inv, sv_inv, su_inv, F, G, inverse_blocks, rho)
+    return L_v_inv, L_u_inv, W_v, F, G
 
 
 def _schur_inverse(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:

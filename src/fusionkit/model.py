@@ -38,9 +38,14 @@ class LinearModel:
 
     ``A`` is kept as a read-only float copy: writing to the array passed in
     changes nothing here, and writing to ``A`` raises ``ValueError``.
+    :func:`~fusionkit.matrixkit.noise_whitener` memoizes the last admitted
+    noise covariance and its inverse Cholesky factor in ``_whitener``.
     """
 
     A: np.ndarray
+    _whitener: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         A = _read_only_copy(self.A)

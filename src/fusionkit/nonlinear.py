@@ -19,7 +19,7 @@ across samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -46,13 +46,18 @@ class NonlinearModel:
 
     ``h`` maps an m-vector to an n-vector; ``jacobian``, when supplied,
     maps an m-vector to the (n, m) Jacobian. Without it, central
-    differences are used.
+    differences are used. :func:`~fusionkit.matrixkit.noise_whitener`
+    memoizes the last admitted noise covariance and its inverse Cholesky
+    factor in ``_whitener``, as for a linear model.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
     n: int
     m: int
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    _whitener: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def jac(self, s: np.ndarray) -> np.ndarray:
         """The (n, m) Jacobian at one source vector: :meth:`jacobians` of one row."""
@@ -163,7 +168,7 @@ def fisher_nonlinear(
     rounding, about machine epsilon times ``|J|`` at every scale.
     """
     require_prior_size(prior, model.m)
-    L_inv = noise_whitener(sigma, model.n)
+    L_inv = noise_whitener(model, sigma)
 
     def fisher_integrand(S):
         W = L_inv @ model.jacobians(S)

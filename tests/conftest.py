@@ -136,7 +136,7 @@ def mc_per_sample(prior, N, seed, per_sample):
 
 def fisher_per_sample(model, sigma, prior, N, seed):
     """Per-sample reference for ``fisher_nonlinear``: (J, std_err)."""
-    L_inv = noise_whitener(sigma, model.n)
+    L_inv = noise_whitener(model, sigma)
 
     def per_sample(s):
         W = L_inv @ _per_sample_jac(model, s)

@@ -26,6 +26,8 @@ from fusionkit import (
     SingularInformation,
     advise,
     crlb,
+    empirical_error_covariance,
+    error_covariance,
     fisher_nonlinear,
     joint_information,
     joint_information_nonlinear,
@@ -424,14 +426,119 @@ def test_estimators_whiten_with_the_cholesky_factor(monkeypatch):
     model, sigma = LinearModel(rng.standard_normal((350, 20))), random_pd(rng, 350)
     prior = GaussianPrior(mean=np.zeros(20), cov=random_pd(rng, 20))
     x = rng.standard_normal(350)
-    # the noise factor (350 rows inverted in blocks of 43-44) and, for the
-    # normal matrix and the posterior information alike, one guarded
-    # Cholesky inverse of 20 rows that gives s_hat and error_cov
-    expected = {"numpy.linalg.cholesky": 1 + 1, "numpy.linalg.inv": 8 + 1}
-    assert lapack_calls(monkeypatch, lambda: ml_estimate(model, sigma, x)) == expected
+    # on a fresh model, the noise factor (350 rows inverted in blocks of
+    # 43-44) and, for the normal matrix and the posterior information
+    # alike, one guarded Cholesky inverse of 20 rows that gives s_hat and
+    # error_cov
+    fresh = {"numpy.linalg.cholesky": 1 + 1, "numpy.linalg.inv": 8 + 1}
+    assert lapack_calls(monkeypatch, lambda: ml_estimate(model, sigma, x)) == fresh
+    # the same noise on the same model: the memoized factor, and only the
+    # 20-row posterior information is factored
     assert lapack_calls(
         monkeypatch, lambda: mmse_gaussian_estimate(model, sigma, prior, x)
-    ) == expected
+    ) == {"numpy.linalg.cholesky": 1, "numpy.linalg.inv": 1}
+    twin = LinearModel(model.A)
+    assert lapack_calls(
+        monkeypatch, lambda: mmse_gaussian_estimate(twin, sigma, prior, x)
+    ) == fresh
+
+
+def single_modality(rng, n=6, m=3):
+    model, sigma = LinearModel(rng.standard_normal((n, m))), random_pd(rng, n)
+    prior = GaussianPrior(mean=rng.standard_normal(m), cov=random_pd(rng, m))
+    return model, sigma, prior, rng.standard_normal(n)
+
+
+def single_answers(model_of, sigma, prior, x):
+    """ML, MMSE, SNR and campaign results, each on ``model_of()``, as arrays."""
+    ml = ml_estimate(model_of(), sigma, x)
+    mmse = mmse_gaussian_estimate(model_of(), sigma, prior, x)
+    campaigns = [empirical_error_covariance(method, model_of(), prior, sigma, N=1000, seed=3)
+                 for method in ("ml", "mmse")]
+    return [ml.s_hat, ml.error_cov, mmse.s_hat, mmse.error_cov,
+            snr_matrix(model_of(), sigma).matrix, error_covariance(model_of(), sigma),
+            *(c.empirical_error_cov for c in campaigns),
+            *(c.theoretical_ref for c in campaigns)]
+
+
+def noise_factorizations(monkeypatch, fn, n):
+    """Cholesky factorizations of an ``n``-row matrix while ``fn`` runs."""
+    sizes = []
+    cholesky = np.linalg.cholesky
+
+    def counted(M):
+        sizes.append(np.shape(M)[0])
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    fn()
+    monkeypatch.undo()
+    return sizes.count(n)
+
+
+def test_memoized_whitener_answers_equal_a_fresh_model(rng, monkeypatch):
+    # the six calls on one model factor its 6-row noise once (the sources
+    # and the posterior are 3-row), and a list with the same bits hits
+    model, sigma, prior, x = single_modality(rng)
+    one = lambda: model  # noqa: E731
+    assert noise_factorizations(monkeypatch, lambda: single_answers(one, sigma, prior, x), 6) == 1
+    assert noise_factorizations(
+        monkeypatch, lambda: single_answers(one, sigma.tolist(), prior, x), 6) == 0
+    memo = single_answers(one, sigma, prior, x)
+    fresh = single_answers(lambda: LinearModel(model.A), sigma, prior, x)
+    for got, want in zip(memo, fresh):
+        assert np.array_equal(got, want)
+    h = NonlinearModel.linear(model.A)
+    hits = [fisher_nonlinear(h, sigma, prior, N=64, seed=5).J for _ in range(2)]
+    new = fisher_nonlinear(NonlinearModel.linear(model.A), sigma, prior, N=64, seed=5).J
+    assert np.array_equal(hits[0], new) and np.array_equal(hits[1], new)
+
+
+def test_writing_to_sigma_between_calls_gives_the_fresh_answer(rng):
+    model, sigma, prior, x = single_modality(rng)
+    before = ml_estimate(model, sigma, x).s_hat
+    sigma[0, 0] *= 2.0
+    after = ml_estimate(model, sigma, x)
+    fresh = ml_estimate(LinearModel(model.A), sigma, x)
+    assert not np.array_equal(after.s_hat, before)
+    assert np.array_equal(after.s_hat, fresh.s_hat)
+    assert np.array_equal(after.error_cov, fresh.error_cov)
+    assert np.array_equal(snr_matrix(model, sigma).matrix,
+                          snr_matrix(LinearModel(model.A), sigma).matrix)
+
+
+def test_refused_sigma_raises_on_every_call(rng, monkeypatch):
+    model, sigma, prior, x = single_modality(rng)
+    kept = ml_estimate(model, sigma, x)
+    indefinite = sigma.copy()
+    indefinite[0, 0] = -1.0
+    for call in (lambda: ml_estimate(model, indefinite, x),
+                 lambda: mmse_gaussian_estimate(model, indefinite, prior, x),
+                 lambda: snr_matrix(model, indefinite)):
+        with pytest.raises(NotPD):
+            call()
+    # the refusals left the admitted noise and its factor in place
+    again = lambda: ml_estimate(model, sigma, x)  # noqa: E731
+    assert noise_factorizations(monkeypatch, again, 6) == 0
+    assert np.array_equal(again().s_hat, kept.s_hat)
+
+
+def test_a_different_sigma_replaces_the_slot(rng, monkeypatch):
+    model, sigma, prior, x = single_modality(rng)
+    other = random_pd(rng, 6)
+    # equal as numbers, not as bits: -0.0 is a different noise to the memo
+    zero = np.diag(np.arange(1.0, 7.0))
+    signed = zero.copy()
+    signed[0, 1] = signed[1, 0] = -0.0
+    for noise, factored in ((sigma, 1), (sigma, 0), (other, 1), (other, 0), (sigma, 1),
+                            (zero, 1), (signed, 1), (signed, 0)):
+        call = lambda: ml_estimate(model, noise, x)  # noqa: E731
+        assert noise_factorizations(monkeypatch, call, 6) == factored
+        fresh = ml_estimate(LinearModel(model.A), noise, x)
+        assert np.array_equal(call().s_hat, fresh.s_hat)
+        assert np.array_equal(call().error_cov, fresh.error_cov)
+    with pytest.raises(ValueError, match="read-only"):
+        model._whitener[1][0, 0] = 1.0
 
 
 def ill_conditioned_marginal_pair():

@@ -92,6 +92,18 @@ class TestFisherFiniteDifference:
         H = fisher_finite_difference(model, sigma, rng.standard_normal(3), step=1e-4)
         assert rel_fro(H, snr_matrix(model, sigma).matrix) < 1e-6
 
+    @pytest.mark.parametrize("x", [None, np.zeros(2)])
+    def test_other_model_types_raise_type_error(self, x):
+        # refused by type before the noise is whitened (and memoized) on it
+        class Duck:
+            n, m = 2, 1
+
+            def h(self, s):
+                return np.array([s[0], 2.0 * s[0]])
+
+        with pytest.raises(TypeError, match="unsupported model type Duck"):
+            fisher_finite_difference(Duck(), np.eye(2), np.zeros(1), x=x)
+
     def test_step_refinement(self, rng):
         model = LinearModel(rng.standard_normal((4, 2)))
         sigma = random_pd(rng, 4)

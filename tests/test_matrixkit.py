@@ -109,6 +109,17 @@ class TestBlockInverse:
         assert np.max(np.abs(assembled - dense)) < 1e-9
         assert np.linalg.norm(noise.joint() @ assembled - np.eye(6), "fro") <= 1e-9
 
+    @pytest.mark.parametrize("n1, n2", [(4, 2), (40, 30), (200, 150)])
+    def test_omega_11_reuses_omega_12_bit_for_bit(self, rng, n1, n2):
+        # omega_11 = sigma_v^-1 - omega_12 (sigma_v^-1 sigma_vu)^T is the
+        # expanded sigma_v^-1 + sigma_v^-1 sigma_vu F (sigma_v^-1 sigma_vu)^T
+        # with one product reused: negation is exact, so no bit moves
+        noise = random_joint_noise(rng, n1, n2)
+        nf = factor_noise(noise)
+        sv_inv_svu = nf.L_v_inv.T @ (nf.L_v_inv @ noise.sigma_vu)
+        expanded = symmetrize(nf.sigma_v_inv + sv_inv_svu @ nf.F @ sv_inv_svu.T)
+        assert np.array_equal(nf.inverse_blocks[0], expanded)
+
     def test_singular_schur_raises(self):
         # cross block makes the Schur complement collapse
         eps = 1e-14
