@@ -165,6 +165,8 @@ def load_scenario(path: str | Path) -> Scenario:
     _known_keys(doc, ("id", "sources", "modalities", "cross_cov", "tolerances"), "the top level")
     if not isinstance(doc["modalities"], list):
         raise ScenarioError("'modalities' must be a list of modality entries")
+    if not doc["modalities"]:
+        raise ScenarioError("'modalities' must list at least one modality")
     scenario_id = doc.get("id", path.stem)
     if not isinstance(scenario_id, str):
         raise ScenarioError(f"'id' must be a string, got {json.dumps(scenario_id)}")
@@ -350,6 +352,7 @@ def cmd_place(args) -> int:
 
     scenario = load_scenario(args.scenario)
     primary = args.primary
+    scenario.modality(primary)  # an unknown primary is named before the secondary is chosen
     secondary = args.secondary
     if secondary is None:
         others = [n for n in scenario.modalities if n != primary]

@@ -76,9 +76,9 @@ def empirical_error_covariance(
 
     ``method`` is "ml"/"wls" (identical estimators; reference is the
     inverse SNR matrix) or "mmse" (Gaussian prior required; reference is
-    the posterior covariance). The CRLB dominance check compares the
-    empirical covariance against the inverse total information with
-    Monte-Carlo slack.
+    the posterior covariance). Either reference is the inverse total
+    information, so the CRLB dominance check compares the empirical
+    covariance against it, with Monte-Carlo slack, and inverts nothing more.
     """
     if N < 1000:
         raise ValueError("N must be at least 1e3 for a meaningful estimate")
@@ -101,10 +101,8 @@ def empirical_error_covariance(
         ref = crlb(InfoMatrix(snr))
         estimator = ref @ A.T @ sigma_inv
         S_hat = X @ estimator.T
-        J_total = snr
     else:
-        J_total = symmetrize(snr + prior.info_matrix())
-        ref = crlb(InfoMatrix(J_total))
+        ref = crlb(InfoMatrix(symmetrize(snr + prior.info_matrix())))
         gain = _mmse_gain(A, prior.cov, noise)
         S_hat = prior.mean + (X - prior.mean @ A.T) @ gain.T
 
@@ -119,7 +117,7 @@ def empirical_error_covariance(
     rel_err = float(np.linalg.norm(emp - ref, "fro")) / max(
         float(np.linalg.norm(ref, "fro")), 1e-300
     )
-    check = check_crlb_dominance(emp, InfoMatrix(J_total), slack)
+    check = _crlb_check(emp, ref, slack)
     return CampaignResult(
         scenario_id=scenario_id,
         method=method,
@@ -206,7 +204,11 @@ def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
     J_shape = _as_matrix(J).shape
     if emp.shape != J_shape:
         raise ValueError(f"empirical covariance is {emp.shape}, information matrix is {J_shape}")
-    bound = crlb(J)
+    return _crlb_check(emp, crlb(J), slack)
+
+
+def _crlb_check(emp: np.ndarray, bound: np.ndarray, slack: float) -> CrlbCheck:
+    """The dominance verdict of ``emp`` over the CRLB ``bound`` = ``J^-1``."""
     min_eig = float(np.linalg.eigvalsh(symmetrize(emp - bound))[0])
     return CrlbCheck(min_eig=min_eig, passed=min_eig >= -slack, slack=slack)
 

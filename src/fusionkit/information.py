@@ -27,12 +27,11 @@ import numpy as np
 from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
-    _noise_guards,
+    _require_pd_conditioned,
     _root,
     derived_inverse,
     factor_noise,
     noise_whitener,
-    require_conditioned,
     require_finite,
     require_symmetric,
     symmetrize,
@@ -207,7 +206,7 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
 def _prewhiten_with_root(pair: ModalityPair) -> tuple[WhitenedPair, np.ndarray]:
     """:func:`prewhiten`, and the root ``L_u`` of ``sigma_u`` that maps ``B_tilde`` back."""
     noise = pair.noise
-    _noise_guards(noise)  # refuses what the pair's factorization refuses
+    factor_noise(noise)  # refuses what the pair's factorization refuses
     w_v, V_v = np.linalg.eigh(symmetrize(noise.sigma_v))
     w_u, V_u = np.linalg.eigh(symmetrize(noise.sigma_u))
     L_v_inv = symmetrize((V_v / np.sqrt(w_v)) @ V_v.T)
@@ -231,7 +230,8 @@ def _cross_solvers(rho, singular_values):
     """Solvers applying ``K = (I - rho^T rho)^-1`` and ``K' = (I - rho rho^T)^-1``, and their norm.
 
     Both have 2-norm ``1 / (1 - sigma_max^2)``, read off the singular values
-    of rho like ``cond(I - rho^T rho)``, so the guard costs no eigen-solve.
+    of rho like the eigenvalues of ``I - rho^T rho``, which the one refusal
+    rule of every inverse decides, so the guard costs no eigen-solve.
     Each solver solves with its matrix rather than multiplying by an
     explicit inverse, which near a unitary rho loses up to ten times more.
     ``I - rho rho^T`` is built only when ``K'`` is applied.
@@ -243,8 +243,7 @@ def _cross_solvers(rho, singular_values):
     n1, n2 = rho.shape
     gap = np.ones(n2)
     gap[: s.size] -= s**2
-    cond = float(np.max(gap) / np.min(gap)) if np.min(gap) > 0.0 else np.inf
-    require_conditioned(cond, "(I - rho^T rho)")
+    _require_pd_conditioned(np.sort(gap), "(I - rho^T rho)")
     cap = symmetrize(np.eye(n2) - rho.T @ rho)
 
     def solve_k(X):
@@ -338,19 +337,26 @@ class PairFactorization:
         if pair._factorization is not None:
             return pair._factorization
         A, B = pair.first.A, pair.second.A
-        nf = factor_noise(pair.noise)
-        sv_inv, su_inv = nf.sigma_v_inv, nf.sigma_u_inv
+        L_v_inv, L_u_inv, W_v, F, G = factor_noise(pair.noise)
+        sv_inv = symmetrize(L_v_inv.T @ L_v_inv)
+        su_inv = symmetrize(L_u_inv.T @ L_u_inv)
 
-        o11, o12, o21, o22 = nf.inverse_blocks
-        J_block = symmetrize(A.T @ o11 @ A + A.T @ o12 @ B + B.T @ o21 @ A + B.T @ o22 @ B)
+        # the blocks of joint()^-1: omega_22 is F, omega_21 is omega_12^T, and
+        # sv_inv_svu F sv_inv_svu^T is -omega_12 sv_inv_svu^T: negation is
+        # exact, so reusing omega_12 changes no bit
+        sv_inv_svu = L_v_inv.T @ W_v
+        omega_12 = -sv_inv_svu @ F
+        omega_11 = symmetrize(sv_inv - omega_12 @ sv_inv_svu.T)
+        J_block = symmetrize(A.T @ omega_11 @ A + A.T @ omega_12 @ B
+                             + B.T @ omega_12.T @ A + B.T @ F @ B)
         snr1 = A.T @ sv_inv @ A
         snr2 = B.T @ su_inv @ B
         M_f = A.T @ sv_inv @ pair.noise.sigma_vu - B.T
-        quad_f = M_f @ nf.F @ M_f.T
+        quad_f = M_f @ F @ M_f.T
         M_g = B.T @ su_inv @ pair.noise.sigma_uv - A.T
-        quad_g = M_g @ nf.G @ M_g.T
+        quad_g = M_g @ G @ M_g.T
 
-        wp = WhitenedPair(nf.L_v_inv @ A, nf.L_u_inv @ B, nf.rho)
+        wp = WhitenedPair(L_v_inv @ A, L_u_inv @ B, W_v @ L_u_inv.T)
         solve_k = _cross_solvers(wp.rho, wp.rho_singular_values)[0]
         routes = {
             "block": J_block,

@@ -13,14 +13,14 @@ one ``eigvalsh`` only where the bound is inconclusive. The Schur
 complements, the estimators' normal and posterior matrices and the
 information matrix of ``information.crlb`` go through it by
 :func:`derived_inverse`, and so does a noise pair:
-:func:`factor_noise`, the one entry to a joint noise covariance's factors,
-whitens each marginal with its inverse Cholesky factor, as
-:func:`noise_whitener`, the one admission of a single modality's noise,
-whitens it, so whitening is decided in one place. The pair's four
-refusals are :func:`_noise_guards`; a single modality's factor is
-memoized on its model for a bit-equal noise. A whitened pair's
-answers do not depend on the basis of the whitening; the symmetric
-roots, which fix the basis that ``place`` prints, are taken by
+:func:`factor_noise`, the one place a joint noise covariance is factorized,
+makes the pair's four refusals and whitens each marginal with its inverse
+Cholesky factor, as :func:`noise_whitener`, the one admission of a single
+modality's noise, whitens it, so whitening is decided in one place. Each
+caller builds from the pair's factors only the products it reads. A
+single modality's factor is memoized on its model for a bit-equal noise.
+A whitened pair's answers do not depend on the basis of the whitening;
+the symmetric roots, which fix the basis that ``place`` prints, are taken by
 ``information.prewhiten`` alone.
 """
 
@@ -381,59 +381,18 @@ class BlockCovariance:
         return _require_psd(np.linalg.eigvalsh(symmetrize(self.joint())), "joint covariance")
 
 
-@dataclass(frozen=True)
-class NoiseFactors:
-    """A joint noise covariance with each block factorized once (:func:`factor_noise`).
-
-    ``L_v_inv``, ``L_u_inv`` are the lower-triangular inverse Cholesky
-    factors of the marginals (``sigma = L L^T``), the pair's one whitening,
-    and ``sigma_v_inv``, ``sigma_u_inv`` the inverses ``L^-T L^-1``; ``F`` and
-    ``G`` are the inverse Schur complements
-    ``(sigma_u - sigma_uv sigma_v^-1 sigma_vu)^-1`` and
-    ``(sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``, ``inverse_blocks`` the
-    blocks ``(omega_11, omega_12, omega_21, omega_22)`` of ``joint()^-1`` (exact
-    zeros off the diagonal for block-diagonal input), and
-    ``rho = L_v^-1 sigma_vu L_u^-T`` the whitened cross-correlation.
-    """
-
-    L_v_inv: np.ndarray
-    L_u_inv: np.ndarray
-    sigma_v_inv: np.ndarray
-    sigma_u_inv: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    inverse_blocks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    rho: np.ndarray
-
-
-def factor_noise(block: BlockCovariance) -> NoiseFactors:
-    """Factorize every block of a joint noise covariance once.
-
-    The refusals and the factors they leave come from :func:`_noise_guards`;
-    the marginal inverses are the Gram matrices of the inverse factors, and
-    one more product whitens the cross-covariance into ``rho``.
-    """
-    L_v_inv, L_u_inv, W_v, F, G = _noise_guards(block)
-    sv_inv = symmetrize(L_v_inv.T @ L_v_inv)
-    su_inv = symmetrize(L_u_inv.T @ L_u_inv)
-    rho = W_v @ L_u_inv.T
-    sv_inv_svu = L_v_inv.T @ W_v
-    omega_12 = -sv_inv_svu @ F
-    # sv_inv_svu F sv_inv_svu^T is -omega_12 sv_inv_svu^T: negation is exact,
-    # so reusing omega_12 changes no bit
-    omega_11 = symmetrize(sv_inv - omega_12 @ sv_inv_svu.T)
-    inverse_blocks = (omega_11, omega_12, omega_12.T, F)
-    return NoiseFactors(L_v_inv, L_u_inv, sv_inv, su_inv, F, G, inverse_blocks, rho)
-
-
-def _noise_guards(block: BlockCovariance):
+def factor_noise(block: BlockCovariance):
     """The four decisions on a joint noise covariance, in the order they refuse.
 
     Per marginal, :func:`inverse_factor` gives the PD check (:class:`NotPD`),
     the condition guard (:class:`Singular` above ``SINGULAR_CONDITION``) and
     the inverse Cholesky factor; per Schur complement, :func:`_schur_inverse`
     gives the inverse under a guard on its condition relative to its block.
-    Returns ``(L_v^-1, L_u^-1, W_v, F, G)`` with ``W_v = L_v^-1 sigma_vu``.
+    Returns ``(L_v^-1, L_u^-1, W_v, F, G)``: the lower-triangular inverse
+    Cholesky factors of the marginals (``sigma = L L^T``), the pair's one
+    whitening; ``W_v = L_v^-1 sigma_vu``; and the inverse Schur complements
+    ``F = (sigma_u - sigma_uv sigma_v^-1 sigma_vu)^-1`` and
+    ``G = (sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
     L_v_inv = inverse_factor(sv, "sigma_v")

@@ -9,12 +9,12 @@ seed; the variance of the estimate is reported, never hidden. Each
 block evaluates its integrand as stacked arrays: one (count, n, m)
 Jacobian array per model, whitened by one product with the linear
 module's whitener (the inverse Cholesky factor of the noise for one
-modality, and of each marginal, from
-:func:`~fusionkit.matrixkit.factor_noise`, for a pair), then stacked
-matrix products. ``h`` itself is
-still called once per perturbed point. Models with constant Jacobians
-reproduce the linear module exactly because the integrand does not vary
-across samples.
+modality; for a pair, those of the marginals from
+:func:`~fusionkit.matrixkit.factor_noise`, whose half-whitened
+cross-covariance one more product turns into ``rho``), then stacked
+matrix products. ``h`` itself is still called once per perturbed point.
+Models with constant Jacobians reproduce the linear module exactly
+because the integrand does not vary across samples.
 """
 
 from __future__ import annotations
@@ -219,15 +219,15 @@ def joint_information_nonlinear(
     """
     require_pair_shapes(h, g, noise)
     require_prior_size(prior, h.m)
-    nf = factor_noise(noise)
-    rho = nf.rho
+    L_v_inv, L_u_inv, W_v, _, _ = factor_noise(noise)
+    rho = W_v @ L_u_inv.T
     n1, n2 = rho.shape
     solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
     K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
 
     def joint_integrand(S):
-        Dh = nf.L_v_inv @ h.jacobians(S)  # whitened Jacobians, (count, n1, m)
-        Dg = nf.L_u_inv @ g.jacobians(S)  # whitened Jacobians, (count, n2, m)
+        Dh = L_v_inv @ h.jacobians(S)  # whitened Jacobians, (count, n1, m)
+        Dg = L_u_inv @ g.jacobians(S)  # whitened Jacobians, (count, n2, m)
         form1 = _whitened_fisher(Dh, Dg, rho, K_a.__matmul__)
         form2 = _whitened_fisher(Dg, Dh, rho.T, K_b.__matmul__)
         return forms_agree(form1, form2, "joint nonlinear information forms per sample")

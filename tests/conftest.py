@@ -147,15 +147,15 @@ def fisher_per_sample(model, sigma, prior, N, seed):
 
 def joint_per_sample(h, g, noise, prior, N, seed):
     """Per-sample reference for ``joint_information_nonlinear``: (J, std_err)."""
-    nf = factor_noise(noise)
-    rho = nf.rho
+    L_v_inv, L_u_inv, W_v, _, _ = factor_noise(noise)
+    rho = W_v @ L_u_inv.T
     n1, n2 = rho.shape
     solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
     K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
 
     def per_sample(s):
-        Dh = nf.L_v_inv @ _per_sample_jac(h, s)
-        Dg = nf.L_u_inv @ _per_sample_jac(g, s)
+        Dh = L_v_inv @ _per_sample_jac(h, s)
+        Dg = L_u_inv @ _per_sample_jac(g, s)
         form1 = _whitened_fisher(Dh, Dg, rho, K_a.__matmul__)
         form2 = _whitened_fisher(Dg, Dh, rho.T, K_b.__matmul__)
         return forms_agree(form1, form2, "joint nonlinear information forms per sample")

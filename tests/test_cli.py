@@ -85,6 +85,8 @@ class TestScenarioLoading:
         [
             (lambda d: d.update(modalities=[1]), "bad modality entry"),
             (lambda d: d.update(modalities=5), "must be a list"),
+            (lambda d: d.update(modalities=[], cross_cov=[]),
+             "'modalities' must list at least one modality"),
             (lambda d: d["cross_cov"].update(pair=[0, 0]), "two distinct modalities"),
             (lambda d: d["cross_cov"].update(pair=[-1, 0]), "out of range"),
             (lambda d: d["cross_cov"].update(pair=3), "bad cross_cov entry"),
@@ -151,7 +153,7 @@ class TestScenarioLoading:
              "key 'noise_cov' is given twice in one object"),
             *_TOLERANCE_CASES.values(),
         ],
-        ids=["modality-not-object", "modalities-not-list", "same-modality-twice",
+        ids=["modality-not-object", "modalities-not-list", "modalities-empty", "same-modality-twice",
              "negative-index", "pair-not-list", "pair-given-twice", "cross-shape", "cross-cov-null",
              "joint-not-pd", "noise-indefinite", "noise-indefinite-small-units",
              "prior-indefinite-small-units", "noise-asymmetric-small-units", "noise-not-square", "noise-asymmetric",
@@ -454,6 +456,7 @@ _VARIANTS = {
     "{huge_entry}": lambda d: d["modalities"][0]["A"][0].__setitem__(0, 10**400),
     "{three_sources}": _three_sources,
     "{info_only}": lambda d: d.update(sources={"info_only": {"J_s": np.eye(2).tolist()}}),
+    "{no_modalities}": lambda d: d.update(modalities=[], cross_cov=[]),
     "{tol_inf_string}": lambda d: d.update(tolerances={"regime_eps": "inf"}),
     "{tol_numeric_string}": lambda d: d.update(tolerances={"dominance": "1e-9"}),
     "{tol_nan}": lambda d: d.update(tolerances={"select_gain": float("nan")}),
@@ -483,6 +486,12 @@ _VARIANTS = {
                       "{unwritable}"], 1, (), id="simulate-unwritable-out"),
         pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "nan"], 2, (),
                      id="place-nan-budget"),
+        # named as advise and simulate name it, before a secondary is looked for
+        pytest.param(["place", "{scenario}", "--primary", "zz", "--budget", "1"], 2,
+                     ("unknown modality 'zz'",), id="place-unknown-primary"),
+        pytest.param(["simulate", "{no_modalities}", "--method", "ml"], 2,
+                     ("'modalities' must list at least one modality",),
+                     id="simulate-no-modalities"),
         pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "inf"], 2, (),
                      id="place-inf-budget"),
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--seed", "-1"], 1,

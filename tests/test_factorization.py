@@ -243,13 +243,14 @@ def test_contents_match_the_single_purpose_functions(rng):
     pair = random_pair(rng, 4, 3, 2)
     fac = PairFactorization.from_pair(pair)
     # the whitened pair is the products with the noise factors' whiteners
-    nf = factor_noise(pair.noise)
+    L_v_inv, L_u_inv, W_v, _, _ = factor_noise(pair.noise)
+    rho = W_v @ L_u_inv.T
     for got, want in zip(
         (fac.whitened.A_tilde, fac.whitened.B_tilde, fac.whitened.rho),
-        (nf.L_v_inv @ pair.first.A, nf.L_u_inv @ pair.second.A, nf.rho),
+        (L_v_inv @ pair.first.A, L_u_inv @ pair.second.A, rho),
     ):
         assert np.array_equal(got, want)
-    assert fac.sigma_max_rho == float(np.linalg.svd(nf.rho, compute_uv=False)[0])
+    assert fac.sigma_max_rho == float(np.linalg.svd(rho, compute_uv=False)[0])
     # snr_matrix whitens with the Cholesky factor, the factorization takes
     # A^T sigma_v^-1 A with the inverse from the same factor: two routes to
     # one matrix, which agree to rounding
@@ -389,8 +390,8 @@ def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
     factor_noise = information.factor_noise
 
     def perturbed(block):
-        nf = factor_noise(block)
-        return dataclasses.replace(nf, inverse_blocks=tuple(1.001 * b for b in nf.inverse_blocks))
+        L_v_inv, L_u_inv, W_v, F, G = factor_noise(block)
+        return L_v_inv, L_u_inv, W_v, 1.001 * F, G
 
     monkeypatch.setattr(information, "route_disagreement", lambda routes: 0.0)
     monkeypatch.setattr(information, "factor_noise", perturbed)
@@ -461,19 +462,34 @@ def single_answers(model_of, sigma, prior, x):
             *(c.theoretical_ref for c in campaigns)]
 
 
-def noise_factorizations(monkeypatch, fn, n):
-    """Cholesky factorizations of an ``n``-row matrix while ``fn`` runs."""
-    sizes = []
-    cholesky = np.linalg.cholesky
+def sized_calls(monkeypatch, fn, names=("cholesky",)):
+    """Calls of the named ``numpy.linalg`` functions while ``fn`` runs, by (name, rows)."""
+    sizes = collections.Counter()
+    for name in names:
+        def counted(M, _f=getattr(np.linalg, name), _n=name):
+            sizes[_n, np.shape(M)[0]] += 1
+            return _f(M)
 
-    def counted(M):
-        sizes.append(np.shape(M)[0])
-        return cholesky(M)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     fn()
     monkeypatch.undo()
-    return sizes.count(n)
+    return sizes
+
+
+def noise_factorizations(monkeypatch, fn, n):
+    """Cholesky factorizations of an ``n``-row matrix while ``fn`` runs."""
+    return sized_calls(monkeypatch, fn)["cholesky", n]
+
+
+def test_campaign_inverts_its_information_once(rng, monkeypatch):
+    # the dominance check reads the campaign's reference, crlb(J), so the
+    # 3-row J takes one guarded Cholesky inverse, as the 6-row noise does
+    model, sigma, prior, _ = single_modality(rng)
+    calls = sized_calls(
+        monkeypatch,
+        lambda: empirical_error_covariance("mmse", model, prior, sigma, N=1000, seed=3),
+        ("cholesky", "inv"))
+    assert calls == {("cholesky", 6): 1, ("inv", 6): 1, ("cholesky", 3): 1, ("inv", 3): 1}
 
 
 def test_memoized_whitener_answers_equal_a_fresh_model(rng, monkeypatch):

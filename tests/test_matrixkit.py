@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from fusionkit import (
     BlockCovariance,
     FormDisagreement,
+    LinearModel,
+    ModalityPair,
     NonFinite,
     NotPD,
     NotPSD,
@@ -22,6 +24,7 @@ from fusionkit import (
     sym_sqrt,
 )
 from fusionkit.estimators import _solve_normal
+from fusionkit.information import PairFactorization
 from fusionkit.matrixkit import (
     SINGULAR_CONDITION,
     derived_inverse,
@@ -80,22 +83,43 @@ class TestSymSqrt:
             assert np.linalg.norm(L @ L.T - M, "fro") <= 1e-10 * (1 + np.linalg.norm(M, "fro"))
 
 
+def inverse_blocks(noise):
+    """The blocks ``(omega_11, omega_12, omega_21, omega_22)`` of ``joint()^-1``
+    that the pair factorization forms, bit for bit.
+
+    With ``A = [I, 0]`` and ``B = [0, I]`` the block route is the assembled
+    inverse itself: each product picks one block unchanged, the four blocks
+    add without overlap, and every block is exactly symmetric where it must be.
+    """
+    eye = np.eye(noise.n1 + noise.n2)
+    pair = ModalityPair(LinearModel(eye[: noise.n1]), LinearModel(eye[noise.n1:]), noise)
+    omega = PairFactorization.from_pair(pair).routes["block"]
+    return (omega[: noise.n1, : noise.n1], omega[: noise.n1, noise.n1:],
+            omega[noise.n1:, : noise.n1], omega[noise.n1:, noise.n1:])
+
+
+def marginal_inverses(noise):
+    """``sigma_v^-1`` and ``sigma_u^-1`` as the Gram matrices of the inverse factors."""
+    L_v_inv, L_u_inv, *_ = factor_noise(noise)
+    return symmetrize(L_v_inv.T @ L_v_inv), symmetrize(L_u_inv.T @ L_u_inv)
+
+
 class TestBlockInverse:
     def test_block_diagonal_gives_exact_zero_off_blocks(self, rng):
         noise = BlockCovariance(random_pd(rng, 3), random_pd(rng, 2), np.zeros((3, 2)))
-        factors = factor_noise(noise)
-        o11, o12, o21, o22 = factors.inverse_blocks
+        o11, o12, o21, o22 = inverse_blocks(noise)
         assert np.all(o12 == 0.0) and np.all(o21 == 0.0)
         # the general path gives the marginal inverses bit for bit
-        assert np.array_equal(o11, factors.sigma_v_inv)
-        assert np.array_equal(o22, factors.sigma_u_inv)
+        sigma_v_inv, sigma_u_inv = marginal_inverses(noise)
+        assert np.array_equal(o11, sigma_v_inv)
+        assert np.array_equal(o22, sigma_u_inv)
         assert np.allclose(o11, np.linalg.inv(noise.sigma_v))
         assert np.allclose(o22, np.linalg.inv(noise.sigma_u))
 
     def test_two_by_two_formula(self):
         c = 0.5
         noise = BlockCovariance([[1.0]], [[1.0]], [[c]])
-        o11, o12, o21, o22 = factor_noise(noise).inverse_blocks
+        o11, o12, o21, o22 = inverse_blocks(noise)
         factor = 1.0 / (1.0 - c**2)
         assert np.allclose([o11[0, 0], o12[0, 0], o21[0, 0], o22[0, 0]],
                            [factor, -c * factor, -c * factor, factor])
@@ -103,7 +127,7 @@ class TestBlockInverse:
     def test_matches_dense_inverse(self, rng):
         # independent oracle: dense inversion of the assembled joint matrix
         noise = random_joint_noise(rng, 4, 2)
-        o11, o12, o21, o22 = factor_noise(noise).inverse_blocks
+        o11, o12, o21, o22 = inverse_blocks(noise)
         dense = np.linalg.inv(noise.joint())
         assembled = np.block([[o11, o12], [o21, o22]])
         assert np.max(np.abs(assembled - dense)) < 1e-9
@@ -115,33 +139,32 @@ class TestBlockInverse:
         # expanded sigma_v^-1 + sigma_v^-1 sigma_vu F (sigma_v^-1 sigma_vu)^T
         # with one product reused: negation is exact, so no bit moves
         noise = random_joint_noise(rng, n1, n2)
-        nf = factor_noise(noise)
-        sv_inv_svu = nf.L_v_inv.T @ (nf.L_v_inv @ noise.sigma_vu)
-        expanded = symmetrize(nf.sigma_v_inv + sv_inv_svu @ nf.F @ sv_inv_svu.T)
-        assert np.array_equal(nf.inverse_blocks[0], expanded)
+        L_v_inv, _, _, F, _ = factor_noise(noise)
+        sigma_v_inv, _ = marginal_inverses(noise)
+        sv_inv_svu = L_v_inv.T @ (L_v_inv @ noise.sigma_vu)
+        expanded = symmetrize(sigma_v_inv + sv_inv_svu @ F @ sv_inv_svu.T)
+        assert np.array_equal(inverse_blocks(noise)[0], expanded)
 
     def test_singular_schur_raises(self):
         # cross block makes the Schur complement collapse
         eps = 1e-14
         noise = BlockCovariance([[1.0]], [[1.0]], [[1.0 - eps]])
         with pytest.raises(Singular):
-            factor_noise(noise).inverse_blocks
+            factor_noise(noise)
 
 
 class TestSchurFactors:
     def test_zero_cross_term(self, rng):
         sv, su = random_pd(rng, 3), random_pd(rng, 3)
         noise = BlockCovariance(sv, su, np.zeros((3, 3)))
-        factors = factor_noise(noise)
-        F, G = factors.F, factors.G
+        *_, F, G = factor_noise(noise)
         assert np.allclose(F, np.linalg.inv(su))
         assert np.allclose(G, np.linalg.inv(sv))
 
     def test_scalar_schur(self):
         c = 0.3
         noise = BlockCovariance([[1.0]], [[1.0]], [[c]])
-        factors = factor_noise(noise)
-        F, G = factors.F, factors.G
+        *_, F, G = factor_noise(noise)
         assert F[0, 0] == pytest.approx(1.0 / (1.0 - c**2), rel=1e-12)
         assert G[0, 0] == pytest.approx(1.0 / (1.0 - c**2), rel=1e-12)
 
@@ -151,8 +174,7 @@ class TestSchurFactors:
             n1 = int(rng.integers(1, 4))
             n2 = int(rng.integers(1, 4))
             noise = random_joint_noise(rng, n1, n2)
-            factors = factor_noise(noise)
-            F, G = factors.F, factors.G
+            *_, F, G = factor_noise(noise)
             assert np.linalg.eigvalsh(F)[0] > 0
             assert np.linalg.eigvalsh(G)[0] > 0
 

@@ -519,6 +519,12 @@ class TestProbeAndUnwhiten:
             assert k_norm == pytest.approx(np.linalg.norm(Kp, 2), rel=1e-10)
         with pytest.raises(Inadmissible):
             _cross_solvers(np.diag([1.0, 0.5]), np.array([1.0, 0.5]))
+        # admissible, but the gaps 1 - s^2 are 0.75 and about 2e-13: refused
+        # by the one rule of every inverse, carrying max(gap) / min(gap)
+        s = np.array([1.0 - 1e-13, 0.5])
+        with pytest.raises(Singular, match=r"^\(I - rho\^T rho\) is numerically singular") as exc:
+            _cross_solvers(np.diag(s), s)
+        assert exc.value.condition == 0.75 / (1.0 - s[0] ** 2)
 
     def test_probe_refuses_singular_cap(self, rng):
         # sigma_max(rho) = 1 - 1e-13: admissible, but cond(I - rho^T rho) > 1e12
