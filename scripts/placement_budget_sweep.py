@@ -8,7 +8,7 @@ gradient, whose two algebraic forms are checked against each other on
 every solve), and the perturbation-probe outcome (how often a random
 feasible perturbation beats the stationary point; first-order
 stationarity is what the closed form guarantees, so probe violations are
-data, not errors).
+data, not errors). Exits 1 if a KKT residual exceeds ``KKT_BOUND``.
 """
 
 import argparse
@@ -20,6 +20,9 @@ import numpy as np
 
 from fusionkit import local_optimality_probe, optimal_secondary, svd_of_rho
 from fusionkit.placement import _budget_terms, _budget_value
+
+# The KKT residual bound of a placement solve, as acceptance criterion 07 asserts it.
+KKT_BOUND = 1e-5
 
 
 def main() -> int:
@@ -77,6 +80,9 @@ def main() -> int:
         f"perturbations -> {out}",
         file=sys.stderr,
     )
+    if worst_kkt > KKT_BOUND:
+        print(f"FAIL: KKT residual {worst_kkt:.3e} exceeds {KKT_BOUND:.0e}", file=sys.stderr)
+        return 1
     return 0
 
 

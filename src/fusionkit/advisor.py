@@ -4,9 +4,10 @@ Dominance between modalities is decided in the positive-semidefinite
 order on SNR matrices (entrywise-MMSE dominance), never by a scalar
 summary. Redundancy is the whitened relation ``B~ = rho^T A~`` (second
 modality adds nothing) or ``A~ = rho B~`` (first adds nothing), detected
-through scale-normalized residuals and cross-checked against the synergy
-matrices. The composite ``advise`` verdict is re-derivable from the
-evidence record it returns.
+through scale-normalized residuals; the matching synergy matrix's norm
+is reported beside them as evidence and changes no verdict. The
+composite ``advise`` verdict is re-derivable from the evidence record it
+returns.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .information import NEAR_SINGULAR_RHO, PairFactorization, _admissible_sigma_max
+from .information import NEAR_SINGULAR_RHO, PairFactorization
 from .matrixkit import symmetrize
 from .model import ModalityPair, SourcePrior
 
@@ -87,9 +88,10 @@ def _redundancy(fac: PairFactorization, tol: float) -> RedundancyResult:
     Residuals are ``r2 = ||B~ - rho^T A~||_F / (1 + ||B~||_F)`` and
     ``r1 = ||A~ - rho B~||_F / (1 + ||A~||_F)``. When one falls at or
     below ``tol`` the corresponding modality is redundant: the fused
-    information collapses onto the other modality alone. A flagged case
-    is cross-checked against the synergy matrices (the matching synergy
-    norm must be negligible relative to the joint information).
+    information collapses onto the other modality alone. For a flagged
+    case away from a near-unitary rho, the matching synergy norm relative
+    to the joint information is returned as ``synergy_residual``: it is
+    evidence only, and no verdict is refused or changed on it.
     """
     wp = fac.whitened
     A, B, rho = wp.A_tilde, wp.B_tilde, wp.rho
@@ -114,11 +116,9 @@ def _regime(frob: float, sigma_max: float, eps: float) -> str:
     Read from ``||rho||_F`` and ``sigma_max(rho)``: "Uncorrelated" for
     negligible rho (information is additive), "NearSingular" for rho
     within ``eps`` of unitary (information blows up; perfect noise
-    rejection by merging), "Partial" otherwise. Raises
-    :class:`Inadmissible` if ``sigma_max`` reaches 1, which a PD joint
-    noise covariance cannot produce.
+    rejection by merging), "Partial" otherwise. ``sigma_max`` is that of
+    a factorized pair, whose guard on rho already refused ``sigma_max >= 1``.
     """
-    _admissible_sigma_max(sigma_max)
     if frob <= eps:
         return "Uncorrelated"
     if sigma_max >= 1.0 - eps:

@@ -50,8 +50,10 @@ DEFAULT_BLOCK = 8192
 
 @dataclass(frozen=True)
 class InfoMatrix:
-    """Symmetric PSD information matrix.
+    """Symmetric information matrix.
 
+    The constructor checks symmetry only, not PSD: a PSD check at every
+    construction would add an eigen-solve to each answer.
     ``near_singular`` marks joint results computed with the whitened
     noise cross-correlation close to unitary (information blow-up regime).
     """
@@ -226,18 +228,21 @@ def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
     return sigma_max
 
 
-def _cross_solvers(rho, singular_values):
+def _cross_solvers(rho, singular_values=None):
     """Solvers applying ``K = (I - rho^T rho)^-1`` and ``K' = (I - rho rho^T)^-1``, and their norm.
 
     Both have 2-norm ``1 / (1 - sigma_max^2)``, read off the singular values
     of rho like the eigenvalues of ``I - rho^T rho``, which the one refusal
-    rule of every inverse decides, so the guard costs no eigen-solve.
+    rule of every inverse decides, so the guard costs no eigen-solve. The
+    singular values are taken here unless the caller holds them already.
     Each solver solves with its matrix rather than multiplying by an
     explicit inverse, which near a unitary rho loses up to ten times more.
     ``I - rho rho^T`` is built only when ``K'`` is applied.
     Raises :class:`Inadmissible` if ``sigma_max(rho) >= 1`` and
     :class:`Singular` if ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``.
     """
+    if singular_values is None:
+        singular_values = np.linalg.svd(rho, compute_uv=False)
     s = np.asarray(singular_values, dtype=float)
     _admissible_sigma_max(float(s[0]) if s.size else 0.0)
     n1, n2 = rho.shape
@@ -253,20 +258,6 @@ def _cross_solvers(rho, singular_values):
         return np.linalg.solve(symmetrize(np.eye(n1) - rho @ rho.T), X)
 
     return solve_k, solve_kp, 1.0 / float(np.min(gap))
-
-
-def whitened_joint_fisher(A_tilde, B_tilde, rho) -> np.ndarray:
-    """Joint Fisher information in whitened coordinates.
-
-    ``(A~^T rho - B~^T)(I - rho^T rho)^-1 (A~^T rho - B~^T)^T + A~^T A~``.
-    Raises :class:`Inadmissible` if ``sigma_max(rho) >= 1`` and
-    :class:`Singular` if ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``.
-    """
-    A_tilde = np.asarray(A_tilde, dtype=float)
-    B_tilde = np.asarray(B_tilde, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    solve_k = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0]
-    return _whitened_fisher(A_tilde, B_tilde, rho, solve_k)
 
 
 def _whitened_fisher(A_tilde, B_tilde, rho, solve_k) -> np.ndarray:

@@ -206,10 +206,11 @@ def joint_information_nonlinear(
     Whitens both maps by products with the inverse Cholesky factors of
     their marginal noise covariances, as the linear pair's factorization
     does, then averages the whitened quadratic form over prior draws.
-    Both published algebraic forms, the whitened joint Fisher information
-    (:func:`~fusionkit.information.whitened_joint_fisher`) of the pair and
-    of the swapped pair, are evaluated for every sample and must agree to
-    1e-8 relative; their mean is taken from the first.
+    Both published algebraic forms of the whitened joint Fisher information,
+    ``_whitened_fisher`` of the pair with ``K = (I - rho^T rho)^-1`` and of
+    the swapped pair with ``K' = (I - rho rho^T)^-1``, are evaluated for
+    every sample and must agree to 1e-8 relative; their mean is taken from
+    the first.
     Prior information is added when the prior exposes it; a prior that
     can only be sampled contributes zero. The block sizes are checked as
     :class:`~fusionkit.model.ModalityPair` checks them, the prior's source
@@ -222,7 +223,7 @@ def joint_information_nonlinear(
     L_v_inv, L_u_inv, W_v, _, _ = factor_noise(noise)
     rho = W_v @ L_u_inv.T
     n1, n2 = rho.shape
-    solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
+    solve_k, solve_kp, _ = _cross_solvers(rho)
     K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
 
     def joint_integrand(S):

@@ -100,24 +100,40 @@ class ProbeReport:
     seed: int
 
 
+def _whitened_inputs(A_tilde, rho, B_tilde=None, b_name="B_tilde") -> tuple[np.ndarray, ...]:
+    """``(A~, rho[, B~])`` as float arrays, refused with a ``ValueError`` unless they fit.
+
+    ``A~`` is ``(n1, m)``, ``rho`` ``(n1, n2)`` and ``B~`` ``(n2, m)``, all
+    finite; the message names the argument at fault and the shapes.
+    """
+    named = {"A_tilde": A_tilde, "rho": rho} | ({} if B_tilde is None else {b_name: B_tilde})
+    arrays = {name: np.asarray(M, dtype=float) for name, M in named.items()}
+
+    def refusal(what):
+        shapes = ", ".join(f"{name} {M.shape}" for name, M in arrays.items())
+        return ValueError(f"{what} ({shapes})")
+
+    for name, M in arrays.items():
+        if M.ndim != 2 or not np.isfinite(M).all():
+            raise refusal(f"{name} must be a 2-D array of finite entries")
+    A, rho = arrays["A_tilde"], arrays["rho"]
+    if rho.shape[0] != A.shape[0]:
+        raise refusal("rho must have one row per row of A_tilde")
+    if B_tilde is not None and arrays[b_name].shape != (rho.shape[1], A.shape[1]):
+        raise refusal(f"{b_name} must have one row per column of rho, one column per source")
+    return tuple(arrays.values())
+
+
 def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -> float:
     """Trace of the joint information for a whitened pair (the synergy score).
 
     Equals the trace of the information-module joint matrix; the inverse
     of the minimum mean square error in the scalar sense.
     """
-    A_tilde = np.asarray(A_tilde, dtype=float)
-    B_tilde = np.asarray(B_tilde, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    A_tilde, rho, B_tilde = _whitened_inputs(A_tilde, rho, B_tilde)
     if prior is not None:
         require_prior_size(prior, A_tilde.shape[1])
-    solve_k = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0]
-    return _objective(A_tilde, B_tilde, rho, solve_k, prior)
-
-
-def _objective(A_tilde, B_tilde, rho, solve_k, prior: SourcePrior | None) -> float:
-    """:func:`synergy_objective` with ``solve_k`` applying ``(I - rho^T rho)^-1``."""
-    e = float(np.trace(_whitened_fisher(A_tilde, B_tilde, rho, solve_k)))
+    e = float(np.trace(_whitened_fisher(A_tilde, B_tilde, rho, _cross_solvers(rho)[0])))
     if prior is not None:
         e += float(np.trace(prior.info_matrix()))
     return e
@@ -131,11 +147,9 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
     1e-8 relative Frobenius. The gradient vanishes at the redundancy
     configurations ``B~ = rho^T A~`` and ``A~ = rho B~``.
     """
-    A = np.asarray(A_tilde, dtype=float)
-    B = np.asarray(B_tilde, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    A, rho, B = _whitened_inputs(A_tilde, rho, B_tilde)
     n1, n2 = rho.shape
-    solve_k, solve_kp, k_norm = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
+    solve_k, solve_kp, k_norm = _cross_solvers(rho)
 
     K = solve_k(np.eye(n2))
     M = A.T @ rho - B.T
@@ -149,8 +163,7 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
 
 def svd_of_rho(A_tilde, rho) -> SvdOfRho:
     """SVD of rho and the primary-side diagonal weights for the root equation."""
-    A_tilde = np.asarray(A_tilde, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    A_tilde, rho = _whitened_inputs(A_tilde, rho)
     U, s, _ = np.linalg.svd(rho)
     d = np.diag(U.T @ A_tilde @ A_tilde.T @ U).copy()
     return SvdOfRho(singular_values=s, d=np.maximum(d, 0.0), n2=rho.shape[1])
@@ -293,8 +306,7 @@ def optimal_secondary(
     built once. Raises :class:`NonFinite` if the budget weights,
     ``B~*`` or the objective overflow.
     """
-    A_tilde = np.asarray(A_tilde, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+    A_tilde, rho = _whitened_inputs(A_tilde, rho)
     _require_budget(p)
     if prior is not None:
         require_prior_size(prior, A_tilde.shape[1])
@@ -341,7 +353,7 @@ def optimal_secondary(
     lam = lambda_root(svd, p)
     solvers = _cross_solvers(rho, s)
     B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
-    e = _objective(A_tilde, B_star, rho, solvers[0], prior)
+    e = float(np.trace(_whitened_fisher(A_tilde, B_star, rho, solvers[0]))) + prior_trace
     kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e, solvers)
     return PlacementSolution(
         B_star=B_star,
@@ -427,14 +439,8 @@ def local_optimality_probe(
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if solution.B_star is None:
         raise ValueError("degenerate solutions have no matrix to probe")
-    gains = _perturbation_gains(
-        np.asarray(A_tilde, dtype=float),
-        np.asarray(rho, dtype=float),
-        solution.B_star,
-        n_perturbations,
-        seed,
-        delta,
-    )
+    A_tilde, rho, B_star = _whitened_inputs(A_tilde, rho, solution.B_star, "solution.B_star")
+    gains = _perturbation_gains(A_tilde, rho, B_star, n_perturbations, seed, delta)
     improved = gains[gains > 1e-8]
     return ProbeReport(
         n_perturbations=n_perturbations,
@@ -462,8 +468,7 @@ def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta
     rounding; memory is two stacks of ``PROBE_BLOCK * n2 * m`` floats,
     whatever ``n_perturbations``.
     """
-    solve_k = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0]
-    K = solve_k(np.eye(rho.shape[1]))
+    K = _cross_solvers(rho)[0](np.eye(rho.shape[1]))
     target = rho.T @ A_tilde
 
     def sums(X, Y):  # sum(X * Y) of each matrix of a stack

@@ -13,7 +13,7 @@ from fusionkit import (
     prewhiten,
 )
 from fusionkit.advisor import _dominance, _regime
-from fusionkit.information import joint_information, snr_matrix
+from fusionkit.information import _cross_solvers, joint_information, snr_matrix
 
 from conftest import random_admissible_rho, random_joint_noise, random_pair, random_pd, rel_fro
 
@@ -111,8 +111,10 @@ class TestClassifyRegime:
         assert regime(0.5 * np.eye(2)) == "Partial"
 
     def test_inadmissible(self):
+        # advise reads the regime off a factorized pair, whose one guard on
+        # rho refuses sigma_max(rho) >= 1 before a regime is read
         with pytest.raises(Inadmissible):
-            regime(np.eye(2))
+            _cross_solvers(np.eye(2))
 
 
 class TestAdvise:

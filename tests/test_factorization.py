@@ -276,7 +276,8 @@ def test_cholesky_basis_answers_match_the_symmetric_root_basis(redundant):
         pair = planted_pair(rng, n1, n2, m, redundant)
         fac = PairFactorization.from_pair(pair)
         wp = prewhiten(pair)
-        J = information.whitened_joint_fisher(wp.A_tilde, wp.B_tilde, wp.rho)
+        J = information._whitened_fisher(wp.A_tilde, wp.B_tilde, wp.rho,
+                                         information._cross_solvers(wp.rho)[0])
         S_x = J - wp.A_tilde.T @ wp.A_tilde
         S_y = J - wp.B_tilde.T @ wp.B_tilde
         s_chol, s_sym = fac.whitened.rho_singular_values, wp.rho_singular_values
@@ -419,6 +420,18 @@ def test_optimal_secondary_takes_one_svd(monkeypatch):
         )
         assert counts == dict(collections.Counter(solve_only) + collections.Counter(
             {"numpy.linalg.svd": 1, "numpy.linalg.solve": 1}))
+
+
+@pytest.mark.parametrize("entry", ["synergy_objective", "synergy_gradient_rho"])
+def test_whitened_joint_information_takes_one_svd(monkeypatch, entry):
+    # _cross_solvers takes rho apart once, for the guard of K and K'; the
+    # nonlinear joint information's one svd is pinned with its other calls
+    # in test_nonlinear_whitening_takes_no_solve_per_block
+    rng = np.random.default_rng(47)
+    A, B = rng.standard_normal((40, 10)), rng.standard_normal((30, 10))
+    rho = random_admissible_rho(rng, 40, 30, 0.8)
+    counts = lapack_calls(monkeypatch, lambda: getattr(placement, entry)(A, B, rho))
+    assert counts["numpy.linalg.svd"] == 1
 
 
 def test_estimators_whiten_with_the_cholesky_factor(monkeypatch):

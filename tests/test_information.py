@@ -29,13 +29,13 @@ from fusionkit import (
     snr_matrix,
     sym_sqrt,
     synergy_matrices,
+    synergy_objective,
     total_information,
 )
 from fusionkit.information import (
     InfoMatrix,
     block_plan,
     route_disagreement,
-    whitened_joint_fisher,
 )
 from fusionkit.matrixkit import FORM_CONDITION_SLACK
 
@@ -322,7 +322,10 @@ def whitened_answers(A_tilde, B_tilde, rho):
     noise = BlockCovariance(np.eye(rho.shape[0]), np.eye(rho.shape[1]), rho)
     pair = ModalityPair(LinearModel(A_tilde), LinearModel(B_tilde), noise)
     evidence = advise(pair, tols=AdvisorTolerances(redundancy=0.0)).evidence
-    return (whitened_joint_fisher(A_tilde, B_tilde, rho), np.linalg.svd(rho, compute_uv=False),
+    # the inverse Cholesky factor of an identity marginal is exactly I, so
+    # the factorization's whitened pair is (A~, B~, rho) as given
+    return (PairFactorization.from_pair(pair).routes["prewhitened"],
+            np.linalg.svd(rho, compute_uv=False),
             np.array([evidence["r1"], evidence["r2"]]))
 
 
@@ -369,9 +372,9 @@ def test_near_unitary_trace_matches_exact_value(A_tilde, B_tilde):
     # sigma_max(rho) = 1 - 1e-10 keeps cond(I - rho^T rho) near 5e9, inside the guard
     c = 1.0 - 1e-10
     A_tilde, B_tilde = np.asarray(A_tilde), np.asarray(B_tilde)
-    J = whitened_joint_fisher(A_tilde, B_tilde, c * np.eye(2))
+    trace = synergy_objective(A_tilde, B_tilde, c * np.eye(2))
     exact = exact_trace_at_scaled_identity(A_tilde, B_tilde, c)
-    assert abs(Fraction(float(np.trace(J))) - exact) / exact <= Fraction(5, 10**10)
+    assert abs(Fraction(trace) - exact) / exact <= Fraction(5, 10**10)
 
 
 class TestPriorInformationMc:

@@ -10,6 +10,7 @@ from fusionkit import (
     Inadmissible,
     NonFinite,
     NoRoot,
+    PairFactorization,
     PlacementSolution,
     Singular,
     SvdOfRho,
@@ -125,6 +126,19 @@ class TestSynergyObjective:
         )
         e = synergy_objective(A, B, rho)
         assert e == pytest.approx(float(np.trace(joint_information(pair).matrix)), rel=1e-10)
+
+    def test_is_the_trace_of_the_prewhitened_route_bit_for_bit(self):
+        # with identity marginals the factorization whitens by exactly I, so
+        # its prewhitened route is the whitened joint information of (A~, B~,
+        # rho) as given, under the same guard on rho
+        rng = np.random.default_rng(4031)
+        for _ in range(100):
+            n1, n2, m = (int(k) for k in rng.integers(1, 7, size=3))
+            rho = random_admissible_rho(rng, n1, n2, float(rng.uniform(0.0, 0.99)))
+            A, B = rng.standard_normal((n1, m)), rng.standard_normal((n2, m))
+            noise = BlockCovariance(np.eye(n1), np.eye(n2), rho)
+            fac = PairFactorization.from_pair(ModalityPair(LinearModel(A), LinearModel(B), noise))
+            assert synergy_objective(A, B, rho) == float(np.trace(fac.routes["prewhitened"]))
 
 
 class TestSynergyGradient:
@@ -550,3 +564,64 @@ class TestProbeAndUnwhiten:
         sol = optimal_secondary(A, np.diag([0.5, 0.3]), 1.0)
         with pytest.raises(Inadmissible):
             local_optimality_probe(A, np.diag([sigma_max, 0.3]), sol)
+
+
+# A whitened instance every placement entry point answers: A~ (3, 2),
+# rho (3, 2), B~ (2, 2).
+FIT_A = np.array([[1.0, 0.5], [0.0, 2.0], [0.3, -1.0]])
+FIT_RHO = np.array([[0.5, 0.0], [0.0, 0.3], [0.0, 0.0]])
+FIT_B = np.array([[0.3, 0.0], [1.0, -1.0]])
+
+
+def probe_of(A, rho, B):
+    sol = PlacementSolution(B_star=B, lambda_=0.0, budget_p=1.0, objective_e=0.0, kkt_residual=0.0)
+    return local_optimality_probe(A, rho, sol)
+
+
+# entry point -> (call on (A~, rho, B~), the name its B~ is refused by, or None)
+ENTRY_POINTS = {
+    "synergy_objective": (lambda A, rho, B: synergy_objective(A, B, rho), "B_tilde"),
+    "synergy_gradient_rho": (lambda A, rho, B: synergy_gradient_rho(A, B, rho), "B_tilde"),
+    "svd_of_rho": (lambda A, rho, B: svd_of_rho(A, rho), None),
+    "optimal_secondary": (lambda A, rho, B: optimal_secondary(A, rho, 5.0), None),
+    "local_optimality_probe": (probe_of, "solution.B_star"),
+}
+
+
+def with_nan(M):
+    M = np.array(M, dtype=float)
+    M[0, 0] = np.nan
+    return M
+
+
+# fault -> (the faulty (A~, rho, B~), the argument blamed; "B" is B~'s name)
+FAULTS = {
+    "rho-row-too-many": (lambda A, rho, B: (A, np.vstack([rho, rho[:1]]), B), "rho"),
+    "rho-column-too-many": (lambda A, rho, B: (A, np.hstack([rho, rho[:, :1]]), B), "B"),
+    "rho-1d": (lambda A, rho, B: (A, rho.ravel(), B), "rho"),
+    "rho-nan": (lambda A, rho, B: (A, with_nan(rho), B), "rho"),
+    "A-1d": (lambda A, rho, B: (A.ravel(), rho, B), "A_tilde"),
+    "A-nan": (lambda A, rho, B: (with_nan(A), rho, B), "A_tilde"),
+    "B-column-too-many": (lambda A, rho, B: (A, rho, np.hstack([B, B[:, :1]])), "B"),
+    "B-nan": (lambda A, rho, B: (A, rho, with_nan(B)), "B"),
+}
+
+
+@pytest.mark.parametrize("entry, fault", [
+    (entry, fault)
+    for entry, (_, b_name) in ENTRY_POINTS.items()
+    for fault, (_, blame) in FAULTS.items()
+    # a solution refuses a NaN B~* itself, before it can be probed
+    if (blame != "B" or b_name is not None) and (entry, fault) != ("local_optimality_probe", "B-nan")
+])
+def test_placement_refuses_whitened_inputs_that_do_not_fit(entry, fault):
+    # numpy's own errors (core dimension mismatch, broadcast, LinAlgError,
+    # AxisError) or a NaN objective named no argument
+    call, b_name = ENTRY_POINTS[entry]
+    faulty, blame = FAULTS[fault]
+    call(FIT_A, FIT_RHO, FIT_B)  # the instance fits
+    with pytest.raises(ValueError) as exc:
+        call(*faulty(FIT_A, FIT_RHO, FIT_B))
+    message = str(exc.value)
+    assert message.startswith(f"{b_name if blame == 'B' else blame} must")
+    assert "(A_tilde (" in message and ", rho (" in message
