@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SCENARIO = 2
 EXIT_NUMERICAL = 3
+# simulate's --N runs from 1000 (a meaningful estimate) to MAX_N draws; a
+# campaign streams its draws, so the upper bound is a run time, not memory
+MAX_N = 10**9
 
 
 class ScenarioError(Exception):
@@ -384,6 +387,8 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.N < 1000:
         raise UsageError(f"--N must be at least 1000 for a meaningful estimate, got {args.N}")
+    if args.N > MAX_N:
+        raise UsageError(f"--N must be at most {MAX_N}, got {args.N}")
     scenario = load_scenario(args.scenario)
     name = args.modality
     if name is None:
@@ -399,8 +404,6 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             scenario_id=f"{scenario.id}:{name}",
         )
-    except MemoryError as exc:  # numpy refuses the N-row draw
-        raise UsageError(f"--N {args.N} is too large: the draw cannot be allocated") from exc
     except NotSampleable as exc:
         raise ScenarioError("scenario prior is not sampleable (info_only sources)") from exc
     results = [result]

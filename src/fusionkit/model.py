@@ -277,11 +277,7 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     # the noise and the prior are checked before any draw
     sigma = symmetrize(model.noise.joint()) if pair else require_noise(noise, model.n)
     require_prior_size(prior, model.m)
-    ss = np.random.SeedSequence(seed)
-    src_ss, noise_ss = ss.spawn(2)
-    sources = prior.sample(np.random.default_rng(src_ss), N)
-    L = sym_sqrt(sigma)
-    noise_rows = np.random.default_rng(noise_ss).standard_normal((N, sigma.shape[0])) @ L.T
+    sources, noise_rows = draw_rows(prior, sym_sqrt(sigma), N, draw_streams(seed))
     if not pair:
         return SampleBatch(sources=sources, observations=sources @ model.A.T + noise_rows,
                            seed=seed)
@@ -289,3 +285,23 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     x = sources @ model.first.A.T + noise_rows[:, :n1]
     y = sources @ model.second.A.T + noise_rows[:, n1:]
     return SampleBatch(sources=sources, observations=x, seed=seed, second_observations=y)
+
+
+def draw_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The source and noise generators of ``seed``: two independent children of it."""
+    src_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(src_ss), np.random.default_rng(noise_ss)
+
+
+def draw_rows(prior: SourcePrior, L: np.ndarray, count: int,
+              streams: tuple[np.random.Generator, np.random.Generator]):
+    """The next ``count`` source rows and noise rows ``z Lᵀ`` of the two ``streams``.
+
+    Each stream continues where its last draw ended, so successive calls
+    give the noise rows, and a :class:`GaussianPrior`'s sources, that one
+    call for the whole count gives. A :class:`SamplerPrior`'s ``draw`` is
+    called once per call, with ``count``.
+    """
+    source_rng, noise_rng = streams
+    sources = prior.sample(source_rng, count)
+    return sources, noise_rng.standard_normal((count, L.shape[0])) @ L.T

@@ -496,9 +496,11 @@ _VARIANTS = {
                      id="place-inf-budget"),
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--seed", "-1"], 1,
                      ("--seed", "-1"), id="simulate-negative-seed"),
-        # numpy refuses a 29 TiB draw at once, so nothing is allocated
+        # refused by the upper bound on --N, before anything is drawn
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "2000000000000"], 1,
                      ("--N", "2000000000000"), id="simulate-unallocatable-N"),
+        pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "1000000001"], 1,
+                     ("--N", "1000000001", "1000000000"), id="simulate-N-above-limit"),
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "10"], 1,
                      ("--N", "10"), id="simulate-small-N"),
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "-5"], 1,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from fusionkit import (
     simulate,
     snr_matrix,
 )
+from fusionkit.information import DEFAULT_BLOCK
+from fusionkit.matrixkit import noise_whitener, sym_sqrt, symmetrize
+from fusionkit.model import draw_rows, draw_streams
 
 from conftest import random_pd, rel_fro
 
@@ -61,7 +66,7 @@ class TestEmpiricalErrorCovariance:
         def simulate_not_called(*args, **kwargs):
             raise AssertionError("simulated before the method was checked")
 
-        monkeypatch.setattr(harness, "simulate", simulate_not_called)
+        monkeypatch.setattr(harness, "draw_rows", simulate_not_called)
         model = LinearModel(np.eye(2))
         if gaussian:
             prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
@@ -83,6 +88,121 @@ class TestEmpiricalErrorCovariance:
         a = empirical_error_covariance("ml", model, prior, sigma, N=2000, seed=5)
         b = empirical_error_covariance("wls", model, prior, sigma, N=2000, seed=5)
         assert np.array_equal(a.empirical_error_cov, b.empirical_error_cov)
+
+
+def campaign_scenario():
+    """The benchmark's campaign shape: 6 channels, 3 sources, a Gaussian prior."""
+    rng = np.random.default_rng(25)
+    model = LinearModel(rng.standard_normal((6, 3)))
+    prior = GaussianPrior(mean=rng.standard_normal(3), cov=random_pd(rng, 3))
+    return model, random_pd(rng, 6), prior
+
+
+def whole_array_campaign(method, model, prior, noise, N, seed):
+    """The campaign on one N-row array of ``simulate``'s draws, as it was before it streamed."""
+    from fusionkit.harness import _mmse_gain
+    from fusionkit.information import InfoMatrix, crlb
+
+    L_inv = noise_whitener(model, noise)
+    A = model.A
+    sigma_inv = symmetrize(L_inv.T @ L_inv)
+    snr = symmetrize(A.T @ sigma_inv @ A)
+    batch = simulate(model, prior, N, seed, noise=noise)
+    X, S = batch.observations, batch.sources
+    if method in ("ml", "wls"):
+        ref = crlb(InfoMatrix(snr))
+        estimator = ref @ A.T @ sigma_inv
+        S_hat = X @ estimator.T
+    else:
+        ref = crlb(InfoMatrix(symmetrize(snr + prior.info_matrix())))
+        gain = _mmse_gain(A, prior.cov, noise)
+        S_hat = prior.mean + (X - prior.mean @ A.T) @ gain.T
+    E = S - S_hat
+    emp = symmetrize(E.T @ E / N)
+    second = (E**2).T @ (E**2) / N
+    var = np.maximum(second - emp**2, 0.0)
+    std_err = np.sqrt(var / N)
+    rel_err = float(np.linalg.norm(emp - ref, "fro")) / max(
+        float(np.linalg.norm(ref, "fro")), 1e-300
+    )
+    return {"emp": emp, "std_err": std_err, "slack": 5.0 * float(np.max(std_err)),
+            "min_eig": float(np.linalg.eigvalsh(symmetrize(emp - ref))[0]), "rel_err": rel_err}
+
+
+def streamed_campaign(monkeypatch, method, model, prior, noise, N, seed):
+    """The library's campaign, with the standard errors its sums gave."""
+    from fusionkit import harness
+
+    moments = harness._error_moments
+    seen = []
+
+    def spy(*args):
+        seen.append(moments(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "_error_moments", spy)
+    res = empirical_error_covariance(method, model, prior, noise, N=N, seed=seed)
+    return {"emp": res.empirical_error_cov, "std_err": seen[0][1],
+            "slack": res.crlb_check.slack, "min_eig": res.crlb_check.min_eig,
+            "rel_err": res.frobenius_rel_err}
+
+
+class TestStreamedCampaign:
+    @pytest.mark.parametrize("N", [1000, DEFAULT_BLOCK])
+    @pytest.mark.parametrize("method", ["ml", "wls", "mmse"])
+    def test_one_block_is_the_whole_array_campaign(self, monkeypatch, method, N):
+        model, sigma, prior = campaign_scenario()
+        got = streamed_campaign(monkeypatch, method, model, prior, sigma, N, seed=11)
+        want = whole_array_campaign(method, model, prior, sigma, N, seed=11)
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), key
+
+    @pytest.mark.parametrize("N", [2 * DEFAULT_BLOCK + 5, 200_000])
+    @pytest.mark.parametrize("method", ["ml", "wls", "mmse"])
+    def test_blocks_change_only_the_rounding_of_the_sums(self, monkeypatch, method, N):
+        model, sigma, prior = campaign_scenario()
+        got = streamed_campaign(monkeypatch, method, model, prior, sigma, N, seed=11)
+        want = whole_array_campaign(method, model, prior, sigma, N, seed=11)
+        for key, value in want.items():
+            scale = float(np.max(np.abs(value)))
+            assert float(np.max(np.abs(got[key] - value))) <= 1e-12 * scale, key
+
+    @pytest.mark.parametrize("block", [1000, DEFAULT_BLOCK])
+    def test_blockwise_draws_are_simulates_rows(self, block):
+        model, sigma, prior = campaign_scenario()
+        N = 2 * DEFAULT_BLOCK + 5
+        batch = simulate(model, prior, N, seed=4, noise=sigma)
+        L, streams = sym_sqrt(sigma), draw_streams(4)
+        blocks = [draw_rows(prior, L, min(block, N - start), streams)
+                  for start in range(0, N, block)]
+        assert np.array_equal(np.concatenate([S for S, _ in blocks]), batch.sources)
+        assert np.array_equal(np.concatenate([S @ model.A.T + V for S, V in blocks]),
+                              batch.observations)
+
+    def test_a_sampler_draws_once_per_block(self):
+        from fusionkit import SamplerPrior
+
+        counts = []
+
+        def draw(rng, size):
+            counts.append(size)
+            return rng.standard_normal((size, 2))
+
+        prior = SamplerPrior(m=2, draw=draw)
+        empirical_error_covariance("ml", LinearModel(np.eye(2)), prior, np.eye(2),
+                                   N=2 * DEFAULT_BLOCK + 5, seed=0)
+        assert counts == [DEFAULT_BLOCK, DEFAULT_BLOCK, 5]
+
+    def test_memory_does_not_grow_with_N(self):
+        # one N-row array of the 3 sources alone is 4.8 MB at N = 200 000
+        model, sigma, prior = campaign_scenario()
+        tracemalloc.start()
+        try:
+            empirical_error_covariance("mmse", model, prior, sigma, N=200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
 
 class TestFisherFiniteDifference:
