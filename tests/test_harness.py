@@ -11,12 +11,14 @@ from fusionkit import (
     campaign_to_csv,
     campaign_to_json,
     check_crlb_dominance,
+    crlb,
     empirical_error_covariance,
     error_covariance,
     fisher_finite_difference,
     simulate,
     snr_matrix,
 )
+from fusionkit.harness import _mmse_gain
 from fusionkit.information import DEFAULT_BLOCK
 from fusionkit.matrixkit import noise_whitener, sym_sqrt, symmetrize
 from fusionkit.model import draw_rows, draw_streams
@@ -99,10 +101,7 @@ def campaign_scenario():
 
 
 def whole_array_campaign(method, model, prior, noise, N, seed):
-    """The campaign on one N-row array of ``simulate``'s draws, as it was before it streamed."""
-    from fusionkit.harness import _mmse_gain
-    from fusionkit.information import InfoMatrix, crlb
-
+    """The campaign's formulas on one N-row array of ``simulate``'s draws: the blockwise reference."""
     L_inv = noise_whitener(model, noise)
     A = model.A
     sigma_inv = symmetrize(L_inv.T @ L_inv)
