@@ -18,7 +18,6 @@ from typing import Any
 import numpy as np
 
 from .information import NEAR_SINGULAR_RHO, PairFactorization
-from .matrixkit import symmetrize
 from .model import ModalityPair, SourcePrior
 
 
@@ -141,9 +140,11 @@ def advise(
     """
     fac = PairFactorization.from_pair(pair)
     wp, snr1, snr2, sigma_max = fac.whitened, fac.snr_first, fac.snr_second, fac.sigma_max_rho
-    # The 2-norm of a PSD SNR matrix is its top eigenvalue.
-    scale = 1.0 + float(np.linalg.eigvalsh(snr1)[-1]) + float(np.linalg.eigvalsh(snr2)[-1])
-    diff_eigs = np.linalg.eigvalsh(symmetrize(snr1 - snr2))
+    # One stacked eigvalsh: the 2-norm of a PSD SNR matrix is its top
+    # eigenvalue, and the difference is symmetric as both terms are.
+    w = np.linalg.eigvalsh(np.stack((snr1, snr2, snr1 - snr2)))
+    scale = 1.0 + float(w[0, -1]) + float(w[1, -1])
+    diff_eigs = w[2]
     dominance = _dominance(diff_eigs, tols.dominance * scale)
     regime = _regime(float(np.linalg.norm(wp.rho, "fro")), sigma_max, tols.regime_eps)
     red = _redundancy(fac, tols.redundancy)

@@ -92,7 +92,7 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     """
     white = noise_whitener(model, sigma) @ np.column_stack([model.A, _observation(model, x)])
     white_A, white_x = white[:, :-1], white[:, -1]
-    snr = symmetrize(white_A.T @ white_A)
+    snr = white_A.T @ white_A
     s_hat, error_cov = _solve_normal(snr, white_A.T @ white_x, "ml_estimate: normal matrix")
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="ML")
 
@@ -122,7 +122,7 @@ def mmse_gaussian_estimate(model: LinearModel, sigma, prior: GaussianPrior, x) -
     white = noise_whitener(model, sigma) @ np.column_stack([model.A, _observation(model, x)])
     white_A, white_x = white[:, :-1], white[:, -1]
     gamma_inv = prior.info_matrix()
-    posterior_info = symmetrize(gamma_inv + white_A.T @ white_A)
+    posterior_info = gamma_inv + white_A.T @ white_A
     s_hat, error_cov = _solve_normal(
         posterior_info,
         white_A.T @ white_x + gamma_inv @ prior.mean,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .information import DEFAULT_BLOCK, InfoMatrix, _as_matrix, crlb
-from .matrixkit import noise_whitener, require_finite, require_symmetric, sym_sqrt, symmetrize
+from .matrixkit import admit_symmetric, noise_whitener, require_finite, sym_sqrt, symmetrize
 from .model import (
     GaussianPrior,
     LinearModel,
@@ -105,7 +105,7 @@ def empirical_error_covariance(
     L_inv = noise_whitener(model, noise)
     require_prior_size(prior, model.m)
     A = model.A
-    sigma_inv = symmetrize(L_inv.T @ L_inv)
+    sigma_inv = L_inv.T @ L_inv
     snr = symmetrize(A.T @ sigma_inv @ A)
     require_finite(snr, "the SNR matrix")
 
@@ -116,7 +116,7 @@ def empirical_error_covariance(
         def estimate(X):
             return X @ estimator.T
     else:
-        ref = crlb(InfoMatrix(symmetrize(snr + prior.info_matrix())))
+        ref = crlb(InfoMatrix(snr + prior.info_matrix()))
         gain = _mmse_gain(A, prior.cov, noise)
         mean_x = prior.mean @ A.T
 
@@ -157,7 +157,7 @@ def _error_moments(A, prior: SourcePrior, L: np.ndarray, estimate, N: int, seed:
         E = S - estimate(S @ A.T + V)
         gram += E.T @ E
         fourth += (E**2).T @ (E**2)
-    emp = symmetrize(gram / N)
+    emp = gram / N
     # the variance of each entry of the second-moment estimate
     var = np.maximum(fourth / N - emp**2, 0.0)
     return emp, np.sqrt(var / N)
@@ -195,7 +195,7 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
         raise TypeError(f"unsupported model type {type(model).__name__}")
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     L_inv = noise_whitener(model, sigma)
-    sigma_inv = symmetrize(L_inv.T @ L_inv)
+    sigma_inv = L_inv.T @ L_inv
     if x is None:
         if isinstance(model, LinearModel):
             x = model.A @ s0
@@ -223,7 +223,7 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
                 ll(s0 + ek + el) - ll(s0 + ek - el) - ll(s0 - ek + el) + ll(s0 - ek - el)
             ) / (4.0 * step**2)
             H[k, l] = H[l, k] = val
-    return symmetrize(-H)
+    return -H
 
 
 def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
@@ -233,7 +233,7 @@ def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
     least ``-slack``. Raises ``ValueError`` naming both sizes when
     ``empirical`` and ``J`` differ in size, before ``J`` is inverted.
     """
-    emp = require_symmetric(empirical, name="empirical covariance")
+    emp = admit_symmetric(empirical, name="empirical covariance")
     J_shape = _as_matrix(J).shape
     if emp.shape != J_shape:
         raise ValueError(f"empirical covariance is {emp.shape}, information matrix is {J_shape}")
@@ -242,7 +242,7 @@ def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
 
 def _crlb_check(emp: np.ndarray, bound: np.ndarray, slack: float) -> CrlbCheck:
     """The dominance verdict of ``emp`` over the CRLB ``bound`` = ``J^-1``."""
-    min_eig = float(np.linalg.eigvalsh(symmetrize(emp - bound))[0])
+    min_eig = float(np.linalg.eigvalsh(emp - bound)[0])
     return CrlbCheck(min_eig=min_eig, passed=min_eig >= -slack, slack=slack)
 
 

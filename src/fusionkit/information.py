@@ -29,11 +29,11 @@ from .matrixkit import (
     SINGULAR_CONDITION,
     _require_pd_conditioned,
     _root,
+    admit_symmetric,
     derived_inverse,
     factor_noise,
     noise_whitener,
     require_finite,
-    require_symmetric,
     symmetrize,
 )
 from .model import LinearModel, ModalityPair, SourcePrior, require_prior_size
@@ -62,7 +62,7 @@ class InfoMatrix:
     near_singular: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", require_symmetric(self.matrix, name="info matrix"))
+        object.__setattr__(self, "matrix", admit_symmetric(self.matrix, name="info matrix"))
 
     @property
     def m(self) -> int:
@@ -123,7 +123,7 @@ class McInfoEstimate:
 
 
 def _as_matrix(J) -> np.ndarray:
-    return J.matrix if isinstance(J, InfoMatrix) else require_symmetric(J, name="J")
+    return J.matrix if isinstance(J, InfoMatrix) else admit_symmetric(J, name="J")
 
 
 def _prior_info(prior: SourcePrior | None, m: int) -> np.ndarray:
@@ -153,7 +153,7 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
         If the product overflows.
     """
     white = noise_whitener(model, sigma) @ model.A
-    snr = symmetrize(white.T @ white)
+    snr = white.T @ white
     require_finite(snr, "the SNR matrix")
     return InfoMatrix(snr)
 
@@ -209,8 +209,8 @@ def _prewhiten_with_root(pair: ModalityPair) -> tuple[WhitenedPair, np.ndarray]:
     """:func:`prewhiten`, and the root ``L_u`` of ``sigma_u`` that maps ``B_tilde`` back."""
     noise = pair.noise
     factor_noise(noise)  # refuses what the pair's factorization refuses
-    w_v, V_v = np.linalg.eigh(symmetrize(noise.sigma_v))
-    w_u, V_u = np.linalg.eigh(symmetrize(noise.sigma_u))
+    w_v, V_v = np.linalg.eigh(noise.sigma_v)
+    w_u, V_u = np.linalg.eigh(noise.sigma_u)
     L_v_inv = symmetrize((V_v / np.sqrt(w_v)) @ V_v.T)
     L_u_inv = symmetrize((V_u / np.sqrt(w_u)) @ V_u.T)
     wp = WhitenedPair(L_v_inv @ pair.first.A, L_u_inv @ pair.second.A,
@@ -249,13 +249,13 @@ def _cross_solvers(rho, singular_values=None):
     gap = np.ones(n2)
     gap[: s.size] -= s**2
     _require_pd_conditioned(np.sort(gap), "(I - rho^T rho)")
-    cap = symmetrize(np.eye(n2) - rho.T @ rho)
+    cap = np.eye(n2) - rho.T @ rho
 
     def solve_k(X):
         return np.linalg.solve(cap, X)
 
     def solve_kp(X):
-        return np.linalg.solve(symmetrize(np.eye(n1) - rho @ rho.T), X)
+        return np.linalg.solve(np.eye(n1) - rho @ rho.T, X)
 
     return solve_k, solve_kp, 1.0 / float(np.min(gap))
 
@@ -329,8 +329,8 @@ class PairFactorization:
             return pair._factorization
         A, B = pair.first.A, pair.second.A
         L_v_inv, L_u_inv, W_v, F, G = factor_noise(pair.noise)
-        sv_inv = symmetrize(L_v_inv.T @ L_v_inv)
-        su_inv = symmetrize(L_u_inv.T @ L_u_inv)
+        sv_inv = L_v_inv.T @ L_v_inv
+        su_inv = L_u_inv.T @ L_u_inv
 
         # the blocks of joint()^-1: omega_22 is F, omega_21 is omega_12^T, and
         # sv_inv_svu F sv_inv_svu^T is -omega_12 sv_inv_svu^T: negation is
@@ -389,9 +389,10 @@ class PairFactorization:
         return InfoMatrix(J, near_singular=self.sigma_max_rho >= NEAR_SINGULAR_RHO)
 
     def synergy(self) -> SynergyReport:
-        """The synergy matrices with their smallest eigenvalues."""
-        eigs = (float(np.linalg.eigvalsh(self.S_x)[0]), float(np.linalg.eigvalsh(self.S_y)[0]))
-        return SynergyReport(S_x=self.S_x, S_y=self.S_y, min_eigenvalues=eigs)
+        """The synergy matrices with their smallest eigenvalues, from one stacked ``eigvalsh``."""
+        w = np.linalg.eigvalsh(np.stack((self.S_x, self.S_y)))
+        return SynergyReport(S_x=self.S_x, S_y=self.S_y,
+                             min_eigenvalues=(float(w[0, 0]), float(w[1, 0])))
 
 
 def joint_information(pair: ModalityPair, prior: SourcePrior | None = None) -> InfoMatrix:

@@ -22,10 +22,26 @@ single modality's factor is memoized on its model for a bit-equal noise.
 A whitened pair's answers do not depend on the basis of the whitening;
 the symmetric roots, which fix the basis that ``place`` prints, are taken by
 ``information.prewhiten`` alone.
+
+Symmetry is a property of how a matrix is built, not a pass repeated on
+it. A matrix is symmetrized once, where it is admitted
+(:func:`admit_symmetric`, which returns an input within the symmetry
+tolerance as its symmetric part, and an exact one as it is) or where a
+product that is not a Gram product forms it (``A^T M A`` evaluated as
+``(A^T M) A``, a sum of such products, an eigen-decomposition's
+``V diag(w) V^T``). A Gram product ``X^T X`` or ``X X^T`` of one array
+needs no pass: numpy evaluates it as a rank-k update of one triangle and
+mirrors that triangle, so it is symmetric to the last bit, as is a sum or
+difference of such matrices, entry by entry. So :func:`derived_inverse`'s
+``L^-T L^-1``, the Schur complements of :func:`factor_noise`, the marginal
+inverses, ``I - rho^T rho`` and the estimators' normal and posterior
+matrices are exact as built, and :func:`inverse_factor` reads its input
+as it is given.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +67,8 @@ _EPS = float(np.finfo(float).eps)
 PSD_EIG_TOL = 1e-10
 
 
-def require_symmetric(M, name: str = "matrix") -> np.ndarray:
-    """Validate that ``M`` is square, finite and symmetric; return it as float array.
+def _symmetry_verdict(M, name: str) -> tuple[np.ndarray, bool]:
+    """``M`` as a float array, refused unless square, finite and symmetric; and if it is exactly.
 
     Symmetry tolerance is ``1e-12 * max(min(1, max|M|), |M_ij|)`` per entry,
     the same verdict for every multiple of ``M`` below unit scale; an exactly
@@ -64,21 +80,42 @@ def require_symmetric(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} has non-finite entries")
     if np.array_equal(M, M.T):  # exactly symmetric: the per-entry test cannot fail
-        return M
+        return M, True
     scale = np.maximum(min(1.0, float(np.max(np.abs(M)))), np.abs(M))
     if np.any(np.abs(M - M.T) > 1e-12 * scale):
         worst = float(np.max(np.abs(M - M.T)))
         raise ValueError(f"{name} is not symmetric (max asymmetry {worst:.3e})")
-    return M
+    return M, False
+
+
+def require_symmetric(M, name: str = "matrix") -> np.ndarray:
+    """Validate that ``M`` is square, finite and symmetric; return it, as given, as float array.
+
+    The rule is :func:`_symmetry_verdict`'s. A matrix that is kept as given
+    (a prior's covariance or information) is checked here; one that a
+    factorization reads is admitted by :func:`admit_symmetric`.
+    """
+    return _symmetry_verdict(M, name)[0]
+
+
+def admit_symmetric(M, name: str = "matrix") -> np.ndarray:
+    """:func:`require_symmetric`, returning ``M`` symmetric to the last bit.
+
+    An exactly symmetric ``M`` is returned as it is; one within the
+    tolerance as its symmetric part ``(M + M^T) / 2``, so it is answered as
+    that part. This is where an input matrix is symmetrized, once.
+    """
+    M, exact = _symmetry_verdict(M, name)
+    return M if exact else symmetrize(M)
 
 
 def require_noise(sigma, n: int, name: str = "noise covariance") -> np.ndarray:
-    """:func:`require_symmetric`, and refuse ``sigma`` unless it is ``n x n``.
+    """:func:`admit_symmetric`, and refuse ``sigma`` unless it is ``n x n``.
 
     Every entry point that takes a model and its noise covariance (or
-    weight) checks it here, before any draw or product.
+    weight) admits it here, before any draw or product.
     """
-    sigma = require_symmetric(sigma, name=name)
+    sigma = admit_symmetric(sigma, name=name)
     if sigma.shape[0] != n:
         raise ValueError(f"{name} is {sigma.shape}, model has {n} channels")
     return sigma
@@ -166,16 +203,27 @@ _TRIANGULAR_BLOCK = 64
 _CERTIFY_MARGIN = 2.0
 
 
+@functools.lru_cache(maxsize=_TRIANGULAR_BLOCK)
+def _strict_upper(n: int) -> np.ndarray:
+    """Read-only boolean mask of the strict upper triangle of an ``n x n`` matrix."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
+
+
 def _tril_inverse(L: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular lower-triangular ``L``, lower triangular itself.
 
     ``[[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]]`` with
     ``Xii = Lii^-1``, recursively; a block of at most ``_TRIANGULAR_BLOCK``
-    rows is inverted by ``np.linalg.inv``.
+    rows is inverted by ``np.linalg.inv``, and the rounding above its
+    diagonal is zeroed through the cached mask of its size.
     """
     n = L.shape[0]
     if n <= _TRIANGULAR_BLOCK:
-        return np.tril(np.linalg.inv(L))
+        X = np.linalg.inv(L)
+        X[_strict_upper(n)] = 0.0
+        return X
     k = n // 2
     X11, X22 = _tril_inverse(L[:k, :k]), _tril_inverse(L[k:, k:])
     X = np.zeros_like(L)
@@ -188,7 +236,9 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
 def inverse_factor(M, name: str = "matrix", scale: float = 0.0) -> np.ndarray:
     """Inverse ``L^-1`` of the lower Cholesky factor of a symmetric PD ``M``.
 
-    ``M^-1 = L^-T L^-1``, and ``L^-1 X`` whitens ``X``. The guard refuses
+    ``M^-1 = L^-T L^-1``, and ``L^-1 X`` whitens ``X``. ``M`` must be
+    symmetric to the last bit, as an admitted matrix or one built
+    symmetric is: it is not symmetrized here. The guard refuses
     ``M`` when its condition ``max(scale, lambda_max) / lambda_min`` exceeds
     ``SINGULAR_CONDITION``; ``scale`` measures ``M`` against a larger
     matrix it was derived from. It needs no eigenvalue when the bound
@@ -205,7 +255,6 @@ def inverse_factor(M, name: str = "matrix", scale: float = 0.0) -> np.ndarray:
     Singular
         If the condition exceeds ``SINGULAR_CONDITION``; the error carries it.
     """
-    M = symmetrize(M)
     try:
         L_inv = _tril_inverse(np.linalg.cholesky(M))
     except np.linalg.LinAlgError:
@@ -225,12 +274,13 @@ def noise_whitener(model, sigma) -> np.ndarray:
     """``L^-1`` for a modality's noise covariance ``sigma = L L^T``, ``L^-1 X`` whitening ``X``.
 
     The one admission of a single modality's noise: :func:`require_noise`
-    checks ``sigma`` against the model's ``n`` channels (``ValueError``),
-    then :func:`inverse_factor` refuses it as :class:`NotPD` or
+    checks ``sigma`` against the model's ``n`` channels (``ValueError``) and
+    symmetrizes one within the symmetry tolerance, then
+    :func:`inverse_factor` refuses it as :class:`NotPD` or
     :class:`Singular` and factorizes it. ``sigma^-1 = L^-T L^-1``.
 
     The factor is memoized on ``model``, in its ``_whitener`` slot, with a
-    read-only copy of the admitted ``sigma``, as a pair memoizes its
+    read-only copy of the ``sigma`` given, as a pair memoizes its
     factorization: a later call with a ``sigma`` of the same shape and the
     same bits (``-0.0`` is not ``0.0``) returns the same read-only ``L^-1``,
     which is what a fresh call would compute. Any other ``sigma`` is
@@ -239,15 +289,15 @@ def noise_whitener(model, sigma) -> np.ndarray:
     memoized: every call on a refused ``sigma`` raises again.
     """
     memo = model._whitener
+    given = np.asarray(sigma, dtype=float)
     if memo is not None:
         key, L_inv = memo
-        given = np.asarray(sigma, dtype=float)
         if given.shape == key.shape and np.array_equal(given.view(np.int64), key.view(np.int64)):
             return L_inv
-    sigma = _read_only_copy(require_noise(sigma, model.n))
-    L_inv = inverse_factor(sigma, "noise covariance")
+    key = _read_only_copy(given)
+    L_inv = inverse_factor(require_noise(key, model.n), "noise covariance")
     L_inv.setflags(write=False)
-    object.__setattr__(model, "_whitener", (sigma, L_inv))
+    object.__setattr__(model, "_whitener", (key, L_inv))
     return L_inv
 
 
@@ -260,6 +310,7 @@ def derived_inverse(
     information matrix) is
     derived from other matrices, so an indefinite one is their collapse: it
     is refused as ``error``, a :class:`Singular` subtype, with infinite condition.
+    The inverse is the Gram product ``L^-T L^-1``, symmetric to the last bit.
     """
     try:
         L_inv = inverse_factor(M, what, scale)
@@ -269,7 +320,7 @@ def derived_inverse(
         if isinstance(exc, error):
             raise
         raise error(str(exc), condition=exc.condition) from exc
-    return symmetrize(L_inv.T @ L_inv)
+    return L_inv.T @ L_inv
 
 
 def forms_agree(form1, form2, what: str, condition: float = 1.0) -> np.ndarray:
@@ -330,7 +381,9 @@ class BlockCovariance:
     covariances, ``sigma_vu`` (n1 x n2) the cross-covariance. The
     assembled joint matrix must be symmetric positive definite. Each block
     is kept as a read-only float copy: writing to the arrays passed in
-    changes nothing here, and writing to a block raises ``ValueError``.
+    changes nothing here, and writing to a block raises ``ValueError``. The
+    marginals are admitted by :func:`admit_symmetric`, so they, and the
+    joint matrix, are symmetric to the last bit.
     """
 
     sigma_v: np.ndarray
@@ -338,8 +391,8 @@ class BlockCovariance:
     sigma_vu: np.ndarray
 
     def __post_init__(self):
-        sv = require_symmetric(_read_only_copy(self.sigma_v), name="sigma_v")
-        su = require_symmetric(_read_only_copy(self.sigma_u), name="sigma_u")
+        sv = _read_only_copy(admit_symmetric(self.sigma_v, name="sigma_v"))
+        su = _read_only_copy(admit_symmetric(self.sigma_u, name="sigma_u"))
         svu = _read_only_copy(self.sigma_vu)
         if svu.shape != (sv.shape[0], su.shape[0]):
             raise ValueError(
@@ -378,7 +431,7 @@ class BlockCovariance:
         :func:`factor_noise` refuses a singular joint as :class:`Singular`
         through its Schur-complement guard when the pair is used.
         """
-        return _require_psd(np.linalg.eigvalsh(symmetrize(self.joint())), "joint covariance")
+        return _require_psd(np.linalg.eigvalsh(self.joint()), "joint covariance")
 
 
 def factor_noise(block: BlockCovariance):
@@ -403,8 +456,8 @@ def factor_noise(block: BlockCovariance):
     # the explicit inverse in the middle.
     W_v = L_v_inv @ svu
     W_u = svu @ L_u_inv.T
-    F = _schur_inverse(symmetrize(su - W_v.T @ W_v), su, "Schur complement of sigma_u block")
-    G = _schur_inverse(symmetrize(sv - W_u @ W_u.T), sv, "Schur complement of sigma_v block")
+    F = _schur_inverse(su - W_v.T @ W_v, su, "Schur complement of sigma_u block")
+    G = _schur_inverse(sv - W_u @ W_u.T, sv, "Schur complement of sigma_v block")
     return L_v_inv, L_u_inv, W_v, F, G
 
 

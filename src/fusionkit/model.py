@@ -22,10 +22,10 @@ from .matrixkit import (
     _require_pd_conditioned,
     _require_psd,
     _root,
+    admit_symmetric,
     require_noise,
     require_symmetric,
     sym_sqrt,
-    symmetrize,
 )
 
 if TYPE_CHECKING:
@@ -150,14 +150,15 @@ class InfoOnlyPrior(SourcePrior):
 
     ``J_s = 0`` represents a deterministic/unknown source with no prior
     information, unifying the deterministic CRLB with the Bayesian one.
-    ``J_s`` is kept as a read-only float copy; an indefinite one is refused
-    as :class:`NotPSD`.
+    ``J_s`` is kept as a read-only float copy, symmetric to the last bit (an
+    input within the symmetry tolerance as its symmetric part); an
+    indefinite one is refused as :class:`NotPSD`.
     """
 
     J_s: np.ndarray
 
     def __post_init__(self):
-        J = require_symmetric(_read_only_copy(self.J_s), name="J_s")
+        J = _read_only_copy(admit_symmetric(self.J_s, name="J_s"))
         _require_psd(np.linalg.eigvalsh(J), "J_s")
         object.__setattr__(self, "J_s", J)
 
@@ -275,7 +276,7 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     if pair and noise is not None:
         raise ValueError("a modality pair carries its own noise: pass noise=None")
     # the noise and the prior are checked before any draw
-    sigma = symmetrize(model.noise.joint()) if pair else require_noise(noise, model.n)
+    sigma = model.noise.joint() if pair else require_noise(noise, model.n)
     require_prior_size(prior, model.m)
     sources, noise_rows = draw_rows(prior, sym_sqrt(sigma), N, draw_streams(seed))
     if not pair:

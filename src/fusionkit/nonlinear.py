@@ -31,7 +31,6 @@ from .matrixkit import (
     factor_noise,
     forms_agree,
     noise_whitener,
-    symmetrize,
 )
 from .model import SourcePrior, require_pair_shapes, require_prior_size
 
@@ -172,7 +171,7 @@ def fisher_nonlinear(
 
     def fisher_integrand(S):
         W = L_inv @ model.jacobians(S)
-        return symmetrize(np.swapaxes(W, 1, 2) @ W)
+        return np.swapaxes(W, 1, 2) @ W
 
     J, std_err = mc_moments(prior, N, seed, fisher_integrand)
     return McInfoEstimate(J=J, std_err=std_err, N=N, seed=seed)
@@ -236,4 +235,4 @@ def joint_information_nonlinear(
     J, std_err = mc_moments(prior, N, seed, joint_integrand)
     if prior.has_info:
         J = J + prior.info_matrix()
-    return McInfoEstimate(J=symmetrize(J), std_err=std_err, N=N, seed=seed)
+    return McInfoEstimate(J=J, std_err=std_err, N=N, seed=seed)

@@ -26,13 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBudget, NoRoot
+from .errors import DegenerateBudget, NoRoot, Singular
 from .information import _admissible_sigma_max, _cross_solvers, _whitened_fisher
-from .matrixkit import forms_agree, require_finite, symmetrize
+from .matrixkit import forms_agree, require_finite
 from .model import SourcePrior, require_prior_size
 
 # Perturbations drawn and scored together by the probe; bounds its memory.
 PROBE_BLOCK = 256
+
+# Largest KKT residual of a returned solution (acceptance criterion 07).
+KKT_BOUND = 1e-5
 
 
 @dataclass(frozen=True)
@@ -304,7 +307,9 @@ def optimal_secondary(
     One SVD of rho (:func:`svd_of_rho`) feeds the admissibility check, the
     root, the objective and the stationarity check; ``I - rho^T rho`` is
     built once. Raises :class:`NonFinite` if the budget weights,
-    ``B~*`` or the objective overflow.
+    ``B~*`` or the objective overflow, and :class:`Singular`, carrying
+    ``cond(I - rho^T rho)``, if the KKT residual exceeds ``KKT_BOUND``: near
+    the condition limit stationarity cannot be verified to that bound.
     """
     A_tilde, rho = _whitened_inputs(A_tilde, rho)
     _require_budget(p)
@@ -333,7 +338,7 @@ def optimal_secondary(
         )
 
     n2 = rho.shape[1]
-    cap = symmetrize(np.eye(n2) - rho.T @ rho)
+    cap = np.eye(n2) - rho.T @ rho
     if float(np.max(np.abs(cap))) <= 1e-8:
         B_star = rho.T @ A_tilde
         e = float(np.trace(A_tilde.T @ A_tilde)) + prior_trace
@@ -355,6 +360,16 @@ def optimal_secondary(
     B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
     e = float(np.trace(_whitened_fisher(A_tilde, B_star, rho, solvers[0]))) + prior_trace
     kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e, solvers)
+    if kkt > KKT_BOUND:
+        # cond(I - rho^T rho) = (1 - sigma_min^2) / (1 - sigma_max^2), where
+        # sigma_min is 0 if rho has fewer singular values than columns
+        s_min = float(s[-1]) if s.size == n2 else 0.0
+        cond = (1.0 - s_min**2) * solvers[2]
+        raise Singular(
+            f"(I - rho^T rho) is too ill conditioned to verify stationarity: KKT residual "
+            f"{kkt:.3e} exceeds the bound {KKT_BOUND:.0e} (cond~{cond:.3e})",
+            condition=cond,
+        )
     return PlacementSolution(
         B_star=B_star,
         lambda_=lam,

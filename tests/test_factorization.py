@@ -6,8 +6,10 @@ import collections
 import dataclasses
 import gc
 import json
+import os
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from fusionkit import (
     sym_sqrt,
     synergy_matrices,
 )
+import fusionkit
 from fusionkit import advisor, information, placement
 from fusionkit.cli import main
 from fusionkit.matrixkit import factor_noise, symmetrize
@@ -109,7 +112,7 @@ BUILD = {
 @pytest.mark.parametrize("redundant", [False, True])
 @pytest.mark.parametrize(
     "call, extra_eigvalsh",
-    [("joint_information", 0), ("synergy_matrices", 2), ("advise", 3)],
+    [("joint_information", 0), ("synergy_matrices", 1), ("advise", 1)],
 )
 def test_lapack_calls_pinned(monkeypatch, call, extra_eigvalsh, redundant):
     rng = np.random.default_rng(40)
@@ -165,11 +168,86 @@ def test_calls_on_one_pair_share_one_factorization(monkeypatch, redundant):
         synergy_matrices(pair)
         advise(pair, prior)
 
-    # one BUILD, plus the extra eigvalsh of each call (0 + 2 + 3)
+    # one BUILD, plus the one stacked eigvalsh of each call (0 + 1 + 1)
     expected = dict(collections.Counter(BUILD) + collections.Counter(
-        {"numpy.linalg.eigvalsh": 5}))
+        {"numpy.linalg.eigvalsh": 2}))
     assert lapack_calls(monkeypatch, three_calls) == expected
-    assert lapack_calls(monkeypatch, three_calls) == {"numpy.linalg.eigvalsh": 5}
+    assert lapack_calls(monkeypatch, three_calls) == {"numpy.linalg.eigvalsh": 2}
+
+
+FUSIONKIT_DIR = str(Path(fusionkit.__file__).resolve().parent) + os.sep
+
+# Comprehension frames: Python 3.12 runs them inline, without a call event.
+INLINED_FRAMES = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+
+def python_calls(fn):
+    """``{"fusionkit": a, "from_fusionkit": b}`` while ``fn`` runs, counted by ``sys.setprofile``.
+
+    ``a`` counts calls of fusionkit functions; ``b`` counts calls made from
+    fusionkit frames to anything else, Python or C. numpy's own calls below
+    those are its version's business and are not counted, nor are the
+    argument dispatchers numpy runs ahead of one of its functions.
+    """
+    counts = collections.Counter()
+
+    def ours(frame):
+        return frame is not None and frame.f_code.co_filename.startswith(FUSIONKIT_DIR)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if ours(frame):
+                counts["fusionkit"] += frame.f_code.co_name not in INLINED_FRAMES
+            elif ours(frame.f_back) and not frame.f_code.co_name.endswith("_dispatcher"):
+                counts["from_fusionkit"] += 1
+        elif event == "c_call" and ours(frame):
+            counts["from_fusionkit"] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return dict(counts)
+
+
+def small_question(seed):
+    """An exactly symmetric (3,2,2) pair, its prior and stacked model, and a placement input."""
+    rng = np.random.default_rng(seed)
+    S = symmetrize(random_pd(rng, 5, (0.3, 3.0)))
+    pair = ModalityPair(LinearModel(rng.standard_normal((3, 2))),
+                        LinearModel(rng.standard_normal((2, 2))),
+                        BlockCovariance(S[:3, :3], S[3:, 3:], S[:3, 3:]))
+    prior = GaussianPrior(mean=np.zeros(2), cov=symmetrize(random_pd(rng, 2)))
+    stacked = LinearModel(np.vstack([pair.first.A, pair.second.A]))
+    placement_input = (rng.standard_normal((3, 2)), random_admissible_rho(rng, 3, 2, 0.7), 5.0)
+    return pair, prior, stacked, S, rng.standard_normal(5), placement_input
+
+
+# Python-level calls of one question at (3,2,2) on fresh inputs. Before the
+# pair's matrices were symmetric by construction, the same questions made
+# 70/156, 62/133, 54/132, 44/97 and 18/30.
+CALL_PINS = {
+    "advise": {"fusionkit": 59, "from_fusionkit": 127},
+    "joint_information": {"fusionkit": 52, "from_fusionkit": 107},
+    "synergy_matrices": {"fusionkit": 43, "from_fusionkit": 106},
+    "optimal_secondary": {"fusionkit": 41, "from_fusionkit": 91},
+    "ml_estimate": {"fusionkit": 15, "from_fusionkit": 21},
+}
+
+
+@pytest.mark.parametrize("call", sorted(CALL_PINS))
+def test_python_calls_pinned(call):
+    calls = {
+        "advise": lambda q: advise(q[0], q[1]),
+        "joint_information": lambda q: joint_information(q[0], q[1]),
+        "synergy_matrices": lambda q: synergy_matrices(q[0]),
+        "optimal_secondary": lambda q: optimal_secondary(*q[5]),
+        "ml_estimate": lambda q: ml_estimate(q[2], q[3], q[4]),
+    }
+    calls[call](small_question(1))  # caches warm: the masks of the triangular inverse
+    question = small_question(2)
+    assert python_calls(lambda: calls[call](question)) == CALL_PINS[call]
 
 
 def test_memoized_answers_equal_a_fresh_pair(rng):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fusionkit import (
     BlockCovariance,
     FormDisagreement,
+    GaussianPrior,
     LinearModel,
     ModalityPair,
     NonFinite,
@@ -21,12 +22,21 @@ from fusionkit import (
     Singular,
     SingularNormalMatrix,
     SingularPosterior,
+    advise,
+    crlb,
+    joint_information,
+    ml_estimate,
+    mmse_gaussian_estimate,
+    snr_matrix,
     sym_sqrt,
+    synergy_matrices,
 )
+from fusionkit import estimators
 from fusionkit.estimators import _solve_normal
-from fusionkit.information import PairFactorization
+from fusionkit.information import PairFactorization, _cross_solvers
 from fusionkit.matrixkit import (
     SINGULAR_CONDITION,
+    admit_symmetric,
     derived_inverse,
     factor_noise,
     forms_agree,
@@ -36,7 +46,13 @@ from fusionkit.matrixkit import (
     symmetrize,
 )
 
-from conftest import random_joint_noise, random_orthogonal, random_pd, rel_fro
+from conftest import (
+    random_admissible_rho,
+    random_joint_noise,
+    random_orthogonal,
+    random_pd,
+    rel_fro,
+)
 
 
 class TestSymSqrt:
@@ -190,6 +206,112 @@ def test_require_symmetric_accepts_asymmetry_within_tolerance():
     M = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
     assert M[1, 0] != M[0, 1]
     assert np.array_equal(require_symmetric(M), M)
+
+
+def test_admit_symmetric_returns_the_symmetric_part():
+    # within tolerance, admission gives (M + M^T) / 2; an exact M is returned as it is
+    M = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
+    assert np.array_equal(admit_symmetric(M), symmetrize(M))
+    S = symmetrize(M)
+    assert admit_symmetric(S) is S
+
+
+# Sizes around the block size of the triangular inverse, and the largest pair.
+GRAM_SIZES = [1, 10, 63, 64, 65, 128, 350]
+
+
+@pytest.mark.parametrize("n", GRAM_SIZES)
+def test_derived_inverse_is_exactly_symmetric(n):
+    # L^-T L^-1 is a Gram product: numpy forms one triangle and mirrors it,
+    # so no symmetrize pass follows it (nor the products built on it)
+    rng = np.random.default_rng(n)
+    M = symmetrize(random_pd(rng, n))
+    inverse = derived_inverse(M, "M")
+    assert np.array_equal(inverse, inverse.T)
+
+
+@pytest.mark.parametrize("n, m", [(6, 3), (70, 10), (350, 20)])
+def test_estimator_matrices_are_exactly_symmetric(monkeypatch, n, m):
+    # the normal and posterior matrices are Gram products of a sliced block
+    # of the whitened [A | x], plus the symmetric prior information
+    rng = np.random.default_rng(n)
+    model = LinearModel(rng.standard_normal((n, m)))
+    sigma = symmetrize(random_pd(rng, n))
+    prior = GaussianPrior(mean=np.zeros(m), cov=symmetrize(random_pd(rng, m)))
+    x = rng.standard_normal(n)
+    inverted = []
+    real = estimators.derived_inverse
+
+    def recorded(M, *args):
+        inverted.append(M)
+        return real(M, *args)
+
+    monkeypatch.setattr(estimators, "derived_inverse", recorded)
+    ml = ml_estimate(model, sigma, x)
+    mmse = mmse_gaussian_estimate(model, sigma, prior, x)
+    assert len(inverted) == 2
+    for M in (*inverted, ml.error_cov, mmse.error_cov):
+        assert np.array_equal(M, M.T)
+
+
+@pytest.mark.parametrize("n1, n2", [(3, 2), (40, 30), (200, 150)])
+def test_cross_solver_matrices_are_exactly_symmetric(monkeypatch, n1, n2):
+    rng = np.random.default_rng(n1)
+    rho = random_admissible_rho(rng, n1, n2, 0.9)
+    solve_k, solve_kp, _ = _cross_solvers(rho)
+    solved = []
+    real = np.linalg.solve
+
+    def recorded(M, X):
+        solved.append(M)
+        return real(M, X)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    solve_k(np.eye(n2))
+    solve_kp(np.eye(n1))
+    assert [M.shape for M in solved] == [(n2, n2), (n1, n1)]
+    for M in solved:
+        assert np.array_equal(M, M.T)
+
+
+def nudged(S):
+    """``S`` with its strict lower triangle scaled by 1 + 4e-13: inside
+    :func:`require_symmetric`'s tolerance, but not exactly symmetric."""
+    M = np.array(S, dtype=float)
+    M[np.tril_indices(len(M), -1)] *= 1.0 + 4e-13
+    assert not np.array_equal(M, M.T)
+    require_symmetric(M)
+    return M
+
+
+def test_near_symmetric_input_is_answered_as_its_symmetric_part(rng):
+    n1, n2, m = 5, 4, 3
+    S = nudged(random_pd(rng, n1 + n2))
+    A, B = rng.standard_normal((n1, m)), rng.standard_normal((n2, m))
+    cov, info = nudged(random_pd(rng, m)), nudged(random_pd(rng, m))
+    x = rng.standard_normal(n1 + n2)
+    H = np.vstack([A, B])
+
+    def answers(noise, prior_cov, info):
+        prior = GaussianPrior(mean=np.zeros(m), cov=prior_cov)
+        stacked = LinearModel(H)
+        J = snr_matrix(stacked, noise).matrix
+        ml = ml_estimate(LinearModel(H), noise, x)
+        mmse = mmse_gaussian_estimate(LinearModel(H), noise, prior, x)
+        pair = ModalityPair(LinearModel(A), LinearModel(B),
+                            BlockCovariance(noise[:n1, :n1], noise[n1:, n1:], noise[:n1, n1:]))
+        exact = [J, ml.s_hat, ml.error_cov, mmse.s_hat, mmse.error_cov, crlb(info)]
+        synergy = synergy_matrices(pair)
+        close = [joint_information(pair, prior).matrix, synergy.S_x, synergy.S_y]
+        return exact, close, advise(pair, prior).verdict
+
+    exact, close, verdict = answers(S, cov, info)
+    exact_sym, close_sym, verdict_sym = answers(symmetrize(S), symmetrize(cov), symmetrize(info))
+    for got, want in zip(exact, exact_sym):
+        assert np.array_equal(got, want)
+    for got, want in zip(close, close_sym):
+        assert rel_fro(got, want) <= 1e-12
+    assert verdict == verdict_sym
 
 
 def test_require_symmetric_refuses_just_beyond_tolerance_with_its_message():

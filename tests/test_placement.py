@@ -393,6 +393,42 @@ class TestOptimalSecondary:
         fd = fd_lagrangian_stationarity(A, sol.B_star, rho, sol.lambda_, sol.objective_e)
         assert fd <= 1e-5
 
+    def test_unverifiable_stationarity_is_refused(self, tmp_path, capsys):
+        # 1 - sigma_max^2 = 1.09e-12 puts cond(I - rho^T rho) near 7.7e11, inside
+        # the Singular guard; the solve's KKT residual is about 5e-5, above the
+        # 1e-5 bound, so it is refused rather than returned
+        rng = np.random.default_rng([7, 157])
+        U, _ = np.linalg.qr(rng.standard_normal((4, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        s = np.sort(rng.uniform(0.1, 0.9, 3))[::-1]
+        gap = 10.0 ** rng.uniform(-12.0, -11.0)
+        s[0] = np.sqrt(1.0 - gap)
+        rho = (U * s) @ V.T
+        A = rng.standard_normal((4, 2))
+        c, oms = _budget_terms(svd_of_rho(A, rho))
+        p = _budget_value(0.0, c, oms) * rng.uniform(1.25, 5.0)
+        with pytest.raises(Singular, match=r"KKT residual \S+ exceeds the bound 1e-05") as exc:
+            optimal_secondary(A, rho, p)
+        assert exc.value.condition == pytest.approx((1.0 - s[-1] ** 2) / gap, rel=1e-2)
+
+        from fusionkit.cli import main
+
+        doc = {
+            "sources": {"gaussian": {"mean": [0.0, 0.0], "cov": np.eye(2).tolist()}},
+            "modalities": [
+                {"name": "a", "A": A.tolist(), "noise_cov": np.eye(4).tolist()},
+                {"name": "b", "A": np.ones((3, 2)).tolist(), "noise_cov": np.eye(3).tolist()},
+            ],
+            "cross_cov": {"pair": [0, 1], "matrix": rho.tolist()},
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["place", str(path), "--primary", "a", "--budget", repr(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "(Singular)" in lines[0] and "KKT residual" in lines[0]
+
     def test_prior_shifts_objective_only(self, rng):
         A = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.6)
