@@ -117,7 +117,7 @@ def cholesky_decision(M, against, guard):
             elif guard == "schur":
                 inverse = derived_inverse(M, "Schur complement", scale=against)
             else:
-                L_inv = inverse_factor(M, "M")
+                _, L_inv = inverse_factor(M, "M")
                 inverse = L_inv.T @ L_inv
             decision = (None, None, inverse)
         except NotPD as exc:

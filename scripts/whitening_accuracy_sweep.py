@@ -7,8 +7,9 @@
 ``rho = L_v^-1 sigma_vu L_u^-1`` as products with them (the pair's
 factorization whitens with inverse Cholesky factors instead; its answers
 do not depend on the basis). This sweep
-compares each product with the LU solve ``solve(L, .)`` against the root
-``L = sym_sqrt(sigma)``, on pairs whose marginals have a planted condition
+compares each product with the LU solve ``solve(L, .)`` against the
+symmetric root ``L = V diag(sqrt(w)) V^T`` of this script's own
+``eigh(sigma)``, on pairs whose marginals have a planted condition
 drawn log-uniformly within each decade from 1e0 to 1e12, and reports the worst relative
 Frobenius difference per decade, and the worst over ``kappa * eps``.
 Whitening a marginal of condition kappa is itself sensitive to rounding of
@@ -28,7 +29,7 @@ import numpy as np
 
 from fusionkit import BlockCovariance, LinearModel, ModalityPair
 from fusionkit.information import prewhiten
-from fusionkit.matrixkit import sym_sqrt, symmetrize
+from fusionkit.matrixkit import symmetrize
 
 EPS = float(np.finfo(float).eps)
 SLACK = 100.0
@@ -57,6 +58,12 @@ def planted_pair(rng, n1, n2, m, log_cond):
     return pair, R
 
 
+def symmetric_root(sigma) -> np.ndarray:
+    """The symmetric PSD root of a PD ``sigma``, from one eigen-solve: the reference."""
+    w, V = np.linalg.eigh(sigma)
+    return symmetrize((V * np.sqrt(w)) @ V.T)
+
+
 def relative(new, old) -> float:
     return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
 
@@ -67,7 +74,7 @@ def whitening_differences(pair, planted_rho) -> dict:
     ``rho_product_error`` and ``rho_solve_error`` are each way's relative
     distance from the planted rho.
     """
-    L_v, L_u = sym_sqrt(pair.noise.sigma_v), sym_sqrt(pair.noise.sigma_u)
+    L_v, L_u = symmetric_root(pair.noise.sigma_v), symmetric_root(pair.noise.sigma_u)
     wp = prewhiten(pair)
     solved = {
         "A_tilde": np.linalg.solve(L_v, pair.first.A),

@@ -33,7 +33,7 @@ _EXPORTS = {
         "crlb", "joint_information", "prewhiten", "prior_information_mc", "snr_matrix",
         "synergy_matrices", "total_information",
     ),
-    "matrixkit": ("BlockCovariance", "sym_sqrt"),
+    "matrixkit": ("BlockCovariance",),
     "model": (
         "GaussianPrior", "InfoOnlyPrior", "LinearModel", "ModalityPair", "SampleBatch",
         "SamplerPrior", "SourcePrior", "simulate",

@@ -90,7 +90,7 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     SingularNormalMatrix
         If the SNR matrix has condition above 1e12.
     """
-    white = noise_whitener(model, sigma) @ np.column_stack([model.A, _observation(model, x)])
+    white = noise_whitener(model, sigma)[1] @ np.column_stack([model.A, _observation(model, x)])
     white_A, white_x = white[:, :-1], white[:, -1]
     snr = white_A.T @ white_A
     s_hat, error_cov = _solve_normal(snr, white_A.T @ white_x, "ml_estimate: normal matrix")
@@ -119,7 +119,7 @@ def mmse_gaussian_estimate(model: LinearModel, sigma, prior: GaussianPrior, x) -
         If the posterior information matrix has condition above 1e12.
     """
     require_prior_size(prior, model.m)
-    white = noise_whitener(model, sigma) @ np.column_stack([model.A, _observation(model, x)])
+    white = noise_whitener(model, sigma)[1] @ np.column_stack([model.A, _observation(model, x)])
     white_A, white_x = white[:, :-1], white[:, -1]
     gamma_inv = prior.info_matrix()
     posterior_info = gamma_inv + white_A.T @ white_A

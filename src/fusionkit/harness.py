@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .information import DEFAULT_BLOCK, InfoMatrix, _as_matrix, crlb
-from .matrixkit import admit_symmetric, noise_whitener, require_finite, sym_sqrt, symmetrize
+from .matrixkit import admit_symmetric, noise_whitener, require_finite, symmetrize
 from .model import (
     GaussianPrior,
     LinearModel,
@@ -102,16 +102,16 @@ def empirical_error_covariance(
         raise ValueError(f"unknown method {method!r}, expected 'ml', 'wls' or 'mmse'")
     if method == "mmse" and not isinstance(prior, GaussianPrior):
         raise ValueError("MMSE requires Gaussian prior")
-    L_inv = noise_whitener(model, noise)
+    L, L_inv = noise_whitener(model, noise)
     require_prior_size(prior, model.m)
     A = model.A
-    sigma_inv = L_inv.T @ L_inv
-    snr = symmetrize(A.T @ sigma_inv @ A)
+    W = L_inv @ A
+    snr = W.T @ W
     require_finite(snr, "the SNR matrix")
 
     if method in ("ml", "wls"):
         ref = crlb(InfoMatrix(snr))
-        estimator = ref @ A.T @ sigma_inv
+        estimator = ref @ W.T @ L_inv
 
         def estimate(X):
             return X @ estimator.T
@@ -123,7 +123,7 @@ def empirical_error_covariance(
         def estimate(X):
             return prior.mean + (X - mean_x) @ gain.T
 
-    emp, std_err = _error_moments(A, prior, sym_sqrt(noise), estimate, N, seed)
+    emp, std_err = _error_moments(A, prior, L, estimate, N, seed)
     slack = 5.0 * float(np.max(std_err))
 
     rel_err = float(np.linalg.norm(emp - ref, "fro")) / max(
@@ -145,7 +145,7 @@ def empirical_error_covariance(
 def _error_moments(A, prior: SourcePrior, L: np.ndarray, estimate, N: int, seed: int):
     """``EᵀE/N`` and its per-entry standard errors, ``E = S − estimate(X)`` on ``simulate``'s rows.
 
-    ``L`` is the noise root ``simulate`` draws through. The N rows are
+    ``L`` is the noise's Cholesky factor, which ``simulate`` draws through. The N rows are
     drawn, estimated and summed one block of at most ``DEFAULT_BLOCK`` rows
     at a time, so no array grows with ``N``.
     """
@@ -194,7 +194,7 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
     if not isinstance(model, (LinearModel, NonlinearModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    L_inv = noise_whitener(model, sigma)
+    _, L_inv = noise_whitener(model, sigma)
     sigma_inv = L_inv.T @ L_inv
     if x is None:
         if isinstance(model, LinearModel):

@@ -28,7 +28,6 @@ from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
     _require_pd_conditioned,
-    _root,
     admit_symmetric,
     derived_inverse,
     factor_noise,
@@ -152,7 +151,7 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     NonFinite
         If the product overflows.
     """
-    white = noise_whitener(model, sigma) @ model.A
+    white = noise_whitener(model, sigma)[1] @ model.A
     snr = white.T @ white
     require_finite(snr, "the SNR matrix")
     return InfoMatrix(snr)
@@ -193,8 +192,8 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
     """Whiten both modalities with the inverse symmetric roots of their noise.
 
     ``A_tilde = L_v^-1 A``, ``B_tilde = L_u^-1 B`` and
-    ``rho = L_v^-1 sigma_vu L_u^-1`` with ``L`` the symmetric root
-    (:func:`~fusionkit.matrixkit.sym_sqrt`): the basis in which ``place``
+    ``rho = L_v^-1 sigma_vu L_u^-1`` with ``L`` the symmetric PSD root
+    ``V diag(sqrt(w)) V^T`` of an eigen-solve: the basis in which ``place``
     reports ``B_star``. After whitening the noises have identity
     covariance and cross correlation ``rho``; the joint covariance being PD
     forces every singular value of rho below one. Raises :class:`NotPD` or
@@ -215,7 +214,7 @@ def _prewhiten_with_root(pair: ModalityPair) -> tuple[WhitenedPair, np.ndarray]:
     L_u_inv = symmetrize((V_u / np.sqrt(w_u)) @ V_u.T)
     wp = WhitenedPair(L_v_inv @ pair.first.A, L_u_inv @ pair.second.A,
                       L_v_inv @ noise.sigma_vu @ L_u_inv)
-    return wp, _root(w_u, V_u)
+    return wp, symmetrize((V_u * np.sqrt(w_u)) @ V_u.T)
 
 
 def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:

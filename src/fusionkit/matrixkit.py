@@ -1,24 +1,25 @@
-"""Dense symmetric-matrix toolkit: PSD square roots, guarded inverses, noise-pair factors.
+"""Dense symmetric-matrix toolkit: Cholesky factors, guarded inverses, noise-pair factors.
 
 All operations are pure functions on small dense arrays. A covariance is
 admitted here alone. Every PSD refusal is one rule
 (:func:`_require_psd`), raising :class:`NotPSD`. Every inverse refuses
 its matrix by one rule (:func:`_require_pd_conditioned`): :class:`NotPD`
 unless the smallest eigenvalue is positive, :class:`Singular` when the
-condition exceeds ``SINGULAR_CONDITION``. An inverse that needs no
-symmetric root comes from the Cholesky factor: :func:`inverse_factor`
-returns ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1`` and ``L^-1 X``
-whitens ``X``; its guard reads a condition bound off ``L^-1`` and takes
-one ``eigvalsh`` only where the bound is inconclusive. The Schur
-complements, the estimators' normal and posterior matrices and the
-information matrix of ``information.crlb`` go through it by
+condition exceeds ``SINGULAR_CONDITION``. Every inverse, whitening and
+sampling root comes from the Cholesky factor: :func:`inverse_factor`
+returns ``L`` and ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1``,
+``L^-1 X`` whitens ``X`` and ``z L^T`` draws rows of covariance ``M``
+from standard normal rows ``z``; its guard reads a condition bound off
+``L^-1`` and takes one ``eigvalsh`` only where the bound is inconclusive.
+The Schur complements, the estimators' normal and posterior matrices and
+the information matrix of ``information.crlb`` go through it by
 :func:`derived_inverse`, and so does a noise pair:
 :func:`factor_noise`, the one place a joint noise covariance is factorized,
 makes the pair's four refusals and whitens each marginal with its inverse
 Cholesky factor, as :func:`noise_whitener`, the one admission of a single
 modality's noise, whitens it, so whitening is decided in one place. Each
 caller builds from the pair's factors only the products it reads. A
-single modality's factor is memoized on its model for a bit-equal noise.
+single modality's factors are memoized on its model for a bit-equal noise.
 A whitened pair's answers do not depend on the basis of the whitening;
 the symmetric roots, which fix the basis that ``place`` prints, are taken by
 ``information.prewhiten`` alone.
@@ -153,27 +154,6 @@ def _require_psd(w: np.ndarray, name: str) -> float:
     return lo
 
 
-def _psd_eigh(M, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of the symmetric part of ``M``, refused by :func:`_require_psd`."""
-    w, V = np.linalg.eigh(symmetrize(M))
-    _require_psd(w, name)
-    return w, V
-
-
-def sym_sqrt(M) -> np.ndarray:
-    """Unique symmetric PSD square root L with ``L @ L.T == M``.
-
-    An ``M`` that :func:`_require_psd` refuses raises :class:`NotPSD`; every
-    negative eigenvalue it admits is rounding and is clamped to zero before
-    rooting.
-    """
-    return _root(*_psd_eigh(require_symmetric(M)))
-
-
-def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return symmetrize((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
-
-
 def _require_pd_conditioned(w: np.ndarray, name: str, scale: float = 0.0) -> float:
     """The refusal rule of every inverse, on the ascending eigenvalues ``w`` of ``M``.
 
@@ -185,10 +165,6 @@ def _require_pd_conditioned(w: np.ndarray, name: str, scale: float = 0.0) -> flo
     cond = max(scale, float(w[-1])) / float(w[0])
     require_conditioned(cond, name)
     return cond
-
-
-def _eig_inverse(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return symmetrize((V / w) @ V.T)
 
 
 # Size up to which a triangular inverse is one LAPACK inverse; larger ones
@@ -233,10 +209,13 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def inverse_factor(M, name: str = "matrix", scale: float = 0.0) -> np.ndarray:
-    """Inverse ``L^-1`` of the lower Cholesky factor of a symmetric PD ``M``.
+def inverse_factor(
+    M, name: str = "matrix", scale: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factor ``L`` of a symmetric PD ``M`` and its inverse ``L^-1``.
 
-    ``M^-1 = L^-T L^-1``, and ``L^-1 X`` whitens ``X``. ``M`` must be
+    ``M^-1 = L^-T L^-1``, ``L^-1 X`` whitens ``X`` and ``z L^T`` draws rows
+    of covariance ``M`` from standard normal rows ``z``. ``M`` must be
     symmetric to the last bit, as an admitted matrix or one built
     symmetric is: it is not symmetrized here. The guard refuses
     ``M`` when its condition ``max(scale, lambda_max) / lambda_min`` exceeds
@@ -256,49 +235,53 @@ def inverse_factor(M, name: str = "matrix", scale: float = 0.0) -> np.ndarray:
         If the condition exceeds ``SINGULAR_CONDITION``; the error carries it.
     """
     try:
-        L_inv = _tril_inverse(np.linalg.cholesky(M))
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        L_inv = None
+        L = None
     else:
+        L_inv = _tril_inverse(L)
         bound = max(scale, float(np.linalg.norm(M))) * float(np.vdot(L_inv, L_inv))
         if bound <= SINGULAR_CONDITION / _CERTIFY_MARGIN:
-            return L_inv
+            return L, L_inv
     cond = _require_pd_conditioned(np.linalg.eigvalsh(M), name, scale)
-    if L_inv is None:  # a breakdown the eigenvalues do not show: refused as singular
+    if L is None:  # a breakdown the eigenvalues do not show: refused as singular
         raise Singular(f"{name}: Cholesky factorization broke down (cond~{cond:.3e})",
                        condition=cond)
-    return L_inv
+    return L, L_inv
 
 
-def noise_whitener(model, sigma) -> np.ndarray:
-    """``L^-1`` for a modality's noise covariance ``sigma = L L^T``, ``L^-1 X`` whitening ``X``.
+def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, L^-1)`` for a modality's noise covariance ``sigma = L L^T``, as :func:`inverse_factor`.
 
     The one admission of a single modality's noise: :func:`require_noise`
     checks ``sigma`` against the model's ``n`` channels (``ValueError``) and
     symmetrizes one within the symmetry tolerance, then
     :func:`inverse_factor` refuses it as :class:`NotPD` or
-    :class:`Singular` and factorizes it. ``sigma^-1 = L^-T L^-1``.
+    :class:`Singular` and factorizes it. ``L^-1 X`` whitens ``X``,
+    ``sigma^-1 = L^-T L^-1``, and ``simulate`` draws the noise as ``z L^T``.
 
-    The factor is memoized on ``model``, in its ``_whitener`` slot, with a
-    read-only copy of the ``sigma`` given, as a pair memoizes its
-    factorization: a later call with a ``sigma`` of the same shape and the
-    same bits (``-0.0`` is not ``0.0``) returns the same read-only ``L^-1``,
-    which is what a fresh call would compute. Any other ``sigma`` is
-    admitted afresh and replaces the slot as a whole, so a concurrent
-    reader sees the old key and factor or the new ones. A refusal is not
-    memoized: every call on a refused ``sigma`` raises again.
+    The factors are memoized on ``model``, in its ``_whitener`` slot
+    ``(key, L, L^-1)``, with a private copy of the ``sigma`` given as the
+    key, as a pair memoizes its factorization: a later call with a
+    ``sigma`` of the same shape and the same bits (``-0.0`` is not ``0.0``)
+    returns the same read-only ``L`` and ``L^-1``, which is what a fresh
+    call would compute. Any other ``sigma`` is admitted afresh and replaces
+    the slot as a whole, so a concurrent reader sees the old key and
+    factors or the new ones. A refusal is not memoized: every call on a
+    refused ``sigma`` raises again.
     """
     memo = model._whitener
     given = np.asarray(sigma, dtype=float)
     if memo is not None:
-        key, L_inv = memo
+        key, L, L_inv = memo
         if given.shape == key.shape and np.array_equal(given.view(np.int64), key.view(np.int64)):
-            return L_inv
-    key = _read_only_copy(given)
-    L_inv = inverse_factor(require_noise(key, model.n), "noise covariance")
+            return L, L_inv
+    key = given.copy()  # private to the memo, never handed out
+    L, L_inv = inverse_factor(require_noise(key, model.n), "noise covariance")
+    L.setflags(write=False)
     L_inv.setflags(write=False)
-    object.__setattr__(model, "_whitener", (key, L_inv))
-    return L_inv
+    object.__setattr__(model, "_whitener", (key, L, L_inv))
+    return L, L_inv
 
 
 def derived_inverse(
@@ -313,7 +296,7 @@ def derived_inverse(
     The inverse is the Gram product ``L^-T L^-1``, symmetric to the last bit.
     """
     try:
-        L_inv = inverse_factor(M, what, scale)
+        _, L_inv = inverse_factor(M, what, scale)
     except NotPD as exc:
         raise error(f"{what} is numerically singular (cond~inf)", condition=np.inf) from exc
     except Singular as exc:
@@ -448,8 +431,8 @@ def factor_noise(block: BlockCovariance):
     ``G = (sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
-    L_v_inv = inverse_factor(sv, "sigma_v")
-    L_u_inv = inverse_factor(su, "sigma_u")
+    _, L_v_inv = inverse_factor(sv, "sigma_v")
+    _, L_u_inv = inverse_factor(su, "sigma_u")
     # Each Schur complement subtracts a Gram matrix of a half-whitened
     # cross-covariance: sigma_uv sigma_v^-1 sigma_vu = W_v^T W_v. Near the
     # condition limit its smallest eigenvalue is far more accurate than with

@@ -13,19 +13,16 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import NoPriorInfo, NoScore, NotSampleable
+from .errors import NoPriorInfo, NoScore, NotPD, NotSampleable
 from .matrixkit import (
     BlockCovariance,
-    _eig_inverse,
-    _psd_eigh,
     _read_only_copy,
-    _require_pd_conditioned,
     _require_psd,
-    _root,
     admit_symmetric,
-    require_noise,
+    inverse_factor,
+    noise_whitener,
     require_symmetric,
-    sym_sqrt,
+    symmetrize,
 )
 
 if TYPE_CHECKING:
@@ -39,11 +36,12 @@ class LinearModel:
     ``A`` is kept as a read-only float copy: writing to the array passed in
     changes nothing here, and writing to ``A`` raises ``ValueError``.
     :func:`~fusionkit.matrixkit.noise_whitener` memoizes the last admitted
-    noise covariance and its inverse Cholesky factor in ``_whitener``.
+    noise covariance, its Cholesky factor and that factor's inverse in
+    ``_whitener``.
     """
 
     A: np.ndarray
-    _whitener: tuple[np.ndarray, np.ndarray] | None = field(
+    _whitener: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -99,8 +97,11 @@ class GaussianPrior(SourcePrior):
     """Gaussian source prior N(mean, cov); information matrix is cov^-1.
 
     ``mean`` and ``cov`` are kept as read-only float copies, as are the
-    information matrix and the sampling root computed from them once.
-    ``cov`` is refused as :class:`NotPSD` by the one PSD rule
+    information matrix and the sampling root computed from them once, both
+    from one Cholesky factor ``L L^T`` of the symmetric part of ``cov``
+    (:func:`~fusionkit.matrixkit.inverse_factor`): samples are
+    ``mean + z L^T``, the information ``L^-T L^-1``. ``cov`` is refused as
+    :class:`NotPSD` by the one PSD rule
     (:func:`~fusionkit.matrixkit._require_psd`), then as :class:`NotPD`
     unless its smallest eigenvalue is positive and as :class:`Singular`
     above ``SINGULAR_CONDITION``.
@@ -108,7 +109,7 @@ class GaussianPrior(SourcePrior):
 
     mean: np.ndarray
     cov: np.ndarray
-    _sqrt: np.ndarray = field(init=False, repr=False)
+    _factor: np.ndarray = field(init=False, repr=False)
     _info: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -120,13 +121,17 @@ class GaussianPrior(SourcePrior):
             raise ValueError("source mean has non-finite entries")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        # one eigen-solve gives the sampling root and the information
-        w, V = _psd_eigh(cov, "source covariance")
-        _require_pd_conditioned(w, "source covariance")
-        root, info = _root(w, V), _eig_inverse(w, V)
-        root.setflags(write=False)
+        # cov is kept as given; Cholesky reads one triangle, so it factors the symmetric part
+        S = symmetrize(cov)
+        try:
+            L, L_inv = inverse_factor(S, "source covariance")
+        except NotPD:
+            _require_psd(np.linalg.eigvalsh(S), "source covariance")
+            raise
+        info = L_inv.T @ L_inv
+        L.setflags(write=False)
         info.setflags(write=False)
-        object.__setattr__(self, "_sqrt", root)
+        object.__setattr__(self, "_factor", L)
         object.__setattr__(self, "_info", info)
 
     @property
@@ -135,7 +140,7 @@ class GaussianPrior(SourcePrior):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, self.m))
-        return z @ self._sqrt.T + self.mean
+        return z @ self._factor.T + self.mean
 
     def info_matrix(self) -> np.ndarray:
         return self._info
@@ -258,8 +263,10 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     """Draw N source/observation rows from the scenario, deterministically per seed.
 
     Sources come from the prior; noise is jointly Gaussian with the
-    configured (cross-)covariance, realized through the symmetric PSD
-    square root of the assembled covariance. Source and noise streams use
+    configured (cross-)covariance, drawn as ``z L^T`` through its lower
+    Cholesky factor ``L``: for one model the factor that
+    :func:`~fusionkit.matrixkit.noise_whitener` memoizes on it, for a pair
+    that of the assembled joint covariance. Source and noise streams use
     independent children of the seed, so each is reproducible on its own.
 
     A :class:`ModalityPair` carries its own noise, so ``noise`` must be
@@ -269,6 +276,9 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     ------
     NotSampleable
         If the prior has no sampling function (information-only priors).
+    NotPD, Singular
+        If the noise cannot be factored: as
+        :func:`~fusionkit.matrixkit.inverse_factor` refuses it, before any draw.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -276,9 +286,12 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     if pair and noise is not None:
         raise ValueError("a modality pair carries its own noise: pass noise=None")
     # the noise and the prior are checked before any draw
-    sigma = model.noise.joint() if pair else require_noise(noise, model.n)
+    if pair:
+        L, _ = inverse_factor(model.noise.joint(), "joint noise covariance")
+    else:
+        L, _ = noise_whitener(model, noise)
     require_prior_size(prior, model.m)
-    sources, noise_rows = draw_rows(prior, sym_sqrt(sigma), N, draw_streams(seed))
+    sources, noise_rows = draw_rows(prior, L, N, draw_streams(seed))
     if not pair:
         return SampleBatch(sources=sources, observations=sources @ model.A.T + noise_rows,
                            seed=seed)

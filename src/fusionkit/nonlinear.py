@@ -46,15 +46,15 @@ class NonlinearModel:
     ``h`` maps an m-vector to an n-vector; ``jacobian``, when supplied,
     maps an m-vector to the (n, m) Jacobian. Without it, central
     differences are used. :func:`~fusionkit.matrixkit.noise_whitener`
-    memoizes the last admitted noise covariance and its inverse Cholesky
-    factor in ``_whitener``, as for a linear model.
+    memoizes the last admitted noise covariance, its Cholesky factor and
+    that factor's inverse in ``_whitener``, as for a linear model.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
     n: int
     m: int
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    _whitener: tuple[np.ndarray, np.ndarray] | None = field(
+    _whitener: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -167,7 +167,7 @@ def fisher_nonlinear(
     rounding, about machine epsilon times ``|J|`` at every scale.
     """
     require_prior_size(prior, model.m)
-    L_inv = noise_whitener(model, sigma)
+    _, L_inv = noise_whitener(model, sigma)
 
     def fisher_integrand(S):
         W = L_inv @ model.jacobians(S)

@@ -42,6 +42,16 @@ def random_joint_noise(rng, n1, n2, eig_range=(0.3, 3.0)) -> BlockCovariance:
     return BlockCovariance(S[:n1, :n1], S[n1:, n1:], S[:n1, n1:])
 
 
+def symmetric_root(M):
+    """The symmetric PSD root ``V diag(sqrt(w)) V^T`` of a PD ``M``, from one eigen-solve.
+
+    The reference for the basis that ``prewhiten`` whitens in and ``place``
+    prints ``B_star`` in; the library draws and whitens through Cholesky factors.
+    """
+    w, V = np.linalg.eigh(symmetrize(M))
+    return symmetrize((V * np.sqrt(w)) @ V.T)
+
+
 def random_conditioned_matrix(rng, n, m, sv_range=(0.5, 2.0)):
     """Random n x m matrix (n >= m) with singular values uniform in ``sv_range``."""
     U, _ = np.linalg.qr(rng.standard_normal((n, m)))
@@ -136,7 +146,7 @@ def mc_per_sample(prior, N, seed, per_sample):
 
 def fisher_per_sample(model, sigma, prior, N, seed):
     """Per-sample reference for ``fisher_nonlinear``: (J, std_err)."""
-    L_inv = noise_whitener(model, sigma)
+    _, L_inv = noise_whitener(model, sigma)
 
     def per_sample(s):
         W = L_inv @ _per_sample_jac(model, s)

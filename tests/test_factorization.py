@@ -39,7 +39,6 @@ from fusionkit import (
     optimal_secondary,
     prewhiten,
     snr_matrix,
-    sym_sqrt,
     synergy_matrices,
 )
 import fusionkit
@@ -54,6 +53,7 @@ from conftest import (
     random_pair,
     random_pd,
     rel_fro,
+    symmetric_root,
 )
 
 # Entry points of numpy.linalg and scipy.linalg that the library could call
@@ -69,7 +69,7 @@ LAPACK = {
 def planted_pair(rng, n1, n2, m, redundant=False):
     """Pair with whitened cross-correlation rho; ``B~ = rho^T A~`` when redundant."""
     sigma_v, sigma_u = random_pd(rng, n1), random_pd(rng, n2)
-    L_v, L_u = sym_sqrt(sigma_v), sym_sqrt(sigma_u)
+    L_v, L_u = symmetric_root(sigma_v), symmetric_root(sigma_u)
     rho = random_admissible_rho(rng, n1, n2, 0.8)
     A_t = rng.standard_normal((n1, m))
     B_t = rho.T @ A_t if redundant else rng.standard_normal((n2, m))
@@ -232,7 +232,7 @@ CALL_PINS = {
     "joint_information": {"fusionkit": 52, "from_fusionkit": 107},
     "synergy_matrices": {"fusionkit": 43, "from_fusionkit": 106},
     "optimal_secondary": {"fusionkit": 41, "from_fusionkit": 91},
-    "ml_estimate": {"fusionkit": 15, "from_fusionkit": 21},
+    "ml_estimate": {"fusionkit": 14, "from_fusionkit": 21},
 }
 
 
@@ -382,8 +382,8 @@ def test_cholesky_basis_answers_match_the_symmetric_root_basis(redundant):
 
 def test_place_takes_one_eigen_solve_per_marginal(monkeypatch, tmp_path):
     # the printed basis: prewhiten's eigen-solves give both inverse roots and
-    # the root of sigma_u that un-whitens B_star; the third is the Gaussian
-    # prior's
+    # the root of sigma_u that un-whitens B_star; the Gaussian prior takes a
+    # Cholesky factor
     rng = np.random.default_rng(46)
     noise = random_joint_noise(rng, 3, 2)
     doc = {
@@ -400,7 +400,7 @@ def test_place_takes_one_eigen_solve_per_marginal(monkeypatch, tmp_path):
     path.write_text(json.dumps(doc))
     argv = ["place", str(path), "--primary", "a", "--budget", "5", "--out", str(tmp_path / "r")]
     counts = lapack_calls(monkeypatch, lambda: main(argv))
-    assert counts["numpy.linalg.eigh"] == 3
+    assert counts["numpy.linalg.eigh"] == 2
 
 
 @pytest.mark.parametrize("log_cond", [0.0, 4.0, 8.0, 11.5])
@@ -424,7 +424,7 @@ def test_whitening_products_match_solves_against_the_roots(log_cond):
                             LinearModel(rng.standard_normal((9, 4))),
                             BlockCovariance(*blocks, roots[0] @ R @ roots[1]))
         wp = prewhiten(pair)
-        L_v, L_u = sym_sqrt(pair.noise.sigma_v), sym_sqrt(pair.noise.sigma_u)
+        L_v, L_u = symmetric_root(pair.noise.sigma_v), symmetric_root(pair.noise.sigma_u)
         solved = (np.linalg.solve(L_v, pair.first.A), np.linalg.solve(L_u, pair.second.A),
                   np.linalg.solve(L_v, np.linalg.solve(L_u, pair.noise.sigma_uv).T))
         for got, want in zip((wp.A_tilde, wp.B_tilde, wp.rho), solved):
@@ -572,15 +572,25 @@ def noise_factorizations(monkeypatch, fn, n):
     return sized_calls(monkeypatch, fn)["cholesky", n]
 
 
-def test_campaign_inverts_its_information_once(rng, monkeypatch):
-    # the dominance check reads the campaign's reference, crlb(J), so the
-    # 3-row J takes one guarded Cholesky inverse, as the 6-row noise does
+@pytest.mark.parametrize("method", ["ml", "mmse"])
+def test_campaign_factors_its_noise_and_inverts_its_information_once(rng, monkeypatch, method):
+    # the noise draws go through the whitener's Cholesky factor, so the
+    # 6-row noise takes one factorization and no eigen-solve; the dominance
+    # check reads the campaign's reference, crlb(J), so the 3-row J takes
+    # one guarded Cholesky inverse
     model, sigma, prior, _ = single_modality(rng)
     calls = sized_calls(
         monkeypatch,
-        lambda: empirical_error_covariance("mmse", model, prior, sigma, N=1000, seed=3),
-        ("cholesky", "inv"))
+        lambda: empirical_error_covariance(method, model, prior, sigma, N=1000, seed=3),
+        ("cholesky", "inv", "eigh"))
     assert calls == {("cholesky", 6): 1, ("inv", 6): 1, ("cholesky", 3): 1, ("inv", 3): 1}
+
+
+def test_gaussian_prior_takes_one_cholesky_factor(rng, monkeypatch):
+    # the sampling root and the information come from one factorization
+    cov = random_pd(rng, 4)
+    counts = lapack_calls(monkeypatch, lambda: GaussianPrior(mean=np.zeros(4), cov=cov))
+    assert counts == {"numpy.linalg.cholesky": 1, "numpy.linalg.inv": 1}
 
 
 def test_memoized_whitener_answers_equal_a_fresh_model(rng, monkeypatch):
@@ -644,8 +654,10 @@ def test_a_different_sigma_replaces_the_slot(rng, monkeypatch):
         fresh = ml_estimate(LinearModel(model.A), noise, x)
         assert np.array_equal(call().s_hat, fresh.s_hat)
         assert np.array_equal(call().error_cov, fresh.error_cov)
-    with pytest.raises(ValueError, match="read-only"):
-        model._whitener[1][0, 0] = 1.0
+    # the memo (sigma, L, L^-1) hands out read-only factors
+    for factor in model._whitener[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 1.0
 
 
 def ill_conditioned_marginal_pair():

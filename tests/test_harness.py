@@ -20,7 +20,7 @@ from fusionkit import (
 )
 from fusionkit.harness import _mmse_gain
 from fusionkit.information import DEFAULT_BLOCK
-from fusionkit.matrixkit import noise_whitener, sym_sqrt, symmetrize
+from fusionkit.matrixkit import noise_whitener, symmetrize
 from fusionkit.model import draw_rows, draw_streams
 
 from conftest import random_pd, rel_fro
@@ -102,15 +102,15 @@ def campaign_scenario():
 
 def whole_array_campaign(method, model, prior, noise, N, seed):
     """The campaign's formulas on one N-row array of ``simulate``'s draws: the blockwise reference."""
-    L_inv = noise_whitener(model, noise)
+    _, L_inv = noise_whitener(model, noise)
     A = model.A
-    sigma_inv = symmetrize(L_inv.T @ L_inv)
-    snr = symmetrize(A.T @ sigma_inv @ A)
+    W = L_inv @ A
+    snr = W.T @ W
     batch = simulate(model, prior, N, seed, noise=noise)
     X, S = batch.observations, batch.sources
     if method in ("ml", "wls"):
         ref = crlb(InfoMatrix(snr))
-        estimator = ref @ A.T @ sigma_inv
+        estimator = ref @ W.T @ L_inv
         S_hat = X @ estimator.T
     else:
         ref = crlb(InfoMatrix(symmetrize(snr + prior.info_matrix())))
@@ -171,7 +171,8 @@ class TestStreamedCampaign:
         model, sigma, prior = campaign_scenario()
         N = 2 * DEFAULT_BLOCK + 5
         batch = simulate(model, prior, N, seed=4, noise=sigma)
-        L, streams = sym_sqrt(sigma), draw_streams(4)
+        # simulate draws the noise through the Cholesky factor memoized on the model
+        L, streams = model._whitener[1], draw_streams(4)
         blocks = [draw_rows(prior, L, min(block, N - start), streams)
                   for start in range(0, N, block)]
         assert np.array_equal(np.concatenate([S for S, _ in blocks]), batch.sources)

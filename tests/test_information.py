@@ -27,7 +27,6 @@ from fusionkit import (
     prior_information_mc,
     simulate,
     snr_matrix,
-    sym_sqrt,
     synergy_matrices,
     synergy_objective,
     total_information,
@@ -47,6 +46,7 @@ from conftest import (
     random_pair,
     random_pd,
     rel_fro,
+    symmetric_root,
 )
 
 
@@ -157,8 +157,8 @@ class TestPrewhiten:
         batch = simulate(pair, prior, N=N, seed=13)
         v = batch.observations - batch.sources @ pair.first.A.T
         u = batch.second_observations - batch.sources @ pair.second.A.T
-        v_t = np.linalg.solve(sym_sqrt(pair.noise.sigma_v), v.T).T
-        u_t = np.linalg.solve(sym_sqrt(pair.noise.sigma_u), u.T).T
+        v_t = np.linalg.solve(symmetric_root(pair.noise.sigma_v), v.T).T
+        u_t = np.linalg.solve(symmetric_root(pair.noise.sigma_u), u.T).T
         z = np.hstack([v_t, u_t])
         emp = z.T @ z / N
         expected = np.block([

@@ -18,7 +18,6 @@ from fusionkit import (
     ModalityPair,
     NonFinite,
     NotPD,
-    NotPSD,
     Singular,
     SingularNormalMatrix,
     SingularPosterior,
@@ -28,7 +27,6 @@ from fusionkit import (
     ml_estimate,
     mmse_gaussian_estimate,
     snr_matrix,
-    sym_sqrt,
     synergy_matrices,
 )
 from fusionkit import estimators
@@ -53,50 +51,6 @@ from conftest import (
     random_pd,
     rel_fro,
 )
-
-
-class TestSymSqrt:
-    def test_identity(self):
-        assert np.allclose(sym_sqrt(np.eye(2)), np.eye(2))
-
-    def test_diagonal(self):
-        assert np.allclose(sym_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_random_psd_reconstructs(self, rng):
-        X = rng.standard_normal((5, 5))
-        M = X @ X.T
-        L = sym_sqrt(M)
-        assert np.linalg.norm(L @ L.T - M, "fro") < 1e-10 * (1 + np.linalg.norm(M, "fro"))
-        # the root itself is symmetric PSD
-        assert np.allclose(L, L.T)
-        assert np.linalg.eigvalsh(L)[0] >= -1e-12
-
-    def test_boundary_negatives_clamped(self):
-        M = np.diag([1.0, -5e-11])
-        L = sym_sqrt(M)
-        assert L[1, 1] == 0.0
-
-    def test_not_psd_raises(self):
-        with pytest.raises(NotPSD):
-            sym_sqrt(np.diag([1.0, -0.5]))
-
-    @settings(max_examples=150)
-    @given(st.integers(0, 10**9), st.integers(1, 12))
-    def test_square_reconstruction_property(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((dim, dim))
-        M = X @ X.T
-        L = sym_sqrt(M)
-        assert np.linalg.norm(L @ L.T - M, "fro") <= 1e-10 * (1 + np.linalg.norm(M, "fro"))
-
-    def test_thousand_random_psd(self):
-        rng = np.random.default_rng(77)
-        for _ in range(1000):
-            dim = int(rng.integers(1, 13))
-            X = rng.standard_normal((dim, dim))
-            M = X @ X.T
-            L = sym_sqrt(M)
-            assert np.linalg.norm(L @ L.T - M, "fro") <= 1e-10 * (1 + np.linalg.norm(M, "fro"))
 
 
 def inverse_blocks(noise):
@@ -513,9 +467,14 @@ def test_cholesky_guard_decides_as_the_eigen_guard(
     if expected[0] is not None:
         assert outcome[1] == expected[1]
         return
-    inverse = outcome[1].T @ outcome[1] if derived is None else outcome[1]
     if derived is None:
-        assert np.all(np.triu(outcome[1], 1) == 0.0)
+        # L is the sampling root (z L^T has covariance M), L^-1 the whitener
+        L, L_inv = outcome[1]
+        assert np.all(np.triu(L, 1) == 0.0) and np.all(np.triu(L_inv, 1) == 0.0)
+        assert rel_fro(L @ L.T, M) <= 1e-13
+        inverse = L_inv.T @ L_inv
+    else:
+        inverse = outcome[1]
     kappa = float(w[-1] / np.min(np.linalg.eigvalsh(M)))
     assert rel_fro(inverse, np.linalg.inv(M)) <= kappa * 1e-13
 
@@ -523,7 +482,7 @@ def test_cholesky_guard_decides_as_the_eigen_guard(
 def test_cholesky_guard_certifies_without_an_eigenvalue(rng, monkeypatch):
     M = random_pd(rng, 70)
     monkeypatch.setattr(np.linalg, "eigvalsh", None)
-    L_inv = inverse_factor(M)
+    _, L_inv = inverse_factor(M)
     assert rel_fro(L_inv.T @ L_inv, np.linalg.inv(M)) <= 1e-13
 
 

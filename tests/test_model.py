@@ -36,14 +36,7 @@ from fusionkit import (
 )
 
 from fusionkit.cli import ScenarioError, load_scenario
-from fusionkit.matrixkit import (
-    _eig_inverse,
-    _psd_eigh,
-    _require_pd_conditioned,
-    _require_psd,
-    sym_sqrt,
-    symmetrize,
-)
+from fusionkit.matrixkit import SINGULAR_CONDITION, _require_psd, inverse_factor, symmetrize
 
 from conftest import random_joint_noise, random_orthogonal, random_pd, rel_fro
 
@@ -54,13 +47,12 @@ class TestTypes:
         prior = GaussianPrior(mean=np.zeros(3), cov=cov)
         assert rel_fro(prior.info_matrix(), np.linalg.inv(cov)) < 1e-12
 
-    def test_gaussian_prior_root_and_info_from_one_eigen_solve(self, rng):
+    def test_gaussian_prior_root_and_info_from_one_cholesky_factor(self, rng):
         cov = random_pd(rng, 3)
         prior = GaussianPrior(mean=np.zeros(3), cov=cov)
-        assert np.array_equal(prior._sqrt, sym_sqrt(cov))
-        w, V = _psd_eigh(cov)
-        _require_pd_conditioned(w, "source covariance")
-        assert np.array_equal(prior.info_matrix(), _eig_inverse(w, V))
+        L, L_inv = inverse_factor(symmetrize(cov), "source covariance")
+        assert np.array_equal(prior._factor, L)
+        assert np.array_equal(prior.info_matrix(), L_inv.T @ L_inv)
         assert rel_fro(prior.info_matrix(), np.linalg.inv(cov)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -132,10 +124,10 @@ def _refusal(check):
 @pytest.mark.parametrize("norm", [0.5, 4.0])
 def test_one_psd_rule_at_its_boundary(tmp_path, norm):
     # the scenario loader (on a modality's noise), the prior, the joint noise
-    # check, the symmetric root and the Gaussian prior all refuse a smallest
-    # eigenvalue at -1e-10 ||M||_2, and admit one above, and every refusal
-    # but the loader's is NotPSD; past the PSD rule the Gaussian prior still
-    # refuses the negative eigenvalue as NotPD
+    # check and the Gaussian prior all refuse a smallest eigenvalue at
+    # -1e-10 ||M||_2, and admit one above, and every refusal but the loader's
+    # is NotPSD; past the PSD rule the Gaussian prior still refuses the
+    # negative eigenvalue as NotPD
     for factor, refused in ((1.0, True), (0.99, False)):
         lo = -factor * 1e-10 * norm
         M = np.diag([lo, norm])
@@ -149,20 +141,19 @@ def test_one_psd_rule_at_its_boundary(tmp_path, norm):
             lambda: load_scenario(path),
             lambda: InfoOnlyPrior(M),
             lambda: BlockCovariance(M[:1, :1], M[1:, 1:], np.zeros((1, 1))).check_pd(),
-            lambda: sym_sqrt(M),
             lambda: GaussianPrior(np.zeros(2), M),
         )]
         if refused:
-            assert verdicts == [ScenarioError, NotPSD, NotPSD, NotPSD, NotPSD]
+            assert verdicts == [ScenarioError, NotPSD, NotPSD, NotPSD]
         else:
-            assert verdicts == [None, None, None, None, NotPD]
+            assert verdicts == [None, None, None, NotPD]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5),
        st.sampled_from(["indefinite", "rounding", "pd"]), st.integers(-12, 12))
 def test_psd_verdicts_do_not_depend_on_units(seed, n, kind, k):
     # a spectrum planted at least 1% away from the PSD boundary gets the same
-    # verdict from the PSD rule, sym_sqrt and GaussianPrior at every scale 10^k
+    # verdict from the PSD rule and GaussianPrior at every scale 10^k
     rng = np.random.default_rng(seed)
     w = np.append(rng.uniform(0.1, 1.0, n - 1), 1.0)
     if kind == "indefinite":  # at or beyond 1.01x the boundary, up to |lo| = 10 ||rest||
@@ -174,13 +165,12 @@ def test_psd_verdicts_do_not_depend_on_units(seed, n, kind, k):
 
     def verdicts(S):
         return (_refusal(lambda: _require_psd(np.linalg.eigvalsh(S), "M")),
-                _refusal(lambda: sym_sqrt(S)),
                 _refusal(lambda: GaussianPrior(np.zeros(n), S)))
 
     expected = {
-        "indefinite": (NotPSD, NotPSD, NotPSD),
-        "rounding": (None, None, NotPD),
-        "pd": (None, None, None),
+        "indefinite": (NotPSD, NotPSD),
+        "rounding": (None, NotPD),
+        "pd": (None, None),
     }[kind]
     assert verdicts(M) == expected
     assert verdicts(M * 10.0**k) == expected
@@ -322,6 +312,27 @@ class TestSimulate:
         prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
         with pytest.raises(ValueError, match="carries its own noise"):
             simulate(pair, prior, N=10, seed=0, noise=np.full((7, 7), np.nan))
+        assert calls == []
+
+    @pytest.mark.parametrize("noise, error", [
+        (np.ones((2, 2)), NotPD),  # PSD, singular
+        (np.array([[1.0, 1.0 - 1e-13], [1.0 - 1e-13, 1.0]]), Singular),  # cond ~2e13
+    ])
+    def test_a_noise_it_cannot_factor_is_refused_before_any_draw(self, monkeypatch, noise, error):
+        # one model's noise by its whitener, a pair's joint noise by the same
+        # guard: a typed refusal, never numpy's LinAlgError
+        calls = []
+        monkeypatch.setattr(GaussianPrior, "sample", lambda *args: calls.append(args))
+        prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+        pair = ModalityPair(LinearModel(np.eye(2)[:1]), LinearModel(np.eye(2)[1:]),
+                            BlockCovariance(noise[:1, :1], noise[1:, 1:], noise[:1, 1:]))
+        for call, name in ((lambda: simulate(LinearModel(np.eye(2)), prior, 10, 0, noise=noise),
+                            "noise covariance"),
+                           (lambda: simulate(pair, prior, 10, 0), "joint noise covariance")):
+            with pytest.raises(error, match=f"^{name}") as refusal:
+                call()
+            if error is Singular:
+                assert SINGULAR_CONDITION < refusal.value.condition < np.inf
         assert calls == []
 
     def test_info_only_prior_not_sampleable(self):

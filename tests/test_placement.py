@@ -39,6 +39,7 @@ from conftest import (
     random_admissible_rho,
     random_pair,
     rel_fro,
+    symmetric_root,
 )
 
 
@@ -450,7 +451,6 @@ class TestProbeAndUnwhiten:
         # symmetric root of sigma_u (the basis of prewhiten); a solve with
         # that root maps the latter back onto B~*
         from fusionkit.cli import main
-        from fusionkit.matrixkit import sym_sqrt
 
         sigma_v, sigma_u = np.diag([0.5, 0.4, 0.6]), np.array([[0.7, 0.2], [0.2, 0.8]])
         sigma_vu = np.array([[0.1, 0.0], [0.05, 0.1], [0.0, 0.05]])
@@ -468,7 +468,7 @@ class TestProbeAndUnwhiten:
         assert main(["place", str(path), "--primary", "a", "--budget", "2.0"]) == 0
         report = json.loads(capsys.readouterr().out)
         B_raw = np.array(report["B_star_unwhitened"])
-        assert rel_fro(np.linalg.solve(sym_sqrt(sigma_u), B_raw), np.array(report["B_star"])) < 1e-12
+        assert rel_fro(np.linalg.solve(symmetric_root(sigma_u), B_raw), np.array(report["B_star"])) < 1e-12
 
     def test_probe_reports_deterministically(self, rng):
         # first-order stationarity does not claim optimality: the probe
