@@ -53,6 +53,42 @@ from conftest import (
 )
 
 
+def assert_is_sampling_root(M, L, L_inv):
+    """``L`` is lower triangular with a positive diagonal, ``L L^T = M`` and ``L L^-1 = I``."""
+    assert np.all(np.triu(L, 1) == 0.0) and np.all(np.diag(L) > 0.0)
+    scale = 1.0 + np.linalg.norm(M, "fro")
+    assert np.linalg.norm(L @ L.T - M, "fro") <= 1e-12 * scale
+    assert np.linalg.norm(L @ L_inv - np.eye(len(M)), "fro") <= 1e-12 * np.linalg.cond(M)
+
+
+class TestSamplingRoot:
+    """``inverse_factor``'s ``L``, through which every sample is drawn as ``z L^T``."""
+
+    def test_identity(self):
+        L, L_inv = inverse_factor(np.eye(2))
+        assert np.array_equal(L, np.eye(2)) and np.array_equal(L_inv, np.eye(2))
+
+    def test_diagonal(self):
+        L, L_inv = inverse_factor(np.diag([4.0, 9.0]))
+        assert np.allclose(L, np.diag([2.0, 3.0]))
+        assert np.allclose(L_inv, np.diag([0.5, 1.0 / 3.0]))
+
+    def test_random_pd_reconstructs(self, rng):
+        M = random_pd(rng, 5, (1e-3, 1e3))
+        assert_is_sampling_root(M, *inverse_factor(M))
+
+    def test_indefinite_is_refused_with_its_eigenvalue(self):
+        with pytest.raises(NotPD) as refusal:
+            inverse_factor(np.diag([1.0, -0.5]), "M")
+        assert refusal.value.min_eigenvalue == -0.5
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 10**9), st.integers(1, 12))
+    def test_square_reconstruction_property(self, seed, dim):
+        M = random_pd(np.random.default_rng(seed), dim, (1e-3, 1e3))
+        assert_is_sampling_root(M, *inverse_factor(M))
+
+
 def inverse_blocks(noise):
     """The blocks ``(omega_11, omega_12, omega_21, omega_22)`` of ``joint()^-1``
     that the pair factorization forms, bit for bit.

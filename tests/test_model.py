@@ -36,6 +36,7 @@ from fusionkit import (
 )
 
 from fusionkit.cli import ScenarioError, load_scenario
+from fusionkit.model import draw_rows, draw_streams
 from fusionkit.matrixkit import SINGULAR_CONDITION, _require_psd, inverse_factor, symmetrize
 
 from conftest import random_joint_noise, random_orthogonal, random_pd, rel_fro
@@ -377,6 +378,18 @@ class TestSimulate:
         emp = batch.observations.T @ batch.observations / N
         expected = model.A @ P @ model.A.T + sigma
         assert rel_fro(emp, expected) < 0.05
+
+    def test_pair_draws_through_the_joint_cholesky_factor(self, rng):
+        pair = ModalityPair(LinearModel(rng.standard_normal((3, 2))),
+                            LinearModel(rng.standard_normal((2, 2))), random_joint_noise(rng, 3, 2))
+        prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+        batch = simulate(pair, prior, N=50, seed=6)
+        L, _ = inverse_factor(pair.noise.joint(), "joint noise covariance")
+        sources, noise_rows = draw_rows(prior, L, 50, draw_streams(6))
+        assert np.array_equal(batch.sources, sources)
+        assert np.array_equal(batch.observations, sources @ pair.first.A.T + noise_rows[:, :3])
+        assert np.array_equal(batch.second_observations,
+                              sources @ pair.second.A.T + noise_rows[:, 3:])
 
     def test_pair_simulation_deterministic_and_shaped(self, rng):
         pair = ModalityPair(
