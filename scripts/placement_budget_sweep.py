@@ -19,10 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from fusionkit import local_optimality_probe, optimal_secondary, svd_of_rho
-from fusionkit.placement import _budget_terms, _budget_value
-
-# The KKT residual bound of a placement solve, as acceptance criterion 07 asserts it.
-KKT_BOUND = 1e-5
+from fusionkit.placement import KKT_BOUND, _budget_terms, _budget_value
 
 
 def main() -> int:

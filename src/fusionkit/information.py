@@ -227,34 +227,36 @@ def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
     return sigma_max
 
 
-def _cross_solvers(rho, singular_values=None):
+def _cross_solvers(rho, singular_values, cap=None):
     """Solvers applying ``K = (I - rho^T rho)^-1`` and ``K' = (I - rho rho^T)^-1``, and their norm.
 
     Both have 2-norm ``1 / (1 - sigma_max^2)``, read off the singular values
     of rho like the eigenvalues of ``I - rho^T rho``, which the one refusal
-    rule of every inverse decides, so the guard costs no eigen-solve. The
-    singular values are taken here unless the caller holds them already.
+    rule of every inverse decides, so the guard costs no eigen-solve.
     Each solver solves with its matrix rather than multiplying by an
     explicit inverse, which near a unitary rho loses up to ten times more.
-    ``I - rho rho^T`` is built only when ``K'`` is applied.
+    ``cap = I - rho^T rho`` is built here unless the caller holds it;
+    ``I - rho rho^T`` is built the first time ``K'`` is applied, and kept.
     Raises :class:`Inadmissible` if ``sigma_max(rho) >= 1`` and
     :class:`Singular` if ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``.
     """
-    if singular_values is None:
-        singular_values = np.linalg.svd(rho, compute_uv=False)
     s = np.asarray(singular_values, dtype=float)
     _admissible_sigma_max(float(s[0]) if s.size else 0.0)
     n1, n2 = rho.shape
     gap = np.ones(n2)
     gap[: s.size] -= s**2
     _require_pd_conditioned(np.sort(gap), "(I - rho^T rho)")
-    cap = np.eye(n2) - rho.T @ rho
+    cap = np.eye(n2) - rho.T @ rho if cap is None else cap
+    cap_p = None
 
     def solve_k(X):
         return np.linalg.solve(cap, X)
 
     def solve_kp(X):
-        return np.linalg.solve(np.eye(n1) - rho @ rho.T, X)
+        nonlocal cap_p
+        if cap_p is None:
+            cap_p = np.eye(n1) - rho @ rho.T
+        return np.linalg.solve(cap_p, X)
 
     return solve_k, solve_kp, 1.0 / float(np.min(gap))
 

@@ -222,7 +222,7 @@ def joint_information_nonlinear(
     L_v_inv, L_u_inv, W_v, _, _ = factor_noise(noise)
     rho = W_v @ L_u_inv.T
     n1, n2 = rho.shape
-    solve_k, solve_kp, _ = _cross_solvers(rho)
+    solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
     K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
 
     def joint_integrand(S):

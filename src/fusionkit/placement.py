@@ -17,7 +17,9 @@ objective; the maximizing branch, ``lambda > lambda_max(K)``, is not
 solved here. First-order stationarity is verified on every solve by the
 analytic gradient of the Lagrangian, evaluated in two algebraically
 distinct forms that must agree; the perturbation probe reports how
-perturbations move the objective.
+perturbations move the objective. What depends on rho alone is taken
+once per bit-equal rho (:func:`_analysis`): a budget sweep on one pair
+and the probes of its solutions take one SVD.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBudget, NoRoot, Singular
+from .errors import DegenerateBudget, FusionKitError, NoRoot, Singular
 from .information import _admissible_sigma_max, _cross_solvers, _whitened_fisher
-from .matrixkit import forms_agree, require_finite
+from .matrixkit import _read_only_copy, forms_agree, require_finite
 from .model import SourcePrior, require_prior_size
 
 # Perturbations drawn and scored together by the probe; bounds its memory.
@@ -36,6 +38,8 @@ PROBE_BLOCK = 256
 
 # Largest KKT residual of a returned solution (acceptance criterion 07).
 KKT_BOUND = 1e-5
+
+_last_rho = None  # (key, U, s, cap, solvers, K) of the last rho read: see _analysis
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class SvdOfRho:
     ``d`` holds the diagonal entries of ``U^T A~ A~^T U``, with ``U`` the
     left singular vectors of rho; the root equation is
     ``sum_i d_i sigma_i^2 / [1 - lambda (1 - sigma_i^2)]^2 = p``. ``n2`` is
-    the column count of rho, the secondary's channel count.
+    the column count of rho; the singular values are read-only (:func:`_analysis`).
     """
 
     singular_values: np.ndarray
@@ -127,6 +131,44 @@ def _whitened_inputs(A_tilde, rho, B_tilde=None, b_name="B_tilde") -> tuple[np.n
     return tuple(arrays.values())
 
 
+def _analysis(rho: np.ndarray) -> tuple:
+    """``(key, U, s, cap, solvers, K)`` of rho, memoized in one slot for a bit-equal rho.
+
+    The full SVD, ``cap = I - rho^T rho``, :func:`_cross_solvers`' solvers (None while its
+    guard refuses rho) and ``K = cap^-1`` (None until :func:`_probe_k`). The key is a private
+    read-only copy, compared bit for bit (``-0.0`` is not ``0.0``); a miss replaces the slot.
+    """
+    global _last_rho
+    memo = _last_rho
+    if memo is not None and np.array_equal(rho.view(np.int64), memo[0].view(np.int64)):
+        return memo
+    key = _read_only_copy(rho)
+    U, s, _ = np.linalg.svd(key)
+    s.setflags(write=False)
+    cap = np.eye(key.shape[1]) - key.T @ key
+    try:
+        solvers = _cross_solvers(key, s, cap)
+    except FusionKitError:
+        solvers = None
+    _last_rho = memo = (key, U, s, cap, solvers, None)
+    return memo
+
+
+def _solvers(memo: tuple) -> tuple:
+    """The solvers of an analysis; a refused rho is judged again, and raises as on a miss."""
+    key, _, s, cap, solvers, _ = memo
+    return solvers or _cross_solvers(key, s, cap)
+
+
+def _probe_k(rho: np.ndarray) -> np.ndarray:
+    """``K = (I - rho^T rho)^-1`` of the analysis of rho: one solve, the first time it is asked."""
+    global _last_rho
+    memo = _analysis(rho)
+    if memo[5] is None:
+        memo = _last_rho = memo[:5] + (_solvers(memo)[0](np.eye(rho.shape[1])),)
+    return memo[5]
+
+
 def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -> float:
     """Trace of the joint information for a whitened pair (the synergy score).
 
@@ -136,7 +178,7 @@ def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -
     A_tilde, rho, B_tilde = _whitened_inputs(A_tilde, rho, B_tilde)
     if prior is not None:
         require_prior_size(prior, A_tilde.shape[1])
-    e = float(np.trace(_whitened_fisher(A_tilde, B_tilde, rho, _cross_solvers(rho)[0])))
+    e = float(np.trace(_whitened_fisher(A_tilde, B_tilde, rho, _solvers(_analysis(rho))[0])))
     if prior is not None:
         e += float(np.trace(prior.info_matrix()))
     return e
@@ -152,7 +194,7 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
     """
     A, rho, B = _whitened_inputs(A_tilde, rho, B_tilde)
     n1, n2 = rho.shape
-    solve_k, solve_kp, k_norm = _cross_solvers(rho)
+    solve_k, solve_kp, k_norm = _solvers(_analysis(rho))
 
     K = solve_k(np.eye(n2))
     M = A.T @ rho - B.T
@@ -165,11 +207,14 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
 
 
 def svd_of_rho(A_tilde, rho) -> SvdOfRho:
-    """SVD of rho and the primary-side diagonal weights for the root equation."""
+    """Memoized SVD of rho (:func:`_analysis`) and the per-call weights of the root equation."""
     A_tilde, rho = _whitened_inputs(A_tilde, rho)
-    U, s, _ = np.linalg.svd(rho)
-    d = np.diag(U.T @ A_tilde @ A_tilde.T @ U).copy()
-    return SvdOfRho(singular_values=s, d=np.maximum(d, 0.0), n2=rho.shape[1])
+    return _root_weights(A_tilde, _analysis(rho))
+
+
+def _root_weights(A_tilde, memo: tuple) -> SvdOfRho:
+    d = np.diag(memo[1].T @ A_tilde @ A_tilde.T @ memo[1])
+    return SvdOfRho(singular_values=memo[2], d=np.maximum(d, 0.0), n2=memo[0].shape[1])
 
 
 def _budget_terms(svd: SvdOfRho) -> tuple[np.ndarray, np.ndarray]:
@@ -180,11 +225,7 @@ def _budget_terms(svd: SvdOfRho) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _budget_value(lam: float, c: np.ndarray, oms: np.ndarray) -> float:
-    return float(np.sum(c / (1.0 - lam * oms) ** 2))
-
-
-def _budget_slope(lam: float, c: np.ndarray, oms: np.ndarray) -> float:
-    return float(np.sum(2.0 * c * oms / (1.0 - lam * oms) ** 3))
+    return float(np.add.reduce(c / (1.0 - lam * oms) ** 2))
 
 
 def _require_budget(p: float) -> None:
@@ -242,13 +283,9 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
             attainable_min=at_zero,
         )
 
-    # Branch upper limit: every eigenvalue of rho^T rho (including padded
-    # zeros when the secondary has more channels than the primary) must
-    # keep 1 - lambda (1 - sigma^2) positive.
-    tau = np.zeros(svd.n2)
-    k = svd.singular_values.shape[0]
-    tau[:k] = svd.singular_values**2
-    max_one_minus = float(np.max(1.0 - tau))
+    # Branch upper limit: 1 - lambda (1 - sigma^2) stays positive for every eigenvalue
+    # of rho^T rho, with the zeros padded when the secondary has more channels.
+    max_one_minus = float(np.max(oms)) if oms.size == svd.n2 else 1.0
     lam_hi = np.inf if max_one_minus <= 0.0 else 1.0 / max_one_minus
 
     hi = min(1.0, 0.5 * lam_hi) if np.isfinite(lam_hi) else 1.0
@@ -269,14 +306,15 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
 
     lo, lam = 0.0, hi
     for _ in range(200):
-        resid = _budget_value(lam, c, oms) - p
+        q = 1.0 - lam * oms  # gives the value and the slope of the budget at lam
+        resid = float(np.add.reduce(c / q**2)) - p
         if abs(resid) <= 1e-12 * p:
             break
         if resid > 0.0:
             hi = lam
         else:
             lo = lam
-        step = lam - resid / _budget_slope(lam, c, oms)
+        step = lam - resid / float(np.add.reduce(2.0 * c * oms / q**3))
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
         if step in (lo, hi):  # the bracket is down to adjacent floats
@@ -304,9 +342,9 @@ def optimal_secondary(
       degenerate solution with that analysis is returned instead of a
       misleading zero matrix.
 
-    One SVD of rho (:func:`svd_of_rho`) feeds the admissibility check, the
-    root, the objective and the stationarity check; ``I - rho^T rho`` is
-    built once. Raises :class:`NonFinite` if the budget weights,
+    One analysis of each bit-equal rho (:func:`_analysis`) feeds the
+    admissibility check, the root, the objective and the stationarity
+    check. Raises :class:`NonFinite` if the budget weights,
     ``B~*`` or the objective overflow, and :class:`Singular`, carrying
     ``cond(I - rho^T rho)``, if the KKT residual exceeds ``KKT_BOUND``: near
     the condition limit stationarity cannot be verified to that bound.
@@ -315,7 +353,8 @@ def optimal_secondary(
     _require_budget(p)
     if prior is not None:
         require_prior_size(prior, A_tilde.shape[1])
-    svd = svd_of_rho(A_tilde, rho)
+    memo = _analysis(rho)
+    svd = _root_weights(A_tilde, memo)
     s = svd.singular_values
     _admissible_sigma_max(float(s[0]) if s.size else 0.0, strict=False)
 
@@ -337,8 +376,7 @@ def optimal_secondary(
             ),
         )
 
-    n2 = rho.shape[1]
-    cap = np.eye(n2) - rho.T @ rho
+    n2, cap = rho.shape[1], memo[3]
     if float(np.max(np.abs(cap))) <= 1e-8:
         B_star = rho.T @ A_tilde
         e = float(np.trace(A_tilde.T @ A_tilde)) + prior_trace
@@ -356,7 +394,7 @@ def optimal_secondary(
         )
 
     lam = lambda_root(svd, p)
-    solvers = _cross_solvers(rho, s)
+    solvers = _solvers(memo)
     B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
     e = float(np.trace(_whitened_fisher(A_tilde, B_star, rho, solvers[0]))) + prior_trace
     kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e, solvers)
@@ -440,9 +478,9 @@ def local_optimality_probe(
     blocks of ``PROBE_BLOCK`` (see :func:`_perturbation_gains`): memory
     stays bounded for any ``n_perturbations``, and the gains equal those
     of drawing them one at a time, up to rounding. ``K = (I - rho^T rho)^-1``
-    is guarded by the singular values of the ``rho`` given, so a ``rho``
-    outside the admissible range raises :class:`Inadmissible`, and one
-    beyond the condition limit :class:`Singular`, whatever the solution.
+    is guarded by the singular values of the ``rho`` given (:func:`_analysis`),
+    so a ``rho`` outside the admissible range raises :class:`Inadmissible`,
+    and one beyond the condition limit :class:`Singular`, whatever the solution.
 
     Raises :class:`ValueError` if ``delta`` is not finite and positive or
     ``n_perturbations`` is not a non-negative integer: a NaN, infinite or
@@ -471,8 +509,8 @@ def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta
     The objective is ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~``
     and ``K = (I - rho^T rho)^-1``. The first term is the same for every
     ``B~``, so a gain is a difference of ``sum(D * (K D))``, with ``K``
-    taken once, under the singularity guard of the objective, which reads
-    the singular values of this ``rho``.
+    read from the analysis of this ``rho`` (:func:`_probe_k`), under the
+    singularity guard of the objective.
 
     Perturbations are handled as a stack of up to ``PROBE_BLOCK`` at a
     time: one normal draw of shape ``(block, n2, m)``, each scaled to norm
@@ -483,7 +521,7 @@ def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta
     rounding; memory is two stacks of ``PROBE_BLOCK * n2 * m`` floats,
     whatever ``n_perturbations``.
     """
-    K = _cross_solvers(rho)[0](np.eye(rho.shape[1]))
+    K = _probe_k(rho)
     target = rho.T @ A_tilde
 
     def sums(X, Y):  # sum(X * Y) of each matrix of a stack

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fusionkit import BlockCovariance, LinearModel, ModalityPair, synergy_objective
+from fusionkit import BlockCovariance, LinearModel, ModalityPair, placement, synergy_objective
 from fusionkit.information import _cross_solvers, _whitened_fisher, block_plan
 from fusionkit.matrixkit import (
     factor_noise,
@@ -174,6 +174,12 @@ def joint_per_sample(h, g, noise, prior, N, seed):
     if prior.has_info:
         J = J + prior.info_matrix()
     return symmetrize(J), std_err
+
+
+@pytest.fixture(autouse=True)
+def empty_rho_analysis():
+    """Each test starts with placement's analysis slot empty: no test reads another's rho."""
+    placement._last_rho = None
 
 
 @pytest.fixture

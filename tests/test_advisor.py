@@ -114,7 +114,7 @@ class TestClassifyRegime:
         # advise reads the regime off a factorized pair, whose one guard on
         # rho refuses sigma_max(rho) >= 1 before a regime is read
         with pytest.raises(Inadmissible):
-            _cross_solvers(np.eye(2))
+            _cross_solvers(np.eye(2), np.ones(2))
 
 
 class TestAdvise:

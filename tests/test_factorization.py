@@ -226,12 +226,13 @@ def small_question(seed):
 
 # Python-level calls of one question at (3,2,2) on fresh inputs. Before the
 # pair's matrices were symmetric by construction, the same questions made
-# 70/156, 62/133, 54/132, 44/97 and 18/30.
+# 70/156, 62/133, 54/132, 44/97 and 18/30; optimal_secondary made 41/91
+# before placement memoized its analysis of rho and inlined the Newton step.
 CALL_PINS = {
     "advise": {"fusionkit": 59, "from_fusionkit": 127},
     "joint_information": {"fusionkit": 52, "from_fusionkit": 107},
     "synergy_matrices": {"fusionkit": 43, "from_fusionkit": 106},
-    "optimal_secondary": {"fusionkit": 41, "from_fusionkit": 91},
+    "optimal_secondary": {"fusionkit": 32, "from_fusionkit": 85},
     "ml_estimate": {"fusionkit": 14, "from_fusionkit": 21},
 }
 
@@ -354,8 +355,8 @@ def test_cholesky_basis_answers_match_the_symmetric_root_basis(redundant):
         pair = planted_pair(rng, n1, n2, m, redundant)
         fac = PairFactorization.from_pair(pair)
         wp = prewhiten(pair)
-        J = information._whitened_fisher(wp.A_tilde, wp.B_tilde, wp.rho,
-                                         information._cross_solvers(wp.rho)[0])
+        solve_k = information._cross_solvers(wp.rho, wp.rho_singular_values)[0]
+        J = information._whitened_fisher(wp.A_tilde, wp.B_tilde, wp.rho, solve_k)
         S_x = J - wp.A_tilde.T @ wp.A_tilde
         S_y = J - wp.B_tilde.T @ wp.B_tilde
         s_chol, s_sym = fac.whitened.rho_singular_values, wp.rho_singular_values
@@ -480,24 +481,25 @@ def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
 
 
 def test_optimal_secondary_takes_one_svd(monkeypatch):
-    # the SVD of rho feeds the admissibility check, the root, the objective
-    # and the stationarity check; the probe guards K by the singular values
-    # of the rho it is given, so a placement question (solve and probe)
-    # takes two
+    # one SVD per bit-equal rho: the analysis of rho feeds the admissibility
+    # check, the root, the objective, the stationarity check and the probe's
+    # guard of K, so a budget sweep on one pair takes one
     rng = np.random.default_rng(41)
     A = rng.standard_normal((40, 10))
     rho = random_admissible_rho(rng, 40, 30, 0.8)
-    solve_only = lapack_calls(monkeypatch, lambda: optimal_secondary(A, rho, 50.0))
-    assert solve_only["numpy.linalg.svd"] == 1
-    # the probe takes K = (I - rho^T rho)^-1 in one solve and makes no
-    # LAPACK call per perturbation, in one block or in several
+    solved = []
+    solve_only = lapack_calls(monkeypatch, lambda: solved.append(optimal_secondary(A, rho, 50.0)))
+    assert solve_only == {"numpy.linalg.svd": 1, "numpy.linalg.solve": 4}
+    # the probe of that solution takes K = (I - rho^T rho)^-1 in one solve
+    # and makes no LAPACK call per perturbation, in one block or in several
     for n in (200, 3 * placement.PROBE_BLOCK + 1):
-        counts = lapack_calls(
-            monkeypatch,
-            lambda: local_optimality_probe(A, rho, optimal_secondary(A, rho, 50.0), n),
-        )
-        assert counts == dict(collections.Counter(solve_only) + collections.Counter(
-            {"numpy.linalg.svd": 1, "numpy.linalg.solve": 1}))
+        probe = lapack_calls(monkeypatch, lambda: local_optimality_probe(A, rho, solved[0], n))
+        assert probe == ({"numpy.linalg.solve": 1} if n == 200 else {})
+    # a second budget and its probe: no SVD and no solve for K, only the
+    # solves of the closed form, the objective and the stationarity check
+    assert lapack_calls(
+        monkeypatch, lambda: local_optimality_probe(A, rho, optimal_secondary(A, rho, 80.0))
+    ) == {"numpy.linalg.solve": 4}
 
 
 @pytest.mark.parametrize("entry", ["synergy_objective", "synergy_gradient_rho"])

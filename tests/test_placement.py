@@ -6,6 +6,7 @@ import pytest
 from fusionkit import (
     DegenerateBudget,
     FormDisagreement,
+    FusionKitError,
     GaussianPrior,
     Inadmissible,
     NonFinite,
@@ -600,6 +601,140 @@ class TestProbeAndUnwhiten:
         sol = optimal_secondary(A, np.diag([0.5, 0.3]), 1.0)
         with pytest.raises(Inadmissible):
             local_optimality_probe(A, np.diag([sigma_max, 0.3]), sol)
+
+
+def fresh(call, *args, **kwargs):
+    """``call`` with placement's analysis of rho emptied first, as a new process would run it."""
+    placement._last_rho = None
+    return call(*args, **kwargs)
+
+
+def svd_calls(monkeypatch, fn):
+    """``(result of fn(), numpy.linalg.svd calls it made)``."""
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+    try:
+        return fn(), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def answers(sol, probe=None):
+    """A solution (and its probe) as plain values; ``==`` on them compares bits."""
+    values = [sol.B_star.tobytes(), sol.lambda_, sol.objective_e, sol.kkt_residual]
+    if probe is not None:
+        values += [probe.n_violations, probe.max_improvement]
+    return values
+
+
+def error_of(call, *args):
+    with pytest.raises(FusionKitError) as exc:
+        call(*args)
+    return type(exc.value), str(exc.value)
+
+
+class TestRhoAnalysisMemo:
+    """One analysis of rho per bit-equal rho; each answer is the one a fresh call gives."""
+
+    def test_budget_sweep_with_probes_equals_a_fresh_sweep(self, monkeypatch):
+        rng = np.random.default_rng(2901)
+        A = rng.standard_normal((12, 4))
+        rho = random_admissible_rho(rng, 12, 8, 0.9)
+        svd = svd_of_rho(A, rho)
+        c, oms = _budget_terms(svd)
+        lam_hi = 1.0 / float(np.max(1.0 - svd.singular_values**2))
+        budgets = [_budget_value(f * lam_hi, c, oms) for f in np.linspace(0.0, 0.9, 12)]
+
+        def sweep(solve, probe):
+            out = []
+            for p in budgets:
+                sol = solve(optimal_secondary, A, rho, p)
+                out.append(answers(sol, probe(local_optimality_probe, A, rho, sol, 200, 3, 1e-4)))
+            return out
+
+        memoized, svds = svd_calls(
+            monkeypatch, lambda: sweep(lambda f, *a: f(*a), lambda f, *a: f(*a))
+        )
+        assert svds == 0  # svd_of_rho analysed rho above
+        assert memoized == sweep(fresh, fresh)
+        # the gains straddle the threshold, so a wrong K would move the counts
+        assert 0 < sum(row[4] for row in memoized) < 12 * 200
+
+    def test_a_written_rho_is_analysed_again_and_a_bit_equal_one_is_not(self, monkeypatch):
+        rng = np.random.default_rng(2902)
+        A = rng.standard_normal((6, 3))
+        rho = random_admissible_rho(rng, 6, 4, 0.7)
+        halved = 0.5 * rho
+        p = 2.0 * _budget_value(0.0, *_budget_terms(svd_of_rho(A, rho)))
+        want = answers(fresh(optimal_secondary, A, halved, p))
+        fresh(optimal_secondary, A, rho, p)
+        rho *= 0.5  # the caller writes into the array it passed
+        got, svds = svd_calls(monkeypatch, lambda: answers(optimal_secondary(A, rho, p)))
+        assert (got, svds) == (want, 1)
+        got, svds = svd_calls(monkeypatch, lambda: answers(optimal_secondary(A, halved, p)))
+        assert (got, svds) == (want, 0)
+
+    def test_a_refused_rho_raises_on_every_call(self):
+        # the instance of test_unverifiable_stationarity_is_refused: inside
+        # the condition limit, but its KKT residual is past KKT_BOUND
+        rng = np.random.default_rng([7, 157])
+        U, _ = np.linalg.qr(rng.standard_normal((4, 3)))
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        s = np.sort(rng.uniform(0.1, 0.9, 3))[::-1]
+        s[0] = np.sqrt(1.0 - 10.0 ** rng.uniform(-12.0, -11.0))
+        A = rng.standard_normal((4, 2))
+        unverifiable = (U * s) @ V.T
+        p = _budget_value(0.0, *_budget_terms(svd_of_rho(A, unverifiable))) * rng.uniform(1.25, 5.0)
+        past_limit = (U * np.array([1.0 - 1e-13, s[1], s[2]])) @ V.T  # cond ~ 5e12
+        B = rng.standard_normal((3, 2))
+        sol = PlacementSolution(B_star=B, lambda_=0.0, budget_p=1.0, objective_e=0.0,
+                                kkt_residual=0.0)
+        cases = [
+            (optimal_secondary, (A, np.eye(4, 3) * [1.5, 0.5, 0.2], p), Inadmissible, "sigma_max"),
+            (local_optimality_probe, (A, np.eye(4, 3) * [1.0, 0.5, 0.2], sol), Inadmissible,
+             "sigma_max"),
+            (optimal_secondary, (A, past_limit, p), Singular, "numerically singular"),
+            (local_optimality_probe, (A, past_limit, sol), Singular, "numerically singular"),
+            (synergy_objective, (A, B, past_limit), Singular, "numerically singular"),
+            (optimal_secondary, (A, unverifiable, p), Singular, "KKT residual"),
+        ]
+        admissible = (U * np.array([0.6, s[1], s[2]])) @ V.T
+        p_admissible = 2.0 * _budget_value(0.0, *_budget_terms(svd_of_rho(A, admissible)))
+        for call, args, error, words in cases:
+            first = error_of(fresh, call, *args)
+            assert first[0] is error and words in first[1]
+            assert [error_of(call, *args) for _ in range(3)] == [first] * 3
+            assert optimal_secondary(A, admissible, p_admissible).B_star.shape == (3, 2)
+            assert error_of(call, *args) == first
+
+    def test_a_probe_reads_the_k_of_the_rho_it_is_given(self):
+        rng = np.random.default_rng(2904)
+        A = rng.standard_normal((5, 3))
+        rho_1 = random_admissible_rho(rng, 5, 4, 0.8)
+        rho_2 = random_admissible_rho(rng, 5, 4, 0.8)
+        sol = optimal_secondary(A, rho_1, 3.0 * _budget_value(
+            0.0, *_budget_terms(svd_of_rho(A, rho_1))))
+        local_optimality_probe(A, rho_1, sol)  # K of rho_1 memoized
+        gains = _perturbation_gains(A, rho_2, sol.B_star, 100, 5, 1e-3)
+        assert np.array_equal(gains, fresh(_perturbation_gains, A, rho_2, sol.B_star, 100, 5, 1e-3))
+        oracle, base = one_at_a_time_gains(A, rho_2, sol.B_star, 100, 5, 1e-3)
+        assert np.max(np.abs(gains - oracle)) <= 1e-12 * (1.0 + abs(base))
+
+    def test_another_primary_on_the_same_rho_gets_its_own_weights(self):
+        rng = np.random.default_rng(2905)
+        rho = random_admissible_rho(rng, 6, 4, 0.8)
+        A_1, A_2 = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        U = np.linalg.svd(rho)[0]
+        for A in (A_1, A_2, A_1):
+            d = svd_of_rho(A, rho).d
+            assert np.array_equal(d, fresh(svd_of_rho, A, rho).d)
+            assert np.array_equal(d, np.maximum(np.diag(U.T @ A @ A.T @ U), 0.0))
+            p = 2.0 * _budget_value(0.0, *_budget_terms(svd_of_rho(A, rho)))
+            got = optimal_secondary(A, rho, p)
+            assert answers(got) == answers(fresh(optimal_secondary, A, rho, p))
+            assert rel_fro(got.B_star, np.linalg.solve(
+                np.eye(4) - got.lambda_ * (np.eye(4) - rho.T @ rho), rho.T @ A)) <= 1e-12
 
 
 # A whitened instance every placement entry point answers: A~ (3, 2),
