@@ -23,7 +23,7 @@ from fusionkit import (
     PairFactorization,
     RouteDisagreement,
 )
-from fusionkit.information import route_disagreement
+from fusionkit.matrixkit import FORM_TOL
 
 
 def random_pair(rng, n1, n2, m):
@@ -41,7 +41,7 @@ def disagreement(pair) -> float:
     # The routes are cross-validated when computed; a failed check carries
     # the disagreement it found.
     try:
-        return route_disagreement(PairFactorization.from_pair(pair).routes)
+        return PairFactorization.from_pair(pair).route_error
     except RouteDisagreement as exc:
         return exc.max_relative_error
 
@@ -74,13 +74,13 @@ def main() -> int:
         "trials_per_combo": args.trials,
         "seed": args.seed,
         "overall_worst": overall_worst,
-        "tolerance": 1e-8,
-        "passed": overall_worst < 1e-8,
+        "tolerance": FORM_TOL,
+        "passed": overall_worst < FORM_TOL,
     }
     base.with_suffix(".json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(
         f"route sweep: {len(rows)} combos x {args.trials} trials, worst relative "
-        f"disagreement {overall_worst:.3e} (tolerance 1e-8)",
+        f"disagreement {overall_worst:.3e} (tolerance {FORM_TOL:g})",
         file=sys.stderr,
     )
     return 0 if summary["passed"] else 1

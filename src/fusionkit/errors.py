@@ -67,7 +67,8 @@ class NoScore(FusionKitError):
 class RouteDisagreement(FusionKitError):
     """Independent algebraic routes to the same matrix disagree beyond tolerance.
 
-    Signals a numerical-conditioning problem in the inputs.
+    Raised by a pair's factorization, for its routes or its synergy matrices;
+    signals a numerical-conditioning problem in the inputs.
     """
 
     def __init__(self, message: str, max_relative_error: float | None = None):
@@ -76,7 +77,7 @@ class RouteDisagreement(FusionKitError):
 
 
 class FormDisagreement(FusionKitError):
-    """Two published algebraic forms of the same expression disagree."""
+    """Two published forms of one gradient or per-sample information disagree."""
 
     def __init__(self, message: str, max_relative_error: float | None = None):
         super().__init__(message)

@@ -6,9 +6,10 @@ signal-to-noise ratio. For two sensor groups with cross-correlated
 noise, the joint information is computed through four independent
 algebraic routes (block inverse of the joint covariance, two Schur
 quadratic forms, and the prewhitened representation) which are
-cross-validated on every call: their agreement is this module's core
-self-test, and disagreement signals an ill-conditioned input rather
-than being averaged away.
+cross-validated on every call, as are the synergy matrices against
+``J_joint - J_single``, by :func:`~fusionkit.matrixkit.require_agreement`:
+their agreement is this module's core self-test, and a disagreement, an
+ill-conditioned input, is raised as :class:`RouteDisagreement`.
 
 :func:`mc_moments` is the one Monte-Carlo reduction, shared with the
 nonlinear module: it runs seed-split blocks of prior draws one after
@@ -27,11 +28,13 @@ import numpy as np
 from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
+    _frobenius,
     _require_pd_conditioned,
     admit_symmetric,
     derived_inverse,
     factor_noise,
     noise_whitener,
+    require_agreement,
     require_finite,
     symmetrize,
 )
@@ -39,9 +42,6 @@ from .model import LinearModel, ModalityPair, SourcePrior, require_prior_size
 
 # sigma_max(rho) at or above this is flagged near-singular (not an error).
 NEAR_SINGULAR_RHO = 1.0 - 1e-8
-
-# Relative Frobenius tolerance for the four-route cross-validation.
-ROUTE_TOL = 1e-8
 
 # Prior draws per Monte-Carlo block.
 DEFAULT_BLOCK = 8192
@@ -272,22 +272,6 @@ def _whitened_fisher(A_tilde, B_tilde, rho, solve_k) -> np.ndarray:
     return symmetrize(A_t @ A_tilde + M @ solve_k(np.swapaxes(M, -1, -2)))
 
 
-def route_disagreement(routes: dict[str, np.ndarray]) -> float:
-    """Maximum pairwise relative Frobenius distance between the routes.
-
-    Raises :class:`NonFinite` if a route has a non-finite entry.
-    """
-    for name, M in routes.items():
-        require_finite(M, f"joint-information route {name!r}")
-    mats = list(routes.values())
-    scale = max(max(float(np.linalg.norm(M, "fro")) for M in mats), 1e-300)
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, float(np.linalg.norm(mats[i] - mats[j], "fro")) / scale)
-    return worst
-
-
 @dataclass(frozen=True)
 class PairFactorization:
     """A modality pair with every block factorized once, and all that is read from it.
@@ -321,10 +305,10 @@ class PairFactorization:
 
         Raises :class:`NotPD` or :class:`Singular` as :func:`factor_noise`
         does, :class:`Singular` if ``cond(I - rho^T rho)`` exceeds
-        ``SINGULAR_CONDITION``, :class:`NonFinite` if a route overflows, and
-        :class:`RouteDisagreement` if the routes, or a synergy matrix and
-        ``J_joint - J_single``, differ by ``ROUTE_TOL`` or more (an input
-        conditioning problem).
+        ``SINGULAR_CONDITION``, :class:`NonFinite` if a route or a synergy
+        matrix overflows, and :class:`RouteDisagreement` if two routes, or a
+        synergy matrix and ``J_joint - J_single``, differ by ``FORM_TOL`` or
+        more (an input conditioning problem): the routes are checked first.
         """
         if pair._factorization is not None:
             return pair._factorization
@@ -356,26 +340,18 @@ class PairFactorization:
             "schur_g": symmetrize(snr2 + quad_g),
             "prewhitened": _whitened_fisher(wp.A_tilde, wp.B_tilde, wp.rho, solve_k),
         }
-        worst = route_disagreement(routes)
-        if worst >= ROUTE_TOL:
-            raise RouteDisagreement(
-                f"joint-information routes disagree (max relative error {worst:.3e})",
-                max_relative_error=worst,
-            )
-        snr1, snr2 = symmetrize(snr1), symmetrize(snr2)
-        S_x, S_y = symmetrize(quad_f), symmetrize(quad_g)
-        scale = 1.0 + float(np.linalg.norm(J_block, "fro"))
-        err_x = float(np.linalg.norm(S_x - (J_block - snr1), "fro")) / scale
-        err_y = float(np.linalg.norm(S_y - (J_block - snr2), "fro")) / scale
-        if max(err_x, err_y) >= ROUTE_TOL:
-            raise RouteDisagreement(
-                "synergy matrices disagree with J_joint - J_single "
-                f"(relative errors {err_x:.3e}, {err_y:.3e})",
-                max_relative_error=max(err_x, err_y),
-            )
+        R = np.array(tuple(routes.values()))
+        scale = max(float(np.maximum.reduce(_frobenius(R), axis=None)), 1e-300)
+        worst = require_agreement(R[:, None], R, scale, "joint-information routes",
+                                  RouteDisagreement)
+        snr = symmetrize(np.array((snr1, snr2)))
+        S = symmetrize(np.array((quad_f, quad_g)))
+        require_agreement(S, J_block - snr, 1.0 + float(_frobenius(J_block)),
+                          "synergy matrices and J_joint - J_single", RouteDisagreement)
         for M in (wp.A_tilde, wp.B_tilde, wp.rho, wp.rho_singular_values,
-                  snr1, snr2, S_x, S_y, *routes.values()):
+                  snr, S, *routes.values()):
             M.setflags(write=False)
+        (snr1, snr2), (S_x, S_y) = snr, S  # read-only views of read-only stacks
         fac = cls(wp, snr1, snr2, routes, worst, S_x, S_y)
         object.__setattr__(pair, "_factorization", fac)
         return fac

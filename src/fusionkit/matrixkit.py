@@ -24,6 +24,11 @@ A whitened pair's answers do not depend on the basis of the whitening;
 the symmetric roots, which fix the basis that ``place`` prints, are taken by
 ``information.prewhiten`` alone.
 
+Two computations of one quantity agree by one rule, :func:`require_agreement`:
+the joint-information routes and the synergy matrices (refused as
+:class:`RouteDisagreement`), and two published forms of a gradient or of a
+per-sample information (:class:`FormDisagreement`).
+
 Symmetry is a property of how a matrix is built, not a pass repeated on
 it. A matrix is symmetrized once, where it is admitted
 (:func:`admit_symmetric`, which returns an input within the symmetry
@@ -47,17 +52,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormDisagreement, NonFinite, NotPD, NotPSD, Singular
+from .errors import FormDisagreement, NonFinite, NotPD, NotPSD, RouteDisagreement, Singular
 
 # Condition estimate above which a solve is refused as numerically singular.
 SINGULAR_CONDITION = 1e12
 
-# Relative Frobenius tolerance between two algebraic forms of one quantity.
+# Relative Frobenius tolerance of the one agreement rule (:func:`require_agreement`).
 FORM_TOL = 1e-8
 
-# Forms built on an inverse of condition number kappa are each accurate to
-# about kappa * machine epsilon; their tolerance is this many times that
-# when it exceeds FORM_TOL.
+# Computations built on an inverse of condition number kappa are each
+# accurate to about kappa * machine epsilon; their tolerance is this many
+# times that when it exceeds FORM_TOL.
 FORM_CONDITION_SLACK = 100.0
 
 _EPS = float(np.finfo(float).eps)
@@ -306,33 +311,30 @@ def derived_inverse(
     return L_inv.T @ L_inv
 
 
-def forms_agree(form1, form2, what: str, condition: float = 1.0) -> np.ndarray:
-    """Return ``form1`` once it has been checked against ``form2``.
+def _frobenius(M) -> np.ndarray:
+    """``np.linalg.norm(M, axis=(-2, -1))`` of a float stack to the last bit, in one reduction."""
+    return np.sqrt(np.add.reduce(M * M, axis=(-2, -1)))
 
-    The two are algebraically distinct forms of one quantity, or stacks
-    (..., k, k) of such pairs; the relative Frobenius distance
-    ``||form1 - form2|| / (1 + ||form1||)`` of every matrix must stay
-    below ``FORM_TOL``. Forms that apply an inverse of condition number
-    ``condition`` cannot agree better than about ``condition`` times
-    machine epsilon, so the tolerance becomes
-    ``FORM_CONDITION_SLACK * condition * eps`` where that is larger.
 
-    Raises
-    ------
-    NonFinite
-        If either form has a non-finite entry.
-    FormDisagreement
-        If they disagree; the error carries the largest relative distance.
+def require_agreement(
+    first, second, scale, what: str, error: type[RouteDisagreement | FormDisagreement],
+    condition: float = 1.0,
+) -> float:
+    """The one agreement rule; returns the largest ``||first - second||_F / scale``.
+
+    ``first`` and ``second`` broadcast to a stack (..., k, l) of pairs, and the
+    check's own ``scale`` to its shape (...). The distance is refused, as
+    ``error`` carrying it, when it reaches ``FORM_TOL`` and ``FORM_CONDITION_SLACK
+    * condition * eps``: forms that apply an inverse of condition ``condition``
+    agree only to about ``condition * eps``. A non-finite entry in either stack
+    is refused first, as :class:`NonFinite`.
     """
-    require_finite(form1, what)
-    require_finite(form2, what)
-    dist = np.linalg.norm(form1 - form2, axis=(-2, -1))
-    err = float(np.max(dist / (1.0 + np.linalg.norm(form1, axis=(-2, -1)))))
+    if not (np.isfinite(first).all() and np.isfinite(second).all()):
+        raise NonFinite(f"non-finite entries in {what}")
+    err = float(np.maximum.reduce(_frobenius(first - second) / scale, axis=None))
     if err >= FORM_TOL and err >= FORM_CONDITION_SLACK * condition * _EPS:
-        raise FormDisagreement(
-            f"{what} disagree (relative error {err:.3e})", max_relative_error=err
-        )
-    return form1
+        raise error(f"{what} disagree (max relative error {err:.3e})", max_relative_error=err)
+    return err
 
 
 def require_finite(M, what: str) -> None:

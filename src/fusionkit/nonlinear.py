@@ -24,13 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import FormDisagreement, NonFinite
 from .information import McInfoEstimate, _cross_solvers, _whitened_fisher, mc_moments
 from .matrixkit import (
     BlockCovariance,
+    _frobenius,
     factor_noise,
-    forms_agree,
     noise_whitener,
+    require_agreement,
 )
 from .model import SourcePrior, require_pair_shapes, require_prior_size
 
@@ -230,7 +231,9 @@ def joint_information_nonlinear(
         Dg = L_u_inv @ g.jacobians(S)  # whitened Jacobians, (count, n2, m)
         form1 = _whitened_fisher(Dh, Dg, rho, K_a.__matmul__)
         form2 = _whitened_fisher(Dg, Dh, rho.T, K_b.__matmul__)
-        return forms_agree(form1, form2, "joint nonlinear information forms per sample")
+        require_agreement(form1, form2, 1.0 + _frobenius(form1),
+                          "joint nonlinear information forms per sample", FormDisagreement)
+        return form1
 
     J, std_err = mc_moments(prior, N, seed, joint_integrand)
     if prior.has_info:

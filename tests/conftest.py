@@ -9,12 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fusionkit import BlockCovariance, LinearModel, ModalityPair, placement, synergy_objective
+from fusionkit import (
+    BlockCovariance,
+    FormDisagreement,
+    LinearModel,
+    ModalityPair,
+    placement,
+    synergy_objective,
+)
 from fusionkit.information import _cross_solvers, _whitened_fisher, block_plan
 from fusionkit.matrixkit import (
     factor_noise,
-    forms_agree,
     noise_whitener,
+    require_agreement,
     symmetrize,
 )
 
@@ -168,12 +175,39 @@ def joint_per_sample(h, g, noise, prior, N, seed):
         Dg = L_u_inv @ _per_sample_jac(g, s)
         form1 = _whitened_fisher(Dh, Dg, rho, K_a.__matmul__)
         form2 = _whitened_fisher(Dg, Dh, rho.T, K_b.__matmul__)
-        return forms_agree(form1, form2, "joint nonlinear information forms per sample")
+        require_agreement(form1, form2, 1.0 + np.linalg.norm(form1, axis=(-2, -1)),
+                          "joint nonlinear information forms per sample", FormDisagreement)
+        return form1
 
     J, std_err = mc_per_sample(prior, N, seed, per_sample)
     if prior.has_info:
         J = J + prior.info_matrix()
     return symmetrize(J), std_err
+
+
+def plant_disagreement(monkeypatch, module, what, skew):
+    """Move the second computation of ``module``'s agreement check ``what`` by ``skew``.
+
+    The skew is planted in the check's own units: one entry of each matrix
+    of the second stack moves by ``skew`` times that matrix's scale, so the
+    relative distance the one rule reads is ``skew`` plus the rounding of the
+    two computations. ``skew`` is a number, or a function of the condition
+    the check is made at. Every other check, and every argument, goes
+    through unchanged. Returns the list of the skews planted, one per call.
+    """
+    check = module.require_agreement
+    planted = []
+
+    def planted_check(first, second, scale, name, error, condition=1.0):
+        if name == what:
+            planted.append(skew(condition) if callable(skew) else skew)
+            E = np.zeros(np.broadcast_shapes(np.shape(first), np.shape(second)))
+            E[..., 0, 0] = planted[-1] * np.asarray(scale)
+            second = second + E
+        return check(first, second, scale, name, error, condition)
+
+    monkeypatch.setattr(module, "require_agreement", planted_check)
+    return planted
 
 
 @pytest.fixture(autouse=True)

@@ -32,7 +32,6 @@ from fusionkit import (
     wls_estimate,
 )
 from fusionkit.cli import main as cli_main
-from fusionkit.information import route_disagreement
 from fusionkit.placement import _budget_terms, _budget_value
 
 from conftest import (
@@ -128,7 +127,7 @@ def test_criterion_04_route_equivalence():
         n2 = int(rng.integers(1, 7))
         m = int(rng.integers(1, 5))
         pair = random_pair(rng, n1, n2, m)
-        worst = max(worst, route_disagreement(PairFactorization.from_pair(pair).routes))
+        worst = max(worst, PairFactorization.from_pair(pair).route_error)
     elapsed = time.perf_counter() - start
     report(
         4,

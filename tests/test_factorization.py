@@ -47,6 +47,7 @@ from fusionkit.cli import main
 from fusionkit.matrixkit import factor_noise, symmetrize
 
 from conftest import (
+    plant_disagreement,
     random_admissible_rho,
     random_joint_noise,
     random_orthogonal,
@@ -55,6 +56,8 @@ from conftest import (
     rel_fro,
     symmetric_root,
 )
+
+SYNERGY_CHECK = "synergy matrices and J_joint - J_single"
 
 # Entry points of numpy.linalg and scipy.linalg that the library could call
 # (scipy only if the library imported it).
@@ -228,10 +231,12 @@ def small_question(seed):
 # pair's matrices were symmetric by construction, the same questions made
 # 70/156, 62/133, 54/132, 44/97 and 18/30; optimal_secondary made 41/91
 # before placement memoized its analysis of rho and inlined the Newton step.
+# Before the routes, the synergy matrices and the gradient forms were compared
+# by one agreement rule, the first four made 59/127, 52/107, 43/106 and 32/85.
 CALL_PINS = {
-    "advise": {"fusionkit": 59, "from_fusionkit": 127},
-    "joint_information": {"fusionkit": 52, "from_fusionkit": 107},
-    "synergy_matrices": {"fusionkit": 43, "from_fusionkit": 106},
+    "advise": {"fusionkit": 53, "from_fusionkit": 104},
+    "joint_information": {"fusionkit": 46, "from_fusionkit": 84},
+    "synergy_matrices": {"fusionkit": 37, "from_fusionkit": 83},
     "optimal_secondary": {"fusionkit": 32, "from_fusionkit": 85},
     "ml_estimate": {"fusionkit": 14, "from_fusionkit": 21},
 }
@@ -465,19 +470,45 @@ def test_route_disagreement_raises(rng, monkeypatch):
     assert exc.value.max_relative_error >= 1e-8
 
 
-def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
-    # the routes are declared in agreement, so only the synergy check can fire
-    factor_noise = information.factor_noise
-
-    def perturbed(block):
-        L_v_inv, L_u_inv, W_v, F, G = factor_noise(block)
-        return L_v_inv, L_u_inv, W_v, 1.001 * F, G
-
-    monkeypatch.setattr(information, "route_disagreement", lambda routes: 0.0)
-    monkeypatch.setattr(information, "factor_noise", perturbed)
+@pytest.mark.parametrize("skew, refused", [(0.9e-8, False), (1.1e-8, True)])
+def test_route_check_boundary(rng, monkeypatch, skew, refused):
+    # the prewhitened route moved by a relative skew: the routes' distance,
+    # on the largest route's norm, is skew / (1 + skew) plus rounding
+    whitened = information._whitened_fisher
+    monkeypatch.setattr(
+        information, "_whitened_fisher", lambda *a: whitened(*a) * (1.0 + skew)
+    )
     pair = random_pair(rng, 3, 2, 2)
-    with pytest.raises(RouteDisagreement, match="synergy"):
+    if refused:
+        with pytest.raises(RouteDisagreement, match="joint-information routes") as exc:
+            joint_information(pair)
+        error = exc.value.max_relative_error
+    else:
+        joint_information(pair)
+        error = PairFactorization.from_pair(pair).route_error
+    assert error == pytest.approx(skew, rel=1e-6)
+
+
+def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
+    # the routes are computed and compared as they are, and agree; only the
+    # synergy comparison is planted, so only it can fire
+    plant_disagreement(monkeypatch, information, SYNERGY_CHECK, 1e-3)
+    pair = random_pair(rng, 3, 2, 2)
+    with pytest.raises(RouteDisagreement, match="synergy") as exc:
         synergy_matrices(pair)
+    assert exc.value.max_relative_error == pytest.approx(1e-3, rel=1e-6)
+
+
+@pytest.mark.parametrize("skew, refused", [(0.9e-8, False), (1.1e-8, True)])
+def test_synergy_check_boundary(rng, monkeypatch, skew, refused):
+    plant_disagreement(monkeypatch, information, SYNERGY_CHECK, skew)
+    pair = random_pair(rng, 3, 2, 2)
+    if refused:
+        with pytest.raises(RouteDisagreement, match="synergy") as exc:
+            synergy_matrices(pair)
+        assert exc.value.max_relative_error == pytest.approx(skew, rel=1e-6)
+    else:
+        assert synergy_matrices(pair).S_x.shape == (2, 2)
 
 
 def test_optimal_secondary_takes_one_svd(monkeypatch):

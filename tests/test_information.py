@@ -31,10 +31,10 @@ from fusionkit import (
     synergy_objective,
     total_information,
 )
+from fusionkit import information
 from fusionkit.information import (
     InfoMatrix,
     block_plan,
-    route_disagreement,
 )
 from fusionkit.matrixkit import FORM_CONDITION_SLACK
 
@@ -224,7 +224,7 @@ class TestJointInformation:
             n2 = int(rng.integers(1, 7))
             m = int(rng.integers(1, 5))
             pair = random_pair(rng, n1, n2, m)
-            worst = max(worst, route_disagreement(PairFactorization.from_pair(pair).routes))
+            worst = max(worst, PairFactorization.from_pair(pair).route_error)
         assert worst < 1e-8
 
     def test_fusion_monotonicity(self):
@@ -297,13 +297,14 @@ class TestSynergyMatrices:
             assert rep.min_eigenvalues[1] >= -1e-10
 
 
-def test_route_disagreement_rejects_a_non_finite_route():
-    # max(0.0, nan) is 0.0 in Python: an all-NaN route read as full agreement
-    routes = {"block": np.full((2, 2), np.nan), "prewhitened": np.eye(2)}
-    with pytest.raises(NonFinite, match="'block'"):
-        route_disagreement(routes)
-    routes["block"] = np.eye(2)
-    assert route_disagreement(routes) == 0.0
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_route_raises_non_finite(rng, monkeypatch, bad):
+    # NaN compares false against the tolerance: an all-NaN route would read
+    # as full agreement, and an inf one as a disagreement, without the check
+    whitened = information._whitened_fisher
+    monkeypatch.setattr(information, "_whitened_fisher", lambda *a: whitened(*a) * bad)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFinite, match="joint-information routes"):
+        joint_information(random_pair(rng, 3, 2, 2))
 
 
 def test_snr_overflow_raises_non_finite():

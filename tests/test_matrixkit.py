@@ -18,6 +18,7 @@ from fusionkit import (
     ModalityPair,
     NonFinite,
     NotPD,
+    RouteDisagreement,
     Singular,
     SingularNormalMatrix,
     SingularPosterior,
@@ -33,12 +34,13 @@ from fusionkit import estimators
 from fusionkit.estimators import _solve_normal
 from fusionkit.information import PairFactorization, _cross_solvers
 from fusionkit.matrixkit import (
+    FORM_TOL,
     SINGULAR_CONDITION,
     admit_symmetric,
     derived_inverse,
     factor_noise,
-    forms_agree,
     inverse_factor,
+    require_agreement,
     require_conditioned,
     require_symmetric,
     symmetrize,
@@ -351,53 +353,87 @@ def test_require_symmetric_decides_as_the_per_entry_rule():
         assert accepted == expected
 
 
-def test_forms_agree_returns_first_form_within_tolerance(rng):
+def agreement(first, second, condition=1.0, error=FormDisagreement):
+    """The one rule on a form check's scale, ``1 + ||first||`` per matrix."""
+    scale = 1.0 + np.linalg.norm(first, axis=(-2, -1))
+    return require_agreement(first, second, scale, "forms", error, condition)
+
+
+def test_require_agreement_returns_the_relative_distance_within_tolerance(rng):
     M = rng.standard_normal((3, 2))
-    assert forms_agree(M, M + 1e-12, "forms") is M
+    err = agreement(M, M + 1e-12)
+    assert err == pytest.approx(1e-12 * np.sqrt(6.0) / (1.0 + np.linalg.norm(M)), rel=1e-3)
 
 
-def test_forms_agree_raises_beyond_tolerance(rng):
+def test_require_agreement_raises_beyond_tolerance(rng):
     M = rng.standard_normal((3, 2))
     E = np.zeros_like(M)
     E[0, 0] = 1e-7 * (1.0 + np.linalg.norm(M, "fro"))
     with pytest.raises(FormDisagreement, match="forms disagree") as exc_info:
-        forms_agree(M, M + E, "forms")
+        agreement(M, M + E)
     assert exc_info.value.max_relative_error == pytest.approx(1e-7)
 
 
-def test_forms_agree_tolerance_widens_only_with_condition(rng):
+@pytest.mark.parametrize("error", [FormDisagreement, RouteDisagreement])
+def test_require_agreement_refuses_at_form_tol_with_the_given_type(rng, error):
+    # at condition 1 the rule is FORM_TOL alone, whichever check it serves
+    M = rng.standard_normal((3, 3))
+    E = np.zeros_like(M)
+    E[0, 0] = 1.0
+    assert agreement(M, M + 0.9e-8 * (1.0 + np.linalg.norm(M)) * E, error=error) < FORM_TOL
+    with pytest.raises(error, match="forms disagree"):
+        agreement(M, M + 1.1e-8 * (1.0 + np.linalg.norm(M)) * E, error=error)
+
+
+def test_require_agreement_tolerance_widens_only_with_condition(rng):
     M = rng.standard_normal((3, 2))
     E = np.zeros_like(M)
     E[0, 0] = 1e-7 * (1.0 + np.linalg.norm(M, "fro"))
     # 100 * cond * eps reaches 1e-8 at cond ~ 4.5e5: below it the tolerance is unchanged
     with pytest.raises(FormDisagreement):
-        forms_agree(M, M + E, "forms", condition=1e5)
-    assert forms_agree(M, M + E, "forms", condition=1e8) is M
+        agreement(M, M + E, condition=1e5)
+    assert agreement(M, M + E, condition=1e8) == pytest.approx(1e-7)
     with pytest.raises(FormDisagreement):
-        forms_agree(M, M + 100.0 * E, "forms", condition=1e8)
+        agreement(M, M + 100.0 * E, condition=1e8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_forms_agree_rejects_non_finite_forms(bad):
-    # NaN compares false against the tolerance: a NaN form passed before
-    M = np.full((2, 2), bad)
-    with pytest.raises(NonFinite):
-        forms_agree(M, np.zeros((2, 2)), "forms")
-    with pytest.raises(NonFinite):
-        forms_agree(np.zeros((2, 2)), M, "forms")
+def test_require_agreement_rejects_non_finite_stacks(bad):
+    # NaN compares false against the tolerance, and inf would read as a
+    # disagreement: either, in either argument or in one matrix of a stack,
+    # is refused before any comparison
+    M = np.zeros((2, 2))
+    M[0, 1] = bad
+    for first, second in ((M, np.zeros((2, 2))), (np.zeros((2, 2)), M)):
+        with pytest.raises(NonFinite, match="non-finite entries in forms"):
+            agreement(first, second)
+    stack = np.zeros((5, 2, 2))
+    stack[3] = M
+    for first, second in ((stack, np.zeros((5, 2, 2))), (np.zeros((2, 2)), stack)):
+        with pytest.raises(NonFinite):
+            agreement(first, second, error=RouteDisagreement)
 
 
-def test_forms_agree_on_stacks_checks_every_matrix(rng):
+def test_require_agreement_on_stacks_checks_every_matrix(rng):
     F = rng.standard_normal((5, 3, 3))
-    assert forms_agree(F, F + 1e-12, "forms") is F
+    assert agreement(F, F + 1e-12) < 1e-11
     E = np.zeros_like(F)
     E[3, 0, 0] = 1e-7 * (1.0 + np.linalg.norm(F[3], "fro"))  # one matrix of five
     with pytest.raises(FormDisagreement, match="forms disagree") as exc_info:
-        forms_agree(F, F + E, "forms")
+        agreement(F, F + E)
     assert exc_info.value.max_relative_error == pytest.approx(1e-7)
-    F[2, 1, 1] = np.nan
-    with pytest.raises(NonFinite):
-        forms_agree(F, F, "forms")
+
+
+def test_require_agreement_compares_every_pair_of_a_broadcast_stack(rng):
+    # the route check's shape: R[:, None] against R on one scale for all
+    R = np.stack([rng.standard_normal((3, 3))] * 4)
+    R[2, 1, 1] += 1e-7
+    scale = float(np.max(np.linalg.norm(R, axis=(-2, -1))))
+    with pytest.raises(RouteDisagreement) as exc_info:
+        require_agreement(R[:, None], R, scale, "routes", RouteDisagreement)
+    assert exc_info.value.max_relative_error == pytest.approx(1e-7 / scale)
+    R[2, 1, 1] -= 1e-7
+    assert require_agreement(R[:, None], R, scale, "routes", RouteDisagreement) < 1e-15
 
 
 def test_symmetrize_stack_matches_each_matrix(rng):

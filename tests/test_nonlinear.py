@@ -3,6 +3,7 @@ import pytest
 
 from fusionkit import (
     BlockCovariance,
+    FormDisagreement,
     GaussianPrior,
     LinearModel,
     ModalityPair,
@@ -17,11 +18,13 @@ from fusionkit import (
     snr_matrix,
     total_information_nonlinear,
 )
+from fusionkit import nonlinear
 
 from conftest import (
     fd_jacobian,
     fisher_per_sample,
     joint_per_sample,
+    plant_disagreement,
     random_admissible_rho,
     random_joint_noise,
     random_pd,
@@ -325,3 +328,20 @@ class TestBlockBatching:
         )
         with pytest.raises(NonFinite, match="Jacobian evaluation"):
             fisher_nonlinear(model, np.eye(2), self._edge_prior(4000, [0.0, 2.0]), N=4000, seed=0)
+
+
+@pytest.mark.parametrize("skew, refused", [(0.9e-8, False), (1.1e-8, True)])
+def test_per_sample_forms_check_boundary(rng, monkeypatch, skew, refused):
+    # the skew is planted in every sample's matrix; one refused sample refuses the estimate
+    h, g = poly_model(rng, 3, 2), poly_model(rng, 2, 2)
+    noise, prior = random_joint_noise(rng, 3, 2), gaussian_prior(rng, 2)
+    answer = joint_information_nonlinear(h, g, noise, prior, N=64, seed=1)
+    plant_disagreement(monkeypatch, nonlinear, "joint nonlinear information forms per sample",
+                       skew)
+    if refused:
+        with pytest.raises(FormDisagreement, match="forms per sample disagree") as exc:
+            joint_information_nonlinear(h, g, noise, prior, N=64, seed=1)
+        assert exc.value.max_relative_error == pytest.approx(skew, rel=1e-5)
+    else:  # an admitted check changes no bit of the estimate
+        est = joint_information_nonlinear(h, g, noise, prior, N=64, seed=1)
+        assert np.array_equal(est.J, answer.J) and np.array_equal(est.std_err, answer.std_err)

@@ -27,6 +27,7 @@ from fusionkit import (
 from fusionkit import BlockCovariance, LinearModel, ModalityPair
 from fusionkit import placement
 from fusionkit.information import _cross_solvers
+from fusionkit.matrixkit import FORM_CONDITION_SLACK, FORM_TOL
 from fusionkit.placement import (
     _budget_terms,
     _budget_value,
@@ -37,6 +38,7 @@ from fusionkit.placement import (
 from conftest import (
     fd_lagrangian_gradient,
     fd_lagrangian_stationarity,
+    plant_disagreement,
     random_admissible_rho,
     random_pair,
     rel_fro,
@@ -796,3 +798,53 @@ def test_placement_refuses_whitened_inputs_that_do_not_fit(entry, fault):
     message = str(exc.value)
     assert message.startswith(f"{b_name if blame == 'B' else blame} must")
     assert "(A_tilde (" in message and ", rho (" in message
+
+
+def near_unitary_question(rng, gap):
+    """``(A~, B~, rho, p)`` with ``sigma_max(rho) = 1 - gap`` and a budget on the minimizing branch."""
+    U, _ = np.linalg.qr(rng.standard_normal((4, 3)))
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    rho = (U * np.array([1.0 - gap, 0.5, 0.3])) @ V.T
+    A, B = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+    c, oms = _budget_terms(svd_of_rho(A, rho))
+    return A, B, rho, 1.5 * _budget_value(0.0, c, oms)
+
+
+FORM_CHECKS = {
+    "gradient forms": lambda A, B, rho, p: synergy_gradient_rho(A, B, rho),
+    "objective gradient forms": lambda A, B, rho, p: optimal_secondary(A, rho, p).B_star,
+}
+
+
+@pytest.mark.parametrize("what", sorted(FORM_CHECKS))
+@pytest.mark.parametrize("skew, refused", [(0.9e-8, False), (1.1e-8, True)])
+def test_form_check_boundary(rng, monkeypatch, what, skew, refused):
+    # sigma_max(rho) = 0.6: the condition allows less than FORM_TOL, which rules
+    question = near_unitary_question(rng, 0.4)
+    answer = FORM_CHECKS[what](*question)
+    plant_disagreement(monkeypatch, placement, what, skew)
+    if refused:
+        with pytest.raises(FormDisagreement, match=f"^{what} disagree") as exc:
+            FORM_CHECKS[what](*question)
+        assert exc.value.max_relative_error == pytest.approx(skew, rel=1e-5)
+    else:  # an admitted check changes no bit of the answer
+        assert np.array_equal(FORM_CHECKS[what](*question), answer)
+
+
+@pytest.mark.parametrize("what", sorted(FORM_CHECKS))
+@pytest.mark.parametrize("factor, refused", [(0.9, False), (1.1, True)])
+def test_form_check_admits_what_its_condition_allows(rng, monkeypatch, what, factor, refused):
+    # sigma_max(rho) = 1 - 1e-7: cond(I - rho^T rho) is about 5e6, and forms
+    # that apply it agree only to about FORM_CONDITION_SLACK cond eps
+    question = near_unitary_question(rng, 1e-7)
+    answer = FORM_CHECKS[what](*question)
+    planted = plant_disagreement(
+        monkeypatch, placement, what, lambda condition: factor * FORM_CONDITION_SLACK
+        * condition * np.finfo(float).eps
+    )
+    if refused:
+        with pytest.raises(FormDisagreement, match=f"^{what} disagree"):
+            FORM_CHECKS[what](*question)
+    else:
+        assert np.array_equal(FORM_CHECKS[what](*question), answer)
+    assert planted[0] > 5.0 * FORM_TOL  # refused by FORM_TOL alone
