@@ -28,6 +28,7 @@ import numpy as np
 from .errors import Inadmissible, RouteDisagreement, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
+    _form_scale,
     _frobenius,
     _require_pd_conditioned,
     admit_symmetric,
@@ -346,7 +347,7 @@ class PairFactorization:
                                   RouteDisagreement)
         snr = symmetrize(np.array((snr1, snr2)))
         S = symmetrize(np.array((quad_f, quad_g)))
-        require_agreement(S, J_block - snr, 1.0 + float(_frobenius(J_block)),
+        require_agreement(S, J_block - snr, _form_scale(J_block),
                           "synergy matrices and J_joint - J_single", RouteDisagreement)
         for M in (wp.A_tilde, wp.B_tilde, wp.rho, wp.rho_singular_values,
                   snr, S, *routes.values()):

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormDisagreement, NonFinite, NotPD, NotPSD, RouteDisagreement, Singular
+from .errors import FusionKitError, NonFinite, NotPD, NotPSD, Singular
 
 # Condition estimate above which a solve is refused as numerically singular.
 SINGULAR_CONDITION = 1e12
@@ -316,9 +316,13 @@ def _frobenius(M) -> np.ndarray:
     return np.sqrt(np.add.reduce(M * M, axis=(-2, -1)))
 
 
+def _form_scale(M) -> np.ndarray:
+    """``1 + _frobenius(M)``: a form check's scale (M its first form), or the synergy's."""
+    return 1.0 + np.sqrt(np.add.reduce(M * M, axis=(-2, -1)))  # _frobenius inlined: one call
+
+
 def require_agreement(
-    first, second, scale, what: str, error: type[RouteDisagreement | FormDisagreement],
-    condition: float = 1.0,
+    first, second, scale, what: str, error: type[FusionKitError], condition: float = 1.0
 ) -> float:
     """The one agreement rule; returns the largest ``||first - second||_F / scale``.
 

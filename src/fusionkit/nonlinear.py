@@ -27,11 +27,7 @@ import numpy as np
 from .errors import FormDisagreement, NonFinite
 from .information import McInfoEstimate, _cross_solvers, _whitened_fisher, mc_moments
 from .matrixkit import (
-    BlockCovariance,
-    _frobenius,
-    factor_noise,
-    noise_whitener,
-    require_agreement,
+    BlockCovariance, _form_scale, factor_noise, noise_whitener, require_agreement,
 )
 from .model import SourcePrior, require_pair_shapes, require_prior_size
 
@@ -231,7 +227,7 @@ def joint_information_nonlinear(
         Dg = L_u_inv @ g.jacobians(S)  # whitened Jacobians, (count, n2, m)
         form1 = _whitened_fisher(Dh, Dg, rho, K_a.__matmul__)
         form2 = _whitened_fisher(Dg, Dh, rho.T, K_b.__matmul__)
-        require_agreement(form1, form2, 1.0 + _frobenius(form1),
+        require_agreement(form1, form2, _form_scale(form1),
                           "joint nonlinear information forms per sample", FormDisagreement)
         return form1
 

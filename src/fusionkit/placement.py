@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateBudget, FormDisagreement, FusionKitError, NoRoot, Singular
 from .information import _admissible_sigma_max, _cross_solvers, _whitened_fisher
-from .matrixkit import _frobenius, _read_only_copy, require_agreement, require_finite
+from .matrixkit import _form_scale, _read_only_copy, require_agreement, require_finite
 from .model import SourcePrior, require_prior_size
 
 # Perturbations drawn and scored together by the probe; bounds its memory.
@@ -203,8 +203,7 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
     Kp = solve_kp(np.eye(n1))
     N = B.T @ rho.T - A.T
     form2 = (2.0 * (B + rho.T @ Kp @ N.T) @ N @ Kp).T
-    require_agreement(form1, form2, 1.0 + _frobenius(form1),
-                      "gradient forms", FormDisagreement, k_norm)
+    require_agreement(form1, form2, _form_scale(form1), "gradient forms", FormDisagreement, k_norm)
     return form1
 
 
@@ -454,7 +453,7 @@ def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float, solvers
     g = float(np.linalg.norm(forms[0], "fro"))
     scale = float(np.linalg.norm(A_tilde, "fro") + np.linalg.norm(B_star, "fro"))
     condition = k_norm * (scale + g) / (1.0 + g)
-    require_agreement(*forms, 1.0 + _frobenius(forms[0]),
+    require_agreement(*forms, _form_scale(forms[0]),
                       "objective gradient forms", FormDisagreement, condition)
     return float(np.linalg.norm(forms[0] - 2.0 * lam * B_star, "fro")) / (1.0 + abs(e))
 

@@ -19,6 +19,7 @@ from fusionkit import (
 )
 from fusionkit.information import _cross_solvers, _whitened_fisher, block_plan
 from fusionkit.matrixkit import (
+    _form_scale,
     factor_noise,
     noise_whitener,
     require_agreement,
@@ -175,7 +176,7 @@ def joint_per_sample(h, g, noise, prior, N, seed):
         Dg = L_u_inv @ _per_sample_jac(g, s)
         form1 = _whitened_fisher(Dh, Dg, rho, K_a.__matmul__)
         form2 = _whitened_fisher(Dg, Dh, rho.T, K_b.__matmul__)
-        require_agreement(form1, form2, 1.0 + np.linalg.norm(form1, axis=(-2, -1)),
+        require_agreement(form1, form2, _form_scale(form1),
                           "joint nonlinear information forms per sample", FormDisagreement)
         return form1
 

@@ -490,13 +490,31 @@ def test_route_check_boundary(rng, monkeypatch, skew, refused):
 
 
 def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
-    # the routes are computed and compared as they are, and agree; only the
-    # synergy comparison is planted, so only it can fire
-    plant_disagreement(monkeypatch, information, SYNERGY_CHECK, 1e-3)
+    # a real fault in the synergy matrices' inputs: F scaled by 1.001. J_block
+    # is snr1 + M_f F M_f^T for any F, so S_x still agrees with it and
+    # S_y = quad_g, built on G, is off by 0.001 * S_x. The route check is
+    # declared passed, so only the synergy comparison, of the matrices it
+    # really compares and on its own scale, can fire
     pair = random_pair(rng, 3, 2, 2)
+    fac = PairFactorization.from_pair(pair)
+    J_moved = fac.snr_first + 1.001 * fac.S_x
+    expected = 1e-3 * np.linalg.norm(fac.S_x) / (1.0 + np.linalg.norm(J_moved))
+    factor, check = information.factor_noise, information.require_agreement
+
+    def perturbed(block):
+        L_v_inv, L_u_inv, W_v, F, G = factor(block)
+        return L_v_inv, L_u_inv, W_v, 1.001 * F, G
+
+    def routes_pass(first, second, scale, what, error, condition=1.0):
+        if what == "joint-information routes":
+            return 0.0
+        return check(first, second, scale, what, error, condition)
+
+    monkeypatch.setattr(information, "factor_noise", perturbed)
+    monkeypatch.setattr(information, "require_agreement", routes_pass)
     with pytest.raises(RouteDisagreement, match="synergy") as exc:
-        synergy_matrices(pair)
-    assert exc.value.max_relative_error == pytest.approx(1e-3, rel=1e-6)
+        synergy_matrices(ModalityPair(pair.first, pair.second, pair.noise))
+    assert exc.value.max_relative_error == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("skew, refused", [(0.9e-8, False), (1.1e-8, True)])
