@@ -17,13 +17,15 @@ objective; the maximizing branch, ``lambda > lambda_max(K)``, is not
 solved here. First-order stationarity is verified on every solve by the
 analytic gradient of the Lagrangian, evaluated in two algebraically
 distinct forms that must agree; the perturbation probe reports how
-perturbations move the objective. What depends on rho alone is taken
-once per bit-equal rho (:func:`_analysis`): a budget sweep on one pair
-and the probes of its solutions take one SVD.
+perturbations move the objective. What depends on rho alone is taken once per
+bit-equal rho (:func:`_analysis`), and what the probe draws once per seed, count
+and shape (:func:`_probe_draws`): a budget sweep on one pair and the probes of
+its solutions take one SVD and one draw.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,6 +262,10 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
         If the weights ``d``, or the budget value at lambda = 0, overflow.
     """
     _require_budget(p)
+    return _lambda_root(svd, p)
+
+
+def _lambda_root(svd: SvdOfRho, p: float) -> float:  # lambda_root of a checked budget
     require_finite(svd.d, "the budget weights")
     c, oms = _budget_terms(svd)
     if not np.any(svd.singular_values > 0.0):
@@ -290,7 +296,7 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
     lam_hi = np.inf if max_one_minus <= 0.0 else 1.0 / max_one_minus
 
     hi = min(1.0, 0.5 * lam_hi) if np.isfinite(lam_hi) else 1.0
-    while _budget_value(hi, c, oms) < p:
+    while (value := _budget_value(hi, c, oms)) < p:
         nxt = hi * 2.0 if not np.isfinite(lam_hi) else hi + 0.5 * (lam_hi - hi)
         if np.isfinite(lam_hi) and (lam_hi - nxt) <= 1e-14 * lam_hi:
             sup = _budget_value(nxt, c, oms)
@@ -305,10 +311,9 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
             )
         hi = nxt
 
-    lo, lam = 0.0, hi
+    lo, lam, q = 0.0, hi, 1.0 - hi * oms  # Newton from hi, at the bracket's value there
     for _ in range(200):
-        q = 1.0 - lam * oms  # gives the value and the slope of the budget at lam
-        resid = float(np.add.reduce(c / q**2)) - p
+        resid = value - p
         if abs(resid) <= 1e-12 * p:
             break
         if resid > 0.0:
@@ -321,6 +326,8 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
         if step in (lo, hi):  # the bracket is down to adjacent floats
             break
         lam = step
+        q = 1.0 - lam * oms
+        value = float(np.add.reduce(c / q**2))
     return lam
 
 
@@ -394,7 +401,7 @@ def optimal_secondary(
             ),
         )
 
-    lam = lambda_root(svd, p)
+    lam = _lambda_root(svd, p)
     solvers = _solvers(memo)
     B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
     e = float(np.trace(_whitened_fisher(A_tilde, B_star, rho, solvers[0]))) + prior_trace
@@ -479,17 +486,22 @@ def local_optimality_probe(
     cancels in every gain. The perturbations are drawn and scored in
     blocks of ``PROBE_BLOCK`` (see :func:`_perturbation_gains`): memory
     stays bounded for any ``n_perturbations``, and the gains equal those
-    of drawing them one at a time, up to rounding. ``K = (I - rho^T rho)^-1``
+    of drawing them one at a time, up to rounding. The draws are memoized
+    by ``(seed, count, shape)``; a report is bit-identical to a fresh one.
+    ``K = (I - rho^T rho)^-1``
     is guarded by the singular values of the ``rho`` given (:func:`_analysis`),
     so a ``rho`` outside the admissible range raises :class:`Inadmissible`,
     and one beyond the condition limit :class:`Singular`, whatever the solution.
 
-    Raises :class:`ValueError` if ``delta`` is not finite and positive or
-    ``n_perturbations`` is not a non-negative integer: a NaN, infinite or
-    zero displacement would report no violation without probing anything.
+    Raises :class:`ValueError` if ``delta`` is not finite and positive, or
+    ``n_perturbations`` or ``seed`` is not a non-negative integer: a NaN, infinite or
+    zero displacement would report no violation without probing anything, and the
+    draws of a stateful seed such as a ``Generator`` cannot be memoized.
     """
     if not isinstance(n_perturbations, (int, np.integer)) or n_perturbations < 0:
         raise ValueError("n_perturbations must be a non-negative integer")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not (np.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if solution.B_star is None:
@@ -521,24 +533,54 @@ def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta
     generator yields the same numbers in the same order as one draw per
     perturbation, so each gain equals the one-at-a-time gain up to
     rounding; memory is two stacks of ``PROBE_BLOCK * n2 * m`` floats,
-    whatever ``n_perturbations``.
+    whatever ``n_perturbations``. The draws and their norms depend only on
+    ``(seed, count, shape)``: the first block of them is kept, read-only, for
+    the two keys last used (:func:`_probe_draws`; one block each), and a hit
+    runs the same arithmetic on them, so its gains are bit-identical.
     """
     K = _probe_k(rho)
     target = rho.T @ A_tilde
-
-    def sums(X, Y):  # sum(X * Y) of each matrix of a stack
-        return np.einsum("...ij,...ij->...", X, Y)
-
     p = float(np.sum(B0 * B0))
     D0 = B0 - target
-    base = float(sums(D0, K @ D0))
-    rng = np.random.default_rng(seed)
+    base = float(_sums(D0, K @ D0))
+    draws = _probe_draws(seed, n_perturbations, B0.shape)
     gains = np.empty(n_perturbations)
-    for lo in range(0, n_perturbations, PROBE_BLOCK):
-        B = rng.standard_normal((min(PROBE_BLOCK, n_perturbations - lo),) + B0.shape)
-        B *= (delta / np.maximum(np.sqrt(sums(B, B)), 1e-300))[:, None, None]
+    for lo, (z, norms) in zip(range(0, n_perturbations, PROBE_BLOCK), draws):
+        B = z * (delta / norms)[:, None, None]
         B += B0
-        B *= np.sqrt(p / sums(B, B))[:, None, None]
+        B *= np.sqrt(p / _sums(B, B))[:, None, None]
         B -= target  # D = B~ - rho^T A~ of each perturbation
-        gains[lo : lo + B.shape[0]] = sums(B, K @ B) - base
+        gains[lo : lo + B.shape[0]] = _sums(B, K @ B) - base
     return gains
+
+
+def _sums(X, Y):  # sum(X * Y) of each matrix of a stack
+    return np.einsum("...ij,...ij->...", X, Y)
+
+
+def _probe_draws(seed: int, n: int, shape: tuple):
+    """Yield ``(z, norms)`` for each block of ``n`` draws of ``default_rng(seed)``: the
+    first block memoized (:func:`_first_draws`), the later ones drawn from its saved state.
+    """
+    z, norms, state = _first_draws(int(seed), min(n, PROBE_BLOCK), shape)
+    yield z, norms
+    if n > PROBE_BLOCK:
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.state = state
+        for lo in range(PROBE_BLOCK, n, PROBE_BLOCK):
+            yield _normals(rng, min(PROBE_BLOCK, n - lo), shape)
+
+
+@functools.lru_cache(maxsize=2)  # a budget sweep probes one shape, placement-design two
+def _first_draws(seed: int, count: int, shape: tuple) -> tuple:
+    """``(z, norms, state after them)``: the first ``count`` draws of ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    z, norms = _normals(rng, count, shape)
+    z.setflags(write=False)
+    norms.setflags(write=False)
+    return z, norms, rng.bit_generator.state
+
+
+def _normals(rng, count: int, shape: tuple) -> tuple:  # draws, norms clamped at 1e-300
+    z = rng.standard_normal((count,) + shape)
+    return z, np.maximum(np.sqrt(_sums(z, z)), 1e-300)

@@ -212,9 +212,10 @@ def plant_disagreement(monkeypatch, module, what, skew):
 
 
 @pytest.fixture(autouse=True)
-def empty_rho_analysis():
-    """Each test starts with placement's analysis slot empty: no test reads another's rho."""
+def empty_placement_memos():
+    """Each test starts with placement's memos empty: no test reads another's rho or draws."""
     placement._last_rho = None
+    placement._first_draws.cache_clear()
 
 
 @pytest.fixture

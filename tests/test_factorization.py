@@ -232,12 +232,14 @@ def small_question(seed):
 # 70/156, 62/133, 54/132, 44/97 and 18/30; optimal_secondary made 41/91
 # before placement memoized its analysis of rho and inlined the Newton step.
 # Before the routes, the synergy matrices and the gradient forms were compared
-# by one agreement rule, the first four made 59/127, 52/107, 43/106 and 32/85.
+# by one agreement rule, the first four made 59/127, 52/107, 43/106 and 32/85;
+# optimal_secondary made 32/85 while it checked its budget twice and lambda_root
+# evaluated the budget at the bracket's end again in its first Newton step.
 CALL_PINS = {
     "advise": {"fusionkit": 53, "from_fusionkit": 104},
     "joint_information": {"fusionkit": 46, "from_fusionkit": 84},
     "synergy_matrices": {"fusionkit": 37, "from_fusionkit": 83},
-    "optimal_secondary": {"fusionkit": 32, "from_fusionkit": 85},
+    "optimal_secondary": {"fusionkit": 31, "from_fusionkit": 84},
     "ml_estimate": {"fusionkit": 14, "from_fusionkit": 21},
 }
 

@@ -561,6 +561,20 @@ class TestProbeAndUnwhiten:
         with pytest.raises(ValueError, match="n_perturbations"):
             local_optimality_probe(A, rho, sol, n_perturbations=n_perturbations)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [np.random.default_rng(0), np.random.SeedSequence(0), [1, 2], -1, 2.0, "0", None],
+        ids=["Generator", "SeedSequence", "list", "negative", "float", "str", "None"],
+    )
+    def test_probe_refuses_a_seed_that_is_not_a_seed(self, rng, monkeypatch, seed):
+        # a memo of draws is keyed by the seed: a Generator or a SeedSequence
+        # carries state of its own, so its draws cannot be looked up by it
+        A, rho, sol = probe_instance(rng)
+        rngs = default_rng_calls(monkeypatch)
+        with pytest.raises(ValueError, match="seed"):
+            local_optimality_probe(A, rho, sol, seed=seed)
+        assert rngs == []  # refused before any draw
+
     def test_cross_solvers(self, rng):
         for n1, n2 in [(4, 3), (3, 4), (3, 3)]:
             rho = random_admissible_rho(rng, n1, n2, 0.9)
@@ -606,9 +620,42 @@ class TestProbeAndUnwhiten:
 
 
 def fresh(call, *args, **kwargs):
-    """``call`` with placement's analysis of rho emptied first, as a new process would run it."""
+    """``call`` with placement's memos emptied first, as a new process would run it."""
     placement._last_rho = None
+    placement._first_draws.cache_clear()
     return call(*args, **kwargs)
+
+
+def default_rng_calls(monkeypatch):
+    """The seeds of the ``np.random.default_rng`` calls made from now on, in a list."""
+    seeds = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: seeds.append(a) or real(*a))
+    return seeds
+
+
+def unmemoized_gains(A, rho, B0, n_perturbations, seed, delta):
+    """The probe's gains from one generator, block by block, with nothing memoized.
+
+    The arithmetic of the probe before its draws were memoized, on the
+    same ``K``: a memoized gain must equal it bit for bit.
+    """
+    K = placement._probe_k(rho)
+    sums = placement._sums
+    target = rho.T @ A
+    p = float(np.sum(B0 * B0))
+    D0 = B0 - target
+    base = float(sums(D0, K @ D0))
+    rng = np.random.default_rng(seed)
+    gains = np.empty(n_perturbations)
+    for lo in range(0, n_perturbations, placement.PROBE_BLOCK):
+        B = rng.standard_normal((min(placement.PROBE_BLOCK, n_perturbations - lo),) + B0.shape)
+        B *= (delta / np.maximum(np.sqrt(sums(B, B)), 1e-300))[:, None, None]
+        B += B0
+        B *= np.sqrt(p / sums(B, B))[:, None, None]
+        B -= target
+        gains[lo : lo + B.shape[0]] = sums(B, K @ B) - base
+    return gains
 
 
 def svd_calls(monkeypatch, fn):
@@ -737,6 +784,79 @@ class TestRhoAnalysisMemo:
             assert answers(got) == answers(fresh(optimal_secondary, A, rho, p))
             assert rel_fro(got.B_star, np.linalg.solve(
                 np.eye(4) - got.lambda_ * (np.eye(4) - rho.T @ rho), rho.T @ A)) <= 1e-12
+
+
+class TestProbeDrawsMemo:
+    """The probe's draws are memoized per (seed, count, shape); each gain is the fresh one."""
+
+    @staticmethod
+    def instances():
+        """Two shapes of B~: (8, 4) and (5, 3), at gains on both sides of the threshold."""
+        return [whitened_probe_instance(12, 8, 4), whitened_probe_instance(7, 5, 3)]
+
+    def test_interleaved_probes_equal_unmemoized_draws(self):
+        instances = self.instances()
+        # each key is asked at two deltas, then at the other seed, then on the other shape
+        asked = [
+            (k, seed, n, delta)
+            for n in (50, 200, placement.PROBE_BLOCK + 44)
+            for k in (0, 1)
+            for seed in (3, 11)
+            for delta in (1e-3, 1.1e-4)
+        ]
+
+        def probe(k, seed, n, delta, call=lambda f, *a: f(*a)):
+            A, rho, sol = instances[k]
+            gains = call(_perturbation_gains, A, rho, sol.B_star, n, seed, delta)
+            return gains.tobytes(), call(local_optimality_probe, A, rho, sol, n, seed, delta)
+
+        memoized = [probe(*q) for q in asked]
+        assert memoized == [probe(*q, call=fresh) for q in asked]
+        for (k, seed, n, delta), (gains, _) in zip(asked, memoized):
+            A, rho, sol = instances[k]
+            assert gains == unmemoized_gains(A, rho, sol.B_star, n, seed, delta).tobytes()
+        # the gains straddle the threshold, so wrong draws would move the counts
+        assert 0 < sum(report.n_violations for _, report in memoized) < sum(q[2] for q in asked)
+
+    def test_a_repeated_probe_constructs_no_generator(self, monkeypatch):
+        A, rho, sol = self.instances()[0]
+        rngs = default_rng_calls(monkeypatch)
+        local_optimality_probe(A, rho, sol, seed=3, delta=1e-3)
+        assert rngs == [(3,)]
+        local_optimality_probe(A, rho, sol, seed=3, delta=1.1e-4)
+        assert rngs == [(3,)]
+        # past one block, one generator continues from the memoized block's end
+        n = placement.PROBE_BLOCK + 44
+        local_optimality_probe(A, rho, sol, n_perturbations=n, seed=3)
+        local_optimality_probe(A, rho, sol, n_perturbations=n, seed=3, delta=1.1e-4)
+        assert rngs == [(3,)] * 4
+
+    def test_memoized_draws_are_read_only(self):
+        A, rho, sol = self.instances()[0]
+        local_optimality_probe(A, rho, sol, seed=3)
+        z, norms, _ = placement._first_draws(3, 200, (8, 4))
+        assert placement._first_draws.cache_info().hits == 1  # the probe's own arrays
+        for a in (z, norms):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_the_memo_holds_the_keys_last_used(self, monkeypatch):
+        instances = self.instances()
+        rngs = default_rng_calls(monkeypatch)
+
+        def probe(k, seed):
+            A, rho, sol = instances[k]
+            return local_optimality_probe(A, rho, sol, seed=seed, delta=1.1e-4)
+
+        for k, seed in [(0, 3), (1, 3), (0, 3), (0, 4), (0, 3), (1, 3)]:
+            probe(k, seed)
+            info = placement._first_draws.cache_info()
+            assert info.currsize <= info.maxsize == 2
+        # (0, 3) was used again before (0, 4) arrived, so (1, 3) went instead
+        assert rngs == [(3,), (3,), (4,), (3,)]
+        probe(0, 3)
+        probe(1, 3)
+        assert rngs == [(3,), (3,), (4,), (3,)]
 
 
 # A whitened instance every placement entry point answers: A~ (3, 2),
