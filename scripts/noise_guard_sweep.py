@@ -8,7 +8,7 @@ known condition (1e2 to 1e14, straddling the 1e12 limit) and of minimum
 eigenvalue -1e-12, 0 and 1e-13, at several sizes, under three guards:
 
 - ``plain``: ``inverse_factor`` alone;
-- ``schur``: ``derived_inverse`` with its condition measured against a
+- ``schur``: ``derived_factor`` with its condition measured against a
   given scale 10x the matrix's norm;
 - ``parent``: ``factor_noise``'s Schur guard, which measures the
   condition against the largest eigenvalue of the parent block but reads
@@ -35,8 +35,8 @@ import numpy as np
 from fusionkit import NotPD, Singular
 from fusionkit.matrixkit import (
     SINGULAR_CONDITION,
-    _schur_inverse,
-    derived_inverse,
+    _schur_factor,
+    derived_factor,
     inverse_factor,
     symmetrize,
 )
@@ -113,12 +113,12 @@ def cholesky_decision(M, against, guard):
     with CountedEigvalsh() as counter:
         try:
             if guard == "parent":
-                inverse = _schur_inverse(M, against, "Schur complement")
+                L_inv = _schur_factor(M, against, "Schur complement")
             elif guard == "schur":
-                inverse = derived_inverse(M, "Schur complement", scale=against)
+                L_inv = derived_factor(M, "Schur complement", scale=against)
             else:
                 _, L_inv = inverse_factor(M, "M")
-                inverse = L_inv.T @ L_inv
+            inverse = L_inv.T @ L_inv
             decision = (None, None, inverse)
         except NotPD as exc:
             decision = (NotPD, exc.min_eigenvalue, None)

@@ -6,7 +6,7 @@ likelihood estimate; its error covariance is the inverse of the SNR
 matrix ``A^T S^-1 A``. The Gaussian-prior posterior mean adds prior
 information to the same normal equations. The normal and posterior
 matrices are inverted through the Cholesky guard of
-:func:`~fusionkit.matrixkit.derived_inverse`.
+:func:`~fusionkit.matrixkit.derived_factor`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SingularNormalMatrix, SingularPosterior
 from .information import crlb, snr_matrix
-from .matrixkit import derived_inverse, noise_whitener, require_noise, symmetrize
+from .matrixkit import derived_factor, noise_whitener, require_noise, symmetrize
 from .model import GaussianPrior, LinearModel, require_prior_size
 
 
@@ -31,8 +31,9 @@ class Estimate:
 
 
 def _solve_normal(N: np.ndarray, rhs: np.ndarray, what: str, error=SingularNormalMatrix):
-    """``N^-1 rhs`` and ``N^-1``, from one guarded Cholesky inverse of ``N``."""
-    inverse = derived_inverse(N, what, error)
+    """``N^-1 rhs`` and ``N^-1 = L^-T L^-1``, from one guarded inverse Cholesky factor of ``N``."""
+    L_inv = derived_factor(N, what, error)
+    inverse = L_inv.T @ L_inv
     return inverse @ rhs, inverse
 
 

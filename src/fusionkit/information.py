@@ -9,7 +9,10 @@ quadratic forms, and the prewhitened representation) which are
 cross-validated on every call, as are the synergy matrices against
 ``J_joint - J_single``, by :func:`~fusionkit.matrixkit.require_agreement`:
 their agreement is this module's core self-test, and a disagreement, an
-ill-conditioned input, is raised as :class:`RouteDisagreement`.
+ill-conditioned input, is raised as :class:`RouteDisagreement`. The routes
+read only :func:`~fusionkit.matrixkit.factor_noise`'s Cholesky factors:
+all but the prewhitened one, which solves with ``I - rho^T rho`` and is
+symmetrized, are Gram products or sums of them, symmetric as built.
 
 :func:`mc_moments` is the one Monte-Carlo reduction, shared with the
 nonlinear module: it runs seed-split blocks of prior draws one after
@@ -32,7 +35,7 @@ from .matrixkit import (
     _frobenius,
     _require_pd_conditioned,
     admit_symmetric,
-    derived_inverse,
+    derived_factor,
     factor_noise,
     noise_whitener,
     require_agreement,
@@ -175,18 +178,19 @@ def crlb(J) -> np.ndarray:
     Raises
     ------
     SingularInformation
-        As :func:`~fusionkit.matrixkit.derived_inverse` refuses ``J``, with its
+        As :func:`~fusionkit.matrixkit.derived_factor` refuses ``J``, with its
         condition; only then is ``J`` eigen-solved, for the carried orthonormal
         basis of the (near-)null space, the source directions the data carry no
         information about: eigenvalues up to ``max(w_min, max|w| / SINGULAR_CONDITION)``.
     """
     M = _as_matrix(J)
     try:
-        return derived_inverse(M, "information matrix", SingularInformation)
+        L_inv = derived_factor(M, "information matrix", SingularInformation)
     except SingularInformation as exc:
         w, V = np.linalg.eigh(M)
         exc.null_space = V[:, w <= max(w[0], float(np.max(np.abs(w))) / SINGULAR_CONDITION)]
         raise
+    return L_inv.T @ L_inv
 
 
 def prewhiten(pair: ModalityPair) -> WhitenedPair:
@@ -199,7 +203,7 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
     covariance and cross correlation ``rho``; the joint covariance being PD
     forces every singular value of rho below one. Raises :class:`NotPD` or
     :class:`Singular` as :func:`factor_noise` does: it runs the same four
-    decisions (two marginal inverse factors, two Schur inverses) before its
+    decisions (two marginal inverse factors, two Schur factors) before its
     one eigen-solve per marginal, and none of the products built on them.
     """
     return _prewhiten_with_root(pair)[0]
@@ -267,6 +271,9 @@ def _whitened_fisher(A_tilde, B_tilde, rho, solve_k) -> np.ndarray:
 
     ``solve_k`` applies ``K``; on the swapped pair ``(B~, A~, rho^T)`` with
     ``K'`` this is the second published form of the same information.
+    ``M K M^T`` is a solve, not a Gram product through a factor of ``K``,
+    which loses up to ten times more near a unitary rho (placement and the
+    nonlinear forms share this function), so the sum is symmetrized.
     """
     A_t = np.swapaxes(A_tilde, -1, -2)
     M = A_t @ rho - np.swapaxes(B_tilde, -1, -2)
@@ -282,10 +289,11 @@ class PairFactorization:
     not :func:`prewhiten`'s), which carries the singular values of rho, both
     SNR matrices, the four joint Fisher information routes with their
     largest disagreement (``routes``, keyed "block", "schur_f", "schur_g",
-    "prewhitened"; prior information excluded), and ``S_x``, ``S_y``. Every
-    array is read-only, as it is shared by each call on the pair. It holds
-    no reference back to the pair, so a pair and its factorization form no
-    reference cycle and are freed together as soon as the pair is dropped.
+    "prewhitened"; prior information excluded), and ``S_x``, ``S_y``, each
+    matrix symmetric to the last bit. Every array is read-only, as it is
+    shared by each call on the pair. It holds no reference back to the pair,
+    so a pair and its factorization form no reference cycle and are freed
+    together as soon as the pair is dropped.
     """
 
     whitened: WhitenedPair
@@ -314,39 +322,31 @@ class PairFactorization:
         if pair._factorization is not None:
             return pair._factorization
         A, B = pair.first.A, pair.second.A
-        L_v_inv, L_u_inv, W_v, F, G = factor_noise(pair.noise)
-        sv_inv = L_v_inv.T @ L_v_inv
-        su_inv = L_u_inv.T @ L_u_inv
-
-        # the blocks of joint()^-1: omega_22 is F, omega_21 is omega_12^T, and
-        # sv_inv_svu F sv_inv_svu^T is -omega_12 sv_inv_svu^T: negation is
-        # exact, so reusing omega_12 changes no bit
-        sv_inv_svu = L_v_inv.T @ W_v
-        omega_12 = -sv_inv_svu @ F
-        omega_11 = symmetrize(sv_inv - omega_12 @ sv_inv_svu.T)
-        J_block = symmetrize(A.T @ omega_11 @ A + A.T @ omega_12 @ B
-                             + B.T @ omega_12.T @ A + B.T @ F @ B)
-        snr1 = A.T @ sv_inv @ A
-        snr2 = B.T @ su_inv @ B
-        M_f = A.T @ sv_inv @ pair.noise.sigma_vu - B.T
-        quad_f = M_f @ F @ M_f.T
-        M_g = B.T @ su_inv @ pair.noise.sigma_uv - A.T
-        quad_g = M_g @ G @ M_g.T
-
+        L_v_inv, L_u_inv, W_v, W_u, L_F_inv, L_G_inv = factor_noise(pair.noise)
         wp = WhitenedPair(L_v_inv @ A, L_u_inv @ B, W_v @ L_u_inv.T)
+        A_t, B_t = wp.A_tilde, wp.B_tilde
+        snr1, snr2 = A_t.T @ A_t, B_t.T @ B_t  # snr_matrix's products
+        # F = L_F^-T L_F^-1 makes S_x = M_f F M_f^T (M_f = A~^T W_v - B^T) the
+        # Gram product of D_f = Z - Y, and likewise S_y of X_g with G. J_block
+        # applies the blocks of joint()^-1 term by term: A^T omega_11 A = snr1 +
+        # Z^T Z, A^T omega_12 B = -Z^T Y = -C and B^T F B = Y^T Y.
+        Z, Y = L_F_inv @ (W_v.T @ A_t), L_F_inv @ B
+        C = Z.T @ Y
+        J_block = snr1 + Z.T @ Z + Y.T @ Y - (C + C.T)
+        D_f, X_g = Z - Y, L_G_inv @ (W_u @ B_t - A)
+        S = np.array((D_f.T @ D_f, X_g.T @ X_g))
+        snr = np.array((snr1, snr2))
         solve_k = _cross_solvers(wp.rho, wp.rho_singular_values)[0]
         routes = {
             "block": J_block,
-            "schur_f": symmetrize(snr1 + quad_f),
-            "schur_g": symmetrize(snr2 + quad_g),
-            "prewhitened": _whitened_fisher(wp.A_tilde, wp.B_tilde, wp.rho, solve_k),
+            "schur_f": snr1 + S[0],
+            "schur_g": snr2 + S[1],
+            "prewhitened": _whitened_fisher(A_t, B_t, wp.rho, solve_k),
         }
         R = np.array(tuple(routes.values()))
         scale = max(float(np.maximum.reduce(_frobenius(R), axis=None)), 1e-300)
         worst = require_agreement(R[:, None], R, scale, "joint-information routes",
                                   RouteDisagreement)
-        snr = symmetrize(np.array((snr1, snr2)))
-        S = symmetrize(np.array((quad_f, quad_g)))
         require_agreement(S, J_block - snr, _form_scale(J_block),
                           "synergy matrices and J_joint - J_single", RouteDisagreement)
         for M in (wp.A_tilde, wp.B_tilde, wp.rho, wp.rho_singular_values,

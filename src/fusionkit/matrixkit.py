@@ -13,7 +13,7 @@ from standard normal rows ``z``; its guard reads a condition bound off
 ``L^-1`` and takes one ``eigvalsh`` only where the bound is inconclusive.
 The Schur complements, the estimators' normal and posterior matrices and
 the information matrix of ``information.crlb`` go through it by
-:func:`derived_inverse`, and so does a noise pair:
+:func:`derived_factor`, and so does a noise pair:
 :func:`factor_noise`, the one place a joint noise covariance is factorized,
 makes the pair's four refusals and whitens each marginal with its inverse
 Cholesky factor, as :func:`noise_whitener`, the one admission of a single
@@ -38,11 +38,10 @@ product that is not a Gram product forms it (``A^T M A`` evaluated as
 ``V diag(w) V^T``). A Gram product ``X^T X`` or ``X X^T`` of one array
 needs no pass: numpy evaluates it as a rank-k update of one triangle and
 mirrors that triangle, so it is symmetric to the last bit, as is a sum or
-difference of such matrices, entry by entry. So :func:`derived_inverse`'s
-``L^-T L^-1``, the Schur complements of :func:`factor_noise`, the marginal
-inverses, ``I - rho^T rho`` and the estimators' normal and posterior
-matrices are exact as built, and :func:`inverse_factor` reads its input
-as it is given.
+difference of such matrices, entry by entry. So ``L^-T L^-1``, the Schur
+complements of :func:`factor_noise`, the pair's information matrices,
+``I - rho^T rho`` and the estimators' normal and posterior matrices are
+exact as built, and :func:`inverse_factor` reads its input as it is given.
 """
 
 from __future__ import annotations
@@ -289,26 +288,24 @@ def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
     return L, L_inv
 
 
-def derived_inverse(
+def derived_factor(
     M, what: str, error: type[Singular] = Singular, scale: float = 0.0
 ) -> np.ndarray:
-    """``M^-1 = L^-T L^-1`` by :func:`inverse_factor`, every refusal raised as ``error``.
+    """``L^-1`` of ``M = L L^T`` by :func:`inverse_factor`, every refusal raised as ``error``.
 
     ``M`` (a Schur complement, an estimator's normal or posterior matrix, an
-    information matrix) is
-    derived from other matrices, so an indefinite one is their collapse: it
-    is refused as ``error``, a :class:`Singular` subtype, with infinite condition.
-    The inverse is the Gram product ``L^-T L^-1``, symmetric to the last bit.
+    information matrix) is derived from other matrices, so an indefinite one
+    is their collapse: it is refused as ``error``, a :class:`Singular`
+    subtype, with infinite condition. ``M^-1`` is the Gram product ``L^-T L^-1``.
     """
     try:
-        _, L_inv = inverse_factor(M, what, scale)
+        return inverse_factor(M, what, scale)[1]
     except NotPD as exc:
         raise error(f"{what} is numerically singular (cond~inf)", condition=np.inf) from exc
     except Singular as exc:
         if isinstance(exc, error):
             raise
         raise error(str(exc), condition=exc.condition) from exc
-    return L_inv.T @ L_inv
 
 
 def _frobenius(M) -> np.ndarray:
@@ -428,13 +425,13 @@ def factor_noise(block: BlockCovariance):
 
     Per marginal, :func:`inverse_factor` gives the PD check (:class:`NotPD`),
     the condition guard (:class:`Singular` above ``SINGULAR_CONDITION``) and
-    the inverse Cholesky factor; per Schur complement, :func:`_schur_inverse`
-    gives the inverse under a guard on its condition relative to its block.
-    Returns ``(L_v^-1, L_u^-1, W_v, F, G)``: the lower-triangular inverse
-    Cholesky factors of the marginals (``sigma = L L^T``), the pair's one
-    whitening; ``W_v = L_v^-1 sigma_vu``; and the inverse Schur complements
-    ``F = (sigma_u - sigma_uv sigma_v^-1 sigma_vu)^-1`` and
-    ``G = (sigma_v - sigma_vu sigma_u^-1 sigma_uv)^-1``.
+    the inverse Cholesky factor; per Schur complement, :func:`_schur_factor`
+    gives it under a guard on its condition relative to its block. Returns
+    ``(L_v^-1, L_u^-1, W_v, W_u, L_F^-1, L_G^-1)``: the lower-triangular
+    inverse Cholesky factors of the marginals (``sigma = L L^T``), the pair's
+    one whitening; ``W_v = L_v^-1 sigma_vu`` and ``W_u = sigma_vu L_u^-T``;
+    and those of the Schur complements ``sigma_u - W_v^T W_v = L_F L_F^T``
+    and ``sigma_v - W_u W_u^T = L_G L_G^T``. No inverse is formed.
     """
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
     _, L_v_inv = inverse_factor(sv, "sigma_v")
@@ -445,13 +442,13 @@ def factor_noise(block: BlockCovariance):
     # the explicit inverse in the middle.
     W_v = L_v_inv @ svu
     W_u = svu @ L_u_inv.T
-    F = _schur_inverse(su - W_v.T @ W_v, su, "Schur complement of sigma_u block")
-    G = _schur_inverse(sv - W_u @ W_u.T, sv, "Schur complement of sigma_v block")
-    return L_v_inv, L_u_inv, W_v, F, G
+    L_F_inv = _schur_factor(su - W_v.T @ W_v, su, "Schur complement of sigma_u block")
+    L_G_inv = _schur_factor(sv - W_u @ W_u.T, sv, "Schur complement of sigma_v block")
+    return L_v_inv, L_u_inv, W_v, W_u, L_F_inv, L_G_inv
 
 
-def _schur_inverse(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of the Schur complement ``S`` of ``parent``, by :func:`derived_inverse`.
+def _schur_factor(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:
+    """``L^-1`` of the Schur complement ``S = L L^T`` of ``parent``, by :func:`derived_factor`.
 
     A Schur complement tiny relative to its parent block signals joint
     collapse even when it is well conditioned in isolation, so its
@@ -462,6 +459,6 @@ def _schur_inverse(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:
     condition.
     """
     try:
-        return derived_inverse(S, what, scale=float(np.linalg.norm(parent)))
+        return derived_factor(S, what, scale=float(np.linalg.norm(parent)))
     except Singular:
-        return derived_inverse(S, what, scale=float(np.linalg.eigvalsh(parent)[-1]))
+        return derived_factor(S, what, scale=float(np.linalg.eigvalsh(parent)[-1]))

@@ -216,7 +216,7 @@ def joint_information_nonlinear(
     """
     require_pair_shapes(h, g, noise)
     require_prior_size(prior, h.m)
-    L_v_inv, L_u_inv, W_v, _, _ = factor_noise(noise)
+    L_v_inv, L_u_inv, W_v, *_ = factor_noise(noise)
     rho = W_v @ L_u_inv.T
     n1, n2 = rho.shape
     solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))

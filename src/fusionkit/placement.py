@@ -457,11 +457,10 @@ def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float, solvers
     """
     solve_k, solve_kp, k_norm = solvers
     forms = _objective_gradient_forms(A_tilde, B_star, rho, solve_k, solve_kp)
-    g = float(np.linalg.norm(forms[0], "fro"))
+    g_scale = _form_scale(forms[0])  # 1 + ||g||
     scale = float(np.linalg.norm(A_tilde, "fro") + np.linalg.norm(B_star, "fro"))
-    condition = k_norm * (scale + g) / (1.0 + g)
-    require_agreement(*forms, _form_scale(forms[0]),
-                      "objective gradient forms", FormDisagreement, condition)
+    condition = k_norm * (scale + g_scale - 1.0) / g_scale
+    require_agreement(*forms, g_scale, "objective gradient forms", FormDisagreement, condition)
     return float(np.linalg.norm(forms[0] - 2.0 * lam * B_star, "fro")) / (1.0 + abs(e))
 
 

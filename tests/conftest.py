@@ -165,7 +165,7 @@ def fisher_per_sample(model, sigma, prior, N, seed):
 
 def joint_per_sample(h, g, noise, prior, N, seed):
     """Per-sample reference for ``joint_information_nonlinear``: (J, std_err)."""
-    L_v_inv, L_u_inv, W_v, _, _ = factor_noise(noise)
+    L_v_inv, L_u_inv, W_v, *_ = factor_noise(noise)
     rho = W_v @ L_u_inv.T
     n1, n2 = rho.shape
     solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))

@@ -1,0 +1,76 @@
+"""Exact information matrices of a modality pair, in rational arithmetic.
+
+Every float is a dyadic rational, so ``Fraction(x)`` holds it exactly, and
+the paper's closed forms are rational in the inputs: ``J = H^T Sigma^-1 H``
+with ``H = [A; B]`` and ``Sigma`` the assembled joint noise, the SNR
+matrices ``A^T Sigma_v^-1 A`` and ``B^T Sigma_u^-1 B``, and the synergy
+matrices ``S_x = J - snr1`` and ``S_y = J - snr2``. This module computes
+them with the standard library's ``fractions`` alone, on the very floats
+the library saw, so an answer's true error is measured against no other
+floating-point computation. Matrices are lists of rows; any nested
+sequence of floats (a numpy array included) is accepted.
+"""
+
+from fractions import Fraction
+
+
+def rational(M):
+    """``M`` as a list of rows of exact ``Fraction`` entries."""
+    return [[Fraction(float(x)) for x in row] for row in M]
+
+
+def transpose(M):
+    return [list(column) for column in zip(*M)]
+
+
+def matmul(X, Y):
+    Y_t = transpose(Y)
+    return [[sum(a * b for a, b in zip(row, column)) for column in Y_t] for row in X]
+
+
+def solve(M, B):
+    """``M^-1 B`` for a nonsingular square ``M``, by Gauss-Jordan elimination without rounding."""
+    n = len(M)
+    aug = [list(M[i]) + list(B[i]) for i in range(n)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if aug[i][k] != 0)
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        inv = 1 / aug[k][k]
+        aug[k] = [x * inv for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k] != 0:
+                f = aug[i][k]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
+    return [row[n:] for row in aug]
+
+
+def information(H, sigma):
+    """``H^T sigma^-1 H``, exactly."""
+    H, sigma = rational(H), rational(sigma)
+    return matmul(transpose(H), solve(sigma, H))
+
+
+def subtract(X, Y):
+    return [[a - b for a, b in zip(r, s)] for r, s in zip(X, Y)]
+
+
+def pair_information(pair):
+    """``{"J", "snr1", "snr2", "S_x", "S_y"}`` of a ``ModalityPair``, exactly."""
+    A, B, noise = pair.first.A, pair.second.A, pair.noise
+    J = information([*A, *B], noise.joint())
+    snr1 = information(A, noise.sigma_v)
+    snr2 = information(B, noise.sigma_u)
+    return {"J": J, "snr1": snr1, "snr2": snr2,
+            "S_x": subtract(J, snr1), "S_y": subtract(J, snr2)}
+
+
+def relative_error(approx, exact) -> float:
+    """``||approx - exact||_F / ||exact||_F`` of a float matrix against an exact one.
+
+    The difference and both sums of squares are exact; only their ratio is
+    rounded, once, before its square root.
+    """
+    diff = subtract(rational(approx), exact)
+    num = sum(x * x for row in diff for x in row)
+    den = sum(x * x for row in exact for x in row)
+    return float(num / den) ** 0.5

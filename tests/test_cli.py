@@ -202,6 +202,21 @@ class TestAnalyze:
         assert report["route_max_rel_disagreement"] < 1e-8
         assert report["sigma_max_rho"] < 1.0
 
+    def test_joint_snr_matrices_are_the_single_modality_ones(self, tmp_path, capsys):
+        # on the README demo, the pair's SNR matrices are the very products
+        # that analyze --modality prints: the same numbers, digit for digit
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        path = tmp_path / "demo.json"
+        path.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+
+        def printed(*flags):
+            assert main(["analyze", str(path), *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        joint = printed("--joint", "ecg,ppg")
+        for key, modality in (("snr_first", "ecg"), ("snr_second", "ppg")):
+            assert json.dumps(joint[key]) == json.dumps(printed("--modality", modality)["snr"])
+
     def test_underdetermined_modality_exits_2(self, tmp_path, capsys):
         doc = {
             "sources": {"info_only": {"J_s": [[0.0, 0.0, 0.0]] * 3}},

@@ -42,7 +42,7 @@ from fusionkit import (
     synergy_matrices,
 )
 import fusionkit
-from fusionkit import advisor, information, placement
+from fusionkit import advisor, information, matrixkit, placement
 from fusionkit.cli import main
 from fusionkit.matrixkit import factor_noise, symmetrize
 
@@ -235,11 +235,14 @@ def small_question(seed):
 # by one agreement rule, the first four made 59/127, 52/107, 43/106 and 32/85;
 # optimal_secondary made 32/85 while it checked its budget twice and lambda_root
 # evaluated the budget at the bracket's end again in its first Newton step.
+# While the pair's matrices were formed through explicit inverses and six
+# symmetrize passes, the first three made 53/104, 46/84 and 37/83;
+# optimal_secondary made 31/84 while its KKT check took the gradient's norm twice.
 CALL_PINS = {
-    "advise": {"fusionkit": 53, "from_fusionkit": 104},
-    "joint_information": {"fusionkit": 46, "from_fusionkit": 84},
-    "synergy_matrices": {"fusionkit": 37, "from_fusionkit": 83},
-    "optimal_secondary": {"fusionkit": 31, "from_fusionkit": 84},
+    "advise": {"fusionkit": 46, "from_fusionkit": 92},
+    "joint_information": {"fusionkit": 39, "from_fusionkit": 72},
+    "synergy_matrices": {"fusionkit": 30, "from_fusionkit": 71},
+    "optimal_secondary": {"fusionkit": 31, "from_fusionkit": 83},
     "ml_estimate": {"fusionkit": 14, "from_fusionkit": 21},
 }
 
@@ -329,7 +332,7 @@ def test_contents_match_the_single_purpose_functions(rng):
     pair = random_pair(rng, 4, 3, 2)
     fac = PairFactorization.from_pair(pair)
     # the whitened pair is the products with the noise factors' whiteners
-    L_v_inv, L_u_inv, W_v, _, _ = factor_noise(pair.noise)
+    L_v_inv, L_u_inv, W_v, *_ = factor_noise(pair.noise)
     rho = W_v @ L_u_inv.T
     for got, want in zip(
         (fac.whitened.A_tilde, fac.whitened.B_tilde, fac.whitened.rho),
@@ -337,11 +340,10 @@ def test_contents_match_the_single_purpose_functions(rng):
     ):
         assert np.array_equal(got, want)
     assert fac.sigma_max_rho == float(np.linalg.svd(rho, compute_uv=False)[0])
-    # snr_matrix whitens with the Cholesky factor, the factorization takes
-    # A^T sigma_v^-1 A with the inverse from the same factor: two routes to
-    # one matrix, which agree to rounding
-    assert rel_fro(fac.snr_first, snr_matrix(pair.first, pair.noise.sigma_v).matrix) <= 1e-12
-    assert rel_fro(fac.snr_second, snr_matrix(pair.second, pair.noise.sigma_u).matrix) <= 1e-12
+    # snr_matrix and the factorization both take the Gram product of the
+    # whitened A~ = L^-1 A, with L from the same Cholesky factor: one product
+    assert np.array_equal(fac.snr_first, snr_matrix(pair.first, pair.noise.sigma_v).matrix)
+    assert np.array_equal(fac.snr_second, snr_matrix(pair.second, pair.noise.sigma_u).matrix)
     # independent oracle: GLS information of the stacked model
     H = np.vstack([pair.first.A, pair.second.A])
     dense = H.T @ np.linalg.solve(pair.noise.joint(), H)
@@ -349,6 +351,52 @@ def test_contents_match_the_single_purpose_functions(rng):
         assert rel_fro(J, dense) <= 1e-10
     assert rel_fro(fac.S_x, dense - fac.snr_first) <= 1e-10
     assert rel_fro(fac.S_y, dense - fac.snr_second) <= 1e-10
+
+
+def test_from_pair_symmetrizes_once(rng, monkeypatch):
+    # the pair's matrices are Gram products of its whitened factors, or sums
+    # of them; only the prewhitened route, formed by a solve, is symmetrized
+    pair = random_pair(rng, 4, 3, 2)
+    calls = []
+    for module in (information, matrixkit):
+        real = module.symmetrize
+        monkeypatch.setattr(module, "symmetrize",
+                            lambda M, _real=real: calls.append(M) or _real(M))
+    PairFactorization.from_pair(pair)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("redundant", [False, True])
+@pytest.mark.parametrize("shape", [(3, 2, 2), (40, 30, 10), (200, 150, 20)])
+def test_held_matrices_are_exactly_symmetric(shape, redundant):
+    pair = planted_pair(np.random.default_rng(sum(shape)), *shape, redundant)
+    fac = PairFactorization.from_pair(pair)
+    for M in (fac.snr_first, fac.snr_second, fac.S_x, fac.S_y, *fac.routes.values()):
+        assert np.array_equal(M, M.T)
+
+
+NOISE_FACTORS = ("L_v_inv", "L_u_inv", "W_v", "W_u", "L_F_inv", "L_G_inv")
+
+
+@pytest.mark.parametrize("moved", range(len(NOISE_FACTORS)), ids=NOISE_FACTORS)
+def test_a_fault_in_any_noise_factor_is_refused(monkeypatch, moved):
+    # each factor feeds some routes and not others, so one moved by 1e-6
+    # relative parts them; the pair's synergy is large, so a fault in a Schur
+    # factor moves a route by far more than the tolerance
+    pair = planted_pair(np.random.default_rng(7), 4, 3, 2)
+    fac = PairFactorization.from_pair(pair)
+    assert np.linalg.norm(fac.S_x) >= 0.1 * np.linalg.norm(fac.routes["prewhitened"])
+    assert np.linalg.norm(fac.S_y) >= 0.1 * np.linalg.norm(fac.routes["prewhitened"])
+    factor = information.factor_noise
+
+    def perturbed(block):
+        factors = list(factor(block))
+        factors[moved] = factors[moved] * (1.0 + 1e-6)
+        return tuple(factors)
+
+    monkeypatch.setattr(information, "factor_noise", perturbed)
+    with pytest.raises(RouteDisagreement):
+        PairFactorization.from_pair(ModalityPair(pair.first, pair.second, pair.noise))
 
 
 @pytest.mark.parametrize("redundant", [False, True])
@@ -492,11 +540,12 @@ def test_route_check_boundary(rng, monkeypatch, skew, refused):
 
 
 def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
-    # a real fault in the synergy matrices' inputs: F scaled by 1.001. J_block
-    # is snr1 + M_f F M_f^T for any F, so S_x still agrees with it and
-    # S_y = quad_g, built on G, is off by 0.001 * S_x. The route check is
-    # declared passed, so only the synergy comparison, of the matrices it
-    # really compares and on its own scale, can fire
+    # a real fault in the synergy matrices' inputs: L_F^-1 scaled by
+    # sqrt(1.001), so F = L_F^-T L_F^-1 by 1.001. J_block is snr1 + M_f F M_f^T
+    # for any F, so S_x still agrees with it and S_y, built on L_G^-1, is off
+    # by 0.001 * S_x. The route check is declared passed, so only the synergy
+    # comparison, of the matrices it really compares and on its own scale,
+    # can fire
     pair = random_pair(rng, 3, 2, 2)
     fac = PairFactorization.from_pair(pair)
     J_moved = fac.snr_first + 1.001 * fac.S_x
@@ -504,8 +553,8 @@ def test_synergy_cross_check_raises_on_its_own(rng, monkeypatch):
     factor, check = information.factor_noise, information.require_agreement
 
     def perturbed(block):
-        L_v_inv, L_u_inv, W_v, F, G = factor(block)
-        return L_v_inv, L_u_inv, W_v, 1.001 * F, G
+        *factors, L_F_inv, L_G_inv = factor(block)
+        return (*factors, np.sqrt(1.001) * L_F_inv, L_G_inv)
 
     def routes_pass(first, second, scale, what, error, condition=1.0):
         if what == "joint-information routes":

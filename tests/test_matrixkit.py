@@ -37,7 +37,7 @@ from fusionkit.matrixkit import (
     FORM_TOL,
     SINGULAR_CONDITION,
     admit_symmetric,
-    derived_inverse,
+    derived_factor,
     factor_noise,
     inverse_factor,
     require_agreement,
@@ -141,18 +141,6 @@ class TestBlockInverse:
         assert np.max(np.abs(assembled - dense)) < 1e-9
         assert np.linalg.norm(noise.joint() @ assembled - np.eye(6), "fro") <= 1e-9
 
-    @pytest.mark.parametrize("n1, n2", [(4, 2), (40, 30), (200, 150)])
-    def test_omega_11_reuses_omega_12_bit_for_bit(self, rng, n1, n2):
-        # omega_11 = sigma_v^-1 - omega_12 (sigma_v^-1 sigma_vu)^T is the
-        # expanded sigma_v^-1 + sigma_v^-1 sigma_vu F (sigma_v^-1 sigma_vu)^T
-        # with one product reused: negation is exact, so no bit moves
-        noise = random_joint_noise(rng, n1, n2)
-        L_v_inv, _, _, F, _ = factor_noise(noise)
-        sigma_v_inv, _ = marginal_inverses(noise)
-        sv_inv_svu = L_v_inv.T @ (L_v_inv @ noise.sigma_vu)
-        expanded = symmetrize(sigma_v_inv + sv_inv_svu @ F @ sv_inv_svu.T)
-        assert np.array_equal(inverse_blocks(noise)[0], expanded)
-
     def test_singular_schur_raises(self):
         # cross block makes the Schur complement collapse
         eps = 1e-14
@@ -161,18 +149,24 @@ class TestBlockInverse:
             factor_noise(noise)
 
 
+def schur_inverses(noise):
+    """``F`` and ``G`` as the Gram matrices ``L^-T L^-1`` of the Schur factors."""
+    *_, L_F_inv, L_G_inv = factor_noise(noise)
+    return L_F_inv.T @ L_F_inv, L_G_inv.T @ L_G_inv
+
+
 class TestSchurFactors:
     def test_zero_cross_term(self, rng):
         sv, su = random_pd(rng, 3), random_pd(rng, 3)
         noise = BlockCovariance(sv, su, np.zeros((3, 3)))
-        *_, F, G = factor_noise(noise)
+        F, G = schur_inverses(noise)
         assert np.allclose(F, np.linalg.inv(su))
         assert np.allclose(G, np.linalg.inv(sv))
 
     def test_scalar_schur(self):
         c = 0.3
         noise = BlockCovariance([[1.0]], [[1.0]], [[c]])
-        *_, F, G = factor_noise(noise)
+        F, G = schur_inverses(noise)
         assert F[0, 0] == pytest.approx(1.0 / (1.0 - c**2), rel=1e-12)
         assert G[0, 0] == pytest.approx(1.0 / (1.0 - c**2), rel=1e-12)
 
@@ -182,9 +176,13 @@ class TestSchurFactors:
             n1 = int(rng.integers(1, 4))
             n2 = int(rng.integers(1, 4))
             noise = random_joint_noise(rng, n1, n2)
-            *_, F, G = factor_noise(noise)
-            assert np.linalg.eigvalsh(F)[0] > 0
-            assert np.linalg.eigvalsh(G)[0] > 0
+            *_, L_F_inv, L_G_inv = factor_noise(noise)
+            # lower-triangular factors of PD matrices: a positive diagonal
+            for L_inv in (L_F_inv, L_G_inv):
+                assert np.array_equal(L_inv, np.tril(L_inv))
+                assert np.all(np.diag(L_inv) > 0)
+            for M in schur_inverses(noise):
+                assert np.linalg.eigvalsh(M)[0] > 0
 
 
 def test_require_symmetric_rejects_asymmetry():
@@ -218,7 +216,8 @@ def test_derived_inverse_is_exactly_symmetric(n):
     # so no symmetrize pass follows it (nor the products built on it)
     rng = np.random.default_rng(n)
     M = symmetrize(random_pd(rng, n))
-    inverse = derived_inverse(M, "M")
+    L_inv = derived_factor(M, "M")
+    inverse = L_inv.T @ L_inv
     assert np.array_equal(inverse, inverse.T)
 
 
@@ -232,13 +231,13 @@ def test_estimator_matrices_are_exactly_symmetric(monkeypatch, n, m):
     prior = GaussianPrior(mean=np.zeros(m), cov=symmetrize(random_pd(rng, m)))
     x = rng.standard_normal(n)
     inverted = []
-    real = estimators.derived_inverse
+    real = estimators.derived_factor
 
     def recorded(M, *args):
         inverted.append(M)
         return real(M, *args)
 
-    monkeypatch.setattr(estimators, "derived_inverse", recorded)
+    monkeypatch.setattr(estimators, "derived_factor", recorded)
     ml = ml_estimate(model, sigma, x)
     mmse = mmse_gaussian_estimate(model, sigma, prior, x)
     assert len(inverted) == 2
@@ -495,10 +494,16 @@ def planted_spectrum(log_cond, min_eig, n, top, rng):
 guard_sizes = st.one_of(st.sampled_from([1, 2, 3, 63, 64, 65, 400]), st.integers(1, 400))
 
 
+def schur_complement_inverse(M, scale):
+    """``M^-1 = L^-T L^-1`` from the factor the guard of a Schur complement returns."""
+    L_inv = derived_factor(M, "Schur complement", scale=scale)
+    return L_inv.T @ L_inv
+
+
 # The refusal each derived inverse raises: a Schur complement (measured
 # against its parent block) and the estimators' normal and posterior matrices.
 derived_guards = {
-    Singular: lambda M, scale: derived_inverse(M, "Schur complement", scale=scale),
+    Singular: schur_complement_inverse,
     SingularNormalMatrix: lambda M, scale: _solve_normal(M, np.ones(len(M)), "normal matrix")[1],
     SingularPosterior: lambda M, scale: _solve_normal(
         M, np.ones(len(M)), "posterior information matrix", SingularPosterior)[1],
