@@ -6,9 +6,11 @@ budgeted design at each feasible budget and records the multiplier, the
 objective, the stationarity residual (the norm of the analytic Lagrangian
 gradient, whose two algebraic forms are checked against each other on
 every solve), and the perturbation-probe outcome (how often a random
-feasible perturbation beats the stationary point; first-order
-stationarity is what the closed form guarantees, so probe violations are
-data, not errors). Exits 1 if a KKT residual exceeds ``KKT_BOUND``.
+feasible perturbation increases the objective, and the largest gain).
+Exits 1 if a KKT residual exceeds ``KKT_BOUND``, or if a probe finds a
+perturbation that does not increase the objective: the solution is the
+budget-constrained minimizer (``optimal_secondary``), so at the probe's
+delta of 1e-3 every perturbation is a violation.
 """
 
 import argparse
@@ -79,6 +81,11 @@ def main() -> int:
     )
     if worst_kkt > KKT_BOUND:
         print(f"FAIL: KKT residual {worst_kkt:.3e} exceeds {KKT_BOUND:.0e}", file=sys.stderr)
+        return 1
+    short = [r["p"] for r in rows if r["probe_violations"] < args.probes]
+    if short:
+        print(f"FAIL: at budgets {short}, a perturbation did not increase the objective of "
+              "the minimizer", file=sys.stderr)
         return 1
     return 0
 

@@ -20,7 +20,7 @@ distinct forms that must agree; the perturbation probe reports how
 perturbations move the objective. What depends on rho alone is taken once per
 bit-equal rho (:func:`_analysis`), and what the probe draws once per seed, count
 and shape (:func:`_probe_draws`): a budget sweep on one pair and the probes of
-its solutions take one SVD and one draw.
+its solutions take one SVD, one draw and one quadratic form ``<z, K z>`` per draw.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ from .information import _admissible_sigma_max, _cross_solvers, _whitened_fisher
 from .matrixkit import _form_scale, _read_only_copy, require_agreement, require_finite
 from .model import SourcePrior, require_prior_size
 
-# Perturbations drawn and scored together by the probe; bounds its memory.
+# Perturbations the probe draws and scores as one stack; bounds its memory.
 PROBE_BLOCK = 256
 
 # Largest KKT residual of a returned solution (acceptance criterion 07).
 KKT_BOUND = 1e-5
 
-_last_rho = None  # (key, U, s, cap, solvers, K) of the last rho read: see _analysis
+_last_rho = None  # (key, U, s, cap, solvers, K, probe forms) of the last rho read: see _analysis
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,12 @@ def _whitened_inputs(A_tilde, rho, B_tilde=None, b_name="B_tilde") -> tuple[np.n
 
 
 def _analysis(rho: np.ndarray) -> tuple:
-    """``(key, U, s, cap, solvers, K)`` of rho, memoized in one slot for a bit-equal rho.
+    """``(key, U, s, cap, solvers, K, forms)`` of rho, memoized in one slot for a bit-equal rho.
 
     The full SVD, ``cap = I - rho^T rho``, :func:`_cross_solvers`' solvers (None while its
-    guard refuses rho) and ``K = cap^-1`` (None until :func:`_probe_k`). The key is a private
+    guard refuses rho), ``K = cap^-1`` (None until :func:`_probe_k`) and ``forms``, the
+    ``(key, <z_i, K z_i>)`` of the probe's first block of draws last scored on rho (None until
+    :func:`_probe_forms`; the key is the draws' ``(seed, count, shape)``). The key is a private
     read-only copy, compared bit for bit (``-0.0`` is not ``0.0``); a miss replaces the slot.
     """
     global _last_rho
@@ -152,23 +154,23 @@ def _analysis(rho: np.ndarray) -> tuple:
         solvers = _cross_solvers(key, s, cap)
     except FusionKitError:
         solvers = None
-    _last_rho = memo = (key, U, s, cap, solvers, None)
+    _last_rho = memo = (key, U, s, cap, solvers, None, None)
     return memo
 
 
 def _solvers(memo: tuple) -> tuple:
     """The solvers of an analysis; a refused rho is judged again, and raises as on a miss."""
-    key, _, s, cap, solvers, _ = memo
+    key, _, s, cap, solvers = memo[:5]
     return solvers or _cross_solvers(key, s, cap)
 
 
-def _probe_k(rho: np.ndarray) -> np.ndarray:
-    """``K = (I - rho^T rho)^-1`` of the analysis of rho: one solve, the first time it is asked."""
+def _probe_k(rho: np.ndarray) -> tuple:
+    """The analysis of rho with ``K = (I - rho^T rho)^-1`` in it: one solve, the first time."""
     global _last_rho
     memo = _analysis(rho)
     if memo[5] is None:
-        memo = _last_rho = memo[:5] + (_solvers(memo)[0](np.eye(rho.shape[1])),)
-    return memo[5]
+        memo = _last_rho = memo[:5] + (_solvers(memo)[0](np.eye(rho.shape[1])), None)
+    return memo
 
 
 def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -> float:
@@ -482,11 +484,13 @@ def local_optimality_probe(
     at the default delta every perturbation is a violation; smaller
     deltas put gains on both sides of the threshold, where rounding
     decides. A prior would shift the objective by a constant, which
-    cancels in every gain. The perturbations are drawn and scored in
-    blocks of ``PROBE_BLOCK`` (see :func:`_perturbation_gains`): memory
-    stays bounded for any ``n_perturbations``, and the gains equal those
-    of drawing them one at a time, up to rounding. The draws are memoized
-    by ``(seed, count, shape)``; a report is bit-identical to a fresh one.
+    cancels in every gain. Each gain is a closed form in three inner
+    products of its draw and the draw's ``<z, K z>``, with no perturbed
+    matrix formed (see :func:`_perturbation_gains`); the draws are taken in
+    blocks of ``PROBE_BLOCK``, so memory stays bounded for any ``n_perturbations``,
+    and the gains equal those of drawing them one at a time, up to rounding.
+    The draws are memoized by ``(seed, count, shape)``, and the first block's
+    ``<z, K z>`` in the analysis of rho; a report is bit-identical to a fresh one.
     ``K = (I - rho^T rho)^-1``
     is guarded by the singular values of the ``rho`` given (:func:`_analysis`),
     so a ``rho`` outside the admissible range raises :class:`Inadmissible`,
@@ -517,40 +521,56 @@ def local_optimality_probe(
 
 
 def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta: float):
-    """Objective gain of each random budget-feasible perturbation of ``B0``.
+    """Objective gain of each random budget-feasible perturbation of ``B0``, in closed form.
 
     The objective is ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~``
-    and ``K = (I - rho^T rho)^-1``. The first term is the same for every
-    ``B~``, so a gain is a difference of ``sum(D * (K D))``, with ``K``
-    read from the analysis of this ``rho`` (:func:`_probe_k`), under the
-    singularity guard of the objective.
+    and ``K = (I - rho^T rho)^-1``, read from the analysis of this ``rho``
+    (:func:`_probe_k`), under the singularity guard of the objective. A draw
+    ``z``, displaced by ``s = delta / ||z||`` and scaled back onto the budget
+    sphere, is ``B~ = c Y`` with ``Y = B0 + s z`` and ``c = sqrt(p / ||Y||^2)``:
+    its ``D`` is ``D0 + a B0 + b z``, with ``a = c - 1`` and ``b = c s``, and its gain
+    ``2a<K D0, B0> + 2b<K D0, z> + a^2 <B0, K B0> + 2ab <K B0, z> + b^2 <z, K z>``.
+    No perturbed matrix is formed, no two objective-sized numbers are
+    subtracted, and ``a = -eps / (||Y||^2 (1 + c))``, with
+    ``eps = ||Y||^2 - p = 2s<B0, z> + (s ||z||)^2``, does not cancel.
 
-    Perturbations are handled as a stack of up to ``PROBE_BLOCK`` at a
-    time: one normal draw of shape ``(block, n2, m)``, each scaled to norm
-    ``delta``, added to ``B0`` and scaled back onto the budget sphere,
-    then scored by one matrix product of ``K`` with the stack. The
-    generator yields the same numbers in the same order as one draw per
-    perturbation, so each gain equals the one-at-a-time gain up to
-    rounding; memory is two stacks of ``PROBE_BLOCK * n2 * m`` floats,
-    whatever ``n_perturbations``. The draws and their norms depend only on
-    ``(seed, count, shape)``: the first block of them is kept, read-only, for
-    the two keys last used (:func:`_probe_draws`; one block each), and a hit
-    runs the same arithmetic on them, so its gains are bit-identical.
+    The draws come in stacks of up to ``PROBE_BLOCK``, of shape ``(block, n2, m)``;
+    a stack's inner products with ``B0``, ``K D0`` and ``K B0`` are one matrix
+    product, and its ``<z, K z>`` another (:func:`_probe_forms`). The generator yields
+    the same numbers in the same order as one draw per perturbation, so each gain
+    equals the one-at-a-time gain up to rounding, and memory stays bounded whatever
+    ``n_perturbations``. The first block of draws, a function of ``(seed, count,
+    shape)`` only, is kept read-only (:func:`_probe_draws`), and its ``<z, K z>`` next
+    to ``K``: a hit runs the same arithmetic on them, so its gains are bit-identical.
     """
-    K = _probe_k(rho)
-    target = rho.T @ A_tilde
-    p = float(np.sum(B0 * B0))
-    D0 = B0 - target
-    base = float(_sums(D0, K @ D0))
-    draws = _probe_draws(seed, n_perturbations, B0.shape)
+    memo = _probe_k(rho)
+    K, p, b0 = memo[5], float(np.sum(B0 * B0)), B0.ravel()
+    basis = np.stack([b0, (K @ (B0 - rho.T @ A_tilde)).ravel(), (K @ B0).ravel()], axis=1)
+    kd0_b0, b0_kb0 = b0 @ basis[:, 1:]
     gains = np.empty(n_perturbations)
-    for lo, (z, norms) in zip(range(0, n_perturbations, PROBE_BLOCK), draws):
-        B = z * (delta / norms)[:, None, None]
-        B += B0
-        B *= np.sqrt(p / _sums(B, B))[:, None, None]
-        B -= target  # D = B~ - rho^T A~ of each perturbation
-        gains[lo : lo + B.shape[0]] = _sums(B, K @ B) - base
+    for lo, (z, norms) in zip(range(0, n_perturbations, PROBE_BLOCK),
+                              _probe_draws(seed, n_perturbations, B0.shape)):
+        z_b0, z_kd0, z_kb0 = (z.reshape(z.shape[0], -1) @ basis).T
+        q = _probe_forms(memo, z, (int(seed), z.shape[0], B0.shape) if lo == 0 else None)
+        s = delta / norms
+        eps = 2.0 * s * z_b0 + (s * norms) ** 2
+        c = np.sqrt(p / (p + eps))
+        a, b = -eps / ((p + eps) * (1.0 + c)), c * s
+        gains[lo : lo + z.shape[0]] = (2.0 * a * kd0_b0 + 2.0 * b * z_kd0 + a * a * b0_kb0
+                                       + 2.0 * a * b * z_kb0 + b * b * q)
     return gains
+
+
+def _probe_forms(memo: tuple, z, key=None) -> np.ndarray:
+    """``<z_i, K z_i>`` of each draw of a block, with the ``K`` of the analysis ``memo``; a
+    first block's, ``key`` its ``(seed, count, shape)``, is kept in that slot next to ``K``."""
+    global _last_rho
+    if key is not None and memo[6] is not None and memo[6][0] == key:
+        return memo[6][1]
+    q = _sums(z, memo[5] @ z)
+    if key is not None:
+        _last_rho = memo[:6] + ((key, q),)
+    return q
 
 
 def _sums(X, Y):  # sum(X * Y) of each matrix of a stack

@@ -9,8 +9,13 @@ them with the standard library's ``fractions`` alone, on the very floats
 the library saw, so an answer's true error is measured against no other
 floating-point computation. Matrices are lists of rows; any nested
 sequence of floats (a numpy array included) is accepted.
+
+The placement probe's gains are rational but for one square root, the
+rescaling back onto the budget sphere, which ``decimal`` takes to 60 digits.
 """
 
+import math
+from decimal import Context, Decimal
 from fractions import Fraction
 
 
@@ -74,3 +79,34 @@ def relative_error(approx, exact) -> float:
     num = sum(x * x for row in diff for x in row)
     den = sum(x * x for row in exact for x in row)
     return float(num / den) ** 0.5
+
+
+def probe_gains(A, rho, B0, draws, delta):
+    """The objective gain of each probe perturbation ``z`` of ``draws``, from the probe's floats.
+
+    The draw is displaced by the float ``s = delta / ||z||``, ``Y = B0 + s z``
+    exactly, and scaled back onto the sphere of ``B0`` by
+    ``c = sqrt(||B0||^2 / ||Y||^2)``, rounded to 60 digits. The gain is
+    ``Tr(D^T K D) - Tr(D0^T K D0)`` with ``D = c Y - rho^T A``, ``D0 = B0 - rho^T A``
+    and ``K = (I - rho^T rho)^-1`` taken exactly.
+    """
+    A, rho, B0 = rational(A), rational(rho), rational(B0)
+    n2 = len(rho[0])
+    eye = [[Fraction(int(i == j)) for j in range(n2)] for i in range(n2)]
+    K = solve(subtract(eye, matmul(transpose(rho), rho)), eye)
+    target = matmul(transpose(rho), A)
+    p = sum(x * x for row in B0 for x in row)
+
+    def score(B):
+        D = subtract(B, target)
+        return sum(d * k for row, k_row in zip(D, matmul(K, D)) for d, k in zip(row, k_row))
+
+    base, gains, digits = score(B0), [], Context(prec=60)
+    for z in draws:
+        s = Fraction(delta / max(math.sqrt(sum(float(x) ** 2 for row in z for x in row)), 1e-300))
+        Y = [[b + s * x for b, x in zip(r, q)] for r, q in zip(B0, rational(z))]
+        ratio = p / sum(y * y for row in Y for y in row)
+        c = digits.sqrt(digits.divide(Decimal(ratio.numerator), Decimal(ratio.denominator)))
+        c = Fraction(c)
+        gains.append(score([[c * y for y in row] for row in Y]) - base)
+    return gains

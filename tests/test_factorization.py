@@ -238,27 +238,46 @@ def small_question(seed):
 # While the pair's matrices were formed through explicit inverses and six
 # symmetrize passes, the first three made 53/104, 46/84 and 37/83;
 # optimal_secondary made 31/84 while its KKT check took the gradient's norm twice.
+# While the probe formed each perturbed matrix and its K B, a probe made 17/34 on
+# a miss of placement's analysis slot and 10/25 on a hit.
 CALL_PINS = {
     "advise": {"fusionkit": 46, "from_fusionkit": 92},
     "joint_information": {"fusionkit": 39, "from_fusionkit": 72},
     "synergy_matrices": {"fusionkit": 30, "from_fusionkit": 71},
     "optimal_secondary": {"fusionkit": 31, "from_fusionkit": 83},
     "ml_estimate": {"fusionkit": 14, "from_fusionkit": 21},
+    "local_optimality_probe, slot miss": {"fusionkit": 16, "from_fusionkit": 37},
+    "local_optimality_probe, slot hit": {"fusionkit": 8, "from_fusionkit": 27},
 }
+
+
+def probe_of_solution(q, hit):
+    """A call of the probe of ``q``'s placement solution, probed once before.
+
+    The analysis slot of its rho then holds ``K`` and the first block's
+    ``<z, K z>`` (a hit), or is emptied (a miss).
+    """
+    A, rho, p = q[5]
+    sol = optimal_secondary(A, rho, p)
+    local_optimality_probe(A, rho, sol)
+    if not hit:
+        placement._last_rho = None
+    return lambda: local_optimality_probe(A, rho, sol)
 
 
 @pytest.mark.parametrize("call", sorted(CALL_PINS))
 def test_python_calls_pinned(call):
-    calls = {
-        "advise": lambda q: advise(q[0], q[1]),
-        "joint_information": lambda q: joint_information(q[0], q[1]),
-        "synergy_matrices": lambda q: synergy_matrices(q[0]),
-        "optimal_secondary": lambda q: optimal_secondary(*q[5]),
-        "ml_estimate": lambda q: ml_estimate(q[2], q[3], q[4]),
+    asks = {
+        "advise": lambda q: lambda: advise(q[0], q[1]),
+        "joint_information": lambda q: lambda: joint_information(q[0], q[1]),
+        "synergy_matrices": lambda q: lambda: synergy_matrices(q[0]),
+        "optimal_secondary": lambda q: lambda: optimal_secondary(*q[5]),
+        "ml_estimate": lambda q: lambda: ml_estimate(q[2], q[3], q[4]),
+        "local_optimality_probe, slot miss": lambda q: probe_of_solution(q, hit=False),
+        "local_optimality_probe, slot hit": lambda q: probe_of_solution(q, hit=True),
     }
-    calls[call](small_question(1))  # caches warm: the masks of the triangular inverse
-    question = small_question(2)
-    assert python_calls(lambda: calls[call](question)) == CALL_PINS[call]
+    asks[call](small_question(1))()  # caches warm: the masks of the triangular inverse
+    assert python_calls(asks[call](small_question(2))) == CALL_PINS[call]
 
 
 def test_memoized_answers_equal_a_fresh_pair(rng):

@@ -44,6 +44,7 @@ from conftest import (
     rel_fro,
     symmetric_root,
 )
+from exact import probe_gains
 
 
 def probe_instance(rng):
@@ -523,6 +524,15 @@ class TestProbeAndUnwhiten:
         report = local_optimality_probe(A, rho, sol, seed=seed, delta=delta)
         assert report.n_violations == violations
 
+    @pytest.mark.parametrize("delta, violations", [(1e-3, 200), (1e-4, 47)])
+    def test_pinned_counts_are_the_exact_counts(self, rng, delta, violations):
+        # the gains of the exact oracle (tests/exact.py) above the threshold;
+        # the medium pins, 200 and 108, equal the exact counts too (the oracle
+        # takes about 17 s there)
+        A, rho, sol = probe_instance(rng)
+        z = np.random.default_rng(3).standard_normal((200,) + sol.B_star.shape)
+        assert sum(g > 1e-8 for g in probe_gains(A, rho, sol.B_star, z, delta)) == violations
+
     @pytest.mark.parametrize("dims", [(3, 3, 2), (40, 30, 10), (200, 150, 20)])
     @pytest.mark.parametrize("delta", [1e-3, 1.1e-4])
     def test_probe_gains_match_one_at_a_time(self, dims, delta):
@@ -637,24 +647,30 @@ def default_rng_calls(monkeypatch):
 def unmemoized_gains(A, rho, B0, n_perturbations, seed, delta):
     """The probe's gains from one generator, block by block, with nothing memoized.
 
-    The arithmetic of the probe before its draws were memoized, on the
-    same ``K``: a memoized gain must equal it bit for bit.
+    The probe's quadratic expansion around ``B0`` on the draws of a fresh
+    ``default_rng(seed)``, with ``K`` and every ``<z, K z>`` taken afresh: a
+    memoized gain must equal it bit for bit.
     """
-    K = placement._probe_k(rho)
-    sums = placement._sums
-    target = rho.T @ A
+    n2, sums = rho.shape[1], placement._sums
+    K = np.linalg.solve(np.eye(n2) - rho.T @ rho, np.eye(n2))
     p = float(np.sum(B0 * B0))
-    D0 = B0 - target
-    base = float(sums(D0, K @ D0))
+    D0 = B0 - rho.T @ A
+    basis = np.stack([B0.ravel(), (K @ D0).ravel(), (K @ B0).ravel()], axis=1)
+    kd0_b0, b0_kb0 = B0.ravel() @ basis[:, 1:]
     rng = np.random.default_rng(seed)
     gains = np.empty(n_perturbations)
     for lo in range(0, n_perturbations, placement.PROBE_BLOCK):
-        B = rng.standard_normal((min(placement.PROBE_BLOCK, n_perturbations - lo),) + B0.shape)
-        B *= (delta / np.maximum(np.sqrt(sums(B, B)), 1e-300))[:, None, None]
-        B += B0
-        B *= np.sqrt(p / sums(B, B))[:, None, None]
-        B -= target
-        gains[lo : lo + B.shape[0]] = sums(B, K @ B) - base
+        z = rng.standard_normal((min(placement.PROBE_BLOCK, n_perturbations - lo),) + B0.shape)
+        norms = np.maximum(np.sqrt(sums(z, z)), 1e-300)
+        z_b0, z_kd0, z_kb0 = (z.reshape(z.shape[0], -1) @ basis).T
+        s = delta / norms
+        eps = 2.0 * s * z_b0 + (s * norms) ** 2
+        c = np.sqrt(p / (p + eps))
+        a, b = -eps / ((p + eps) * (1.0 + c)), c * s
+        gains[lo : lo + z.shape[0]] = (
+            2.0 * a * kd0_b0 + 2.0 * b * z_kd0 + a * a * b0_kb0 + 2.0 * a * b * z_kb0
+            + b * b * sums(z, K @ z)
+        )
     return gains
 
 
@@ -830,6 +846,19 @@ class TestProbeDrawsMemo:
         local_optimality_probe(A, rho, sol, n_perturbations=n, seed=3)
         local_optimality_probe(A, rho, sol, n_perturbations=n, seed=3, delta=1.1e-4)
         assert rngs == [(3,)] * 4
+
+    def test_a_budget_sweep_takes_the_quadratic_forms_once(self, monkeypatch):
+        # K z of the first block is kept next to K; later blocks take their own
+        A, rho, _ = self.instances()[0]
+        budgets = 2.0 * _budget_value(0.0, *_budget_terms(svd_of_rho(A, rho))) * np.arange(1, 4)
+        real, forms = placement._probe_forms, []
+        monkeypatch.setattr(placement, "_probe_forms",
+                            lambda *a: forms.append(real(*a)) or forms[-1])
+        for n, distinct in [(200, 1), (placement.PROBE_BLOCK + 44, 1 + 3)]:
+            forms.clear()
+            for p in budgets:
+                local_optimality_probe(A, rho, optimal_secondary(A, rho, p), n_perturbations=n)
+            assert len({id(q) for q in forms}) == distinct
 
     def test_memoized_draws_are_read_only(self):
         A, rho, sol = self.instances()[0]
