@@ -17,10 +17,12 @@ objective; the maximizing branch, ``lambda > lambda_max(K)``, is not
 solved here. First-order stationarity is verified on every solve by the
 analytic gradient of the Lagrangian, evaluated in two algebraically
 distinct forms that must agree; the perturbation probe reports how
-perturbations move the objective. What depends on rho alone is taken once per
-bit-equal rho (:func:`_analysis`), and what the probe draws once per seed, count
-and shape (:func:`_probe_draws`): a budget sweep on one pair and the probes of
-its solutions take one SVD, one draw and one quadratic form ``<z, K z>`` per draw.
+perturbations move the objective. Three caches, each keyed by what it depends on,
+hold what a budget sweep on one pair repeats: the analysis of the last rho, by its
+bytes (:func:`_analysis_of`); the probe's first block of draws, by seed, count and
+shape (:func:`_first_draws`); and that block's ``<z, K z>``, by analysis and draws
+(:func:`_first_forms`). A sweep and the probes of its solutions take one SVD, one
+draw and one quadratic form per draw.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBudget, FormDisagreement, FusionKitError, NoRoot, Singular
+from .errors import DegenerateBudget, FormDisagreement, NoRoot, Singular
 from .information import _admissible_sigma_max, _cross_solvers, _whitened_fisher
-from .matrixkit import _form_scale, _read_only_copy, require_agreement, require_finite
+from .matrixkit import _form_scale, require_agreement, require_finite
 from .model import SourcePrior, require_prior_size
 
 # Perturbations the probe draws and scores as one stack; bounds its memory.
@@ -40,8 +42,6 @@ PROBE_BLOCK = 256
 
 # Largest KKT residual of a returned solution (acceptance criterion 07).
 KKT_BOUND = 1e-5
-
-_last_rho = None  # (key, U, s, cap, solvers, K, probe forms) of the last rho read: see _analysis
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class SvdOfRho:
     ``d`` holds the diagonal entries of ``U^T A~ A~^T U``, with ``U`` the
     left singular vectors of rho; the root equation is
     ``sum_i d_i sigma_i^2 / [1 - lambda (1 - sigma_i^2)]^2 = p``. ``n2`` is
-    the column count of rho; the singular values are read-only (:func:`_analysis`).
+    the column count of rho; the singular values are read-only (:func:`_analysis_of`).
     """
 
     singular_values: np.ndarray
@@ -133,44 +133,32 @@ def _whitened_inputs(A_tilde, rho, B_tilde=None, b_name="B_tilde") -> tuple[np.n
     return tuple(arrays.values())
 
 
-def _analysis(rho: np.ndarray) -> tuple:
-    """``(key, U, s, cap, solvers, K, forms)`` of rho, memoized in one slot for a bit-equal rho.
+class _Analysis:
+    """What placement reads of one rho: ``rho`` itself, ``U`` and the read-only ``s`` of its
+    full SVD, and ``cap = I - rho^T rho``. :func:`_cross_solvers`' ``solvers`` and
+    ``K = cap^-1`` are taken on first use and kept; a refused rho keeps no solvers, so
+    every use judges it again and raises again."""
 
-    The full SVD, ``cap = I - rho^T rho``, :func:`_cross_solvers`' solvers (None while its
-    guard refuses rho), ``K = cap^-1`` (None until :func:`_probe_k`) and ``forms``, the
-    ``(key, <z_i, K z_i>)`` of the probe's first block of draws last scored on rho (None until
-    :func:`_probe_forms`; the key is the draws' ``(seed, count, shape)``). The key is a private
-    read-only copy, compared bit for bit (``-0.0`` is not ``0.0``); a miss replaces the slot.
-    """
-    global _last_rho
-    memo = _last_rho
-    if memo is not None and np.array_equal(rho.view(np.int64), memo[0].view(np.int64)):
-        return memo
-    key = _read_only_copy(rho)
-    U, s, _ = np.linalg.svd(key)
-    s.setflags(write=False)
-    cap = np.eye(key.shape[1]) - key.T @ key
-    try:
-        solvers = _cross_solvers(key, s, cap)
-    except FusionKitError:
-        solvers = None
-    _last_rho = memo = (key, U, s, cap, solvers, None, None)
-    return memo
+    def __init__(self, rho: np.ndarray):
+        self.rho = rho
+        self.U, self.s, _ = np.linalg.svd(rho)
+        self.s.setflags(write=False)
+        self.cap = np.eye(rho.shape[1]) - rho.T @ rho
+
+    @functools.cached_property
+    def solvers(self) -> tuple:
+        return _cross_solvers(self.rho, self.s, self.cap)
+
+    @functools.cached_property
+    def K(self) -> np.ndarray:
+        return self.solvers[0](np.eye(self.rho.shape[1]))
 
 
-def _solvers(memo: tuple) -> tuple:
-    """The solvers of an analysis; a refused rho is judged again, and raises as on a miss."""
-    key, _, s, cap, solvers = memo[:5]
-    return solvers or _cross_solvers(key, s, cap)
-
-
-def _probe_k(rho: np.ndarray) -> tuple:
-    """The analysis of rho with ``K = (I - rho^T rho)^-1`` in it: one solve, the first time."""
-    global _last_rho
-    memo = _analysis(rho)
-    if memo[5] is None:
-        memo = _last_rho = memo[:5] + (_solvers(memo)[0](np.eye(rho.shape[1])), None)
-    return memo
+@functools.lru_cache(maxsize=1)  # a budget sweep and the probes of its solutions read one rho
+def _analysis_of(key: bytes, shape: tuple) -> _Analysis:
+    """The analysis of the rho of bytes ``key``, one per bit-equal rho (``-0.0`` is not ``0.0``);
+    its ``rho`` is a read-only view of the key, so no caller's later write reaches it."""
+    return _Analysis(np.frombuffer(key).reshape(shape))
 
 
 def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -> float:
@@ -182,7 +170,8 @@ def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -
     A_tilde, rho, B_tilde = _whitened_inputs(A_tilde, rho, B_tilde)
     if prior is not None:
         require_prior_size(prior, A_tilde.shape[1])
-    e = float(np.trace(_whitened_fisher(A_tilde, B_tilde, rho, _solvers(_analysis(rho))[0])))
+    solve_k = _analysis_of(rho.tobytes(), rho.shape).solvers[0]
+    e = float(np.trace(_whitened_fisher(A_tilde, B_tilde, rho, solve_k)))
     if prior is not None:
         e += float(np.trace(prior.info_matrix()))
     return e
@@ -197,14 +186,12 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
     configurations ``B~ = rho^T A~`` and ``A~ = rho B~``.
     """
     A, rho, B = _whitened_inputs(A_tilde, rho, B_tilde)
-    n1, n2 = rho.shape
-    solve_k, solve_kp, k_norm = _solvers(_analysis(rho))
-
-    K = solve_k(np.eye(n2))
+    analysis = _analysis_of(rho.tobytes(), rho.shape)
+    K, (_, solve_kp, k_norm) = analysis.K, analysis.solvers
     M = A.T @ rho - B.T
     form1 = 2.0 * (A + rho @ K @ M.T) @ M @ K
 
-    Kp = solve_kp(np.eye(n1))
+    Kp = solve_kp(np.eye(rho.shape[0]))
     N = B.T @ rho.T - A.T
     form2 = (2.0 * (B + rho.T @ Kp @ N.T) @ N @ Kp).T
     require_agreement(form1, form2, _form_scale(form1), "gradient forms", FormDisagreement, k_norm)
@@ -212,14 +199,14 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
 
 
 def svd_of_rho(A_tilde, rho) -> SvdOfRho:
-    """Memoized SVD of rho (:func:`_analysis`) and the per-call weights of the root equation."""
+    """Cached SVD of rho (:func:`_analysis_of`) and the per-call weights of the root equation."""
     A_tilde, rho = _whitened_inputs(A_tilde, rho)
-    return _root_weights(A_tilde, _analysis(rho))
+    return _root_weights(A_tilde, _analysis_of(rho.tobytes(), rho.shape))
 
 
-def _root_weights(A_tilde, memo: tuple) -> SvdOfRho:
-    d = np.diag(memo[1].T @ A_tilde @ A_tilde.T @ memo[1])
-    return SvdOfRho(singular_values=memo[2], d=np.maximum(d, 0.0), n2=memo[0].shape[1])
+def _root_weights(A_tilde, analysis: _Analysis) -> SvdOfRho:
+    d = np.diag(analysis.U.T @ A_tilde @ A_tilde.T @ analysis.U)
+    return SvdOfRho(singular_values=analysis.s, d=np.maximum(d, 0.0), n2=analysis.rho.shape[1])
 
 
 def _budget_terms(svd: SvdOfRho) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +339,7 @@ def optimal_secondary(
       degenerate solution with that analysis is returned instead of a
       misleading zero matrix.
 
-    One analysis of each bit-equal rho (:func:`_analysis`) feeds the
+    One analysis of each bit-equal rho (:func:`_analysis_of`) feeds the
     admissibility check, the root, the objective and the stationarity
     check. Raises :class:`NonFinite` if the budget weights,
     ``B~*`` or the objective overflow, and :class:`Singular`, carrying
@@ -363,8 +350,8 @@ def optimal_secondary(
     _require_budget(p)
     if prior is not None:
         require_prior_size(prior, A_tilde.shape[1])
-    memo = _analysis(rho)
-    svd = _root_weights(A_tilde, memo)
+    analysis = _analysis_of(rho.tobytes(), rho.shape)
+    svd = _root_weights(A_tilde, analysis)
     s = svd.singular_values
     _admissible_sigma_max(float(s[0]) if s.size else 0.0, strict=False)
 
@@ -386,7 +373,7 @@ def optimal_secondary(
             ),
         )
 
-    n2, cap = rho.shape[1], memo[3]
+    n2, cap = rho.shape[1], analysis.cap
     if float(np.max(np.abs(cap))) <= 1e-8:
         B_star = rho.T @ A_tilde
         e = float(np.trace(A_tilde.T @ A_tilde)) + prior_trace
@@ -404,7 +391,7 @@ def optimal_secondary(
         )
 
     lam = _lambda_root(svd, p)
-    solvers = _solvers(memo)
+    solvers = analysis.solvers
     B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
     e = float(np.trace(_whitened_fisher(A_tilde, B_star, rho, solvers[0]))) + prior_trace
     kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e, solvers)
@@ -489,10 +476,10 @@ def local_optimality_probe(
     matrix formed (see :func:`_perturbation_gains`); the draws are taken in
     blocks of ``PROBE_BLOCK``, so memory stays bounded for any ``n_perturbations``,
     and the gains equal those of drawing them one at a time, up to rounding.
-    The draws are memoized by ``(seed, count, shape)``, and the first block's
-    ``<z, K z>`` in the analysis of rho; a report is bit-identical to a fresh one.
-    ``K = (I - rho^T rho)^-1``
-    is guarded by the singular values of the ``rho`` given (:func:`_analysis`),
+    The first block's draws are cached by ``(seed, count, shape)``, and their
+    ``<z, K z>`` by the analysis of rho as well; a report is bit-identical to a fresh
+    one. ``K = (I - rho^T rho)^-1``
+    is guarded by the singular values of the ``rho`` given (:func:`_analysis_of`),
     so a ``rho`` outside the admissible range raises :class:`Inadmissible`,
     and one beyond the condition limit :class:`Singular`, whatever the solution.
 
@@ -525,7 +512,7 @@ def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta
 
     The objective is ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~``
     and ``K = (I - rho^T rho)^-1``, read from the analysis of this ``rho``
-    (:func:`_probe_k`), under the singularity guard of the objective. A draw
+    (:func:`_analysis_of`), under the singularity guard of the objective. A draw
     ``z``, displaced by ``s = delta / ||z||`` and scaled back onto the budget
     sphere, is ``B~ = c Y`` with ``Y = B0 + s z`` and ``c = sqrt(p / ||Y||^2)``:
     its ``D`` is ``D0 + a B0 + b z``, with ``a = c - 1`` and ``b = c s``, and its gain
@@ -536,22 +523,23 @@ def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta
 
     The draws come in stacks of up to ``PROBE_BLOCK``, of shape ``(block, n2, m)``;
     a stack's inner products with ``B0``, ``K D0`` and ``K B0`` are one matrix
-    product, and its ``<z, K z>`` another (:func:`_probe_forms`). The generator yields
+    product, and its ``<z, K z>`` another. The generator yields
     the same numbers in the same order as one draw per perturbation, so each gain
     equals the one-at-a-time gain up to rounding, and memory stays bounded whatever
     ``n_perturbations``. The first block of draws, a function of ``(seed, count,
-    shape)`` only, is kept read-only (:func:`_probe_draws`), and its ``<z, K z>`` next
-    to ``K``: a hit runs the same arithmetic on them, so its gains are bit-identical.
+    shape)`` only, is kept read-only (:func:`_first_draws`), and its ``<z, K z>`` with
+    it and the analysis (:func:`_first_forms`): a hit returns the same arithmetic's
+    numbers, so its gains are bit-identical.
     """
-    memo = _probe_k(rho)
-    K, p, b0 = memo[5], float(np.sum(B0 * B0)), B0.ravel()
+    analysis = _analysis_of(rho.tobytes(), rho.shape)
+    K, p, b0 = analysis.K, float(np.sum(B0 * B0)), B0.ravel()
     basis = np.stack([b0, (K @ (B0 - rho.T @ A_tilde)).ravel(), (K @ B0).ravel()], axis=1)
     kd0_b0, b0_kb0 = b0 @ basis[:, 1:]
     gains = np.empty(n_perturbations)
     for lo, (z, norms) in zip(range(0, n_perturbations, PROBE_BLOCK),
                               _probe_draws(seed, n_perturbations, B0.shape)):
         z_b0, z_kd0, z_kb0 = (z.reshape(z.shape[0], -1) @ basis).T
-        q = _probe_forms(memo, z, (int(seed), z.shape[0], B0.shape) if lo == 0 else None)
+        q = _sums(z, K @ z) if lo else _first_forms(analysis, int(seed), z.shape[0], B0.shape)
         s = delta / norms
         eps = 2.0 * s * z_b0 + (s * norms) ** 2
         c = np.sqrt(p / (p + eps))
@@ -559,18 +547,6 @@ def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta
         gains[lo : lo + z.shape[0]] = (2.0 * a * kd0_b0 + 2.0 * b * z_kd0 + a * a * b0_kb0
                                        + 2.0 * a * b * z_kb0 + b * b * q)
     return gains
-
-
-def _probe_forms(memo: tuple, z, key=None) -> np.ndarray:
-    """``<z_i, K z_i>`` of each draw of a block, with the ``K`` of the analysis ``memo``; a
-    first block's, ``key`` its ``(seed, count, shape)``, is kept in that slot next to ``K``."""
-    global _last_rho
-    if key is not None and memo[6] is not None and memo[6][0] == key:
-        return memo[6][1]
-    q = _sums(z, memo[5] @ z)
-    if key is not None:
-        _last_rho = memo[:6] + ((key, q),)
-    return q
 
 
 def _sums(X, Y):  # sum(X * Y) of each matrix of a stack
@@ -598,6 +574,16 @@ def _first_draws(seed: int, count: int, shape: tuple) -> tuple:
     z.setflags(write=False)
     norms.setflags(write=False)
     return z, norms, rng.bit_generator.state
+
+
+@functools.lru_cache(maxsize=2)  # as _first_draws; each entry keeps its analysis alive
+def _first_forms(analysis: _Analysis, seed: int, count: int, shape: tuple) -> np.ndarray:
+    """Read-only ``<z_i, K z_i>`` of the first ``count`` draws of ``default_rng(seed)``
+    (:func:`_first_draws`), with the ``K`` of ``analysis``."""
+    z = _first_draws(seed, count, shape)[0]
+    q = _sums(z, analysis.K @ z)
+    q.setflags(write=False)
+    return q
 
 
 def _normals(rng, count: int, shape: tuple) -> tuple:  # draws, norms clamped at 1e-300

@@ -211,11 +211,19 @@ def plant_disagreement(monkeypatch, module, what, skew):
     return planted
 
 
+PLACEMENT_CACHES = (placement._analysis_of, placement._first_draws, placement._first_forms)
+
+
+def empty_placement_caches(caches=PLACEMENT_CACHES):
+    """Empty placement's caches, by default all of them, as a new process starts."""
+    for cache in caches:
+        cache.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def empty_placement_memos():
-    """Each test starts with placement's memos empty: no test reads another's rho or draws."""
-    placement._last_rho = None
-    placement._first_draws.cache_clear()
+    """Each test starts with placement's caches empty."""
+    empty_placement_caches()
 
 
 @pytest.fixture

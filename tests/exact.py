@@ -10,8 +10,9 @@ the library saw, so an answer's true error is measured against no other
 floating-point computation. Matrices are lists of rows; any nested
 sequence of floats (a numpy array included) is accepted.
 
-The placement probe's gains are rational but for one square root, the
-rescaling back onto the budget sphere, which ``decimal`` takes to 60 digits.
+The placement objective is rational too. The probe's gains are rational but
+for one square root, the rescaling back onto the budget sphere, which
+``decimal`` takes to 60 digits.
 """
 
 import math
@@ -81,6 +82,26 @@ def relative_error(approx, exact) -> float:
     return float(num / den) ** 0.5
 
 
+def _objective_above_a(A, rho):
+    """``B -> Tr(D^T K D)``, ``D = B - rho^T A``, ``K = (I - rho^T rho)^-1``, of exact inputs."""
+    n2 = len(rho[0])
+    eye = [[Fraction(int(i == j)) for j in range(n2)] for i in range(n2)]
+    K = solve(subtract(eye, matmul(transpose(rho), rho)), eye)
+    target = matmul(transpose(rho), A)
+
+    def score(B):
+        D = subtract(B, target)
+        return sum(d * k for row, k_row in zip(D, matmul(K, D)) for d, k in zip(row, k_row))
+
+    return score
+
+
+def placement_objective(A, rho, B):
+    """The placement objective ``Tr(A^T A) + Tr(D^T K D)`` of a whitened ``B``, exactly."""
+    A, rho = rational(A), rational(rho)
+    return sum(a * a for row in A for a in row) + _objective_above_a(A, rho)(rational(B))
+
+
 def probe_gains(A, rho, B0, draws, delta):
     """The objective gain of each probe perturbation ``z`` of ``draws``, from the probe's floats.
 
@@ -91,16 +112,7 @@ def probe_gains(A, rho, B0, draws, delta):
     and ``K = (I - rho^T rho)^-1`` taken exactly.
     """
     A, rho, B0 = rational(A), rational(rho), rational(B0)
-    n2 = len(rho[0])
-    eye = [[Fraction(int(i == j)) for j in range(n2)] for i in range(n2)]
-    K = solve(subtract(eye, matmul(transpose(rho), rho)), eye)
-    target = matmul(transpose(rho), A)
-    p = sum(x * x for row in B0 for x in row)
-
-    def score(B):
-        D = subtract(B, target)
-        return sum(d * k for row, k_row in zip(D, matmul(K, D)) for d, k in zip(row, k_row))
-
+    score, p = _objective_above_a(A, rho), sum(x * x for row in B0 for x in row)
     base, gains, digits = score(B0), [], Context(prec=60)
     for z in draws:
         s = Fraction(delta / max(math.sqrt(sum(float(x) ** 2 for row in z for x in row)), 1e-300))

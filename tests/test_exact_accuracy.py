@@ -1,9 +1,9 @@
-"""The pair's information and the probe's gains against exact arithmetic (``tests/exact.py``).
+"""The pair's information, its CRLB and placement against exact arithmetic (``tests/exact.py``).
 
 Route agreement shows only that the routes are consistent: they share the
 pair's factors. The oracle measures the true error of every answered route,
-of the SNR and synergy matrices and of the placement probe's gains, on the
-very floats the library saw.
+of the SNR and synergy matrices, of the CRLB, and of the placement objective
+and probe gains, on the very floats the library saw.
 """
 
 from fractions import Fraction
@@ -11,12 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusionkit import (BlockCovariance, LinearModel, ModalityPair, PairFactorization,
-                       optimal_secondary, svd_of_rho)
+from fusionkit import (BlockCovariance, LinearModel, ModalityPair, PairFactorization, crlb,
+                       optimal_secondary, placement, svd_of_rho)
 from fusionkit.placement import _budget_terms, _budget_value, _perturbation_gains
 
 from conftest import random_admissible_rho, random_orthogonal, random_pd
-from exact import pair_information, probe_gains, relative_error
+from exact import pair_information, placement_objective, probe_gains, relative_error, solve
 
 
 def test_oracle_on_hand_computed_pairs():
@@ -87,6 +87,23 @@ def test_true_error_is_within_twice_the_explicit_inverse_worst(family):
         assert err <= 2.0 * EXPLICIT_INVERSE_WORST[family][group], (group, err)
 
 
+# The worst true error of crlb(J) over the same eight pairs of each family, first measured
+# when J^-1 was taken through the information matrix's guarded Cholesky inverse.
+CRLB_WORST = {"rho": 4.066e-11, "cond": 1.406e-11}
+
+
+@pytest.mark.parametrize("family", sorted(CRLB_WORST))
+def test_crlb_is_within_twice_its_first_measured_worst(family):
+    worst = 0.0
+    for seed in range(8):
+        pair = planted_pair(family, 40 + seed)
+        J = pair_information(pair)["J"]
+        eye = [[Fraction(int(i == j)) for j in range(len(J))] for i in range(len(J))]
+        J_inv = crlb(PairFactorization.from_pair(pair).joint_information())
+        worst = max(worst, relative_error(J_inv, solve(J, eye)))
+    assert worst <= 2.0 * CRLB_WORST[family], worst
+
+
 def sweep_solution(fraction):
     """The placement sweep's (4,3,2) pair at its default seed, solved at ``fraction`` of lambda_hi."""
     rng = np.random.default_rng(0)
@@ -96,6 +113,17 @@ def sweep_solution(fraction):
     svd = svd_of_rho(A, rho)
     lam_hi = 1.0 / float(np.max(1.0 - svd.singular_values**2))
     return A, rho, optimal_secondary(A, rho, _budget_value(fraction * lam_hi, *_budget_terms(svd)))
+
+
+# The objective is off the exact one by 3.2e-18, 4.4e-17 and 6.0e-17 relative.
+def test_a_budget_sweep_answers_the_exact_objective():
+    # one sweep on one rho, after another rho of its shape: the later budgets read the cache
+    svd_of_rho(np.ones((4, 2)), 0.5 * np.eye(4, 3))
+    for fraction in (0.0, 0.5, 0.9):
+        A, rho, sol = sweep_solution(fraction)
+        exact = placement_objective(A, rho, sol.B_star)
+        assert abs(Fraction(sol.objective_e) - exact) <= Fraction(1, 10**14) * abs(exact)
+    assert placement._analysis_of.cache_info().misses == 2
 
 
 # When each gain was the difference of the objectives of two matrices, one of

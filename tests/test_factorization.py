@@ -47,6 +47,7 @@ from fusionkit.cli import main
 from fusionkit.matrixkit import factor_noise, symmetrize
 
 from conftest import (
+    empty_placement_caches,
     plant_disagreement,
     random_admissible_rho,
     random_joint_noise,
@@ -239,29 +240,32 @@ def small_question(seed):
 # symmetrize passes, the first three made 53/104, 46/84 and 37/83;
 # optimal_secondary made 31/84 while its KKT check took the gradient's norm twice.
 # While the probe formed each perturbed matrix and its K B, a probe made 17/34 on
-# a miss of placement's analysis slot and 10/25 on a hit.
+# a miss of placement's analysis slot and 10/25 on a hit. While the analysis of
+# rho, K and the first block's <z, K z> were one module slot read through
+# accessors, optimal_secondary made 31/83 and a probe 16/37 on a miss and 8/27 on
+# a hit. A "slot" miss is now one of the analysis cache, with the draws cached.
 CALL_PINS = {
     "advise": {"fusionkit": 46, "from_fusionkit": 92},
     "joint_information": {"fusionkit": 39, "from_fusionkit": 72},
     "synergy_matrices": {"fusionkit": 30, "from_fusionkit": 71},
-    "optimal_secondary": {"fusionkit": 31, "from_fusionkit": 83},
+    "optimal_secondary": {"fusionkit": 31, "from_fusionkit": 82},
     "ml_estimate": {"fusionkit": 14, "from_fusionkit": 21},
-    "local_optimality_probe, slot miss": {"fusionkit": 16, "from_fusionkit": 37},
-    "local_optimality_probe, slot hit": {"fusionkit": 8, "from_fusionkit": 27},
+    "local_optimality_probe, slot miss": {"fusionkit": 16, "from_fusionkit": 41},
+    "local_optimality_probe, slot hit": {"fusionkit": 5, "from_fusionkit": 25},
 }
 
 
 def probe_of_solution(q, hit):
     """A call of the probe of ``q``'s placement solution, probed once before.
 
-    The analysis slot of its rho then holds ``K`` and the first block's
-    ``<z, K z>`` (a hit), or is emptied (a miss).
+    Placement's caches then hold the analysis of its rho with ``K`` and the first
+    block's ``<z, K z>`` (a hit), or only the draws (a miss: as on a new rho).
     """
     A, rho, p = q[5]
     sol = optimal_secondary(A, rho, p)
     local_optimality_probe(A, rho, sol)
     if not hit:
-        placement._last_rho = None
+        empty_placement_caches([placement._analysis_of])
     return lambda: local_optimality_probe(A, rho, sol)
 
 

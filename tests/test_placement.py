@@ -36,6 +36,8 @@ from fusionkit.placement import (
 )
 
 from conftest import (
+    PLACEMENT_CACHES,
+    empty_placement_caches,
     fd_lagrangian_gradient,
     fd_lagrangian_stationarity,
     plant_disagreement,
@@ -630,9 +632,8 @@ class TestProbeAndUnwhiten:
 
 
 def fresh(call, *args, **kwargs):
-    """``call`` with placement's memos emptied first, as a new process would run it."""
-    placement._last_rho = None
-    placement._first_draws.cache_clear()
+    """``call`` with placement's caches emptied first, as a new process would run it."""
+    empty_placement_caches()
     return call(*args, **kwargs)
 
 
@@ -847,27 +848,43 @@ class TestProbeDrawsMemo:
         local_optimality_probe(A, rho, sol, n_perturbations=n, seed=3, delta=1.1e-4)
         assert rngs == [(3,)] * 4
 
-    def test_a_budget_sweep_takes_the_quadratic_forms_once(self, monkeypatch):
-        # K z of the first block is kept next to K; later blocks take their own
+    def test_a_budget_sweep_takes_the_quadratic_forms_once(self):
+        # the first block's <z, K z> is cached per analysis and draws; later blocks take their own
         A, rho, _ = self.instances()[0]
         budgets = 2.0 * _budget_value(0.0, *_budget_terms(svd_of_rho(A, rho))) * np.arange(1, 4)
-        real, forms = placement._probe_forms, []
-        monkeypatch.setattr(placement, "_probe_forms",
-                            lambda *a: forms.append(real(*a)) or forms[-1])
-        for n, distinct in [(200, 1), (placement.PROBE_BLOCK + 44, 1 + 3)]:
-            forms.clear()
+        for n in (200, placement.PROBE_BLOCK + 44):
+            before = placement._first_forms.cache_info()
             for p in budgets:
                 local_optimality_probe(A, rho, optimal_secondary(A, rho, p), n_perturbations=n)
-            assert len({id(q) for q in forms}) == distinct
+            after = placement._first_forms.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
     def test_memoized_draws_are_read_only(self):
         A, rho, sol = self.instances()[0]
         local_optimality_probe(A, rho, sol, seed=3)
         z, norms, _ = placement._first_draws(3, 200, (8, 4))
-        assert placement._first_draws.cache_info().hits == 1  # the probe's own arrays
-        for a in (z, norms):
+        # the probe's own arrays, read by the probe and by the first block's forms
+        assert placement._first_draws.cache_info().hits == 2
+        q = placement._first_forms(placement._analysis_of(rho.tobytes(), rho.shape), 3, 200, (8, 4))
+        assert placement._first_forms.cache_info().hits == 1
+        for a in (z, norms, q):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
+
+    def test_every_cache_stays_within_its_bound(self):
+        rng = np.random.default_rng(3701)
+        assert [cache.cache_info().maxsize for cache in PLACEMENT_CACHES] == [1, 2, 2]
+        for n2 in (2, 3, 4):
+            A = rng.standard_normal((5, 2))
+            for _ in range(4):
+                rho = random_admissible_rho(rng, 5, n2, 0.7)
+                sol = optimal_secondary(A, rho, 2.0 * _budget_value(
+                    0.0, *_budget_terms(svd_of_rho(A, rho))))
+                for seed in (0, 1):
+                    local_optimality_probe(A, rho, sol, n_perturbations=20, seed=seed)
+                    for cache in PLACEMENT_CACHES:
+                        info = cache.cache_info()
+                        assert info.currsize <= info.maxsize
 
     def test_the_memo_holds_the_keys_last_used(self, monkeypatch):
         instances = self.instances()
