@@ -230,9 +230,12 @@ def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
     """Check ``empirical >= J^-1`` in the PSD order up to Monte-Carlo slack.
 
     Passes iff the minimum eigenvalue of ``empirical - J^-1`` is at
-    least ``-slack``. Raises ``ValueError`` naming both sizes when
-    ``empirical`` and ``J`` differ in size, before ``J`` is inverted.
+    least ``-slack``. Raises ``ValueError`` naming ``slack`` unless it is
+    finite and non-negative, and naming both sizes when ``empirical`` and
+    ``J`` differ in size, before ``J`` is inverted.
     """
+    if not (np.isfinite(slack) and slack >= 0.0):  # NaN fails every comparison
+        raise ValueError(f"slack must be finite and non-negative, got {slack!r}")
     emp = admit_symmetric(empirical, name="empirical covariance")
     J_shape = _as_matrix(J).shape
     if emp.shape != J_shape:

@@ -10,9 +10,11 @@ cross-validated on every call, as are the synergy matrices against
 ``J_joint - J_single``, by :func:`~fusionkit.matrixkit.require_agreement`:
 their agreement is this module's core self-test, and a disagreement, an
 ill-conditioned input, is raised as :class:`RouteDisagreement`. The routes
-read only :func:`~fusionkit.matrixkit.factor_noise`'s Cholesky factors:
-all but the prewhitened one, which solves with ``I - rho^T rho`` and is
-symmetrized, are Gram products or sums of them, symmetric as built.
+read only :func:`~fusionkit.matrixkit.factor_noise`'s Cholesky factors: all
+but the prewhitened one are Gram products or sums of them, symmetric as built;
+it solves with ``I - rho^T rho`` and is symmetrized. Rho itself, its SVD, its
+guard, ``K`` and ``K'``, is one record (:class:`_CrossCorrelation`) for the
+pair, placement and the nonlinear forms.
 
 :func:`mc_moments` is the one Monte-Carlo reduction, shared with the
 nonlinear module: it runs seed-split blocks of prior draws one after
@@ -23,7 +25,8 @@ cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,6 +75,56 @@ class InfoMatrix:
         return self.matrix.shape[0]
 
 
+class _CrossCorrelation:
+    """The whitened cross-correlation ``rho`` taken apart once: SVD, guard, ``K`` and ``K'``.
+
+    Holds ``rho``, its read-only descending singular values ``s``, ``sigma_max``,
+    the left singular vectors ``U`` of a ``full`` SVD (a values-only one can differ
+    in the last bits of ``s``) and ``cap = I - rho^T rho``. ``K = cap^-1`` and
+    ``K' = (I - rho rho^T)^-1`` are applied by solves (an explicit inverse loses up
+    to ten times more near a unitary rho) and kept once formed; a refused rho
+    keeps neither, so every use raises again.
+    """
+
+    def __init__(self, rho: np.ndarray, full: bool = False):
+        self.rho = rho
+        if full:
+            self.U, self.s, _ = np.linalg.svd(rho)
+        else:
+            self.U, self.s = None, np.linalg.svd(rho, compute_uv=False)
+        self.s.setflags(write=False)
+        self.sigma_max = float(self.s[0]) if self.s.size else 0.0
+        self.cap = np.eye(rho.shape[1]) - rho.T @ rho
+
+    @functools.cached_property
+    def k_norm(self) -> float:
+        """The guard of ``K`` and ``K'`` (:class:`Inadmissible` if ``sigma_max >= 1``, else the one
+        rule of every inverse on ``cap``'s eigenvalues, read off ``s``: no eigen-solve), which
+        sets ``condition = cond(cap)``, and their 2-norm ``1 / (1 - sigma_max^2)``."""
+        _admissible_sigma_max(self.sigma_max)
+        gap = np.ones(self.rho.shape[1])
+        gap[: self.s.size] -= self.s**2
+        gap.sort()
+        self.condition = _require_pd_conditioned(gap, "(I - rho^T rho)")
+        return 1.0 / float(gap[0])
+
+    def solve_k(self, X):
+        self.k_norm  # the guard
+        return np.linalg.solve(self.cap, X)
+
+    def solve_kp(self, X):
+        self.k_norm  # the guard
+        return np.linalg.solve(np.eye(self.rho.shape[0]) - self.rho @ self.rho.T, X)
+
+    @functools.cached_property
+    def K(self) -> np.ndarray:
+        return self.solve_k(np.eye(self.rho.shape[1]))
+
+    @functools.cached_property
+    def K_prime(self) -> np.ndarray:
+        return self.solve_kp(np.eye(self.rho.shape[0]))
+
+
 @dataclass(frozen=True)
 class WhitenedPair:
     """Prewhitened two-modality model.
@@ -82,24 +135,26 @@ class WhitenedPair:
     :func:`prewhiten`. The two bases differ by an orthogonal ``Q`` per
     modality (``W -> Q W``), which changes no information, synergy,
     ``sigma(rho)`` or redundancy residual. All singular values of rho are
-    strictly below one whenever the joint covariance is PD.
-    ``rho_singular_values`` (descending) are taken once, when the pair is
-    built, and ``sigma_max_rho`` reads them.
+    strictly below one whenever the joint covariance is PD. The record of rho
+    (:class:`_CrossCorrelation`, of a values-only SVD) is built on first use:
+    ``rho_singular_values`` and ``sigma_max_rho`` read it, the routes its ``K``.
     """
 
     A_tilde: np.ndarray
     B_tilde: np.ndarray
     rho: np.ndarray
-    rho_singular_values: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        s = np.linalg.svd(self.rho, compute_uv=False)
-        object.__setattr__(self, "rho_singular_values", s)
+    @functools.cached_property
+    def _cross(self) -> _CrossCorrelation:
+        return _CrossCorrelation(self.rho)
+
+    @property
+    def rho_singular_values(self) -> np.ndarray:
+        return self._cross.s
 
     @property
     def sigma_max_rho(self) -> float:
-        s = self.rho_singular_values
-        return float(s[0]) if s.size else 0.0
+        return self._cross.sigma_max
 
 
 @dataclass(frozen=True)
@@ -222,48 +277,13 @@ def _prewhiten_with_root(pair: ModalityPair) -> tuple[WhitenedPair, np.ndarray]:
     return wp, symmetrize((V_u * np.sqrt(w_u)) @ V_u.T)
 
 
-def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> float:
+def _admissible_sigma_max(sigma_max: float, strict: bool = True) -> None:
     limit_ok = sigma_max < 1.0 if strict else sigma_max <= 1.0 + 1e-10
     if not limit_ok:
         raise Inadmissible(
             f"sigma_max(rho) = {sigma_max:.8f} outside the admissible range",
             sigma_max=sigma_max,
         )
-    return sigma_max
-
-
-def _cross_solvers(rho, singular_values, cap=None):
-    """Solvers applying ``K = (I - rho^T rho)^-1`` and ``K' = (I - rho rho^T)^-1``, and their norm.
-
-    Both have 2-norm ``1 / (1 - sigma_max^2)``, read off the singular values
-    of rho like the eigenvalues of ``I - rho^T rho``, which the one refusal
-    rule of every inverse decides, so the guard costs no eigen-solve.
-    Each solver solves with its matrix rather than multiplying by an
-    explicit inverse, which near a unitary rho loses up to ten times more.
-    ``cap = I - rho^T rho`` is built here unless the caller holds it;
-    ``I - rho rho^T`` is built the first time ``K'`` is applied, and kept.
-    Raises :class:`Inadmissible` if ``sigma_max(rho) >= 1`` and
-    :class:`Singular` if ``cond(I - rho^T rho)`` exceeds ``SINGULAR_CONDITION``.
-    """
-    s = np.asarray(singular_values, dtype=float)
-    _admissible_sigma_max(float(s[0]) if s.size else 0.0)
-    n1, n2 = rho.shape
-    gap = np.ones(n2)
-    gap[: s.size] -= s**2
-    _require_pd_conditioned(np.sort(gap), "(I - rho^T rho)")
-    cap = np.eye(n2) - rho.T @ rho if cap is None else cap
-    cap_p = None
-
-    def solve_k(X):
-        return np.linalg.solve(cap, X)
-
-    def solve_kp(X):
-        nonlocal cap_p
-        if cap_p is None:
-            cap_p = np.eye(n1) - rho @ rho.T
-        return np.linalg.solve(cap_p, X)
-
-    return solve_k, solve_kp, 1.0 / float(np.min(gap))
 
 
 def _whitened_fisher(A_tilde, B_tilde, rho, solve_k) -> np.ndarray:
@@ -336,12 +356,11 @@ class PairFactorization:
         D_f, X_g = Z - Y, L_G_inv @ (W_u @ B_t - A)
         S = np.array((D_f.T @ D_f, X_g.T @ X_g))
         snr = np.array((snr1, snr2))
-        solve_k = _cross_solvers(wp.rho, wp.rho_singular_values)[0]
         routes = {
             "block": J_block,
             "schur_f": snr1 + S[0],
             "schur_g": snr2 + S[1],
-            "prewhitened": _whitened_fisher(A_t, B_t, wp.rho, solve_k),
+            "prewhitened": _whitened_fisher(A_t, B_t, wp.rho, wp._cross.solve_k),
         }
         R = np.array(tuple(routes.values()))
         scale = max(float(np.maximum.reduce(_frobenius(R), axis=None)), 1e-300)
@@ -349,8 +368,7 @@ class PairFactorization:
                                   RouteDisagreement)
         require_agreement(S, J_block - snr, _form_scale(J_block),
                           "synergy matrices and J_joint - J_single", RouteDisagreement)
-        for M in (wp.A_tilde, wp.B_tilde, wp.rho, wp.rho_singular_values,
-                  snr, S, *routes.values()):
+        for M in (wp.A_tilde, wp.B_tilde, wp.rho, snr, S, *routes.values()):
             M.setflags(write=False)
         (snr1, snr2), (S_x, S_y) = snr, S  # read-only views of read-only stacks
         fac = cls(wp, snr1, snr2, routes, worst, S_x, S_y)

@@ -182,7 +182,7 @@ class SamplerPrior(SourcePrior):
     ``draw(rng, size)`` returns a (size, m) array. ``score_fn``, when
     given, maps a (N, m) batch to the (N, m) gradient of the log-density;
     without it the prior information matrix is unavailable (not silently
-    zero).
+    zero). Output of any other shape is refused with a ``ValueError``.
     """
 
     m: int
@@ -198,7 +198,11 @@ class SamplerPrior(SourcePrior):
     def score(self, s: np.ndarray) -> np.ndarray:
         if self.score_fn is None:
             raise NoScore("SamplerPrior constructed without a score function")
-        return np.asarray(self.score_fn(np.atleast_2d(s)), dtype=float)
+        s = np.atleast_2d(s)
+        out = np.asarray(self.score_fn(s), dtype=float)
+        if out.shape != (s.shape[0], self.m):
+            raise ValueError(f"score returned shape {out.shape}, expected {(s.shape[0], self.m)}")
+        return out
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FormDisagreement, NonFinite
-from .information import McInfoEstimate, _cross_solvers, _whitened_fisher, mc_moments
+from .information import McInfoEstimate, _CrossCorrelation, _whitened_fisher, mc_moments
 from .matrixkit import (
     BlockCovariance, _form_scale, factor_noise, noise_whitener, require_agreement,
 )
@@ -217,10 +217,8 @@ def joint_information_nonlinear(
     require_pair_shapes(h, g, noise)
     require_prior_size(prior, h.m)
     L_v_inv, L_u_inv, W_v, *_ = factor_noise(noise)
-    rho = W_v @ L_u_inv.T
-    n1, n2 = rho.shape
-    solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
-    K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
+    cross = _CrossCorrelation(W_v @ L_u_inv.T)
+    rho, K_a, K_b = cross.rho, cross.K, cross.K_prime
 
     def joint_integrand(S):
         Dh = L_v_inv @ h.jacobians(S)  # whitened Jacobians, (count, n1, m)

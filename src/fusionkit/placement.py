@@ -18,11 +18,12 @@ solved here. First-order stationarity is verified on every solve by the
 analytic gradient of the Lagrangian, evaluated in two algebraically
 distinct forms that must agree; the perturbation probe reports how
 perturbations move the objective. Three caches, each keyed by what it depends on,
-hold what a budget sweep on one pair repeats: the analysis of the last rho, by its
-bytes (:func:`_analysis_of`); the probe's first block of draws, by seed, count and
-shape (:func:`_first_draws`); and that block's ``<z, K z>``, by analysis and draws
-(:func:`_first_forms`). A sweep and the probes of its solutions take one SVD, one
-draw and one quadratic form per draw.
+hold what a budget sweep on one pair repeats: the record of the last rho
+(:class:`~fusionkit.information._CrossCorrelation`, of its full SVD), by its bytes
+(:func:`_analysis_of`); the probe's first block of draws, by seed, count and shape
+(:func:`_first_draws`); and that block's ``<z, K z>``, by record and draws
+(:func:`_first_forms`). A sweep and the probes of its solutions take one SVD, one draw
+and one quadratic form per draw.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBudget, FormDisagreement, NoRoot, Singular
-from .information import _admissible_sigma_max, _cross_solvers, _whitened_fisher
+from .information import _admissible_sigma_max, _CrossCorrelation, _whitened_fisher
 from .matrixkit import _form_scale, require_agreement, require_finite
 from .model import SourcePrior, require_prior_size
 
@@ -133,32 +134,11 @@ def _whitened_inputs(A_tilde, rho, B_tilde=None, b_name="B_tilde") -> tuple[np.n
     return tuple(arrays.values())
 
 
-class _Analysis:
-    """What placement reads of one rho: ``rho`` itself, ``U`` and the read-only ``s`` of its
-    full SVD, and ``cap = I - rho^T rho``. :func:`_cross_solvers`' ``solvers`` and
-    ``K = cap^-1`` are taken on first use and kept; a refused rho keeps no solvers, so
-    every use judges it again and raises again."""
-
-    def __init__(self, rho: np.ndarray):
-        self.rho = rho
-        self.U, self.s, _ = np.linalg.svd(rho)
-        self.s.setflags(write=False)
-        self.cap = np.eye(rho.shape[1]) - rho.T @ rho
-
-    @functools.cached_property
-    def solvers(self) -> tuple:
-        return _cross_solvers(self.rho, self.s, self.cap)
-
-    @functools.cached_property
-    def K(self) -> np.ndarray:
-        return self.solvers[0](np.eye(self.rho.shape[1]))
-
-
 @functools.lru_cache(maxsize=1)  # a budget sweep and the probes of its solutions read one rho
-def _analysis_of(key: bytes, shape: tuple) -> _Analysis:
-    """The analysis of the rho of bytes ``key``, one per bit-equal rho (``-0.0`` is not ``0.0``);
-    its ``rho`` is a read-only view of the key, so no caller's later write reaches it."""
-    return _Analysis(np.frombuffer(key).reshape(shape))
+def _analysis_of(key: bytes, shape: tuple) -> _CrossCorrelation:
+    """The record of the rho of bytes ``key``, of its full SVD, one per bit-equal rho (``-0.0``
+    is not ``0.0``); its ``rho`` is a read-only view of the key, which no caller can write."""
+    return _CrossCorrelation(np.frombuffer(key).reshape(shape), full=True)
 
 
 def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -> float:
@@ -170,7 +150,7 @@ def synergy_objective(A_tilde, B_tilde, rho, prior: SourcePrior | None = None) -
     A_tilde, rho, B_tilde = _whitened_inputs(A_tilde, rho, B_tilde)
     if prior is not None:
         require_prior_size(prior, A_tilde.shape[1])
-    solve_k = _analysis_of(rho.tobytes(), rho.shape).solvers[0]
+    solve_k = _analysis_of(rho.tobytes(), rho.shape).solve_k
     e = float(np.trace(_whitened_fisher(A_tilde, B_tilde, rho, solve_k)))
     if prior is not None:
         e += float(np.trace(prior.info_matrix()))
@@ -187,11 +167,10 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
     """
     A, rho, B = _whitened_inputs(A_tilde, rho, B_tilde)
     analysis = _analysis_of(rho.tobytes(), rho.shape)
-    K, (_, solve_kp, k_norm) = analysis.K, analysis.solvers
+    K, Kp, k_norm = analysis.K, analysis.K_prime, analysis.k_norm
     M = A.T @ rho - B.T
     form1 = 2.0 * (A + rho @ K @ M.T) @ M @ K
 
-    Kp = solve_kp(np.eye(rho.shape[0]))
     N = B.T @ rho.T - A.T
     form2 = (2.0 * (B + rho.T @ Kp @ N.T) @ N @ Kp).T
     require_agreement(form1, form2, _form_scale(form1), "gradient forms", FormDisagreement, k_norm)
@@ -204,7 +183,7 @@ def svd_of_rho(A_tilde, rho) -> SvdOfRho:
     return _root_weights(A_tilde, _analysis_of(rho.tobytes(), rho.shape))
 
 
-def _root_weights(A_tilde, analysis: _Analysis) -> SvdOfRho:
+def _root_weights(A_tilde, analysis: _CrossCorrelation) -> SvdOfRho:
     d = np.diag(analysis.U.T @ A_tilde @ A_tilde.T @ analysis.U)
     return SvdOfRho(singular_values=analysis.s, d=np.maximum(d, 0.0), n2=analysis.rho.shape[1])
 
@@ -339,12 +318,17 @@ def optimal_secondary(
       degenerate solution with that analysis is returned instead of a
       misleading zero matrix.
 
-    One analysis of each bit-equal rho (:func:`_analysis_of`) feeds the
-    admissibility check, the root, the objective and the stationarity
-    check. Raises :class:`NonFinite` if the budget weights,
-    ``B~*`` or the objective overflow, and :class:`Singular`, carrying
-    ``cond(I - rho^T rho)``, if the KKT residual exceeds ``KKT_BOUND``: near
-    the condition limit stationarity cannot be verified to that bound.
+    One record of each bit-equal rho (:func:`_analysis_of`) feeds the
+    admissibility check, the root, the objective and the stationarity check.
+    Raises :class:`ValueError` for inputs that do not fit (shapes, entries,
+    budget, prior size); :class:`Inadmissible` if ``sigma_max(rho)`` exceeds
+    ``1 + 1e-10``, or is at least 1 where ``K = (I - rho^T rho)^-1`` is needed;
+    :class:`NoRoot` and :class:`DegenerateBudget` as :func:`lambda_root`;
+    :class:`Singular` from the guard of ``K`` past ``SINGULAR_CONDITION``, or
+    carrying ``cond(I - rho^T rho)`` if the KKT residual exceeds ``KKT_BOUND``,
+    as near that limit stationarity cannot be verified to it;
+    :class:`FormDisagreement` if the two gradient forms disagree; and
+    :class:`NonFinite` if the budget weights, ``B~*`` or the objective overflow.
     """
     A_tilde, rho = _whitened_inputs(A_tilde, rho)
     _require_budget(p)
@@ -352,8 +336,7 @@ def optimal_secondary(
         require_prior_size(prior, A_tilde.shape[1])
     analysis = _analysis_of(rho.tobytes(), rho.shape)
     svd = _root_weights(A_tilde, analysis)
-    s = svd.singular_values
-    _admissible_sigma_max(float(s[0]) if s.size else 0.0, strict=False)
+    _admissible_sigma_max(analysis.sigma_max, strict=False)
 
     prior_trace = 0.0 if prior is None else float(np.trace(prior.info_matrix()))
 
@@ -383,7 +366,6 @@ def optimal_secondary(
             budget_p=p,
             objective_e=e,
             kkt_residual=0.0,
-            degenerate=False,
             note=(
                 "rho^T rho = I: multiplier vanishes and B* = rho^T A is optimal "
                 "regardless of the budget (redundancy corner)"
@@ -391,19 +373,15 @@ def optimal_secondary(
         )
 
     lam = _lambda_root(svd, p)
-    solvers = analysis.solvers
+    analysis.k_norm  # the guard of K, before B~* is solved
     B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
-    e = float(np.trace(_whitened_fisher(A_tilde, B_star, rho, solvers[0]))) + prior_trace
-    kkt = _lagrangian_stationarity(A_tilde, B_star, rho, lam, e, solvers)
+    e = float(np.trace(_whitened_fisher(A_tilde, B_star, rho, analysis.solve_k))) + prior_trace
+    kkt = _lagrangian_stationarity(A_tilde, B_star, lam, e, analysis)
     if kkt > KKT_BOUND:
-        # cond(I - rho^T rho) = (1 - sigma_min^2) / (1 - sigma_max^2), where
-        # sigma_min is 0 if rho has fewer singular values than columns
-        s_min = float(s[-1]) if s.size == n2 else 0.0
-        cond = (1.0 - s_min**2) * solvers[2]
         raise Singular(
             f"(I - rho^T rho) is too ill conditioned to verify stationarity: KKT residual "
-            f"{kkt:.3e} exceeds the bound {KKT_BOUND:.0e} (cond~{cond:.3e})",
-            condition=cond,
+            f"{kkt:.3e} exceeds the bound {KKT_BOUND:.0e} (cond~{analysis.condition:.3e})",
+            condition=analysis.condition,
         )
     return PlacementSolution(
         B_star=B_star,
@@ -411,28 +389,25 @@ def optimal_secondary(
         budget_p=p,
         objective_e=e,
         kkt_residual=kkt,
-        degenerate=False,
-        note="",
     )
 
 
-def _objective_gradient_forms(
-    A_tilde, B_tilde, rho, solve_k, solve_kp
-) -> tuple[np.ndarray, np.ndarray]:
+def _objective_gradient_forms(A_tilde, B_tilde, analysis) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the synergy objective ``e(B~)`` with respect to B~, in two forms.
 
     The first differentiates the objective written around the secondary,
     ``Tr(A~^T A~) + Tr(D^T K D)`` with ``D = B~ - rho^T A~`` and
     ``K = (I - rho^T rho)^-1``; the second the same objective written
     around the primary, ``Tr(B~^T B~) + Tr(E^T K' E)`` with
-    ``E = A~ - rho B~`` and ``K' = (I - rho rho^T)^-1``.
+    ``E = A~ - rho B~`` and ``K' = (I - rho rho^T)^-1``, both applied by
+    ``analysis``, the record of rho.
     """
-    D = B_tilde - rho.T @ A_tilde
-    E = A_tilde - rho @ B_tilde
-    return 2.0 * solve_k(D), 2.0 * B_tilde - 2.0 * rho.T @ solve_kp(E)
+    D = B_tilde - analysis.rho.T @ A_tilde
+    E = A_tilde - analysis.rho @ B_tilde
+    return 2.0 * analysis.solve_k(D), 2.0 * B_tilde - 2.0 * analysis.rho.T @ analysis.solve_kp(E)
 
 
-def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float, solvers) -> float:
+def _lagrangian_stationarity(A_tilde, B_star, lam: float, e: float, analysis) -> float:
     """Normalized norm of the analytic Lagrangian gradient at the solution.
 
     The two forms are compared on the objective gradient, before the
@@ -442,13 +417,12 @@ def _lagrangian_stationarity(A_tilde, B_star, rho, lam: float, e: float, solvers
     ``||A~|| + ||B~||``, and the inverse itself is accurate to about
     ``k`` times machine epsilon; relative to the gradient ``g``, the
     condition of the check is ``k (||A~|| + ||B~|| + ||g||) / (1 + ||g||)``.
-    ``solvers`` are those of :func:`_cross_solvers` for rho.
+    ``analysis`` is the record of rho.
     """
-    solve_k, solve_kp, k_norm = solvers
-    forms = _objective_gradient_forms(A_tilde, B_star, rho, solve_k, solve_kp)
+    forms = _objective_gradient_forms(A_tilde, B_star, analysis)
     g_scale = _form_scale(forms[0])  # 1 + ||g||
     scale = float(np.linalg.norm(A_tilde, "fro") + np.linalg.norm(B_star, "fro"))
-    condition = k_norm * (scale + g_scale - 1.0) / g_scale
+    condition = analysis.k_norm * (scale + g_scale - 1.0) / g_scale
     require_agreement(*forms, g_scale, "objective gradient forms", FormDisagreement, condition)
     return float(np.linalg.norm(forms[0] - 2.0 * lam * B_star, "fro")) / (1.0 + abs(e))
 
@@ -488,9 +462,11 @@ def local_optimality_probe(
     zero displacement would report no violation without probing anything, and the
     draws of a stateful seed such as a ``Generator`` cannot be memoized.
     """
-    if not isinstance(n_perturbations, (int, np.integer)) or n_perturbations < 0:
+    # bool is an int, but True is neither a count nor a seed
+    if (type(n_perturbations) is bool or not isinstance(n_perturbations, (int, np.integer))
+            or n_perturbations < 0):
         raise ValueError("n_perturbations must be a non-negative integer")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not (np.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
@@ -577,7 +553,7 @@ def _first_draws(seed: int, count: int, shape: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=2)  # as _first_draws; each entry keeps its analysis alive
-def _first_forms(analysis: _Analysis, seed: int, count: int, shape: tuple) -> np.ndarray:
+def _first_forms(analysis: _CrossCorrelation, seed: int, count: int, shape: tuple) -> np.ndarray:
     """Read-only ``<z_i, K z_i>`` of the first ``count`` draws of ``default_rng(seed)``
     (:func:`_first_draws`), with the ``K`` of ``analysis``."""
     z = _first_draws(seed, count, shape)[0]

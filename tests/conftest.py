@@ -17,7 +17,7 @@ from fusionkit import (
     placement,
     synergy_objective,
 )
-from fusionkit.information import _cross_solvers, _whitened_fisher, block_plan
+from fusionkit.information import _CrossCorrelation, _whitened_fisher, block_plan
 from fusionkit.matrixkit import (
     _form_scale,
     factor_noise,
@@ -166,10 +166,8 @@ def fisher_per_sample(model, sigma, prior, N, seed):
 def joint_per_sample(h, g, noise, prior, N, seed):
     """Per-sample reference for ``joint_information_nonlinear``: (J, std_err)."""
     L_v_inv, L_u_inv, W_v, *_ = factor_noise(noise)
-    rho = W_v @ L_u_inv.T
-    n1, n2 = rho.shape
-    solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
-    K_a, K_b = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
+    cross = _CrossCorrelation(W_v @ L_u_inv.T)
+    rho, K_a, K_b = cross.rho, cross.K, cross.K_prime
 
     def per_sample(s):
         Dh = L_v_inv @ _per_sample_jac(h, s)

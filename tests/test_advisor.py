@@ -13,7 +13,7 @@ from fusionkit import (
     prewhiten,
 )
 from fusionkit.advisor import _dominance, _regime
-from fusionkit.information import _cross_solvers, joint_information, snr_matrix
+from fusionkit.information import _CrossCorrelation, joint_information, snr_matrix
 
 from conftest import random_admissible_rho, random_joint_noise, random_pair, random_pd, rel_fro
 
@@ -114,7 +114,7 @@ class TestClassifyRegime:
         # advise reads the regime off a factorized pair, whose one guard on
         # rho refuses sigma_max(rho) >= 1 before a regime is read
         with pytest.raises(Inadmissible):
-            _cross_solvers(np.eye(2), np.ones(2))
+            _CrossCorrelation(np.eye(2)).k_norm
 
 
 class TestAdvise:

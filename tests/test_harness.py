@@ -292,6 +292,15 @@ class TestCrlbDominance:
         with pytest.raises(ValueError, match=message):
             check_crlb_dominance(np.eye(2), wrap(np.eye(3)), 0.1)
 
+    @pytest.mark.parametrize("slack", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_a_slack_that_is_no_slack_is_refused(self, slack):
+        # a NaN slack failed the CRLB itself (emp = J^-1), a negative one
+        # demanded a margin of |slack| above it
+        J = np.diag([2.0, 4.0])
+        with pytest.raises(ValueError, match="slack"):
+            check_crlb_dominance(np.linalg.inv(J), J, slack)
+        assert check_crlb_dominance(np.linalg.inv(J), J, 0.0).passed
+
 
 class TestCampaignSerialization:
     def _result(self, seed=9):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from fusionkit import (
 )
 from fusionkit import estimators
 from fusionkit.estimators import _solve_normal
-from fusionkit.information import PairFactorization, _cross_solvers
+from fusionkit.information import PairFactorization, _CrossCorrelation
 from fusionkit.matrixkit import (
     FORM_TOL,
     SINGULAR_CONDITION,
@@ -249,7 +250,7 @@ def test_estimator_matrices_are_exactly_symmetric(monkeypatch, n, m):
 def test_cross_solver_matrices_are_exactly_symmetric(monkeypatch, n1, n2):
     rng = np.random.default_rng(n1)
     rho = random_admissible_rho(rng, n1, n2, 0.9)
-    solve_k, solve_kp, _ = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
+    cross = _CrossCorrelation(rho)
     solved = []
     real = np.linalg.solve
 
@@ -258,8 +259,8 @@ def test_cross_solver_matrices_are_exactly_symmetric(monkeypatch, n1, n2):
         return real(M, X)
 
     monkeypatch.setattr(np.linalg, "solve", recorded)
-    solve_k(np.eye(n2))
-    solve_kp(np.eye(n1))
+    cross.solve_k(np.eye(n2))
+    cross.solve_kp(np.eye(n1))
     assert [M.shape for M in solved] == [(n2, n2), (n1, n1)]
     for M in solved:
         assert np.array_equal(M, M.T)
@@ -624,3 +625,17 @@ def test_correlation_synergy_sweep_smoke(tmp_path):
     assert len(rows) == 3 and traces[0] == pytest.approx(8.0, rel=1e-12)
     assert traces[0] < traces[1] < traces[2]
     assert [row["near_singular"] for row in rows] == ["False"] * 3
+
+
+def test_answer_digest_smoke(tmp_path):
+    # one SHA-256 per question kind, the same on a second run in a fresh interpreter
+    outs = [tmp_path / "first.txt", tmp_path / "second.txt"]
+    for out in outs:
+        run_script("answer_digest.py", "--out", out)
+    lines = outs[0].read_text().splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "J", "S_x", "S_y", "route_error", "advise", "optimal_secondary", "synergy",
+        "nonlinear", "refusals",
+    ]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[1]) for line in lines)
+    assert outs[1].read_text() == outs[0].read_text()

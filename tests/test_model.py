@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fusionkit import (
     ml_estimate,
     mmse_gaussian_estimate,
     optimal_secondary,
+    prior_information_mc,
     simulate,
     snr_matrix,
     synergy_objective,
@@ -100,6 +102,18 @@ class TestTypes:
         with pytest.raises(NoScore):
             prior.score(np.zeros((1, 1)))
         assert not prior.has_info
+
+    @pytest.mark.parametrize("m, score, shape", [
+        (2, lambda s: -s[:, :1], (5, 1)),  # answered as a 1x1 information matrix
+        (1, lambda s: -s[:, 0], (5,)),  # failed inside einsum
+    ], ids=["one-column-of-two", "flat"])
+    def test_sampler_prior_refuses_a_score_of_the_wrong_shape(self, m, score, shape):
+        prior = SamplerPrior(m=m, draw=lambda rng, n: rng.standard_normal((n, m)), score_fn=score)
+        message = f"score returned shape {shape}, expected {(5, m)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prior.score(np.zeros((5, m)))
+        with pytest.raises(ValueError, match="score returned shape"):
+            prior_information_mc(prior, N=100, seed=0)
 
     def test_pair_dimension_checks(self, rng):
         a = LinearModel(rng.standard_normal((3, 2)))

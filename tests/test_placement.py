@@ -15,6 +15,7 @@ from fusionkit import (
     PlacementSolution,
     Singular,
     SvdOfRho,
+    WhitenedPair,
     joint_information,
     lambda_root,
     local_optimality_probe,
@@ -26,7 +27,7 @@ from fusionkit import (
 )
 from fusionkit import BlockCovariance, LinearModel, ModalityPair
 from fusionkit import placement
-from fusionkit.information import _cross_solvers
+from fusionkit.information import _CrossCorrelation
 from fusionkit.matrixkit import FORM_CONDITION_SLACK, FORM_TOL
 from fusionkit.placement import (
     _budget_terms,
@@ -75,7 +76,7 @@ def medium_probe_instance():
 
 def one_at_a_time_gains(A, rho, B0, n_perturbations, seed, delta):
     """The probe's gains drawn and scored one perturbation at a time, and the base score."""
-    K = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[0](np.eye(rho.shape[1]))
+    K = _CrossCorrelation(rho).K
     target = rho.T @ A
 
     def score(B):
@@ -359,8 +360,7 @@ class TestOptimalSecondary:
             rho = random_admissible_rho(rng, n1, n2, float(rng.uniform(0.2, 0.9)))
             lam = float(rng.uniform(0.0, 2.0))
             fd = fd_lagrangian_gradient(A, B, rho, lam)
-            solvers = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))[:2]
-            for form in _objective_gradient_forms(A, B, rho, *solvers):
+            for form in _objective_gradient_forms(A, B, _CrossCorrelation(rho)):
                 assert rel_fro(form - 2.0 * lam * B, fd) <= 1e-6
 
     def test_form_disagreement_raises(self, rng, monkeypatch):
@@ -567,7 +567,7 @@ class TestProbeAndUnwhiten:
         with pytest.raises(ValueError, match="delta"):
             local_optimality_probe(A, rho, sol, delta=delta)
 
-    @pytest.mark.parametrize("n_perturbations", [-3, 2.5, "200", None])
+    @pytest.mark.parametrize("n_perturbations", [-3, 2.5, "200", None, True])
     def test_probe_refuses_a_count_that_is_not_a_count(self, rng, n_perturbations):
         A, rho, sol = probe_instance(rng)
         with pytest.raises(ValueError, match="n_perturbations"):
@@ -575,8 +575,8 @@ class TestProbeAndUnwhiten:
 
     @pytest.mark.parametrize(
         "seed",
-        [np.random.default_rng(0), np.random.SeedSequence(0), [1, 2], -1, 2.0, "0", None],
-        ids=["Generator", "SeedSequence", "list", "negative", "float", "str", "None"],
+        [np.random.default_rng(0), np.random.SeedSequence(0), [1, 2], -1, 2.0, "0", None, True],
+        ids=["Generator", "SeedSequence", "list", "negative", "float", "str", "None", "bool"],
     )
     def test_probe_refuses_a_seed_that_is_not_a_seed(self, rng, monkeypatch, seed):
         # a memo of draws is keyed by the seed: a Generator or a SeedSequence
@@ -587,23 +587,38 @@ class TestProbeAndUnwhiten:
             local_optimality_probe(A, rho, sol, seed=seed)
         assert rngs == []  # refused before any draw
 
-    def test_cross_solvers(self, rng):
+    def test_cross_correlation_record(self, rng):
         for n1, n2 in [(4, 3), (3, 4), (3, 3)]:
             rho = random_admissible_rho(rng, n1, n2, 0.9)
-            solve_k, solve_kp, k_norm = _cross_solvers(rho, np.linalg.svd(rho, compute_uv=False))
-            K, Kp = solve_k(np.eye(n2)), solve_kp(np.eye(n1))
+            pair = WhitenedPair(np.ones((n1, 2)), np.ones((n2, 2)), rho)._cross
+            ours = placement._analysis_of(rho.tobytes(), rho.shape)
+            assert pair.U is None and ours.U.shape == (n1, n1)
+            assert np.array_equal(pair.s, np.linalg.svd(rho, compute_uv=False))  # values only
+            assert np.array_equal(ours.s, np.linalg.svd(rho)[1])  # the full SVD
+            K, Kp, k_norm = pair.K, pair.K_prime, pair.k_norm
             assert rel_fro(K, np.linalg.inv(np.eye(n2) - rho.T @ rho)) <= 1e-12
             assert rel_fro(Kp, np.linalg.inv(np.eye(n1) - rho @ rho.T)) <= 1e-12
             assert k_norm == pytest.approx(np.linalg.norm(K, 2), rel=1e-10)
             assert k_norm == pytest.approx(np.linalg.norm(Kp, 2), rel=1e-10)
-        with pytest.raises(Inadmissible):
-            _cross_solvers(np.diag([1.0, 0.5]), np.array([1.0, 0.5]))
+            # the two kinds of SVD may differ in s's last bits, never in what
+            # is built from rho alone
+            for got, want in ((ours.cap, pair.cap), (ours.K, K), (ours.K_prime, Kp)):
+                assert np.array_equal(got, want)
+            assert not (pair.s.flags.writeable or ours.s.flags.writeable)
+        refused = _CrossCorrelation(np.diag([1.0, 0.5]))
+        for _ in range(2):  # a refused rho keeps nothing: every use raises again
+            with pytest.raises(Inadmissible):
+                refused.K
         # admissible, but the gaps 1 - s^2 are 0.75 and about 2e-13: refused
         # by the one rule of every inverse, carrying max(gap) / min(gap)
         s = np.array([1.0 - 1e-13, 0.5])
-        with pytest.raises(Singular, match=r"^\(I - rho\^T rho\) is numerically singular") as exc:
-            _cross_solvers(np.diag(s), s)
-        assert exc.value.condition == 0.75 / (1.0 - s[0] ** 2)
+        near = _CrossCorrelation(np.diag(s))
+        message = r"^\(I - rho\^T rho\) is numerically singular"
+        for _ in range(2):
+            with pytest.raises(Singular, match=message) as exc:
+                near.solve_kp(np.eye(2))
+            assert exc.value.condition == 0.75 / (1.0 - near.s[0] ** 2)
+        assert not {"k_norm", "K", "K_prime", "condition"} & vars(near).keys()
 
     def test_probe_refuses_singular_cap(self, rng):
         # sigma_max(rho) = 1 - 1e-13: admissible, but cond(I - rho^T rho) > 1e12
