@@ -5,17 +5,17 @@
 read off its inverse Cholesky factor and takes one ``eigvalsh`` only when
 the bound is inconclusive or Cholesky fails. This sweep plants spectra of
 known condition (1e2 to 1e14, straddling the 1e12 limit) and of minimum
-eigenvalue -1e-12, 0 and 1e-13, at several sizes, under three guards:
+eigenvalue -1e-6, -1e-12, 0 and 1e-13, at several sizes, under two guards:
 
 - ``plain``: ``inverse_factor`` alone;
-- ``schur``: ``derived_factor`` with its condition measured against a
-  given scale 10x the matrix's norm;
 - ``parent``: ``factor_noise``'s Schur guard, which measures the
   condition against the largest eigenvalue of the parent block but reads
   the parent's Frobenius norm instead while that certifies. Each parent
   has unit largest eigenvalue, taken by 1 to n of its eigenvalues, so its
   Frobenius norm exceeds that eigenvalue by a factor of 1 to sqrt(n); the
-  planted conditions (relative to it) straddle the 1e12 limit.
+  planted conditions (relative to it) straddle the 1e12 limit. A minimum
+  eigenvalue below ``-PSD_EIG_TOL`` times it refuses the joint noise as
+  ``NotPD``; one at rounding level, as ``Singular``.
 
 It records how often the fallback runs and whether every decision (error
 type and carried value) matches the eigenvalue guard, which it must on
@@ -34,16 +34,17 @@ import numpy as np
 
 from fusionkit import NotPD, Singular
 from fusionkit.matrixkit import (
+    PSD_EIG_TOL,
     SINGULAR_CONDITION,
     _schur_factor,
-    derived_factor,
     inverse_factor,
     symmetrize,
 )
 
-GUARDS = ("plain", "schur", "parent")
+GUARDS = ("plain", "parent")
 
 SPECTRA = [f"cond=1e{e}" for e in ("2", "6", "10", "11", "11.5", "12.5", "13", "14")] + [
+    "min=-1e-6",
     "min=-1e-12",
     "min=0",
     "min=1e-13",
@@ -77,11 +78,15 @@ def parent_block(rng, n):
     return in_random_basis(rng, w)
 
 
-def eigen_decision(M, scale, schur):
-    """(error type, carried value) of the eigenvalue guard; (None, cond) if it passes."""
+def eigen_decision(M, scale):
+    """(error type, carried value) of the eigenvalue guard; (None, cond) if it passes.
+
+    A matrix with no positive eigenvalue is ``NotPD`` unless it is a Schur
+    complement (``scale > 0``) indefinite only to rounding: then ``Singular``.
+    """
     w = np.linalg.eigvalsh(M)
     if w[0] <= 0.0:
-        return (Singular, np.inf) if schur else (NotPD, float(w[0]))
+        return (NotPD, float(w[0])) if w[0] <= -PSD_EIG_TOL * scale else (Singular, np.inf)
     cond = max(scale, float(w[-1])) / float(w[0])
     return (Singular, cond) if cond > SINGULAR_CONDITION else (None, cond)
 
@@ -107,15 +112,12 @@ class CountedEigvalsh:
 def cholesky_decision(M, against, guard):
     """(error type, carried value, inverse or None, eigvalsh calls) of the Cholesky guard.
 
-    ``against`` is the scale of the ``schur`` guard and the parent block of
-    the ``parent`` guard.
+    ``against`` is the parent block of the ``parent`` guard.
     """
     with CountedEigvalsh() as counter:
         try:
             if guard == "parent":
                 L_inv = _schur_factor(M, against, "Schur complement")
-            elif guard == "schur":
-                L_inv = derived_factor(M, "Schur complement", scale=against)
             else:
                 _, L_inv = inverse_factor(M, "M")
             inverse = L_inv.T @ L_inv
@@ -151,8 +153,8 @@ def main() -> int:
                         against = parent_block(rng, n)
                         scale = float(np.linalg.eigvalsh(against)[-1])
                     else:
-                        against = scale = 10.0 if guard == "schur" else 0.0
-                    want, carried = eigen_decision(M, scale, guard != "plain")
+                        against = scale = 0.0
+                    want, carried = eigen_decision(M, scale)
                     got, got_carried, inverse, calls = cholesky_decision(M, against, guard)
                     row["fallbacks"] += calls
                     row["agreements"] += got is want and (want is None or got_carried == carried)

@@ -150,8 +150,10 @@ def advise(
     red = _redundancy(fac, tols.redundancy)
     J = fac.joint_information(prior)
     trace_J = float(np.trace(J.matrix))
-    gain_second = float(np.trace(fac.S_x)) / max(trace_J, 1e-300)
-    gain_first = float(np.trace(fac.S_y)) / max(trace_J, 1e-300)
+    floor = max(trace_J, 1e-300)
+    trace_S_x, trace_S_y = float(np.trace(fac.S_x)), float(np.trace(fac.S_y))
+    gain_second, gain_first = trace_S_x / floor, trace_S_y / floor
+    trace_snr1, trace_snr2 = float(np.trace(snr1)), float(np.trace(snr2))
 
     evidence = {
         "min_eig_diff": float(diff_eigs[0]),
@@ -160,10 +162,10 @@ def advise(
         "r2": red.r2,
         "sigma_max_rho": sigma_max,
         "trace_J_joint": trace_J,
-        "trace_snr1": float(np.trace(snr1)),
-        "trace_snr2": float(np.trace(snr2)),
-        "trace_S_x": float(np.trace(fac.S_x)),
-        "trace_S_y": float(np.trace(fac.S_y)),
+        "trace_snr1": trace_snr1,
+        "trace_snr2": trace_snr2,
+        "trace_S_x": trace_S_x,
+        "trace_S_y": trace_S_y,
         "gain_from_second": gain_second,
         "gain_from_first": gain_first,
         "dominance": dominance,
@@ -172,17 +174,13 @@ def advise(
     if red.synergy_residual is not None:
         evidence["synergy_residual"] = red.synergy_residual
 
-    caveats: list[str] = []
-    if pair.first.n != pair.second.n:
-        caveats.append(
-            "modalities have unequal channel counts; redundancy theory for this "
-            "case is open, residuals are reported as defined"
-        )
+    caveats = () if pair.first.n == pair.second.n else (
+        "modalities have unequal channel counts; redundancy theory for this "
+        "case is open, residuals are reported as defined",
+    )
     # The admissibility argument says only the weaker-SNR modality can be
     # redundant; reported, not enforced.
-    evidence["weaker_modality_by_trace"] = (
-        "first" if evidence["trace_snr1"] < evidence["trace_snr2"] else "second"
-    )
+    evidence["weaker_modality_by_trace"] = "first" if trace_snr1 < trace_snr2 else "second"
 
     if red.verdict is not None and red.r1 <= tols.redundancy and red.r2 <= tols.redundancy:
         verdict, note = "Tie", "each modality is redundant given the other"
@@ -211,4 +209,4 @@ def advise(
         else:
             note = "both modalities contribute; fusion is strictly better than either"
     evidence["note"] = note
-    return Advisory(verdict=verdict, regime=regime, evidence=evidence, caveats=tuple(caveats))
+    return Advisory(verdict=verdict, regime=regime, evidence=evidence, caveats=caveats)

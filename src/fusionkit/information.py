@@ -356,21 +356,17 @@ class PairFactorization:
         D_f, X_g = Z - Y, L_G_inv @ (W_u @ B_t - A)
         S = np.array((D_f.T @ D_f, X_g.T @ X_g))
         snr = np.array((snr1, snr2))
-        routes = {
-            "block": J_block,
-            "schur_f": snr1 + S[0],
-            "schur_g": snr2 + S[1],
-            "prewhitened": _whitened_fisher(A_t, B_t, wp.rho, wp._cross.solve_k),
-        }
-        R = np.array(tuple(routes.values()))
+        R = np.array((J_block, snr1 + S[0], snr2 + S[1],
+                      _whitened_fisher(A_t, B_t, wp.rho, wp._cross.solve_k)))
         scale = max(float(np.maximum.reduce(_frobenius(R), axis=None)), 1e-300)
         worst = require_agreement(R[:, None], R, scale, "joint-information routes",
                                   RouteDisagreement)
         require_agreement(S, J_block - snr, _form_scale(J_block),
                           "synergy matrices and J_joint - J_single", RouteDisagreement)
-        for M in (wp.A_tilde, wp.B_tilde, wp.rho, snr, S, *routes.values()):
+        for M in (wp.A_tilde, wp.B_tilde, wp.rho, snr, S, R):
             M.setflags(write=False)
         (snr1, snr2), (S_x, S_y) = snr, S  # read-only views of read-only stacks
+        routes = dict(zip(("block", "schur_f", "schur_g", "prewhitened"), R))
         fac = cls(wp, snr1, snr2, routes, worst, S_x, S_y)
         object.__setattr__(pair, "_factorization", fac)
         return fac

@@ -11,9 +11,9 @@ returns ``L`` and ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1``,
 ``L^-1 X`` whitens ``X`` and ``z L^T`` draws rows of covariance ``M``
 from standard normal rows ``z``; its guard reads a condition bound off
 ``L^-1`` and takes one ``eigvalsh`` only where the bound is inconclusive.
-The Schur complements, the estimators' normal and posterior matrices and
-the information matrix of ``information.crlb`` go through it by
-:func:`derived_factor`, and so does a noise pair:
+The estimators' normal and posterior matrices and the information matrix
+of ``information.crlb`` go through it by :func:`derived_factor`, and a
+noise pair and its Schur complements go through it directly:
 :func:`factor_noise`, the one place a joint noise covariance is factorized,
 makes the pair's four refusals and whitens each marginal with its inverse
 Cholesky factor, as :func:`noise_whitener`, the one admission of a single
@@ -288,23 +288,19 @@ def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
     return L, L_inv
 
 
-def derived_factor(
-    M, what: str, error: type[Singular] = Singular, scale: float = 0.0
-) -> np.ndarray:
+def derived_factor(M, what: str, error: type[Singular] = Singular) -> np.ndarray:
     """``L^-1`` of ``M = L L^T`` by :func:`inverse_factor`, every refusal raised as ``error``.
 
-    ``M`` (a Schur complement, an estimator's normal or posterior matrix, an
-    information matrix) is derived from other matrices, so an indefinite one
+    ``M`` (an estimator's normal or posterior matrix, an information
+    matrix) is derived from other matrices, so an indefinite one
     is their collapse: it is refused as ``error``, a :class:`Singular`
     subtype, with infinite condition. ``M^-1`` is the Gram product ``L^-T L^-1``.
     """
     try:
-        return inverse_factor(M, what, scale)[1]
+        return inverse_factor(M, what)[1]
     except NotPD as exc:
         raise error(f"{what} is numerically singular (cond~inf)", condition=np.inf) from exc
     except Singular as exc:
-        if isinstance(exc, error):
-            raise
         raise error(str(exc), condition=exc.condition) from exc
 
 
@@ -327,12 +323,20 @@ def require_agreement(
     check's own ``scale`` to its shape (...). The distance is refused, as
     ``error`` carrying it, when it reaches ``FORM_TOL`` and ``FORM_CONDITION_SLACK
     * condition * eps``: forms that apply an inverse of condition ``condition``
-    agree only to about ``condition * eps``. A non-finite entry in either stack
-    is refused first, as :class:`NonFinite`.
+    agree only to about ``condition * eps``. A non-finite entry in either stack,
+    or a difference of finite forms that overflows, is refused first, as
+    :class:`NonFinite`: either makes ``first - second`` non-finite. Under
+    numpy's default error state, forming that difference may also warn of
+    the overflow or of ``inf - inf``; where that state raises instead, the
+    refusal is still :class:`NonFinite`.
     """
-    if not (np.isfinite(first).all() and np.isfinite(second).all()):
+    try:
+        diff = first - second
+    except FloatingPointError as exc:  # an overflow or inf - inf, under np.errstate "raise"
+        raise NonFinite(f"non-finite entries in {what}") from exc
+    if not np.logical_and.reduce(np.isfinite(diff), axis=None):
         raise NonFinite(f"non-finite entries in {what}")
-    err = float(np.maximum.reduce(_frobenius(first - second) / scale, axis=None))
+    err = float(np.maximum.reduce(_frobenius(diff) / scale, axis=None))
     if err >= FORM_TOL and err >= FORM_CONDITION_SLACK * condition * _EPS:
         raise error(f"{what} disagree (max relative error {err:.3e})", max_relative_error=err)
     return err
@@ -414,8 +418,8 @@ class BlockCovariance:
         (rank-deficient) joint passes: its minimum eigenvalue is rounding
         noise of either sign, and a positive tolerance would also refuse
         valid near-singular pairs.
-        :func:`factor_noise` refuses a singular joint as :class:`Singular`
-        through its Schur-complement guard when the pair is used.
+        :func:`factor_noise` refuses a singular joint as :class:`Singular`,
+        an indefinite one as :class:`NotPD`, when the pair is used.
         """
         return _require_psd(np.linalg.eigvalsh(self.joint()), "joint covariance")
 
@@ -448,7 +452,7 @@ def factor_noise(block: BlockCovariance):
 
 
 def _schur_factor(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:
-    """``L^-1`` of the Schur complement ``S = L L^T`` of ``parent``, by :func:`derived_factor`.
+    """``L^-1`` of the Schur complement ``S = L L^T`` of ``parent``, by :func:`inverse_factor`.
 
     A Schur complement tiny relative to its parent block signals joint
     collapse even when it is well conditioned in isolation, so its
@@ -456,9 +460,18 @@ def _schur_factor(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:
     never below it, stands in for that scale wherever it lets ``S`` through:
     a larger scale only refuses more. Where it refuses, one ``eigvalsh`` of
     the parent gives ``lambda_max`` and the decision, with its error and
-    condition.
+    condition. An ``S`` whose smallest eigenvalue is not positive is refused at
+    once, by the rule of :func:`_require_psd` against ``lambda_max(parent)``: as
+    :class:`NotPD` of the joint noise, carrying it, if it is negative beyond
+    rounding, else as :class:`Singular` with infinite condition.
     """
     try:
-        return derived_factor(S, what, scale=float(np.linalg.norm(parent)))
+        return inverse_factor(S, what, float(np.linalg.norm(parent)))[1]
     except Singular:
-        return derived_factor(S, what, scale=float(np.linalg.eigvalsh(parent)[-1]))
+        return inverse_factor(S, what, float(np.linalg.eigvalsh(parent)[-1]))[1]
+    except NotPD as exc:
+        lo = exc.min_eigenvalue
+        if lo > -PSD_EIG_TOL * float(np.linalg.eigvalsh(parent)[-1]):  # a collapse to rounding
+            raise Singular(f"{what} is numerically singular (cond~inf)", condition=np.inf) from exc
+        raise NotPD(f"joint noise covariance is not PD ({what} has min eigenvalue {lo:.3e})",
+                    min_eigenvalue=lo) from exc

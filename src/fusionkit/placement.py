@@ -200,6 +200,8 @@ def _budget_value(lam: float, c: np.ndarray, oms: np.ndarray) -> float:
 
 
 def _require_budget(p: float) -> None:
+    if type(p) in (bool, np.bool_):  # an int, but True is no budget
+        raise ValueError(f"budget p must be a number, got {p!r}")
     if p <= 0.0:
         raise ValueError("budget p must be positive")
     if not np.isfinite(p):  # NaN passes the comparison above
@@ -457,18 +459,18 @@ def local_optimality_probe(
     so a ``rho`` outside the admissible range raises :class:`Inadmissible`,
     and one beyond the condition limit :class:`Singular`, whatever the solution.
 
-    Raises :class:`ValueError` if ``delta`` is not finite and positive, or
+    Raises :class:`ValueError` if ``delta`` is a bool or not finite and positive, or
     ``n_perturbations`` or ``seed`` is not a non-negative integer: a NaN, infinite or
     zero displacement would report no violation without probing anything, and the
     draws of a stateful seed such as a ``Generator`` cannot be memoized.
     """
-    # bool is an int, but True is neither a count nor a seed
+    # bool is an int, but True is neither a count, a seed nor a displacement
     if (type(n_perturbations) is bool or not isinstance(n_perturbations, (int, np.integer))
             or n_perturbations < 0):
         raise ValueError("n_perturbations must be a non-negative integer")
     if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (np.isfinite(delta) and delta > 0.0):
+    if type(delta) in (bool, np.bool_) or not (np.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     if solution.B_star is None:
         raise ValueError("degenerate solutions have no matrix to probe")

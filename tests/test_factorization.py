@@ -246,12 +246,16 @@ def small_question(seed):
 # a hit. A "slot" miss is now one of the analysis cache, with the draws cached.
 # While rho was taken apart by a tuple of solver closures, apart from the pair's
 # SVD, advise made 46/92, joint_information 39/72, synergy_matrices 30/71,
-# optimal_secondary 31/82 and a probe 16/41 on a miss.
+# optimal_secondary 31/82 and a probe 16/41 on a miss. While the agreement rule
+# checked each form for finiteness apart from their difference, from_pair built
+# the routes as a dict before their stack, the Schur guard went through
+# derived_factor, and advise took the traces of S_x and S_y twice, advise made
+# 47/92, joint_information 40/72, synergy_matrices 31/71 and optimal_secondary 30/80.
 CALL_PINS = {
-    "advise": {"fusionkit": 47, "from_fusionkit": 92},
-    "joint_information": {"fusionkit": 40, "from_fusionkit": 72},
-    "synergy_matrices": {"fusionkit": 31, "from_fusionkit": 71},
-    "optimal_secondary": {"fusionkit": 30, "from_fusionkit": 80},
+    "advise": {"fusionkit": 45, "from_fusionkit": 77},
+    "joint_information": {"fusionkit": 38, "from_fusionkit": 61},
+    "synergy_matrices": {"fusionkit": 29, "from_fusionkit": 60},
+    "optimal_secondary": {"fusionkit": 30, "from_fusionkit": 77},
     "ml_estimate": {"fusionkit": 14, "from_fusionkit": 21},
     "local_optimality_probe, slot miss": {"fusionkit": 15, "from_fusionkit": 39},
     "local_optimality_probe, slot hit": {"fusionkit": 5, "from_fusionkit": 25},
@@ -333,9 +337,10 @@ def test_factorized_pair_is_freed_without_the_cycle_collector(rng):
 def test_model_and_noise_arrays_are_read_only(rng):
     pair = random_pair(rng, 4, 3, 2)
     fac = PairFactorization.from_pair(pair)
+    assert sorted(fac.routes) == ["block", "prewhitened", "schur_f", "schur_g"]
     for array in (pair.first.A, pair.second.A, pair.noise.sigma_v, pair.noise.sigma_u,
                   pair.noise.sigma_vu, pair.noise.sigma_uv, fac.snr_first, fac.S_x,
-                  fac.routes["prewhitened"], fac.whitened.rho):
+                  *fac.routes.values(), fac.whitened.rho):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
 
@@ -531,6 +536,27 @@ def test_collapsing_schur_complement_raises_singular():
     pair = ModalityPair(LinearModel([[1.0]]), LinearModel([[2.0]]), noise)
     with pytest.raises(Singular, match="Schur complement"):
         synergy_matrices(pair)
+
+
+@pytest.mark.parametrize("c, refusal", [(1.01, NotPD), (1.5, NotPD), (2.0, NotPD),
+                                        (1.0, Singular), (1.0 + 1e-14, Singular)])
+def test_indefinite_joint_noise_raises_not_pd(c, refusal):
+    # sigma_v = sigma_u = I and sigma_vu = c I: the joint eigenvalues are 1 +- c
+    # and the Schur complement is (1 - c^2) I, indefinite beyond rounding for
+    # c > 1, zero at c = 1 and a rounding-level negative just above it
+    noise = BlockCovariance(np.eye(3), np.eye(3), c * np.eye(3))
+    A = np.eye(3, 2)
+    pair = ModalityPair(LinearModel(A), LinearModel(A), noise)
+    h, prior = NonlinearModel.linear(A), GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+    for call in (lambda: joint_information(pair), lambda: advise(pair), lambda: prewhiten(pair),
+                 lambda: joint_information_nonlinear(h, h, noise, prior, 100, 0)):
+        with pytest.raises(refusal) as exc:
+            call()
+        if refusal is NotPD:
+            assert "joint noise covariance is not PD" in str(exc.value)
+            assert exc.value.min_eigenvalue == pytest.approx(1.0 - c * c)
+        else:
+            assert exc.value.condition == np.inf
 
 
 def test_route_disagreement_raises(rng, monkeypatch):

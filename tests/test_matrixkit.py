@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionkit import (
@@ -36,7 +36,9 @@ from fusionkit.estimators import _solve_normal
 from fusionkit.information import PairFactorization, _CrossCorrelation
 from fusionkit.matrixkit import (
     FORM_TOL,
+    PSD_EIG_TOL,
     SINGULAR_CONDITION,
+    _schur_factor,
     admit_symmetric,
     derived_factor,
     factor_noise,
@@ -397,21 +399,30 @@ def test_require_agreement_tolerance_widens_only_with_condition(rng):
         agreement(M, M + 100.0 * E, condition=1e8)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_require_agreement_rejects_non_finite_stacks(bad):
-    # NaN compares false against the tolerance, and inf would read as a
-    # disagreement: either, in either argument or in one matrix of a stack,
-    # is refused before any comparison
-    M = np.zeros((2, 2))
-    M[0, 1] = bad
-    for first, second in ((M, np.zeros((2, 2))), (np.zeros((2, 2)), M)):
-        with pytest.raises(NonFinite, match="non-finite entries in forms"):
-            agreement(first, second)
-    stack = np.zeros((5, 2, 2))
-    stack[3] = M
-    for first, second in ((stack, np.zeros((5, 2, 2))), (np.zeros((2, 2)), stack)):
-        with pytest.raises(NonFinite):
-            agreement(first, second, error=RouteDisagreement)
+@pytest.mark.parametrize("bad, other", [
+    pytest.param(np.nan, 0.0, id="nan"),
+    pytest.param(np.inf, 0.0, id="inf"),
+    pytest.param(np.inf, np.inf, id="inf-in-both"),
+    pytest.param(1e308, -1e308, id="overflowing-difference"),
+])
+def test_require_agreement_rejects_non_finite_stacks(bad, other):
+    # NaN compares false against the tolerance, inf would read as a
+    # disagreement, and so would two finite forms whose difference overflows:
+    # a non-finite entry in either form, or an overflowing difference, in
+    # either argument order or in one matrix of a stack, is refused first,
+    # whether numpy ignores the overflow or the inf - inf it meets or raises
+    M, N = np.zeros((2, 2)), np.zeros((2, 2))
+    M[0, 1], N[0, 1] = bad, other
+    stack, others = np.zeros((5, 2, 2)), np.zeros((5, 2, 2))
+    stack[3], others[3] = M, N
+    for mode in ("ignore", "raise"):  # the scale is 1, as its norm may overflow too
+        with np.errstate(over=mode, invalid=mode):
+            for first, second in ((M, N), (N, M)):
+                with pytest.raises(NonFinite, match="non-finite entries in forms"):
+                    require_agreement(first, second, 1.0, "forms", FormDisagreement)
+            for first, second in ((stack, others), (N, stack)):
+                with pytest.raises(NonFinite):
+                    require_agreement(first, second, 1.0, "routes", RouteDisagreement)
 
 
 def test_require_agreement_on_stacks_checks_every_matrix(rng):
@@ -496,13 +507,18 @@ guard_sizes = st.one_of(st.sampled_from([1, 2, 3, 63, 64, 65, 400]), st.integers
 
 
 def schur_complement_inverse(M, scale):
-    """``M^-1 = L^-T L^-1`` from the factor the guard of a Schur complement returns."""
-    L_inv = derived_factor(M, "Schur complement", scale=scale)
+    """``M^-1 = L^-T L^-1`` from the Schur guard, ``M`` a complement of the block ``scale I``.
+
+    The block's largest eigenvalue is ``scale`` and its Frobenius norm ``sqrt(n)``
+    times that, so the guard reads the norm first and the eigenvalue where that refuses.
+    """
+    L_inv = _schur_factor(M, np.diag(np.full(len(M), scale)), "Schur complement")
     return L_inv.T @ L_inv
 
 
-# The refusal each derived inverse raises: a Schur complement (measured
-# against its parent block) and the estimators' normal and posterior matrices.
+# The refusal each derived inverse raises, keyed by it: a Schur complement
+# (measured against its parent block, and NotPD where it is indefinite beyond
+# rounding of that block) and the estimators' normal and posterior matrices.
 derived_guards = {
     Singular: schur_complement_inverse,
     SingularNormalMatrix: lambda M, scale: _solve_normal(M, np.ones(len(M)), "normal matrix")[1],
@@ -516,17 +532,20 @@ derived_guards = {
     seed=st.integers(0, 2**32 - 1),
     n=guard_sizes,
     log_cond=st.floats(2.0, 14.0),
-    min_eig=st.sampled_from([None, None, None, -1e-12, 0.0, 1e-13]),
+    min_eig=st.sampled_from([None, None, None, -1e-6, -1e-12, 0.0, 1e-13]),
     top_exp=st.integers(-3, 3),
     derived=st.sampled_from([None, Singular, SingularNormalMatrix, SingularPosterior]),
     scale_exp=st.floats(0.0, 3.0),
 )
+# a Schur complement indefinite beyond rounding of its block, and one only to rounding
+@example(seed=0, n=5, log_cond=2.0, min_eig=-1e-6, top_exp=0, derived=Singular, scale_exp=2.0)
+@example(seed=0, n=5, log_cond=2.0, min_eig=-1e-12, top_exp=0, derived=Singular, scale_exp=2.0)
 def test_cholesky_guard_decides_as_the_eigen_guard(
     seed, n, log_cond, min_eig, top_exp, derived, scale_exp
 ):
     # conditions from 1e2 to 1e14 straddle the 1e12 limit; a planted minimum
-    # eigenvalue of -1e-12, 0 or 1e-13 times the top one makes M indefinite,
-    # singular or too ill conditioned
+    # eigenvalue of -1e-6 or -1e-12, 0 or 1e-13 times the top one makes M
+    # indefinite, singular or too ill conditioned
     rng = np.random.default_rng(seed)
     top = 10.0**top_exp
     w = planted_spectrum(log_cond, None if min_eig is None else min_eig * top, n, top, rng)
@@ -535,11 +554,16 @@ def test_cholesky_guard_decides_as_the_eigen_guard(
     if derived is None:
         expected = eigen_guard(M)
         outcome = guard_outcome(lambda: inverse_factor(M, "M"))
-    else:  # every refusal is the derived type, an indefinite M with infinite condition
-        # a Schur complement's condition is against a parent block larger than M
+    else:  # every refusal is the derived type, an indefinite M with infinite condition,
+        # but a Schur complement's condition is against a parent block larger than M,
+        # and one indefinite beyond PSD_EIG_TOL of that block refuses the joint as NotPD
         scale = top * 10.0**scale_exp if derived is Singular else 0.0
         kind, value = eigen_guard(M, scale)
-        expected = (kind, value) if kind is None else (derived, np.inf if kind is NotPD else value)
+        if kind is NotPD and (derived is not Singular or value > -PSD_EIG_TOL * scale):
+            kind, value = derived, np.inf
+        elif kind is Singular:
+            kind = derived
+        expected = (kind, value)
         outcome = guard_outcome(lambda: derived_guards[derived](M, scale))
     assert outcome[0] is expected[0]
     if expected[0] is not None:
@@ -579,10 +603,10 @@ def test_noise_guard_sweep_smoke(tmp_path):
     out = tmp_path / "guard"
     run_script("noise_guard_sweep.py", "--sizes", "1", "3", "--trials", "2", "--out", out)
     summary = json.loads(out.with_suffix(".json").read_text())
-    # 2 sizes, 11 spectra, 3 guards (plain, schur, parent), 2 trials each
-    assert summary["trials"] == 2 * 11 * 3 * 2 and summary["agreement_rate"] == 1.0
+    # 2 sizes, 12 spectra, 2 guards (plain, parent), 2 trials each
+    assert summary["trials"] == 2 * 12 * 2 * 2 and summary["agreement_rate"] == 1.0
     rows = out.with_suffix(".csv").read_text().splitlines()
-    assert len(rows) == 1 + 2 * 11 * 3
+    assert len(rows) == 1 + 2 * 12 * 2
 
 
 def test_whitening_accuracy_sweep_smoke(tmp_path):

@@ -253,9 +253,10 @@ class TestLambdaRoot:
             lambda_root(svd, 1.001 * sup)
         assert exc_info.value.attainable_min == pytest.approx(_budget_value(0.0, c, oms))
 
-    @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, True])
     def test_budget_must_be_positive_and_finite(self, rng, p):
-        # an unchecked inf or NaN budget returned a multiplier off the budget sphere
+        # an unchecked inf or NaN budget returned a multiplier off the budget
+        # sphere; True, an int, was solved at p = 1 and reported as "p": true
         A = rng.standard_normal((4, 2))
         rho = random_admissible_rho(rng, 4, 3, 0.7)
         with pytest.raises(ValueError, match="budget p must be"):
@@ -560,9 +561,10 @@ class TestProbeAndUnwhiten:
         assert (report.n_perturbations, report.n_violations) == (0, 0)
         assert report.max_improvement == 0.0
 
-    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -1e-3, True])
     def test_probe_refuses_a_displacement_that_probes_nothing(self, rng, delta):
-        # a NaN or infinite delta reported no violation, as a zero one does
+        # a NaN or infinite delta reported no violation, as a zero one does;
+        # True, an int, probed at a displacement of 1
         A, rho, sol = probe_instance(rng)
         with pytest.raises(ValueError, match="delta"):
             local_optimality_probe(A, rho, sol, delta=delta)
