@@ -97,8 +97,7 @@ def empirical_error_covariance(
     """
     if N < 1000:
         raise ValueError("N must be at least 1e3 for a meaningful estimate")
-    method = method.lower()
-    if method not in ("ml", "wls", "mmse"):
+    if not isinstance(method, str) or (method := method.lower()) not in ("ml", "wls", "mmse"):
         raise ValueError(f"unknown method {method!r}, expected 'ml', 'wls' or 'mmse'")
     if method == "mmse" and not isinstance(prior, GaussianPrior):
         raise ValueError("MMSE requires Gaussian prior")
@@ -187,12 +186,15 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
     depends on the observation; pass ``x`` explicitly to average over
     draws externally (by default the noise-free observation at ``s0`` is
     used, for which the curvature term vanishes). Any other model type
-    raises ``TypeError``.
+    raises ``TypeError``, and a ``step`` that is zero or not finite
+    ``ValueError``, before any evaluation.
     """
     from .nonlinear import NonlinearModel  # here, so a campaign does not import nonlinear
 
     if not isinstance(model, (LinearModel, NonlinearModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
+    if step == 0.0 or not np.isfinite(step):
+        raise ValueError(f"step must be finite and nonzero, got {step!r}")
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     _, L_inv = noise_whitener(model, sigma)
     sigma_inv = L_inv.T @ L_inv

@@ -3,14 +3,20 @@
 All operations are pure functions on small dense arrays. A covariance is
 admitted here alone. Every PSD refusal is one rule
 (:func:`_require_psd`), raising :class:`NotPSD`. Every inverse refuses
-its matrix by one rule (:func:`_require_pd_conditioned`): :class:`NotPD`
-unless the smallest eigenvalue is positive, :class:`Singular` when the
-condition exceeds ``SINGULAR_CONDITION``. Every inverse, whitening and
+its matrix by one rule (:func:`_require_pd_conditioned`), a Schur
+complement's included: :class:`NotPD` unless the smallest eigenvalue is
+positive, :class:`Singular` when the condition exceeds
+``SINGULAR_CONDITION``; a Schur complement's condition is measured
+against the largest eigenvalue of its parent block, and a smallest
+eigenvalue within rounding of that is a collapse, :class:`Singular` with
+infinite condition. Every inverse, whitening and
 sampling root comes from the Cholesky factor: :func:`inverse_factor`
 returns ``L`` and ``L^-1`` for ``M = L L^T``, so ``M^-1 = L^-T L^-1``,
 ``L^-1 X`` whitens ``X`` and ``z L^T`` draws rows of covariance ``M``
 from standard normal rows ``z``; its guard reads a condition bound off
-``L^-1`` and takes one ``eigvalsh`` only where the bound is inconclusive.
+``L^-1`` and decides on one factorization: only where the bound is
+inconclusive does it take one ``eigvalsh``, and one more of a Schur
+complement's parent block.
 The estimators' normal and posterior matrices and the information matrix
 of ``information.crlb`` go through it by :func:`derived_factor`, and a
 noise pair and its Schur complements go through it directly:
@@ -161,12 +167,18 @@ def _require_psd(w: np.ndarray, name: str) -> float:
 def _require_pd_conditioned(w: np.ndarray, name: str, scale: float = 0.0) -> float:
     """The refusal rule of every inverse, on the ascending eigenvalues ``w`` of ``M``.
 
-    :class:`NotPD` unless ``w[0] > 0``; :class:`Singular` when the condition
-    ``max(scale, w[-1]) / w[0]``, which is returned, exceeds ``SINGULAR_CONDITION``.
+    ``scale`` is the largest eigenvalue of a matrix that ``M`` was derived
+    from (a Schur complement's parent block), or 0. :class:`NotPD`, carrying
+    ``w[0]``, when ``w[0] <= -PSD_EIG_TOL * scale``: at ``scale = 0`` unless
+    ``w[0] > 0``, and against a parent unless ``w[0]`` is within rounding of
+    it. :class:`Singular` when the condition ``max(scale, w[-1]) / w[0]``,
+    which is returned, exceeds ``SINGULAR_CONDITION``, and with infinite
+    condition when ``w[0] <= 0`` is that rounding: the collapse of ``M``.
     """
-    if w[0] <= 0.0:
-        raise NotPD(f"{name} is not PD (min eigenvalue {w[0]:.3e})", min_eigenvalue=float(w[0]))
-    cond = max(scale, float(w[-1])) / float(w[0])
+    lo = float(w[0])
+    if lo <= -PSD_EIG_TOL * scale:
+        raise NotPD(f"{name} is not PD (min eigenvalue {lo:.3e})", min_eigenvalue=lo)
+    cond = max(scale, float(w[-1])) / lo if lo > 0.0 else np.inf
     require_conditioned(cond, name)
     return cond
 
@@ -214,27 +226,28 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def inverse_factor(
-    M, name: str = "matrix", scale: float = 0.0
+    M, name: str = "matrix", parent: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor ``L`` of a symmetric PD ``M`` and its inverse ``L^-1``.
 
     ``M^-1 = L^-T L^-1``, ``L^-1 X`` whitens ``X`` and ``z L^T`` draws rows
     of covariance ``M`` from standard normal rows ``z``. ``M`` must be
     symmetric to the last bit, as an admitted matrix or one built
-    symmetric is: it is not symmetrized here. The guard refuses
-    ``M`` when its condition ``max(scale, lambda_max) / lambda_min`` exceeds
-    ``SINGULAR_CONDITION``; ``scale`` measures ``M`` against a larger
-    matrix it was derived from. It needs no eigenvalue when the bound
-    ``max(scale, ||M||_F) ||L^-1||_F^2`` clears the limit (by
-    ``_CERTIFY_MARGIN``): ``||M||_F >= lambda_max`` and
-    ``||L^-1||_F^2 = tr(M^-1) >= 1 / lambda_min``. Where the bound is
-    inconclusive, or Cholesky fails, one ``eigvalsh`` decides by
-    :func:`_require_pd_conditioned`.
+    symmetric is: it is not symmetrized here. The guard is
+    :func:`_require_pd_conditioned`, with ``scale`` the largest eigenvalue
+    of ``parent``, the larger matrix ``M`` was derived from (a Schur
+    complement's block), or 0 without one. It needs no eigenvalue when the
+    bound ``max(||parent||_F, ||M||_F) ||L^-1||_F^2`` clears the limit (by
+    ``_CERTIFY_MARGIN``): a Frobenius norm is at least the largest
+    eigenvalue, and ``||L^-1||_F^2 = tr(M^-1) >= 1 / lambda_min``. Where the
+    bound is inconclusive, or Cholesky fails, one ``eigvalsh`` of ``M``, and
+    one of ``parent`` for its largest eigenvalue, decide.
 
     Raises
     ------
     NotPD
-        If the smallest eigenvalue is not positive; the error carries it.
+        If the smallest eigenvalue is not positive (beyond rounding of
+        ``parent``); the error carries it.
     Singular
         If the condition exceeds ``SINGULAR_CONDITION``; the error carries it.
     """
@@ -244,9 +257,11 @@ def inverse_factor(
         L = None
     else:
         L_inv = _tril_inverse(L)
-        bound = max(scale, float(np.linalg.norm(M))) * float(np.vdot(L_inv, L_inv))
+        parent_norm = 0.0 if parent is None else float(np.linalg.norm(parent))
+        bound = max(parent_norm, float(np.linalg.norm(M))) * float(np.vdot(L_inv, L_inv))
         if bound <= SINGULAR_CONDITION / _CERTIFY_MARGIN:
             return L, L_inv
+    scale = 0.0 if parent is None else float(np.linalg.eigvalsh(parent)[-1])
     cond = _require_pd_conditioned(np.linalg.eigvalsh(M), name, scale)
     if L is None:  # a breakdown the eigenvalues do not show: refused as singular
         raise Singular(f"{name}: Cholesky factorization broke down (cond~{cond:.3e})",
@@ -430,7 +445,7 @@ def factor_noise(block: BlockCovariance):
     Per marginal, :func:`inverse_factor` gives the PD check (:class:`NotPD`),
     the condition guard (:class:`Singular` above ``SINGULAR_CONDITION``) and
     the inverse Cholesky factor; per Schur complement, :func:`_schur_factor`
-    gives it under a guard on its condition relative to its block. Returns
+    gives it under the same guard, measured against its block. Returns
     ``(L_v^-1, L_u^-1, W_v, W_u, L_F^-1, L_G^-1)``: the lower-triangular
     inverse Cholesky factors of the marginals (``sigma = L L^T``), the pair's
     one whitening; ``W_v = L_v^-1 sigma_vu`` and ``W_u = sigma_vu L_u^-T``;
@@ -455,23 +470,17 @@ def _schur_factor(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:
     """``L^-1`` of the Schur complement ``S = L L^T`` of ``parent``, by :func:`inverse_factor`.
 
     A Schur complement tiny relative to its parent block signals joint
-    collapse even when it is well conditioned in isolation, so its
-    condition is measured against ``lambda_max(parent)``. ``||parent||_F``,
-    never below it, stands in for that scale wherever it lets ``S`` through:
-    a larger scale only refuses more. Where it refuses, one ``eigvalsh`` of
-    the parent gives ``lambda_max`` and the decision, with its error and
-    condition. An ``S`` whose smallest eigenvalue is not positive is refused at
-    once, by the rule of :func:`_require_psd` against ``lambda_max(parent)``: as
-    :class:`NotPD` of the joint noise, carrying it, if it is negative beyond
-    rounding, else as :class:`Singular` with infinite condition.
+    collapse even when it is well conditioned in isolation, so
+    :func:`inverse_factor` measures it against ``parent``: its condition
+    against ``lambda_max(parent)``, and a smallest eigenvalue that is not
+    positive as a collapse to rounding (:class:`Singular` with infinite
+    condition) unless it is negative beyond ``PSD_EIG_TOL`` times that. An
+    ``S`` refused as :class:`NotPD` makes the joint noise not PD; the error
+    carries its smallest eigenvalue.
     """
     try:
-        return inverse_factor(S, what, float(np.linalg.norm(parent)))[1]
-    except Singular:
-        return inverse_factor(S, what, float(np.linalg.eigvalsh(parent)[-1]))[1]
+        return inverse_factor(S, what, parent)[1]
     except NotPD as exc:
         lo = exc.min_eigenvalue
-        if lo > -PSD_EIG_TOL * float(np.linalg.eigvalsh(parent)[-1]):  # a collapse to rounding
-            raise Singular(f"{what} is numerically singular (cond~inf)", condition=np.inf) from exc
         raise NotPD(f"joint noise covariance is not PD ({what} has min eigenvalue {lo:.3e})",
                     min_eigenvalue=lo) from exc

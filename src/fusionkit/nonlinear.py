@@ -110,8 +110,11 @@ def numeric_jacobian(h, s, step: float | None = None) -> np.ndarray:
     NonFinite
         If any function evaluation is non-finite.
     ValueError
-        If ``h`` does not return vectors of one length.
+        If ``step`` is zero or not finite, before any evaluation, or if
+        ``h`` does not return vectors of one length.
     """
+    if step is not None and (step == 0.0 or not np.isfinite(step)):
+        raise ValueError(f"step must be finite and nonzero, got {step!r}")
     s = np.atleast_1d(np.asarray(s, dtype=float))
     return _central_differences(h, s[None, :], step)[0]
 

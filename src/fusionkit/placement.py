@@ -263,21 +263,21 @@ def _lambda_root(svd: SvdOfRho, p: float) -> float:  # lambda_root of a checked 
     # Branch upper limit: 1 - lambda (1 - sigma^2) stays positive for every eigenvalue
     # of rho^T rho, with the zeros padded when the secondary has more channels.
     max_one_minus = float(np.max(oms)) if oms.size == svd.n2 else 1.0
-    lam_hi = np.inf if max_one_minus <= 0.0 else 1.0 / max_one_minus
+    if max_one_minus <= 0.0:  # no active weight (else degenerate): no value exceeds at_zero
+        raise NoRoot(
+            f"budget {p:.6g} not attainable (equation saturates)", attainable_min=at_zero
+        )
+    lam_hi = 1.0 / max_one_minus
 
-    hi = min(1.0, 0.5 * lam_hi) if np.isfinite(lam_hi) else 1.0
+    hi = min(1.0, 0.5 * lam_hi)
     while (value := _budget_value(hi, c, oms)) < p:
-        nxt = hi * 2.0 if not np.isfinite(lam_hi) else hi + 0.5 * (lam_hi - hi)
-        if np.isfinite(lam_hi) and (lam_hi - nxt) <= 1e-14 * lam_hi:
+        nxt = hi + 0.5 * (lam_hi - hi)
+        if (lam_hi - nxt) <= 1e-14 * lam_hi:
             sup = _budget_value(nxt, c, oms)
             raise NoRoot(
                 f"budget {p:.6g} above the attainable supremum ~{sup:.6g} on the "
                 "positive-denominator branch",
                 attainable_min=at_zero,
-            )
-        if not np.isfinite(lam_hi) and hi > 1e12:
-            raise NoRoot(
-                f"budget {p:.6g} not attainable (equation saturates)", attainable_min=at_zero
             )
         hi = nxt
 

@@ -538,6 +538,52 @@ def test_collapsing_schur_complement_raises_singular():
         synergy_matrices(pair)
 
 
+# The Schur guard's paths at n = 8, against the parent block I (largest
+# eigenvalue 1, Frobenius norm sqrt(8)): the smallest eigenvalue planted in
+# the complement S, the refusal, and the eigvalsh calls (one of S, one of the
+# parent for its largest eigenvalue). Each path takes one Cholesky, and one
+# triangular inverse where that succeeds; while a refusal by the Frobenius
+# scale was re-decided by a second factorization against lambda_max, the
+# second and third paths took two and three eigvalsh.
+SCHUR_PATHS = {
+    "certified by the bound": (1e-2, None, 0),
+    "refused by condition": (10.0**-12.5, Singular, 2),
+    "admitted only by lambda_max of the parent": (10.0**-11.8, None, 2),
+    "not PD beyond rounding": (-1e-6, NotPD, 2),
+    "collapsed to rounding": (-1e-12, Singular, 2),
+}
+
+
+@pytest.mark.parametrize("path", list(SCHUR_PATHS))
+def test_schur_guard_work_per_path(monkeypatch, path):
+    low, refusal, eigvalsh = SCHUR_PATHS[path]
+    rng = np.random.default_rng(8)
+    w = np.geomspace(1e-2, 0.5, 8)
+    w[0] = low
+    Q = random_orthogonal(rng, 8)
+    S, parent = symmetrize((Q * w) @ Q.T), np.eye(8)
+    outcome = []
+
+    def guard():
+        try:
+            outcome.append(matrixkit._schur_factor(S, parent, "Schur complement"))
+        except (NotPD, Singular) as exc:
+            outcome.append(exc)
+
+    expected = {"numpy.linalg.cholesky": 1, "numpy.linalg.inv": int(low > 0.0),
+                "numpy.linalg.eigvalsh": eigvalsh}
+    assert lapack_calls(monkeypatch, guard) == {k: v for k, v in expected.items() if v}
+    got, lo = outcome[0], float(np.linalg.eigvalsh(S)[0])
+    if refusal is None:
+        assert rel_fro(got.T @ got, np.linalg.inv(S)) <= 1e-13 * float(w[-1] / lo)
+    elif refusal is NotPD:
+        assert type(got) is NotPD and got.min_eigenvalue == lo
+        assert str(got).startswith("joint noise covariance is not PD (Schur complement")
+    else:
+        assert type(got) is Singular
+        assert got.condition == (1.0 / lo if lo > 0.0 else np.inf)
+
+
 @pytest.mark.parametrize("c, refusal", [(1.01, NotPD), (1.5, NotPD), (2.0, NotPD),
                                         (1.0, Singular), (1.0 + 1e-14, Singular)])
 def test_indefinite_joint_noise_raises_not_pd(c, refusal):

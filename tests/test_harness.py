@@ -77,6 +77,14 @@ class TestEmpiricalErrorCovariance:
         with pytest.raises(ValueError, match=match):
             empirical_error_covariance(method, model, prior, np.eye(2), N=200_000, seed=0)
 
+    @pytest.mark.parametrize("method", [None, 1])
+    def test_method_that_is_no_string_is_unknown(self, method):
+        # .lower() on it raised AttributeError
+        model = LinearModel(np.eye(2))
+        prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(ValueError, match=f"unknown method {method!r}, expected"):
+            empirical_error_covariance(method, model, prior, np.eye(2), N=1000, seed=0)
+
     def test_minimum_sample_count_enforced(self):
         model = LinearModel(np.eye(2))
         prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
@@ -223,6 +231,15 @@ class TestFisherFiniteDifference:
 
         with pytest.raises(TypeError, match="unsupported model type Duck"):
             fisher_finite_difference(Duck(), np.eye(2), np.zeros(1), x=x)
+
+    @pytest.mark.parametrize("step", [0.0, np.inf, np.nan])
+    def test_step_that_probes_nothing_is_refused(self, step):
+        # a zero step raised ZeroDivisionError; an infinite or NaN one was
+        # blamed on the log-likelihood, as NonFinite
+        model = NonlinearModel(h=lambda s: pytest.fail("h evaluated before the step was checked"),
+                               n=1, m=1)
+        with pytest.raises(ValueError, match="step must be finite and nonzero"):
+            fisher_finite_difference(model, np.eye(1), np.zeros(1), step=step, x=np.zeros(1))
 
     def test_step_refinement(self, rng):
         model = LinearModel(rng.standard_normal((4, 2)))

@@ -510,7 +510,8 @@ def schur_complement_inverse(M, scale):
     """``M^-1 = L^-T L^-1`` from the Schur guard, ``M`` a complement of the block ``scale I``.
 
     The block's largest eigenvalue is ``scale`` and its Frobenius norm ``sqrt(n)``
-    times that, so the guard reads the norm first and the eigenvalue where that refuses.
+    times that: the norm stands in only inside the Cholesky bound, and where the
+    bound is inconclusive the guard decides on the eigenvalue, with no retry.
     """
     L_inv = _schur_factor(M, np.diag(np.full(len(M), scale)), "Schur complement")
     return L_inv.T @ L_inv

@@ -75,6 +75,15 @@ class TestNumericJacobian:
         with pytest.raises(NonFinite):
             numeric_jacobian(half_line, np.zeros(1))
 
+    @pytest.mark.parametrize("step", [0.0, np.inf, np.nan])
+    def test_step_that_probes_nothing_is_refused(self, step):
+        # a zero step returned a NaN Jacobian; an infinite or NaN one was blamed on h
+        def h(s):
+            raise AssertionError("h evaluated before the step was checked")
+
+        with pytest.raises(ValueError, match="step must be finite and nonzero"):
+            numeric_jacobian(h, np.zeros(2), step=step)
+
     def test_analytic_vs_numeric_agreement(self, rng):
         model = squared_scalar()
         for s0 in rng.standard_normal(5) + 2.0:

@@ -253,6 +253,21 @@ class TestLambdaRoot:
             lambda_root(svd, 1.001 * sup)
         assert exc_info.value.attainable_min == pytest.approx(_budget_value(0.0, c, oms))
 
+    def test_saturated_equation_refused_before_the_bracket(self, monkeypatch):
+        # every 1 - sigma^2 is 0 and no weight is active, so the value never
+        # leaves its value at lambda = 0: the bracket once doubled 41 times first
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _budget_value(*args)
+
+        monkeypatch.setattr(placement, "_budget_value", counted)
+        with pytest.raises(NoRoot, match=r"not attainable \(equation saturates\)") as exc_info:
+            lambda_root(SvdOfRho(np.array([1.0, 1.0]), np.zeros(2), 2), 1.0)
+        assert exc_info.value.attainable_min == 0.0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, True])
     def test_budget_must_be_positive_and_finite(self, rng, p):
         # an unchecked inf or NaN budget returned a multiplier off the budget
