@@ -16,7 +16,9 @@ Each pair is asked, through the public API only:
 * ``nonlinear``: ``joint_information_nonlinear`` of the two mixing matrices
   as ``NonlinearModel.linear`` maps;
 * ``refusals``: the type and message of every typed refusal, those of the
-  questions above and of a fixed set of inputs each API must refuse.
+  questions above and of a fixed set of inputs each API must refuse, among
+  them one of each kind of the scalar rule (a seed, a count, a tolerance and
+  a step); an input an older tree still answers hashes its answer there.
 
 A question that is refused adds its refusal to ``refusals`` and the word
 "refused" to its own kind. Floats are hashed by their bits, so two checkouts
@@ -24,7 +26,7 @@ answer alike iff their outputs are equal byte for byte:
 
     PYTHONPATH=src python3 scripts/answer_digest.py --out head.txt
     (cd ../base && PYTHONPATH=src python3 ../head/scripts/answer_digest.py --out base.txt)
-    cmp base.txt head.txt
+    diff base.txt head.txt
 
 Prints one line per kind, ``<kind> <sha256>``, to ``--out`` (stdout by default).
 """
@@ -38,6 +40,7 @@ import sys
 import numpy as np
 
 from fusionkit import (
+    AdvisorTolerances,
     BlockCovariance,
     FusionKitError,
     GaussianPrior,
@@ -49,8 +52,10 @@ from fusionkit import (
     joint_information,
     joint_information_nonlinear,
     local_optimality_probe,
+    numeric_jacobian,
     optimal_secondary,
     prewhiten,
+    simulate,
     svd_of_rho,
     synergy_gradient_rho,
     synergy_matrices,
@@ -188,6 +193,9 @@ def ask_refusals(digest, rng):
     admissible = with_norm(rng.standard_normal((3, 3)), 0.5)
     svd = svd_of_rho(A, admissible)
     sol = optimal_secondary(A, admissible, 2.0 * float(np.sum(svd.d * svd.singular_values**2)))
+    prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+    pair = ModalityPair(LinearModel(A), LinearModel(B),
+                        BlockCovariance(np.eye(3), np.eye(3), 0.5 * np.eye(3)))
     cases = {
         "inadmissible rho": lambda: optimal_secondary(A, inadmissible, 1.0),
         "inadmissible rho, objective": lambda: synergy_objective(A, B, inadmissible),
@@ -202,6 +210,11 @@ def ask_refusals(digest, rng):
         "noise not PD": lambda: joint_information(ModalityPair(
             LinearModel(A), LinearModel(B),
             BlockCovariance(np.eye(3), np.eye(3), 2.0 * np.eye(3)))),
+        # one of each kind of the scalar rule: a seed, a count, a tolerance, a step
+        "bool seed": lambda: simulate(LinearModel(A), prior, 8, True, noise=np.eye(3)).sources,
+        "float count": lambda: local_optimality_probe(A, admissible, sol, n_perturbations=2.5),
+        "NaN tolerance": lambda: advise(pair, tols=AdvisorTolerances(redundancy=float("nan"))),
+        "bool step": lambda: numeric_jacobian(lambda s: A @ s, np.ones(2), step=True),
     }
     for case, question in cases.items():
         digest.ask("refusals", case, question)

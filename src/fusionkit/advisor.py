@@ -12,12 +12,13 @@ returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
 from .information import NEAR_SINGULAR_RHO, PairFactorization
+from .matrixkit import require_real
 from .model import ModalityPair, SourcePrior
 
 
@@ -29,6 +30,13 @@ class AdvisorTolerances:
     the relative trace gain below which fusing the weaker modality is
     considered not worth it (near-redundancy without the exact algebraic
     relation).
+
+    Raises
+    ------
+    ValueError
+        Naming the field, unless each is a finite non-negative number
+        (:func:`~fusionkit.matrixkit.require_real`): a bool, a NaN or an
+        infinite threshold would turn every verdict into "Tie".
     """
 
     dominance: float = 1e-9
@@ -36,10 +44,13 @@ class AdvisorTolerances:
     regime_eps: float = 1e-6
     select_gain: float = 1e-6
 
+    def __post_init__(self):
+        for f in fields(self):
+            require_real(getattr(self, f.name), f.name, "non-negative")
+
 
 @dataclass(frozen=True)
 class RedundancyResult:
-    verdict: str | None  # None | "SecondRedundant" | "FirstRedundant"
     r1: float
     r2: float
     synergy_residual: float | None = None
@@ -85,28 +96,28 @@ def _redundancy(fac: PairFactorization, tol: float) -> RedundancyResult:
     """Whitened-domain redundancy of a factorized pair.
 
     Residuals are ``r2 = ||B~ - rho^T A~||_F / (1 + ||B~||_F)`` and
-    ``r1 = ||A~ - rho B~||_F / (1 + ||A~||_F)``. When one falls at or
-    below ``tol`` the corresponding modality is redundant: the fused
-    information collapses onto the other modality alone. For a flagged
-    case away from a near-unitary rho, the matching synergy norm relative
-    to the joint information is returned as ``synergy_residual``: it is
-    evidence only, and no verdict is refused or changed on it.
+    ``r1 = ||A~ - rho B~||_F / (1 + ||A~||_F)``; when one falls at or
+    below ``tol``, :func:`advise` calls the corresponding modality
+    redundant: the fused information collapses onto the other modality
+    alone. When one does, away from a near-unitary rho, the norm of the
+    synergy matrix of the smaller residual (``S_x`` when ``r2 <= r1``)
+    relative to the joint information is returned as ``synergy_residual``:
+    it is evidence only, and no verdict is refused or changed on it.
     """
     wp = fac.whitened
     A, B, rho = wp.A_tilde, wp.B_tilde, wp.rho
     r2 = float(np.linalg.norm(B - rho.T @ A, "fro")) / (1.0 + float(np.linalg.norm(B, "fro")))
     r1 = float(np.linalg.norm(A - rho @ B, "fro")) / (1.0 + float(np.linalg.norm(A, "fro")))
     if r1 > tol and r2 > tol:
-        return RedundancyResult(verdict=None, r1=r1, r2=r2)
+        return RedundancyResult(r1=r1, r2=r2)
 
-    verdict = "SecondRedundant" if r2 <= r1 else "FirstRedundant"
     synergy_residual = None
     if wp.sigma_max_rho < NEAR_SINGULAR_RHO:
-        S = fac.S_x if verdict == "SecondRedundant" else fac.S_y
+        S = fac.S_x if r2 <= r1 else fac.S_y
         synergy_residual = float(np.linalg.norm(S, "fro")) / max(
             float(np.linalg.norm(fac.routes["prewhitened"], "fro")), 1e-300
         )
-    return RedundancyResult(verdict=verdict, r1=r1, r2=r2, synergy_residual=synergy_residual)
+    return RedundancyResult(r1=r1, r2=r2, synergy_residual=synergy_residual)
 
 
 def _regime(frob: float, sigma_max: float, eps: float) -> str:
@@ -182,11 +193,11 @@ def advise(
     # redundant; reported, not enforced.
     evidence["weaker_modality_by_trace"] = "first" if trace_snr1 < trace_snr2 else "second"
 
-    if red.verdict is not None and red.r1 <= tols.redundancy and red.r2 <= tols.redundancy:
+    if red.r1 <= tols.redundancy and red.r2 <= tols.redundancy:
         verdict, note = "Tie", "each modality is redundant given the other"
-    elif red.verdict == "SecondRedundant":
+    elif red.r2 <= tols.redundancy:
         verdict, note = "SecondRedundant", "second modality adds no Fisher information"
-    elif red.verdict == "FirstRedundant":
+    elif red.r1 <= tols.redundancy:
         verdict, note = "FirstRedundant", "first modality adds no Fisher information"
     elif gain_second <= tols.select_gain and gain_first <= tols.select_gain:
         verdict, note = "Tie", "neither modality adds measurable information to the other"

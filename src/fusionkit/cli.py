@@ -28,7 +28,7 @@ from .information import (
     snr_matrix,
     total_information,
 )
-from .matrixkit import BlockCovariance, _require_psd, require_noise
+from .matrixkit import BlockCovariance, _require_psd, require_integer, require_noise, require_real
 from .model import GaussianPrior, InfoOnlyPrior, LinearModel, ModalityPair, SourcePrior
 
 EXIT_OK = 0
@@ -136,21 +136,6 @@ def _cross_entry(entry, names: list[str]) -> tuple[tuple[str, str], np.ndarray]:
     return (names[i], names[j]), matrix
 
 
-def _tolerance(key: str, value) -> float:
-    """One ``tolerances`` entry: a finite, non-negative JSON number, not a string or a bool."""
-    if type(value) not in (int, float):
-        raise ScenarioError(f"bad tolerances: {key!r} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError as exc:  # a JSON integer beyond float range
-        raise ScenarioError(f"bad tolerances: {key!r} is beyond float range") from exc
-    if not 0.0 <= number < np.inf:
-        raise ScenarioError(
-            f"bad tolerances: {key!r} must be finite and non-negative, got {value!r}"
-        )
-    return number
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario JSON document; the first fault found raises :class:`ScenarioError`."""
     path = Path(path)
@@ -241,7 +226,10 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(raw_tols, dict):
         raise ScenarioError("'tolerances' must be an object of named values")
     _known_keys(raw_tols, ("dominance", "redundancy", "regime_eps", "select_gain"), "tolerances")
-    tols = {k: _tolerance(k, v) for k, v in raw_tols.items()}
+    try:  # each a finite non-negative JSON number, by the rule of AdvisorTolerances
+        tols = {k: float(require_real(v, repr(k), "non-negative")) for k, v in raw_tols.items()}
+    except ValueError as exc:
+        raise ScenarioError(f"bad tolerances: {exc}") from exc
 
     return Scenario(
         id=scenario_id,
@@ -383,10 +371,11 @@ def cmd_place(args) -> int:
 def cmd_simulate(args) -> int:
     from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
 
-    if args.seed < 0:
-        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
-    if args.N < 1000:
-        raise UsageError(f"--N must be at least 1000 for a meaningful estimate, got {args.N}")
+    try:  # flags are refused as usage errors, before the scenario is read
+        require_integer(args.seed, "--seed")
+        require_integer(args.N, "--N", 1000)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.N > MAX_N:
         raise UsageError(f"--N must be at most {MAX_N}, got {args.N}")
     scenario = load_scenario(args.scenario)

@@ -24,7 +24,9 @@ import numpy as np
 
 from .errors import NonFinite
 from .information import DEFAULT_BLOCK, InfoMatrix, _as_matrix, crlb
-from .matrixkit import admit_symmetric, noise_whitener, require_finite, symmetrize
+from .matrixkit import (
+    admit_symmetric, noise_whitener, require_finite, require_integer, require_real, symmetrize,
+)
 from .model import (
     GaussianPrior,
     LinearModel,
@@ -94,9 +96,14 @@ def empirical_error_covariance(
     O(``DEFAULT_BLOCK``·(n + m)) whatever ``N``. The sums run in block
     order: a campaign of at most ``DEFAULT_BLOCK`` rows sums as one array
     does, and a larger one differs from that only in rounding.
+
+    Raises ``ValueError`` before any draw for an unknown ``method``, an MMSE
+    campaign without a Gaussian prior, ``N`` that is not an integer of at
+    least 1000 (a meaningful estimate) or a ``seed`` that is not a
+    non-negative integer (:func:`~fusionkit.matrixkit.require_integer`, whose
+    ``int`` the result keeps).
     """
-    if N < 1000:
-        raise ValueError("N must be at least 1e3 for a meaningful estimate")
+    N, seed = require_integer(N, "N", 1000), require_integer(seed, "seed")
     if not isinstance(method, str) or (method := method.lower()) not in ("ml", "wls", "mmse"):
         raise ValueError(f"unknown method {method!r}, expected 'ml', 'wls' or 'mmse'")
     if method == "mmse" and not isinstance(prior, GaussianPrior):
@@ -186,15 +193,15 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
     depends on the observation; pass ``x`` explicitly to average over
     draws externally (by default the noise-free observation at ``s0`` is
     used, for which the curvature term vanishes). Any other model type
-    raises ``TypeError``, and a ``step`` that is zero or not finite
-    ``ValueError``, before any evaluation.
+    raises ``TypeError``, and a ``step`` that is not a finite nonzero
+    number ``ValueError`` (:func:`~fusionkit.matrixkit.require_real`),
+    before any evaluation.
     """
     from .nonlinear import NonlinearModel  # here, so a campaign does not import nonlinear
 
     if not isinstance(model, (LinearModel, NonlinearModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    if step == 0.0 or not np.isfinite(step):
-        raise ValueError(f"step must be finite and nonzero, got {step!r}")
+    require_real(step, "step", "nonzero")
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     _, L_inv = noise_whitener(model, sigma)
     sigma_inv = L_inv.T @ L_inv
@@ -232,12 +239,12 @@ def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
     """Check ``empirical >= J^-1`` in the PSD order up to Monte-Carlo slack.
 
     Passes iff the minimum eigenvalue of ``empirical - J^-1`` is at
-    least ``-slack``. Raises ``ValueError`` naming ``slack`` unless it is
-    finite and non-negative, and naming both sizes when ``empirical`` and
+    least ``-slack``. Raises ``ValueError`` naming ``slack`` unless it is a
+    finite non-negative number (:func:`~fusionkit.matrixkit.require_real`),
+    and naming both sizes when ``empirical`` and
     ``J`` differ in size, before ``J`` is inverted.
     """
-    if not (np.isfinite(slack) and slack >= 0.0):  # NaN fails every comparison
-        raise ValueError(f"slack must be finite and non-negative, got {slack!r}")
+    require_real(slack, "slack", "non-negative")
     emp = admit_symmetric(empirical, name="empirical covariance")
     J_shape = _as_matrix(J).shape
     if emp.shape != J_shape:

@@ -43,6 +43,7 @@ from .matrixkit import (
     noise_whitener,
     require_agreement,
     require_finite,
+    require_integer,
     symmetrize,
 )
 from .model import LinearModel, ModalityPair, SourcePrior, require_prior_size
@@ -414,14 +415,17 @@ def synergy_matrices(pair: ModalityPair) -> SynergyReport:
 def block_plan(seed: int, N: int):
     """Split N draws into seed-derived blocks of ``DEFAULT_BLOCK``: [(SeedSequence, count)].
 
-    Every Monte-Carlo estimate plans its draws here, so this is where a
-    draw count below one is refused.
+    Every Monte-Carlo estimate plans its draws here, so this is where its
+    ``N`` and ``seed`` are admitted, before any draw.
+
+    Raises
+    ------
+    ValueError
+        If ``N`` is not an integer of at least 1, or ``seed`` not a
+        non-negative integer (:func:`~fusionkit.matrixkit.require_integer`).
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    counts = [DEFAULT_BLOCK] * (N // DEFAULT_BLOCK)
-    if N % DEFAULT_BLOCK:
-        counts.append(N % DEFAULT_BLOCK)
+    N, seed = require_integer(N, "N", 1), require_integer(seed, "seed")
+    counts = [min(DEFAULT_BLOCK, N - lo) for lo in range(0, N, DEFAULT_BLOCK)]
     children = np.random.SeedSequence(seed).spawn(len(counts))
     return list(zip(children, counts))
 

@@ -1,7 +1,10 @@
 """Dense symmetric-matrix toolkit: Cholesky factors, guarded inverses, noise-pair factors.
 
 All operations are pure functions on small dense arrays. A covariance is
-admitted here alone. Every PSD refusal is one rule
+admitted here alone, and so is every public scalar argument: a count or a
+seed by :func:`require_integer`, a budget, a displacement, a step, a slack
+or a tolerance by :func:`require_real`, each refusal a ``ValueError`` that
+names the argument. Every PSD refusal is one rule
 (:func:`_require_psd`), raising :class:`NotPSD`. Every inverse refuses
 its matrix by one rule (:func:`_require_pd_conditioned`), a Schur
 complement's included: :class:`NotPD` unless the smallest eigenvalue is
@@ -76,6 +79,49 @@ _EPS = float(np.finfo(float).eps)
 # negative eigenvalue within PSD_EIG_TOL * ||M||_2 of zero is rounding, at
 # every scale of M.
 PSD_EIG_TOL = 1e-10
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def require_integer(x, name: str, minimum: int = 0) -> int:
+    """``x`` as an ``int``: the one admission of a count or a seed.
+
+    A Python ``int`` is read by its exact type, so a bool (an ``int`` to
+    Python, but no count) is not one.
+
+    Raises
+    ------
+    ValueError
+        Naming ``name``, unless ``x`` is a Python or numpy integer of at least
+        ``minimum``: a bool, a float, even an integral one, and anything else
+        are refused.
+    """
+    if type(x) is not int and not isinstance(x, np.integer) or x < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {x!r}")
+    return int(x)
+
+
+def require_real(x, name: str, rule: str):
+    """``x`` as given: the one admission of a real scalar (a budget, a step, a tolerance).
+
+    ``rule`` is ``"positive"``, ``"non-negative"`` or ``"nonzero"``. A Python
+    number is read by its exact type, so a bool is none, and a valid one costs
+    plain comparisons only; a numpy number one ``isinstance`` more.
+
+    Raises
+    ------
+    ValueError
+        Naming ``name``, unless ``x`` is a Python or numpy integer or float,
+        not a bool, finite as a float and within ``rule``; an integer beyond
+        float range is refused with a message that says so.
+    """
+    if (type(x) not in (int, float) and not isinstance(x, (np.integer, np.floating))
+            or not -np.inf < x < np.inf or type(x) is int and not -_FLOAT_MAX <= x <= _FLOAT_MAX
+            or not (x > 0 if rule == "positive" else x >= 0 if rule == "non-negative" else x != 0)):
+        if type(x) is int and abs(x) > _FLOAT_MAX:
+            raise ValueError(f"{name} is beyond float range")
+        raise ValueError(f"{name} must be finite and {rule}, got {x!r}")
+    return x
 
 
 def _symmetry_verdict(M, name: str) -> tuple[np.ndarray, bool]:

@@ -21,6 +21,7 @@ from .matrixkit import (
     admit_symmetric,
     inverse_factor,
     noise_whitener,
+    require_integer,
     require_symmetric,
     symmetrize,
 )
@@ -104,7 +105,8 @@ class GaussianPrior(SourcePrior):
     :class:`NotPSD` by the one PSD rule
     (:func:`~fusionkit.matrixkit._require_psd`), then as :class:`NotPD`
     unless its smallest eigenvalue is positive and as :class:`Singular`
-    above ``SINGULAR_CONDITION``.
+    above ``SINGULAR_CONDITION``. A prior of no sources is refused with a
+    ``ValueError``, as :class:`LinearModel` refuses an empty ``A``.
     """
 
     mean: np.ndarray
@@ -119,6 +121,7 @@ class GaussianPrior(SourcePrior):
             raise ValueError(f"mean shape {mean.shape} does not match cov {cov.shape}")
         if not np.all(np.isfinite(mean)):
             raise ValueError("source mean has non-finite entries")
+        require_integer(mean.shape[0], "prior source count", 1)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         # cov is kept as given; Cholesky reads one triangle, so it factors the symmetric part
@@ -157,13 +160,15 @@ class InfoOnlyPrior(SourcePrior):
     information, unifying the deterministic CRLB with the Bayesian one.
     ``J_s`` is kept as a read-only float copy, symmetric to the last bit (an
     input within the symmetry tolerance as its symmetric part); an
-    indefinite one is refused as :class:`NotPSD`.
+    indefinite one is refused as :class:`NotPSD`, and a ``0 x 0`` one, a
+    prior of no sources, with a ``ValueError``.
     """
 
     J_s: np.ndarray
 
     def __post_init__(self):
         J = _read_only_copy(admit_symmetric(self.J_s, name="J_s"))
+        require_integer(J.shape[0], "prior source count", 1)
         _require_psd(np.linalg.eigvalsh(J), "J_s")
         object.__setattr__(self, "J_s", J)
 
@@ -278,14 +283,17 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
 
     Raises
     ------
+    ValueError
+        If ``N`` or ``seed`` is not a non-negative integer
+        (:func:`~fusionkit.matrixkit.require_integer`, whose ``int`` the batch
+        keeps), or a pair is given a ``noise``.
     NotSampleable
         If the prior has no sampling function (information-only priors).
     NotPD, Singular
         If the noise cannot be factored: as
         :func:`~fusionkit.matrixkit.inverse_factor` refuses it, before any draw.
     """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    N, seed = require_integer(N, "N"), require_integer(seed, "seed")
     pair = isinstance(model, ModalityPair)
     if pair and noise is not None:
         raise ValueError("a modality pair carries its own noise: pass noise=None")

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import FormDisagreement, NonFinite
 from .information import McInfoEstimate, _CrossCorrelation, _whitened_fisher, mc_moments
 from .matrixkit import (
-    BlockCovariance, _form_scale, factor_noise, noise_whitener, require_agreement,
+    BlockCovariance, _form_scale, factor_noise, noise_whitener, require_agreement, require_real,
 )
 from .model import SourcePrior, require_pair_shapes, require_prior_size
 
@@ -110,11 +110,12 @@ def numeric_jacobian(h, s, step: float | None = None) -> np.ndarray:
     NonFinite
         If any function evaluation is non-finite.
     ValueError
-        If ``step`` is zero or not finite, before any evaluation, or if
-        ``h`` does not return vectors of one length.
+        If ``step`` is not a finite nonzero number
+        (:func:`~fusionkit.matrixkit.require_real`), before any evaluation, or
+        if ``h`` does not return vectors of one length.
     """
-    if step is not None and (step == 0.0 or not np.isfinite(step)):
-        raise ValueError(f"step must be finite and nonzero, got {step!r}")
+    if step is not None:
+        require_real(step, "step", "nonzero")
     s = np.atleast_1d(np.asarray(s, dtype=float))
     return _central_differences(h, s[None, :], step)[0]
 

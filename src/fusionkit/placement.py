@@ -35,7 +35,9 @@ import numpy as np
 
 from .errors import DegenerateBudget, FormDisagreement, NoRoot, Singular
 from .information import _admissible_sigma_max, _CrossCorrelation, _whitened_fisher
-from .matrixkit import _form_scale, require_agreement, require_finite
+from .matrixkit import (
+    _form_scale, require_agreement, require_finite, require_integer, require_real,
+)
 from .model import SourcePrior, require_prior_size
 
 # Perturbations the probe draws and scores as one stack; bounds its memory.
@@ -199,15 +201,6 @@ def _budget_value(lam: float, c: np.ndarray, oms: np.ndarray) -> float:
     return float(np.add.reduce(c / (1.0 - lam * oms) ** 2))
 
 
-def _require_budget(p: float) -> None:
-    if type(p) in (bool, np.bool_):  # an int, but True is no budget
-        raise ValueError(f"budget p must be a number, got {p!r}")
-    if p <= 0.0:
-        raise ValueError("budget p must be positive")
-    if not np.isfinite(p):  # NaN passes the comparison above
-        raise ValueError("budget p must be finite")
-
-
 def lambda_root(svd: SvdOfRho, p: float) -> float:
     """Multiplier solving the budget equation on the positive-denominator branch.
 
@@ -222,6 +215,11 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
 
     Raises
     ------
+    ValueError
+        If ``p`` is not a finite positive number, or a singular value not a
+        finite non-negative one (:func:`~fusionkit.matrixkit.require_real`).
+    Inadmissible
+        If ``sigma_max`` exceeds ``1 + 1e-10``, as :func:`optimal_secondary` refuses such a rho.
     NoRoot
         If ``p`` lies outside the attainable range on the branch; the
         error reports the attainable minimum (the value at lambda = 0).
@@ -231,7 +229,10 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
     NonFinite
         If the weights ``d``, or the budget value at lambda = 0, overflow.
     """
-    _require_budget(p)
+    require_real(p, "budget p", "positive")
+    for sigma in svd.singular_values:
+        require_real(sigma, "a singular value of rho", "non-negative")
+    _admissible_sigma_max(float(np.max(svd.singular_values, initial=0.0)), strict=False)
     return _lambda_root(svd, p)
 
 
@@ -323,7 +324,8 @@ def optimal_secondary(
     One record of each bit-equal rho (:func:`_analysis_of`) feeds the
     admissibility check, the root, the objective and the stationarity check.
     Raises :class:`ValueError` for inputs that do not fit (shapes, entries,
-    budget, prior size); :class:`Inadmissible` if ``sigma_max(rho)`` exceeds
+    prior size, and a budget ``p`` that is not a finite positive number, by
+    :func:`~fusionkit.matrixkit.require_real`); :class:`Inadmissible` if ``sigma_max(rho)`` exceeds
     ``1 + 1e-10``, or is at least 1 where ``K = (I - rho^T rho)^-1`` is needed;
     :class:`NoRoot` and :class:`DegenerateBudget` as :func:`lambda_root`;
     :class:`Singular` from the guard of ``K`` past ``SINGULAR_CONDITION``, or
@@ -333,7 +335,7 @@ def optimal_secondary(
     :class:`NonFinite` if the budget weights, ``B~*`` or the objective overflow.
     """
     A_tilde, rho = _whitened_inputs(A_tilde, rho)
-    _require_budget(p)
+    require_real(p, "budget p", "positive")
     if prior is not None:
         require_prior_size(prior, A_tilde.shape[1])
     analysis = _analysis_of(rho.tobytes(), rho.shape)
@@ -459,19 +461,17 @@ def local_optimality_probe(
     so a ``rho`` outside the admissible range raises :class:`Inadmissible`,
     and one beyond the condition limit :class:`Singular`, whatever the solution.
 
-    Raises :class:`ValueError` if ``delta`` is a bool or not finite and positive, or
-    ``n_perturbations`` or ``seed`` is not a non-negative integer: a NaN, infinite or
-    zero displacement would report no violation without probing anything, and the
-    draws of a stateful seed such as a ``Generator`` cannot be memoized.
+    Raises :class:`ValueError`, by the rule of
+    :func:`~fusionkit.matrixkit.require_real` and
+    :func:`~fusionkit.matrixkit.require_integer`, if ``delta`` is not a finite
+    positive number, or ``n_perturbations`` or ``seed`` is not a non-negative
+    integer: a NaN, infinite or zero displacement would report no violation
+    without probing anything, and the draws of a stateful seed such as a
+    ``Generator`` cannot be memoized.
     """
-    # bool is an int, but True is neither a count, a seed nor a displacement
-    if (type(n_perturbations) is bool or not isinstance(n_perturbations, (int, np.integer))
-            or n_perturbations < 0):
-        raise ValueError("n_perturbations must be a non-negative integer")
-    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if type(delta) in (bool, np.bool_) or not (np.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    n_perturbations = require_integer(n_perturbations, "n_perturbations")
+    seed = require_integer(seed, "seed")
+    require_real(delta, "delta", "positive")
     if solution.B_star is None:
         raise ValueError("degenerate solutions have no matrix to probe")
     A_tilde, rho, B_star = _whitened_inputs(A_tilde, rho, solution.B_star, "solution.B_star")
@@ -517,7 +517,7 @@ def _perturbation_gains(A_tilde, rho, B0, n_perturbations: int, seed: int, delta
     for lo, (z, norms) in zip(range(0, n_perturbations, PROBE_BLOCK),
                               _probe_draws(seed, n_perturbations, B0.shape)):
         z_b0, z_kd0, z_kb0 = (z.reshape(z.shape[0], -1) @ basis).T
-        q = _sums(z, K @ z) if lo else _first_forms(analysis, int(seed), z.shape[0], B0.shape)
+        q = _sums(z, K @ z) if lo else _first_forms(analysis, seed, z.shape[0], B0.shape)
         s = delta / norms
         eps = 2.0 * s * z_b0 + (s * norms) ** 2
         c = np.sqrt(p / (p + eps))
@@ -535,7 +535,7 @@ def _probe_draws(seed: int, n: int, shape: tuple):
     """Yield ``(z, norms)`` for each block of ``n`` draws of ``default_rng(seed)``: the
     first block memoized (:func:`_first_draws`), the later ones drawn from its saved state.
     """
-    z, norms, state = _first_draws(int(seed), min(n, PROBE_BLOCK), shape)
+    z, norms, state = _first_draws(seed, min(n, PROBE_BLOCK), shape)
     yield z, norms
     if n > PROBE_BLOCK:
         rng = np.random.default_rng(seed)

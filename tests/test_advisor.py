@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,28 @@ class TestAdvise:
             assert adv.verdict == "SelectSecond"
         else:
             assert adv.verdict == "Fuse"
+
+    @pytest.mark.parametrize("field, bad", [("redundancy", True), ("select_gain", np.inf),
+                                            ("dominance", np.nan), ("regime_eps", -1e-6)])
+    def test_a_threshold_that_is_no_number_is_refused_not_a_tie(self, rng, field, bad):
+        # each turned a pair advised "Fuse" into "Tie", or left it "Fuse" on a NaN
+        pair = random_pair(rng, 3, 2, 2)
+        assert advise(pair).verdict == "Fuse"
+        with pytest.raises(ValueError, match=f"^{field} must be finite and non-negative"):
+            advise(pair, tols=AdvisorTolerances(**{field: bad}))
+
+    @pytest.mark.parametrize("r1, r2, verdict", [
+        (0.0, 0.0, "Tie"), (1e-9, 1e-10, "Tie"), (1.0, 1e-9, "SecondRedundant"),
+        (1e-9, 1.0, "FirstRedundant"), (1.0, 1.0, "Fuse"),
+    ])
+    def test_the_redundancy_verdict_is_read_off_the_residuals(self, rng, monkeypatch, r1, r2,
+                                                              verdict):
+        from fusionkit import advisor
+        redundancy = advisor._redundancy
+        monkeypatch.setattr(advisor, "_redundancy", lambda fac, tol: dataclasses.replace(
+            redundancy(fac, tol), r1=r1, r2=r2))
+        adv = advise(random_pair(rng, 3, 2, 2))
+        assert (adv.verdict, adv.evidence["r1"], adv.evidence["r2"]) == (verdict, r1, r2)
 
     def test_unequal_channel_counts_carry_caveat(self, rng):
         pair = random_pair(rng, 4, 2, 2)

@@ -477,6 +477,7 @@ _VARIANTS = {
     "{tol_nan}": lambda d: d.update(tolerances={"select_gain": float("nan")}),
     "{tol_negative}": lambda d: d.update(tolerances={"redundancy": -1}),
     "{tol_huge}": lambda d: d.update(tolerances={"dominance": 10**400}),
+    "{tol_bool}": lambda d: d.update(tolerances={"redundancy": True}),
     "{nan_mean}": lambda d: d["sources"]["gaussian"].update(mean=[float("nan"), 0.0]),
     "{inf_mean}": lambda d: d["sources"]["gaussian"].update(mean=[float("inf"), 0.0]),
 }
@@ -540,6 +541,8 @@ _VARIANTS = {
                      ("'redundancy'", "-1"), id="tolerance-negative"),
         pytest.param(["advise", "{tol_huge}", "--pair", "a,b"], 2,
                      ("'dominance'", "beyond float range"), id="tolerance-beyond-float-range"),
+        pytest.param(["advise", "{tol_bool}", "--pair", "a,b"], 2,
+                     ("'redundancy'", "True"), id="tolerance-bool"),
         # refused at load, so by a command that never imports the advisor too
         pytest.param(["analyze", "{tol_inf_string}", "--modality", "a"], 2,
                      ("'regime_eps'", "'inf'"), id="analyze-tolerance-string-inf"),

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fusionkit import (
+    AdvisorTolerances,
     BlockCovariance,
     GaussianPrior,
     InfoOnlyPrior,
@@ -19,17 +20,23 @@ from fusionkit import (
     NotSampleable,
     Singular,
     SamplerPrior,
+    campaign_to_json,
+    check_crlb_dominance,
     empirical_error_covariance,
     error_covariance,
     fisher_finite_difference,
     fisher_nonlinear,
     joint_information,
     joint_information_nonlinear,
+    lambda_root,
+    local_optimality_probe,
     ml_estimate,
     mmse_gaussian_estimate,
+    numeric_jacobian,
     optimal_secondary,
     prior_information_mc,
     simulate,
+    svd_of_rho,
     snr_matrix,
     synergy_objective,
     total_information,
@@ -39,7 +46,9 @@ from fusionkit import (
 
 from fusionkit.cli import ScenarioError, load_scenario
 from fusionkit.model import draw_rows, draw_streams
-from fusionkit.matrixkit import SINGULAR_CONDITION, _require_psd, inverse_factor, symmetrize
+from fusionkit.matrixkit import (
+    SINGULAR_CONDITION, _require_psd, inverse_factor, require_real, symmetrize,
+)
 
 from conftest import random_joint_noise, random_orthogonal, random_pd, rel_fro
 
@@ -125,6 +134,17 @@ class TestTypes:
     def test_gaussian_prior_refuses_non_finite_mean(self, bad):
         with pytest.raises(ValueError, match="source mean has non-finite entries"):
             GaussianPrior(mean=[bad, 0.0], cov=np.eye(2))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: InfoOnlyPrior(np.zeros((0, 0))),
+         lambda: GaussianPrior(np.zeros(0), np.zeros((0, 0)))],
+        ids=["info-only", "gaussian"],
+    )
+    def test_prior_of_no_sources_refused(self, make):
+        # as a mixing matrix of no columns is; was an IndexError and an accepted prior
+        with pytest.raises(ValueError, match="prior source count must be an integer of at least 1"):
+            make()
 
 
 def _refusal(check):
@@ -242,6 +262,132 @@ def test_mis_sized_noise_is_named_before_any_draw(call, message):
     with pytest.raises(ValueError, match=message):
         call(LinearModel(A), h, g, prior, np.eye(4))
     assert calls == []
+
+
+class ScalarQuestion:
+    """Valid inputs of every entry point that takes a scalar, with a map and a
+    prior draw that count their calls: a refused scalar must start no work."""
+
+    def __init__(self):
+        rng = np.random.default_rng(7)
+        self.calls = {"h": 0, "draw": 0}
+
+        def h(s):
+            self.calls["h"] += 1
+            return np.array([s[0], s[1], s[0] * s[1]])
+
+        def draw(gen, size):
+            self.calls["draw"] += 1
+            return gen.standard_normal((size, 2))
+
+        self.h = NonlinearModel(h=h, n=3, m=2)
+        self.prior = SamplerPrior(m=2, draw=draw, score_fn=lambda s: -s)
+        self.lin = LinearModel(np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]]))
+        self.S = np.diag([1.0, 2.0, 0.5])
+        self.noise = BlockCovariance(self.S, self.S, 0.1 * np.eye(3))
+        self.A = rng.standard_normal((3, 2))
+        self.rho = np.array([[0.6, 0.0], [0.0, 0.15], [0.0, 0.15]])  # sigma_max 0.6
+        self.svd = svd_of_rho(self.A, self.rho)
+        self.p = 3.0 * float(np.sum(self.svd.d[:2] * self.svd.singular_values**2))
+        self.solution = optimal_secondary(self.A, self.rho, self.p)
+
+
+# every public scalar argument: (entry point, name its refusal starts with,
+# minimum of a count or seed or rule of a real, call with the value)
+_TOLERANCES = ("dominance", "redundancy", "regime_eps", "select_gain")
+_SCALARS = {
+    "optimal_secondary-p": ("budget p", "positive",
+                            lambda q, v: optimal_secondary(q.A, q.rho, v)),
+    "lambda_root-p": ("budget p", "positive", lambda q, v: lambda_root(q.svd, v)),
+    "probe-n_perturbations": ("n_perturbations", 0, lambda q, v: local_optimality_probe(
+        q.A, q.rho, q.solution, n_perturbations=v)),
+    "probe-seed": ("seed", 0, lambda q, v: local_optimality_probe(q.A, q.rho, q.solution, seed=v)),
+    "probe-delta": ("delta", "positive",
+                    lambda q, v: local_optimality_probe(q.A, q.rho, q.solution, delta=v)),
+    "campaign-N": ("N", 1000, lambda q, v: empirical_error_covariance(
+        "ml", q.lin, q.prior, q.S, N=v, seed=0)),
+    "campaign-seed": ("seed", 0, lambda q, v: empirical_error_covariance(
+        "ml", q.lin, q.prior, q.S, N=1000, seed=v)),
+    "fisher_finite_difference-step": ("step", "nonzero", lambda q, v: fisher_finite_difference(
+        q.h, q.S, np.ones(2), step=v)),
+    "check_crlb_dominance-slack": ("slack", "non-negative",
+                                   lambda q, v: check_crlb_dominance(np.eye(2), np.eye(2), v)),
+    "prior_information_mc-N": ("N", 1, lambda q, v: prior_information_mc(q.prior, v, 0)),
+    "prior_information_mc-seed": ("seed", 0, lambda q, v: prior_information_mc(q.prior, 10, v)),
+    "fisher_nonlinear-N": ("N", 1, lambda q, v: fisher_nonlinear(q.h, q.S, q.prior, v, 0)),
+    "fisher_nonlinear-seed": ("seed", 0,
+                              lambda q, v: fisher_nonlinear(q.h, q.S, q.prior, 10, v)),
+    "total_information_nonlinear-N": ("N", 1, lambda q, v: total_information_nonlinear(
+        q.h, q.S, q.prior, v, 0)),
+    "total_information_nonlinear-seed": ("seed", 0, lambda q, v: total_information_nonlinear(
+        q.h, q.S, q.prior, 10, v)),
+    "joint_information_nonlinear-N": ("N", 1, lambda q, v: joint_information_nonlinear(
+        q.h, q.h, q.noise, q.prior, v, 0)),
+    "joint_information_nonlinear-seed": ("seed", 0, lambda q, v: joint_information_nonlinear(
+        q.h, q.h, q.noise, q.prior, 10, v)),
+    "simulate-N": ("N", 0, lambda q, v: simulate(q.lin, q.prior, v, 0, noise=q.S)),
+    "simulate-seed": ("seed", 0, lambda q, v: simulate(q.lin, q.prior, 10, v, noise=q.S)),
+    "numeric_jacobian-step": ("step", "nonzero",
+                              lambda q, v: numeric_jacobian(q.h.h, np.ones(2), v)),
+    **{f"AdvisorTolerances-{name}": (name, "non-negative",
+                                     lambda q, v, name=name: AdvisorTolerances(**{name: v}))
+       for name in _TOLERANCES},
+}
+
+
+def _bad_scalars(kind):
+    """A bool of either kind, a NaN, an infinity, a string, None and values out of range."""
+    common = [True, np.True_, np.nan, np.inf, "1", None]
+    if isinstance(kind, int):
+        return common + sorted({-1, kind - 1}) + [2.5]
+    return common + {"positive": [-1.0, 0.0], "non-negative": [-1.0], "nonzero": [0.0]}[kind]
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [pytest.param(entry, bad, id=f"{entry}-{bad!r}")
+     for entry, (_, kind, _) in _SCALARS.items() for bad in _bad_scalars(kind)
+     if not (entry == "numeric_jacobian-step" and bad is None)],  # None: the default steps
+)
+def test_every_scalar_argument_is_refused_by_the_one_rule(entry, bad):
+    # a bool passed as 1, a float count raised numpy's TypeError, a negative
+    # seed numpy's own message, an infinite tolerance turned every verdict to Tie
+    name, _, call = _SCALARS[entry]
+    q = ScalarQuestion()
+    with pytest.raises(ValueError) as exc:
+        call(q, bad)
+    assert str(exc.value).startswith(f"{name} ")
+    assert q.calls == {"h": 0, "draw": 0}
+
+
+def test_numpy_integers_are_counts_and_seeds():
+    q = ScalarQuestion()
+    probe = local_optimality_probe(q.A, q.rho, q.solution, np.int64(300), np.uint8(2))
+    assert probe == local_optimality_probe(q.A, q.rho, q.solution, 300, 2)
+    batch = simulate(q.lin, q.prior, np.int32(10), np.int64(3), noise=q.S)
+    again = simulate(q.lin, q.prior, 10, 3, noise=q.S)
+    assert np.array_equal(batch.observations, again.observations) and batch.seed == 3
+    est = prior_information_mc(q.prior, np.int64(10), np.int64(3))
+    assert np.array_equal(est.J, prior_information_mc(q.prior, 10, 3).J)
+    prior = GaussianPrior(np.zeros(2), np.eye(2))
+    run = empirical_error_covariance("ml", q.lin, prior, q.S, N=np.int64(1000), seed=np.int64(3))
+    assert campaign_to_json([run]) == campaign_to_json(
+        [empirical_error_covariance("ml", q.lin, prior, q.S, N=1000, seed=3)])
+
+
+def test_python_numbers_are_kept_as_given():
+    q = ScalarQuestion()
+    budget = int(np.ceil(q.p))
+    assert type(optimal_secondary(q.A, q.rho, budget).to_json_dict()["p"]) is int
+    assert optimal_secondary(q.A, q.rho, np.float64(q.p)).budget_p == q.p
+    assert AdvisorTolerances(redundancy=0).redundancy == 0
+    assert numeric_jacobian(q.h.h, np.ones(2), np.float32(1e-3)).shape == (3, 2)
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400)])
+def test_an_integer_beyond_float_range_is_named_so(huge):
+    with pytest.raises(ValueError, match="^x is beyond float range$"):
+        require_real(huge, "x", "nonzero")
 
 
 # a 3-source prior given with a 2-source model, at every entry point that

@@ -182,6 +182,23 @@ class TestSynergyGradient:
 
 
 class TestLambdaRoot:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_hand_built_singular_values_that_are_none_refused(self, bad):
+        # refused for what they are, not as a void or degenerate budget equation
+        svd = SvdOfRho(singular_values=np.array([bad, 0.3]), d=np.ones(2), n2=2)
+        with pytest.raises(ValueError, match="singular value of rho must be finite and non-ne"):
+            lambda_root(svd, 1.0)
+
+    @pytest.mark.parametrize("sigma", [2.0, 1.0 + 1e-9])
+    def test_hand_built_rho_outside_the_admissible_range_refused(self, sigma):
+        # as optimal_secondary refuses such a rho; a sigma at 1 is admitted
+        svd = SvdOfRho(singular_values=np.array([sigma, 0.3]), d=np.ones(2), n2=2)
+        with pytest.raises(Inadmissible) as exc:
+            lambda_root(svd, 1.0)
+        assert exc.value.sigma_max == sigma
+        admitted = SvdOfRho(singular_values=np.array([1.0 + 1e-11, 0.3]), d=np.ones(2), n2=2)
+        assert np.isfinite(lambda_root(admitted, 2.0))
+
     def test_budget_at_zero_multiplier(self, rng):
         A = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.7)
