@@ -52,6 +52,7 @@ from fusionkit import (
     joint_information,
     joint_information_nonlinear,
     local_optimality_probe,
+    ml_estimate,
     numeric_jacobian,
     optimal_secondary,
     prewhiten,
@@ -94,10 +95,17 @@ class Digest:
         self.hashes = {kind: hashlib.sha256() for kind in KINDS}
 
     def ask(self, kind: str, case: str, question) -> object:
-        """Hash the answer of ``question()`` under ``kind``, or its typed refusal."""
+        """Hash the answer of ``question()`` under ``kind``, or its typed refusal.
+
+        A question of the ``refusals`` kind that raises an untyped error (an
+        ``IndexError``, say) has it hashed as a refusal by its type and message,
+        so that a version that raised one can still be digested and compared.
+        """
         try:
             answer = question()
-        except (FusionKitError, ValueError) as exc:
+        except Exception as exc:
+            if kind != "refusals" and not isinstance(exc, (FusionKitError, ValueError)):
+                raise
             self.hashes["refusals"].update(encode((kind, case, type(exc).__name__, str(exc))))
             self.hashes[kind].update(encode((case, "refused")))
             return None
@@ -215,6 +223,12 @@ def ask_refusals(digest, rng):
         "float count": lambda: local_optimality_probe(A, admissible, sol, n_perturbations=2.5),
         "NaN tolerance": lambda: advise(pair, tols=AdvisorTolerances(redundancy=float("nan"))),
         "bool step": lambda: numeric_jacobian(lambda s: A @ s, np.ones(2), step=True),
+        # one of each kind of the array rule: a non-finite entry, a ragged
+        # list, a bool array and the wrong number of axes
+        "NaN observation": lambda: ml_estimate(LinearModel(A), np.eye(3), [np.nan, 0.0, 0.0]),
+        "ragged mixing matrix": lambda: LinearModel([[1.0, 2.0], [3.0]]).A,
+        "bool A_tilde": lambda: optimal_secondary(A > 0.0, admissible, 1.0),
+        "1-D nonlinear mixing matrix": lambda: NonlinearModel.linear(np.ones(3)).n,
     }
     for case, question in cases.items():
         digest.ask("refusals", case, question)

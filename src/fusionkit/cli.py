@@ -341,6 +341,7 @@ def cmd_advise(args) -> int:
 def cmd_place(args) -> int:
     from .placement import optimal_secondary
 
+    _flag(require_real, args.budget, "--budget", "positive")
     scenario = load_scenario(args.scenario)
     primary = args.primary
     scenario.modality(primary)  # an unknown primary is named before the secondary is chosen
@@ -371,11 +372,8 @@ def cmd_place(args) -> int:
 def cmd_simulate(args) -> int:
     from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
 
-    try:  # flags are refused as usage errors, before the scenario is read
-        require_integer(args.seed, "--seed")
-        require_integer(args.N, "--N", 1000)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _flag(require_integer, args.seed, "--seed")
+    _flag(require_integer, args.N, "--N", 1000)
     if args.N > MAX_N:
         raise UsageError(f"--N must be at most {MAX_N}, got {args.N}")
     scenario = load_scenario(args.scenario)
@@ -411,6 +409,18 @@ def cmd_simulate(args) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
+
+
+def _flag(rule, *args) -> None:
+    """Admit a flag by a scalar rule of ``matrixkit``, its refusal raised as :class:`UsageError`.
+
+    A command admits its flags before it reads the scenario, so a bad flag
+    exits 1 whatever the scenario holds.
+    """
+    try:
+        rule(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _split_pair(text: str, flag: str) -> tuple[str, str]:

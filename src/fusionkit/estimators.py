@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SingularNormalMatrix, SingularPosterior
 from .information import crlb, snr_matrix
-from .matrixkit import derived_factor, noise_whitener, require_noise, symmetrize
+from .matrixkit import derived_factor, noise_whitener, require_array, require_noise, symmetrize
 from .model import GaussianPrior, LinearModel, require_prior_size
 
 
@@ -37,12 +37,16 @@ def _solve_normal(N: np.ndarray, rhs: np.ndarray, what: str, error=SingularNorma
     return inverse @ rhs, inverse
 
 
-def _observation(model: LinearModel, x) -> np.ndarray:
-    """``x`` as a float vector of the model's ``n`` channels, else ``ValueError``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (model.n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.n},)")
-    return x
+def _whitened(model: LinearModel, sigma, x) -> tuple[np.ndarray, np.ndarray]:
+    """``(L^-1 A, L^-1 x)``: ``[A | x]`` whitened by one product with the inverse Cholesky factor.
+
+    The noise is admitted first (:func:`~fusionkit.matrixkit.noise_whitener`),
+    then ``x``, as a vector of the model's ``n`` channels
+    (:func:`~fusionkit.matrixkit.require_array`).
+    """
+    white = noise_whitener(model, sigma)[1] @ np.column_stack(
+        [model.A, require_array(x, "x", (model.n,))])
+    return white[:, :-1], white[:, -1]
 
 
 def wls_estimate(model: LinearModel, W, x) -> Estimate:
@@ -54,6 +58,10 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
 
     Raises
     ------
+    ValueError
+        If ``x`` is not a finite real vector of the model's ``n`` channels (a
+        scalar for one; :func:`~fusionkit.matrixkit.require_array`), or ``W``
+        is not a symmetric ``n x n`` matrix, before any product.
     SingularNormalMatrix
         If ``A^T W A`` is indefinite (an indefinite weight) or has condition
         above 1e12 (rank-deficient mixing or fewer channels than sources).
@@ -62,7 +70,7 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
         on some source direction.
     """
     W = require_noise(W, model.n, name="weight matrix")
-    x = _observation(model, x)
+    x = require_array(x, "x", (model.n,))
     A = model.A
     WA = W @ A
     N = symmetrize(A.T @ WA)
@@ -84,6 +92,9 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
 
     Raises
     ------
+    ValueError
+        If ``x`` is not a finite real vector of the model's ``n`` channels (a
+        scalar for one; :func:`~fusionkit.matrixkit.require_array`).
     NotPD
         If the noise covariance is not positive definite.
     Singular
@@ -91,8 +102,7 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     SingularNormalMatrix
         If the SNR matrix has condition above 1e12.
     """
-    white = noise_whitener(model, sigma)[1] @ np.column_stack([model.A, _observation(model, x)])
-    white_A, white_x = white[:, :-1], white[:, -1]
+    white_A, white_x = _whitened(model, sigma, x)
     snr = white_A.T @ white_A
     s_hat, error_cov = _solve_normal(snr, white_A.T @ white_x, "ml_estimate: normal matrix")
     return Estimate(s_hat=s_hat, error_cov=error_cov, method="ML")
@@ -112,6 +122,10 @@ def mmse_gaussian_estimate(model: LinearModel, sigma, prior: GaussianPrior, x) -
 
     Raises
     ------
+    ValueError
+        If ``x`` is not a finite real vector of the model's ``n`` channels (a
+        scalar for one; :func:`~fusionkit.matrixkit.require_array`), or the
+        prior's source count is not the model's ``m``.
     NotPD
         If the noise covariance is not positive definite.
     Singular
@@ -120,8 +134,7 @@ def mmse_gaussian_estimate(model: LinearModel, sigma, prior: GaussianPrior, x) -
         If the posterior information matrix has condition above 1e12.
     """
     require_prior_size(prior, model.m)
-    white = noise_whitener(model, sigma)[1] @ np.column_stack([model.A, _observation(model, x)])
-    white_A, white_x = white[:, :-1], white[:, -1]
+    white_A, white_x = _whitened(model, sigma, x)
     gamma_inv = prior.info_matrix()
     posterior_info = gamma_inv + white_A.T @ white_A
     s_hat, error_cov = _solve_normal(

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import NonFinite
 from .information import DEFAULT_BLOCK, InfoMatrix, _as_matrix, crlb
 from .matrixkit import (
-    admit_symmetric, noise_whitener, require_finite, require_integer, require_real, symmetrize,
+    admit_symmetric, noise_whitener, require_array, require_finite, require_integer, require_real,
+    symmetrize,
 )
 from .model import (
     GaussianPrior,
@@ -175,12 +176,16 @@ def _mmse_gain(A, cov, sigma) -> np.ndarray:
     return cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(A.shape[0]))
 
 
+def _noise_free(model, s) -> np.ndarray:
+    """The noise-free observation at sources ``s``: ``A s``, or ``h(s)`` as a vector."""
+    if isinstance(model, LinearModel):
+        return model.A @ s
+    return np.atleast_1d(np.asarray(model.h(s), dtype=float))
+
+
 def gaussian_log_likelihood(model, sigma_inv: np.ndarray, x: np.ndarray, s: np.ndarray) -> float:
     """Gaussian log-likelihood of ``x`` given sources ``s`` (constant dropped)."""
-    if isinstance(model, LinearModel):
-        r = x - model.A @ s
-    else:
-        r = x - np.atleast_1d(np.asarray(model.h(s), dtype=float))
+    r = x - _noise_free(model, s)
     return -0.5 * float(r @ sigma_inv @ r)
 
 
@@ -193,24 +198,24 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
     depends on the observation; pass ``x`` explicitly to average over
     draws externally (by default the noise-free observation at ``s0`` is
     used, for which the curvature term vanishes). Any other model type
-    raises ``TypeError``, and a ``step`` that is not a finite nonzero
-    number ``ValueError`` (:func:`~fusionkit.matrixkit.require_real`),
-    before any evaluation.
+    raises ``TypeError``; a ``step`` that is not a finite nonzero number
+    (:func:`~fusionkit.matrixkit.require_real`), an ``s0`` that is not a
+    finite real vector of the model's ``m`` sources or an ``x`` that is not
+    one of its ``n`` channels (a scalar for one;
+    :func:`~fusionkit.matrixkit.require_array`) raises ``ValueError``, before
+    any evaluation.
     """
     from .nonlinear import NonlinearModel  # here, so a campaign does not import nonlinear
 
     if not isinstance(model, (LinearModel, NonlinearModel)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
     require_real(step, "step", "nonzero")
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    s0 = require_array(s0, "s0", (model.m,))
+    x = None if x is None else require_array(x, "x", (model.n,))
     _, L_inv = noise_whitener(model, sigma)
     sigma_inv = L_inv.T @ L_inv
     if x is None:
-        if isinstance(model, LinearModel):
-            x = model.A @ s0
-        else:
-            x = np.atleast_1d(np.asarray(model.h(s0), dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = _noise_free(model, s0)
 
     def ll(s):
         val = gaussian_log_likelihood(model, sigma_inv, x, s)

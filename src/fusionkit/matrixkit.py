@@ -1,10 +1,12 @@
 """Dense symmetric-matrix toolkit: Cholesky factors, guarded inverses, noise-pair factors.
 
 All operations are pure functions on small dense arrays. A covariance is
-admitted here alone, and so is every public scalar argument: a count or a
-seed by :func:`require_integer`, a budget, a displacement, a step, a slack
-or a tolerance by :func:`require_real`, each refusal a ``ValueError`` that
-names the argument. Every PSD refusal is one rule
+admitted here alone, and so is every public scalar and array argument: a
+count or a seed by :func:`require_integer`, a budget, a displacement, a
+step, a slack or a tolerance by :func:`require_real`, and a mixing matrix, a
+cross-covariance, a mean, an observation, a source point or a whitened
+input by :func:`require_array`, each refusal a ``ValueError`` that names
+the argument. Every PSD refusal is one rule
 (:func:`_require_psd`), raising :class:`NotPSD`. Every inverse refuses
 its matrix by one rule (:func:`_require_pd_conditioned`), a Schur
 complement's included: :class:`NotPD` unless the smallest eigenvalue is
@@ -122,6 +124,41 @@ def require_real(x, name: str, rule: str):
             raise ValueError(f"{name} is beyond float range")
         raise ValueError(f"{name} must be finite and {rule}, got {x!r}")
     return x
+
+
+def require_array(x, name: str, shape: tuple) -> np.ndarray:
+    """``x`` as a float array: the one admission of an array argument that need not be symmetric.
+
+    ``shape`` gives each axis's length, ``None`` for any; a scalar stands for
+    a vector of one entry. An array of integers or of floats of another
+    width is converted, and a float array is returned as it is.
+
+    Raises
+    ------
+    ValueError
+        Naming ``name``, unless ``x`` is an array of real numbers (not of
+        bools, strings or objects such as ``None``, and not ragged) of
+        ``shape``, with no axis empty and every entry finite.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError:  # numpy refuses a ragged sequence unless asked for objects
+        got = "a ragged sequence"
+    else:
+        a = a.reshape(1) if a.ndim == 0 and shape[1:] == () else a  # a scalar: one entry
+        fits = a.ndim == len(shape) and 0 not in a.shape and list(a.shape) == [
+            size if want is None else want for want, size in zip(shape, a.shape)]
+        if a.dtype.kind not in "iuf":
+            got = f"entries of dtype {a.dtype}"
+        elif not fits:
+            got = f"shape {np.shape(x)}"
+        elif not np.logical_and.reduce(np.isfinite(a), axis=None):
+            got = "a non-finite entry"
+        else:
+            return a if a.dtype == np.float64 else a.astype(float)
+    want = str(tuple("any" if size is None else size for size in shape)).replace("'", "")
+    raise ValueError(f"{name} must be a finite real array of shape {want} with no empty axis, "
+                     f"got {got}")
 
 
 def _symmetry_verdict(M, name: str) -> tuple[np.ndarray, bool]:
@@ -430,7 +467,9 @@ class BlockCovariance:
 
     ``sigma_v`` (n1 x n1) and ``sigma_u`` (n2 x n2) are the marginal
     covariances, ``sigma_vu`` (n1 x n2) the cross-covariance. The
-    assembled joint matrix must be symmetric positive definite. Each block
+    assembled joint matrix must be symmetric positive definite; ``sigma_vu``
+    is admitted by :func:`require_array` (a ``ValueError`` naming it unless
+    it is a finite real ``(n1, n2)`` array). Each block
     is kept as a read-only float copy: writing to the arrays passed in
     changes nothing here, and writing to a block raises ``ValueError``. The
     marginals are admitted by :func:`admit_symmetric`, so they, and the
@@ -444,14 +483,7 @@ class BlockCovariance:
     def __post_init__(self):
         sv = _read_only_copy(admit_symmetric(self.sigma_v, name="sigma_v"))
         su = _read_only_copy(admit_symmetric(self.sigma_u, name="sigma_u"))
-        svu = _read_only_copy(self.sigma_vu)
-        if svu.shape != (sv.shape[0], su.shape[0]):
-            raise ValueError(
-                f"sigma_vu shape {svu.shape} does not match blocks "
-                f"({sv.shape[0]}, {su.shape[0]})"
-            )
-        if not np.all(np.isfinite(svu)):
-            raise ValueError("sigma_vu has non-finite entries")
+        svu = _read_only_copy(require_array(self.sigma_vu, "sigma_vu", (len(sv), len(su))))
         object.__setattr__(self, "sigma_v", sv)
         object.__setattr__(self, "sigma_u", su)
         object.__setattr__(self, "sigma_vu", svu)

@@ -21,6 +21,7 @@ from .matrixkit import (
     admit_symmetric,
     inverse_factor,
     noise_whitener,
+    require_array,
     require_integer,
     require_symmetric,
     symmetrize,
@@ -34,8 +35,11 @@ if TYPE_CHECKING:
 class LinearModel:
     """Linear mixing model ``x = A s + v`` with A of shape (n, m).
 
-    ``A`` is kept as a read-only float copy: writing to the array passed in
-    changes nothing here, and writing to ``A`` raises ``ValueError``.
+    ``A`` is admitted by :func:`~fusionkit.matrixkit.require_array`, a
+    ``ValueError`` naming the mixing matrix unless it is a finite real 2-D
+    array with no empty axis, and kept as a read-only float copy: writing
+    to the array passed in changes nothing here, and writing to ``A``
+    raises ``ValueError``.
     :func:`~fusionkit.matrixkit.noise_whitener` memoizes the last admitted
     noise covariance, its Cholesky factor and that factor's inverse in
     ``_whitener``.
@@ -47,12 +51,8 @@ class LinearModel:
     )
 
     def __post_init__(self):
-        A = _read_only_copy(self.A)
-        if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-            raise ValueError(f"mixing matrix must be 2-D and nonempty, got {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("mixing matrix has non-finite entries")
-        object.__setattr__(self, "A", A)
+        A = require_array(self.A, "mixing matrix", (None, None))
+        object.__setattr__(self, "A", _read_only_copy(A))
 
     @property
     def n(self) -> int:
@@ -105,8 +105,12 @@ class GaussianPrior(SourcePrior):
     :class:`NotPSD` by the one PSD rule
     (:func:`~fusionkit.matrixkit._require_psd`), then as :class:`NotPD`
     unless its smallest eigenvalue is positive and as :class:`Singular`
-    above ``SINGULAR_CONDITION``. A prior of no sources is refused with a
-    ``ValueError``, as :class:`LinearModel` refuses an empty ``A``.
+    above ``SINGULAR_CONDITION``. A ``mean`` that
+    :func:`~fusionkit.matrixkit.require_array` does not admit as a finite real
+    vector of one entry per source (a scalar for one source) is refused with
+    a ``ValueError`` naming it, before ``cov`` is factorized; so is a prior of
+    no sources, whose mean has an empty axis, as :class:`LinearModel`
+    refuses an empty ``A``.
     """
 
     mean: np.ndarray
@@ -115,13 +119,8 @@ class GaussianPrior(SourcePrior):
     _info: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(_read_only_copy(self.mean))
         cov = require_symmetric(_read_only_copy(self.cov), name="source covariance")
-        if mean.shape != (cov.shape[0],):
-            raise ValueError(f"mean shape {mean.shape} does not match cov {cov.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("source mean has non-finite entries")
-        require_integer(mean.shape[0], "prior source count", 1)
+        mean = _read_only_copy(require_array(self.mean, "mean", (cov.shape[0],)))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         # cov is kept as given; Cholesky reads one triangle, so it factors the symmetric part
@@ -187,12 +186,17 @@ class SamplerPrior(SourcePrior):
     ``draw(rng, size)`` returns a (size, m) array. ``score_fn``, when
     given, maps a (N, m) batch to the (N, m) gradient of the log-density;
     without it the prior information matrix is unavailable (not silently
-    zero). Output of any other shape is refused with a ``ValueError``.
+    zero). Output of any other shape is refused with a ``ValueError``, as is
+    an ``m`` that is not an integer of at least 1
+    (:func:`~fusionkit.matrixkit.require_integer`, whose ``int`` is kept).
     """
 
     m: int
     draw: Callable[[np.random.Generator, int], np.ndarray]
     score_fn: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", require_integer(self.m, "m", 1))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.asarray(self.draw(rng, size), dtype=float)

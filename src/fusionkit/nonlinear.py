@@ -27,7 +27,8 @@ import numpy as np
 from .errors import FormDisagreement, NonFinite
 from .information import McInfoEstimate, _CrossCorrelation, _whitened_fisher, mc_moments
 from .matrixkit import (
-    BlockCovariance, _form_scale, factor_noise, noise_whitener, require_agreement, require_real,
+    BlockCovariance, _form_scale, factor_noise, noise_whitener, require_agreement, require_array,
+    require_integer, require_real,
 )
 from .model import SourcePrior, require_pair_shapes, require_prior_size
 
@@ -42,9 +43,12 @@ class NonlinearModel:
 
     ``h`` maps an m-vector to an n-vector; ``jacobian``, when supplied,
     maps an m-vector to the (n, m) Jacobian. Without it, central
-    differences are used. :func:`~fusionkit.matrixkit.noise_whitener`
-    memoizes the last admitted noise covariance, its Cholesky factor and
-    that factor's inverse in ``_whitener``, as for a linear model.
+    differences are used. ``n`` and ``m`` are admitted by
+    :func:`~fusionkit.matrixkit.require_integer` as integers of at least 1, a
+    ``ValueError`` naming the field otherwise, and kept as Python ``int``.
+    :func:`~fusionkit.matrixkit.noise_whitener` memoizes the last admitted
+    noise covariance, its Cholesky factor and that factor's inverse in
+    ``_whitener``, as for a linear model.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
@@ -55,9 +59,17 @@ class NonlinearModel:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", require_integer(self.n, "n", 1))
+        object.__setattr__(self, "m", require_integer(self.m, "m", 1))
+
     def jac(self, s: np.ndarray) -> np.ndarray:
-        """The (n, m) Jacobian at one source vector: :meth:`jacobians` of one row."""
-        return self.jacobians(np.atleast_1d(np.asarray(s, dtype=float))[None, :])[0]
+        """The (n, m) Jacobian at one source vector: :meth:`jacobians` of one row.
+
+        ``s`` is admitted by :func:`~fusionkit.matrixkit.require_array` as a
+        finite real vector of ``m`` entries, a ``ValueError`` naming it otherwise.
+        """
+        return self.jacobians(require_array(s, "s", (self.m,))[None, :])[0]
 
     def jacobians(self, S) -> np.ndarray:
         """Jacobians at the rows of ``S``: (count, m) -> (count, n, m).
@@ -92,8 +104,16 @@ class NonlinearModel:
 
     @staticmethod
     def linear(A) -> "NonlinearModel":
-        """Wrap a mixing matrix as a (trivially) nonlinear model."""
-        A = np.asarray(A, dtype=float)
+        """Wrap a mixing matrix as a (trivially) nonlinear model.
+
+        Raises
+        ------
+        ValueError
+            Naming the mixing matrix, unless
+            :func:`~fusionkit.matrixkit.require_array` admits ``A`` as a finite
+            real 2-D array with no empty axis, as :class:`LinearModel` does.
+        """
+        A = require_array(A, "mixing matrix", (None, None))
         return NonlinearModel(
             h=lambda s: A @ s, n=A.shape[0], m=A.shape[1], jacobian=lambda s: A
         )
@@ -111,13 +131,13 @@ def numeric_jacobian(h, s, step: float | None = None) -> np.ndarray:
         If any function evaluation is non-finite.
     ValueError
         If ``step`` is not a finite nonzero number
-        (:func:`~fusionkit.matrixkit.require_real`), before any evaluation, or
-        if ``h`` does not return vectors of one length.
+        (:func:`~fusionkit.matrixkit.require_real`), or ``s`` not a finite real
+        vector (a scalar for one source; :func:`~fusionkit.matrixkit.require_array`),
+        before any evaluation; or if ``h`` does not return vectors of one length.
     """
     if step is not None:
         require_real(step, "step", "nonzero")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    return _central_differences(h, s[None, :], step)[0]
+    return _central_differences(h, require_array(s, "s", (None,))[None, :], step)[0]
 
 
 def _central_differences(h, S: np.ndarray, step: float | None = None) -> np.ndarray:

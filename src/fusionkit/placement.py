@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DegenerateBudget, FormDisagreement, NoRoot, Singular
 from .information import _admissible_sigma_max, _CrossCorrelation, _whitened_fisher
 from .matrixkit import (
-    _form_scale, require_agreement, require_finite, require_integer, require_real,
+    _form_scale, require_agreement, require_array, require_finite, require_integer, require_real,
 )
 from .model import SourcePrior, require_prior_size
 
@@ -112,28 +112,22 @@ class ProbeReport:
     seed: int
 
 
-def _whitened_inputs(A_tilde, rho, B_tilde=None, b_name="B_tilde") -> tuple[np.ndarray, ...]:
+def _whitened_inputs(A_tilde, rho, *B_tilde, b_name="B_tilde") -> tuple[np.ndarray, ...]:
     """``(A~, rho[, B~])`` as float arrays, refused with a ``ValueError`` unless they fit.
 
-    ``A~`` is ``(n1, m)``, ``rho`` ``(n1, n2)`` and ``B~`` ``(n2, m)``, all
-    finite; the message names the argument at fault and the shapes.
+    Each is admitted by :func:`~fusionkit.matrixkit.require_array`, in this
+    order: ``A~`` as ``(n1, m)``, ``rho`` as ``(n1, n2)`` and ``B~`` as
+    ``(n2, m)``. The message names the first argument at fault and ends
+    with the shapes of all of them.
     """
-    named = {"A_tilde": A_tilde, "rho": rho} | ({} if B_tilde is None else {b_name: B_tilde})
-    arrays = {name: np.asarray(M, dtype=float) for name, M in named.items()}
-
-    def refusal(what):
-        shapes = ", ".join(f"{name} {M.shape}" for name, M in arrays.items())
-        return ValueError(f"{what} ({shapes})")
-
-    for name, M in arrays.items():
-        if M.ndim != 2 or not np.isfinite(M).all():
-            raise refusal(f"{name} must be a 2-D array of finite entries")
-    A, rho = arrays["A_tilde"], arrays["rho"]
-    if rho.shape[0] != A.shape[0]:
-        raise refusal("rho must have one row per row of A_tilde")
-    if B_tilde is not None and arrays[b_name].shape != (rho.shape[1], A.shape[1]):
-        raise refusal(f"{b_name} must have one row per column of rho, one column per source")
-    return tuple(arrays.values())
+    try:
+        A = require_array(A_tilde, "A_tilde", (None, None))
+        R = require_array(rho, "rho", (A.shape[0], None))
+        return (A, R, *[require_array(B, b_name, (R.shape[1], A.shape[1])) for B in B_tilde])
+    except ValueError as exc:
+        given = zip(("A_tilde", "rho", b_name), (A_tilde, rho, *B_tilde))
+        shapes = ", ".join(f"{k} {np.asarray(M, dtype=object).shape}" for k, M in given)
+        raise ValueError(f"{exc} ({shapes})") from None
 
 
 @functools.lru_cache(maxsize=1)  # a budget sweep and the probes of its solutions read one rho
@@ -323,14 +317,16 @@ def optimal_secondary(
 
     One record of each bit-equal rho (:func:`_analysis_of`) feeds the
     admissibility check, the root, the objective and the stationarity check.
-    Raises :class:`ValueError` for inputs that do not fit (shapes, entries,
-    prior size, and a budget ``p`` that is not a finite positive number, by
-    :func:`~fusionkit.matrixkit.require_real`); :class:`Inadmissible` if ``sigma_max(rho)`` exceeds
-    ``1 + 1e-10``, or is at least 1 where ``K = (I - rho^T rho)^-1`` is needed;
-    :class:`NoRoot` and :class:`DegenerateBudget` as :func:`lambda_root`;
-    :class:`Singular` from the guard of ``K`` past ``SINGULAR_CONDITION``, or
-    carrying ``cond(I - rho^T rho)`` if the KKT residual exceeds ``KKT_BOUND``,
-    as near that limit stationarity cannot be verified to it;
+    Raises :class:`ValueError` for inputs that do not fit (``A~`` and ``rho``
+    by :func:`~fusionkit.matrixkit.require_array`, as :func:`_whitened_inputs`
+    admits them; prior size; and a budget ``p`` that is not a finite positive
+    number, by :func:`~fusionkit.matrixkit.require_real`); :class:`Inadmissible`
+    if ``sigma_max(rho)`` exceeds ``1 + 1e-10``, or is at least 1 where
+    ``K = (I - rho^T rho)^-1`` is needed; :class:`NoRoot` and
+    :class:`DegenerateBudget` as :func:`lambda_root`; :class:`Singular` from
+    the guard of ``K`` past ``SINGULAR_CONDITION``, or carrying
+    ``cond(I - rho^T rho)`` if the KKT residual exceeds ``KKT_BOUND``, as near
+    that limit stationarity cannot be verified to it;
     :class:`FormDisagreement` if the two gradient forms disagree; and
     :class:`NonFinite` if the budget weights, ``B~*`` or the objective overflow.
     """
@@ -467,14 +463,17 @@ def local_optimality_probe(
     positive number, or ``n_perturbations`` or ``seed`` is not a non-negative
     integer: a NaN, infinite or zero displacement would report no violation
     without probing anything, and the draws of a stateful seed such as a
-    ``Generator`` cannot be memoized.
+    ``Generator`` cannot be memoized. ``A~``, ``rho`` and the solution's
+    ``B~*`` are admitted as :func:`_whitened_inputs` admits them, by
+    :func:`~fusionkit.matrixkit.require_array`, and refused with a ``ValueError``.
     """
     n_perturbations = require_integer(n_perturbations, "n_perturbations")
     seed = require_integer(seed, "seed")
     require_real(delta, "delta", "positive")
     if solution.B_star is None:
         raise ValueError("degenerate solutions have no matrix to probe")
-    A_tilde, rho, B_star = _whitened_inputs(A_tilde, rho, solution.B_star, "solution.B_star")
+    A_tilde, rho, B_star = _whitened_inputs(A_tilde, rho, solution.B_star,
+                                            b_name="solution.B_star")
     gains = _perturbation_gains(A_tilde, rho, B_star, n_perturbations, seed, delta)
     improved = gains[gains > 1e-8]
     return ProbeReport(

@@ -93,7 +93,9 @@ class TestScenarioLoading:
             (lambda d: d.update(cross_cov=[d["cross_cov"], {"pair": [1, 0], "matrix":
                                  np.transpose(d["cross_cov"]["matrix"]).tolist()}]),
              "given twice"),
-            (lambda d: d["cross_cov"].update(matrix=[[0.1, 0.0]]), "does not match"),
+            (lambda d: d["cross_cov"].update(matrix=[[0.1, 0.0]]),
+             "sigma_vu must be a finite real array of shape (3, 2) with no empty axis, "
+             "got shape (1, 2)"),
             # null is refused as every other null is, not read as "no cross-covariance"
             (lambda d: d.update(cross_cov=None),
              "'cross_cov' must be an entry object or a list of them"),
@@ -500,16 +502,23 @@ _VARIANTS = {
                       "{unwritable}"], 1, (), id="place-unwritable-out"),
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "1000", "--out",
                       "{unwritable}"], 1, (), id="simulate-unwritable-out"),
-        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "nan"], 2, (),
-                     id="place-nan-budget"),
+        # the budget is a flag: refused as a usage error, before the scenario is read
+        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "nan"], 1,
+                     ("--budget", "nan"), id="place-nan-budget"),
+        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "-1"], 1,
+                     ("--budget", "-1.0"), id="place-negative-budget"),
+        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "0"], 1,
+                     ("--budget", "0.0"), id="place-zero-budget"),
+        pytest.param(["place", "no-such-scenario.json", "--primary", "a", "--budget", "0"], 1,
+                     ("--budget",), id="place-zero-budget-missing-scenario"),
         # named as advise and simulate name it, before a secondary is looked for
         pytest.param(["place", "{scenario}", "--primary", "zz", "--budget", "1"], 2,
                      ("unknown modality 'zz'",), id="place-unknown-primary"),
         pytest.param(["simulate", "{no_modalities}", "--method", "ml"], 2,
                      ("'modalities' must list at least one modality",),
                      id="simulate-no-modalities"),
-        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "inf"], 2, (),
-                     id="place-inf-budget"),
+        pytest.param(["place", "{scenario}", "--primary", "a", "--budget", "inf"], 1,
+                     ("--budget", "inf"), id="place-inf-budget"),
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--seed", "-1"], 1,
                      ("--seed", "-1"), id="simulate-negative-seed"),
         # refused by the upper bound on --N, before anything is drawn
@@ -549,10 +558,12 @@ _VARIANTS = {
         pytest.param(["analyze", "{tol_nan}", "--modality", "a"], 2,
                      ("'select_gain'", "nan"), id="analyze-tolerance-nan"),
         pytest.param(["analyze", "{nan_mean}", "--modality", "a"], 2,
-                     ("bad source prior", "source mean has non-finite entries"),
+                     ("bad source prior", "mean must be a finite real array",
+                      "got a non-finite entry"),
                      id="analyze-nan-mean"),
         pytest.param(["simulate", "{inf_mean}", "--method", "mmse", "--N", "1000"], 2,
-                     ("bad source prior", "source mean has non-finite entries"),
+                     ("bad source prior", "mean must be a finite real array",
+                      "got a non-finite entry"),
                      id="simulate-inf-mean"),
     ],
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -38,6 +39,7 @@ from fusionkit import (
     simulate,
     svd_of_rho,
     snr_matrix,
+    synergy_gradient_rho,
     synergy_objective,
     total_information,
     total_information_nonlinear,
@@ -132,18 +134,23 @@ class TestTypes:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_gaussian_prior_refuses_non_finite_mean(self, bad):
-        with pytest.raises(ValueError, match="source mean has non-finite entries"):
+        with pytest.raises(ValueError, match="^mean must be a finite real array of shape "
+                           r"\(2,\) with no empty axis, got a non-finite entry$"):
             GaussianPrior(mean=[bad, 0.0], cov=np.eye(2))
 
     @pytest.mark.parametrize(
-        "make",
-        [lambda: InfoOnlyPrior(np.zeros((0, 0))),
-         lambda: GaussianPrior(np.zeros(0), np.zeros((0, 0)))],
+        "make, message",
+        [(lambda: InfoOnlyPrior(np.zeros((0, 0))),
+          "^prior source count must be an integer of at least 1"),
+         # by the array rule, which refuses an empty axis
+         (lambda: GaussianPrior(np.zeros(0), np.zeros((0, 0))),
+          r"^mean must be a finite real array of shape \(0,\) with no empty axis, "
+          r"got shape \(0,\)$")],
         ids=["info-only", "gaussian"],
     )
-    def test_prior_of_no_sources_refused(self, make):
+    def test_prior_of_no_sources_refused(self, make, message):
         # as a mixing matrix of no columns is; was an IndexError and an accepted prior
-        with pytest.raises(ValueError, match="prior source count must be an integer of at least 1"):
+        with pytest.raises(ValueError, match=message):
             make()
 
 
@@ -329,6 +336,9 @@ _SCALARS = {
     "simulate-seed": ("seed", 0, lambda q, v: simulate(q.lin, q.prior, 10, v, noise=q.S)),
     "numeric_jacobian-step": ("step", "nonzero",
                               lambda q, v: numeric_jacobian(q.h.h, np.ones(2), v)),
+    "SamplerPrior-m": ("m", 1, lambda q, v: SamplerPrior(m=v, draw=q.prior.draw)),
+    "NonlinearModel-n": ("n", 1, lambda q, v: NonlinearModel(q.h.h, n=v, m=2)),
+    "NonlinearModel-m": ("m", 1, lambda q, v: NonlinearModel(q.h.h, n=3, m=v)),
     **{f"AdvisorTolerances-{name}": (name, "non-negative",
                                      lambda q, v, name=name: AdvisorTolerances(**{name: v}))
        for name in _TOLERANCES},
@@ -382,6 +392,150 @@ def test_python_numbers_are_kept_as_given():
     assert optimal_secondary(q.A, q.rho, np.float64(q.p)).budget_p == q.p
     assert AdvisorTolerances(redundancy=0).redundancy == 0
     assert numeric_jacobian(q.h.h, np.ones(2), np.float32(1e-3)).shape == (3, 2)
+
+
+def test_dimension_fields_are_kept_as_python_ints():
+    q = ScalarQuestion()
+    prior = SamplerPrior(m=np.int64(2), draw=q.prior.draw)
+    model = NonlinearModel(q.h.h, n=np.int32(3), m=np.uint8(2))
+    assert (type(prior.m), type(model.n), type(model.m)) == (int, int, int)
+    assert prior.sample(np.random.default_rng(0), 4).shape == (4, 2)
+
+
+def _linear_map(A):
+    """What ``NonlinearModel.linear(A)`` answers: its sizes, ``h`` and its Jacobian at a point."""
+    model = NonlinearModel.linear(A)
+    return model.n, model.m, model.h(np.ones(2)), model.jac(np.ones(2))
+
+
+# every public array argument: (the name its refusal starts with, a valid value
+# of q, whether an axis has a fixed length, call with the value, returning its answer)
+_ARRAYS = {
+    "LinearModel-A": ("mixing matrix", lambda q: q.lin.A, False, lambda q, v: LinearModel(v)),
+    "BlockCovariance-sigma_vu": ("sigma_vu", lambda q: 0.1 * np.ones((3, 2)), True,
+                                 lambda q, v: BlockCovariance(q.S, np.eye(2), v)),
+    "GaussianPrior-mean": ("mean", lambda q: np.array([0.5, -1.0]), True,
+                           lambda q, v: GaussianPrior(v, np.eye(2))),
+    "wls_estimate-x": ("x", lambda q: np.array([1.0, 2.0, 0.5]), True,
+                       lambda q, v: wls_estimate(q.lin, np.diag(1.0 / np.diag(q.S)), v)),
+    "ml_estimate-x": ("x", lambda q: np.array([1.0, 2.0, 0.5]), True,
+                      lambda q, v: ml_estimate(q.lin, q.S, v)),
+    "mmse_gaussian_estimate-x": ("x", lambda q: np.array([1.0, 2.0, 0.5]), True,
+                                 lambda q, v: mmse_gaussian_estimate(
+                                     q.lin, q.S, GaussianPrior(np.zeros(2), np.eye(2)), v)),
+    "optimal_secondary-A_tilde": ("A_tilde", lambda q: q.A, False,
+                                  lambda q, v: optimal_secondary(v, q.rho, q.p)),
+    "optimal_secondary-rho": ("rho", lambda q: q.rho, True,
+                              lambda q, v: optimal_secondary(q.A, v, q.p)),
+    "synergy_objective-A_tilde": ("A_tilde", lambda q: q.A, False,
+                                  lambda q, v: synergy_objective(v, q.solution.B_star, q.rho)),
+    "synergy_objective-rho": ("rho", lambda q: q.rho, True,
+                              lambda q, v: synergy_objective(q.A, q.solution.B_star, v)),
+    "synergy_objective-B_tilde": ("B_tilde", lambda q: q.solution.B_star, True,
+                                  lambda q, v: synergy_objective(q.A, v, q.rho)),
+    "synergy_gradient_rho-A_tilde": ("A_tilde", lambda q: q.A, False, lambda q, v:
+                                     synergy_gradient_rho(v, q.solution.B_star, q.rho)),
+    "synergy_gradient_rho-rho": ("rho", lambda q: q.rho, True,
+                                 lambda q, v: synergy_gradient_rho(q.A, q.solution.B_star, v)),
+    "synergy_gradient_rho-B_tilde": ("B_tilde", lambda q: q.solution.B_star, True,
+                                     lambda q, v: synergy_gradient_rho(q.A, v, q.rho)),
+    "svd_of_rho-A_tilde": ("A_tilde", lambda q: q.A, False, lambda q, v: svd_of_rho(v, q.rho)),
+    "svd_of_rho-rho": ("rho", lambda q: q.rho, True, lambda q, v: svd_of_rho(q.A, v)),
+    "probe-A_tilde": ("A_tilde", lambda q: q.A, False,
+                      lambda q, v: local_optimality_probe(v, q.rho, q.solution)),
+    "probe-rho": ("rho", lambda q: q.rho, True,
+                  lambda q, v: local_optimality_probe(q.A, v, q.solution)),
+    "NonlinearModel.linear-A": ("mixing matrix", lambda q: q.lin.A, False,
+                                lambda q, v: _linear_map(v)),
+    "numeric_jacobian-s": ("s", lambda q: np.array([0.5, 2.0]), False,
+                           lambda q, v: numeric_jacobian(q.h.h, v)),
+    "fisher_finite_difference-s0": ("s0", lambda q: np.array([0.5, 2.0]), True,
+                                    lambda q, v: fisher_finite_difference(q.h, q.S, v)),
+    "fisher_finite_difference-x": ("x", lambda q: np.array([1.0, 2.0, 0.5]), True,
+                                   lambda q, v: fisher_finite_difference(
+                                       q.h, q.S, np.array([0.5, 2.0]), x=v)),
+}
+
+
+def _bad_array(good, kind):
+    """A value of ``kind`` that no rule of the shape of ``good`` admits."""
+    rows = good.tolist()
+    if kind in ("nan", "inf"):
+        bad = good.copy()
+        bad.flat[-1] = float(kind)
+        return bad
+    return {
+        "ragged": rows[:-1] + ([rows[-1][:-1]] if good.ndim == 2 else [[rows[-1]] * 2]),
+        "string": "1.0",
+        "None": None,
+        "bool": np.ones(good.shape, dtype=bool),
+        "ndim": good.ravel() if good.ndim == 2 else good[None, :],
+        "length": np.concatenate([good, good[:1]]),
+        "empty-axis": good[..., :0],
+    }[kind]
+
+
+_ARRAY_FAULTS = ("nan", "inf", "ragged", "string", "None", "bool", "ndim", "length", "empty-axis")
+
+
+@pytest.mark.parametrize("entry, kind", [
+    pytest.param(entry, kind, id=f"{entry}-{kind}")
+    for entry, (_, _, fixed, _) in _ARRAYS.items() for kind in _ARRAY_FAULTS
+    # an axis of any length has no wrong length; an x of None is the noise-free one
+    if (fixed or kind != "length") and (entry, kind) != ("fisher_finite_difference-x", "None")])
+def test_every_array_argument_is_refused_by_the_one_rule(entry, kind):
+    # at the parent a NaN observation was answered s_hat = [nan nan], a 1-D
+    # mixing matrix of NonlinearModel.linear raised IndexError, a NaN s0 was
+    # blamed on the log-likelihood, and a ragged or string array raised
+    # numpy's own message, which named no argument
+    name, good, _, call = _ARRAYS[entry]
+    q = ScalarQuestion()
+    bad = _bad_array(good(q), kind)
+    with pytest.raises(ValueError) as exc:
+        call(q, bad)
+    assert str(exc.value).startswith(f"{name} must be a finite real array of shape ")
+    assert q.calls == {"h": 0, "draw": 0}
+
+
+def _bits(answer):
+    """An answer's every field, each array as its dtype, shape and bytes."""
+    if isinstance(answer, np.ndarray):
+        return answer.dtype.str, answer.shape, answer.tobytes()
+    if isinstance(answer, tuple):
+        return tuple(map(_bits, answer))
+    if dataclasses.is_dataclass(answer):
+        return tuple(_bits(getattr(answer, f.name)) for f in dataclasses.fields(answer))
+    return repr(answer)
+
+
+@pytest.mark.parametrize("entry", sorted(_ARRAYS))
+def test_lists_and_integer_arrays_answer_as_float_arrays(entry):
+    _, good, _, call = _ARRAYS[entry]
+    q = ScalarQuestion()
+    value = good(q)
+    assert _bits(call(q, value.tolist())) == _bits(call(q, value))
+    assert _bits(call(q, value.astype(np.float32))) == _bits(call(q, value.astype(np.float32)
+                                                                  .astype(float)))
+    # integer-valued, so also given as integers; the one integer rho of sigma_max < 1 is 0
+    whole = np.zeros_like(value) if entry.endswith("-rho") else np.rint(value)
+    assert _bits(call(q, whole.astype(np.int64))) == _bits(call(q, whole))
+
+
+def test_a_scalar_is_a_vector_of_one_entry():
+    lin, sigma = LinearModel([[2.0]]), np.array([[0.5]])
+    prior = GaussianPrior(0.25, [[4.0]])
+    assert _bits(prior) == _bits(GaussianPrior(np.array([0.25]), [[4.0]]))
+    for estimate in (lambda x: wls_estimate(lin, np.linalg.inv(sigma), x),
+                     lambda x: ml_estimate(lin, sigma, x),
+                     lambda x: mmse_gaussian_estimate(lin, sigma, prior, x)):
+        assert _bits(estimate(1.5)) == _bits(estimate(np.array([1.5])))
+    h = NonlinearModel(lambda s: np.array([s[0] ** 2, 3.0 * s[0]]), n=2, m=1)
+    assert np.array_equal(numeric_jacobian(h.h, 0.5), numeric_jacobian(h.h, [0.5]))
+    assert np.array_equal(h.jac(0.5), h.jac(np.array([0.5])))
+    assert np.array_equal(fisher_finite_difference(h, np.eye(2), 0.5),
+                          fisher_finite_difference(h, np.eye(2), np.array([0.5])))
+    with pytest.raises(ValueError, match=r"^x must be .* of shape \(3,\) .*, got shape \(\)$"):
+        ml_estimate(LinearModel(np.ones((3, 1))), np.eye(3), 1.5)
 
 
 @pytest.mark.parametrize("huge", [10**400, -(10**400)])
