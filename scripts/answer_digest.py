@@ -18,7 +18,8 @@ Each pair is asked, through the public API only:
 * ``refusals``: the type and message of every typed refusal, those of the
   questions above and of a fixed set of inputs each API must refuse, among
   them one of each kind of the scalar rule (a seed, a count, a tolerance and
-  a step); an input an older tree still answers hashes its answer there.
+  a step), of the array rule and of the symmetric-matrix rule; an input an
+  older tree still answers hashes its answer there.
 
 A question that is refused adds its refusal to ``refusals`` and the word
 "refused" to its own kind. Floats are hashed by their bits, so two checkouts
@@ -44,6 +45,8 @@ from fusionkit import (
     BlockCovariance,
     FusionKitError,
     GaussianPrior,
+    InfoMatrix,
+    InfoOnlyPrior,
     LinearModel,
     ModalityPair,
     NonlinearModel,
@@ -57,6 +60,7 @@ from fusionkit import (
     optimal_secondary,
     prewhiten,
     simulate,
+    snr_matrix,
     svd_of_rho,
     synergy_gradient_rho,
     synergy_matrices,
@@ -229,6 +233,13 @@ def ask_refusals(digest, rng):
         "ragged mixing matrix": lambda: LinearModel([[1.0, 2.0], [3.0]]).A,
         "bool A_tilde": lambda: optimal_secondary(A > 0.0, admissible, 1.0),
         "1-D nonlinear mixing matrix": lambda: NonlinearModel.linear(np.ones(3)).n,
+        # one of each kind of the symmetric-matrix rule, which is the array rule
+        # at n x n: a bool, string, complex, ragged and beyond-float matrix
+        "bool noise": lambda: snr_matrix(LinearModel(np.ones((2, 1))), np.eye(2, dtype=bool)),
+        "string info matrix": lambda: InfoMatrix([["1", "0"], ["0", "1"]]),
+        "complex prior covariance": lambda: GaussianPrior(np.zeros(1), np.array([[1 + 0j]])),
+        "ragged J_s": lambda: InfoOnlyPrior([[1.0, 0.0], [0.0]]),
+        "noise beyond float range": lambda: ml_estimate(LinearModel([[1.0]]), [[10**400]], [0.0]),
     }
     for case, question in cases.items():
         digest.ask("refusals", case, question)

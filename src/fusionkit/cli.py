@@ -28,7 +28,7 @@ from .information import (
     snr_matrix,
     total_information,
 )
-from .matrixkit import BlockCovariance, _require_psd, require_integer, require_noise, require_real
+from .matrixkit import BlockCovariance, _require_psd, admit_symmetric, require_integer, require_real
 from .model import GaussianPrior, InfoOnlyPrior, LinearModel, ModalityPair, SourcePrior
 
 EXIT_OK = 0
@@ -99,8 +99,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _numbers(obj, what: str) -> None:
-    """Refuse a leaf of the nested JSON lists ``obj`` that is not a number (a bool, say)."""
+def _numbers(obj, what: str):
+    """``obj``, unchanged, unless a leaf of its nested JSON lists is not a number (a bool, say).
+
+    numpy would read a JSON ``true`` among numbers as 1.0; every other fault
+    of an array (its shape, a ragged row, an integer beyond 64 bits) is left
+    to the library constructor that admits it.
+    """
     items = [obj]
     while items:
         x = items.pop()
@@ -108,24 +113,14 @@ def _numbers(obj, what: str) -> None:
             items.extend(x)
         elif type(x) not in (int, float):
             raise ScenarioError(f"{what} has an entry that is not a number: {json.dumps(x)}")
+    return obj
 
 
-def _matrix(obj, what: str) -> np.ndarray:
-    _numbers(obj, what)
-    try:
-        M = np.asarray(obj, dtype=float)
-    except OverflowError as exc:  # a JSON integer beyond float range
-        raise ScenarioError(f"{what} has an entry beyond float range") from exc
-    if not np.all(np.isfinite(M)):
-        raise ScenarioError(f"{what} has non-finite entries")
-    return M
-
-
-def _cross_entry(entry, names: list[str]) -> tuple[tuple[str, str], np.ndarray]:
-    """Modality names and matrix of one ``cross_cov`` entry."""
+def _cross_entry(entry, names: list[str]) -> tuple[tuple[str, str], list]:
+    """Modality names and matrix, as given, of one ``cross_cov`` entry."""
     try:
         i, j = entry["pair"]
-        matrix = _matrix(entry["matrix"], "cross_cov matrix")
+        matrix = _numbers(entry["matrix"], "cross_cov matrix")
     except (ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"bad cross_cov entry: {exc}") from exc
     indices = (i, j)
@@ -163,19 +158,18 @@ def load_scenario(path: str | Path) -> Scenario:
     _known_keys(src, ("gaussian", "info_only"), "sources")
     if not isinstance(src, dict) or len(src) != 1:
         raise ScenarioError("sources must be 'gaussian' or 'info_only'")
+    where = f"sources.{next(iter(src))}"
     try:
         if "gaussian" in src:
             g = src["gaussian"]
-            _known_keys(g, ("mean", "cov"), "sources.gaussian")
-            _numbers(g["mean"], "source mean")
-            prior: SourcePrior = GaussianPrior(
-                mean=np.asarray(g["mean"], dtype=float), cov=_matrix(g["cov"], "source cov")
-            )
+            _known_keys(g, ("mean", "cov"), where)
+            prior: SourcePrior = GaussianPrior(mean=_numbers(g["mean"], "source mean"),
+                                               cov=_numbers(g["cov"], "source cov"))
         else:
-            _known_keys(src["info_only"], ("J_s",), "sources.info_only")
-            prior = InfoOnlyPrior(_matrix(src["info_only"]["J_s"], "J_s"))
-    except (ValueError, KeyError, TypeError, OverflowError, FusionKitError) as exc:
-        raise ScenarioError(f"bad source prior: {exc}") from exc
+            _known_keys(src["info_only"], ("J_s",), where)
+            prior = InfoOnlyPrior(_numbers(src["info_only"]["J_s"], "J_s"))
+    except (ValueError, KeyError, TypeError, FusionKitError) as exc:
+        raise ScenarioError(f"bad source prior at {where}: {exc}") from exc
 
     modalities: dict[str, tuple[LinearModel, np.ndarray]] = {}
     names: list[str] = []
@@ -187,21 +181,22 @@ def load_scenario(path: str | Path) -> Scenario:
                 raise ScenarioError(
                     f"modalities[{k}] 'name' must be a string, got {json.dumps(name)}"
                 )
-            model = LinearModel(_matrix(entry["A"], f"modality {name} A"))
-            noise = _matrix(entry["noise_cov"], f"modality {name} noise_cov")
-        except (ValueError, KeyError, TypeError) as exc:
+            A = _numbers(entry["A"], f"modality {name} A")
+            noise = _numbers(entry["noise_cov"], f"modality {name} noise_cov")
+        except (KeyError, TypeError) as exc:
             raise ScenarioError(f"bad modality entry: {exc}") from exc
         if name in modalities:
             raise ScenarioError(f"duplicate modality name {name!r}")
-        if model.m != prior.m:
-            raise ScenarioError(
-                f"modality {name!r} has {model.m} sources but the prior has {prior.m}"
-            )
-        try:
-            noise = require_noise(noise, model.n)
+        try:  # a refusal of the library, prefixed with the place of the entry
+            model = LinearModel(A)
+            if model.m != prior.m:
+                raise ScenarioError(
+                    f"modality {name!r} has {model.m} sources but the prior has {prior.m}"
+                )
+            noise = admit_symmetric(noise, "noise covariance", model.n)
             _require_psd(np.linalg.eigvalsh(noise), "noise covariance")
         except (ValueError, NotPSD) as exc:
-            raise ScenarioError(f"modality {name!r}: {exc}") from exc
+            raise ScenarioError(f"modalities[{k}] {name!r}: {exc}") from exc
         modalities[name] = (model, noise)
         names.append(name)
 
@@ -217,10 +212,11 @@ def load_scenario(path: str | Path) -> Scenario:
         if key in cross or key[::-1] in cross:
             raise ScenarioError(f"cross_cov for {list(key)} given twice")
         try:
-            BlockCovariance(modalities[key[0]][1], modalities[key[1]][1], matrix).check_pd()
+            block = BlockCovariance(modalities[key[0]][1], modalities[key[1]][1], matrix)
+            block.check_pd()
         except (ValueError, NotPSD) as exc:
-            raise ScenarioError(f"cross_cov {list(key)}: {exc}") from exc
-        cross[key] = matrix
+            raise ScenarioError(f"{where} {list(key)}: {exc}") from exc
+        cross[key] = block.sigma_vu
 
     raw_tols = doc.get("tolerances", {})
     if not isinstance(raw_tols, dict):

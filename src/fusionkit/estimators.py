@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SingularNormalMatrix, SingularPosterior
 from .information import crlb, snr_matrix
-from .matrixkit import derived_factor, noise_whitener, require_array, require_noise, symmetrize
+from .matrixkit import admit_symmetric, derived_factor, noise_whitener, require_array, symmetrize
 from .model import GaussianPrior, LinearModel, require_prior_size
 
 
@@ -59,9 +59,12 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
     Raises
     ------
     ValueError
-        If ``x`` is not a finite real vector of the model's ``n`` channels (a
-        scalar for one; :func:`~fusionkit.matrixkit.require_array`), or ``W``
-        is not a symmetric ``n x n`` matrix, before any product.
+        Naming the weight matrix unless
+        :func:`~fusionkit.matrixkit.admit_symmetric` admits ``W`` as a finite
+        real ``n x n`` matrix, symmetric within the tolerance; then naming
+        ``x`` unless it is a finite real vector of the model's ``n`` channels
+        (a scalar for one; :func:`~fusionkit.matrixkit.require_array`); both
+        before any product.
     SingularNormalMatrix
         If ``A^T W A`` is indefinite (an indefinite weight) or has condition
         above 1e12 (rank-deficient mixing or fewer channels than sources).
@@ -69,7 +72,7 @@ def wls_estimate(model: LinearModel, W, x) -> Estimate:
         fallback: singularity here means the data carry no information
         on some source direction.
     """
-    W = require_noise(W, model.n, name="weight matrix")
+    W = admit_symmetric(W, "weight matrix", model.n)
     x = require_array(x, "x", (model.n,))
     A = model.A
     WA = W @ A
@@ -93,8 +96,11 @@ def ml_estimate(model: LinearModel, sigma, x) -> Estimate:
     Raises
     ------
     ValueError
-        If ``x`` is not a finite real vector of the model's ``n`` channels (a
-        scalar for one; :func:`~fusionkit.matrixkit.require_array`).
+        Naming the noise covariance unless
+        :func:`~fusionkit.matrixkit.admit_symmetric` admits it as a finite
+        real ``n x n`` matrix, symmetric within the tolerance; then naming
+        ``x`` unless it is a finite real vector of the model's ``n`` channels
+        (a scalar for one; :func:`~fusionkit.matrixkit.require_array`).
     NotPD
         If the noise covariance is not positive definite.
     Singular
@@ -123,9 +129,8 @@ def mmse_gaussian_estimate(model: LinearModel, sigma, prior: GaussianPrior, x) -
     Raises
     ------
     ValueError
-        If ``x`` is not a finite real vector of the model's ``n`` channels (a
-        scalar for one; :func:`~fusionkit.matrixkit.require_array`), or the
-        prior's source count is not the model's ``m``.
+        If the prior's source count is not the model's ``m``; then as
+        :func:`ml_estimate` refuses the noise covariance and ``x``.
     NotPD
         If the noise covariance is not positive definite.
     Singular
@@ -151,6 +156,8 @@ def error_covariance(model: LinearModel, sigma) -> np.ndarray:
 
     Raises
     ------
+    ValueError, NotPD, Singular
+        As :func:`snr_matrix` refuses the noise covariance.
     SingularInformation
         If the SNR matrix is numerically singular.
     """

@@ -100,9 +100,11 @@ def empirical_error_covariance(
 
     Raises ``ValueError`` before any draw for an unknown ``method``, an MMSE
     campaign without a Gaussian prior, ``N`` that is not an integer of at
-    least 1000 (a meaningful estimate) or a ``seed`` that is not a
+    least 1000 (a meaningful estimate), a ``seed`` that is not a
     non-negative integer (:func:`~fusionkit.matrixkit.require_integer`, whose
-    ``int`` the result keeps).
+    ``int`` the result keeps) or a noise covariance that
+    :func:`~fusionkit.matrixkit.admit_symmetric` does not admit as the
+    model's ``n x n`` (naming it).
     """
     N, seed = require_integer(N, "N", 1000), require_integer(seed, "seed")
     if not isinstance(method, str) or (method := method.lower()) not in ("ml", "wls", "mmse"):
@@ -124,7 +126,7 @@ def empirical_error_covariance(
             return X @ estimator.T
     else:
         ref = crlb(InfoMatrix(snr + prior.info_matrix()))
-        gain = _mmse_gain(A, prior.cov, noise)
+        gain = _mmse_gain(A, prior.cov, admit_symmetric(noise, "noise covariance", model.n))
         mean_x = prior.mean @ A.T
 
         def estimate(X):
@@ -244,17 +246,22 @@ def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
     """Check ``empirical >= J^-1`` in the PSD order up to Monte-Carlo slack.
 
     Passes iff the minimum eigenvalue of ``empirical - J^-1`` is at
-    least ``-slack``. Raises ``ValueError`` naming ``slack`` unless it is a
-    finite non-negative number (:func:`~fusionkit.matrixkit.require_real`),
-    and naming both sizes when ``empirical`` and
-    ``J`` differ in size, before ``J`` is inverted.
+    least ``-slack``.
+
+    Raises
+    ------
+    ValueError
+        Before ``J`` is inverted: naming ``slack`` unless it is a finite
+        non-negative number (:func:`~fusionkit.matrixkit.require_real`), then
+        ``J`` unless it is an :class:`InfoMatrix` or
+        :func:`~fusionkit.matrixkit.admit_symmetric` admits it, then the
+        empirical covariance unless that admits it at ``J``'s size, which the
+        message gives.
     """
     require_real(slack, "slack", "non-negative")
-    emp = admit_symmetric(empirical, name="empirical covariance")
-    J_shape = _as_matrix(J).shape
-    if emp.shape != J_shape:
-        raise ValueError(f"empirical covariance is {emp.shape}, information matrix is {J_shape}")
-    return _crlb_check(emp, crlb(J), slack)
+    M = _as_matrix(J, "J")
+    emp = admit_symmetric(empirical, "empirical covariance", M.shape[0])
+    return _crlb_check(emp, crlb(M), slack)
 
 
 def _crlb_check(emp: np.ndarray, bound: np.ndarray, slack: float) -> CrlbCheck:

@@ -59,8 +59,11 @@ DEFAULT_BLOCK = 8192
 class InfoMatrix:
     """Symmetric information matrix.
 
-    The constructor checks symmetry only, not PSD: a PSD check at every
-    construction would add an eigen-solve to each answer.
+    ``matrix`` is admitted by :func:`~fusionkit.matrixkit.admit_symmetric`
+    (a ``ValueError`` naming the info matrix unless it is a finite real
+    square matrix, symmetric within the tolerance). The constructor checks
+    symmetry only, not PSD: a PSD check at every construction would add an
+    eigen-solve to each answer.
     ``near_singular`` marks joint results computed with the whitened
     noise cross-correlation close to unitary (information blow-up regime).
     """
@@ -69,7 +72,7 @@ class InfoMatrix:
     near_singular: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", admit_symmetric(self.matrix, name="info matrix"))
+        object.__setattr__(self, "matrix", admit_symmetric(self.matrix, "info matrix"))
 
     @property
     def m(self) -> int:
@@ -181,8 +184,9 @@ class McInfoEstimate:
     seed: int
 
 
-def _as_matrix(J) -> np.ndarray:
-    return J.matrix if isinstance(J, InfoMatrix) else admit_symmetric(J, name="J")
+def _as_matrix(J, name: str) -> np.ndarray:
+    """``J``'s matrix if it is an :class:`InfoMatrix`, else ``J`` admitted as ``name``."""
+    return J.matrix if isinstance(J, InfoMatrix) else admit_symmetric(J, name)
 
 
 def _prior_info(prior: SourcePrior | None, m: int) -> np.ndarray:
@@ -203,7 +207,9 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     Raises
     ------
     ValueError
-        If the noise covariance is not a symmetric n x n matrix.
+        Naming the noise covariance unless
+        :func:`~fusionkit.matrixkit.admit_symmetric` admits it as a finite
+        real ``n x n`` matrix, symmetric within the tolerance.
     NotPD
         If the noise covariance is not positive definite.
     Singular
@@ -223,8 +229,15 @@ def total_information(snr: InfoMatrix, prior: SourcePrior | None) -> InfoMatrix:
     A ``None`` prior (or a zero information matrix) represents the
     deterministic-source case, for which the total information reduces
     to the Fisher information.
+
+    Raises
+    ------
+    ValueError
+        Naming ``snr`` unless it is an :class:`InfoMatrix` or
+        :func:`~fusionkit.matrixkit.admit_symmetric` admits it; or if the
+        prior's source count is not its size.
     """
-    S = _as_matrix(snr)
+    S = _as_matrix(snr, "snr")
     return InfoMatrix(S + _prior_info(prior, S.shape[0]))
 
 
@@ -233,13 +246,16 @@ def crlb(J) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        Naming ``J`` unless it is an :class:`InfoMatrix` or
+        :func:`~fusionkit.matrixkit.admit_symmetric` admits it.
     SingularInformation
         As :func:`~fusionkit.matrixkit.derived_factor` refuses ``J``, with its
         condition; only then is ``J`` eigen-solved, for the carried orthonormal
         basis of the (near-)null space, the source directions the data carry no
         information about: eigenvalues up to ``max(w_min, max|w| / SINGULAR_CONDITION)``.
     """
-    M = _as_matrix(J)
+    M = _as_matrix(J, "J")
     try:
         L_inv = derived_factor(M, "information matrix", SingularInformation)
     except SingularInformation as exc:

@@ -1,12 +1,14 @@
 """Dense symmetric-matrix toolkit: Cholesky factors, guarded inverses, noise-pair factors.
 
-All operations are pure functions on small dense arrays. A covariance is
-admitted here alone, and so is every public scalar and array argument: a
-count or a seed by :func:`require_integer`, a budget, a displacement, a
-step, a slack or a tolerance by :func:`require_real`, and a mixing matrix, a
+All operations are pure functions on small dense arrays. Every public
+scalar and array argument is admitted here alone: a count or a seed by
+:func:`require_integer`, a budget, a displacement, a step, a slack or a
+tolerance by :func:`require_real`, and every array by :func:`require_array`,
+each refusal a ``ValueError`` that names the argument. A mixing matrix, a
 cross-covariance, a mean, an observation, a source point or a whitened
-input by :func:`require_array`, each refusal a ``ValueError`` that names
-the argument. Every PSD refusal is one rule
+input is admitted by :func:`require_array` directly; a covariance, a weight
+or an information matrix by :func:`admit_symmetric`, which is that rule at
+``n x n`` followed by the symmetry verdict. Every PSD refusal is one rule
 (:func:`_require_psd`), raising :class:`NotPSD`. Every inverse refuses
 its matrix by one rule (:func:`_require_pd_conditioned`), a Schur
 complement's included: :class:`NotPD` unless the smallest eigenvalue is
@@ -43,7 +45,8 @@ per-sample information (:class:`FormDisagreement`).
 Symmetry is a property of how a matrix is built, not a pass repeated on
 it. A matrix is symmetrized once, where it is admitted
 (:func:`admit_symmetric`, which returns an input within the symmetry
-tolerance as its symmetric part, and an exact one as it is) or where a
+tolerance as its symmetric part, and an exact one as :func:`require_array`
+returns it) or where a
 product that is not a Gram product forms it (``A^T M A`` evaluated as
 ``(A^T M) A``, a sum of such products, an eigen-decomposition's
 ``V diag(w) V^T``). A Gram product ``X^T X`` or ``X X^T`` of one array
@@ -127,7 +130,7 @@ def require_real(x, name: str, rule: str):
 
 
 def require_array(x, name: str, shape: tuple) -> np.ndarray:
-    """``x`` as a float array: the one admission of an array argument that need not be symmetric.
+    """``x`` as a float array: the one admission of an array argument, symmetric ones included.
 
     ``shape`` gives each axis's length, ``None`` for any; a scalar stands for
     a vector of one entry. An array of integers or of floats of another
@@ -161,68 +164,45 @@ def require_array(x, name: str, shape: tuple) -> np.ndarray:
                      f"got {got}")
 
 
-def _symmetry_verdict(M, name: str) -> tuple[np.ndarray, bool]:
-    """``M`` as a float array, refused unless square, finite and symmetric; and if it is exactly.
+def admit_symmetric(M, name: str, n: int | None = None) -> np.ndarray:
+    """``M`` as a float ``n x n`` matrix symmetric to the last bit.
 
-    Symmetry tolerance is ``1e-12 * max(min(1, max|M|), |M_ij|)`` per entry,
-    the same verdict for every multiple of ``M`` below unit scale; an exactly
-    symmetric ``M`` is accepted by one comparison with its transpose.
+    The one admission of a covariance, a weight and an information matrix.
+
+    ``M`` is admitted by :func:`require_array` as ``(n, n)``, or as a square
+    matrix of any size when ``n`` is ``None``. An exactly symmetric ``M`` is
+    returned as :func:`require_array` returns it; one within the symmetry
+    tolerance ``1e-12 * max(min(1, max|M|), |M_ij|)`` per entry, the same
+    verdict for every multiple of ``M`` below unit scale, as its symmetric
+    part ``(M + M^T) / 2``, so it is answered as that part. This is where an
+    input matrix is symmetrized, once.
+
+    Raises
+    ------
+    ValueError
+        Naming ``name``: as :func:`require_array` refuses ``M``, if it is not
+        square, or if it is not symmetric within the tolerance.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    M = require_array(M, name, (n, n))
+    if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} has non-finite entries")
     if np.array_equal(M, M.T):  # exactly symmetric: the per-entry test cannot fail
-        return M, True
+        return M
     scale = np.maximum(min(1.0, float(np.max(np.abs(M)))), np.abs(M))
     if np.any(np.abs(M - M.T) > 1e-12 * scale):
         worst = float(np.max(np.abs(M - M.T)))
         raise ValueError(f"{name} is not symmetric (max asymmetry {worst:.3e})")
-    return M, False
+    return symmetrize(M)
 
 
-def require_symmetric(M, name: str = "matrix") -> np.ndarray:
-    """Validate that ``M`` is square, finite and symmetric; return it, as given, as float array.
-
-    The rule is :func:`_symmetry_verdict`'s. A matrix that is kept as given
-    (a prior's covariance or information) is checked here; one that a
-    factorization reads is admitted by :func:`admit_symmetric`.
-    """
-    return _symmetry_verdict(M, name)[0]
-
-
-def admit_symmetric(M, name: str = "matrix") -> np.ndarray:
-    """:func:`require_symmetric`, returning ``M`` symmetric to the last bit.
-
-    An exactly symmetric ``M`` is returned as it is; one within the
-    tolerance as its symmetric part ``(M + M^T) / 2``, so it is answered as
-    that part. This is where an input matrix is symmetrized, once.
-    """
-    M, exact = _symmetry_verdict(M, name)
-    return M if exact else symmetrize(M)
-
-
-def require_noise(sigma, n: int, name: str = "noise covariance") -> np.ndarray:
-    """:func:`admit_symmetric`, and refuse ``sigma`` unless it is ``n x n``.
-
-    Every entry point that takes a model and its noise covariance (or
-    weight) admits it here, before any draw or product.
-    """
-    sigma = admit_symmetric(sigma, name=name)
-    if sigma.shape[0] != n:
-        raise ValueError(f"{name} is {sigma.shape}, model has {n} channels")
-    return sigma
-
-
-def _read_only_copy(M) -> np.ndarray:
-    """A float copy of ``M`` that owns its data and refuses writes.
+def _read_only_copy(M: np.ndarray) -> np.ndarray:
+    """A copy of the admitted array ``M`` that owns its data and refuses writes.
 
     Model and covariance types keep their arrays this way, so a result
     computed from them, or memoized on them, cannot go stale when the
     caller later writes to the array it passed in.
     """
-    M = np.array(M, dtype=float)
+    M = M.copy()
     M.setflags(write=False)
     return M
 
@@ -355,33 +335,36 @@ def inverse_factor(
 def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
     """``(L, L^-1)`` for a modality's noise covariance ``sigma = L L^T``, as :func:`inverse_factor`.
 
-    The one admission of a single modality's noise: :func:`require_noise`
-    checks ``sigma`` against the model's ``n`` channels (``ValueError``) and
-    symmetrizes one within the symmetry tolerance, then
+    The one admission of a single modality's noise: :func:`admit_symmetric`
+    admits ``sigma`` as an ``n x n`` matrix of the model's ``n`` channels
+    (``ValueError``) and symmetrizes one within the symmetry tolerance, then
     :func:`inverse_factor` refuses it as :class:`NotPD` or
     :class:`Singular` and factorizes it. ``L^-1 X`` whitens ``X``,
     ``sigma^-1 = L^-T L^-1``, and ``simulate`` draws the noise as ``z L^T``.
 
     The factors are memoized on ``model``, in its ``_whitener`` slot
-    ``(key, L, L^-1)``, with a private copy of the ``sigma`` given as the
-    key, as a pair memoizes its factorization: a later call with a
-    ``sigma`` of the same shape and the same bits (``-0.0`` is not ``0.0``)
-    returns the same read-only ``L`` and ``L^-1``, which is what a fresh
-    call would compute. Any other ``sigma`` is admitted afresh and replaces
-    the slot as a whole, so a concurrent reader sees the old key and
-    factors or the new ones. A refusal is not memoized: every call on a
-    refused ``sigma`` raises again.
+    ``(key, L, L^-1)``, as a pair memoizes its factorization. The key is a
+    private copy of ``sigma`` as given when it is a float64 ``np.ndarray``,
+    and of ``sigma`` as admitted otherwise. Only a float64 ``np.ndarray`` is
+    compared with the key: one of its shape and bits (``-0.0`` is not
+    ``0.0``) returns the same read-only ``L`` and ``L^-1``, which is what a
+    fresh call would compute. Any other ``sigma`` (a list, an array of
+    another dtype, other bits) is admitted first and replaces the slot as a
+    whole, so a concurrent reader sees the old key and factors or the new
+    ones. A refusal is not memoized: every call on a refused ``sigma``
+    raises again.
     """
     memo = model._whitener
-    given = np.asarray(sigma, dtype=float)
-    if memo is not None:
+    given = type(sigma) is np.ndarray and sigma.dtype == np.float64  # only these may hit
+    if memo is not None and given:
         key, L, L_inv = memo
-        if given.shape == key.shape and np.array_equal(given.view(np.int64), key.view(np.int64)):
+        if sigma.shape == key.shape and np.array_equal(sigma.view(np.int64), key.view(np.int64)):
             return L, L_inv
-    key = given.copy()  # private to the memo, never handed out
-    L, L_inv = inverse_factor(require_noise(key, model.n), "noise covariance")
+    admitted = admit_symmetric(sigma, "noise covariance", model.n)
+    L, L_inv = inverse_factor(admitted, "noise covariance")
     L.setflags(write=False)
     L_inv.setflags(write=False)
+    key = (sigma if given else admitted).copy()  # private to the memo, never handed out
     object.__setattr__(model, "_whitener", (key, L, L_inv))
     return L, L_inv
 

@@ -23,8 +23,6 @@ from .matrixkit import (
     noise_whitener,
     require_array,
     require_integer,
-    require_symmetric,
-    symmetrize,
 )
 
 if TYPE_CHECKING:
@@ -81,7 +79,8 @@ class SourcePrior:
     def info_matrix(self) -> np.ndarray:
         raise NoPriorInfo(f"{type(self).__name__} does not expose an information matrix")
 
-    def score(self, s: np.ndarray) -> np.ndarray:
+    def score(self, s) -> np.ndarray:
+        """The (N, m) score at the source points ``s`` (:func:`source_rows`)."""
         raise NoScore(f"{type(self).__name__} has no score function")
 
     @property
@@ -97,20 +96,30 @@ class SourcePrior:
 class GaussianPrior(SourcePrior):
     """Gaussian source prior N(mean, cov); information matrix is cov^-1.
 
-    ``mean`` and ``cov`` are kept as read-only float copies, as are the
-    information matrix and the sampling root computed from them once, both
-    from one Cholesky factor ``L L^T`` of the symmetric part of ``cov``
-    (:func:`~fusionkit.matrixkit.inverse_factor`): samples are
-    ``mean + z L^T``, the information ``L^-T L^-1``. ``cov`` is refused as
-    :class:`NotPSD` by the one PSD rule
-    (:func:`~fusionkit.matrixkit._require_psd`), then as :class:`NotPD`
-    unless its smallest eigenvalue is positive and as :class:`Singular`
-    above ``SINGULAR_CONDITION``. A ``mean`` that
-    :func:`~fusionkit.matrixkit.require_array` does not admit as a finite real
-    vector of one entry per source (a scalar for one source) is refused with
-    a ``ValueError`` naming it, before ``cov`` is factorized; so is a prior of
-    no sources, whose mean has an empty axis, as :class:`LinearModel`
-    refuses an empty ``A``.
+    ``cov`` is admitted by :func:`~fusionkit.matrixkit.admit_symmetric` and
+    kept as admitted, symmetric to the last bit (an input within the
+    symmetry tolerance as its symmetric part), as a read-only float copy;
+    so is ``mean``, as are the information matrix and the sampling root
+    computed from them once, both from one Cholesky factor ``L L^T`` of
+    ``cov`` (:func:`~fusionkit.matrixkit.inverse_factor`): samples are
+    ``mean + z L^T``, the information ``L^-T L^-1``.
+
+    Raises
+    ------
+    ValueError
+        Naming ``source covariance`` unless
+        :func:`~fusionkit.matrixkit.admit_symmetric` admits ``cov`` (a finite
+        real square matrix, symmetric within the tolerance); then naming
+        ``mean`` unless :func:`~fusionkit.matrixkit.require_array` admits it as
+        a finite real vector of one entry per source (a scalar for one source),
+        before ``cov`` is factorized. A prior of no sources is refused so, as
+        :class:`LinearModel` refuses an empty ``A``.
+    NotPSD
+        If ``cov`` is indefinite, by the one PSD rule
+        (:func:`~fusionkit.matrixkit._require_psd`).
+    NotPD, Singular
+        Unless its smallest eigenvalue is positive, and above
+        ``SINGULAR_CONDITION``.
     """
 
     mean: np.ndarray
@@ -119,16 +128,14 @@ class GaussianPrior(SourcePrior):
     _info: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cov = require_symmetric(_read_only_copy(self.cov), name="source covariance")
+        cov = _read_only_copy(admit_symmetric(self.cov, "source covariance"))
         mean = _read_only_copy(require_array(self.mean, "mean", (cov.shape[0],)))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        # cov is kept as given; Cholesky reads one triangle, so it factors the symmetric part
-        S = symmetrize(cov)
         try:
-            L, L_inv = inverse_factor(S, "source covariance")
+            L, L_inv = inverse_factor(cov, "source covariance")
         except NotPD:
-            _require_psd(np.linalg.eigvalsh(S), "source covariance")
+            _require_psd(np.linalg.eigvalsh(cov), "source covariance")
             raise
         info = L_inv.T @ L_inv
         L.setflags(write=False)
@@ -147,8 +154,8 @@ class GaussianPrior(SourcePrior):
     def info_matrix(self) -> np.ndarray:
         return self._info
 
-    def score(self, s: np.ndarray) -> np.ndarray:
-        return -(np.atleast_2d(s) - self.mean) @ self._info
+    def score(self, s) -> np.ndarray:
+        return -(source_rows(s, self.m) - self.mean) @ self._info
 
 
 @dataclass(frozen=True)
@@ -157,17 +164,23 @@ class InfoOnlyPrior(SourcePrior):
 
     ``J_s = 0`` represents a deterministic/unknown source with no prior
     information, unifying the deterministic CRLB with the Bayesian one.
-    ``J_s`` is kept as a read-only float copy, symmetric to the last bit (an
-    input within the symmetry tolerance as its symmetric part); an
-    indefinite one is refused as :class:`NotPSD`, and a ``0 x 0`` one, a
-    prior of no sources, with a ``ValueError``.
+    ``J_s`` is admitted by :func:`~fusionkit.matrixkit.admit_symmetric` and
+    kept as a read-only float copy, symmetric to the last bit (an input
+    within the symmetry tolerance as its symmetric part).
+
+    Raises
+    ------
+    ValueError
+        Naming ``J_s`` unless :func:`~fusionkit.matrixkit.admit_symmetric`
+        admits it; a ``0 x 0`` one, a prior of no sources, has an empty axis.
+    NotPSD
+        If ``J_s`` is indefinite.
     """
 
     J_s: np.ndarray
 
     def __post_init__(self):
-        J = _read_only_copy(admit_symmetric(self.J_s, name="J_s"))
-        require_integer(J.shape[0], "prior source count", 1)
+        J = _read_only_copy(admit_symmetric(self.J_s, "J_s"))
         _require_psd(np.linalg.eigvalsh(J), "J_s")
         object.__setattr__(self, "J_s", J)
 
@@ -186,8 +199,9 @@ class SamplerPrior(SourcePrior):
     ``draw(rng, size)`` returns a (size, m) array. ``score_fn``, when
     given, maps a (N, m) batch to the (N, m) gradient of the log-density;
     without it the prior information matrix is unavailable (not silently
-    zero). Output of any other shape is refused with a ``ValueError``, as is
-    an ``m`` that is not an integer of at least 1
+    zero). ``score`` admits its points by :func:`source_rows` before
+    ``score_fn`` sees them. Output of any other shape is refused with a
+    ``ValueError``, as is an ``m`` that is not an integer of at least 1
     (:func:`~fusionkit.matrixkit.require_integer`, whose ``int`` is kept).
     """
 
@@ -204,10 +218,10 @@ class SamplerPrior(SourcePrior):
             raise ValueError(f"draw returned shape {out.shape}, expected {(size, self.m)}")
         return out
 
-    def score(self, s: np.ndarray) -> np.ndarray:
+    def score(self, s) -> np.ndarray:
         if self.score_fn is None:
             raise NoScore("SamplerPrior constructed without a score function")
-        s = np.atleast_2d(s)
+        s = source_rows(s, self.m)
         out = np.asarray(self.score_fn(s), dtype=float)
         if out.shape != (s.shape[0], self.m):
             raise ValueError(f"score returned shape {out.shape}, expected {(s.shape[0], self.m)}")
@@ -260,6 +274,21 @@ def require_prior_size(prior: SourcePrior, m: int) -> None:
     """Refuse a prior whose source dimension is not the model's ``m``, before any draw."""
     if prior.m != m:
         raise ValueError(f"prior has {prior.m} sources, model has {m}")
+
+
+def source_rows(s, m: int) -> np.ndarray:
+    """``s`` as an (N, m) batch of source points: a vector of ``m`` entries is one row.
+
+    ``s`` is admitted by :func:`~fusionkit.matrixkit.require_array`, a
+    ``ValueError`` naming it unless it is a finite real batch of ``m``
+    entries a row, or such a vector (a scalar for one source).
+    """
+    try:
+        batch = np.ndim(s) == 2
+    except ValueError:  # a ragged sequence, which require_array names
+        batch = False
+    rows = require_array(s, "s", (None, m) if batch else (m,))
+    return rows if batch else rows[None, :]
 
 
 @dataclass(frozen=True)

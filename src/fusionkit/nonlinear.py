@@ -81,11 +81,13 @@ class NonlinearModel:
         Raises
         ------
         ValueError
-            If a Jacobian does not have shape (n, m).
+            Naming ``S`` unless :func:`~fusionkit.matrixkit.require_array`
+            admits it as a finite real (count, m) array, before any evaluation;
+            if a Jacobian does not have shape (n, m).
         NonFinite
             If an evaluation is non-finite.
         """
-        S = np.asarray(S, dtype=float)
+        S = require_array(S, "S", (None, self.m))
         D = np.empty((S.shape[0], self.n, self.m))
         for lo in range(0, S.shape[0], JACOBIAN_CHUNK):
             rows = S[lo : lo + JACOBIAN_CHUNK]

@@ -48,6 +48,11 @@ _TOLERANCE_CASES = {
 }
 
 
+# the array rule's refusal, around the shape it wants
+_ARRAY_RULE = "must be a finite real array of shape"
+_NO_EMPTY = "with no empty axis, "
+
+
 def _noise_without_cross(noise_cov):
     """A scenario edit giving modality b ``noise_cov`` and no cross-covariance."""
     def edit(doc):
@@ -102,25 +107,54 @@ class TestScenarioLoading:
             (lambda d: d["cross_cov"].update(matrix=(20 * np.array(d["cross_cov"]["matrix"]))
                                              .tolist()), "joint covariance is not PSD"),
             (lambda d: d["modalities"][1].update(noise_cov=[[1.0, 0.0], [0.0, -1.0]]),
-             "modality 'b': noise covariance is not PSD (min eigenvalue -1.000e+00)"),
+             "modalities[1] 'b': noise covariance is not PSD (min eigenvalue -1.000e+00)"),
             # the PSD and symmetry rules are relative to the matrix's own
             # scale: the same refusals in units a trillion times smaller, with
             # no cross-covariance to refuse the pair instead
             (_noise_without_cross([[1e-12, 0.0], [0.0, -5e-13]]),
-             "modality 'b': noise covariance is not PSD (min eigenvalue -5.000e-13)"),
+             "modalities[1] 'b': noise covariance is not PSD (min eigenvalue -5.000e-13)"),
             (lambda d: d.update(sources={"info_only": {"J_s": [[1e-12, 0.0], [0.0, -5e-13]]}}),
-             "bad source prior: J_s is not PSD (min eigenvalue -5.000e-13)"),
+             "bad source prior at sources.info_only: J_s is not PSD (min eigenvalue -5.000e-13)"),
             (_noise_without_cross([[1e-12, 5e-13], [0.0, 1e-12]]),
-             "modality 'b': noise covariance is not symmetric"),
+             "modalities[1] 'b': noise covariance is not symmetric"),
             (lambda d: d["modalities"][1].update(noise_cov=[[1.0, 0.0]]),
-             "modality 'b': noise covariance must be square"),
+             f"modalities[1] 'b': noise covariance {_ARRAY_RULE} (2, 2) {_NO_EMPTY}"
+             "got shape (1, 2)"),
             (lambda d: d["modalities"][1].update(noise_cov=[[0.7, 0.2], [0.1, 0.8]]),
-             "modality 'b': noise covariance is not symmetric"),
+             "modalities[1] 'b': noise covariance is not symmetric"),
             (lambda d: d["modalities"][1].update(noise_cov=np.eye(3).tolist()),
-             "modality 'b': noise covariance is (3, 3), model has 2 channels"),
+             f"modalities[1] 'b': noise covariance {_ARRAY_RULE} (2, 2) {_NO_EMPTY}"
+             "got shape (3, 3)"),
             # the size is reported before the sign of the eigenvalues
             (lambda d: d["modalities"][1].update(noise_cov=np.diag([1.0, -1.0, 1.0]).tolist()),
-             "modality 'b': noise covariance is (3, 3), model has 2 channels"),
+             f"modalities[1] 'b': noise covariance {_ARRAY_RULE} (2, 2) {_NO_EMPTY}"
+             "got shape (3, 3)"),
+            # a ragged matrix or vector, or an integer beyond 64 bits, is refused by
+            # the library's array rule, under the loader's name of its place
+            (lambda d: d["modalities"][0]["A"].__setitem__(1, [0.5]),
+             f"modalities[0] 'a': mixing matrix {_ARRAY_RULE} (any, any) {_NO_EMPTY}"
+             "got a ragged sequence"),
+            (lambda d: d["modalities"][1]["noise_cov"].__setitem__(1, [0.2]),
+             f"modalities[1] 'b': noise covariance {_ARRAY_RULE} (2, 2) {_NO_EMPTY}"
+             "got a ragged sequence"),
+            (lambda d: d["sources"]["gaussian"].update(mean=[0.0, [0.0]]),
+             f"bad source prior at sources.gaussian: mean {_ARRAY_RULE} (2,) {_NO_EMPTY}"
+             "got a ragged sequence"),
+            (lambda d: d["sources"]["gaussian"].update(cov=[[1.0, 0.0], [0.0]]),
+             f"bad source prior at sources.gaussian: source covariance {_ARRAY_RULE} (any, any) "
+             f"{_NO_EMPTY}got a ragged sequence"),
+            (lambda d: d.update(sources={"info_only": {"J_s": [[1.0, 0.0], [0.0]]}}),
+             f"bad source prior at sources.info_only: J_s {_ARRAY_RULE} (any, any) {_NO_EMPTY}"
+             "got a ragged sequence"),
+            (lambda d: d["cross_cov"]["matrix"].__setitem__(1, [0.05]),
+             f"cross_cov ['a', 'b']: sigma_vu {_ARRAY_RULE} (3, 2) {_NO_EMPTY}"
+             "got a ragged sequence"),
+            (lambda d: d.update(cross_cov=[d["cross_cov"] | {"matrix": [[0.1, 0.0], [0.0, 0.1]]}]),
+             f"cross_cov[0] ['a', 'b']: sigma_vu {_ARRAY_RULE} (3, 2) {_NO_EMPTY}"
+             "got shape (2, 2)"),
+            (lambda d: d["modalities"][0]["A"][0].__setitem__(0, 2**64),
+             f"modalities[0] 'a': mixing matrix {_ARRAY_RULE} (any, any) {_NO_EMPTY}"
+             "got entries of dtype object"),
             (lambda d: d["sources"]["gaussian"].update(mean=[0.0] * 3, cov=np.eye(3).tolist()),
              "modality 'a' has 2 sources but the prior has 3"),
             # the schema is closed: an unknown key, an entry that is not a number
@@ -159,7 +193,9 @@ class TestScenarioLoading:
              "negative-index", "pair-not-list", "pair-given-twice", "cross-shape", "cross-cov-null",
              "joint-not-pd", "noise-indefinite", "noise-indefinite-small-units",
              "prior-indefinite-small-units", "noise-asymmetric-small-units", "noise-not-square", "noise-asymmetric",
-             "noise-wrong-size", "noise-wrong-size-and-indefinite", "prior-wrong-dimension",
+             "noise-wrong-size", "noise-wrong-size-and-indefinite", "ragged-A", "ragged-noise-cov",
+             "ragged-mean", "ragged-cov", "ragged-J_s", "ragged-cross-matrix",
+             "cross-list-shape", "integer-beyond-64-bits", "prior-wrong-dimension",
              "unknown-top-level-cross-covariance", "two-priors", "unknown-gaussian-key",
              "unknown-info-only-key", "unknown-modality-key", "unknown-cross-key",
              "unknown-cross-list-key", "bool-in-matrix", "string-in-matrix",
@@ -531,7 +567,8 @@ _VARIANTS = {
         pytest.param(["simulate", "{scenario}", "--method", "ml", "--N", "-5"], 1,
                      ("--N", "-5"), id="simulate-negative-N"),
         pytest.param(["analyze", "{huge_entry}", "--modality", "a"], 2,
-                     ("modality a A", "beyond float range"), id="entry-beyond-float-range"),
+                     ("modalities[0] 'a': mixing matrix", "got entries of dtype object"),
+                     id="entry-beyond-float-range"),
         pytest.param(["analyze", "{three_sources}", "--modality", "c"], 2,
                      ("channels 1 < sources 3",), id="analyze-underdetermined-modality"),
         pytest.param(["analyze", "{three_sources}", "--joint", "c,d"], 2,

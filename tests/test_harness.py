@@ -305,7 +305,9 @@ class TestCrlbDominance:
             raise AssertionError("J inverted before the sizes were checked")
 
         monkeypatch.setattr(harness, "crlb", crlb_not_called)
-        message = r"empirical covariance is \(2, 2\), information matrix is \(3, 3\)"
+        # J's size is the one the empirical covariance is admitted at
+        message = (r"^empirical covariance must be a finite real array of shape \(3, 3\) "
+                   r"with no empty axis, got shape \(2, 2\)$")
         with pytest.raises(ValueError, match=message):
             check_crlb_dominance(np.eye(2), wrap(np.eye(3)), 0.1)
 

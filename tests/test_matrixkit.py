@@ -45,7 +45,6 @@ from fusionkit.matrixkit import (
     inverse_factor,
     require_agreement,
     require_conditioned,
-    require_symmetric,
     symmetrize,
 )
 
@@ -188,25 +187,27 @@ class TestSchurFactors:
                 assert np.linalg.eigvalsh(M)[0] > 0
 
 
-def test_require_symmetric_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        require_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
+def test_admit_symmetric_rejects_asymmetry():
+    with pytest.raises(ValueError, match="^matrix is not symmetric"):
+        admit_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]), "matrix")
 
 
-def test_require_symmetric_accepts_asymmetry_within_tolerance():
+def test_admit_symmetric_answers_asymmetry_within_tolerance_as_its_symmetric_part():
     # 1e-13 against a tolerance of 1e-12 * 2: not exactly symmetric, so the
-    # per-entry test decides, and the matrix comes back as given
+    # per-entry test decides, and the symmetric part comes back; no rule
+    # keeps such a matrix as given any more, a prior's covariance included
     M = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
     assert M[1, 0] != M[0, 1]
-    assert np.array_equal(require_symmetric(M), M)
+    out = admit_symmetric(M, "matrix")
+    assert np.array_equal(out, symmetrize(M)) and np.array_equal(out, out.T)
 
 
 def test_admit_symmetric_returns_the_symmetric_part():
     # within tolerance, admission gives (M + M^T) / 2; an exact M is returned as it is
     M = np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]])
-    assert np.array_equal(admit_symmetric(M), symmetrize(M))
+    assert np.array_equal(admit_symmetric(M, "M"), symmetrize(M))
     S = symmetrize(M)
-    assert admit_symmetric(S) is S
+    assert admit_symmetric(S, "S") is S
 
 
 # Sizes around the block size of the triangular inverse, and the largest pair.
@@ -270,11 +271,11 @@ def test_cross_solver_matrices_are_exactly_symmetric(monkeypatch, n1, n2):
 
 def nudged(S):
     """``S`` with its strict lower triangle scaled by 1 + 4e-13: inside
-    :func:`require_symmetric`'s tolerance, but not exactly symmetric."""
+    :func:`admit_symmetric`'s tolerance, but not exactly symmetric."""
     M = np.array(S, dtype=float)
     M[np.tril_indices(len(M), -1)] *= 1.0 + 4e-13
     assert not np.array_equal(M, M.T)
-    require_symmetric(M)
+    admit_symmetric(M, "M")
     return M
 
 
@@ -308,31 +309,40 @@ def test_near_symmetric_input_is_answered_as_its_symmetric_part(rng):
     assert verdict == verdict_sym
 
 
-def test_require_symmetric_refuses_just_beyond_tolerance_with_its_message():
+def test_admit_symmetric_refuses_just_beyond_tolerance_with_its_message():
     M = np.array([[1.0, 2.0], [2.0 + 3e-12, 1.0]])
     worst = abs(M[1, 0] - M[0, 1])
     message = rf"^noise is not symmetric \(max asymmetry {worst:.3e}\)$"
     with pytest.raises(ValueError, match=message):
-        require_symmetric(M, name="noise")
+        admit_symmetric(M, "noise")
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3)])
-def test_require_symmetric_refuses_nan_as_non_finite(shape):
+def test_admit_symmetric_refuses_nan_as_non_finite(shape):
     M = np.eye(shape[0])
     M[-1, -1] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        require_symmetric(M)
+    with pytest.raises(ValueError, match="^M must be a finite real .*, got a non-finite entry$"):
+        admit_symmetric(M, "M")
 
 
-@pytest.mark.parametrize(
-    "M", [[[5.0]], [[-0.0]], np.zeros((0, 0))], ids=["1x1", "1x1-zero", "empty"]
-)
-def test_require_symmetric_accepts_one_by_one_and_empty(M):
-    out = require_symmetric(M)
-    assert out.shape == np.shape(M) and np.array_equal(out, np.asarray(M, dtype=float))
+@pytest.mark.parametrize("M", [[[5.0]], [[-0.0]]], ids=["1x1", "1x1-zero"])
+def test_admit_symmetric_accepts_one_by_one(M):
+    out = admit_symmetric(M, "M")
+    assert out.dtype == np.float64 and out.shape == (1, 1) and np.array_equal(out, M)
+    assert np.signbit(out[0, 0]) == np.signbit(M[0][0])
 
 
-def test_require_symmetric_decides_as_the_per_entry_rule():
+@pytest.mark.parametrize("n", [None, 0])
+def test_admit_symmetric_refuses_an_empty_matrix(n):
+    # by the array rule, which refuses an empty axis: a 0 x 0 covariance, a
+    # prior of no sources, is refused as a mixing matrix of no columns is
+    with pytest.raises(ValueError, match=r"^M must be a finite real array of shape "
+                                         r"\((any, any|0, 0)\) with no empty axis, "
+                                         r"got shape \(0, 0\)$"):
+        admit_symmetric(np.zeros((0, 0)), "M", n)
+
+
+def test_admit_symmetric_decides_as_the_per_entry_rule():
     # exact, in-tolerance and beyond-tolerance asymmetry at scales 1e-12 to
     # 1e3, the asymmetry scaled with the matrix below unit scale: the
     # exact-symmetry shortcut must not change a single decision
@@ -348,7 +358,7 @@ def test_require_symmetric_decides_as_the_per_entry_rule():
         floor = min(1.0, float(np.max(np.abs(M))))
         expected = not np.any(np.abs(M - M.T) > 1e-12 * np.maximum(floor, np.abs(M)))
         try:
-            require_symmetric(M)
+            admit_symmetric(M, "M")
             accepted = True
         except ValueError:
             accepted = False

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fusionkit import (
     GaussianPrior,
     InfoOnlyPrior,
     LinearModel,
+    InfoMatrix,
     ModalityPair,
     NoScore,
     NonlinearModel,
@@ -23,6 +25,7 @@ from fusionkit import (
     SamplerPrior,
     campaign_to_json,
     check_crlb_dominance,
+    crlb,
     empirical_error_covariance,
     error_covariance,
     fisher_finite_difference,
@@ -81,10 +84,11 @@ class TestTypes:
 
     def test_priors_own_their_arrays(self, rng):
         # the information is computed once at construction, so a prior that
-        # aliased the caller's covariance would go stale when it is written to
+        # aliased the caller's covariance would go stale when it is written to;
+        # the covariance is kept as admitted, its symmetric part
         cov, mean = random_pd(rng, 3), np.ones(3)
         prior = GaussianPrior(mean=mean, cov=cov)
-        kept, info = cov.copy(), prior.info_matrix().copy()
+        kept, info = symmetrize(cov), prior.info_matrix().copy()
         cov[0, 0], mean[0] = 4.0, 9.0
         assert np.array_equal(prior.cov, kept) and np.array_equal(prior.mean, np.ones(3))
         assert np.array_equal(prior.info_matrix(), info)
@@ -140,12 +144,13 @@ class TestTypes:
 
     @pytest.mark.parametrize(
         "make, message",
+        # by the array rule, which refuses an empty axis
         [(lambda: InfoOnlyPrior(np.zeros((0, 0))),
-          "^prior source count must be an integer of at least 1"),
-         # by the array rule, which refuses an empty axis
+          r"^J_s must be a finite real array of shape \(any, any\) with no empty axis, "
+          r"got shape \(0, 0\)$"),
          (lambda: GaussianPrior(np.zeros(0), np.zeros((0, 0))),
-          r"^mean must be a finite real array of shape \(0,\) with no empty axis, "
-          r"got shape \(0,\)$")],
+          r"^source covariance must be a finite real array of shape \(any, any\) with no "
+          r"empty axis, got shape \(0, 0\)$")],
         ids=["info-only", "gaussian"],
     )
     def test_prior_of_no_sources_refused(self, make, message):
@@ -219,7 +224,8 @@ def test_psd_verdicts_do_not_depend_on_units(seed, n, kind, k):
 
 
 # a 4x4 noise given with a 3-channel model, at every entry point that takes both
-_NOISE_4 = r"noise covariance is \(4, 4\), model has 3 channels"
+_NOISE_4 = (r"^noise covariance must be a finite real array of shape \(3, 3\) with no empty "
+            r"axis, got shape \(4, 4\)$")
 
 
 @pytest.mark.parametrize(
@@ -234,7 +240,7 @@ _NOISE_4 = r"noise covariance is \(4, 4\), model has 3 channels"
             lin, S, GaussianPrior(np.zeros(2), np.eye(2)), np.zeros(3)), _NOISE_4,
             id="mmse_gaussian_estimate"),
         pytest.param(lambda lin, h, g, prior, S: wls_estimate(lin, S, np.zeros(3)),
-                     r"weight matrix is \(4, 4\), model has 3 channels", id="wls_estimate"),
+                     _NOISE_4.replace("noise covariance", "weight matrix"), id="wls_estimate"),
         pytest.param(lambda lin, h, g, prior, S: empirical_error_covariance(
             "ml", lin, prior, S, N=1000, seed=0), _NOISE_4, id="empirical_error_covariance"),
         pytest.param(lambda lin, h, g, prior, S: fisher_finite_difference(h, S, np.zeros(2)),
@@ -454,6 +460,12 @@ _ARRAYS = {
     "fisher_finite_difference-x": ("x", lambda q: np.array([1.0, 2.0, 0.5]), True,
                                    lambda q, v: fisher_finite_difference(
                                        q.h, q.S, np.array([0.5, 2.0]), x=v)),
+    # a batch of source points, whose count is any; a vector is one row
+    "GaussianPrior.score-s": ("s", lambda q: np.array([[0.5, -1.0], [2.0, 0.0]]), False,
+                              lambda q, v: GaussianPrior(np.ones(2), [[2.0, 1.0], [1.0, 3.0]])
+                              .score(v)),
+    "SamplerPrior.score-s": ("s", lambda q: np.array([[0.5, -1.0], [2.0, 0.0]]), False,
+                             lambda q, v: q.prior.score(v)),
 }
 
 
@@ -536,6 +548,134 @@ def test_a_scalar_is_a_vector_of_one_entry():
                           fisher_finite_difference(h, np.eye(2), np.array([0.5])))
     with pytest.raises(ValueError, match=r"^x must be .* of shape \(3,\) .*, got shape \(\)$"):
         ml_estimate(LinearModel(np.ones((3, 1))), np.eye(3), 1.5)
+
+
+@pytest.mark.parametrize("prior", [GaussianPrior(np.zeros(2), np.eye(2)),
+                                   SamplerPrior(2, lambda rng, size: None, lambda s: -s)],
+                         ids=["gaussian", "sampler"])
+def test_a_score_admits_its_points(prior):
+    # at the parent a NaN point was scored [[nan nan]], a 3-entry point raised
+    # a numpy broadcast error and a string numpy's UFuncTypeError
+    for bad in ([np.nan, 0.0], [1.0, 2.0, 3.0], "ab"):
+        with pytest.raises(ValueError, match=r"^s must be a finite real array of shape \(2,\) "):
+            prior.score(bad)
+    # a vector of m entries is one row, as it was
+    assert _bits(prior.score([0.5, -1.0])) == _bits(prior.score(np.array([[0.5, -1.0]])))
+
+
+# every public symmetric-matrix argument: (the name its refusal starts with,
+# its size n if the model fixes it, else None, call with a valid value of
+# that size, returning its answer); each valid value below is integer-valued
+# and positive definite
+_NOISE_ENTRIES = {
+    "snr_matrix": lambda q, v: snr_matrix(q.lin, v),
+    "ml_estimate": lambda q, v: ml_estimate(q.lin, v, np.array([1.0, 2.0, 0.5])),
+    "mmse_gaussian_estimate": lambda q, v: mmse_gaussian_estimate(
+        q.lin, v, GaussianPrior(np.zeros(2), np.eye(2)), np.array([1.0, 2.0, 0.5])),
+    "error_covariance": lambda q, v: error_covariance(q.lin, v),
+    "simulate": lambda q, v: simulate(q.lin, q.prior, 10, 0, noise=v),
+    "fisher_nonlinear": lambda q, v: fisher_nonlinear(q.h, v, q.prior, 10, 0),
+    "fisher_finite_difference": lambda q, v: fisher_finite_difference(q.h, v, np.ones(2)),
+    "empirical_error_covariance-ml": lambda q, v: empirical_error_covariance(
+        "ml", q.lin, q.prior, v, N=1000, seed=0),
+    "empirical_error_covariance-mmse": lambda q, v: empirical_error_covariance(
+        "mmse", q.lin, GaussianPrior(np.zeros(2), [[2.0, 1.0], [1.0, 3.0]]), v, N=1000, seed=0),
+}
+_SYMMETRICS = {
+    "BlockCovariance-sigma_v": ("sigma_v", None,
+                                lambda q, v: BlockCovariance(v, np.eye(2), np.zeros((3, 2)))),
+    "BlockCovariance-sigma_u": ("sigma_u", None,
+                                lambda q, v: BlockCovariance(np.eye(2), v, np.zeros((2, 3)))),
+    "GaussianPrior-cov": ("source covariance", None, lambda q, v: GaussianPrior(np.zeros(3), v)),
+    "InfoOnlyPrior-J_s": ("J_s", None, lambda q, v: InfoOnlyPrior(v)),
+    "InfoMatrix": ("info matrix", None, lambda q, v: InfoMatrix(v)),
+    "crlb-J": ("J", None, lambda q, v: crlb(v)),
+    "total_information-snr": ("snr", None, lambda q, v: total_information(v, None)),
+    **{f"{entry}-noise": ("noise covariance", 3, call) for entry, call in _NOISE_ENTRIES.items()},
+    "wls_estimate-W": ("weight matrix", 3,
+                       lambda q, v: wls_estimate(q.lin, v, np.array([1.0, 2.0, 0.5]))),
+    "check_crlb_dominance-empirical": ("empirical covariance", 2,
+                                       lambda q, v: check_crlb_dominance(v, np.eye(2), 0.1)),
+}
+
+
+def _good_symmetric(n):
+    """An integer-valued symmetric PD matrix of ``n`` rows (3 when any size will do)."""
+    return np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])[: n or 3, : n or 3]
+
+
+def _bad_symmetric(good, kind):
+    """A value of ``kind`` that the symmetric rule at the size of ``good`` refuses."""
+    rows = good.tolist()
+    if kind in ("nan", "inf"):
+        bad = good.copy()
+        bad[-1, -1] = float(kind)
+        return bad
+    if kind == "asymmetric":  # 1e-3 against a tolerance of 3e-12
+        bad = good.copy()
+        bad[0, 1] += 1e-3
+        return bad
+    return {
+        "bool": np.eye(len(good), dtype=bool),
+        "string": [[str(x) for x in row] for row in rows],
+        "None": None,
+        "complex": good.astype(complex),
+        "ragged": rows[:-1] + [rows[-1][:-1]],
+        "beyond-64-bits": [[2**64, *row[1:]] if i == 0 else row for i, row in enumerate(rows)],
+        "non-square": good[:, :-1],
+        "wrong-n": np.eye(len(good) + 1),
+        "empty": np.zeros((0, 0)),
+    }[kind]
+
+
+_SYMMETRIC_FAULTS = ("bool", "string", "None", "complex", "ragged", "beyond-64-bits", "nan", "inf",
+                     "non-square", "wrong-n", "empty", "asymmetric")
+
+
+@pytest.mark.parametrize("entry, kind", [
+    pytest.param(entry, kind, id=f"{entry}-{kind}")
+    for entry, (_, n, _) in _SYMMETRICS.items() for kind in _SYMMETRIC_FAULTS
+    if n is not None or kind != "wrong-n"])  # a matrix of any size has no wrong size
+def test_every_symmetric_matrix_argument_is_refused_by_the_one_rule(entry, kind):
+    # at the parent a bool noise was answered, a string one read as numbers, a
+    # complex prior covariance lost its imaginary part with a warning, a huge
+    # integer raised OverflowError and a ragged J_s numpy's message
+    name, n, call = _SYMMETRICS[entry]
+    q = ScalarQuestion()
+    bad = _bad_symmetric(_good_symmetric(n), kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning would be a conversion
+        with pytest.raises(ValueError) as exc:
+            call(q, bad)
+    rule = {"asymmetric": "is not symmetric",
+            "non-square": "must be square" if n is None else "must be a finite real array"}
+    assert str(exc.value).startswith(f"{name} {rule.get(kind, 'must be a finite real array')}")
+    assert q.calls == {"h": 0, "draw": 0}
+
+
+@pytest.mark.parametrize("entry", sorted(_SYMMETRICS))
+def test_symmetric_matrices_answer_as_their_float64_array(entry):
+    # a list, integers, float32 and an asymmetry within the tolerance are
+    # each answered bit for bit as the float64 array they are admitted as
+    _, n, call = _SYMMETRICS[entry]
+    good = _good_symmetric(n)
+    nudged = good.copy()
+    nudged[1, 0] *= 1.0 + 4e-13
+    assert not np.array_equal(nudged, nudged.T)
+    for given, admitted in ((good.tolist(), good), (good.astype(np.int64), good),
+                            (good.astype(np.float32), good.astype(np.float32).astype(float)),
+                            (nudged, symmetrize(nudged))):
+        assert _bits(call(ScalarQuestion(), given)) == _bits(call(ScalarQuestion(), admitted))
+
+
+def test_only_a_float64_array_reads_the_noise_memo():
+    # the memo compared a bool or string noise converted to float with the
+    # key, so after an identity noise both were answered as it
+    q = ScalarQuestion()
+    snr_matrix(q.lin, np.eye(3))
+    for bad in (np.eye(3, dtype=bool), [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]):
+        with pytest.raises(ValueError, match="^noise covariance must be a finite real array"):
+            snr_matrix(q.lin, bad)
 
 
 @pytest.mark.parametrize("huge", [10**400, -(10**400)])
