@@ -18,8 +18,8 @@ Each pair is asked, through the public API only:
 * ``refusals``: the type and message of every typed refusal, those of the
   questions above and of a fixed set of inputs each API must refuse, among
   them one of each kind of the scalar rule (a seed, a count, a tolerance and
-  a step), of the array rule and of the symmetric-matrix rule; an input an
-  older tree still answers hashes its answer there.
+  a step), of the array rule and of the symmetric-matrix rule, and two of the
+  callback rule; an input an older tree still answers hashes its answer there.
 
 A question that is refused adds its refusal to ``refusals`` and the word
 "refused" to its own kind. Floats are hashed by their bits, so two checkouts
@@ -51,7 +51,9 @@ from fusionkit import (
     ModalityPair,
     NonlinearModel,
     PairFactorization,
+    SamplerPrior,
     advise,
+    fisher_nonlinear,
     joint_information,
     joint_information_nonlinear,
     local_optimality_probe,
@@ -59,6 +61,7 @@ from fusionkit import (
     numeric_jacobian,
     optimal_secondary,
     prewhiten,
+    prior_information_mc,
     simulate,
     snr_matrix,
     svd_of_rho,
@@ -240,6 +243,11 @@ def ask_refusals(digest, rng):
         "complex prior covariance": lambda: GaussianPrior(np.zeros(1), np.array([[1 + 0j]])),
         "ragged J_s": lambda: InfoOnlyPrior([[1.0, 0.0], [0.0]]),
         "noise beyond float range": lambda: ml_estimate(LinearModel([[1.0]]), [[10**400]], [0.0]),
+        # two of the callback rule, which reads each callback's output: a complex draw, a bool h
+        "complex draw": lambda: prior_information_mc(SamplerPrior(
+            2, lambda gen, size: gen.standard_normal((size, 2)) + 0j, lambda s: -s), 16, 0).J,
+        "bool h": lambda: fisher_nonlinear(
+            NonlinearModel(lambda s: s > 0.0, n=2, m=2), np.eye(2), prior, 16, 0).J,
     }
     for case, question in cases.items():
         digest.ask("refusals", case, question)

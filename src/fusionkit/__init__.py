@@ -2,7 +2,7 @@
 
 Estimators (WLS/ML/Gaussian MMSE), SNR and Fisher information matrices,
 Cramer-Rao bounds, two-modality synergy and redundancy analysis, optimal
-secondary sensor configuration, and Monte-Carlo verification oracles.
+secondary sensor configuration, and the Monte-Carlo error campaign.
 
 Exports resolve on first access (PEP 562): ``import fusionkit`` loads no
 submodule, and ``fusionkit.advise`` imports ``fusionkit.advisor`` and what
@@ -24,10 +24,8 @@ _EXPORTS = {
     "estimators": (
         "Estimate", "error_covariance", "ml_estimate", "mmse_gaussian_estimate", "wls_estimate",
     ),
-    "harness": (
-        "CampaignResult", "CrlbCheck", "campaign_to_csv", "campaign_to_json",
-        "check_crlb_dominance", "empirical_error_covariance", "fisher_finite_difference",
-    ),
+    "harness": ("CampaignResult", "CrlbCheck", "campaign_to_csv", "campaign_to_json",
+                "empirical_error_covariance"),
     "information": (
         "InfoMatrix", "McInfoEstimate", "PairFactorization", "SynergyReport", "WhitenedPair",
         "crlb", "joint_information", "prewhiten", "prior_information_mc", "snr_matrix",
@@ -43,7 +41,7 @@ _EXPORTS = {
         "total_information_nonlinear",
     ),
     "placement": (
-        "PlacementSolution", "ProbeReport", "SvdOfRho", "lambda_root", "local_optimality_probe",
+        "PlacementSolution", "ProbeReport", "SvdOfRho", "local_optimality_probe",
         "optimal_secondary", "svd_of_rho", "synergy_gradient_rho", "synergy_objective",
     ),
 }

@@ -217,6 +217,15 @@ def load_scenario(path: str | Path) -> Scenario:
         except (ValueError, NotPSD) as exc:
             raise ScenarioError(f"{where} {list(key)}: {exc}") from exc
         cross[key] = block.sigma_vu
+    if len(names) > 2:  # of two, the one cross_cov entry's check_pd checked the joint matrix
+        blocks = {(a, a): modalities[a][1] for a in names} | cross | {
+            (b, a): M.T for (a, b), M in cross.items()}
+        joint = np.block([[blocks.get((a, b), np.zeros((len(blocks[a, a]), len(blocks[b, b]))))
+                           for b in names] for a in names])
+        try:
+            _require_psd(np.linalg.eigvalsh(joint), f"joint noise covariance of modalities {names}")
+        except NotPSD as exc:
+            raise ScenarioError(str(exc)) from exc
 
     raw_tols = doc.get("tolerances", {})
     if not isinstance(raw_tols, dict):

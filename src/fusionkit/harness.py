@@ -1,14 +1,13 @@
-"""Independent verification oracles: empirical error covariances,
-finite-difference Fisher information, CRLB dominance checks.
+"""The Monte-Carlo error campaign: empirical error covariances against the CRLB.
 
-This module is the brute-force counterpart to every closed form in the
-library: it simulates, estimates, and accumulates second moments, then
-compares against the theoretical reference. The MMSE campaign estimates
-with the gain form ``_mmse_gain``, the oracle of the information form
-that :func:`~fusionkit.estimators.mmse_gaussian_estimate` computes. The
-slack for PSD dominance checks is five times the largest per-entry
-Monte-Carlo standard error. That is not a calibrated false-alarm rate:
-correct estimators fail it in about 1 campaign in 240 in the benchmark
+:func:`empirical_error_covariance` simulates, estimates and accumulates
+second moments, then compares them with the theoretical reference, the
+inverse total information, and checks that they dominate it. The MMSE
+campaign estimates with the gain form ``_mmse_gain``, the oracle of the
+information form that :func:`~fusionkit.estimators.mmse_gaussian_estimate`
+computes. The slack for PSD dominance checks is five times the largest
+per-entry Monte-Carlo standard error. That is not a calibrated false-alarm
+rate: correct estimators fail it in about 1 campaign in 240 in the benchmark
 (3 of 3000 at N = 2000 in an earlier review); ROADMAP item 5 plans a
 verdict with a stated rate.
 """
@@ -22,12 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite
-from .information import DEFAULT_BLOCK, InfoMatrix, _as_matrix, crlb
-from .matrixkit import (
-    admit_symmetric, noise_whitener, require_array, require_finite, require_integer, require_real,
-    symmetrize,
-)
+from .information import DEFAULT_BLOCK, InfoMatrix, crlb
+from .matrixkit import admit_symmetric, noise_whitener, require_finite, require_integer, symmetrize
 from .model import (
     GaussianPrior,
     LinearModel,
@@ -176,92 +171,6 @@ def _mmse_gain(A, cov, sigma) -> np.ndarray:
     """Gain ``G A^T (A G A^T + sigma)^-1`` of the posterior mean ``mu + gain (x - A mu)``."""
     innovation_cov = symmetrize(A @ cov @ A.T + sigma)
     return cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(A.shape[0]))
-
-
-def _noise_free(model, s) -> np.ndarray:
-    """The noise-free observation at sources ``s``: ``A s``, or ``h(s)`` as a vector."""
-    if isinstance(model, LinearModel):
-        return model.A @ s
-    return np.atleast_1d(np.asarray(model.h(s), dtype=float))
-
-
-def gaussian_log_likelihood(model, sigma_inv: np.ndarray, x: np.ndarray, s: np.ndarray) -> float:
-    """Gaussian log-likelihood of ``x`` given sources ``s`` (constant dropped)."""
-    r = x - _noise_free(model, s)
-    return -0.5 * float(r @ sigma_inv @ r)
-
-
-def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np.ndarray:
-    """Negated central-difference Hessian of the Gaussian log-likelihood.
-
-    For a linear model the Hessian is constant in the observation, so a
-    single synthetic observation suffices and the result equals the SNR
-    matrix up to roundoff. For a :class:`NonlinearModel` the Hessian
-    depends on the observation; pass ``x`` explicitly to average over
-    draws externally (by default the noise-free observation at ``s0`` is
-    used, for which the curvature term vanishes). Any other model type
-    raises ``TypeError``; a ``step`` that is not a finite nonzero number
-    (:func:`~fusionkit.matrixkit.require_real`), an ``s0`` that is not a
-    finite real vector of the model's ``m`` sources or an ``x`` that is not
-    one of its ``n`` channels (a scalar for one;
-    :func:`~fusionkit.matrixkit.require_array`) raises ``ValueError``, before
-    any evaluation.
-    """
-    from .nonlinear import NonlinearModel  # here, so a campaign does not import nonlinear
-
-    if not isinstance(model, (LinearModel, NonlinearModel)):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    require_real(step, "step", "nonzero")
-    s0 = require_array(s0, "s0", (model.m,))
-    x = None if x is None else require_array(x, "x", (model.n,))
-    _, L_inv = noise_whitener(model, sigma)
-    sigma_inv = L_inv.T @ L_inv
-    if x is None:
-        x = _noise_free(model, s0)
-
-    def ll(s):
-        val = gaussian_log_likelihood(model, sigma_inv, x, s)
-        if not np.isfinite(val):
-            raise NonFinite("log-likelihood evaluated to a non-finite value")
-        return val
-
-    m = s0.shape[0]
-    H = np.zeros((m, m))
-    ll0 = ll(s0)
-    for k in range(m):
-        ek = np.zeros(m)
-        ek[k] = step
-        H[k, k] = (ll(s0 + ek) - 2.0 * ll0 + ll(s0 - ek)) / step**2
-        for l in range(k + 1, m):
-            el = np.zeros(m)
-            el[l] = step
-            val = (
-                ll(s0 + ek + el) - ll(s0 + ek - el) - ll(s0 - ek + el) + ll(s0 - ek - el)
-            ) / (4.0 * step**2)
-            H[k, l] = H[l, k] = val
-    return -H
-
-
-def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
-    """Check ``empirical >= J^-1`` in the PSD order up to Monte-Carlo slack.
-
-    Passes iff the minimum eigenvalue of ``empirical - J^-1`` is at
-    least ``-slack``.
-
-    Raises
-    ------
-    ValueError
-        Before ``J`` is inverted: naming ``slack`` unless it is a finite
-        non-negative number (:func:`~fusionkit.matrixkit.require_real`), then
-        ``J`` unless it is an :class:`InfoMatrix` or
-        :func:`~fusionkit.matrixkit.admit_symmetric` admits it, then the
-        empirical covariance unless that admits it at ``J``'s size, which the
-        message gives.
-    """
-    require_real(slack, "slack", "non-negative")
-    M = _as_matrix(J, "J")
-    emp = admit_symmetric(empirical, "empirical covariance", M.shape[0])
-    return _crlb_check(emp, crlb(M), slack)
 
 
 def _crlb_check(emp: np.ndarray, bound: np.ndarray, slack: float) -> CrlbCheck:

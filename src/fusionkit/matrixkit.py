@@ -2,9 +2,10 @@
 
 All operations are pure functions on small dense arrays. Every public
 scalar and array argument is admitted here alone: a count or a seed by
-:func:`require_integer`, a budget, a displacement, a step, a slack or a
-tolerance by :func:`require_real`, and every array by :func:`require_array`,
-each refusal a ``ValueError`` that names the argument. A mixing matrix, a
+:func:`require_integer`, a budget, a displacement, a step or a tolerance by
+:func:`require_real`, every array by :func:`require_array` and a callback's
+output by :func:`callback_output`, each refusal a ``ValueError`` that names
+the argument or the callback. A mixing matrix, a
 cross-covariance, a mean, an observation, a source point or a whitened
 input is admitted by :func:`require_array` directly; a covariance, a weight
 or an information matrix by :func:`admit_symmetric`, which is that rule at
@@ -162,6 +163,19 @@ def require_array(x, name: str, shape: tuple) -> np.ndarray:
     want = str(tuple("any" if size is None else size for size in shape)).replace("'", "")
     raise ValueError(f"{name} must be a finite real array of shape {want} with no empty axis, "
                      f"got {got}")
+
+
+def callback_output(out, name: str) -> np.ndarray:
+    """What the callback ``name`` (``h``, ``jacobian``, ``draw``, ``score``) returned, as a float
+    array: integers converted as by :func:`require_array`; the caller checks the shape.
+
+    Raises ``ValueError`` naming ``name`` if ``out`` holds bools, complex numbers, strings or
+    objects, and numpy's own if it is a ragged sequence.
+    """
+    a = np.asarray(out)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} returned entries of dtype {a.dtype}, expected real numbers")
+    return a if a.dtype == np.float64 else a.astype(float)
 
 
 def admit_symmetric(M, name: str, n: int | None = None) -> np.ndarray:

@@ -19,6 +19,7 @@ from .matrixkit import (
     _read_only_copy,
     _require_psd,
     admit_symmetric,
+    callback_output,
     inverse_factor,
     noise_whitener,
     require_array,
@@ -201,7 +202,9 @@ class SamplerPrior(SourcePrior):
     without it the prior information matrix is unavailable (not silently
     zero). ``score`` admits its points by :func:`source_rows` before
     ``score_fn`` sees them. Output of any other shape is refused with a
-    ``ValueError``, as is an ``m`` that is not an integer of at least 1
+    ``ValueError``, as is output of bools, complex numbers, strings or objects,
+    naming ``draw`` or ``score`` (:func:`~fusionkit.matrixkit.callback_output`),
+    and an ``m`` that is not an integer of at least 1
     (:func:`~fusionkit.matrixkit.require_integer`, whose ``int`` is kept).
     """
 
@@ -213,7 +216,7 @@ class SamplerPrior(SourcePrior):
         object.__setattr__(self, "m", require_integer(self.m, "m", 1))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.asarray(self.draw(rng, size), dtype=float)
+        out = callback_output(self.draw(rng, size), "draw")
         if out.shape != (size, self.m):
             raise ValueError(f"draw returned shape {out.shape}, expected {(size, self.m)}")
         return out
@@ -222,7 +225,7 @@ class SamplerPrior(SourcePrior):
         if self.score_fn is None:
             raise NoScore("SamplerPrior constructed without a score function")
         s = source_rows(s, self.m)
-        out = np.asarray(self.score_fn(s), dtype=float)
+        out = callback_output(self.score_fn(s), "score")
         if out.shape != (s.shape[0], self.m):
             raise ValueError(f"score returned shape {out.shape}, expected {(s.shape[0], self.m)}")
         return out

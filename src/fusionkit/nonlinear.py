@@ -27,8 +27,8 @@ import numpy as np
 from .errors import FormDisagreement, NonFinite
 from .information import McInfoEstimate, _CrossCorrelation, _whitened_fisher, mc_moments
 from .matrixkit import (
-    BlockCovariance, _form_scale, factor_noise, noise_whitener, require_agreement, require_array,
-    require_integer, require_real,
+    BlockCovariance, _form_scale, callback_output, factor_noise, noise_whitener, require_agreement,
+    require_array, require_integer, require_real,
 )
 from .model import SourcePrior, require_pair_shapes, require_prior_size
 
@@ -83,6 +83,8 @@ class NonlinearModel:
         ValueError
             Naming ``S`` unless :func:`~fusionkit.matrixkit.require_array`
             admits it as a finite real (count, m) array, before any evaluation;
+            naming ``h`` or ``jacobian`` if it returns bools, complex numbers,
+            strings or objects (:func:`~fusionkit.matrixkit.callback_output`);
             if a Jacobian does not have shape (n, m).
         NonFinite
             If an evaluation is non-finite.
@@ -135,7 +137,9 @@ def numeric_jacobian(h, s, step: float | None = None) -> np.ndarray:
         If ``step`` is not a finite nonzero number
         (:func:`~fusionkit.matrixkit.require_real`), or ``s`` not a finite real
         vector (a scalar for one source; :func:`~fusionkit.matrixkit.require_array`),
-        before any evaluation; or if ``h`` does not return vectors of one length.
+        before any evaluation; if ``h`` returns bools, complex numbers, strings or
+        objects (:func:`~fusionkit.matrixkit.callback_output`, naming ``h``); or if
+        it does not return vectors of one length.
     """
     if step is not None:
         require_real(step, "step", "nonzero")
@@ -170,11 +174,13 @@ def _central_differences(h, S: np.ndarray, step: float | None = None) -> np.ndar
 
 
 def _stack(outputs, what: str) -> np.ndarray:
-    """One float array from a sequence of same-shape outputs, never broadcast."""
+    """One float array from a sequence of same-shape outputs of the callback ``what``, never
+    broadcast, admitted by :func:`~fusionkit.matrixkit.callback_output`."""
     try:
-        return np.array(list(outputs), dtype=float)
+        outputs = np.array(list(outputs))
     except ValueError as exc:
         raise ValueError(f"{what} returned outputs of different shapes: {exc}") from exc
+    return callback_output(outputs, what)
 
 
 def fisher_nonlinear(

@@ -195,25 +195,21 @@ def _budget_value(lam: float, c: np.ndarray, oms: np.ndarray) -> float:
     return float(np.add.reduce(c / (1.0 - lam * oms) ** 2))
 
 
-def lambda_root(svd: SvdOfRho, p: float) -> float:
+def _lambda_root(svd: SvdOfRho, p: float) -> float:
     """Multiplier solving the budget equation on the positive-denominator branch.
 
-    The left side is increasing and convex on ``[0, lambda_hi)`` where
-    ``lambda_hi`` keeps every denominator (and the secondary closed form)
-    finite. The root nearest zero is bracketed in ``[0, hi]`` and found by
-    Newton's method on the analytic slope, started at ``hi``: on a convex
-    increasing function the iterates fall monotonically onto the root. A
-    step that leaves the bracket, which only rounding can cause, is
-    replaced by bisection. The residual is at most ``1e-12 p`` unless the
-    bracket shrinks to adjacent floats first.
+    ``p`` is a finite positive budget and ``svd`` the weights of an admissible
+    rho, as :func:`optimal_secondary` admits them. The left side is increasing
+    and convex on ``[0, lambda_hi)`` where ``lambda_hi`` keeps every
+    denominator (and the secondary closed form) finite. The root nearest zero
+    is bracketed in ``[0, hi]`` and found by Newton's method on the analytic
+    slope, started at ``hi``: on a convex increasing function the iterates
+    fall monotonically onto the root. A step that leaves the bracket, which
+    only rounding can cause, is replaced by bisection. The residual is at
+    most ``1e-12 p`` unless the bracket shrinks to adjacent floats first.
 
     Raises
     ------
-    ValueError
-        If ``p`` is not a finite positive number, or a singular value not a
-        finite non-negative one (:func:`~fusionkit.matrixkit.require_real`).
-    Inadmissible
-        If ``sigma_max`` exceeds ``1 + 1e-10``, as :func:`optimal_secondary` refuses such a rho.
     NoRoot
         If ``p`` lies outside the attainable range on the branch; the
         error reports the attainable minimum (the value at lambda = 0).
@@ -223,14 +219,6 @@ def lambda_root(svd: SvdOfRho, p: float) -> float:
     NonFinite
         If the weights ``d``, or the budget value at lambda = 0, overflow.
     """
-    require_real(p, "budget p", "positive")
-    for sigma in svd.singular_values:
-        require_real(sigma, "a singular value of rho", "non-negative")
-    _admissible_sigma_max(float(np.max(svd.singular_values, initial=0.0)), strict=False)
-    return _lambda_root(svd, p)
-
-
-def _lambda_root(svd: SvdOfRho, p: float) -> float:  # lambda_root of a checked budget
     require_finite(svd.d, "the budget weights")
     c, oms = _budget_terms(svd)
     if not np.any(svd.singular_values > 0.0):
@@ -302,7 +290,7 @@ def optimal_secondary(
     """Stationary whitened secondary mixing matrix under the budget.
 
     Closed form ``B~* = [I - lambda (I - rho^T rho)]^-1 rho^T A~`` with
-    the multiplier from :func:`lambda_root`, on the branch containing
+    the multiplier from :func:`_lambda_root`, on the branch containing
     lambda = 0. There ``K - lambda I`` is positive definite, with
     ``K = (I - rho^T rho)^-1``, so ``B~*`` *minimizes* synergy over the
     budget sphere, and the probe reports perturbations that increase it;
@@ -323,7 +311,7 @@ def optimal_secondary(
     number, by :func:`~fusionkit.matrixkit.require_real`); :class:`Inadmissible`
     if ``sigma_max(rho)`` exceeds ``1 + 1e-10``, or is at least 1 where
     ``K = (I - rho^T rho)^-1`` is needed; :class:`NoRoot` and
-    :class:`DegenerateBudget` as :func:`lambda_root`; :class:`Singular` from
+    :class:`DegenerateBudget` as :func:`_lambda_root`; :class:`Singular` from
     the guard of ``K`` past ``SINGULAR_CONDITION``, or carrying
     ``cond(I - rho^T rho)`` if the KKT residual exceeds ``KKT_BOUND``, as near
     that limit stationarity cannot be verified to it;

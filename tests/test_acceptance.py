@@ -19,10 +19,8 @@ from fusionkit import (
     PairFactorization,
     empirical_error_covariance,
     error_covariance,
-    fisher_finite_difference,
     fisher_nonlinear,
     joint_information,
-    lambda_root,
     ml_estimate,
     optimal_secondary,
     prewhiten,
@@ -32,7 +30,7 @@ from fusionkit import (
     wls_estimate,
 )
 from fusionkit.cli import main as cli_main
-from fusionkit.placement import _budget_terms, _budget_value
+from fusionkit.placement import _budget_terms, _budget_value, _lambda_root
 
 from conftest import (
     fd_lagrangian_stationarity,
@@ -43,6 +41,7 @@ from conftest import (
     random_pd,
     rel_fro,
 )
+from oracles import fisher_finite_difference
 
 
 def report(num, ok, detail):
@@ -226,7 +225,7 @@ def test_criterion_07_placement_kkt():
         tau[: svd.singular_values.shape[0]] = svd.singular_values**2
         lam_hi = 1.0 / float(np.max(1.0 - tau))
         p = _budget_value(float(rng.uniform(0.05, 0.9)) * lam_hi, c, oms)
-        lam = lambda_root(svd, p)
+        lam = _lambda_root(svd, p)
         worst_resid = max(worst_resid, abs(_budget_value(lam, c, oms) - p) / p)
         sol = optimal_secondary(A, rho, p)
         trace = float(np.sum(sol.B_star**2))

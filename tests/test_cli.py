@@ -53,6 +53,18 @@ _ARRAY_RULE = "must be a finite real array of shape"
 _NO_EMPTY = "with no empty axis, "
 
 
+def _three_scalar_modalities(correlations):
+    """A scenario edit: modalities a, b and c, each one channel of unit noise, with the
+    cross-covariances ``correlations`` of (a, b), (a, c) and (b, c)."""
+    def edit(doc):
+        doc.update(
+            sources={"gaussian": {"mean": [0.0], "cov": [[1.0]]}},
+            modalities=[{"name": name, "A": [[1.0]], "noise_cov": [[1.0]]} for name in "abc"],
+            cross_cov=[{"pair": pair, "matrix": [[c]]}
+                       for pair, c in zip(([0, 1], [0, 2], [1, 2]), correlations)])
+    return edit
+
+
 def _noise_without_cross(noise_cov):
     """A scenario edit giving modality b ``noise_cov`` and no cross-covariance."""
     def edit(doc):
@@ -79,6 +91,17 @@ class TestScenarioLoading:
         del two_modality_doc["cross_cov"]
         scenario = load_scenario(write_scenario(tmp_path / "s.json", two_modality_doc))
         assert not np.any(scenario.pair("a", "b").noise.sigma_vu)
+
+    def test_three_modalities_of_positive_definite_joint_noise_load(self, tmp_path,
+                                                                     two_modality_doc):
+        # the (a, c) block is absent, a zero block of the joint noise
+        _three_scalar_modalities([0.5, 0.0, 0.5])(two_modality_doc)
+        del two_modality_doc["cross_cov"][1]
+        scenario = load_scenario(write_scenario(tmp_path / "s.json", two_modality_doc))
+        assert sorted(scenario.modalities) == ["a", "b", "c"]
+        assert not np.any(scenario.pair("a", "c").noise.sigma_vu)
+        assert scenario.pair("c", "b").noise.sigma_vu.tolist() == [[0.5]]
+        assert main(["advise", str(tmp_path / "s.json"), "--pair", "a,c"]) == 0
 
     def test_indefinite_noise_rejected(self, tmp_path, two_modality_doc):
         two_modality_doc["modalities"][1]["noise_cov"] = [[1.0, 0.0], [0.0, -1.0]]
@@ -187,6 +210,11 @@ class TestScenarioLoading:
             (lambda d: json.dumps(d).replace(
                 '"noise_cov": ', '"noise_cov": [[0.5]], "noise_cov": ', 1),
              "key 'noise_cov' is given twice in one object"),
+            # each pair's block is PD, but the joint noise of the three has
+            # eigenvalues -0.8, 1.9 and 1.9: every pair was answered
+            (_three_scalar_modalities([0.9, 0.9, -0.9]),
+             "joint noise covariance of modalities ['a', 'b', 'c'] is not PSD "
+             "(min eigenvalue -8.000e-01)"),
             *_TOLERANCE_CASES.values(),
         ],
         ids=["modality-not-object", "modalities-not-list", "modalities-empty", "same-modality-twice",
@@ -200,7 +228,7 @@ class TestScenarioLoading:
              "unknown-info-only-key", "unknown-modality-key", "unknown-cross-key",
              "unknown-cross-list-key", "bool-in-matrix", "string-in-matrix",
              "bool-in-cross-matrix", "bool-in-mean", "name-not-string", "id-not-string",
-             "key-given-twice", *_TOLERANCE_CASES],
+             "key-given-twice", "three-modalities-joint-indefinite", *_TOLERANCE_CASES],
     )
     def test_malformed_scenario_exits_2(self, tmp_path, two_modality_doc, capsys, edit, message):
         text = edit(two_modality_doc)

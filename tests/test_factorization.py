@@ -234,8 +234,9 @@ def small_question(seed):
 # before placement memoized its analysis of rho and inlined the Newton step.
 # Before the routes, the synergy matrices and the gradient forms were compared
 # by one agreement rule, the first four made 59/127, 52/107, 43/106 and 32/85;
-# optimal_secondary made 32/85 while it checked its budget twice and lambda_root
-# evaluated the budget at the bracket's end again in its first Newton step.
+# optimal_secondary made 32/85 while it checked its budget twice and the budget
+# root (now _lambda_root) evaluated the budget at the bracket's end again in its
+# first Newton step.
 # While the pair's matrices were formed through explicit inverses and six
 # symmetrize passes, the first three made 53/104, 46/84 and 37/83;
 # optimal_secondary made 31/84 while its KKT check took the gradient's norm twice.

@@ -10,11 +10,9 @@ from fusionkit import (
     NonlinearModel,
     campaign_to_csv,
     campaign_to_json,
-    check_crlb_dominance,
     crlb,
     empirical_error_covariance,
     error_covariance,
-    fisher_finite_difference,
     simulate,
     snr_matrix,
 )
@@ -24,6 +22,7 @@ from fusionkit.matrixkit import noise_whitener, symmetrize
 from fusionkit.model import draw_rows, draw_streams
 
 from conftest import random_pd, rel_fro
+from oracles import check_crlb_dominance, fisher_finite_difference
 
 
 class TestEmpiricalErrorCovariance:

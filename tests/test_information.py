@@ -36,7 +36,7 @@ from fusionkit.information import (
     InfoMatrix,
     block_plan,
 )
-from fusionkit.matrixkit import FORM_CONDITION_SLACK
+from fusionkit.matrixkit import FORM_CONDITION_SLACK, _require_psd
 
 from conftest import (
     mc_per_sample,
@@ -350,6 +350,56 @@ def test_rotating_a_whitened_pair_changes_no_basis_free_answer(seed, redundant):
     assert np.max(np.abs(s_q - s)) <= tol
     # the residuals are already relative to the whitened norms
     assert np.max(np.abs(r_q - r)) <= tol
+
+
+# The eigenvalue range of the property pairs' noise: its condition is below
+# 10. Widen it once answers carry a certified accuracy (ROADMAP item 3).
+PROPERTY_NOISE_EIGS = (0.3, 3.0)
+
+
+def snrs(pair):
+    """The SNR matrices of a pair's two modalities, each with its own marginal noise."""
+    return (snr_matrix(pair.first, pair.noise.sigma_v).matrix,
+            snr_matrix(pair.second, pair.noise.sigma_u).matrix)
+
+
+def form_tol(pair):
+    """``slack * kappa * eps``, with kappa the condition of the pair's joint noise."""
+    return FORM_CONDITION_SLACK * np.linalg.cond(pair.noise.joint()) * np.finfo(float).eps
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_uncorrelated_noise_adds_the_two_snr_matrices(seed):
+    # property (iii): with sigma_vu = 0, J = snr1 + snr2, S_x = snr2, S_y = snr1,
+    # and the regime is Uncorrelated
+    rng = np.random.default_rng(seed)
+    n1, n2, m = (int(k) for k in rng.integers(1, 7, size=3))
+    noise = BlockCovariance(random_pd(rng, n1, PROPERTY_NOISE_EIGS),
+                            random_pd(rng, n2, PROPERTY_NOISE_EIGS), np.zeros((n1, n2)))
+    pair = ModalityPair(LinearModel(rng.standard_normal((n1, m))),
+                        LinearModel(rng.standard_normal((n2, m))), noise)
+    snr1, snr2 = snrs(pair)
+    J, syn = joint_information(pair).matrix, synergy_matrices(pair)
+    scale, tol = np.linalg.norm(J), form_tol(pair)
+    assert np.linalg.norm(J - (snr1 + snr2)) <= tol * scale
+    assert np.linalg.norm(syn.S_x - snr2) <= tol * scale
+    assert np.linalg.norm(syn.S_y - snr1) <= tol * scale
+    assert advise(pair).regime == "Uncorrelated"
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_fusion_never_loses_information(seed):
+    # property (v): J - snr1 and J - snr2 pass the one PSD rule
+    rng = np.random.default_rng(seed)
+    n1, n2, m = (int(k) for k in rng.integers(1, 7, size=3))
+    pair = ModalityPair(LinearModel(rng.standard_normal((n1, m))),
+                        LinearModel(rng.standard_normal((n2, m))),
+                        random_joint_noise(rng, n1, n2, PROPERTY_NOISE_EIGS))
+    J = joint_information(pair).matrix
+    for snr in snrs(pair):
+        _require_psd(np.linalg.eigvalsh(J - snr), "J - snr")
 
 
 def exact_trace_at_scaled_identity(A_tilde, B_tilde, c):

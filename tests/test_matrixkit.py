@@ -600,7 +600,8 @@ def test_cholesky_guard_certifies_without_an_eigenvalue(rng, monkeypatch):
 
 
 def run_script(name, *args):
-    """Run ``scripts/<name>`` with ``args`` in a fresh interpreter on this checkout's ``src``."""
+    """Run ``scripts/<name>`` with ``args`` in a fresh interpreter on this checkout's ``src``,
+    returning what it prints."""
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, str(root / "scripts" / name), *map(str, args)],
@@ -608,6 +609,7 @@ def run_script(name, *args):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_noise_guard_sweep_smoke(tmp_path):
@@ -674,3 +676,23 @@ def test_answer_digest_smoke(tmp_path):
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[1]) for line in lines)
     assert outs[1].read_text() == outs[0].read_text()
+
+
+def test_code_lines_smoke():
+    # one line per module of src/fusionkit, then their total
+    counts = [line.split() for line in run_script("code_lines.py").splitlines()]
+    modules = sorted(path.name for path in (Path(__file__).resolve().parent.parent / "src"
+                                            / "fusionkit").glob("*.py"))
+    assert [name for _, name in counts] == modules + ["total"]
+    assert int(counts[-1][0]) == sum(int(count) for count, _ in counts[:-1]) > 0
+
+
+def test_code_lines_count_code_alone(tmp_path):
+    # docstrings, comments and blank lines do not count; every line of a
+    # string or a bracket that spans lines does
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndoc."""\n\n# a comment\nimport os  # and one after code\n\n\n'
+        'class C:\n    """Class doc."""\n\n    def f(self, x):\n        """Doc\n        of f."""\n'
+        '        s = """a\n        b"""\n        return (x +\n                1)\n')
+    assert run_script("code_lines.py", "--src", tmp_path).splitlines() == [
+        "    7 m.py", "    7 total"]

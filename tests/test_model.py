@@ -24,15 +24,12 @@ from fusionkit import (
     Singular,
     SamplerPrior,
     campaign_to_json,
-    check_crlb_dominance,
     crlb,
     empirical_error_covariance,
     error_covariance,
-    fisher_finite_difference,
     fisher_nonlinear,
     joint_information,
     joint_information_nonlinear,
-    lambda_root,
     local_optimality_probe,
     ml_estimate,
     mmse_gaussian_estimate,
@@ -56,6 +53,7 @@ from fusionkit.matrixkit import (
 )
 
 from conftest import random_joint_noise, random_orthogonal, random_pd, rel_fro
+from oracles import check_crlb_dominance, fisher_finite_difference
 
 
 class TestTypes:
@@ -311,7 +309,6 @@ _TOLERANCES = ("dominance", "redundancy", "regime_eps", "select_gain")
 _SCALARS = {
     "optimal_secondary-p": ("budget p", "positive",
                             lambda q, v: optimal_secondary(q.A, q.rho, v)),
-    "lambda_root-p": ("budget p", "positive", lambda q, v: lambda_root(q.svd, v)),
     "probe-n_perturbations": ("n_perturbations", 0, lambda q, v: local_optimality_probe(
         q.A, q.rho, q.solution, n_perturbations=v)),
     "probe-seed": ("seed", 0, lambda q, v: local_optimality_probe(q.A, q.rho, q.solution, seed=v)),
@@ -561,6 +558,51 @@ def test_a_score_admits_its_points(prior):
             prior.score(bad)
     # a vector of m entries is one row, as it was
     assert _bits(prior.score([0.5, -1.0])) == _bits(prior.score(np.array([[0.5, -1.0]])))
+
+
+def _callback_answer(name, output):
+    """The information a question answers through the callback ``name``, which returns
+    ``output`` of what a valid callback returns: ``h(s) = s``, its Jacobian, standard
+    normal draws or their score ``-s``."""
+    prior = GaussianPrior(np.zeros(2), np.eye(2))
+    if name == "h":
+        return fisher_nonlinear(NonlinearModel(output, n=2, m=2), np.eye(2), prior, 10, 0).J
+    if name == "jacobian":
+        model = NonlinearModel(lambda s: s, n=2, m=2, jacobian=lambda s: output(np.eye(2)))
+        return fisher_nonlinear(model, np.eye(2), prior, 10, 0).J
+    draw, score = (lambda rng, size: rng.standard_normal((size, 2))), (lambda s: -s)
+    sampler = SamplerPrior(2, (lambda rng, size: output(draw(rng, size))) if name == "draw"
+                           else draw, (lambda s: output(score(s))) if name == "score" else score)
+    return prior_information_mc(sampler, 10, 0).J
+
+
+# outputs of a callback that no rule reads as real numbers, made from a valid one
+_NOT_REAL = {
+    "bool": lambda v: v > 0.0,
+    "complex": lambda v: v + 0j,
+    "complex-list": lambda v: v.astype(complex).tolist(),  # raised an untyped TypeError
+    "string": lambda v: v.astype(str),
+    "object": lambda v: v.astype(object),
+}
+
+
+@pytest.mark.parametrize("name, kind", [pytest.param(name, kind, id=f"{name}-{kind}")
+                                        for name in ("h", "jacobian", "draw", "score")
+                                        for kind in _NOT_REAL])
+def test_a_callback_output_that_is_not_real_is_refused(name, kind):
+    # at the parent a complex h or draw lost its imaginary part with only a
+    # ComplexWarning, a bool h answered a zero Fisher matrix and a string
+    # output was read as the numbers it spells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} returned entries of dtype "):
+            _callback_answer(name, _NOT_REAL[kind])
+
+
+@pytest.mark.parametrize("name", ["h", "jacobian", "draw", "score"])
+def test_an_integer_callback_output_is_converted(name):
+    whole = _callback_answer(name, lambda v: np.rint(v).astype(np.int64))
+    assert _bits(whole) == _bits(_callback_answer(name, np.rint))
 
 
 # every public symmetric-matrix argument: (the name its refusal starts with,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -354,3 +356,30 @@ def test_per_sample_forms_check_boundary(rng, monkeypatch, skew, refused):
     else:  # an admitted check changes no bit of the estimate
         est = joint_information_nonlinear(h, g, noise, prior, N=64, seed=1)
         assert np.array_equal(est.J, answer.J) and np.array_equal(est.std_err, answer.std_err)
+
+
+@pytest.mark.parametrize("output", [
+    pytest.param(lambda s: s > 0.0, id="bool"),  # answered a zero Fisher matrix
+    pytest.param(lambda s: s + 0j, id="complex"),  # lost its imaginary part to a warning
+    pytest.param(lambda s: complex(s[0]), id="complex-scalar"),  # an untyped TypeError
+])
+def test_a_map_whose_output_is_not_real_is_refused_by_name(output):
+    # numeric_jacobian and the second map of a pair read h by the one callback rule
+    n = np.atleast_1d(output(np.ones(2))).shape[0]
+    h, g = NonlinearModel(lambda s: s, n=2, m=2), NonlinearModel(output, n=n, m=2)
+    noise = BlockCovariance(np.eye(2), np.eye(n), np.zeros((2, n)))
+    prior = GaussianPrior(np.zeros(2), np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^h returned entries of dtype (complex|bool)"):
+            numeric_jacobian(output, np.ones(2))
+        with pytest.raises(ValueError, match="^h returned entries of dtype (complex|bool)"):
+            joint_information_nonlinear(h, g, noise, prior, N=10, seed=0)
+
+
+def test_an_integer_map_keeps_its_shape_check():
+    # an integer output is converted, then refused as a float output is
+    with pytest.raises(ValueError, match=r"Jacobian has shape \(3, 2\), expected \(2, 2\)"):
+        NonlinearModel(lambda s: np.array([1, 2, 3]), n=2, m=2).jac(np.ones(2))
+    with pytest.raises(ValueError, match=r"^h returned entries of dtype object"):  # beyond int64
+        NonlinearModel(lambda s: np.array([10**20, 0]), n=2, m=2).jac(np.ones(2))

@@ -17,7 +17,6 @@ from fusionkit import (
     SvdOfRho,
     WhitenedPair,
     joint_information,
-    lambda_root,
     local_optimality_probe,
     optimal_secondary,
     prewhiten,
@@ -32,6 +31,7 @@ from fusionkit.matrixkit import FORM_CONDITION_SLACK, FORM_TOL
 from fusionkit.placement import (
     _budget_terms,
     _budget_value,
+    _lambda_root,
     _objective_gradient_forms,
     _perturbation_gains,
 )
@@ -182,30 +182,13 @@ class TestSynergyGradient:
 
 
 class TestLambdaRoot:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
-    def test_hand_built_singular_values_that_are_none_refused(self, bad):
-        # refused for what they are, not as a void or degenerate budget equation
-        svd = SvdOfRho(singular_values=np.array([bad, 0.3]), d=np.ones(2), n2=2)
-        with pytest.raises(ValueError, match="singular value of rho must be finite and non-ne"):
-            lambda_root(svd, 1.0)
-
-    @pytest.mark.parametrize("sigma", [2.0, 1.0 + 1e-9])
-    def test_hand_built_rho_outside_the_admissible_range_refused(self, sigma):
-        # as optimal_secondary refuses such a rho; a sigma at 1 is admitted
-        svd = SvdOfRho(singular_values=np.array([sigma, 0.3]), d=np.ones(2), n2=2)
-        with pytest.raises(Inadmissible) as exc:
-            lambda_root(svd, 1.0)
-        assert exc.value.sigma_max == sigma
-        admitted = SvdOfRho(singular_values=np.array([1.0 + 1e-11, 0.3]), d=np.ones(2), n2=2)
-        assert np.isfinite(lambda_root(admitted, 2.0))
-
     def test_budget_at_zero_multiplier(self, rng):
         A = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.7)
         svd = svd_of_rho(A, rho)
         c, oms = _budget_terms(svd)
         p0 = _budget_value(0.0, c, oms)
-        assert lambda_root(svd, p0) == 0.0
+        assert _lambda_root(svd, p0) == 0.0
 
     def test_scalar_closed_form(self):
         # rho = c I, A = I: m c^2 / [1 - lam (1 - c^2)]^2 = p, verified by residual
@@ -214,7 +197,7 @@ class TestLambdaRoot:
         rho = c * np.eye(m)
         svd = svd_of_rho(A, rho)
         p = 2.0 * m * c**2
-        lam = lambda_root(svd, p)
+        lam = _lambda_root(svd, p)
         resid = abs(m * c**2 / (1.0 - lam * (1.0 - c**2)) ** 2 - p)
         assert resid < 1e-12 * p
 
@@ -231,7 +214,7 @@ class TestLambdaRoot:
             tau[: svd.singular_values.shape[0]] = svd.singular_values**2
             lam_hi = 1.0 / float(np.max(1.0 - tau))
             p = _budget_value(float(rng.uniform(0.05, 0.9)) * lam_hi, c, oms)
-            lam = lambda_root(svd, p)
+            lam = _lambda_root(svd, p)
             assert abs(_budget_value(lam, c, oms) - p) <= 1e-10 * p
 
     @pytest.mark.parametrize("where", ["inside", "above_minimum", "below_supremum"])
@@ -254,7 +237,7 @@ class TestLambdaRoot:
                 "below_supremum": 1.0 - 10.0 ** -rng.uniform(3, 12),
             }[where]
             p = _budget_value(frac * lam_hi, c, oms)
-            lam = lambda_root(svd, p)
+            lam = _lambda_root(svd, p)
             assert 0.0 <= lam < lam_hi
             assert abs(_budget_value(lam, c, oms) - p) <= 1e-12 * p
 
@@ -265,9 +248,9 @@ class TestLambdaRoot:
         svd = svd_of_rho(A, np.array([[0.6, 0.0]]))
         c, oms = _budget_terms(svd)
         sup = float(c[0]) / 0.6**4
-        assert lambda_root(svd, 0.999 * sup) < 1.0
+        assert _lambda_root(svd, 0.999 * sup) < 1.0
         with pytest.raises(NoRoot, match="supremum") as exc_info:
-            lambda_root(svd, 1.001 * sup)
+            _lambda_root(svd, 1.001 * sup)
         assert exc_info.value.attainable_min == pytest.approx(_budget_value(0.0, c, oms))
 
     def test_saturated_equation_refused_before_the_bracket(self, monkeypatch):
@@ -281,26 +264,15 @@ class TestLambdaRoot:
 
         monkeypatch.setattr(placement, "_budget_value", counted)
         with pytest.raises(NoRoot, match=r"not attainable \(equation saturates\)") as exc_info:
-            lambda_root(SvdOfRho(np.array([1.0, 1.0]), np.zeros(2), 2), 1.0)
+            _lambda_root(SvdOfRho(np.array([1.0, 1.0]), np.zeros(2), 2), 1.0)
         assert exc_info.value.attainable_min == 0.0
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, np.nan, True])
-    def test_budget_must_be_positive_and_finite(self, rng, p):
-        # an unchecked inf or NaN budget returned a multiplier off the budget
-        # sphere; True, an int, was solved at p = 1 and reported as "p": true
-        A = rng.standard_normal((4, 2))
-        rho = random_admissible_rho(rng, 4, 3, 0.7)
-        with pytest.raises(ValueError, match="budget p must be"):
-            lambda_root(svd_of_rho(A, rho), p)
-        with pytest.raises(ValueError, match="budget p must be"):
-            optimal_secondary(A, rho, p)
 
     def test_degenerate_budget_when_all_singular_values_at_one(self):
         A = np.eye(2)
         svd = svd_of_rho(A, np.eye(2))
         with pytest.raises(DegenerateBudget):
-            lambda_root(svd, 5.0)
+            _lambda_root(svd, 5.0)
 
     def test_no_root_below_attainable_minimum(self, rng):
         A = rng.standard_normal((3, 2))
@@ -309,7 +281,7 @@ class TestLambdaRoot:
         c, oms = _budget_terms(svd)
         p0 = _budget_value(0.0, c, oms)
         with pytest.raises(NoRoot) as exc_info:
-            lambda_root(svd, 0.5 * p0)
+            _lambda_root(svd, 0.5 * p0)
         assert exc_info.value.attainable_min == pytest.approx(p0)
 
 
@@ -321,6 +293,16 @@ class TestOptimalSecondary:
         assert sol.lambda_ == 0.0
         assert np.array_equal(sol.B_star, Q.T @ A)
         assert not sol.degenerate
+
+    @pytest.mark.parametrize("sigma", [2.0, 1.0 + 1e-9])
+    def test_rho_outside_the_admissible_range_refused(self, sigma):
+        # sigma_max(rho) above 1 + 1e-10 is refused before the root; within
+        # it, rho^T rho = I to rounding is the unitary corner, answered
+        A = np.array([[1.0, 0.5], [0.0, 2.0]])
+        with pytest.raises(Inadmissible) as exc:
+            optimal_secondary(A, sigma * np.eye(2), 1.0)
+        assert exc.value.sigma_max == sigma
+        assert optimal_secondary(A, (1.0 + 1e-11) * np.eye(2), 1.0).lambda_ == 0.0
 
     def test_zero_multiplier_budget(self):
         # p = m c^2 makes lambda = 0 and B* = c I
@@ -350,12 +332,12 @@ class TestOptimalSecondary:
         with np.errstate(over="ignore"):
             svd = svd_of_rho(np.array([[1e300]]), np.array([[0.5]]))
         with pytest.raises(NonFinite, match="budget weights"):
-            lambda_root(svd, 5.0)
+            _lambda_root(svd, 5.0)
         # finite weights whose sum at lambda = 0 overflows
         s = np.array([0.999, 0.999])
         svd = SvdOfRho(singular_values=s, d=np.array([1e308, 1e308]), n2=2)
         with np.errstate(over="ignore"), pytest.raises(NonFinite, match="lambda = 0"):
-            lambda_root(svd, 5.0)
+            _lambda_root(svd, 5.0)
 
     def test_solution_is_finite(self):
         with pytest.raises(NonFinite):

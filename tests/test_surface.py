@@ -16,13 +16,13 @@ PUBLIC = [
     "NotPSD", "NotSampleable", "PairFactorization", "PlacementSolution", "ProbeReport",
     "RouteDisagreement", "SampleBatch", "SamplerPrior", "Singular", "SingularInformation",
     "SingularNormalMatrix", "SingularPosterior", "SourcePrior", "SvdOfRho", "SynergyReport",
-    "WhitenedPair", "advise", "campaign_to_csv", "campaign_to_json", "check_crlb_dominance",
-    "crlb", "empirical_error_covariance", "error_covariance", "fisher_finite_difference",
-    "fisher_nonlinear", "joint_information", "joint_information_nonlinear", "lambda_root",
-    "local_optimality_probe", "ml_estimate", "mmse_gaussian_estimate", "numeric_jacobian",
-    "optimal_secondary", "prewhiten", "prior_information_mc", "simulate", "snr_matrix",
-    "svd_of_rho", "synergy_gradient_rho", "synergy_matrices", "synergy_objective",
-    "total_information", "total_information_nonlinear", "wls_estimate",
+    "WhitenedPair", "advise", "campaign_to_csv", "campaign_to_json", "crlb",
+    "empirical_error_covariance", "error_covariance", "fisher_nonlinear", "joint_information",
+    "joint_information_nonlinear", "local_optimality_probe", "ml_estimate",
+    "mmse_gaussian_estimate", "numeric_jacobian", "optimal_secondary", "prewhiten",
+    "prior_information_mc", "simulate", "snr_matrix", "svd_of_rho", "synergy_gradient_rho",
+    "synergy_matrices", "synergy_objective", "total_information", "total_information_nonlinear",
+    "wls_estimate",
 ]
 
 
@@ -31,7 +31,7 @@ def test_public_names_are_pinned():
         name for name in dir(fusionkit)
         if not name.startswith("_") and not isinstance(getattr(fusionkit, name), types.ModuleType)
     ]
-    assert sorted(names) == sorted(PUBLIC) and len(PUBLIC) == 66
+    assert sorted(names) == sorted(PUBLIC) and len(PUBLIC) == 63
 
 
 def test_readme_library_sketch_runs():
