@@ -18,8 +18,9 @@ Each pair is asked, through the public API only:
 * ``refusals``: the type and message of every typed refusal, those of the
   questions above and of a fixed set of inputs each API must refuse, among
   them one of each kind of the scalar rule (a seed, a count, a tolerance and
-  a step), of the array rule and of the symmetric-matrix rule, and two of the
-  callback rule; an input an older tree still answers hashes its answer there.
+  a step), of the array rule and of the symmetric-matrix rule, two of the
+  callback rule and an error campaign that overflows; an input an older tree
+  still answers hashes its answer there.
 
 A question that is refused adds its refusal to ``refusals`` and the word
 "refused" to its own kind. Floats are hashed by their bits, so two checkouts
@@ -53,6 +54,7 @@ from fusionkit import (
     PairFactorization,
     SamplerPrior,
     advise,
+    empirical_error_covariance,
     fisher_nonlinear,
     joint_information,
     joint_information_nonlinear,
@@ -64,7 +66,6 @@ from fusionkit import (
     prior_information_mc,
     simulate,
     snr_matrix,
-    svd_of_rho,
     synergy_gradient_rho,
     synergy_matrices,
     synergy_objective,
@@ -136,6 +137,14 @@ def with_norm(R, sigma_max):
     return sigma_max * R / np.linalg.svd(R, compute_uv=False)[0]
 
 
+def budget_at_zero(A, rho):
+    """``sum_i d_i s_i^2``, the budget at lambda = 0: ``s`` and ``U`` of rho's full SVD, and
+    ``d`` the diagonal of ``U^T A A^T U`` clamped at 0."""
+    U, s, _ = np.linalg.svd(rho)
+    d = np.maximum(np.diag(U.T @ A @ A.T @ U), 0.0)
+    return float(np.sum(d[: s.size] * s**2))
+
+
 def cross_correlation(rng, n1, n2, family):
     """A whitened cross-correlation of the family's ``sigma_max``."""
     if family == "uncorrelated":
@@ -182,9 +191,7 @@ def ask_pair(digest, case, pair, prior, seed):
     A, B, rho = wp.A_tilde, wp.B_tilde, wp.rho
     digest.ask("synergy", case, lambda: (synergy_objective(A, B, rho, prior),
                                          synergy_gradient_rho(A, B, rho)))
-    svd = svd_of_rho(A, rho)
-    k = svd.singular_values.size
-    at_zero = float(np.sum(svd.d[:k] * svd.singular_values**2))
+    at_zero = budget_at_zero(A, rho)
     for i, factor in enumerate(BUDGET_FACTORS):
         p = factor * (at_zero if at_zero > 0.0 else 1.0)
         sol = digest.ask("optimal_secondary", f"{case} p={p!r}",
@@ -206,8 +213,7 @@ def ask_refusals(digest, rng):
     past_limit = (Q1 * np.array([1.0 - 1e-13, 0.5, 0.2])) @ Q2.T
     degenerate = np.eye(2, 3)  # sigma = (1, 1), but rho^T rho != I
     admissible = with_norm(rng.standard_normal((3, 3)), 0.5)
-    svd = svd_of_rho(A, admissible)
-    sol = optimal_secondary(A, admissible, 2.0 * float(np.sum(svd.d * svd.singular_values**2)))
+    sol = optimal_secondary(A, admissible, 2.0 * budget_at_zero(A, admissible))
     prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
     pair = ModalityPair(LinearModel(A), LinearModel(B),
                         BlockCovariance(np.eye(3), np.eye(3), 0.5 * np.eye(3)))
@@ -248,9 +254,13 @@ def ask_refusals(digest, rng):
             2, lambda gen, size: gen.standard_normal((size, 2)) + 0j, lambda s: -s), 16, 0).J,
         "bool h": lambda: fisher_nonlinear(
             NonlinearModel(lambda s: s > 0.0, n=2, m=2), np.eye(2), prior, 16, 0).J,
+        # an error campaign whose second moments overflow
+        "overflowing campaign": lambda: empirical_error_covariance(
+            "ml", LinearModel(A), GaussianPrior(np.full(2, 1e308), np.eye(2)), np.eye(3), 1000, 0),
     }
-    for case, question in cases.items():
-        digest.ask("refusals", case, question)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflows refused above
+        for case, question in cases.items():
+            digest.ask("refusals", case, question)
 
 
 def main() -> int:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fusionkit import local_optimality_probe, optimal_secondary, svd_of_rho
-from fusionkit.placement import KKT_BOUND, _budget_terms, _budget_value
+from fusionkit import local_optimality_probe, optimal_secondary
+from fusionkit.placement import KKT_BOUND, _analysis_of, _budget_terms, _budget_value
 
 
 def main() -> int:
@@ -38,15 +38,12 @@ def main() -> int:
     R = rng.standard_normal((n1, n2))
     rho = 0.8 * R / np.linalg.svd(R, compute_uv=False)[0]
 
-    svd = svd_of_rho(A, rho)
-    c, oms = _budget_terms(svd)
-    tau = np.zeros(n2)
-    tau[: svd.singular_values.shape[0]] = svd.singular_values**2
-    lam_hi = 1.0 / float(np.max(1.0 - tau))
+    c, gap = _budget_terms(A, _analysis_of(rho.tobytes(), rho.shape))
+    lam_hi = 1.0 / float(gap[-1])  # the branch limit of the budget root
 
     rows = []
     for frac in np.linspace(0.0, 0.9, args.budgets):
-        p = _budget_value(float(frac) * lam_hi, c, oms)
+        p = _budget_value(float(frac) * lam_hi, c, gap)
         sol = optimal_secondary(A, rho, p)
         probe = local_optimality_probe(A, rho, sol, n_perturbations=args.probes, seed=args.seed)
         rows.append(

@@ -41,8 +41,8 @@ _EXPORTS = {
         "total_information_nonlinear",
     ),
     "placement": (
-        "PlacementSolution", "ProbeReport", "SvdOfRho", "local_optimality_probe",
-        "optimal_secondary", "svd_of_rho", "synergy_gradient_rho", "synergy_objective",
+        "PlacementSolution", "ProbeReport", "local_optimality_probe", "optimal_secondary",
+        "synergy_gradient_rho", "synergy_objective",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

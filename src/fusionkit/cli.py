@@ -245,7 +245,7 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
-def _emit(report: dict | list, out: str | None, summary: str) -> None:
+def _emit(report: dict | list, out: str | Path | None, summary: str) -> None:
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # JSON has no token for inf or NaN
@@ -375,7 +375,7 @@ def cmd_place(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .harness import campaign_to_csv, campaign_to_json, empirical_error_covariance
+    from .harness import campaign_to_csv, empirical_error_covariance
 
     _flag(require_integer, args.seed, "--seed")
     _flag(require_integer, args.N, "--N", 1000)
@@ -398,21 +398,16 @@ def cmd_simulate(args) -> int:
         )
     except NotSampleable as exc:
         raise ScenarioError("scenario prior is not sampleable (info_only sources)") from exc
-    results = [result]
-    json_text = campaign_to_json(results) + "\n"
-    csv_text = campaign_to_csv(results)
-    if args.out:
-        base = Path(args.out)
-        base.with_suffix(".json").write_text(json_text)
-        base.with_suffix(".csv").write_text(csv_text)
-    else:
-        sys.stdout.write(json_text)
-    print(
+    base = Path(args.out) if args.out else None
+    _emit(
+        [result.to_json_dict()],
+        base and base.with_suffix(".json"),
         f"simulate[{scenario.id}]: {args.method} N={args.N} seed={args.seed} "
         f"rel_err={result.frobenius_rel_err:.4f} "
         f"crlb_passed={result.crlb_check.passed}",
-        file=sys.stderr,
     )
+    if base:
+        base.with_suffix(".csv").write_text(campaign_to_csv([result]))
     return EXIT_OK
 
 

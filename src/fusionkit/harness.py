@@ -99,7 +99,8 @@ def empirical_error_covariance(
     non-negative integer (:func:`~fusionkit.matrixkit.require_integer`, whose
     ``int`` the result keeps) or a noise covariance that
     :func:`~fusionkit.matrixkit.admit_symmetric` does not admit as the
-    model's ``n x n`` (naming it).
+    model's ``n x n`` (naming it); :class:`NonFinite` if the empirical error
+    covariance or its standard errors overflow.
     """
     N, seed = require_integer(N, "N", 1000), require_integer(seed, "seed")
     if not isinstance(method, str) or (method := method.lower()) not in ("ml", "wls", "mmse"):
@@ -128,6 +129,7 @@ def empirical_error_covariance(
             return prior.mean + (X - mean_x) @ gain.T
 
     emp, std_err = _error_moments(A, prior, L, estimate, N, seed)
+    require_finite((emp, std_err), "the empirical error covariance or its standard errors")
     slack = 5.0 * float(np.max(std_err))
 
     rel_err = float(np.linalg.norm(emp - ref, "fro")) / max(

@@ -84,7 +84,9 @@ class _CrossCorrelation:
 
     Holds ``rho``, its read-only descending singular values ``s``, ``sigma_max``,
     the left singular vectors ``U`` of a ``full`` SVD (a values-only one can differ
-    in the last bits of ``s``) and ``cap = I - rho^T rho``. ``K = cap^-1`` and
+    in the last bits of ``s``), ``cap = I - rho^T rho`` and ``gap``, the ascending
+    eigenvalues of ``cap`` read off ``s`` (``1 - s^2``, then 1 for each column of
+    ``rho`` past ``s``: no eigen-solve). ``K = cap^-1`` and
     ``K' = (I - rho rho^T)^-1`` are applied by solves (an explicit inverse loses up
     to ten times more near a unitary rho) and kept once formed; a refused rho
     keeps neither, so every use raises again.
@@ -99,18 +101,17 @@ class _CrossCorrelation:
         self.s.setflags(write=False)
         self.sigma_max = float(self.s[0]) if self.s.size else 0.0
         self.cap = np.eye(rho.shape[1]) - rho.T @ rho
+        self.gap = np.ones(rho.shape[1])
+        self.gap[: self.s.size] -= self.s**2
 
     @functools.cached_property
     def k_norm(self) -> float:
         """The guard of ``K`` and ``K'`` (:class:`Inadmissible` if ``sigma_max >= 1``, else the one
-        rule of every inverse on ``cap``'s eigenvalues, read off ``s``: no eigen-solve), which
-        sets ``condition = cond(cap)``, and their 2-norm ``1 / (1 - sigma_max^2)``."""
+        rule of every inverse on ``gap``), which sets ``condition = cond(cap)``, and their
+        2-norm ``1 / (1 - sigma_max^2)``."""
         _admissible_sigma_max(self.sigma_max)
-        gap = np.ones(self.rho.shape[1])
-        gap[: self.s.size] -= self.s**2
-        gap.sort()
-        self.condition = _require_pd_conditioned(gap, "(I - rho^T rho)")
-        return 1.0 / float(gap[0])
+        self.condition = _require_pd_conditioned(self.gap, "(I - rho^T rho)")
+        return 1.0 / float(self.gap[0])
 
     def solve_k(self, X):
         self.k_norm  # the guard

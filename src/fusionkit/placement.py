@@ -6,7 +6,9 @@ Everything here lives in the whitened domain: the primary mixing matrix
 trace of the joint information on the budget sphere ``Tr(B~^T B~) = p``;
 stationarity gives the closed form
 ``B~* = [I - lambda (I - rho^T rho)]^-1 rho^T A~`` with the multiplier
-fixed by a scalar root equation in the singular values of rho.
+fixed by a scalar root equation in the singular values of rho
+(:func:`_lambda_root`), whose terms :func:`_budget_terms` reads off the one
+record of rho: its SVD and the eigenvalues of ``I - rho^T rho``.
 
 The root is taken on the branch containing lambda = 0 on which all
 denominators stay positive (keeping B~* finite). On that branch lambda
@@ -88,21 +90,6 @@ class PlacementSolution:
 
 
 @dataclass(frozen=True)
-class SvdOfRho:
-    """Singular values of rho plus the diagonal weights of the budget root equation.
-
-    ``d`` holds the diagonal entries of ``U^T A~ A~^T U``, with ``U`` the
-    left singular vectors of rho; the root equation is
-    ``sum_i d_i sigma_i^2 / [1 - lambda (1 - sigma_i^2)]^2 = p``. ``n2`` is
-    the column count of rho; the singular values are read-only (:func:`_analysis_of`).
-    """
-
-    singular_values: np.ndarray
-    d: np.ndarray
-    n2: int
-
-
-@dataclass(frozen=True)
 class ProbeReport:
     """Outcome of random feasible perturbations around a placement solution."""
 
@@ -173,35 +160,33 @@ def synergy_gradient_rho(A_tilde, B_tilde, rho) -> np.ndarray:
     return form1
 
 
-def svd_of_rho(A_tilde, rho) -> SvdOfRho:
-    """Cached SVD of rho (:func:`_analysis_of`) and the per-call weights of the root equation."""
-    A_tilde, rho = _whitened_inputs(A_tilde, rho)
-    return _root_weights(A_tilde, _analysis_of(rho.tobytes(), rho.shape))
+def _budget_terms(A_tilde, analysis: _CrossCorrelation) -> tuple[np.ndarray, np.ndarray]:
+    """``(c, gap)`` of the budget equation ``sum_i c_i / (1 - lambda gap_i)^2 = p``.
+
+    ``c_i = d_i s_i^2``, with ``d`` the diagonal of ``U^T A~ A~^T U`` clamped at 0,
+    ``U`` and ``s`` of ``analysis``, the record of rho; ``gap`` is its eigenvalues of
+    ``I - rho^T rho``, whose first ``c.size`` pair with ``c``. Raises :class:`NonFinite`
+    if ``d`` overflows.
+    """
+    d = np.maximum(np.diag(analysis.U.T @ A_tilde @ A_tilde.T @ analysis.U), 0.0)
+    require_finite(d, "the budget weights")
+    return d[: analysis.s.size] * analysis.s**2, analysis.gap
 
 
-def _root_weights(A_tilde, analysis: _CrossCorrelation) -> SvdOfRho:
-    d = np.diag(analysis.U.T @ A_tilde @ A_tilde.T @ analysis.U)
-    return SvdOfRho(singular_values=analysis.s, d=np.maximum(d, 0.0), n2=analysis.rho.shape[1])
+def _budget_value(lam: float, c: np.ndarray, gap: np.ndarray) -> float:
+    """The budget equation's left side at ``lam``, on the first ``c.size`` entries of ``gap``."""
+    return float(np.add.reduce(c / (1.0 - lam * gap[: c.size]) ** 2))
 
 
-def _budget_terms(svd: SvdOfRho) -> tuple[np.ndarray, np.ndarray]:
-    k = svd.singular_values.shape[0]
-    c = svd.d[:k] * svd.singular_values**2
-    one_minus_sq = 1.0 - svd.singular_values**2
-    return c, one_minus_sq
-
-
-def _budget_value(lam: float, c: np.ndarray, oms: np.ndarray) -> float:
-    return float(np.add.reduce(c / (1.0 - lam * oms) ** 2))
-
-
-def _lambda_root(svd: SvdOfRho, p: float) -> float:
+def _lambda_root(c: np.ndarray, gap: np.ndarray, p: float) -> float:
     """Multiplier solving the budget equation on the positive-denominator branch.
 
-    ``p`` is a finite positive budget and ``svd`` the weights of an admissible
-    rho, as :func:`optimal_secondary` admits them. The left side is increasing
-    and convex on ``[0, lambda_hi)`` where ``lambda_hi`` keeps every
-    denominator (and the secondary closed form) finite. The root nearest zero
+    ``p`` is a finite positive budget and ``(c, gap)`` the terms of an admissible
+    rho (:func:`_budget_terms`), as :func:`optimal_secondary` admits them. The
+    left side is increasing and convex on ``[0, lambda_hi)``, where
+    ``lambda_hi = 1 / gap[-1]``, the inverse of the largest eigenvalue of
+    ``I - rho^T rho``, keeps every denominator (and the secondary closed form)
+    finite. The root nearest zero
     is bracketed in ``[0, hi]`` and found by Newton's method on the analytic
     slope, started at ``hi``: on a convex increasing function the iterates
     fall monotonically onto the root. A step that leaves the bracket, which
@@ -217,13 +202,9 @@ def _lambda_root(svd: SvdOfRho, p: float) -> float:
         If every active singular value is at 1, making the equation
         independent of the multiplier.
     NonFinite
-        If the weights ``d``, or the budget value at lambda = 0, overflow.
+        If the budget value at lambda = 0 overflows.
     """
-    require_finite(svd.d, "the budget weights")
-    c, oms = _budget_terms(svd)
-    if not np.any(svd.singular_values > 0.0):
-        raise ValueError("rho has no nonzero singular values; budget equation is void")
-
+    oms = gap[: c.size]
     active = c > 1e-300
     if np.any(active) and float(np.max(oms[active])) <= 1e-10:
         raise DegenerateBudget(
@@ -243,14 +224,11 @@ def _lambda_root(svd: SvdOfRho, p: float) -> float:
             attainable_min=at_zero,
         )
 
-    # Branch upper limit: 1 - lambda (1 - sigma^2) stays positive for every eigenvalue
-    # of rho^T rho, with the zeros padded when the secondary has more channels.
-    max_one_minus = float(np.max(oms)) if oms.size == svd.n2 else 1.0
-    if max_one_minus <= 0.0:  # no active weight (else degenerate): no value exceeds at_zero
+    if gap[-1] <= 0.0:  # no active weight (else degenerate): no value exceeds at_zero
         raise NoRoot(
             f"budget {p:.6g} not attainable (equation saturates)", attainable_min=at_zero
         )
-    lam_hi = 1.0 / max_one_minus
+    lam_hi = 1.0 / float(gap[-1])
 
     hi = min(1.0, 0.5 * lam_hi)
     while (value := _budget_value(hi, c, oms)) < p:
@@ -304,7 +282,8 @@ def optimal_secondary(
       misleading zero matrix.
 
     One record of each bit-equal rho (:func:`_analysis_of`) feeds the
-    admissibility check, the root, the objective and the stationarity check.
+    admissibility check, the root, the objective and the stationarity check;
+    the root's terms (:func:`_budget_terms`) are formed past the two corners only.
     Raises :class:`ValueError` for inputs that do not fit (``A~`` and ``rho``
     by :func:`~fusionkit.matrixkit.require_array`, as :func:`_whitened_inputs`
     admits them; prior size; and a budget ``p`` that is not a finite positive
@@ -323,7 +302,6 @@ def optimal_secondary(
     if prior is not None:
         require_prior_size(prior, A_tilde.shape[1])
     analysis = _analysis_of(rho.tobytes(), rho.shape)
-    svd = _root_weights(A_tilde, analysis)
     _admissible_sigma_max(analysis.sigma_max, strict=False)
 
     prior_trace = 0.0 if prior is None else float(np.trace(prior.info_matrix()))
@@ -360,7 +338,7 @@ def optimal_secondary(
             ),
         )
 
-    lam = _lambda_root(svd, p)
+    lam = _lambda_root(*_budget_terms(A_tilde, analysis), p)
     analysis.k_norm  # the guard of K, before B~* is solved
     B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
     e = float(np.trace(_whitened_fisher(A_tilde, B_star, rho, analysis.solve_k))) + prior_trace

@@ -82,6 +82,15 @@ def random_admissible_rho(rng, n1, n2, sigma_max=0.8):
     return sigma_max * R / np.linalg.svd(R, compute_uv=False)[0]
 
 
+def budget_terms(A_tilde, rho):
+    """``(c, gap)`` of the budget equation of ``(A~, rho)``, from placement's record of ``rho``.
+
+    ``placement._budget_value(lam, c, gap)`` is the budget at the multiplier
+    ``lam``, and ``1 / gap[-1]`` the limit of the branch its root is taken on.
+    """
+    return placement._budget_terms(A_tilde, placement._analysis_of(rho.tobytes(), rho.shape))
+
+
 def rel_fro(actual, expected):
     denom = max(float(np.linalg.norm(expected, "fro")), 1e-300)
     return float(np.linalg.norm(np.asarray(actual) - np.asarray(expected), "fro")) / denom

@@ -25,14 +25,14 @@ from fusionkit import (
     optimal_secondary,
     prewhiten,
     snr_matrix,
-    svd_of_rho,
     synergy_matrices,
     wls_estimate,
 )
 from fusionkit.cli import main as cli_main
-from fusionkit.placement import _budget_terms, _budget_value, _lambda_root
+from fusionkit.placement import _budget_value, _lambda_root
 
 from conftest import (
+    budget_terms,
     fd_lagrangian_stationarity,
     random_admissible_rho,
     random_conditioned_matrix,
@@ -219,14 +219,10 @@ def test_criterion_07_placement_kkt():
         n1, n2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         A = rng.standard_normal((n1, 3))
         rho = random_admissible_rho(rng, n1, n2, float(rng.uniform(0.3, 0.9)))
-        svd = svd_of_rho(A, rho)
-        c, oms = _budget_terms(svd)
-        tau = np.zeros(n2)
-        tau[: svd.singular_values.shape[0]] = svd.singular_values**2
-        lam_hi = 1.0 / float(np.max(1.0 - tau))
-        p = _budget_value(float(rng.uniform(0.05, 0.9)) * lam_hi, c, oms)
-        lam = _lambda_root(svd, p)
-        worst_resid = max(worst_resid, abs(_budget_value(lam, c, oms) - p) / p)
+        c, gap = budget_terms(A, rho)
+        p = _budget_value(float(rng.uniform(0.05, 0.9)) / gap[-1], c, gap)
+        lam = _lambda_root(c, gap, p)
+        worst_resid = max(worst_resid, abs(_budget_value(lam, c, gap) - p) / p)
         sol = optimal_secondary(A, rho, p)
         trace = float(np.sum(sol.B_star**2))
         worst_constraint = max(worst_constraint, abs(trace - p) / (1.0 + p))

@@ -546,6 +546,8 @@ _VARIANTS = {
     "{tol_bool}": lambda d: d.update(tolerances={"redundancy": True}),
     "{nan_mean}": lambda d: d["sources"]["gaussian"].update(mean=[float("nan"), 0.0]),
     "{inf_mean}": lambda d: d["sources"]["gaussian"].update(mean=[float("inf"), 0.0]),
+    "{huge_mean}": lambda d: d["sources"]["gaussian"].update(mean=[1e308, 1e308]),
+    "{huge_noise}": lambda d: d["modalities"][1].update(noise_cov=(1e300 * np.eye(2)).tolist()),
 }
 
 
@@ -630,6 +632,13 @@ _VARIANTS = {
                      ("bad source prior", "mean must be a finite real array",
                       "got a non-finite entry"),
                      id="simulate-inf-mean"),
+        # the campaign's second moments overflow: refused, not printed as NaN or Infinity
+        pytest.param(["simulate", "{huge_mean}", "--method", "ml", "--N", "1000", "--modality",
+                      "b"], 3, ("(NonFinite)", "empirical error covariance"),
+                     id="simulate-overflowing-errors"),
+        pytest.param(["simulate", "{huge_noise}", "--method", "ml", "--N", "1000", "--modality",
+                      "b"], 3, ("(NonFinite)", "empirical error covariance"),
+                     id="simulate-overflowing-moments"),
     ],
 )
 def test_bad_input_is_one_typed_line(tmp_path, two_modality_doc, argv, code, names):
@@ -645,10 +654,10 @@ def test_bad_input_is_one_typed_line(tmp_path, two_modality_doc, argv, code, nam
     out = subprocess.run([sys.executable, "-m", "fusionkit.cli", *(paths.get(a, a) for a in argv)],
                          env=fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
     assert out.returncode == code, out.stderr
-    assert "Traceback" not in out.stderr
+    assert "Traceback" not in out.stderr and out.stdout == ""
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
-        {1: "usage error:", 2: "scenario error:"}[code]), out.stderr
+        {1: "usage error:", 2: "scenario error:", 3: "numerical failure in"}[code]), out.stderr
     assert all(name in lines[0] for name in names), out.stderr
 
 

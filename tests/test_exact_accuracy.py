@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from fusionkit import (BlockCovariance, LinearModel, ModalityPair, PairFactorization, crlb,
-                       optimal_secondary, placement, svd_of_rho)
-from fusionkit.placement import _budget_terms, _budget_value, _perturbation_gains
+                       optimal_secondary, placement)
+from fusionkit.placement import _budget_value, _perturbation_gains
 
-from conftest import random_admissible_rho, random_orthogonal, random_pd
+from conftest import budget_terms, random_admissible_rho, random_orthogonal, random_pd
 from exact import pair_information, placement_objective, probe_gains, relative_error, solve
 
 
@@ -110,15 +110,15 @@ def sweep_solution(fraction):
     A = rng.standard_normal((4, 2))
     R = rng.standard_normal((4, 3))
     rho = 0.8 * R / np.linalg.svd(R, compute_uv=False)[0]
-    svd = svd_of_rho(A, rho)
-    lam_hi = 1.0 / float(np.max(1.0 - svd.singular_values**2))
-    return A, rho, optimal_secondary(A, rho, _budget_value(fraction * lam_hi, *_budget_terms(svd)))
+    c, gap = budget_terms(A, rho)
+    lam_hi = 1.0 / float(gap[-1])
+    return A, rho, optimal_secondary(A, rho, _budget_value(fraction * lam_hi, c, gap))
 
 
 # The objective is off the exact one by 3.2e-18, 4.4e-17 and 6.0e-17 relative.
 def test_a_budget_sweep_answers_the_exact_objective():
     # one sweep on one rho, after another rho of its shape: the later budgets read the cache
-    svd_of_rho(np.ones((4, 2)), 0.5 * np.eye(4, 3))
+    budget_terms(np.ones((4, 2)), 0.5 * np.eye(4, 3))
     for fraction in (0.0, 0.5, 0.9):
         A, rho, sol = sweep_solution(fraction)
         exact = placement_objective(A, rho, sol.B_star)

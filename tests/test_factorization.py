@@ -264,13 +264,18 @@ def small_question(seed):
 # np.all(np.isfinite(M))), and the noise through require_noise after the memo
 # had converted it by np.asarray, advise made 45/77, joint_information 38/61
 # and ml_estimate 15/22; an InfoMatrix now costs require_array's len(shape).
+# While the guard of K built and sorted its own copy of the eigenvalues of
+# I - rho^T rho, and placement copied rho's record into an SvdOfRho whose root
+# checked for a nonzero singular value (one np.any call), advise made 45/78,
+# joint_information 38/62, synergy_matrices 29/60, optimal_secondary 32/74 and a
+# probe 21/34 on a miss.
 CALL_PINS = {
-    "advise": {"fusionkit": 45, "from_fusionkit": 78},
-    "joint_information": {"fusionkit": 38, "from_fusionkit": 62},
-    "synergy_matrices": {"fusionkit": 29, "from_fusionkit": 60},
-    "optimal_secondary": {"fusionkit": 32, "from_fusionkit": 74},
+    "advise": {"fusionkit": 45, "from_fusionkit": 77},
+    "joint_information": {"fusionkit": 38, "from_fusionkit": 61},
+    "synergy_matrices": {"fusionkit": 29, "from_fusionkit": 59},
+    "optimal_secondary": {"fusionkit": 31, "from_fusionkit": 70},
     "ml_estimate": {"fusionkit": 14, "from_fusionkit": 22},
-    "local_optimality_probe, slot miss": {"fusionkit": 21, "from_fusionkit": 34},
+    "local_optimality_probe, slot miss": {"fusionkit": 21, "from_fusionkit": 33},
     "local_optimality_probe, slot hit": {"fusionkit": 11, "from_fusionkit": 20},
 }
 

@@ -7,6 +7,7 @@ from fusionkit import (
     GaussianPrior,
     InfoMatrix,
     LinearModel,
+    NonFinite,
     NonlinearModel,
     campaign_to_csv,
     campaign_to_json,
@@ -89,6 +90,17 @@ class TestEmpiricalErrorCovariance:
         prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
         with pytest.raises(ValueError):
             empirical_error_covariance("ml", model, prior, np.eye(2), N=10, seed=0)
+
+    @pytest.mark.parametrize("mean, noise", [(1e308, 1.0), (0.0, 1e300)],
+                             ids=["errors-overflow", "fourth-moments-overflow"])
+    def test_overflowing_moments_are_refused(self, mean, noise):
+        # the README demo's ppg modality under a source mean of 1e308 or noise
+        # of 1e300 I: each campaign answered inf or NaN entries
+        model = LinearModel([[0.8, 0.3], [0.2, 0.9]])
+        prior = GaussianPrior(np.full(2, mean), [[1.0, 0.2], [0.2, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NonFinite, match="the empirical error covariance or its standard errors"):
+            empirical_error_covariance("ml", model, prior, noise * np.eye(2), N=1000, seed=0)
 
     def test_wls_alias_matches_ml(self, rng):
         model = LinearModel(rng.standard_normal((4, 2)))

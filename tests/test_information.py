@@ -36,11 +36,12 @@ from fusionkit.information import (
     InfoMatrix,
     block_plan,
 )
-from fusionkit.matrixkit import FORM_CONDITION_SLACK, _require_psd
+from fusionkit.matrixkit import FORM_CONDITION_SLACK, _require_psd, symmetrize
 
 from conftest import (
     mc_per_sample,
     random_admissible_rho,
+    random_conditioned_matrix,
     random_joint_noise,
     random_orthogonal,
     random_pair,
@@ -400,6 +401,87 @@ def test_fusion_never_loses_information(seed):
     J = joint_information(pair).matrix
     for snr in snrs(pair):
         _require_psd(np.linalg.eigvalsh(J - snr), "J - snr")
+
+
+def property_pair(rng, redundant):
+    """A pair of 1 to 6 channels each and 1 to 6 sources, on noise of ``PROPERTY_NOISE_EIGS``.
+
+    Its second modality is redundant when ``redundant``: ``B = sigma_vu^T sigma_v^-1 A``
+    whitens to ``B~ = rho^T A~`` in any basis.
+    """
+    n1, n2, m = (int(k) for k in rng.integers(1, 7, size=3))
+    noise = random_joint_noise(rng, n1, n2, PROPERTY_NOISE_EIGS)
+    A = rng.standard_normal((n1, m))
+    B = (noise.sigma_vu.T @ np.linalg.solve(noise.sigma_v, A) if redundant
+         else rng.standard_normal((n2, m)))
+    return ModalityPair(LinearModel(A), LinearModel(B), noise)
+
+
+def pair_answers(pair):
+    """``(J, S_x, S_y, snr1, snr2)``, ``sigma_max(rho)`` and advise's (verdict, dominance, regime)."""
+    fac, syn, adv = PairFactorization.from_pair(pair), synergy_matrices(pair), advise(pair)
+    return ((joint_information(pair).matrix, syn.S_x, syn.S_y, fac.snr_first, fac.snr_second),
+            fac.sigma_max_rho, (adv.verdict, adv.evidence["dominance"], adv.regime))
+
+
+def assert_same_answers(pair, other, order=(0, 1, 2, 3, 4), rename=lambda word: word):
+    """``other`` answers as ``pair`` does, its matrices taken in ``order`` and its words
+    through ``rename``, to ``slack * kappa * eps`` of the worse-conditioned noise."""
+    (mats, s, words), (other_mats, other_s, other_words) = pair_answers(pair), pair_answers(other)
+    tol = max(form_tol(pair), form_tol(other))
+    scale = np.linalg.norm(mats[0])
+    for k, M in zip(order, other_mats):
+        assert np.linalg.norm(M - mats[k]) <= tol * scale, k
+    assert abs(other_s - s) <= tol
+    assert tuple(map(rename, other_words)) == words
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_a_channel_transform_changes_no_answer(seed, redundant):
+    # property (i): A -> T A, sigma_v -> T sigma_v T^T and sigma_vu -> T sigma_vu,
+    # for an invertible T of singular values in [0.5, 2]
+    rng = np.random.default_rng(seed)
+    pair = property_pair(rng, redundant)
+    T = random_conditioned_matrix(rng, pair.first.n, pair.first.n)
+    noise = pair.noise
+    moved = ModalityPair(LinearModel(T @ pair.first.A), pair.second, BlockCovariance(
+        symmetrize(T @ noise.sigma_v @ T.T), noise.sigma_u, T @ noise.sigma_vu))
+    assert_same_answers(pair, moved)
+
+
+MIRRORED = {"SelectFirst": "SelectSecond", "SelectSecond": "SelectFirst",
+            "FirstRedundant": "SecondRedundant", "SecondRedundant": "FirstRedundant",
+            "FirstDominates": "SecondDominates", "SecondDominates": "FirstDominates"}
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_swapping_the_modalities_mirrors_every_answer(seed, redundant):
+    # property (ii): J stays, S_x and S_y trade places, so do snr1 and snr2,
+    # and the verdict and dominance are mirrored
+    pair = property_pair(np.random.default_rng(seed), redundant)
+    noise = pair.noise
+    swapped = ModalityPair(pair.second, pair.first,
+                           BlockCovariance(noise.sigma_u, noise.sigma_v, noise.sigma_vu.T))
+    assert_same_answers(pair, swapped, (0, 2, 1, 4, 3), lambda word: MIRRORED.get(word, word))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_a_silent_channel_changes_no_answer(seed, redundant):
+    # property (iv): a first-modality channel with a zero row of A and noise
+    # independent of every other channel; only the unequal-channel caveat may move
+    rng = np.random.default_rng(seed)
+    pair = property_pair(rng, redundant)
+    (n1, m), n2, noise = pair.first.A.shape, pair.second.n, pair.noise
+    sigma_v = np.zeros((n1 + 1, n1 + 1))
+    sigma_v[:n1, :n1] = noise.sigma_v
+    sigma_v[n1, n1] = rng.uniform(*PROPERTY_NOISE_EIGS)
+    grown = ModalityPair(LinearModel(np.vstack([pair.first.A, np.zeros((1, m))])), pair.second,
+                         BlockCovariance(sigma_v, noise.sigma_u,
+                                         np.vstack([noise.sigma_vu, np.zeros((1, n2))])))
+    assert_same_answers(pair, grown)
 
 
 def exact_trace_at_scaled_identity(A_tilde, B_tilde, c):

@@ -37,7 +37,6 @@ from fusionkit import (
     optimal_secondary,
     prior_information_mc,
     simulate,
-    svd_of_rho,
     snr_matrix,
     synergy_gradient_rho,
     synergy_objective,
@@ -48,11 +47,12 @@ from fusionkit import (
 
 from fusionkit.cli import ScenarioError, load_scenario
 from fusionkit.model import draw_rows, draw_streams
+from fusionkit.placement import _budget_value, _whitened_inputs
 from fusionkit.matrixkit import (
     SINGULAR_CONDITION, _require_psd, inverse_factor, require_real, symmetrize,
 )
 
-from conftest import random_joint_noise, random_orthogonal, random_pd, rel_fro
+from conftest import budget_terms, random_joint_noise, random_orthogonal, random_pd, rel_fro
 from oracles import check_crlb_dominance, fisher_finite_difference
 
 
@@ -298,8 +298,7 @@ class ScalarQuestion:
         self.noise = BlockCovariance(self.S, self.S, 0.1 * np.eye(3))
         self.A = rng.standard_normal((3, 2))
         self.rho = np.array([[0.6, 0.0], [0.0, 0.15], [0.0, 0.15]])  # sigma_max 0.6
-        self.svd = svd_of_rho(self.A, self.rho)
-        self.p = 3.0 * float(np.sum(self.svd.d[:2] * self.svd.singular_values**2))
+        self.p = 3.0 * _budget_value(0.0, *budget_terms(self.A, self.rho))
         self.solution = optimal_secondary(self.A, self.rho, self.p)
 
 
@@ -442,8 +441,11 @@ _ARRAYS = {
                                  lambda q, v: synergy_gradient_rho(q.A, q.solution.B_star, v)),
     "synergy_gradient_rho-B_tilde": ("B_tilde", lambda q: q.solution.B_star, True,
                                      lambda q, v: synergy_gradient_rho(q.A, v, q.rho)),
-    "svd_of_rho-A_tilde": ("A_tilde", lambda q: q.A, False, lambda q, v: svd_of_rho(v, q.rho)),
-    "svd_of_rho-rho": ("rho", lambda q: q.rho, True, lambda q, v: svd_of_rho(q.A, v)),
+    # the one admission of every placement entry point, pinned where it is defined
+    "_whitened_inputs-A_tilde": ("A_tilde", lambda q: q.A, False,
+                                 lambda q, v: _whitened_inputs(v, q.rho)),
+    "_whitened_inputs-rho": ("rho", lambda q: q.rho, True,
+                             lambda q, v: _whitened_inputs(q.A, v)),
     "probe-A_tilde": ("A_tilde", lambda q: q.A, False,
                       lambda q, v: local_optimality_probe(v, q.rho, q.solution)),
     "probe-rho": ("rho", lambda q: q.rho, True,
@@ -525,8 +527,9 @@ def test_lists_and_integer_arrays_answer_as_float_arrays(entry):
     assert _bits(call(q, value.tolist())) == _bits(call(q, value))
     assert _bits(call(q, value.astype(np.float32))) == _bits(call(q, value.astype(np.float32)
                                                                   .astype(float)))
-    # integer-valued, so also given as integers; the one integer rho of sigma_max < 1 is 0
-    whole = np.zeros_like(value) if entry.endswith("-rho") else np.rint(value)
+    # integer-valued, so also given as integers; the one integer rho of sigma_max < 1 is 0,
+    # and a zero is +0.0 (rint rounds -0.4 to -0.0), the float an integer 0 is admitted as
+    whole = np.zeros_like(value) if entry.endswith("-rho") else np.rint(value) + 0.0
     assert _bits(call(q, whole.astype(np.int64))) == _bits(call(q, whole))
 
 

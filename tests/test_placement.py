@@ -14,13 +14,11 @@ from fusionkit import (
     PairFactorization,
     PlacementSolution,
     Singular,
-    SvdOfRho,
     WhitenedPair,
     joint_information,
     local_optimality_probe,
     optimal_secondary,
     prewhiten,
-    svd_of_rho,
     synergy_gradient_rho,
     synergy_objective,
 )
@@ -29,15 +27,16 @@ from fusionkit import placement
 from fusionkit.information import _CrossCorrelation
 from fusionkit.matrixkit import FORM_CONDITION_SLACK, FORM_TOL
 from fusionkit.placement import (
-    _budget_terms,
     _budget_value,
     _lambda_root,
     _objective_gradient_forms,
     _perturbation_gains,
+    _whitened_inputs,
 )
 
 from conftest import (
     PLACEMENT_CACHES,
+    budget_terms,
     empty_placement_caches,
     fd_lagrangian_gradient,
     fd_lagrangian_stationarity,
@@ -54,18 +53,14 @@ def probe_instance(rng):
     """The small instance of the probe tests: (3, 3) rho, 1.5x the minimum budget."""
     A = rng.standard_normal((3, 2))
     rho = random_admissible_rho(rng, 3, 3, 0.7)
-    svd = svd_of_rho(A, rho)
-    c, oms = _budget_terms(svd)
-    p = _budget_value(0.0, c, oms) * 1.5
+    p = _budget_value(0.0, *budget_terms(A, rho)) * 1.5
     return A, rho, optimal_secondary(A, rho, p)
 
 
 def whitened_probe_instance(n1, n2, m):
     """A whitened (n1, n2, m) pair at twice its minimum budget."""
     wp = prewhiten(random_pair(np.random.default_rng(4030), n1, n2, m))
-    svd = svd_of_rho(wp.A_tilde, wp.rho)
-    c, oms = _budget_terms(svd)
-    p = _budget_value(0.0, c, oms) * 2.0
+    p = _budget_value(0.0, *budget_terms(wp.A_tilde, wp.rho)) * 2.0
     return wp.A_tilde, wp.rho, optimal_secondary(wp.A_tilde, wp.rho, p)
 
 
@@ -185,19 +180,17 @@ class TestLambdaRoot:
     def test_budget_at_zero_multiplier(self, rng):
         A = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.7)
-        svd = svd_of_rho(A, rho)
-        c, oms = _budget_terms(svd)
-        p0 = _budget_value(0.0, c, oms)
-        assert _lambda_root(svd, p0) == 0.0
+        c, gap = budget_terms(A, rho)
+        p0 = _budget_value(0.0, c, gap)
+        assert _lambda_root(c, gap, p0) == 0.0
 
     def test_scalar_closed_form(self):
         # rho = c I, A = I: m c^2 / [1 - lam (1 - c^2)]^2 = p, verified by residual
         m, c = 3, 0.6
         A = np.eye(m)
         rho = c * np.eye(m)
-        svd = svd_of_rho(A, rho)
         p = 2.0 * m * c**2
-        lam = _lambda_root(svd, p)
+        lam = _lambda_root(*budget_terms(A, rho), p)
         resid = abs(m * c**2 / (1.0 - lam * (1.0 - c**2)) ** 2 - p)
         assert resid < 1e-12 * p
 
@@ -208,14 +201,11 @@ class TestLambdaRoot:
             n1, n2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             A = rng.standard_normal((n1, 3))
             rho = random_admissible_rho(rng, n1, n2, float(rng.uniform(0.2, 0.9)))
-            svd = svd_of_rho(A, rho)
-            c, oms = _budget_terms(svd)
-            tau = np.zeros(n2)
-            tau[: svd.singular_values.shape[0]] = svd.singular_values**2
-            lam_hi = 1.0 / float(np.max(1.0 - tau))
-            p = _budget_value(float(rng.uniform(0.05, 0.9)) * lam_hi, c, oms)
-            lam = _lambda_root(svd, p)
-            assert abs(_budget_value(lam, c, oms) - p) <= 1e-10 * p
+            c, gap = budget_terms(A, rho)
+            lam_hi = 1.0 / gap[-1]
+            p = _budget_value(float(rng.uniform(0.05, 0.9)) * lam_hi, c, gap)
+            lam = _lambda_root(c, gap, p)
+            assert abs(_budget_value(lam, c, gap) - p) <= 1e-10 * p
 
     @pytest.mark.parametrize("where", ["inside", "above_minimum", "below_supremum"])
     def test_residual_contract_at_the_branch_ends(self, rng, where):
@@ -226,32 +216,28 @@ class TestLambdaRoot:
             n1, n2 = int(rng.integers(1, 8)), int(rng.integers(1, 8))
             A = rng.standard_normal((n1, int(rng.integers(1, 5))))
             s_max = float(rng.choice([rng.uniform(0.05, 0.99), 1.0 - 10.0 ** -rng.uniform(3, 9)]))
-            svd = svd_of_rho(A, random_admissible_rho(rng, n1, n2, s_max))
-            c, oms = _budget_terms(svd)
-            tau = np.zeros(n2)
-            tau[: svd.singular_values.shape[0]] = svd.singular_values**2
-            lam_hi = 1.0 / float(np.max(1.0 - tau))
+            c, gap = budget_terms(A, random_admissible_rho(rng, n1, n2, s_max))
+            lam_hi = 1.0 / gap[-1]
             frac = {
                 "inside": rng.uniform(0.0, 1.0),
                 "above_minimum": 10.0 ** -rng.uniform(3, 14),
                 "below_supremum": 1.0 - 10.0 ** -rng.uniform(3, 12),
             }[where]
-            p = _budget_value(frac * lam_hi, c, oms)
-            lam = _lambda_root(svd, p)
+            p = _budget_value(frac * lam_hi, c, gap)
+            lam = _lambda_root(c, gap, p)
             assert 0.0 <= lam < lam_hi
-            assert abs(_budget_value(lam, c, oms) - p) <= 1e-12 * p
+            assert abs(_budget_value(lam, c, gap) - p) <= 1e-12 * p
 
     def test_no_root_above_finite_supremum(self, rng):
         # rho is 1 x 2, so rho^T rho has a zero eigenvalue, lambda_hi = 1 and
         # the budget curve stays finite up to it: c / sigma^4 is its supremum.
         A = rng.standard_normal((1, 2))
-        svd = svd_of_rho(A, np.array([[0.6, 0.0]]))
-        c, oms = _budget_terms(svd)
+        c, gap = budget_terms(A, np.array([[0.6, 0.0]]))
         sup = float(c[0]) / 0.6**4
-        assert _lambda_root(svd, 0.999 * sup) < 1.0
+        assert _lambda_root(c, gap, 0.999 * sup) < 1.0
         with pytest.raises(NoRoot, match="supremum") as exc_info:
-            _lambda_root(svd, 1.001 * sup)
-        assert exc_info.value.attainable_min == pytest.approx(_budget_value(0.0, c, oms))
+            _lambda_root(c, gap, 1.001 * sup)
+        assert exc_info.value.attainable_min == pytest.approx(_budget_value(0.0, c, gap))
 
     def test_saturated_equation_refused_before_the_bracket(self, monkeypatch):
         # every 1 - sigma^2 is 0 and no weight is active, so the value never
@@ -264,24 +250,22 @@ class TestLambdaRoot:
 
         monkeypatch.setattr(placement, "_budget_value", counted)
         with pytest.raises(NoRoot, match=r"not attainable \(equation saturates\)") as exc_info:
-            _lambda_root(SvdOfRho(np.array([1.0, 1.0]), np.zeros(2), 2), 1.0)
+            _lambda_root(np.zeros(2), np.zeros(2), 1.0)
         assert exc_info.value.attainable_min == 0.0
         assert len(calls) == 1
 
     def test_degenerate_budget_when_all_singular_values_at_one(self):
         A = np.eye(2)
-        svd = svd_of_rho(A, np.eye(2))
         with pytest.raises(DegenerateBudget):
-            _lambda_root(svd, 5.0)
+            _lambda_root(*budget_terms(A, np.eye(2)), 5.0)
 
     def test_no_root_below_attainable_minimum(self, rng):
         A = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.7)
-        svd = svd_of_rho(A, rho)
-        c, oms = _budget_terms(svd)
-        p0 = _budget_value(0.0, c, oms)
+        c, gap = budget_terms(A, rho)
+        p0 = _budget_value(0.0, c, gap)
         with pytest.raises(NoRoot) as exc_info:
-            _lambda_root(svd, 0.5 * p0)
+            _lambda_root(c, gap, 0.5 * p0)
         assert exc_info.value.attainable_min == pytest.approx(p0)
 
 
@@ -329,15 +313,12 @@ class TestOptimalSecondary:
             optimal_secondary(A, np.array(rho), 5.0)
 
     def test_lambda_root_refuses_overflowing_weights(self):
-        with np.errstate(over="ignore"):
-            svd = svd_of_rho(np.array([[1e300]]), np.array([[0.5]]))
-        with pytest.raises(NonFinite, match="budget weights"):
-            _lambda_root(svd, 5.0)
+        with np.errstate(over="ignore"), pytest.raises(NonFinite, match="budget weights"):
+            budget_terms(np.array([[1e300]]), np.array([[0.5]]))
         # finite weights whose sum at lambda = 0 overflows
         s = np.array([0.999, 0.999])
-        svd = SvdOfRho(singular_values=s, d=np.array([1e308, 1e308]), n2=2)
         with np.errstate(over="ignore"), pytest.raises(NonFinite, match="lambda = 0"):
-            _lambda_root(svd, 5.0)
+            _lambda_root(1e308 * s**2, 1.0 - s**2, 5.0)
 
     def test_solution_is_finite(self):
         with pytest.raises(NonFinite):
@@ -352,12 +333,9 @@ class TestOptimalSecondary:
             n1, n2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             A = rng.standard_normal((n1, 2))
             rho = random_admissible_rho(rng, n1, n2, float(rng.uniform(0.3, 0.9)))
-            svd = svd_of_rho(A, rho)
-            c, oms = _budget_terms(svd)
-            tau = np.zeros(n2)
-            tau[: svd.singular_values.shape[0]] = svd.singular_values**2
-            lam_hi = 1.0 / float(np.max(1.0 - tau))
-            p = _budget_value(float(rng.uniform(0.1, 0.9)) * lam_hi, c, oms)
+            c, gap = budget_terms(A, rho)
+            lam_hi = 1.0 / gap[-1]
+            p = _budget_value(float(rng.uniform(0.1, 0.9)) * lam_hi, c, gap)
             sol = optimal_secondary(A, rho, p)
             trace = float(np.sum(sol.B_star**2))
             assert abs(trace - p) <= 1e-8 * (1.0 + p)
@@ -381,9 +359,7 @@ class TestOptimalSecondary:
     def test_form_disagreement_raises(self, rng, monkeypatch):
         A = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.6)
-        svd = svd_of_rho(A, rho)
-        c, oms = _budget_terms(svd)
-        p = _budget_value(0.0, c, oms) * 1.5
+        p = _budget_value(0.0, *budget_terms(A, rho)) * 1.5
         forms = placement._objective_gradient_forms
 
         def skewed(*args):
@@ -407,9 +383,7 @@ class TestOptimalSecondary:
         s[0] = 1.0 - gap
         rho = (U * s) @ V.T
         A = rng.standard_normal((12, 4))
-        svd = svd_of_rho(A, rho)
-        c, oms = _budget_terms(svd)
-        p = _budget_value(0.0, c, oms) * 2.0
+        p = _budget_value(0.0, *budget_terms(A, rho)) * 2.0
         sol = optimal_secondary(A, rho, p)
         assert sol.kkt_residual <= 1e-5
         fd = fd_lagrangian_stationarity(A, sol.B_star, rho, sol.lambda_, sol.objective_e)
@@ -427,8 +401,7 @@ class TestOptimalSecondary:
         s[0] = np.sqrt(1.0 - gap)
         rho = (U * s) @ V.T
         A = rng.standard_normal((4, 2))
-        c, oms = _budget_terms(svd_of_rho(A, rho))
-        p = _budget_value(0.0, c, oms) * rng.uniform(1.25, 5.0)
+        p = _budget_value(0.0, *budget_terms(A, rho)) * rng.uniform(1.25, 5.0)
         with pytest.raises(Singular, match=r"KKT residual \S+ exceeds the bound 1e-05") as exc:
             optimal_secondary(A, rho, p)
         assert exc.value.condition == pytest.approx((1.0 - s[-1] ** 2) / gap, rel=1e-2)
@@ -454,9 +427,7 @@ class TestOptimalSecondary:
     def test_prior_shifts_objective_only(self, rng):
         A = rng.standard_normal((3, 2))
         rho = random_admissible_rho(rng, 3, 3, 0.6)
-        svd = svd_of_rho(A, rho)
-        c, oms = _budget_terms(svd)
-        p = _budget_value(0.0, c, oms) * 1.5
+        p = _budget_value(0.0, *budget_terms(A, rho)) * 1.5
         plain = optimal_secondary(A, rho, p)
         prior = GaussianPrior(mean=np.zeros(2), cov=0.5 * np.eye(2))
         with_prior = optimal_secondary(A, rho, p, prior=prior)
@@ -738,10 +709,9 @@ class TestRhoAnalysisMemo:
         rng = np.random.default_rng(2901)
         A = rng.standard_normal((12, 4))
         rho = random_admissible_rho(rng, 12, 8, 0.9)
-        svd = svd_of_rho(A, rho)
-        c, oms = _budget_terms(svd)
-        lam_hi = 1.0 / float(np.max(1.0 - svd.singular_values**2))
-        budgets = [_budget_value(f * lam_hi, c, oms) for f in np.linspace(0.0, 0.9, 12)]
+        c, gap = budget_terms(A, rho)
+        lam_hi = 1.0 / gap[-1]
+        budgets = [_budget_value(f * lam_hi, c, gap) for f in np.linspace(0.0, 0.9, 12)]
 
         def sweep(solve, probe):
             out = []
@@ -753,7 +723,7 @@ class TestRhoAnalysisMemo:
         memoized, svds = svd_calls(
             monkeypatch, lambda: sweep(lambda f, *a: f(*a), lambda f, *a: f(*a))
         )
-        assert svds == 0  # svd_of_rho analysed rho above
+        assert svds == 0  # budget_terms analysed rho above
         assert memoized == sweep(fresh, fresh)
         # the gains straddle the threshold, so a wrong K would move the counts
         assert 0 < sum(row[4] for row in memoized) < 12 * 200
@@ -763,7 +733,7 @@ class TestRhoAnalysisMemo:
         A = rng.standard_normal((6, 3))
         rho = random_admissible_rho(rng, 6, 4, 0.7)
         halved = 0.5 * rho
-        p = 2.0 * _budget_value(0.0, *_budget_terms(svd_of_rho(A, rho)))
+        p = 2.0 * _budget_value(0.0, *budget_terms(A, rho))
         want = answers(fresh(optimal_secondary, A, halved, p))
         fresh(optimal_secondary, A, rho, p)
         rho *= 0.5  # the caller writes into the array it passed
@@ -782,7 +752,7 @@ class TestRhoAnalysisMemo:
         s[0] = np.sqrt(1.0 - 10.0 ** rng.uniform(-12.0, -11.0))
         A = rng.standard_normal((4, 2))
         unverifiable = (U * s) @ V.T
-        p = _budget_value(0.0, *_budget_terms(svd_of_rho(A, unverifiable))) * rng.uniform(1.25, 5.0)
+        p = _budget_value(0.0, *budget_terms(A, unverifiable)) * rng.uniform(1.25, 5.0)
         past_limit = (U * np.array([1.0 - 1e-13, s[1], s[2]])) @ V.T  # cond ~ 5e12
         B = rng.standard_normal((3, 2))
         sol = PlacementSolution(B_star=B, lambda_=0.0, budget_p=1.0, objective_e=0.0,
@@ -797,7 +767,7 @@ class TestRhoAnalysisMemo:
             (optimal_secondary, (A, unverifiable, p), Singular, "KKT residual"),
         ]
         admissible = (U * np.array([0.6, s[1], s[2]])) @ V.T
-        p_admissible = 2.0 * _budget_value(0.0, *_budget_terms(svd_of_rho(A, admissible)))
+        p_admissible = 2.0 * _budget_value(0.0, *budget_terms(A, admissible))
         for call, args, error, words in cases:
             first = error_of(fresh, call, *args)
             assert first[0] is error and words in first[1]
@@ -811,7 +781,7 @@ class TestRhoAnalysisMemo:
         rho_1 = random_admissible_rho(rng, 5, 4, 0.8)
         rho_2 = random_admissible_rho(rng, 5, 4, 0.8)
         sol = optimal_secondary(A, rho_1, 3.0 * _budget_value(
-            0.0, *_budget_terms(svd_of_rho(A, rho_1))))
+            0.0, *budget_terms(A, rho_1)))
         local_optimality_probe(A, rho_1, sol)  # K of rho_1 memoized
         gains = _perturbation_gains(A, rho_2, sol.B_star, 100, 5, 1e-3)
         assert np.array_equal(gains, fresh(_perturbation_gains, A, rho_2, sol.B_star, 100, 5, 1e-3))
@@ -822,12 +792,12 @@ class TestRhoAnalysisMemo:
         rng = np.random.default_rng(2905)
         rho = random_admissible_rho(rng, 6, 4, 0.8)
         A_1, A_2 = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        U = np.linalg.svd(rho)[0]
+        U, s, _ = np.linalg.svd(rho)
         for A in (A_1, A_2, A_1):
-            d = svd_of_rho(A, rho).d
-            assert np.array_equal(d, fresh(svd_of_rho, A, rho).d)
-            assert np.array_equal(d, np.maximum(np.diag(U.T @ A @ A.T @ U), 0.0))
-            p = 2.0 * _budget_value(0.0, *_budget_terms(svd_of_rho(A, rho)))
+            c = budget_terms(A, rho)[0]
+            assert np.array_equal(c, fresh(budget_terms, A, rho)[0])
+            assert np.array_equal(c, np.maximum(np.diag(U.T @ A @ A.T @ U), 0.0)[:4] * s**2)
+            p = 2.0 * _budget_value(0.0, *budget_terms(A, rho))
             got = optimal_secondary(A, rho, p)
             assert answers(got) == answers(fresh(optimal_secondary, A, rho, p))
             assert rel_fro(got.B_star, np.linalg.solve(
@@ -882,7 +852,7 @@ class TestProbeDrawsMemo:
     def test_a_budget_sweep_takes_the_quadratic_forms_once(self):
         # the first block's <z, K z> is cached per analysis and draws; later blocks take their own
         A, rho, _ = self.instances()[0]
-        budgets = 2.0 * _budget_value(0.0, *_budget_terms(svd_of_rho(A, rho))) * np.arange(1, 4)
+        budgets = 2.0 * _budget_value(0.0, *budget_terms(A, rho)) * np.arange(1, 4)
         for n in (200, placement.PROBE_BLOCK + 44):
             before = placement._first_forms.cache_info()
             for p in budgets:
@@ -910,7 +880,7 @@ class TestProbeDrawsMemo:
             for _ in range(4):
                 rho = random_admissible_rho(rng, 5, n2, 0.7)
                 sol = optimal_secondary(A, rho, 2.0 * _budget_value(
-                    0.0, *_budget_terms(svd_of_rho(A, rho))))
+                    0.0, *budget_terms(A, rho)))
                 for seed in (0, 1):
                     local_optimality_probe(A, rho, sol, n_perturbations=20, seed=seed)
                     for cache in PLACEMENT_CACHES:
@@ -952,8 +922,8 @@ def probe_of(A, rho, B):
 ENTRY_POINTS = {
     "synergy_objective": (lambda A, rho, B: synergy_objective(A, B, rho), "B_tilde"),
     "synergy_gradient_rho": (lambda A, rho, B: synergy_gradient_rho(A, B, rho), "B_tilde"),
-    "svd_of_rho": (lambda A, rho, B: svd_of_rho(A, rho), None),
     "optimal_secondary": (lambda A, rho, B: optimal_secondary(A, rho, 5.0), None),
+    "_whitened_inputs": (lambda A, rho, B: _whitened_inputs(A, rho), None),
     "local_optimality_probe": (probe_of, "solution.B_star"),
 }
 
@@ -1003,8 +973,7 @@ def near_unitary_question(rng, gap):
     V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     rho = (U * np.array([1.0 - gap, 0.5, 0.3])) @ V.T
     A, B = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
-    c, oms = _budget_terms(svd_of_rho(A, rho))
-    return A, B, rho, 1.5 * _budget_value(0.0, c, oms)
+    return A, B, rho, 1.5 * _budget_value(0.0, *budget_terms(A, rho))
 
 
 FORM_CHECKS = {

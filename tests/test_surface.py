@@ -1,12 +1,14 @@
-"""The public surface: the names ``fusionkit`` exports, and the README's use of them."""
+"""The public surface: the names ``fusionkit`` exports, as the README and the digest use them."""
 
+import ast
 import re
 import types
 from pathlib import Path
 
 import fusionkit
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC = [
     "AdvisorTolerances", "Advisory", "BlockCovariance", "CampaignResult", "CrlbCheck",
@@ -15,12 +17,12 @@ PUBLIC = [
     "ModalityPair", "NoPriorInfo", "NoRoot", "NoScore", "NonFinite", "NonlinearModel", "NotPD",
     "NotPSD", "NotSampleable", "PairFactorization", "PlacementSolution", "ProbeReport",
     "RouteDisagreement", "SampleBatch", "SamplerPrior", "Singular", "SingularInformation",
-    "SingularNormalMatrix", "SingularPosterior", "SourcePrior", "SvdOfRho", "SynergyReport",
+    "SingularNormalMatrix", "SingularPosterior", "SourcePrior", "SynergyReport",
     "WhitenedPair", "advise", "campaign_to_csv", "campaign_to_json", "crlb",
     "empirical_error_covariance", "error_covariance", "fisher_nonlinear", "joint_information",
     "joint_information_nonlinear", "local_optimality_probe", "ml_estimate",
     "mmse_gaussian_estimate", "numeric_jacobian", "optimal_secondary", "prewhiten",
-    "prior_information_mc", "simulate", "snr_matrix", "svd_of_rho", "synergy_gradient_rho",
+    "prior_information_mc", "simulate", "snr_matrix", "synergy_gradient_rho",
     "synergy_matrices", "synergy_objective", "total_information", "total_information_nonlinear",
     "wls_estimate",
 ]
@@ -31,9 +33,23 @@ def test_public_names_are_pinned():
         name for name in dir(fusionkit)
         if not name.startswith("_") and not isinstance(getattr(fusionkit, name), types.ModuleType)
     ]
-    assert sorted(names) == sorted(PUBLIC) and len(PUBLIC) == 63
+    assert sorted(names) == sorted(PUBLIC) and len(PUBLIC) == 61
 
 
 def test_readme_library_sketch_runs():
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_answer_digest_imports_public_names_only():
+    # the digest script of one tree is run against another tree, so it may
+    # reach fusionkit only through names that every tree exports
+    tree = ast.parse((ROOT / "scripts" / "answer_digest.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("fusionkit.") for a in node.names), ast.dump(node)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fusionkit"):
+            assert node.module == "fusionkit", node.module
+            imported += [a.name for a in node.names]
+    assert imported and set(imported) <= set(fusionkit.__all__)
