@@ -7,10 +7,13 @@ objective, the stationarity residual (the norm of the analytic Lagrangian
 gradient, whose two algebraic forms are checked against each other on
 every solve), and the perturbation-probe outcome (how often a random
 feasible perturbation increases the objective, and the largest gain).
-Exits 1 if a KKT residual exceeds ``KKT_BOUND``, or if a probe finds a
-perturbation that does not increase the objective: the solution is the
-budget-constrained minimizer (``optimal_secondary``), so at the probe's
-delta of 1e-3 every perturbation is a violation.
+Exits 1 if a KKT residual exceeds ``KKT_BOUND``, if a returned ``B~*``
+misses its budget, ``|Tr(B~*^T B~*) - p| / p > 1e-10`` (the closed form is
+read off the singular basis of rho, so nothing solves it onto the sphere
+but the root), or if a probe finds a perturbation that does not increase
+the objective: the solution is the budget-constrained minimizer
+(``optimal_secondary``), so at the probe's delta of 1e-3 every
+perturbation is a violation.
 """
 
 import argparse
@@ -41,10 +44,11 @@ def main() -> int:
     c, gap = _budget_terms(A, _analysis_of(rho.tobytes(), rho.shape))
     lam_hi = 1.0 / float(gap[-1])  # the branch limit of the budget root
 
-    rows = []
+    rows, misses = [], []
     for frac in np.linspace(0.0, 0.9, args.budgets):
         p = _budget_value(float(frac) * lam_hi, c, gap)
         sol = optimal_secondary(A, rho, p)
+        misses.append(abs(float(np.sum(sol.B_star * sol.B_star)) - p) / p)
         probe = local_optimality_probe(A, rho, sol, n_perturbations=args.probes, seed=args.seed)
         rows.append(
             {
@@ -72,12 +76,18 @@ def main() -> int:
     total_viol = sum(r["probe_violations"] for r in rows)
     print(
         f"placement sweep: {len(rows)} budgets, worst KKT residual {worst_kkt:.3e}, "
+        f"worst budget miss {max(misses):.3e}, "
         f"{total_viol} probe improvements across {len(rows) * args.probes} "
         f"perturbations -> {out}",
         file=sys.stderr,
     )
     if worst_kkt > KKT_BOUND:
         print(f"FAIL: KKT residual {worst_kkt:.3e} exceeds {KKT_BOUND:.0e}", file=sys.stderr)
+        return 1
+    missed = [r["p"] for r, miss in zip(rows, misses) if miss > 1e-10]
+    if missed:
+        print(f"FAIL: at budgets {missed}, B* misses its budget by more than 1e-10 relative",
+              file=sys.stderr)
         return 1
     short = [r["p"] for r in rows if r["probe_violations"] < args.probes]
     if short:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Singular
 from .information import DEFAULT_BLOCK, InfoMatrix, crlb
 from .matrixkit import admit_symmetric, noise_whitener, require_finite, require_integer, symmetrize
 from .model import (
@@ -170,9 +171,19 @@ def _error_moments(A, prior: SourcePrior, L: np.ndarray, estimate, N: int, seed:
 
 
 def _mmse_gain(A, cov, sigma) -> np.ndarray:
-    """Gain ``G A^T (A G A^T + sigma)^-1`` of the posterior mean ``mu + gain (x - A mu)``."""
+    """Gain ``G A^T (A G A^T + sigma)^-1`` of the posterior mean ``mu + gain (x - A mu)``.
+
+    Raises :class:`Singular`, with infinite condition, where the LU solve with
+    the innovation covariance ``A G A^T + sigma`` meets an exactly zero pivot
+    (numpy's ``LinAlgError``, a ``ValueError`` the CLI would read as a bad
+    scenario).
+    """
     innovation_cov = symmetrize(A @ cov @ A.T + sigma)
-    return cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(A.shape[0]))
+    try:
+        return cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(A.shape[0]))
+    except np.linalg.LinAlgError:
+        raise Singular("the innovation covariance is numerically singular (cond~inf)",
+                       condition=np.inf) from None
 
 
 def _crlb_check(emp: np.ndarray, bound: np.ndarray, slack: float) -> CrlbCheck:

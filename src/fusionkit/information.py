@@ -83,21 +83,23 @@ class _CrossCorrelation:
     """The whitened cross-correlation ``rho`` taken apart once: SVD, guard, ``K`` and ``K'``.
 
     Holds ``rho``, its read-only descending singular values ``s``, ``sigma_max``,
-    the left singular vectors ``U`` of a ``full`` SVD (a values-only one can differ
-    in the last bits of ``s``), ``cap = I - rho^T rho`` and ``gap``, the ascending
-    eigenvalues of ``cap`` read off ``s`` (``1 - s^2``, then 1 for each column of
-    ``rho`` past ``s``: no eigen-solve). ``K = cap^-1`` and
-    ``K' = (I - rho rho^T)^-1`` are applied by solves (an explicit inverse loses up
-    to ten times more near a unitary rho) and kept once formed; a refused rho
-    keeps neither, so every use raises again.
+    the left and right singular vectors ``U`` and ``Vt`` (``rho = U S Vt``) of a
+    ``full`` SVD (a values-only one can differ in the last bits of ``s``),
+    ``cap = I - rho^T rho`` and ``gap``, the ascending eigenvalues of ``cap`` read
+    off ``s`` (``1 - s^2``, then 1 for each column of ``rho`` past ``s``: no
+    eigen-solve). ``K = cap^-1`` and ``K' = (I - rho rho^T)^-1`` are applied by
+    solves (an explicit inverse loses up to ten times more near a unitary rho);
+    ``I - rho rho^T`` is formed on first use, and ``K`` and ``K'`` once asked for,
+    each kept; a refused rho keeps neither inverse, so every use raises again.
     """
 
     def __init__(self, rho: np.ndarray, full: bool = False):
         self.rho = rho
         if full:
-            self.U, self.s, _ = np.linalg.svd(rho)
+            self.U, self.s, self.Vt = np.linalg.svd(rho)
         else:
-            self.U, self.s = None, np.linalg.svd(rho, compute_uv=False)
+            self.U = self.Vt = None
+            self.s = np.linalg.svd(rho, compute_uv=False)
         self.s.setflags(write=False)
         self.sigma_max = float(self.s[0]) if self.s.size else 0.0
         self.cap = np.eye(rho.shape[1]) - rho.T @ rho
@@ -113,13 +115,17 @@ class _CrossCorrelation:
         self.condition = _require_pd_conditioned(self.gap, "(I - rho^T rho)")
         return 1.0 / float(self.gap[0])
 
+    @functools.cached_property
+    def cap_prime(self) -> np.ndarray:  # I - rho rho^T
+        return np.eye(self.rho.shape[0]) - self.rho @ self.rho.T
+
     def solve_k(self, X):
         self.k_norm  # the guard
         return np.linalg.solve(self.cap, X)
 
     def solve_kp(self, X):
         self.k_norm  # the guard
-        return np.linalg.solve(np.eye(self.rho.shape[0]) - self.rho @ self.rho.T, X)
+        return np.linalg.solve(self.cap_prime, X)
 
     @functools.cached_property
     def K(self) -> np.ndarray:

@@ -8,7 +8,11 @@ stationarity gives the closed form
 ``B~* = [I - lambda (I - rho^T rho)]^-1 rho^T A~`` with the multiplier
 fixed by a scalar root equation in the singular values of rho
 (:func:`_lambda_root`), whose terms :func:`_budget_terms` reads off the one
-record of rho: its SVD and the eigenvalues of ``I - rho^T rho``.
+record of rho: its SVD and the eigenvalues of ``I - rho^T rho``. With
+``rho = U S V^T``, both ``I - lambda (I - rho^T rho)`` and
+``I - rho^T rho`` are diagonal in the basis ``V``, so ``B~*`` and the objective
+are read off the two singular bases and the root's terms with no solve (the
+secular-equation form of a trust-region subproblem).
 
 The root is taken on the branch containing lambda = 0 on which all
 denominators stay positive (keeping B~* finite). On that branch lambda
@@ -18,7 +22,8 @@ and the stationary point is the budget-constrained *minimizer* of the
 objective; the maximizing branch, ``lambda > lambda_max(K)``, is not
 solved here. First-order stationarity is verified on every solve by the
 analytic gradient of the Lagrangian, evaluated in two algebraically
-distinct forms that must agree; the perturbation probe reports how
+distinct forms that must agree, each by a solve with ``I - rho^T rho`` or
+``I - rho rho^T``, not in the basis that built ``B~*``; the perturbation probe reports how
 perturbations move the objective. Three caches, each keyed by what it depends on,
 hold what a budget sweep on one pair repeats: the record of the last rho
 (:class:`~fusionkit.information._CrossCorrelation`, of its full SVD), by its bytes
@@ -243,6 +248,7 @@ def _lambda_root(c: np.ndarray, gap: np.ndarray, p: float) -> float:
         hi = nxt
 
     lo, lam, q = 0.0, hi, 1.0 - hi * oms  # Newton from hi, at the bracket's value there
+    slope_weights = 2.0 * c * oms
     for _ in range(200):
         resid = value - p
         if abs(resid) <= 1e-12 * p:
@@ -251,7 +257,7 @@ def _lambda_root(c: np.ndarray, gap: np.ndarray, p: float) -> float:
             hi = lam
         else:
             lo = lam
-        step = lam - resid / float(np.add.reduce(2.0 * c * oms / q**3))
+        step = lam - resid / float(np.add.reduce(slope_weights / q**3))
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
         if step in (lo, hi):  # the bracket is down to adjacent floats
@@ -269,7 +275,13 @@ def optimal_secondary(
 
     Closed form ``B~* = [I - lambda (I - rho^T rho)]^-1 rho^T A~`` with
     the multiplier from :func:`_lambda_root`, on the branch containing
-    lambda = 0. There ``K - lambda I`` is positive definite, with
+    lambda = 0, formed in the singular bases of ``rho = U S V^T`` as
+    ``B~* = V_k diag(s / (1 - lambda gap_k)) U_k^T A~``, over the ``k`` singular
+    values ``s`` and the first ``k`` of ``gap``, the eigenvalues of
+    ``I - rho^T rho``; the objective is
+    ``||A~||_F^2 + lambda^2 sum_i c_i gap_i / (1 - lambda gap_i)^2`` (plus the
+    prior's trace), in the root's terms ``c``. Neither takes a solve.
+    There ``K - lambda I`` is positive definite, with
     ``K = (I - rho^T rho)^-1``, so ``B~*`` *minimizes* synergy over the
     budget sphere, and the probe reports perturbations that increase it;
     it does not maximize synergy. Corner cases:
@@ -282,8 +294,11 @@ def optimal_secondary(
       misleading zero matrix.
 
     One record of each bit-equal rho (:func:`_analysis_of`) feeds the
-    admissibility check, the root, the objective and the stationarity check;
-    the root's terms (:func:`_budget_terms`) are formed past the two corners only.
+    admissibility check, the root, ``B~*``, the objective and the stationarity
+    check; the root's terms (:func:`_budget_terms`) are formed past the two
+    corners only. The stationarity check applies ``K`` and
+    ``K' = (I - rho rho^T)^-1`` by LU solves, so it verifies a ``B~*`` built in
+    the singular basis by a route that does not share its arithmetic.
     Raises :class:`ValueError` for inputs that do not fit (``A~`` and ``rho``
     by :func:`~fusionkit.matrixkit.require_array`, as :func:`_whitened_inputs`
     admits them; prior size; and a budget ``p`` that is not a finite positive
@@ -322,8 +337,7 @@ def optimal_secondary(
             ),
         )
 
-    n2, cap = rho.shape[1], analysis.cap
-    if float(np.max(np.abs(cap))) <= 1e-8:
+    if float(np.max(np.abs(analysis.cap))) <= 1e-8:
         B_star = rho.T @ A_tilde
         e = float(np.trace(A_tilde.T @ A_tilde)) + prior_trace
         return PlacementSolution(
@@ -338,10 +352,13 @@ def optimal_secondary(
             ),
         )
 
-    lam = _lambda_root(*_budget_terms(A_tilde, analysis), p)
-    analysis.k_norm  # the guard of K, before B~* is solved
-    B_star = np.linalg.solve(np.eye(n2) - lam * cap, rho.T @ A_tilde)
-    e = float(np.trace(_whitened_fisher(A_tilde, B_star, rho, analysis.solve_k))) + prior_trace
+    c, gap = _budget_terms(A_tilde, analysis)
+    lam = _lambda_root(c, gap, p)
+    analysis.k_norm  # the guard of K, before B~* is formed
+    k, q = c.size, 1.0 - lam * gap[: c.size]
+    B_star = analysis.Vt[:k].T @ ((analysis.s / q)[:, None] * (analysis.U[:, :k].T @ A_tilde))
+    e = (float(np.trace(A_tilde.T @ A_tilde)) + lam**2 * float(np.add.reduce(c * gap[:k] / q**2))
+         + prior_trace)
     kkt = _lagrangian_stationarity(A_tilde, B_star, lam, e, analysis)
     if kkt > KKT_BOUND:
         raise Singular(

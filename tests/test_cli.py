@@ -417,6 +417,21 @@ class TestSimulate:
         assert main(["simulate", path, "--method", "mmse"]) == 2
         assert "MMSE requires Gaussian prior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1e16, 1e300])
+    def test_mmse_singular_innovation_covariance_is_3(self, tmp_path, capsys, scale):
+        # the README demo with a prior cov of scale * I: the LU solve of the
+        # MMSE gain meets a zero pivot of A G A^T + sigma, a numerical failure,
+        # not a bad scenario
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        doc = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        doc["sources"]["gaussian"]["cov"] = (scale * np.eye(2)).tolist()
+        path = write_scenario(tmp_path / "s.json", doc)
+        assert main(["simulate", path, "--method", "mmse", "--N", "1000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure in simulate (Singular): the innovation "
+                                "covariance is numerically singular (cond~inf)\n")
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self):

@@ -342,6 +342,32 @@ class TestOptimalSecondary:
             assert sol.kkt_residual <= 1e-5
             assert sol.lambda_ > 0.0
 
+    @pytest.mark.parametrize("n1, n2, s", [
+        (6, 4, [0.8, 0.6, 0.4, 0.2]),
+        (4, 6, [0.8, 0.6, 0.4, 0.2]),
+        (5, 5, [0.8, 0.6, 0.5, 0.4, 0.2]),
+        (5, 4, [0.8, 0.5, 0.3, 0.0]),
+        (6, 4, [1.0 - 1e-6, 0.6, 0.4, 0.2]),
+    ], ids=["n1>n2", "n1<n2", "n1=n2", "zero-singular-value", "sigma_max=1-1e-6"])
+    @pytest.mark.parametrize("scale", [1.5, 4.0])
+    def test_singular_basis_closed_form_equals_the_solves(self, n1, n2, s, scale):
+        # B~* and the objective are read off the singular basis of rho; they
+        # equal the solve of I - lambda (I - rho^T rho) and the objective's
+        # solve with I - rho^T rho, and the root is the one _lambda_root takes
+        rng = np.random.default_rng([n1, n2, len(s)])
+        U, _ = np.linalg.qr(rng.standard_normal((n1, n1)))
+        V, _ = np.linalg.qr(rng.standard_normal((n2, n2)))
+        rho = (U[:, : len(s)] * s) @ V[:, : len(s)].T
+        A = rng.standard_normal((n1, 3))
+        terms = budget_terms(A, rho)
+        p = _budget_value(0.0, *terms) * scale
+        sol = optimal_secondary(A, rho, p)
+        assert sol.lambda_ == _lambda_root(*terms, p) and sol.lambda_ > 0.0
+        solved = np.linalg.solve(np.eye(n2) - sol.lambda_ * (np.eye(n2) - rho.T @ rho), rho.T @ A)
+        assert rel_fro(sol.B_star, solved) <= 1e-12
+        objective = synergy_objective(A, sol.B_star, rho)
+        assert abs(sol.objective_e - objective) <= 1e-12 * abs(objective)
+
     def test_gradient_forms_match_finite_differences_off_optimum(self, rng):
         # at B* the gradient is about zero, so only an off-optimum point
         # checks the formula itself
