@@ -2,14 +2,15 @@
 
 :func:`empirical_error_covariance` simulates, estimates and accumulates
 second moments, then compares them with the theoretical reference, the
-inverse total information, and checks that they dominate it. The MMSE
-campaign estimates with the gain form ``_mmse_gain``, the oracle of the
-information form that :func:`~fusionkit.estimators.mmse_gaussian_estimate`
-computes. The slack for PSD dominance checks is five times the largest
-per-entry Monte-Carlo standard error. That is not a calibrated false-alarm
-rate: correct estimators fail it in about 1 campaign in 240 in the benchmark
-(3 of 3000 at N = 2000 in an earlier review); ROADMAP item 5 plans a
-verdict with a stated rate.
+inverse total information, and checks that they dominate it. Every
+campaign estimates in the one information form ``J^-1 A^T Sigma^-1``, the
+form :func:`~fusionkit.estimators.mmse_gaussian_estimate` computes, with the
+prior's information and mean added for MMSE; the gain form it is checked
+against is a test oracle and takes no part here. The slack for PSD
+dominance checks is five times the largest per-entry Monte-Carlo standard
+error. That is not a calibrated false-alarm rate: correct estimators fail
+it in about 1 campaign in 240 in the benchmark (3 of 3000 at N = 2000 in
+an earlier review); ROADMAP item 5 plans a verdict with a stated rate.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Singular
 from .information import DEFAULT_BLOCK, InfoMatrix, crlb
-from .matrixkit import admit_symmetric, noise_whitener, require_finite, require_integer, symmetrize
+from .matrixkit import noise_whitener, require_finite, require_integer
 from .model import (
     GaussianPrior,
     LinearModel,
@@ -85,8 +85,12 @@ def empirical_error_covariance(
     ``method`` is "ml"/"wls" (identical estimators; reference is the
     inverse SNR matrix) or "mmse" (Gaussian prior required; reference is
     the posterior covariance). Either reference is the inverse total
-    information, so the CRLB dominance check compares the empirical
+    information ``J^-1``, so the CRLB dominance check compares the empirical
     covariance against it, with Monte-Carlo slack, and inverts nothing more.
+    Both estimate in one information form, ``X gain^T + offset`` with
+    ``gain = J^-1 A^T Sigma^-1``: the offset is 0 for ML and
+    ``mu - gain A mu`` for MMSE, so no LU solve of the innovation covariance
+    ``A G A^T + Sigma`` runs and its conditioning does not matter.
 
     The rows are ``simulate``'s, drawn, estimated and summed one block of
     at most ``DEFAULT_BLOCK`` rows at a time, so memory is
@@ -115,19 +119,13 @@ def empirical_error_covariance(
     snr = W.T @ W
     require_finite(snr, "the SNR matrix")
 
-    if method in ("ml", "wls"):
-        ref = crlb(InfoMatrix(snr))
-        estimator = ref @ W.T @ L_inv
+    mmse = method == "mmse"
+    ref = crlb(InfoMatrix(snr + prior.info_matrix() if mmse else snr))
+    gain = ref @ W.T @ L_inv
+    offset = prior.mean - gain @ (A @ prior.mean) if mmse else 0.0
 
-        def estimate(X):
-            return X @ estimator.T
-    else:
-        ref = crlb(InfoMatrix(snr + prior.info_matrix()))
-        gain = _mmse_gain(A, prior.cov, admit_symmetric(noise, "noise covariance", model.n))
-        mean_x = prior.mean @ A.T
-
-        def estimate(X):
-            return prior.mean + (X - mean_x) @ gain.T
+    def estimate(X):
+        return X @ gain.T + offset
 
     emp, std_err = _error_moments(A, prior, L, estimate, N, seed)
     require_finite((emp, std_err), "the empirical error covariance or its standard errors")
@@ -168,22 +166,6 @@ def _error_moments(A, prior: SourcePrior, L: np.ndarray, estimate, N: int, seed:
     # the variance of each entry of the second-moment estimate
     var = np.maximum(fourth / N - emp**2, 0.0)
     return emp, np.sqrt(var / N)
-
-
-def _mmse_gain(A, cov, sigma) -> np.ndarray:
-    """Gain ``G A^T (A G A^T + sigma)^-1`` of the posterior mean ``mu + gain (x - A mu)``.
-
-    Raises :class:`Singular`, with infinite condition, where the LU solve with
-    the innovation covariance ``A G A^T + sigma`` meets an exactly zero pivot
-    (numpy's ``LinAlgError``, a ``ValueError`` the CLI would read as a bad
-    scenario).
-    """
-    innovation_cov = symmetrize(A @ cov @ A.T + sigma)
-    try:
-        return cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(A.shape[0]))
-    except np.linalg.LinAlgError:
-        raise Singular("the innovation covariance is numerically singular (cond~inf)",
-                       condition=np.inf) from None
 
 
 def _crlb_check(emp: np.ndarray, bound: np.ndarray, slack: float) -> CrlbCheck:

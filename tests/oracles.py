@@ -4,9 +4,11 @@
 negated central-difference Hessian of the Gaussian log-likelihood, which
 for a linear model is the SNR matrix ``A^T Sigma^-1 A`` up to roundoff.
 ``check_crlb_dominance`` asks the campaign's dominance verdict of any
-empirical covariance and information matrix. Neither is on a runtime path:
-the library answers by its closed forms, and the campaign calls its own
-verdict (``harness._crlb_check``) directly.
+empirical covariance and information matrix. ``mmse_gain`` is the gain form
+of the Gaussian posterior mean, the oracle of the information form that the
+estimators and the error campaign apply. None is on a runtime path: the
+library answers by its closed forms, and the campaign calls its own verdict
+(``harness._crlb_check``) directly.
 """
 
 import numpy as np
@@ -14,7 +16,9 @@ import numpy as np
 from fusionkit import LinearModel, NonFinite, NonlinearModel, crlb
 from fusionkit.harness import CrlbCheck, _crlb_check
 from fusionkit.information import _as_matrix
-from fusionkit.matrixkit import admit_symmetric, noise_whitener, require_array, require_real
+from fusionkit.matrixkit import (
+    admit_symmetric, noise_whitener, require_array, require_real, symmetrize,
+)
 
 
 def _noise_free(model, s) -> np.ndarray:
@@ -99,3 +103,13 @@ def check_crlb_dominance(empirical, J, slack: float) -> CrlbCheck:
     M = _as_matrix(J, "J")
     emp = admit_symmetric(empirical, "empirical covariance", M.shape[0])
     return _crlb_check(emp, crlb(M), slack)
+
+
+def mmse_gain(A, cov, sigma) -> np.ndarray:
+    """Gain ``G A^T (A G A^T + sigma)^-1`` of the posterior mean ``mu + gain (x - A mu)``.
+
+    An LU solve with the innovation covariance ``A G A^T + sigma``, which
+    loses accuracy as that matrix's condition grows.
+    """
+    innovation_cov = symmetrize(A @ cov @ A.T + sigma)
+    return cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(A.shape[0]))

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusionkit
 from fusionkit.cli import load_scenario, main
@@ -14,6 +20,12 @@ from fusionkit.cli import load_scenario, main
 def write_scenario(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def readme_demo():
+    """The README demo scenario, as a fresh document."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 @pytest.fixture
@@ -417,20 +429,31 @@ class TestSimulate:
         assert main(["simulate", path, "--method", "mmse"]) == 2
         assert "MMSE requires Gaussian prior" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", [1e16, 1e300])
-    def test_mmse_singular_innovation_covariance_is_3(self, tmp_path, capsys, scale):
-        # the README demo with a prior cov of scale * I: the LU solve of the
-        # MMSE gain meets a zero pivot of A G A^T + sigma, a numerical failure,
-        # not a bad scenario
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        doc = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    @staticmethod
+    def readme_with_prior_cov(tmp_path, scale):
+        """The README demo scenario with its prior covariance replaced by ``scale * I``."""
+        doc = readme_demo()
         doc["sources"]["gaussian"]["cov"] = (scale * np.eye(2)).tolist()
-        path = write_scenario(tmp_path / "s.json", doc)
+        return write_scenario(tmp_path / "s.json", doc)
+
+    @pytest.mark.parametrize("scale", [1e13, 1e16])
+    def test_mmse_answers_a_near_flat_prior(self, tmp_path, capsys, scale):
+        # the innovation covariance A G A^T + sigma is numerically singular
+        # here, but the information form never solves with it
+        path = self.readme_with_prior_cov(tmp_path, scale)
+        assert main(["simulate", path, "--method", "mmse", "--N", "1000"]) == 0
+        (result,) = json.loads(capsys.readouterr().out)
+        assert result["frobenius_rel_err"] <= 0.05
+
+    def test_mmse_overflowing_prior_is_3(self, tmp_path, capsys):
+        # draws of size 1e150 overflow the fourth moments: a numerical
+        # failure, not a bad scenario
+        path = self.readme_with_prior_cov(tmp_path, 1e300)
         assert main(["simulate", path, "--method", "mmse", "--N", "1000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("numerical failure in simulate (Singular): the innovation "
-                                "covariance is numerically singular (cond~inf)\n")
+        assert captured.err == ("numerical failure in simulate (NonFinite): non-finite entries "
+                                "in the empirical error covariance or its standard errors\n")
 
 
 class TestExitCodes:
@@ -760,3 +783,54 @@ def test_demo_reports_smoke(tmp_path):
     assert set(codes.values()) == {0}
     assert json.loads((tmp_path / "analyze-joint" / "stdout").read_text())["pair"] == ["ecg", "ppg"]
     assert (tmp_path / "simulate-ml" / "campaign.csv").is_file()
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every value in ``node`` that is not an object: each number and string, each list."""
+    if isinstance(node, dict):
+        return [p for key, child in node.items() for p in _leaf_paths(child, path + (key,))]
+    if isinstance(node, list):
+        return [path] + [p for i, child in enumerate(node) for p in _leaf_paths(child, path + (i,))]
+    return [path]
+
+
+_README_LEAVES = _leaf_paths(readme_demo())
+_ODD_VALUES = st.one_of(
+    st.sampled_from([True, False, "", "ecg", None, [], [[]], [[1.0, 0.5], [0.2]]]),
+    st.sampled_from([0, 1e308, -1e308, 1e-320]),
+    st.builds(lambda scale, rows, cols: (scale * np.eye(rows, cols)).tolist(),
+              st.sampled_from([0.0, 1e300, 1e-300]), st.integers(1, 3), st.integers(1, 3)),
+)
+_QUESTIONS = [["analyze", "--modality", "ecg"], ["analyze", "--joint", "ecg,ppg"],
+              ["advise", "--pair", "ecg,ppg"], ["place", "--primary", "ecg", "--budget", "2.0"],
+              ["simulate", "--method", "ml", "--N", "1000"],
+              ["simulate", "--method", "mmse", "--N", "1000"]]
+
+
+@settings(max_examples=400)
+@given(edits=st.lists(st.tuples(st.sampled_from(_README_LEAVES), _ODD_VALUES),
+                      min_size=1, max_size=2),
+       question=st.sampled_from(_QUESTIONS))
+def test_every_mutated_readme_scenario_is_answered_or_refused_in_one_line(edits, question):
+    # CLI totality: a valid argv on any scenario document exits 0 (answered),
+    # 2 (scenario error) or 3 (numerical failure), never 1, with one line on
+    # stderr, no traceback, and nothing on stdout unless it answered
+    doc = readme_demo()
+    for path, value in edits:
+        *parents, last = path
+        try:
+            node = doc
+            for key in parents:
+                node = node[key]
+            node[last] = json.loads(json.dumps(value))
+        except (KeyError, IndexError, TypeError):
+            pass  # the first edit replaced a container of this leaf
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([question[0], write_scenario(Path(tmp) / "s.json", doc), *question[1:]])
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) == 1 and not caught, (err.getvalue(), caught)
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""

@@ -779,9 +779,9 @@ def sized_calls(monkeypatch, fn, names=("cholesky",)):
     """Calls of the named ``numpy.linalg`` functions while ``fn`` runs, by (name, rows)."""
     sizes = collections.Counter()
     for name in names:
-        def counted(M, _f=getattr(np.linalg, name), _n=name):
+        def counted(M, *rest, _f=getattr(np.linalg, name), _n=name):
             sizes[_n, np.shape(M)[0]] += 1
-            return _f(M)
+            return _f(M, *rest)
 
         monkeypatch.setattr(np.linalg, name, counted)
     fn()
@@ -799,12 +799,13 @@ def test_campaign_factors_its_noise_and_inverts_its_information_once(rng, monkey
     # the noise draws go through the whitener's Cholesky factor, so the
     # 6-row noise takes one factorization and no eigen-solve; the dominance
     # check reads the campaign's reference, crlb(J), so the 3-row J takes
-    # one guarded Cholesky inverse
+    # one guarded Cholesky inverse; both methods apply the information form
+    # J^-1 A^T Sigma^-1, so neither takes an LU solve
     model, sigma, prior, _ = single_modality(rng)
     calls = sized_calls(
         monkeypatch,
         lambda: empirical_error_covariance(method, model, prior, sigma, N=1000, seed=3),
-        ("cholesky", "inv", "eigh"))
+        ("cholesky", "inv", "eigh", "solve"))
     assert calls == {("cholesky", 6): 1, ("inv", 6): 1, ("cholesky", 3): 1, ("inv", 3): 1}
 
 

@@ -17,7 +17,6 @@ from fusionkit import (
     simulate,
     snr_matrix,
 )
-from fusionkit.harness import _mmse_gain
 from fusionkit.information import DEFAULT_BLOCK
 from fusionkit.matrixkit import noise_whitener, symmetrize
 from fusionkit.model import draw_rows, draw_streams
@@ -49,6 +48,17 @@ class TestEmpiricalErrorCovariance:
         posterior = np.linalg.inv(prior.info_matrix() + snr_matrix(model, sigma).matrix)
         assert rel_fro(res.empirical_error_cov, posterior) < 0.05
         assert res.crlb_check.passed
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e-11])
+    def test_mmse_on_a_precise_channel(self, scale):
+        # the README demo's ecg channel with its noise scaled down: the
+        # innovation covariance A G A^T + sigma is ill-conditioned, and the
+        # information form never solves with it
+        model = LinearModel(np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]]))
+        noise = scale * np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.6]])
+        prior = GaussianPrior(mean=np.zeros(2), cov=np.array([[1.0, 0.2], [0.2, 1.0]]))
+        res = empirical_error_covariance("mmse", model, prior, noise, N=20000, seed=0)
+        assert res.frobenius_rel_err <= 0.05
 
     def test_mmse_requires_gaussian_prior(self):
         from fusionkit import SamplerPrior
@@ -127,14 +137,11 @@ def whole_array_campaign(method, model, prior, noise, N, seed):
     snr = W.T @ W
     batch = simulate(model, prior, N, seed, noise=noise)
     X, S = batch.observations, batch.sources
-    if method in ("ml", "wls"):
-        ref = crlb(InfoMatrix(snr))
-        estimator = ref @ W.T @ L_inv
-        S_hat = X @ estimator.T
-    else:
-        ref = crlb(InfoMatrix(symmetrize(snr + prior.info_matrix())))
-        gain = _mmse_gain(A, prior.cov, noise)
-        S_hat = prior.mean + (X - prior.mean @ A.T) @ gain.T
+    mmse = method == "mmse"
+    ref = crlb(InfoMatrix(symmetrize(snr + prior.info_matrix()) if mmse else snr))
+    gain = ref @ W.T @ L_inv
+    offset = prior.mean - gain @ (A @ prior.mean) if mmse else 0.0
+    S_hat = X @ gain.T + offset
     E = S - S_hat
     emp = symmetrize(E.T @ E / N)
     second = (E**2).T @ (E**2) / N

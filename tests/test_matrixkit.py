@@ -664,6 +664,20 @@ def test_correlation_synergy_sweep_smoke(tmp_path):
     assert [row["near_singular"] for row in rows] == ["False"] * 3
 
 
+def test_campaign_scale_sweep_smoke(tmp_path):
+    # a prior of 1e13 I and the ecg noise at 1e-11, where the innovation
+    # covariance of the MMSE gain form is numerically singular: both
+    # methods answer within the sweep's bound
+    out = tmp_path / "campaign.csv"
+    run_script("campaign_scale_sweep.py", "--prior-exponents", "13", "--noise-exponents", "-11",
+               "--out", out)
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["axis"], row["exponent"], row["method"], row["outcome"]) for row in rows] == [
+        ("prior", "13", "ml", "answered"), ("prior", "13", "mmse", "answered"),
+        ("noise", "-11", "ml", "answered"), ("noise", "-11", "mmse", "answered")]
+    assert all(float(row["rel_err"]) <= 0.05 for row in rows)
+
+
 def test_answer_digest_smoke(tmp_path):
     # one SHA-256 per question kind, the same on a second run in a fresh interpreter
     outs = [tmp_path / "first.txt", tmp_path / "second.txt"]
