@@ -2,17 +2,21 @@
 """ML and MMSE error campaigns on the README demo's ``ecg`` modality, across scales.
 
 Two axes, each a grid of decades: the prior covariance ``c * I`` for
-``c = 10**k`` (``--prior-exponents``, 0 to 20 by default), and the ``ecg``
-noise scaled by ``c = 10**k`` (``--noise-exponents``, 0 to -11 by default),
+``c = 10**k`` (``--prior-exponents``, 0 to 24 by default), and the ``ecg``
+noise scaled by ``c = 10**k`` (``--noise-exponents``, 0 to -24 by default),
 with the ``ecg``/``ppg`` cross covariance scaled by ``sqrt(c)`` so the joint
 noise stays positive definite. Each point is the scenario document the CLI
 would read, loaded by :func:`fusionkit.cli.load_scenario`, and both methods
-run at ``--N`` draws and ``--seed``. Writes one CSV row per campaign.
+run at ``N`` draws and ``SEED``. Writes one CSV row per campaign.
 
 An answered campaign reads the Frobenius distance of its empirical error
 covariance from the inverse total information, relative to the latter; the
 script exits 1 if one exceeds 0.05 or if a campaign ends in an exception
-other than a typed :class:`~fusionkit.FusionKitError` refusal.
+other than a typed :class:`~fusionkit.FusionKitError` refusal. The grids
+end two decades past the campaign's condition limit: from a prior of about
+``1e22 * I``, or the noise at about ``1e-22``, the draws exceed the error's
+deviation by more than 1e12, and the campaign refuses as ``Singular``
+rather than answer from rounding.
 """
 
 import argparse
@@ -29,6 +33,8 @@ from fusionkit import FusionKitError, empirical_error_covariance
 from fusionkit.cli import load_scenario
 
 REL_ERR_BOUND = 0.05
+N = 20000
+SEED = 0
 
 
 def scaled_demo(axis: str, c: float) -> dict:
@@ -46,10 +52,8 @@ def scaled_demo(axis: str, c: float) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--prior-exponents", type=int, nargs="*", default=list(range(0, 21)))
-    ap.add_argument("--noise-exponents", type=int, nargs="*", default=list(range(0, -12, -1)))
-    ap.add_argument("--N", type=int, default=20000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--prior-exponents", type=int, nargs="*", default=list(range(0, 25)))
+    ap.add_argument("--noise-exponents", type=int, nargs="*", default=list(range(0, -25, -1)))
     ap.add_argument("--out", default="campaign_scale_sweep.csv")
     args = ap.parse_args()
 
@@ -66,7 +70,7 @@ def main() -> int:
                 row = {"axis": axis, "exponent": k, "method": method}
                 try:
                     res = empirical_error_covariance(method, model, scenario.prior, noise,
-                                                     N=args.N, seed=args.seed)
+                                                     N=N, seed=SEED)
                 except FusionKitError as exc:
                     row["outcome"] = type(exc).__name__
                 except Exception as exc:  # an untyped failure is a fault of the campaign

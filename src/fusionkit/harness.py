@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .information import DEFAULT_BLOCK, InfoMatrix, crlb
-from .matrixkit import noise_whitener, require_finite, require_integer
+from .matrixkit import noise_whitener, require_conditioned, require_finite, require_integer
 from .model import (
     GaussianPrior,
     LinearModel,
@@ -105,7 +105,10 @@ def empirical_error_covariance(
     ``int`` the result keeps) or a noise covariance that
     :func:`~fusionkit.matrixkit.admit_symmetric` does not admit as the
     model's ``n x n`` (naming it); :class:`NonFinite` if the empirical error
-    covariance or its standard errors overflow.
+    covariance or its standard errors overflow; :class:`Singular` if the
+    largest draw, through the data and the estimate, exceeds the error's
+    standard deviation past the condition limit, where rounding hides the
+    noise and the errors would read rounding alone.
     """
     N, seed = require_integer(N, "N", 1000), require_integer(seed, "seed")
     if not isinstance(method, str) or (method := method.lower()) not in ("ml", "wls", "mmse"):
@@ -127,8 +130,12 @@ def empirical_error_covariance(
     def estimate(X):
         return X @ gain.T + offset
 
-    emp, std_err = _error_moments(A, prior, L, estimate, N, seed)
+    emp, std_err, peak = _error_moments(A, prior, L, estimate, N, seed)
     require_finite((emp, std_err), "the empirical error covariance or its standard errors")
+    # a draw rounds, in the data and in its estimate, by eps times its size
+    # through both: over the error's deviation, that size is the condition
+    size = peak * (1.0 + np.abs(gain) @ np.abs(A).sum(axis=1)) / np.sqrt(np.diag(ref))
+    require_conditioned(float(np.max(size)), "the draws' size over the error's deviation")
     slack = 5.0 * float(np.max(std_err))
 
     rel_err = float(np.linalg.norm(emp - ref, "fro")) / max(
@@ -148,7 +155,9 @@ def empirical_error_covariance(
 
 
 def _error_moments(A, prior: SourcePrior, L: np.ndarray, estimate, N: int, seed: int):
-    """``EᵀE/N`` and its per-entry standard errors, ``E = S − estimate(X)`` on ``simulate``'s rows.
+    """``EᵀE/N``, its per-entry standard errors and the largest ``|S|`` entry.
+
+    ``E = S − estimate(X)`` on ``simulate``'s rows.
 
     ``L`` is the noise's Cholesky factor, which ``simulate`` draws through. The N rows are
     drawn, estimated and summed one block of at most ``DEFAULT_BLOCK`` rows
@@ -157,15 +166,17 @@ def _error_moments(A, prior: SourcePrior, L: np.ndarray, estimate, N: int, seed:
     streams = draw_streams(seed)
     gram = np.zeros((A.shape[1], A.shape[1]))
     fourth = np.zeros_like(gram)
+    peak = 0.0
     for start in range(0, N, DEFAULT_BLOCK):
         S, V = draw_rows(prior, L, min(DEFAULT_BLOCK, N - start), streams)
         E = S - estimate(S @ A.T + V)
         gram += E.T @ E
         fourth += (E**2).T @ (E**2)
+        peak = max(peak, float(np.abs(S).max()))
     emp = gram / N
     # the variance of each entry of the second-moment estimate
     var = np.maximum(fourth / N - emp**2, 0.0)
-    return emp, np.sqrt(var / N)
+    return emp, np.sqrt(var / N), peak
 
 
 def _crlb_check(emp: np.ndarray, bound: np.ndarray, slack: float) -> CrlbCheck:

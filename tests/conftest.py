@@ -5,6 +5,9 @@ tight dual-route tolerances (1e-12 relative agreement and friends)
 measure algebraic identity, not conditioning luck.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -35,6 +38,12 @@ settings.load_profile("fusionkit")
 def random_orthogonal(rng, n):
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     return Q * np.sign(np.diag(R))
+
+
+def readme_demo():
+    """The README demo scenario, as a fresh document."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 def random_pd(rng, n, eig_range=(0.5, 2.0)):

@@ -16,16 +16,12 @@ from hypothesis import strategies as st
 import fusionkit
 from fusionkit.cli import load_scenario, main
 
+from conftest import readme_demo
+
 
 def write_scenario(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def readme_demo():
-    """The README demo scenario, as a fresh document."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    return json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 @pytest.fixture
@@ -445,15 +441,22 @@ class TestSimulate:
         (result,) = json.loads(capsys.readouterr().out)
         assert result["frobenius_rel_err"] <= 0.05
 
-    def test_mmse_overflowing_prior_is_3(self, tmp_path, capsys):
-        # draws of size 1e150 overflow the fourth moments: a numerical
-        # failure, not a bad scenario
-        path = self.readme_with_prior_cov(tmp_path, 1e300)
+    @pytest.mark.parametrize("scale, err", [
+        # draws of size 1e12 exceed the error's deviation past the condition
+        # limit: the noise is lost to their rounding
+        (1e24, "numerical failure in simulate (Singular): the draws' size over the error's "
+               "deviation is numerically singular (cond~2.304e+13)\n"),
+        # draws of size 1e150 overflow the fourth moments
+        (1e300, "numerical failure in simulate (NonFinite): non-finite entries in the empirical "
+                "error covariance or its standard errors\n"),
+    ], ids=["1e24", "1e300"])
+    def test_mmse_prior_beyond_float_precision_is_3(self, tmp_path, capsys, scale, err):
+        # a numerical failure, not a bad scenario
+        path = self.readme_with_prior_cov(tmp_path, scale)
         assert main(["simulate", path, "--method", "mmse", "--N", "1000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("numerical failure in simulate (NonFinite): non-finite entries "
-                                "in the empirical error covariance or its standard errors\n")
+        assert captured.err == err
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from fusionkit import (
     LinearModel,
     NonFinite,
     NonlinearModel,
+    Singular,
     campaign_to_csv,
     campaign_to_json,
     crlb,
@@ -17,11 +19,12 @@ from fusionkit import (
     simulate,
     snr_matrix,
 )
+from fusionkit.cli import load_scenario
 from fusionkit.information import DEFAULT_BLOCK
 from fusionkit.matrixkit import noise_whitener, symmetrize
 from fusionkit.model import draw_rows, draw_streams
 
-from conftest import random_pd, rel_fro
+from conftest import random_pd, readme_demo, rel_fro
 from oracles import check_crlb_dominance, fisher_finite_difference
 
 
@@ -49,16 +52,39 @@ class TestEmpiricalErrorCovariance:
         assert rel_fro(res.empirical_error_cov, posterior) < 0.05
         assert res.crlb_check.passed
 
+    @staticmethod
+    def readme_ecg_campaign(tmp_path, method, edit):
+        """A campaign on the README demo's ``ecg`` modality after ``edit`` of the document."""
+        doc = readme_demo()
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        scenario = load_scenario(path)
+        model, noise = scenario.modality("ecg")
+        return empirical_error_covariance(method, model, scenario.prior, noise, N=20000, seed=0)
+
     @pytest.mark.parametrize("scale", [1e-10, 1e-11])
-    def test_mmse_on_a_precise_channel(self, scale):
-        # the README demo's ecg channel with its noise scaled down: the
+    def test_mmse_on_a_precise_channel(self, tmp_path, scale):
+        # the ecg noise scaled down, its cross covariance by the root: the
         # innovation covariance A G A^T + sigma is ill-conditioned, and the
         # information form never solves with it
-        model = LinearModel(np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]]))
-        noise = scale * np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.6]])
-        prior = GaussianPrior(mean=np.zeros(2), cov=np.array([[1.0, 0.2], [0.2, 1.0]]))
-        res = empirical_error_covariance("mmse", model, prior, noise, N=20000, seed=0)
+        def precise(doc):
+            ecg, cross = doc["modalities"][0], doc["cross_cov"]
+            ecg["noise_cov"] = (scale * np.array(ecg["noise_cov"])).tolist()
+            cross["matrix"] = (np.sqrt(scale) * np.array(cross["matrix"])).tolist()
+
+        res = self.readme_ecg_campaign(tmp_path, "mmse", precise)
         assert res.frobenius_rel_err <= 0.05
+
+    @pytest.mark.parametrize("method, mean", [("ml", 1e20), ("mmse", 1e20), ("mmse", 1e300)])
+    def test_draws_that_round_the_noise_away_are_refused(self, tmp_path, method, mean):
+        # a far source mean: each draw's fluctuation, and the noise in its
+        # data, is lost to rounding, so the errors would read rounding alone
+        def far(doc):
+            doc["sources"]["gaussian"]["mean"] = [0.0, mean]
+
+        with pytest.raises(Singular, match="the draws' size over the error's deviation"):
+            self.readme_ecg_campaign(tmp_path, method, far)
 
     def test_mmse_requires_gaussian_prior(self):
         from fusionkit import SamplerPrior
