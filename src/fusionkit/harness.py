@@ -105,10 +105,11 @@ def empirical_error_covariance(
     ``int`` the result keeps) or a noise covariance that
     :func:`~fusionkit.matrixkit.admit_symmetric` does not admit as the
     model's ``n x n`` (naming it); :class:`NonFinite` if the empirical error
-    covariance or its standard errors overflow; :class:`Singular` if the
-    largest draw, through the data and the estimate, exceeds the error's
-    standard deviation past the condition limit, where rounding hides the
-    noise and the errors would read rounding alone.
+    covariance or its standard errors overflow; the condition refusal of
+    :func:`~fusionkit.matrixkit.require_conditioned` if the largest draw,
+    through the data and the estimate, exceeds the error's standard
+    deviation past its limit, where rounding hides the noise and the errors
+    would read rounding alone.
     """
     N, seed = require_integer(N, "N", 1000), require_integer(seed, "seed")
     if not isinstance(method, str) or (method := method.lower()) not in ("ml", "wls", "mmse"):
