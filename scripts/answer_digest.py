@@ -15,6 +15,11 @@ Each pair is asked, through the public API only:
 * ``synergy``: ``synergy_objective`` and ``synergy_gradient_rho``;
 * ``nonlinear``: ``joint_information_nonlinear`` of the two mixing matrices
   as ``NonlinearModel.linear`` maps;
+* ``estimators``: ``ml_estimate`` and ``mmse_gaussian_estimate`` on the
+  stacked model ``[A; B]`` under the joint noise, for one observation and for
+  a stack of five, and ML's refusal of a singular SNR matrix. This kind keeps
+  its refusals on its own line, so a change to the estimators' contract moves
+  it alone;
 * ``refusals``: the type and message of every typed refusal, those of the
   questions above and of a fixed set of inputs each API must refuse, among
   them one of each kind of the scalar rule (a seed, a count, a tolerance and
@@ -22,8 +27,8 @@ Each pair is asked, through the public API only:
   callback rule and an error campaign that overflows; an input an older tree
   still answers hashes its answer there.
 
-A question that is refused adds its refusal to ``refusals`` and the word
-"refused" to its own kind. Floats are hashed by their bits, so two checkouts
+A question that is refused adds its refusal to ``refusals`` (to ``estimators``
+for that kind) and the word "refused" to its own kind. Floats are hashed by their bits, so two checkouts
 answer alike iff their outputs are equal byte for byte:
 
     PYTHONPATH=src python3 scripts/answer_digest.py --out head.txt
@@ -60,6 +65,7 @@ from fusionkit import (
     joint_information_nonlinear,
     local_optimality_probe,
     ml_estimate,
+    mmse_gaussian_estimate,
     numeric_jacobian,
     optimal_secondary,
     prewhiten,
@@ -74,7 +80,8 @@ from fusionkit import (
 SIZES = ((3, 2, 2), (12, 8, 4), (40, 30, 10))
 FAMILIES = ("fuse", "uncorrelated", "redundant", "near_unitary")
 KINDS = ("J", "S_x", "S_y", "route_error", "advise", "optimal_secondary", "synergy",
-         "nonlinear", "refusals")
+         "nonlinear", "estimators", "refusals")
+OWN_REFUSALS = ("estimators",)  # kinds whose refusals are hashed on their own line
 BUDGET_FACTORS = (1.5, 3.0, 10.0)  # times the budget attainable at lambda = 0
 PROBES = 64
 NONLINEAR_DRAWS = 128
@@ -114,7 +121,8 @@ class Digest:
         except Exception as exc:
             if kind != "refusals" and not isinstance(exc, (FusionKitError, ValueError)):
                 raise
-            self.hashes["refusals"].update(encode((kind, case, type(exc).__name__, str(exc))))
+            refusals = kind if kind in OWN_REFUSALS else "refusals"
+            self.hashes[refusals].update(encode((kind, case, type(exc).__name__, str(exc))))
             self.hashes[kind].update(encode((case, "refused")))
             return None
         self.hashes[kind].update(encode((case, answer)))
@@ -185,6 +193,8 @@ def ask_pair(digest, case, pair, prior, seed):
         NonlinearModel.linear(pair.first.A), NonlinearModel.linear(pair.second.A),
         pair.noise, prior, NONLINEAR_DRAWS, seed))
 
+    ask_estimators(digest, case, pair, prior, np.random.default_rng(seed))
+
     wp = digest.ask("synergy", case + " prewhiten", lambda: prewhiten(pair))
     if wp is None:
         return
@@ -202,6 +212,17 @@ def ask_pair(digest, case, pair, prior, seed):
     if at_zero > 0.0:  # below the attainable minimum
         digest.ask("optimal_secondary", f"{case} p=at_zero/2",
                    lambda: optimal_secondary(A, rho, 0.5 * at_zero))
+
+
+def ask_estimators(digest, case, pair, prior, rng):
+    """ML and MMSE on the pair's stacked model: one observation, then a stack of five."""
+    model = LinearModel(np.vstack([pair.first.A, pair.second.A]))
+    sigma = pair.noise.joint()
+    for rows in ((model.n,), (5, model.n)):
+        x = rng.standard_normal(rows)
+        digest.ask("estimators", f"{case} ML {rows}", lambda: ml_estimate(model, sigma, x))
+        digest.ask("estimators", f"{case} MMSE {rows}",
+                   lambda: mmse_gaussian_estimate(model, sigma, prior, x))
 
 
 def ask_refusals(digest, rng):
@@ -277,6 +298,9 @@ def main() -> int:
             prior = GaussianPrior(mean=np.zeros(m), cov=random_pd(rng, m))
             ask_pair(digest, case, pair, prior, seed=f)
     ask_refusals(digest, np.random.default_rng(2024))
+    # rank-one mixing: the data carry nothing about s1 - s2
+    digest.ask("estimators", "singular SNR matrix",
+               lambda: ml_estimate(LinearModel(np.ones((3, 2))), np.eye(3), np.zeros(3)))
 
     text = digest.lines()
     if args.out is None:

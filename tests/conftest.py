@@ -6,6 +6,9 @@ measure algebraic identity, not conditioning luck.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -245,3 +248,34 @@ def empty_placement_memos():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, timeout=120):
+    """Run ``scripts/<name>`` with ``args`` in a fresh interpreter on this checkout's ``src``,
+    returning what it prints."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=timeout,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.fixture(scope="session")
+def answer_digest_out(tmp_path_factory):
+    """The file ``scripts/answer_digest.py`` writes, run once per session."""
+    out = tmp_path_factory.mktemp("digest") / "digest.txt"
+    run_script("answer_digest.py", "--out", out)
+    return out
+
+
+@pytest.fixture(scope="session")
+def demo_reports_out(tmp_path_factory):
+    """The directory ``scripts/demo_reports.py`` writes, run once per session."""
+    out = tmp_path_factory.mktemp("reports")
+    run_script("demo_reports.py", "--out", out, timeout=600)
+    return out

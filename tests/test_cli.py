@@ -771,21 +771,16 @@ def test_star_import_binds_the_public_names():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
 
 
-def test_demo_reports_smoke(tmp_path):
+def test_demo_reports_smoke(demo_reports_out):
     # every README demo command answers, except the budget below the
     # attainable minimum, which no solution branch reaches yet (exit 3)
-    root = Path(__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "demo_reports.py"), "--out", str(tmp_path)],
-        env=fresh_interpreter_env(), capture_output=True, text=True, timeout=600,
-    )
-    assert done.returncode == 0, done.stderr
-    codes = {d.name: int((d / "exit_code").read_text()) for d in tmp_path.iterdir() if d.is_dir()}
+    out = demo_reports_out
+    codes = {d.name: int((d / "exit_code").read_text()) for d in out.iterdir() if d.is_dir()}
     assert len(codes) == 10
     assert codes.pop("place-ecg-0.001") == 3
     assert set(codes.values()) == {0}
-    assert json.loads((tmp_path / "analyze-joint" / "stdout").read_text())["pair"] == ["ecg", "ppg"]
-    assert (tmp_path / "simulate-ml" / "campaign.csv").is_file()
+    assert json.loads((out / "analyze-joint" / "stdout").read_text())["pair"] == ["ecg", "ppg"]
+    assert (out / "simulate-ml" / "campaign.csv").is_file()
 
 
 def _leaf_paths(node, path=()):

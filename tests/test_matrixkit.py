@@ -1,10 +1,6 @@
 import csv
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,11 +45,13 @@ from fusionkit.matrixkit import (
 )
 
 from conftest import (
+    ROOT,
     random_admissible_rho,
     random_joint_noise,
     random_orthogonal,
     random_pd,
     rel_fro,
+    run_script,
 )
 
 
@@ -599,19 +597,6 @@ def test_cholesky_guard_certifies_without_an_eigenvalue(rng, monkeypatch):
     assert rel_fro(L_inv.T @ L_inv, np.linalg.inv(M)) <= 1e-13
 
 
-def run_script(name, *args):
-    """Run ``scripts/<name>`` with ``args`` in a fresh interpreter on this checkout's ``src``,
-    returning what it prints."""
-    root = Path(__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / name), *map(str, args)],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def test_noise_guard_sweep_smoke(tmp_path):
     out = tmp_path / "guard"
     run_script("noise_guard_sweep.py", "--sizes", "1", "3", "--trials", "2", "--out", out)
@@ -678,25 +663,23 @@ def test_campaign_scale_sweep_smoke(tmp_path):
     assert all(float(row["rel_err"]) <= 0.05 for row in rows[:4])
 
 
-def test_answer_digest_smoke(tmp_path):
+def test_answer_digest_smoke(tmp_path, answer_digest_out):
     # one SHA-256 per question kind, the same on a second run in a fresh interpreter
-    outs = [tmp_path / "first.txt", tmp_path / "second.txt"]
-    for out in outs:
-        run_script("answer_digest.py", "--out", out)
-    lines = outs[0].read_text().splitlines()
+    second = tmp_path / "second.txt"
+    run_script("answer_digest.py", "--out", second)
+    lines = answer_digest_out.read_text().splitlines()
     assert [line.split()[0] for line in lines] == [
         "J", "S_x", "S_y", "route_error", "advise", "optimal_secondary", "synergy",
-        "nonlinear", "refusals",
+        "nonlinear", "estimators", "refusals",
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[1]) for line in lines)
-    assert outs[1].read_text() == outs[0].read_text()
+    assert second.read_text() == answer_digest_out.read_text()
 
 
 def test_code_lines_smoke():
     # one line per module of src/fusionkit, then their total
     counts = [line.split() for line in run_script("code_lines.py").splitlines()]
-    modules = sorted(path.name for path in (Path(__file__).resolve().parent.parent / "src"
-                                            / "fusionkit").glob("*.py"))
+    modules = sorted(path.name for path in (ROOT / "src" / "fusionkit").glob("*.py"))
     assert [name for _, name in counts] == modules + ["total"]
     assert int(counts[-1][0]) == sum(int(count) for count, _ in counts[:-1]) > 0
 
