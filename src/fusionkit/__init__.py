@@ -1,8 +1,9 @@
 """fusionkit: estimation-theoretic analysis of multichannel/multimodal sensing.
 
-Estimators (WLS/ML/Gaussian MMSE), SNR and Fisher information matrices,
-Cramer-Rao bounds, two-modality synergy and redundancy analysis, optimal
-secondary sensor configuration, and the Monte-Carlo error campaign.
+Estimators (ML, which is WLS at the inverse noise weight, and Gaussian
+MMSE), SNR and Fisher information matrices, Cramer-Rao bounds, two-modality
+synergy and redundancy analysis, optimal secondary sensor configuration, and
+the Monte-Carlo error campaign.
 
 Exports resolve on first access (PEP 562): ``import fusionkit`` loads no
 submodule, and ``fusionkit.advise`` imports ``fusionkit.advisor`` and what
@@ -18,14 +19,10 @@ _EXPORTS = {
     "errors": (
         "DegenerateBudget", "FormDisagreement", "FusionKitError", "Inadmissible", "NoPriorInfo",
         "NoRoot", "NoScore", "NonFinite", "NotPD", "NotPSD", "NotSampleable",
-        "RouteDisagreement", "Singular", "SingularInformation", "SingularNormalMatrix",
-        "SingularPosterior",
+        "RouteDisagreement", "Singular", "SingularInformation",
     ),
-    "estimators": (
-        "Estimate", "error_covariance", "ml_estimate", "mmse_gaussian_estimate", "wls_estimate",
-    ),
-    "harness": ("CampaignResult", "CrlbCheck", "campaign_to_csv", "campaign_to_json",
-                "empirical_error_covariance"),
+    "estimators": ("Estimate", "ml_estimate", "mmse_gaussian_estimate"),
+    "harness": ("CampaignResult", "CrlbCheck", "campaign_to_csv", "empirical_error_covariance"),
     "information": (
         "InfoMatrix", "McInfoEstimate", "PairFactorization", "SynergyReport", "WhitenedPair",
         "crlb", "joint_information", "prewhiten", "prior_information_mc", "snr_matrix",

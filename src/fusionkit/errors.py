@@ -36,14 +36,6 @@ class Singular(FusionKitError):
         self.condition = condition
 
 
-class SingularNormalMatrix(Singular):
-    """Normal-equations matrix of a least-squares problem is singular."""
-
-
-class SingularPosterior(Singular):
-    """Posterior information matrix of the Gaussian MMSE estimator is singular."""
-
-
 class SingularInformation(Singular):
     """Information matrix cannot be inverted; carries a null-space basis."""
 

@@ -3,10 +3,12 @@
 :func:`empirical_error_covariance` simulates, estimates and accumulates
 second moments, then compares them with the theoretical reference, the
 inverse total information, and checks that they dominate it. Every
-campaign estimates in the one information form ``J^-1 A^T Sigma^-1``, the
-form :func:`~fusionkit.estimators.mmse_gaussian_estimate` computes, with the
-prior's information and mean added for MMSE; the gain form it is checked
-against is a test oracle and takes no part here. The slack for PSD
+campaign applies the estimators' own affine map, gain, offset and error
+covariance from :func:`fusionkit.estimators._affine`, the map
+:func:`~fusionkit.estimators.ml_estimate` and
+:func:`~fusionkit.estimators.mmse_gaussian_estimate` apply, so it checks
+those estimators and no copy of them; the gain form of the posterior mean
+is a test oracle and takes no part here. The slack for PSD
 dominance checks is five times the largest per-entry Monte-Carlo standard
 error. That is not a calibrated false-alarm rate: correct estimators fail
 it in about 1 campaign in 240 in the benchmark (3 of 3000 at N = 2000 in
@@ -17,12 +19,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .information import DEFAULT_BLOCK, InfoMatrix, crlb
+from . import estimators
+from .information import DEFAULT_BLOCK
 from .matrixkit import noise_whitener, require_conditioned, require_finite, require_integer
 from .model import (
     GaussianPrior,
@@ -87,10 +89,11 @@ def empirical_error_covariance(
     the posterior covariance). Either reference is the inverse total
     information ``J^-1``, so the CRLB dominance check compares the empirical
     covariance against it, with Monte-Carlo slack, and inverts nothing more.
-    Both estimate in one information form, ``X gain^T + offset`` with
-    ``gain = J^-1 A^T Sigma^-1``: the offset is 0 for ML and
-    ``mu - gain A mu`` for MMSE, so no LU solve of the innovation covariance
-    ``A G A^T + Sigma`` runs and its conditioning does not matter.
+    Both apply the estimators' affine map ``X gain^T + offset`` with
+    ``gain = J^-1 A^T Sigma^-1`` (:func:`fusionkit.estimators._affine`): the
+    offset is 0 for ML and ``mu - gain A mu`` for MMSE, so no LU solve of the
+    innovation covariance ``A G A^T + Sigma`` runs and its conditioning does
+    not matter.
 
     The rows are ``simulate``'s, drawn, estimated and summed one block of
     at most ``DEFAULT_BLOCK`` rows at a time, so memory is
@@ -119,14 +122,7 @@ def empirical_error_covariance(
     L, L_inv = noise_whitener(model, noise)
     require_prior_size(prior, model.m)
     A = model.A
-    W = L_inv @ A
-    snr = W.T @ W
-    require_finite(snr, "the SNR matrix")
-
-    mmse = method == "mmse"
-    ref = crlb(InfoMatrix(snr + prior.info_matrix() if mmse else snr))
-    gain = ref @ W.T @ L_inv
-    offset = prior.mean - gain @ (A @ prior.mean) if mmse else 0.0
+    gain, offset, ref = estimators._affine(model, L_inv, prior if method == "mmse" else None)
 
     def estimate(X):
         return X @ gain.T + offset
@@ -184,11 +180,6 @@ def _crlb_check(emp: np.ndarray, bound: np.ndarray, slack: float) -> CrlbCheck:
     """The dominance verdict of ``emp`` over the CRLB ``bound`` = ``J^-1``."""
     min_eig = float(np.linalg.eigvalsh(emp - bound)[0])
     return CrlbCheck(min_eig=min_eig, passed=min_eig >= -slack, slack=slack)
-
-
-def campaign_to_json(results: list[CampaignResult]) -> str:
-    """Deterministic JSON serialization of a campaign."""
-    return json.dumps([r.to_json_dict() for r in results], indent=2, sort_keys=True)
 
 
 def campaign_to_csv(results: list[CampaignResult]) -> str:

@@ -31,15 +31,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Inadmissible, RouteDisagreement, SingularInformation
+from .errors import Inadmissible, NotPD, RouteDisagreement, Singular, SingularInformation
 from .matrixkit import (
     SINGULAR_CONDITION,
     _form_scale,
     _frobenius,
     _require_pd_conditioned,
     admit_symmetric,
-    derived_factor,
     factor_noise,
+    inverse_factor,
     noise_whitener,
     require_agreement,
     require_finite,
@@ -251,24 +251,32 @@ def total_information(snr: InfoMatrix, prior: SourcePrior | None) -> InfoMatrix:
 def crlb(J) -> np.ndarray:
     """Minimum error covariance ``J^-1`` achievable by an unbiased estimator.
 
+    ``J^-1 = L^-T L^-1``, a Gram product, from the inverse Cholesky factor of
+    :func:`~fusionkit.matrixkit.inverse_factor`. ``J`` is derived from other
+    matrices, so every refusal of it is a collapse, :class:`SingularInformation`:
+    an indefinite ``J`` with infinite condition.
+
     Raises
     ------
     ValueError
         Naming ``J`` unless it is an :class:`InfoMatrix` or
         :func:`~fusionkit.matrixkit.admit_symmetric` admits it.
     SingularInformation
-        As :func:`~fusionkit.matrixkit.derived_factor` refuses ``J``, with its
+        As :func:`~fusionkit.matrixkit.inverse_factor` refuses ``J``, with its
         condition; only then is ``J`` eigen-solved, for the carried orthonormal
         basis of the (near-)null space, the source directions the data carry no
         information about: eigenvalues up to ``max(w_min, max|w| / SINGULAR_CONDITION)``.
     """
     M = _as_matrix(J, "J")
     try:
-        L_inv = derived_factor(M, "information matrix", SingularInformation)
-    except SingularInformation as exc:
+        L_inv = inverse_factor(M, "information matrix")[1]
+    except (NotPD, Singular) as exc:
         w, V = np.linalg.eigh(M)
-        exc.null_space = V[:, w <= max(w[0], float(np.max(np.abs(w))) / SINGULAR_CONDITION)]
-        raise
+        null_space = V[:, w <= max(w[0], float(np.max(np.abs(w))) / SINGULAR_CONDITION)]
+        if isinstance(exc, NotPD):
+            raise SingularInformation("information matrix is numerically singular (cond~inf)",
+                                      null_space, np.inf) from exc
+        raise SingularInformation(str(exc), null_space, exc.condition) from exc
     return L_inv.T @ L_inv
 
 

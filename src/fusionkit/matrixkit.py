@@ -25,9 +25,9 @@ from standard normal rows ``z``; its guard reads a condition bound off
 ``L^-1`` and decides on one factorization: only where the bound is
 inconclusive does it take one ``eigvalsh``, and one more of a Schur
 complement's parent block.
-The estimators' normal and posterior matrices and the information matrix
-of ``information.crlb`` go through it by :func:`derived_factor`, and a
-noise pair and its Schur complements go through it directly:
+The information matrix of ``information.crlb``, which the estimators and
+the error campaign invert, goes through it, and so do a noise pair and its
+Schur complements:
 :func:`factor_noise`, the one place a joint noise covariance is factorized,
 makes the pair's four refusals and whitens each marginal with its inverse
 Cholesky factor, as :func:`noise_whitener`, the one admission of a single
@@ -55,7 +55,7 @@ needs no pass: numpy evaluates it as a rank-k update of one triangle and
 mirrors that triangle, so it is symmetric to the last bit, as is a sum or
 difference of such matrices, entry by entry. So ``L^-T L^-1``, the Schur
 complements of :func:`factor_noise`, the pair's information matrices,
-``I - rho^T rho`` and the estimators' normal and posterior matrices are
+``I - rho^T rho`` and the SNR and posterior information matrices are
 exact as built, and :func:`inverse_factor` reads its input as it is given.
 """
 
@@ -381,22 +381,6 @@ def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
     key = (sigma if given else admitted).copy()  # private to the memo, never handed out
     object.__setattr__(model, "_whitener", (key, L, L_inv))
     return L, L_inv
-
-
-def derived_factor(M, what: str, error: type[Singular] = Singular) -> np.ndarray:
-    """``L^-1`` of ``M = L L^T`` by :func:`inverse_factor`, every refusal raised as ``error``.
-
-    ``M`` (an estimator's normal or posterior matrix, an information
-    matrix) is derived from other matrices, so an indefinite one
-    is their collapse: it is refused as ``error``, a :class:`Singular`
-    subtype, with infinite condition. ``M^-1`` is the Gram product ``L^-T L^-1``.
-    """
-    try:
-        return inverse_factor(M, what)[1]
-    except NotPD as exc:
-        raise error(f"{what} is numerically singular (cond~inf)", condition=np.inf) from exc
-    except Singular as exc:
-        raise error(str(exc), condition=exc.condition) from exc
 
 
 def _frobenius(M) -> np.ndarray:

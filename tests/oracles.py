@@ -6,9 +6,10 @@ for a linear model is the SNR matrix ``A^T Sigma^-1 A`` up to roundoff.
 ``check_crlb_dominance`` asks the campaign's dominance verdict of any
 empirical covariance and information matrix. ``mmse_gain`` is the gain form
 of the Gaussian posterior mean, the oracle of the information form that the
-estimators and the error campaign apply. None is on a runtime path: the
-library answers by its closed forms, and the campaign calls its own verdict
-(``harness._crlb_check``) directly.
+estimators and the error campaign apply, and ``wls`` the weighted least
+squares solution of the normal equations, ML's oracle at ``W = Sigma^-1``.
+None is on a runtime path: the library answers by its closed forms, and the
+campaign calls its own verdict (``harness._crlb_check``) directly.
 """
 
 import numpy as np
@@ -113,3 +114,12 @@ def mmse_gain(A, cov, sigma) -> np.ndarray:
     """
     innovation_cov = symmetrize(A @ cov @ A.T + sigma)
     return cov @ A.T @ np.linalg.solve(innovation_cov, np.eye(A.shape[0]))
+
+
+def wls(A, W, x) -> np.ndarray:
+    """Weighted least squares ``(A^T W A)^-1 A^T W x``, by an LU solve of the normal equations.
+
+    ``x`` is one observation or a stack of them, a row each.
+    """
+    WA = W @ A
+    return np.linalg.solve(A.T @ WA, WA.T @ np.asarray(x, dtype=float).T).T

@@ -752,7 +752,7 @@ def test_cli_import_loads_four_modules():
         (["advise", "{scenario}", "--pair", "a,b"], {"fusionkit.advisor"}),
         (["place", "{scenario}", "--primary", "a", "--budget", "5"], {"fusionkit.placement"}),
         (["simulate", "{scenario}", "--method", "mmse", "--N", "1000"],
-         {"fusionkit.harness", "numpy.random"}),
+         {"fusionkit.harness", "fusionkit.estimators", "numpy.random"}),
     ],
     ids=["analyze-modality", "analyze-joint", "advise", "place", "simulate"],
 )

@@ -7,30 +7,32 @@ from fusionkit import (
     NotPD,
     Singular,
     SingularInformation,
-    SingularNormalMatrix,
     crlb,
-    error_covariance,
+    empirical_error_covariance,
     ml_estimate,
     mmse_gaussian_estimate,
     simulate,
     snr_matrix,
     total_information,
-    wls_estimate,
 )
 
 from conftest import random_conditioned_matrix, random_pd, rel_fro
-from oracles import mmse_gain
+from oracles import mmse_gain, wls
 
 
 class TestWls:
+    # ML is WLS at the weight W = sigma^-1; the WLS oracle solves the normal equations
+
     def test_identity_model(self):
-        est = wls_estimate(LinearModel(np.eye(2)), np.eye(2), [3.0, -1.0])
+        est = ml_estimate(LinearModel(np.eye(2)), np.eye(2), [3.0, -1.0])
+        assert np.allclose(est.s_hat, wls(np.eye(2), np.eye(2), [3.0, -1.0]))
         assert np.allclose(est.s_hat, [3.0, -1.0])
-        assert est.method == "WLS"
+        assert est.method == "ML"
 
     def test_averaging(self):
-        est = wls_estimate(LinearModel([[1.0], [1.0]]), np.eye(2), [0.0, 2.0])
+        est = ml_estimate(LinearModel([[1.0], [1.0]]), np.eye(2), [0.0, 2.0])
         assert est.s_hat[0] == pytest.approx(1.0)
+        assert wls(np.ones((2, 1)), np.eye(2), [0.0, 2.0])[0] == pytest.approx(1.0)
 
     def test_weighted_average_closed_form(self, rng):
         # hand-check oracle: normal equations give (3 x1 + x2) / 4
@@ -38,21 +40,15 @@ class TestWls:
         W = np.diag([1.0, 1.0 / 3.0])
         for _ in range(10):
             x = rng.standard_normal(2)
-            est = wls_estimate(model, W, x)
+            est = ml_estimate(model, np.linalg.inv(W), x)
             assert est.s_hat[0] == pytest.approx((3.0 * x[0] + x[1]) / 4.0, rel=1e-12)
+            assert wls(model.A, W, x)[0] == pytest.approx(est.s_hat[0], rel=1e-12)
 
     def test_rank_deficient_raises(self):
         model = LinearModel(np.ones((2, 2)))
-        with pytest.raises(SingularNormalMatrix):
-            wls_estimate(model, np.eye(2), [1.0, 2.0])
-
-    def test_indefinite_weight_raises(self):
-        # an indefinite normal matrix has no error covariance: once its
-        # condition was |lambda|_max / |lambda|_min = 1 and the "covariance"
-        # returned had diagonal (1, -1)
-        with pytest.raises(SingularNormalMatrix) as exc:
-            wls_estimate(LinearModel(np.eye(2)), np.diag([1.0, -1.0]), [1.0, 2.0])
-        assert exc.value.condition == np.inf
+        with pytest.raises(SingularInformation) as exc:
+            ml_estimate(model, np.eye(2), [1.0, 2.0])
+        assert exc.value.null_space.shape == (2, 1)
 
 
 class TestMl:
@@ -101,11 +97,11 @@ class TestMl:
             sigma = random_pd(rng, n)
             x = rng.standard_normal(n)
             W = np.linalg.inv(sigma)
-            e_wls = wls_estimate(model, 0.5 * (W + W.T), x)
+            s_wls = wls(model.A, 0.5 * (W + W.T), x)
             e_ml = ml_estimate(model, sigma, x)
             scale = max(np.max(np.abs(e_ml.s_hat)), 1e-300)
-            assert np.max(np.abs(e_wls.s_hat - e_ml.s_hat)) < 1e-12 * scale
-            assert rel_fro(e_wls.error_cov, e_ml.error_cov) < 1e-12
+            assert np.max(np.abs(s_wls - e_ml.s_hat)) < 1e-12 * scale
+            assert rel_fro(np.linalg.inv(model.A.T @ W @ model.A), e_ml.error_cov) < 1e-12
 
     def test_unbiasedness(self, rng):
         N = 200_000
@@ -177,33 +173,75 @@ class TestMmse:
 
 
 class TestErrorCovariance:
+    # the ML error covariance is the CRLB of the SNR matrix
+
     def test_identity(self):
-        assert np.allclose(error_covariance(LinearModel(np.eye(2)), np.eye(2)), np.eye(2))
+        est = ml_estimate(LinearModel(np.eye(2)), np.eye(2), np.zeros(2))
+        assert np.allclose(est.error_cov, np.eye(2))
+        assert np.allclose(crlb(snr_matrix(LinearModel(np.eye(2)), np.eye(2))), np.eye(2))
 
     def test_scaling(self):
-        assert np.allclose(
-            error_covariance(LinearModel(2.0 * np.eye(2)), np.eye(2)), 0.25 * np.eye(2)
-        )
+        model = LinearModel(2.0 * np.eye(2))
+        assert np.allclose(crlb(snr_matrix(model, np.eye(2))), 0.25 * np.eye(2))
+        assert np.allclose(ml_estimate(model, np.eye(2), np.zeros(2)).error_cov, 0.25 * np.eye(2))
 
     def test_is_the_crlb_of_the_snr_matrix(self, rng):
         model = LinearModel(rng.standard_normal((5, 3)))
         sigma = random_pd(rng, 5)
         expected = crlb(snr_matrix(model, sigma))
-        assert np.array_equal(error_covariance(model, sigma), expected)
+        assert np.array_equal(ml_estimate(model, sigma, np.zeros(5)).error_cov, expected)
 
     def test_singular_snr_matrix_raises_singular_information(self):
         # rank-one mixing: the data carry nothing about s1 - s2
         with pytest.raises(SingularInformation) as exc:
-            error_covariance(LinearModel(np.ones((3, 2))), np.eye(3))
+            crlb(snr_matrix(LinearModel(np.ones((3, 2))), np.eye(3)))
         assert isinstance(exc.value, Singular)
         assert exc.value.null_space.shape == (2, 1)
 
     def test_matches_empirical(self, rng):
         # Monte-Carlo oracle (the harness covers this at scale; quick check here)
-        from fusionkit import empirical_error_covariance
-
         model = LinearModel(rng.standard_normal((5, 3)))
         sigma = random_pd(rng, 5)
         prior = GaussianPrior(mean=np.zeros(3), cov=np.eye(3))
         res = empirical_error_covariance("ml", model, prior, sigma, N=200_000, seed=4)
-        assert rel_fro(res.empirical_error_cov, error_covariance(model, sigma)) < 0.05
+        assert rel_fro(res.empirical_error_cov, crlb(snr_matrix(model, sigma))) < 0.05
+
+
+def stacked_question(n, m, seed=7):
+    rng = np.random.default_rng(seed)
+    model = LinearModel(random_conditioned_matrix(rng, n, m))
+    prior = GaussianPrior(mean=rng.standard_normal(m), cov=random_pd(rng, m))
+    return model, random_pd(rng, n), prior, rng
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (40, 10), (200, 20)])
+def test_a_stack_of_observations_is_estimated_as_each_row(n, m):
+    model, sigma, prior, rng = stacked_question(n, m)
+    X = rng.standard_normal((50, n))
+    for estimate in (lambda x: ml_estimate(model, sigma, x),
+                     lambda x: mmse_gaussian_estimate(model, sigma, prior, x)):
+        stacked = estimate(X)
+        rows = np.array([estimate(x).s_hat for x in X])
+        assert stacked.s_hat.shape == (50, m)
+        assert np.max(np.abs(stacked.s_hat - rows)) <= 1e-12 * np.max(np.abs(rows))
+        assert np.array_equal(stacked.error_cov, estimate(X[0]).error_cov)
+    assert np.allclose(ml_estimate(model, sigma, X).s_hat, wls(model.A, np.linalg.inv(sigma), X),
+                       rtol=0.0, atol=1e-10)
+
+
+RANK_ONE = LinearModel(np.ones((3, 2)))  # the data carry nothing about s1 - s2
+VAGUE = GaussianPrior(np.zeros(2), 1e12 * np.eye(2))  # too little information to resolve it
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: ml_estimate(RANK_ONE, np.eye(3), x),
+    lambda x: mmse_gaussian_estimate(RANK_ONE, np.eye(3), VAGUE, x),
+], ids=["ml", "mmse"])
+def test_a_singular_information_is_refused_with_its_null_space(call):
+    # both estimators invert through crlb, whose refusal names the unseen directions
+    with pytest.raises(SingularInformation) as exc:
+        call(np.zeros(3))
+    assert exc.value.null_space.shape == (2, 1)
+    # x is admitted before the information matrix is factored
+    with pytest.raises(ValueError, match=r"^x must be a finite real array"):
+        call([np.nan, 0.0, 0.0])

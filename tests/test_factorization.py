@@ -29,7 +29,6 @@ from fusionkit import (
     advise,
     crlb,
     empirical_error_covariance,
-    error_covariance,
     fisher_nonlinear,
     joint_information,
     joint_information_nonlinear,
@@ -270,13 +269,15 @@ def small_question(seed):
 # joint_information 38/62, synergy_matrices 29/60, optimal_secondary 32/74 and a
 # probe 21/34 on a miss. While optimal_secondary solved I - lambda (I - rho^T rho)
 # for B~* and took the objective by a solve with I - rho^T rho, apart from the
-# singular basis its root reads, it made 31/70.
+# singular basis its root reads, it made 31/70. While ml_estimate solved its normal
+# equations through derived_factor, with no InfoMatrix admission of the SNR matrix
+# and x one observation only, it made 14/22.
 CALL_PINS = {
     "advise": {"fusionkit": 45, "from_fusionkit": 77},
     "joint_information": {"fusionkit": 38, "from_fusionkit": 61},
     "synergy_matrices": {"fusionkit": 29, "from_fusionkit": 59},
     "optimal_secondary": {"fusionkit": 29, "from_fusionkit": 64},
-    "ml_estimate": {"fusionkit": 14, "from_fusionkit": 22},
+    "ml_estimate": {"fusionkit": 19, "from_fusionkit": 30},
     "local_optimality_probe, slot miss": {"fusionkit": 21, "from_fusionkit": 33},
     "local_optimality_probe, slot hit": {"fusionkit": 11, "from_fusionkit": 20},
 }
@@ -770,7 +771,7 @@ def single_answers(model_of, sigma, prior, x):
     campaigns = [empirical_error_covariance(method, model_of(), prior, sigma, N=1000, seed=3)
                  for method in ("ml", "mmse")]
     return [ml.s_hat, ml.error_cov, mmse.s_hat, mmse.error_cov,
-            snr_matrix(model_of(), sigma).matrix, error_covariance(model_of(), sigma),
+            snr_matrix(model_of(), sigma).matrix, crlb(snr_matrix(model_of(), sigma)),
             *(c.empirical_error_cov for c in campaigns),
             *(c.theoretical_ref for c in campaigns)]
 

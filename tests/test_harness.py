@@ -11,11 +11,12 @@ from fusionkit import (
     NonFinite,
     NonlinearModel,
     Singular,
+    SingularInformation,
     campaign_to_csv,
-    campaign_to_json,
     crlb,
     empirical_error_covariance,
-    error_covariance,
+    ml_estimate,
+    mmse_gaussian_estimate,
     simulate,
     snr_matrix,
 )
@@ -41,7 +42,7 @@ class TestEmpiricalErrorCovariance:
         sigma = random_pd(rng, 5)
         prior = GaussianPrior(mean=np.zeros(3), cov=np.eye(3))
         res = empirical_error_covariance("ml", model, prior, sigma, N=200_000, seed=2)
-        assert rel_fro(res.empirical_error_cov, error_covariance(model, sigma)) < 0.05
+        assert rel_fro(res.empirical_error_cov, crlb(snr_matrix(model, sigma))) < 0.05
 
     def test_mmse_matches_posterior_covariance(self, rng):
         model = LinearModel(rng.standard_normal((4, 2)))
@@ -257,6 +258,53 @@ class TestStreamedCampaign:
         assert peak < 4e6, peak
 
 
+@pytest.mark.parametrize("method", ["ml", "mmse"])
+def test_the_campaign_measures_the_estimators_own_errors(method):
+    # N = 5000 draws are one block: the campaign's second moments are those of
+    # the errors of ml_estimate or mmse_gaussian_estimate on simulate's rows
+    model, sigma, prior = campaign_scenario()
+    N = 5000
+    res = empirical_error_covariance(method, model, prior, sigma, N=N, seed=11)
+    batch = simulate(model, prior, N, 11, noise=sigma)
+    if method == "ml":
+        est = ml_estimate(model, sigma, batch.observations)
+    else:
+        est = mmse_gaussian_estimate(model, sigma, prior, batch.observations)
+    E = batch.sources - est.s_hat
+    assert rel_fro(res.empirical_error_cov, E.T @ E / N) <= 1e-12
+    assert np.array_equal(res.theoretical_ref, est.error_cov)
+
+
+def test_a_planted_estimator_gain_moves_the_simulate_report(tmp_path, monkeypatch, capsys):
+    # the campaign applies the estimators' gain, so a gain off by 1e-3 shows
+    # in its report; a copy of the gain in the campaign would hide it
+    from fusionkit import estimators
+    from fusionkit.cli import main
+
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(readme_demo()))
+    argv = ["simulate", str(path), "--method", "ml", "--N", "20000", "--seed", "3"]
+    assert main(argv) == 0
+    honest = capsys.readouterr().out
+    affine = estimators._affine
+
+    def planted(*args):
+        gain, offset, ref = affine(*args)
+        return gain * (1.0 + 1e-3), offset, ref
+
+    monkeypatch.setattr(estimators, "_affine", planted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out != honest
+
+
+def test_a_singular_information_is_refused_by_the_campaign_with_its_null_space():
+    # the data carry nothing about s1 - s2, as ml_estimate refuses them
+    prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
+    with pytest.raises(SingularInformation) as exc:
+        empirical_error_covariance("ml", LinearModel(np.ones((3, 2))), prior, np.eye(3), 1000, 0)
+    assert exc.value.null_space.shape == (2, 1)
+
+
 class TestFisherFiniteDifference:
     def test_linear_matches_snr(self, rng):
         model = LinearModel(rng.standard_normal((5, 3)))
@@ -343,12 +391,12 @@ class TestCrlbDominance:
 
     @pytest.mark.parametrize("wrap", [InfoMatrix, np.asarray], ids=["info-matrix", "array"])
     def test_size_mismatch_is_named_before_inverting(self, monkeypatch, wrap):
-        from fusionkit import harness
+        import oracles
 
         def crlb_not_called(J):
             raise AssertionError("J inverted before the sizes were checked")
 
-        monkeypatch.setattr(harness, "crlb", crlb_not_called)
+        monkeypatch.setattr(oracles, "crlb", crlb_not_called)
         # J's size is the one the empirical covariance is admitted at
         message = (r"^empirical covariance must be a finite real array of shape \(3, 3\) "
                    r"with no empty axis, got shape \(2, 2\)$")
@@ -375,7 +423,7 @@ class TestCampaignSerialization:
 
     def test_byte_identical_reruns(self):
         a, b = self._result(), self._result()
-        assert campaign_to_json([a]) == campaign_to_json([b])
+        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
         assert campaign_to_csv([a]) == campaign_to_csv([b])
 
     def test_csv_header_and_row(self):
@@ -385,9 +433,7 @@ class TestCampaignSerialization:
         fields = lines[1].split(",")
         assert fields[0] == "t" and fields[1] == "ml" and fields[2] == "2000"
 
-    def test_json_is_sorted_and_parseable(self):
-        import json
-
-        doc = json.loads(campaign_to_json([self._result()]))
-        assert doc[0]["scenario_id"] == "t"
-        assert "crlb_check" in doc[0]
+    def test_json_is_parseable(self):
+        doc = json.loads(json.dumps(self._result().to_json_dict()))
+        assert doc["scenario_id"] == "t"
+        assert "crlb_check" in doc

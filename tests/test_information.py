@@ -21,8 +21,8 @@ from fusionkit import (
     SingularInformation,
     crlb,
     advise,
-    error_covariance,
     joint_information,
+    ml_estimate,
     prewhiten,
     prior_information_mc,
     simulate,
@@ -109,7 +109,7 @@ class TestCrlb:
         model = LinearModel(rng.standard_normal((5, 3)))
         sigma = random_pd(rng, 5)
         bound = crlb(snr_matrix(model, sigma))
-        assert rel_fro(bound, error_covariance(model, sigma)) < 1e-12
+        assert rel_fro(bound, ml_estimate(model, sigma, np.zeros(5)).error_cov) < 1e-12
 
     def test_singular_information_reports_null_space(self):
         # n < m: a single channel cannot resolve two sources

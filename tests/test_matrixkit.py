@@ -17,8 +17,7 @@ from fusionkit import (
     NotPD,
     RouteDisagreement,
     Singular,
-    SingularNormalMatrix,
-    SingularPosterior,
+    SingularInformation,
     advise,
     crlb,
     joint_information,
@@ -28,7 +27,6 @@ from fusionkit import (
     synergy_matrices,
 )
 from fusionkit import estimators
-from fusionkit.estimators import _solve_normal
 from fusionkit.information import PairFactorization, _CrossCorrelation
 from fusionkit.matrixkit import (
     FORM_TOL,
@@ -36,7 +34,6 @@ from fusionkit.matrixkit import (
     SINGULAR_CONDITION,
     _schur_factor,
     admit_symmetric,
-    derived_factor,
     factor_noise,
     inverse_factor,
     require_agreement,
@@ -218,28 +215,27 @@ def test_derived_inverse_is_exactly_symmetric(n):
     # so no symmetrize pass follows it (nor the products built on it)
     rng = np.random.default_rng(n)
     M = symmetrize(random_pd(rng, n))
-    L_inv = derived_factor(M, "M")
-    inverse = L_inv.T @ L_inv
+    inverse = crlb(M)
     assert np.array_equal(inverse, inverse.T)
 
 
 @pytest.mark.parametrize("n, m", [(6, 3), (70, 10), (350, 20)])
 def test_estimator_matrices_are_exactly_symmetric(monkeypatch, n, m):
-    # the normal and posterior matrices are Gram products of a sliced block
-    # of the whitened [A | x], plus the symmetric prior information
+    # the SNR and posterior information matrices are the Gram product of the
+    # whitened A, plus the symmetric prior information
     rng = np.random.default_rng(n)
     model = LinearModel(rng.standard_normal((n, m)))
     sigma = symmetrize(random_pd(rng, n))
     prior = GaussianPrior(mean=np.zeros(m), cov=symmetrize(random_pd(rng, m)))
     x = rng.standard_normal(n)
     inverted = []
-    real = estimators.derived_factor
+    real = estimators.crlb
 
-    def recorded(M, *args):
-        inverted.append(M)
-        return real(M, *args)
+    def recorded(J):
+        inverted.append(J.matrix)
+        return real(J)
 
-    monkeypatch.setattr(estimators, "derived_factor", recorded)
+    monkeypatch.setattr(estimators, "crlb", recorded)
     ml = ml_estimate(model, sigma, x)
     mmse = mmse_gaussian_estimate(model, sigma, prior, x)
     assert len(inverted) == 2
@@ -527,12 +523,11 @@ def schur_complement_inverse(M, scale):
 
 # The refusal each derived inverse raises, keyed by it: a Schur complement
 # (measured against its parent block, and NotPD where it is indefinite beyond
-# rounding of that block) and the estimators' normal and posterior matrices.
+# rounding of that block) and an information matrix, which crlb inverts for
+# the estimators and the error campaign.
 derived_guards = {
     Singular: schur_complement_inverse,
-    SingularNormalMatrix: lambda M, scale: _solve_normal(M, np.ones(len(M)), "normal matrix")[1],
-    SingularPosterior: lambda M, scale: _solve_normal(
-        M, np.ones(len(M)), "posterior information matrix", SingularPosterior)[1],
+    SingularInformation: lambda M, scale: crlb(M),
 }
 
 
@@ -543,7 +538,7 @@ derived_guards = {
     log_cond=st.floats(2.0, 14.0),
     min_eig=st.sampled_from([None, None, None, -1e-6, -1e-12, 0.0, 1e-13]),
     top_exp=st.integers(-3, 3),
-    derived=st.sampled_from([None, Singular, SingularNormalMatrix, SingularPosterior]),
+    derived=st.sampled_from([None, Singular, SingularInformation]),
     scale_exp=st.floats(0.0, 3.0),
 )
 # a Schur complement indefinite beyond rounding of its block, and one only to rounding

@@ -23,10 +23,8 @@ from fusionkit import (
     NotSampleable,
     Singular,
     SamplerPrior,
-    campaign_to_json,
     crlb,
     empirical_error_covariance,
-    error_covariance,
     fisher_nonlinear,
     joint_information,
     joint_information_nonlinear,
@@ -42,7 +40,6 @@ from fusionkit import (
     synergy_objective,
     total_information,
     total_information_nonlinear,
-    wls_estimate,
 )
 
 from fusionkit.cli import ScenarioError, load_scenario
@@ -230,15 +227,11 @@ _NOISE_4 = (r"^noise covariance must be a finite real array of shape \(3, 3\) wi
     "call, message",
     [
         pytest.param(lambda lin, h, g, prior, S: snr_matrix(lin, S), _NOISE_4, id="snr_matrix"),
-        pytest.param(lambda lin, h, g, prior, S: error_covariance(lin, S), _NOISE_4,
-                     id="error_covariance"),
         pytest.param(lambda lin, h, g, prior, S: ml_estimate(lin, S, np.zeros(3)), _NOISE_4,
                      id="ml_estimate"),
         pytest.param(lambda lin, h, g, prior, S: mmse_gaussian_estimate(
             lin, S, GaussianPrior(np.zeros(2), np.eye(2)), np.zeros(3)), _NOISE_4,
             id="mmse_gaussian_estimate"),
-        pytest.param(lambda lin, h, g, prior, S: wls_estimate(lin, S, np.zeros(3)),
-                     _NOISE_4.replace("noise covariance", "weight matrix"), id="wls_estimate"),
         pytest.param(lambda lin, h, g, prior, S: empirical_error_covariance(
             "ml", lin, prior, S, N=1000, seed=0), _NOISE_4, id="empirical_error_covariance"),
         pytest.param(lambda lin, h, g, prior, S: fisher_finite_difference(h, S, np.zeros(2)),
@@ -383,8 +376,8 @@ def test_numpy_integers_are_counts_and_seeds():
     assert np.array_equal(est.J, prior_information_mc(q.prior, 10, 3).J)
     prior = GaussianPrior(np.zeros(2), np.eye(2))
     run = empirical_error_covariance("ml", q.lin, prior, q.S, N=np.int64(1000), seed=np.int64(3))
-    assert campaign_to_json([run]) == campaign_to_json(
-        [empirical_error_covariance("ml", q.lin, prior, q.S, N=1000, seed=3)])
+    assert run.to_json_dict() == empirical_error_covariance(
+        "ml", q.lin, prior, q.S, N=1000, seed=3).to_json_dict()
 
 
 def test_python_numbers_are_kept_as_given():
@@ -418,12 +411,16 @@ _ARRAYS = {
                                  lambda q, v: BlockCovariance(q.S, np.eye(2), v)),
     "GaussianPrior-mean": ("mean", lambda q: np.array([0.5, -1.0]), True,
                            lambda q, v: GaussianPrior(v, np.eye(2))),
-    "wls_estimate-x": ("x", lambda q: np.array([1.0, 2.0, 0.5]), True,
-                       lambda q, v: wls_estimate(q.lin, np.diag(1.0 / np.diag(q.S)), v)),
     "ml_estimate-x": ("x", lambda q: np.array([1.0, 2.0, 0.5]), True,
                       lambda q, v: ml_estimate(q.lin, q.S, v)),
     "mmse_gaussian_estimate-x": ("x", lambda q: np.array([1.0, 2.0, 0.5]), True,
                                  lambda q, v: mmse_gaussian_estimate(
+                                     q.lin, q.S, GaussianPrior(np.zeros(2), np.eye(2)), v)),
+    # a stack of two observations, whose row count is free
+    "ml_estimate-X": ("x", lambda q: np.array([[1.0, 2.0, 0.5], [-1.0, 0.0, 3.0]]), False,
+                      lambda q, v: ml_estimate(q.lin, q.S, v)),
+    "mmse_gaussian_estimate-X": ("x", lambda q: np.array([[1.0, 2.0, 0.5], [-1.0, 0.0, 3.0]]),
+                                 False, lambda q, v: mmse_gaussian_estimate(
                                      q.lin, q.S, GaussianPrior(np.zeros(2), np.eye(2)), v)),
     "optimal_secondary-A_tilde": ("A_tilde", lambda q: q.A, False,
                                   lambda q, v: optimal_secondary(v, q.rho, q.p)),
@@ -486,6 +483,8 @@ def _bad_array(good, kind):
     }[kind]
 
 
+# the one-row arguments that also take a stack of rows
+_STACKED = ("ml_estimate-x", "mmse_gaussian_estimate-x")
 _ARRAY_FAULTS = ("nan", "inf", "ragged", "string", "None", "bool", "ndim", "length", "empty-axis")
 
 
@@ -502,6 +501,8 @@ def test_every_array_argument_is_refused_by_the_one_rule(entry, kind):
     name, good, _, call = _ARRAYS[entry]
     q = ScalarQuestion()
     bad = _bad_array(good(q), kind)
+    if entry in _STACKED and kind == "ndim":  # a 2-D x is a stack of observations
+        bad = bad[None]
     with pytest.raises(ValueError) as exc:
         call(q, bad)
     assert str(exc.value).startswith(f"{name} must be a finite real array of shape ")
@@ -537,8 +538,7 @@ def test_a_scalar_is_a_vector_of_one_entry():
     lin, sigma = LinearModel([[2.0]]), np.array([[0.5]])
     prior = GaussianPrior(0.25, [[4.0]])
     assert _bits(prior) == _bits(GaussianPrior(np.array([0.25]), [[4.0]]))
-    for estimate in (lambda x: wls_estimate(lin, np.linalg.inv(sigma), x),
-                     lambda x: ml_estimate(lin, sigma, x),
+    for estimate in (lambda x: ml_estimate(lin, sigma, x),
                      lambda x: mmse_gaussian_estimate(lin, sigma, prior, x)):
         assert _bits(estimate(1.5)) == _bits(estimate(np.array([1.5])))
     h = NonlinearModel(lambda s: np.array([s[0] ** 2, 3.0 * s[0]]), n=2, m=1)
@@ -617,7 +617,6 @@ _NOISE_ENTRIES = {
     "ml_estimate": lambda q, v: ml_estimate(q.lin, v, np.array([1.0, 2.0, 0.5])),
     "mmse_gaussian_estimate": lambda q, v: mmse_gaussian_estimate(
         q.lin, v, GaussianPrior(np.zeros(2), np.eye(2)), np.array([1.0, 2.0, 0.5])),
-    "error_covariance": lambda q, v: error_covariance(q.lin, v),
     "simulate": lambda q, v: simulate(q.lin, q.prior, 10, 0, noise=v),
     "fisher_nonlinear": lambda q, v: fisher_nonlinear(q.h, v, q.prior, 10, 0),
     "fisher_finite_difference": lambda q, v: fisher_finite_difference(q.h, v, np.ones(2)),
@@ -637,8 +636,6 @@ _SYMMETRICS = {
     "crlb-J": ("J", None, lambda q, v: crlb(v)),
     "total_information-snr": ("snr", None, lambda q, v: total_information(v, None)),
     **{f"{entry}-noise": ("noise covariance", 3, call) for entry, call in _NOISE_ENTRIES.items()},
-    "wls_estimate-W": ("weight matrix", 3,
-                       lambda q, v: wls_estimate(q.lin, v, np.array([1.0, 2.0, 0.5]))),
     "check_crlb_dominance-empirical": ("empirical covariance", 2,
                                        lambda q, v: check_crlb_dominance(v, np.eye(2), 0.1)),
 }

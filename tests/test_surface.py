@@ -13,18 +13,16 @@ README = ROOT / "README.md"
 PUBLIC = [
     "AdvisorTolerances", "Advisory", "BlockCovariance", "CampaignResult", "CrlbCheck",
     "DegenerateBudget", "Estimate", "FormDisagreement", "FusionKitError", "GaussianPrior",
-    "Inadmissible", "InfoMatrix", "InfoOnlyPrior", "LinearModel", "McInfoEstimate",
-    "ModalityPair", "NoPriorInfo", "NoRoot", "NoScore", "NonFinite", "NonlinearModel", "NotPD",
-    "NotPSD", "NotSampleable", "PairFactorization", "PlacementSolution", "ProbeReport",
-    "RouteDisagreement", "SampleBatch", "SamplerPrior", "Singular", "SingularInformation",
-    "SingularNormalMatrix", "SingularPosterior", "SourcePrior", "SynergyReport",
-    "WhitenedPair", "advise", "campaign_to_csv", "campaign_to_json", "crlb",
-    "empirical_error_covariance", "error_covariance", "fisher_nonlinear", "joint_information",
+    "Inadmissible", "InfoMatrix", "InfoOnlyPrior", "LinearModel", "McInfoEstimate", "ModalityPair",
+    "NoPriorInfo", "NoRoot", "NoScore", "NonFinite", "NonlinearModel", "NotPD", "NotPSD",
+    "NotSampleable", "PairFactorization", "PlacementSolution", "ProbeReport", "RouteDisagreement",
+    "SampleBatch", "SamplerPrior", "Singular", "SingularInformation", "SourcePrior",
+    "SynergyReport", "WhitenedPair", "advise", "campaign_to_csv", "crlb",
+    "empirical_error_covariance", "fisher_nonlinear", "joint_information",
     "joint_information_nonlinear", "local_optimality_probe", "ml_estimate",
     "mmse_gaussian_estimate", "numeric_jacobian", "optimal_secondary", "prewhiten",
-    "prior_information_mc", "simulate", "snr_matrix", "synergy_gradient_rho",
-    "synergy_matrices", "synergy_objective", "total_information", "total_information_nonlinear",
-    "wls_estimate",
+    "prior_information_mc", "simulate", "snr_matrix", "synergy_gradient_rho", "synergy_matrices",
+    "synergy_objective", "total_information", "total_information_nonlinear",
 ]
 
 
@@ -33,7 +31,7 @@ def test_public_names_are_pinned():
         name for name in dir(fusionkit)
         if not name.startswith("_") and not isinstance(getattr(fusionkit, name), types.ModuleType)
     ]
-    assert sorted(names) == sorted(PUBLIC) and len(PUBLIC) == 61
+    assert sorted(names) == sorted(PUBLIC) and len(PUBLIC) == 56
 
 
 def test_readme_library_sketch_runs():
