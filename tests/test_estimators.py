@@ -50,6 +50,18 @@ class TestWls:
             ml_estimate(model, np.eye(2), [1.0, 2.0])
         assert exc.value.null_space.shape == (2, 1)
 
+    def test_indefinite_weight_raises(self):
+        # an indefinite normal matrix has no error covariance: once its
+        # condition was |lambda|_max / |lambda|_min = 1 and the "covariance"
+        # returned had diagonal (1, -1); ML's weight is the inverse noise,
+        # which its noise guard refuses, and crlb refuses the normal matrix
+        W = np.diag([1.0, -1.0])
+        with pytest.raises(NotPD):
+            ml_estimate(LinearModel(np.eye(2)), np.linalg.inv(W), [1.0, 2.0])
+        with pytest.raises(SingularInformation) as exc:
+            crlb(np.eye(2).T @ W @ np.eye(2))
+        assert exc.value.condition == np.inf
+
 
 class TestMl:
     def test_identity(self):

@@ -433,7 +433,15 @@ class TestCampaignSerialization:
         fields = lines[1].split(",")
         assert fields[0] == "t" and fields[1] == "ml" and fields[2] == "2000"
 
-    def test_json_is_parseable(self):
+    def test_json_is_sorted_and_parseable(self, tmp_path, capsys):
+        # the CLI emits the campaign's to_json_dict() with sorted keys
+        from fusionkit.cli import main
+
         doc = json.loads(json.dumps(self._result().to_json_dict()))
         assert doc["scenario_id"] == "t"
         assert "crlb_check" in doc
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps(readme_demo()))
+        assert main(["simulate", str(path), "--method", "ml", "--N", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

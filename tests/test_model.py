@@ -619,6 +619,8 @@ _NOISE_ENTRIES = {
         q.lin, v, GaussianPrior(np.zeros(2), np.eye(2)), np.array([1.0, 2.0, 0.5])),
     "simulate": lambda q, v: simulate(q.lin, q.prior, 10, 0, noise=v),
     "fisher_nonlinear": lambda q, v: fisher_nonlinear(q.h, v, q.prior, 10, 0),
+    "total_information_nonlinear": lambda q, v: total_information_nonlinear(
+        q.h, v, GaussianPrior(np.zeros(2), [[2.0, 1.0], [1.0, 3.0]]), 10, 0),
     "fisher_finite_difference": lambda q, v: fisher_finite_difference(q.h, v, np.ones(2)),
     "empirical_error_covariance-ml": lambda q, v: empirical_error_covariance(
         "ml", q.lin, q.prior, v, N=1000, seed=0),
