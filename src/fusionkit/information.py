@@ -12,9 +12,16 @@ their agreement is this module's core self-test, and a disagreement, an
 ill-conditioned input, is raised as :class:`RouteDisagreement`. The routes
 read only :func:`~fusionkit.matrixkit.factor_noise`'s Cholesky factors: all
 but the prewhitened one are Gram products or sums of them, symmetric as built;
-it solves with ``I - rho^T rho`` and is symmetrized. Rho itself, its SVD, its
-guard, ``K`` and ``K'``, is one record (:class:`_CrossCorrelation`) for the
-pair, placement and the nonlinear forms.
+it solves with ``I - rho^T rho`` and is symmetrized. Rho itself, its guard,
+``sigma_max(rho)``, ``K`` and ``K'``, is one record (:class:`_CrossCorrelation`)
+for the pair, placement and the nonlinear forms: the pair's and the nonlinear
+forms' guard and ``sigma_max`` come from one ``eigvalsh`` of ``rho^T rho``, the
+Gram matrix ``I - rho^T rho`` is built from, and their singular values from a
+values-only SVD only when they are read; placement's from its one full SVD.
+The information matrices this module builds (the joint information, the SNR
+matrix, the estimators' posterior information) are symmetric and finite as
+built, so they are wrapped as :class:`InfoMatrix` without being admitted again;
+a caller's matrix is admitted.
 
 :func:`mc_moments` is the one Monte-Carlo reduction, shared with the
 nonlinear module: it runs seed-split blocks of prior draws one after
@@ -37,10 +44,10 @@ from .matrixkit import (
     _form_scale,
     _frobenius,
     _require_pd_conditioned,
+    _whitened_model,
     admit_symmetric,
     factor_noise,
     inverse_factor,
-    noise_whitener,
     require_agreement,
     require_finite,
     require_integer,
@@ -54,6 +61,10 @@ NEAR_SINGULAR_RHO = 1.0 - 1e-8
 # Prior draws per Monte-Carlo block.
 DEFAULT_BLOCK = 8192
 
+# lambda_max(rho^T rho) above which subnormal rounding in the Gram matrix is
+# below eps of it, so that sqrt(lambda_max) is sigma_max(rho) to a few eps.
+_GRAM_FLOOR = float(np.finfo(float).tiny) / float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class InfoMatrix:
@@ -66,6 +77,8 @@ class InfoMatrix:
     eigen-solve to each answer.
     ``near_singular`` marks joint results computed with the whitened
     noise cross-correlation close to unitary (information blow-up regime).
+    A matrix the library builds symmetric and finite is wrapped by
+    :meth:`_built`, which does not admit it again.
     """
 
     matrix: np.ndarray
@@ -74,37 +87,63 @@ class InfoMatrix:
     def __post_init__(self):
         object.__setattr__(self, "matrix", admit_symmetric(self.matrix, "info matrix"))
 
+    @classmethod
+    def _built(cls, matrix: np.ndarray, near_singular: bool = False) -> "InfoMatrix":
+        """An :class:`InfoMatrix` of a matrix the library built symmetric and finite, not
+        admitted again: a Gram product, a sum of such, or a symmetrized one, checked finite."""
+        info = object.__new__(cls)
+        info.__dict__.update(matrix=matrix, near_singular=near_singular)
+        return info
+
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
 
 
 class _CrossCorrelation:
-    """The whitened cross-correlation ``rho`` taken apart once: SVD, guard, ``K`` and ``K'``.
+    """The whitened cross-correlation ``rho`` taken apart once: guard, ``K`` and ``K'``.
 
-    Holds ``rho``, its read-only descending singular values ``s``, ``sigma_max``,
-    the left and right singular vectors ``U`` and ``Vt`` (``rho = U S Vt``) of a
-    ``full`` SVD (a values-only one can differ in the last bits of ``s``),
-    ``cap = I - rho^T rho`` and ``gap``, the ascending eigenvalues of ``cap`` read
-    off ``s`` (``1 - s^2``, then 1 for each column of ``rho`` past ``s``: no
-    eigen-solve). ``K = cap^-1`` and ``K' = (I - rho rho^T)^-1`` are applied by
-    solves (an explicit inverse loses up to ten times more near a unitary rho);
+    Holds ``rho``, ``cap = I - rho^T rho``, built from the Gram matrix
+    ``G = rho^T rho``, ``gap``, the ascending eigenvalues of ``cap``, and
+    ``sigma_max``. Without ``full``, one ``eigvalsh`` of ``G`` gives both:
+    ``gap = 1 - lambda(G)`` and ``sigma_max = sqrt(lambda_max(G))``, within a few
+    eps of the SVD's; the read-only descending singular values ``s`` are a
+    values-only SVD taken on first read. A ``full`` record, placement's, reads
+    both singular bases, so it takes one full SVD (``rho = U S Vt``) and reads
+    ``s``, ``sigma_max = s[0]`` and ``gap`` (``1 - s^2``, then 1 for each column
+    of ``rho`` past ``s``) off it; a values-only record has ``U = Vt = None``.
+    ``K = cap^-1`` and ``K' = (I - rho rho^T)^-1`` are applied by solves (an
+    explicit inverse loses up to ten times more near a unitary rho);
     ``I - rho rho^T`` is formed on first use, and ``K`` and ``K'`` once asked for,
     each kept; a refused rho keeps neither inverse, so every use raises again.
     """
 
     def __init__(self, rho: np.ndarray, full: bool = False):
         self.rho = rho
+        G = rho.T @ rho
+        self.cap = np.eye(rho.shape[1]) - G
         if full:
             self.U, self.s, self.Vt = np.linalg.svd(rho)
+            self.s.setflags(write=False)
+            self.sigma_max = float(self.s[0])
+            self.gap = np.ones(rho.shape[1])
+            self.gap[: self.s.size] -= self.s**2
         else:
             self.U = self.Vt = None
-            self.s = np.linalg.svd(rho, compute_uv=False)
-        self.s.setflags(write=False)
-        self.sigma_max = float(self.s[0]) if self.s.size else 0.0
-        self.cap = np.eye(rho.shape[1]) - rho.T @ rho
-        self.gap = np.ones(rho.shape[1])
-        self.gap[: self.s.size] -= self.s**2
+            lam = np.linalg.eigvalsh(G)
+            self.gap = 1.0 - lam[::-1]
+            top = float(lam[-1])
+            # squares below the normal range lose their relative precision:
+            # a nonzero rho that small reads sigma_max off its SVD
+            self.sigma_max = float(np.sqrt(top)) if top > _GRAM_FLOOR or not rho.any() \
+                else float(self.s[0])
+
+    @functools.cached_property
+    def s(self) -> np.ndarray:
+        """The values-only SVD of rho, read-only (a ``full`` record sets ``s`` in ``__init__``)."""
+        s = np.linalg.svd(self.rho, compute_uv=False)
+        s.setflags(write=False)
+        return s
 
     @functools.cached_property
     def k_norm(self) -> float:
@@ -147,8 +186,10 @@ class WhitenedPair:
     modality (``W -> Q W``), which changes no information, synergy,
     ``sigma(rho)`` or redundancy residual. All singular values of rho are
     strictly below one whenever the joint covariance is PD. The record of rho
-    (:class:`_CrossCorrelation`, of a values-only SVD) is built on first use:
-    ``rho_singular_values`` and ``sigma_max_rho`` read it, the routes its ``K``.
+    (:class:`_CrossCorrelation`) is built on first use, from one ``eigvalsh``
+    of ``rho^T rho``: ``sigma_max_rho`` and the guard of the routes' ``K`` read
+    it. ``rho_singular_values`` is the only reader of a values-only SVD of rho,
+    taken the first time it is read.
     """
 
     A_tilde: np.ndarray
@@ -207,9 +248,11 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     """SNR matrix ``A^T sigma^-1 A`` of a single modality, as ``W^T W`` with ``W = L^-1 A``.
 
     ``L`` is the Cholesky factor of the noise covariance (see
-    :func:`~fusionkit.matrixkit.noise_whitener`), its inverse memoized on
-    ``model`` for a bit-equal ``sigma`` as a pair memoizes its
-    factorization, so the estimators on the same model and noise reuse it.
+    :func:`~fusionkit.matrixkit.noise_whitener`). Its inverse, ``W`` and
+    ``W^T W`` are memoized on ``model`` for a bit-equal ``sigma``, as a pair
+    memoizes its factorization, so the estimators on the same model and noise
+    reuse all three (:func:`~fusionkit.matrixkit._whitened_model`). The
+    returned matrix is that memo's, read-only.
 
     Raises
     ------
@@ -224,10 +267,9 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     NonFinite
         If the product overflows.
     """
-    white = noise_whitener(model, sigma)[1] @ model.A
-    snr = white.T @ white
+    snr = _whitened_model(model, sigma)[3]
     require_finite(snr, "the SNR matrix")
-    return InfoMatrix(snr)
+    return InfoMatrix._built(snr)
 
 
 def total_information(snr: InfoMatrix, prior: SourcePrior | None) -> InfoMatrix:
@@ -410,7 +452,8 @@ class PairFactorization:
     def joint_information(self, prior: SourcePrior | None = None) -> InfoMatrix:
         """Total information of the fused observation (see :func:`joint_information`)."""
         J = self.routes["prewhitened"] + _prior_info(prior, self.snr_first.shape[0])
-        return InfoMatrix(J, near_singular=self.sigma_max_rho >= NEAR_SINGULAR_RHO)
+        require_finite(J, "the joint information")
+        return InfoMatrix._built(J, self.sigma_max_rho >= NEAR_SINGULAR_RHO)
 
     def synergy(self) -> SynergyReport:
         """The synergy matrices with their smallest eigenvalues, from one stacked ``eigvalsh``."""
@@ -427,7 +470,8 @@ def joint_information(pair: ModalityPair, prior: SourcePrior | None = None) -> I
     returned. A whitened cross-correlation within 1e-8 of unitary sets
     the ``near_singular`` flag on the result instead of raising. Raises as
     :meth:`PairFactorization.from_pair` does, :class:`RouteDisagreement`
-    when the routes disagree.
+    when the routes disagree, and :class:`NonFinite` if the sum with the
+    prior's information overflows.
     """
     return PairFactorization.from_pair(pair).joint_information(prior)
 

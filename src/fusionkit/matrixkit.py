@@ -33,7 +33,8 @@ makes the pair's four refusals and whitens each marginal with its inverse
 Cholesky factor, as :func:`noise_whitener`, the one admission of a single
 modality's noise, whitens it, so whitening is decided in one place. Each
 caller builds from the pair's factors only the products it reads. A
-single modality's factors are memoized on its model for a bit-equal noise.
+single modality's factors are memoized on its model for a bit-equal noise,
+and a linear model's whitened matrix and its Gram matrix beside them.
 A whitened pair's answers do not depend on the basis of the whitening;
 the symmetric roots, which fix the basis that ``place`` prints, are taken by
 ``information.prewhiten`` alone.
@@ -357,7 +358,9 @@ def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
     ``sigma^-1 = L^-T L^-1``, and ``simulate`` draws the noise as ``z L^T``.
 
     The factors are memoized on ``model``, in its ``_whitener`` slot
-    ``(key, L, L^-1)``, as a pair memoizes its factorization. The key is a
+    ``(key, L, L^-1)``, as a pair memoizes its factorization; for a linear
+    model :func:`_whitened_model` adds ``W = L^-1 A`` and ``W^T W`` to it,
+    ``(key, L, L^-1, W, W^T W)``. The key is a
     private copy of ``sigma`` as given when it is a float64 ``np.ndarray``,
     and of ``sigma`` as admitted otherwise. Only a float64 ``np.ndarray`` is
     compared with the key: one of its shape and bits (``-0.0`` is not
@@ -371,7 +374,7 @@ def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
     memo = model._whitener
     given = type(sigma) is np.ndarray and sigma.dtype == np.float64  # only these may hit
     if memo is not None and given:
-        key, L, L_inv = memo
+        key, L, L_inv = memo[:3]
         if sigma.shape == key.shape and np.array_equal(sigma.view(np.int64), key.view(np.int64)):
             return L, L_inv
     admitted = admit_symmetric(sigma, "noise covariance", model.n)
@@ -381,6 +384,31 @@ def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
     key = (sigma if given else admitted).copy()  # private to the memo, never handed out
     object.__setattr__(model, "_whitener", (key, L, L_inv))
     return L, L_inv
+
+
+def _whitened_model(model, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(L, L^-1, W, W^T W)``: :func:`noise_whitener`'s factors of a linear model's noise,
+    the whitened model ``W = L^-1 A`` and its Gram matrix, the SNR matrix.
+
+    ``W`` and ``W^T W`` are formed once per memoized noise, read-only, and kept
+    in the memo beside the factor they came from, so the SNR matrix, both
+    estimators and the error campaign on one model and noise form them once,
+    each reading the same bits a fresh model gives. The caller checks the SNR
+    matrix for overflow. The slot is replaced as a whole, so a concurrent
+    reader sees a key with its own factors and products; products formed
+    after another noise replaced the slot are returned, not kept.
+    """
+    L, L_inv = noise_whitener(model, sigma)
+    memo = model._whitener
+    if len(memo) == 5 and memo[2] is L_inv:
+        return memo[1:]
+    W = L_inv @ model.A
+    snr = W.T @ W
+    W.setflags(write=False)
+    snr.setflags(write=False)
+    if memo[2] is L_inv:
+        object.__setattr__(model, "_whitener", (*memo[:3], W, snr))
+    return L, L_inv, W, snr
 
 
 def _frobenius(M) -> np.ndarray:

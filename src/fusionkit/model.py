@@ -41,11 +41,12 @@ class LinearModel:
     raises ``ValueError``.
     :func:`~fusionkit.matrixkit.noise_whitener` memoizes the last admitted
     noise covariance, its Cholesky factor and that factor's inverse in
-    ``_whitener``.
+    ``_whitener``, and the first estimator or SNR matrix on that noise adds
+    the whitened model ``L^-1 A`` and its Gram matrix beside them.
     """
 
     A: np.ndarray
-    _whitener: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+    _whitener: tuple[np.ndarray, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 

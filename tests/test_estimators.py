@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fusionkit import (
     GaussianPrior,
     LinearModel,
+    NonFinite,
     NotPD,
     Singular,
     SingularInformation,
@@ -257,3 +260,17 @@ def test_a_singular_information_is_refused_with_its_null_space(call):
     # x is admitted before the information matrix is factored
     with pytest.raises(ValueError, match=r"^x must be a finite real array"):
         call([np.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, noise, prior: mmse_gaussian_estimate(model, noise, prior, [0.0]),
+    lambda model, noise, prior: empirical_error_covariance("mmse", model, prior, noise, 1000, 1),
+], ids=["estimate", "campaign"])
+def test_an_overflowing_posterior_information_is_non_finite(call):
+    # the SNR matrix and the prior's information are each 1e308, their sum
+    # overflows: refused by name, as an overflowing SNR matrix is, and silently
+    prior = GaussianPrior(np.zeros(1), [[1e-308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="the posterior information"):
+            call(LinearModel([[1.0]]), [[1e-308]], prior)

@@ -108,7 +108,9 @@ BUILD = {
     "numpy.linalg.cholesky": 4,
     "numpy.linalg.inv": 4,
     "numpy.linalg.solve": 1,  # (I - rho^T rho); A~, B~ and rho are products
-    "numpy.linalg.svd": 1,  # rho
+    # rho^T rho, for the guard of K and sigma_max(rho) (a values-only SVD of
+    # rho while the record read them off its singular values)
+    "numpy.linalg.eigvalsh": 1,
 }
 
 
@@ -171,7 +173,7 @@ def test_calls_on_one_pair_share_one_factorization(monkeypatch, redundant):
         synergy_matrices(pair)
         advise(pair, prior)
 
-    # one BUILD, plus the one stacked eigvalsh of each call (0 + 1 + 1)
+    # one BUILD, plus the one stacked eigvalsh of synergy_matrices and of advise (0 + 1 + 1)
     expected = dict(collections.Counter(BUILD) + collections.Counter(
         {"numpy.linalg.eigvalsh": 2}))
     assert lapack_calls(monkeypatch, three_calls) == expected
@@ -271,13 +273,16 @@ def small_question(seed):
 # for B~* and took the objective by a solve with I - rho^T rho, apart from the
 # singular basis its root reads, it made 31/70. While ml_estimate solved its normal
 # equations through derived_factor, with no InfoMatrix admission of the SNR matrix
-# and x one observation only, it made 14/22.
+# and x one observation only, it made 14/22. While the record of rho took a
+# values-only SVD, and the joint information and the estimators' information
+# matrix were admitted again as InfoMatrix inputs, advise made 45/77,
+# joint_information 38/61, synergy_matrices 29/59 and ml_estimate 19/30.
 CALL_PINS = {
-    "advise": {"fusionkit": 45, "from_fusionkit": 77},
-    "joint_information": {"fusionkit": 38, "from_fusionkit": 61},
-    "synergy_matrices": {"fusionkit": 29, "from_fusionkit": 59},
+    "advise": {"fusionkit": 44, "from_fusionkit": 74},
+    "joint_information": {"fusionkit": 37, "from_fusionkit": 58},
+    "synergy_matrices": {"fusionkit": 29, "from_fusionkit": 57},
     "optimal_secondary": {"fusionkit": 29, "from_fusionkit": 64},
-    "ml_estimate": {"fusionkit": 19, "from_fusionkit": 30},
+    "ml_estimate": {"fusionkit": 18, "from_fusionkit": 30},
     "local_optimality_probe, slot miss": {"fusionkit": 21, "from_fusionkit": 33},
     "local_optimality_probe, slot hit": {"fusionkit": 11, "from_fusionkit": 20},
 }
@@ -391,7 +396,11 @@ def test_contents_match_the_single_purpose_functions(rng):
         (L_v_inv @ pair.first.A, L_u_inv @ pair.second.A, rho),
     ):
         assert np.array_equal(got, want)
-    assert fac.sigma_max_rho == float(np.linalg.svd(rho, compute_uv=False)[0])
+    # sigma_max(rho) is the root of the largest eigenvalue of rho^T rho, the
+    # Gram matrix I - rho^T rho is built from, and a few eps from the SVD's
+    assert fac.sigma_max_rho == float(np.sqrt(np.linalg.eigvalsh(rho.T @ rho)[-1]))
+    svd_max = float(np.linalg.svd(rho, compute_uv=False)[0])
+    assert abs(fac.sigma_max_rho - svd_max) <= 1e-14 * svd_max
     # snr_matrix and the factorization both take the Gram product of the
     # whitened A~ = L^-1 A, with L from the same Cholesky factor: one product
     assert np.array_equal(fac.snr_first, snr_matrix(pair.first, pair.noise.sigma_v).matrix)
@@ -725,9 +734,10 @@ def test_optimal_secondary_takes_one_svd(monkeypatch):
 
 @pytest.mark.parametrize("entry", ["synergy_objective", "synergy_gradient_rho"])
 def test_whitened_joint_information_takes_one_svd(monkeypatch, entry):
-    # the record of rho takes it apart once, for the guard of K and K'; the
-    # nonlinear joint information's one svd is pinned with its other calls
-    # in test_nonlinear_whitening_takes_no_solve_per_block
+    # placement's record of rho takes it apart once, by a full SVD, for the
+    # guard of K and K'; the nonlinear joint information's record, one eigvalsh
+    # of rho^T rho, is pinned with its other calls in
+    # test_nonlinear_whitening_takes_no_solve_per_block
     rng = np.random.default_rng(47)
     A, B = rng.standard_normal((40, 10)), rng.standard_normal((30, 10))
     rho = random_admissible_rho(rng, 40, 30, 0.8)
@@ -839,6 +849,50 @@ def test_memoized_whitener_answers_equal_a_fresh_model(rng, monkeypatch):
     assert np.array_equal(hits[0], new) and np.array_equal(hits[1], new)
 
 
+class CountedProducts(np.ndarray):
+    """A mixing matrix that counts the products ``M @ A`` taken with it on the right.
+
+    Every product with it is a plain array, so the answers are those of the
+    plain matrix, bit for bit.
+    """
+
+    products = 0
+
+    def __rmatmul__(self, other):
+        CountedProducts.products += 1
+        return other @ self.view(np.ndarray)
+
+    def __matmul__(self, other):
+        return self.view(np.ndarray) @ other
+
+
+def test_ml_mmse_and_snr_on_one_noise_whiten_the_model_once(rng):
+    # the memo keeps W = L^-1 A and W^T W beside the noise factor: ML, then
+    # MMSE, then the SNR matrix on one (model, sigma) form L^-1 A once
+    model, sigma, prior, x = single_modality(rng)
+
+    def answers(model_of, noise):
+        ml = ml_estimate(model_of(), noise, x)
+        mmse = mmse_gaussian_estimate(model_of(), noise, prior, x)
+        return [ml.s_hat, ml.error_cov, mmse.s_hat, mmse.error_cov,
+                snr_matrix(model_of(), noise).matrix]
+
+    counted = LinearModel(model.A)
+    object.__setattr__(counted, "A", counted.A.view(CountedProducts))
+    CountedProducts.products = 0
+    got = answers(lambda: counted, sigma)
+    assert CountedProducts.products == 1
+    for have, want in zip(got, answers(lambda: LinearModel(model.A), sigma)):
+        assert np.array_equal(have, want)
+    # a noise with other bits forms it again, once
+    other = sigma.copy()
+    other[0, 0] = np.nextafter(other[0, 0], np.inf)
+    got = answers(lambda: counted, other)
+    assert CountedProducts.products == 2
+    for have, want in zip(got, answers(lambda: LinearModel(model.A), other)):
+        assert np.array_equal(have, want)
+
+
 def test_writing_to_sigma_between_calls_gives_the_fresh_answer(rng):
     model, sigma, prior, x = single_modality(rng)
     before = ml_estimate(model, sigma, x).s_hat
@@ -935,5 +989,7 @@ def test_nonlinear_whitening_takes_no_solve_per_block(monkeypatch, N):
     joint = lapack_calls(
         monkeypatch, lambda: joint_information_nonlinear(h, g, noise, prior, N, 5)
     )
+    # the record of rho: one eigvalsh of rho^T rho for the guard of K and K'
+    # (a values-only svd of rho while the guard read its singular values)
     assert joint == {"numpy.linalg.cholesky": 4, "numpy.linalg.inv": 4,
-                     "numpy.linalg.svd": 1, "numpy.linalg.solve": 2}
+                     "numpy.linalg.eigvalsh": 1, "numpy.linalg.solve": 2}

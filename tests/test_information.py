@@ -9,6 +9,7 @@ from fusionkit import (
     AdvisorTolerances,
     BlockCovariance,
     GaussianPrior,
+    Inadmissible,
     InfoOnlyPrior,
     LinearModel,
     ModalityPair,
@@ -18,7 +19,9 @@ from fusionkit import (
     NotPD,
     PairFactorization,
     SamplerPrior,
+    Singular,
     SingularInformation,
+    WhitenedPair,
     crlb,
     advise,
     joint_information,
@@ -36,7 +39,13 @@ from fusionkit.information import (
     InfoMatrix,
     block_plan,
 )
-from fusionkit.matrixkit import FORM_CONDITION_SLACK, _require_psd, symmetrize
+from fusionkit.matrixkit import (
+    FORM_CONDITION_SLACK,
+    SINGULAR_CONDITION,
+    _require_pd_conditioned,
+    _require_psd,
+    symmetrize,
+)
 
 from conftest import (
     mc_per_sample,
@@ -311,6 +320,58 @@ def test_a_non_finite_route_raises_non_finite(rng, monkeypatch, bad):
 def test_snr_overflow_raises_non_finite():
     with np.errstate(over="ignore"), pytest.raises(NonFinite):
         snr_matrix(LinearModel([[1e200]]), [[1e-200]])
+
+
+def guard_verdict(guard) -> str:
+    """"answered", or the name of the refusal the guard ``guard()`` raises."""
+    try:
+        guard()
+    except (Inadmissible, Singular) as exc:
+        return type(exc).__name__
+    return "answered"
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(4, 3), (3, 4), (1, 1), (40, 30)]),
+       st.one_of(st.just(None), st.floats(-14.0, 0.0), st.floats(-10.0, -0.3).map(lambda e: -e)))
+def test_the_record_of_rho_reads_the_svds_answers_off_one_eigvalsh(seed, shape, decade):
+    # sigma_max = sqrt(lambda_max(rho^T rho)) and gap = 1 - lambda(rho^T rho)
+    # stand in for the SVD's s[0] and 1 - s^2 to a few eps: at rho = 0, at
+    # sigma_max = 1 - 10^decade up to 1 - 1e-14, and past 1 by 1e-10 to 0.5
+    # (decade negated); the guard gives the SVD rule's verdict outside a 1%
+    # band about the condition limit, and the singular values are the SVD's
+    rng = np.random.default_rng(seed)
+    n1, n2 = shape
+    if decade is None:
+        rho = np.zeros(shape)
+    else:
+        top = 1.0 - 10.0**decade if decade <= 0.0 else 1.0 + 10.0**-decade
+        k = min(shape)
+        sv = np.sort(top * rng.uniform(0.0, 1.0, k))[::-1]
+        sv[0] = top
+        rho = (random_orthogonal(rng, n1)[:, :k] * sv) @ random_orthogonal(rng, n2)[:, :k].T
+    wp = WhitenedPair(np.ones((n1, 1)), np.ones((n2, 1)), rho)
+    record, s = wp._cross, np.linalg.svd(rho, compute_uv=False)
+    assert abs(wp.sigma_max_rho - s[0]) <= 1e-14 * s[0]
+    gap = np.ones(n2)
+    gap[: s.size] -= s**2
+    assert np.max(np.abs(record.gap - gap)) <= 1e-14
+    assert np.all(np.diff(record.gap) >= 0.0)  # ascending, as the guard reads it
+    cond = gap[-1] / gap[0] if gap[0] > 0.0 else np.inf
+    if not abs(cond / SINGULAR_CONDITION - 1.0) < 0.01:
+        want = guard_verdict(lambda: (information._admissible_sigma_max(float(s[0])),
+                                      _require_pd_conditioned(gap, "(I - rho^T rho)")))
+        assert guard_verdict(lambda: record.k_norm) == want
+    assert np.array_equal(wp.rho_singular_values, s)
+
+
+def test_a_rho_whose_squares_underflow_reads_sigma_max_off_its_svd():
+    # rho^T rho rounds to zero, and would read sigma_max = 0
+    rho = 1e-170 * np.array([[3.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
+    wp = WhitenedPair(np.ones((3, 1)), np.ones((2, 1)), rho)
+    assert not np.any(rho.T @ rho)
+    assert wp.sigma_max_rho == float(np.linalg.svd(rho, compute_uv=False)[0])
+    assert wp.sigma_max_rho == pytest.approx(4e-170, rel=1e-15)
 
 
 # The largest sigma_max(rho) the rotation property draws: cond(I - rho^T rho)
