@@ -16,7 +16,14 @@ eigenvalue -1e-6, -1e-12, 0 and 1e-13, at several sizes, under two guards:
   by a factor of 1 to sqrt(n); the planted conditions (relative to it)
   straddle the 1e12 limit. A minimum eigenvalue below ``-PSD_EIG_TOL``
   times it refuses the joint noise as ``NotPD``; one at rounding level, as
-  ``Singular``.
+  ``Singular``;
+- ``joint``: ``noise_whitener`` on the stacked joint noise of a pair that
+  ``factor_noise`` factored first (each planted matrix of at least two rows
+  split into a pair, at the conditions 1e10 to 1e13 only), which reads its
+  factor off the pair's blocks when their bound certifies it and otherwise
+  factors the joint afresh. ``reused`` counts the trials that read the pair's
+  factor; a pair refused by ``factor_noise`` leaves the joint to the fresh
+  factor.
 
 It records how often the fallback runs (``fallbacks``, the ``eigvalsh``
 calls of a cell, and ``max_eigvalsh``, the most in one trial) and whether
@@ -37,17 +44,19 @@ from pathlib import Path
 
 import numpy as np
 
-from fusionkit import NotPD, Singular
+from fusionkit import BlockCovariance, LinearModel, NotPD, Singular
 from fusionkit.matrixkit import (
     PSD_EIG_TOL,
     SINGULAR_CONDITION,
     _schur_factor,
+    factor_noise,
     inverse_factor,
+    noise_whitener,
     symmetrize,
 )
 
 # Each guard, and the eigvalsh calls one of its decisions needs at most.
-GUARDS = {"plain": 1, "parent": 2}
+GUARDS = {"plain": 1, "parent": 2, "joint": 1}
 
 SPECTRA = [f"cond=1e{e}" for e in ("2", "6", "10", "11", "11.5", "12.5", "13", "14")] + [
     "min=-1e-6",
@@ -55,6 +64,9 @@ SPECTRA = [f"cond=1e{e}" for e in ("2", "6", "10", "11", "11.5", "12.5", "13", "
     "min=0",
     "min=1e-13",
 ]
+
+# The spectra of the joint guard: joint conditions that straddle the limit.
+JOINT_SPECTRA = [f"cond=1e{e}" for e in ("10", "11", "11.5", "12.5", "13")]
 
 
 def planted(rng, n, spectrum):
@@ -97,33 +109,48 @@ def eigen_decision(M, scale):
     return (Singular, cond) if cond > SINGULAR_CONDITION else (None, cond)
 
 
-class CountedEigvalsh:
-    """Counts the ``np.linalg.eigvalsh`` calls made inside the ``with`` block."""
+class Counted:
+    """Counts the calls of ``np.linalg.<name>`` made inside the ``with`` block."""
+
+    def __init__(self, name):
+        self.name = name
 
     def __enter__(self):
         self.calls = 0
-        self._original = np.linalg.eigvalsh
+        self._original = getattr(np.linalg, self.name)
 
         def counted(*args, **kwargs):
             self.calls += 1
             return self._original(*args, **kwargs)
 
-        np.linalg.eigvalsh = counted
+        setattr(np.linalg, self.name, counted)
         return self
 
     def __exit__(self, *exc):
-        np.linalg.eigvalsh = self._original
+        setattr(np.linalg, self.name, self._original)
 
 
 def cholesky_decision(M, against, guard):
-    """(error type, carried value, inverse or None, eigvalsh calls) of the Cholesky guard.
+    """(error type, carried value, inverse or None, eigvalsh calls, reused) of the Cholesky guard.
 
-    ``against`` is the parent block of the ``parent`` guard.
+    ``against`` is the parent block of the ``parent`` guard. For the ``joint``
+    guard the pair split off ``M`` is factored first, outside the counts, and
+    ``reused`` says whether the whitener took no Cholesky factorization of its own.
     """
-    with CountedEigvalsh() as counter:
+    if guard == "joint":
+        n1 = len(M) - len(M) // 2
+        noise = BlockCovariance(M[:n1, :n1], M[n1:, n1:], M[:n1, n1:])
+        try:
+            factor_noise(noise)
+        except (NotPD, Singular):
+            pass  # refused as a pair: the joint is factored afresh
+        M = noise.joint()
+    with Counted("eigvalsh") as eigvalsh, Counted("cholesky") as cholesky:
         try:
             if guard == "parent":
-                L_inv = _schur_factor(M, against, "Schur complement")
+                L_inv = _schur_factor(M, against, "Schur complement")[1]
+            elif guard == "joint":
+                _, L_inv = noise_whitener(LinearModel(np.ones((len(M), 1))), M)
             else:
                 _, L_inv = inverse_factor(M, "M")
             inverse = L_inv.T @ L_inv
@@ -132,7 +159,7 @@ def cholesky_decision(M, against, guard):
             decision = (NotPD, exc.min_eigenvalue, None)
         except Singular as exc:
             decision = (type(exc), exc.condition, None)
-    return (*decision, counter.calls)
+    return (*decision, eigvalsh.calls, guard == "joint" and cholesky.calls == 0)
 
 
 def main() -> int:
@@ -144,24 +171,28 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
+    joint_rng = np.random.default_rng([args.seed, 1])  # the other guards' draws stay as they were
     fields = ["n", "spectrum", "guard", "trials", "fallbacks", "max_eigvalsh", "agreements",
-              "refusals", "worst_inverse_error_over_cond"]
+              "refusals", "reused", "worst_inverse_error_over_cond"]
     rows = []
     for n in args.sizes:
         for spectrum in SPECTRA:
             for guard in GUARDS:
+                if guard == "joint" and (n < 2 or spectrum not in JOINT_SPECTRA):
+                    continue
                 row = dict.fromkeys(fields[3:], 0)
                 row.update(n=n, spectrum=spectrum, guard=guard, trials=args.trials)
                 row["worst_inverse_error_over_cond"] = 0.0
                 for _ in range(args.trials):
-                    M = planted(rng, n, spectrum)
+                    M = planted(joint_rng if guard == "joint" else rng, n, spectrum)
                     if guard == "parent":
                         against = parent_block(rng, n)
                         scale = float(np.linalg.eigvalsh(against)[-1])
                     else:
                         against = scale = 0.0
                     want, carried = eigen_decision(M, scale)
-                    got, got_carried, inverse, calls = cholesky_decision(M, against, guard)
+                    got, got_carried, inverse, calls, reused = cholesky_decision(M, against, guard)
+                    row["reused"] += reused
                     row["fallbacks"] += calls
                     row["max_eigvalsh"] = max(row["max_eigvalsh"], calls)
                     row["agreements"] += got is want and (want is None or got_carried == carried)
@@ -191,6 +222,7 @@ def main() -> int:
         "fallback_rate": sum(r["fallbacks"] for r in rows) / trials,
         "agreement_rate": agreements / trials,
         "cells_over_eigvalsh_need": over_need,
+        "joint_trials_reusing_the_pair_factor": sum(r["reused"] for r in rows),
         "worst_inverse_error_over_cond": max(r["worst_inverse_error_over_cond"] for r in rows),
         "passed": agreements == trials and over_need == 0,
     }
@@ -199,7 +231,8 @@ def main() -> int:
         f"noise guard sweep: {trials} trials, {summary['fallback_rate']:.3f} eigvalsh "
         f"calls per trial, agreement with the eigenvalue guard "
         f"{summary['agreement_rate']:.1%}, {over_need} cells with a trial taking more "
-        f"eigvalsh calls than its decision needs",
+        f"eigvalsh calls than its decision needs, "
+        f"{summary['joint_trials_reusing_the_pair_factor']} joint trials reading the pair's factor",
         file=sys.stderr,
     )
     return 0 if summary["passed"] else 1

@@ -28,13 +28,18 @@ complement's parent block.
 The information matrix of ``information.crlb``, which the estimators and
 the error campaign invert, goes through it, and so do a noise pair and its
 Schur complements:
-:func:`factor_noise`, the one place a joint noise covariance is factorized,
-makes the pair's four refusals and whitens each marginal with its inverse
-Cholesky factor, as :func:`noise_whitener`, the one admission of a single
+:func:`factor_noise`, the one place a noise pair is factorized, makes the
+pair's four refusals and whitens each marginal with its inverse Cholesky
+factor, as :func:`noise_whitener`, the one admission of a single
 modality's noise, whitens it, so whitening is decided in one place. Each
 caller builds from the pair's factors only the products it reads. A
 single modality's factors are memoized on its model for a bit-equal noise,
-and a linear model's whitened matrix and its Gram matrix beside them.
+and a linear model's whitened matrix and its Gram matrix beside them. A
+stacked model's noise that is, block for block, the joint of the pair
+:func:`factor_noise` factored last takes its Cholesky factor from that
+pair's block factors (:func:`_pair_factor`) rather than a factorization of
+its own, when the assembled factor passes :func:`inverse_factor`'s
+certificate; otherwise it is factorized afresh, as any noise is.
 A whitened pair's answers do not depend on the basis of the whitening;
 the symmetric roots, which fix the basis that ``place`` prints, are taken by
 ``information.prewhiten`` alone.
@@ -63,7 +68,8 @@ exact as built, and :func:`inverse_factor` reads its input as it is given.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -356,6 +362,11 @@ def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
     :func:`inverse_factor` refuses it as :class:`NotPD` or
     :class:`Singular` and factorizes it. ``L^-1 X`` whitens ``X``,
     ``sigma^-1 = L^-T L^-1``, and ``simulate`` draws the noise as ``z L^T``.
+    When the admitted ``sigma`` is the joint of the pair :func:`factor_noise`
+    factored last, bit for bit, and that pair is alive, the factors are read
+    off the pair's block factors by :func:`_pair_factor` instead, under the
+    same certificate: the same decision, and factors within rounding of a
+    fresh factorization's.
 
     The factors are memoized on ``model``, in its ``_whitener`` slot
     ``(key, L, L^-1)``, as a pair memoizes its factorization; for a linear
@@ -378,12 +389,39 @@ def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
         if sigma.shape == key.shape and np.array_equal(sigma.view(np.int64), key.view(np.int64)):
             return L, L_inv
     admitted = admit_symmetric(sigma, "noise covariance", model.n)
-    L, L_inv = inverse_factor(admitted, "noise covariance")
+    L, L_inv = _pair_factor(admitted) or inverse_factor(admitted, "noise covariance")
     L.setflags(write=False)
     L_inv.setflags(write=False)
     key = (sigma if given else admitted).copy()  # private to the memo, never handed out
     object.__setattr__(model, "_whitener", (key, L, L_inv))
     return L, L_inv
+
+
+def _pair_factor(S: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(L, L^-1)`` of the admitted ``S`` read off the last pair :func:`factor_noise` factored.
+
+    ``S`` must be that noise's joint, block for block to the last bit
+    (``-0.0`` is not ``0.0``). Then ``L = [[L_v, 0], [W_v^T, L_F]]`` and
+    ``L^-1 = [[L_v^-1, 0], [-L_F^-1 W_v^T L_v^-1, L_F^-1]]`` are its Cholesky
+    factor and inverse, kept only under :func:`inverse_factor`'s certificate
+    ``||S||_F ||L^-1||_F^2 <= SINGULAR_CONDITION / _CERTIFY_MARGIN``. ``None``
+    otherwise, and after that noise is freed: the caller factors ``S`` afresh.
+    """
+    block = None if _last_noise is None else _last_noise()
+    if block is None:
+        return None
+    n1 = len(block.sigma_v)  # a block of another shape is not equal either
+    if not all(np.array_equal(part.view(np.int64), given.view(np.int64)) for part, given in (
+            (S[:n1, :n1], block.sigma_v), (S[:n1, n1:], block.sigma_vu),
+            (S[n1:, :n1], block.sigma_vu.T), (S[n1:, n1:], block.sigma_u))):
+        return None
+    L_v, L_v_inv, W_v, L_F, L_F_inv = block._factors
+    L, L_inv = np.zeros_like(S), np.zeros_like(S)
+    L[:n1, :n1], L[n1:, :n1], L[n1:, n1:] = L_v, W_v.T, L_F
+    L_inv[:n1, :n1], L_inv[n1:, n1:] = L_v_inv, L_F_inv
+    L_inv[n1:, :n1] = -L_F_inv @ (W_v.T @ L_v_inv)
+    bound = float(np.linalg.norm(S)) * float(np.vdot(L_inv, L_inv))
+    return (L, L_inv) if bound <= SINGULAR_CONDITION / _CERTIFY_MARGIN else None
 
 
 def _whitened_model(model, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -488,6 +526,10 @@ class BlockCovariance:
     sigma_v: np.ndarray
     sigma_u: np.ndarray
     sigma_vu: np.ndarray
+    # factor_noise's (L_v, L_v^-1, W_v, L_F, L_F^-1), which _pair_factor reads
+    _factors: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         sv = _read_only_copy(admit_symmetric(self.sigma_v, name="sigma_v"))
@@ -538,9 +580,15 @@ def factor_noise(block: BlockCovariance):
     one whitening; ``W_v = L_v^-1 sigma_vu`` and ``W_u = sigma_vu L_u^-T``;
     and those of the Schur complements ``sigma_u - W_v^T W_v = L_F L_F^T``
     and ``sigma_v - W_u W_u^T = L_G L_G^T``. No inverse is formed.
+
+    ``(L_v, L_v^-1, W_v, L_F, L_F^-1)`` are kept on ``block``, in its
+    ``_factors`` slot, and ``block`` is named, by a weak reference, as the
+    last noise factored: :func:`_pair_factor` assembles the joint's Cholesky
+    factor from them, for as long as the pair is alive.
     """
+    global _last_noise
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
-    _, L_v_inv = inverse_factor(sv, "sigma_v")
+    L_v, L_v_inv = inverse_factor(sv, "sigma_v")
     _, L_u_inv = inverse_factor(su, "sigma_u")
     # Each Schur complement subtracts a Gram matrix of a half-whitened
     # cross-covariance: sigma_uv sigma_v^-1 sigma_vu = W_v^T W_v. Near the
@@ -548,13 +596,20 @@ def factor_noise(block: BlockCovariance):
     # the explicit inverse in the middle.
     W_v = L_v_inv @ svu
     W_u = svu @ L_u_inv.T
-    L_F_inv = _schur_factor(su - W_v.T @ W_v, su, "Schur complement of sigma_u block")
-    L_G_inv = _schur_factor(sv - W_u @ W_u.T, sv, "Schur complement of sigma_v block")
+    L_F, L_F_inv = _schur_factor(su - W_v.T @ W_v, su, "Schur complement of sigma_u block")
+    L_G_inv = _schur_factor(sv - W_u @ W_u.T, sv, "Schur complement of sigma_v block")[1]
+    object.__setattr__(block, "_factors", (L_v, L_v_inv, W_v, L_F, L_F_inv))
+    _last_noise = weakref.ref(block)
     return L_v_inv, L_u_inv, W_v, W_u, L_F_inv, L_G_inv
 
 
-def _schur_factor(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:
-    """``L^-1`` of the Schur complement ``S = L L^T`` of ``parent``, by :func:`inverse_factor`.
+# The noise factor_noise factored last, by a weak reference, so that it is
+# freed with its pair: _pair_factor reads a stacked model's factor off it.
+_last_noise: weakref.ref | None = None
+
+
+def _schur_factor(S: np.ndarray, parent: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, L^-1)`` of the Schur complement ``S = L L^T`` of ``parent``, by :func:`inverse_factor`.
 
     A Schur complement tiny relative to its parent block signals joint
     collapse even when it is well conditioned in isolation, so
@@ -566,7 +621,7 @@ def _schur_factor(S: np.ndarray, parent: np.ndarray, what: str) -> np.ndarray:
     carries its smallest eigenvalue.
     """
     try:
-        return inverse_factor(S, what, parent)[1]
+        return inverse_factor(S, what, parent)
     except NotPD as exc:
         lo = exc.min_eigenvalue
         raise NotPD(f"joint noise covariance is not PD ({what} has min eigenvalue {lo:.3e})",

@@ -175,12 +175,21 @@ def _central_differences(h, S: np.ndarray, step: float | None = None) -> np.ndar
 
 def _stack(outputs, what: str) -> np.ndarray:
     """One float array from a sequence of same-shape outputs of the callback ``what``, never
-    broadcast, admitted by :func:`~fusionkit.matrixkit.callback_output`."""
+    broadcast, admitted by :func:`~fusionkit.matrixkit.callback_output`.
+
+    Each output's dtype is admitted, not only the stack's, so one bool, complex,
+    string or object output refuses the chunk instead of being promoted with the
+    real ones (a bool to 0 or 1); Python floats and ints are real by their type.
+    """
     try:
-        outputs = np.array(list(outputs))
+        outputs = list(outputs)
+        stacked = np.array(outputs)
     except ValueError as exc:
         raise ValueError(f"{what} returned outputs of different shapes: {exc}") from exc
-    return callback_output(outputs, what)
+    if not set(map(type, outputs)) <= {float, int}:  # a bool is neither
+        for dtype in {np.asarray(out).dtype for out in outputs}:
+            callback_output(np.empty(0, dtype), what)
+    return callback_output(stacked, what)
 
 
 def fisher_nonlinear(

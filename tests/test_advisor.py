@@ -187,6 +187,30 @@ class TestAdvise:
         adv = advise(random_pair(rng, 3, 2, 2))
         assert (adv.verdict, adv.evidence["r1"], adv.evidence["r2"]) == (verdict, r1, r2)
 
+    # Pairs planted at the margin of a rule under the default tolerances, so
+    # that its verdict or dominance flips if a constant of the rule moves. On
+    # an uncorrelated identity-noise pair with A = a I and B = b I, the SNR
+    # matrices are a^2 I and b^2 I, and S_x = b^2 I.
+    @pytest.mark.parametrize("a2, b2, dominance, moved", [
+        # scale = 1 + a2 + b2 is about 1, so the tolerance is 1e-9 and 3e-9
+        # dominates; a scale of 10 + a2 + b2 would read it as a tie
+        (4e-9, 1e-9, "FirstDominates", "10 + the SNR norms"),
+        # scale is about 2001, so 1e-7 is within the tolerance 2.0e-6; dividing
+        # by the scale (5e-13) would read a dominance
+        (1000.0 + 1e-7, 1000.0, "Tie", "dominance / scale"),
+    ])
+    def test_dominance_tolerance_scales_with_the_snr_norms(self, a2, b2, dominance, moved):
+        adv = advise_whitened(np.sqrt(a2) * np.eye(2), np.sqrt(b2) * np.eye(2), np.zeros((2, 2)))
+        assert adv.evidence["dominance"] == dominance, moved
+        assert adv.verdict == "Fuse"
+
+    def test_select_gain_default_sits_at_1e_6(self):
+        # the second modality adds 3e-6 of the joint trace: above the default
+        # select_gain of 1e-6, so fused; at ten times that default it is negligible
+        adv = advise_whitened(np.eye(2), np.sqrt(3e-6) * np.eye(2), np.zeros((2, 2)))
+        assert adv.evidence["gain_from_second"] == pytest.approx(3e-6, rel=1e-5)
+        assert adv.verdict == "Fuse"
+
     def test_unequal_channel_counts_carry_caveat(self, rng):
         pair = random_pair(rng, 4, 2, 2)
         adv = advise(pair)

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from fusionkit import (
+    BlockCovariance,
     GaussianPrior,
     LinearModel,
+    ModalityPair,
     NonFinite,
     NotPD,
     Singular,
     SingularInformation,
     crlb,
     empirical_error_covariance,
+    joint_information,
     ml_estimate,
     mmse_gaussian_estimate,
     simulate,
@@ -19,7 +22,14 @@ from fusionkit import (
     total_information,
 )
 
-from conftest import random_conditioned_matrix, random_pd, rel_fro
+import exact
+from conftest import (
+    random_admissible_rho,
+    random_conditioned_matrix,
+    random_pd,
+    rel_fro,
+    symmetric_root,
+)
 from oracles import mmse_gain, wls
 
 
@@ -274,3 +284,46 @@ def test_an_overflowing_posterior_information_is_non_finite(call):
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match="the posterior information"):
             call(LinearModel([[1.0]]), [[1e-308]], prior)
+
+
+def pair_of_rho(n1, n2, m, sigma_max, seed=11):
+    """A pair whose whitened cross-correlation has ``sigma_max``, a prior and two observations."""
+    rng = np.random.default_rng(seed)
+    sigma_v, sigma_u = random_pd(rng, n1), random_pd(rng, n2)
+    rho = random_admissible_rho(rng, n1, n2, sigma_max)
+    noise = BlockCovariance(sigma_v, sigma_u, symmetric_root(sigma_v) @ rho @ symmetric_root(sigma_u))
+    pair = ModalityPair(LinearModel(rng.standard_normal((n1, m))),
+                        LinearModel(rng.standard_normal((n2, m))), noise)
+    prior = GaussianPrior(rng.standard_normal(m), random_pd(rng, m))
+    return pair, prior, rng.standard_normal((2, n1 + n2))
+
+
+def stacked_estimates(pair, prior, X):
+    """ML and MMSE on a new stacked model of ``pair`` under its joint noise."""
+    model = LinearModel(np.vstack((pair.first.A, pair.second.A)))
+    sigma = pair.noise.joint()
+    return ml_estimate(model, sigma, X), mmse_gaussian_estimate(model, sigma, prior, X)
+
+
+@pytest.mark.parametrize("n1, n2, m, sigma_max", [
+    (3, 2, 2, 0.8), (40, 30, 10, 0.8), (3, 2, 2, 1.0 - 5e-7), (40, 30, 10, 1.0 - 5e-7)])
+def test_a_factored_pair_whitens_its_stacked_model_as_a_fresh_one(n1, n2, m, sigma_max):
+    # the stacked model of a factored pair reads its noise factor off the pair's
+    # block factors; the never-factored pair's model factors the joint afresh
+    pair, prior, X = pair_of_rho(n1, n2, m, sigma_max)
+    fresh = stacked_estimates(pair, prior, X)
+    joint_information(pair, prior)
+    reused = stacked_estimates(pair, prior, X)
+    # both are exact to about cond(joint) eps, which near a unitary rho exceeds 1e-12
+    w = np.linalg.eigvalsh(pair.noise.joint())
+    tol = max(1e-12, float(w[-1] / w[0]) * np.finfo(float).eps)
+    for got, want in zip(reused, fresh):
+        assert (got.method, got.s_hat.shape) == (want.method, want.s_hat.shape)
+        assert rel_fro(got.s_hat, want.s_hat) <= tol
+        assert rel_fro(got.error_cov, want.error_cov) <= tol
+    if n1 == 3:  # and as close to the exact ML estimate as the fresh factor
+        H, sigma = np.vstack((pair.first.A, pair.second.A)), pair.noise.joint()
+        Hq, Sq = exact.rational(H), exact.rational(sigma)
+        J = exact.matmul(exact.transpose(Hq), exact.solve(Sq, Hq))
+        s = exact.solve(J, exact.matmul(exact.transpose(Hq), exact.solve(Sq, exact.rational(X.T))))
+        assert rel_fro(reused[0].s_hat, np.array(s, dtype=float).T) <= tol

@@ -8,6 +8,7 @@ import gc
 import json
 import os
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -276,13 +277,15 @@ def small_question(seed):
 # and x one observation only, it made 14/22. While the record of rho took a
 # values-only SVD, and the joint information and the estimators' information
 # matrix were admitted again as InfoMatrix inputs, advise made 45/77,
-# joint_information 38/61, synergy_matrices 29/59 and ml_estimate 19/30.
+# joint_information 38/61, synergy_matrices 29/59 and ml_estimate 19/30. Before
+# a stacked model's noise was looked up among the blocks of the last factored
+# pair (matrixkit._pair_factor; none is alive here), ml_estimate made 18/30.
 CALL_PINS = {
     "advise": {"fusionkit": 44, "from_fusionkit": 74},
     "joint_information": {"fusionkit": 37, "from_fusionkit": 58},
     "synergy_matrices": {"fusionkit": 29, "from_fusionkit": 57},
     "optimal_secondary": {"fusionkit": 29, "from_fusionkit": 64},
-    "ml_estimate": {"fusionkit": 18, "from_fusionkit": 30},
+    "ml_estimate": {"fusionkit": 19, "from_fusionkit": 30},
     "local_optimality_probe, slot miss": {"fusionkit": 21, "from_fusionkit": 33},
     "local_optimality_probe, slot hit": {"fusionkit": 11, "from_fusionkit": 20},
 }
@@ -596,7 +599,7 @@ def test_schur_guard_work_per_path(monkeypatch, path):
 
     def guard():
         try:
-            outcome.append(matrixkit._schur_factor(S, parent, "Schur complement"))
+            outcome.append(matrixkit._schur_factor(S, parent, "Schur complement")[1])
         except (NotPD, Singular) as exc:
             outcome.append(exc)
 
@@ -766,6 +769,118 @@ def test_estimators_whiten_with_the_cholesky_factor(monkeypatch):
     assert lapack_calls(
         monkeypatch, lambda: mmse_gaussian_estimate(twin, sigma, prior, x)
     ) == fresh
+
+
+def stacked_ml(pair, sigma=None, seed=0):
+    """A call of ML on a new stacked model of ``pair``, under its joint noise or ``sigma``."""
+    H = np.vstack((pair.first.A, pair.second.A))
+    sigma = pair.noise.joint() if sigma is None else sigma
+    x = np.random.default_rng(seed).standard_normal(len(H))
+    return lambda: ml_estimate(LinearModel(H), sigma, x)
+
+
+# ML on the stacked (40,30,10) model: the 70-row joint noise factored afresh
+# (inverted in two blocks of 35) and the 10-row normal matrix's guarded inverse;
+# or, read off the factored pair's blocks, the latter alone
+FRESH_STACKED = {"numpy.linalg.cholesky": 2, "numpy.linalg.inv": 3}
+REUSED_STACKED = {"numpy.linalg.cholesky": 1, "numpy.linalg.inv": 1}
+
+
+def test_a_factored_pair_gives_its_stacked_model_the_noise_factor(monkeypatch):
+    pair = planted_pair(np.random.default_rng(44), 40, 30, 10)
+    ml = stacked_ml(pair)
+    assert lapack_calls(monkeypatch, ml) == FRESH_STACKED
+    joint_information(pair)
+    assert lapack_calls(monkeypatch, ml) == REUSED_STACKED
+    assert noise_factorizations(monkeypatch, ml, 70) == 0
+    L, L_inv = matrixkit.noise_whitener(LinearModel(np.ones((70, 1))), pair.noise.joint())
+    assert rel_fro(L @ L.T, pair.noise.joint()) <= 1e-15
+    assert rel_fro(L_inv @ L, np.eye(70)) <= 1e-14
+    assert np.array_equal(L, np.tril(L)) and np.array_equal(L_inv, np.tril(L_inv))
+
+
+@pytest.mark.parametrize("change", ["last bit", "-0.0 above", "-0.0 below"])
+def test_a_joint_not_bit_equal_to_the_pair_is_factored_afresh(monkeypatch, change):
+    rng = np.random.default_rng(45)
+    noise = BlockCovariance(random_pd(rng, 40), random_pd(rng, 30), np.zeros((40, 30)))
+    pair = ModalityPair(LinearModel(rng.standard_normal((40, 10))),
+                        LinearModel(rng.standard_normal((30, 10))), noise)
+    joint_information(pair)
+    sigma = noise.joint()
+    if change == "last bit":
+        sigma[45, 45] = np.nextafter(sigma[45, 45], np.inf)
+    else:  # equal as floats, so admitted as it is, but not bit for bit
+        sigma[(slice(40), slice(40, None)) if change == "-0.0 above" else
+              (slice(40, None), slice(40))] = -0.0
+    assert lapack_calls(monkeypatch, stacked_ml(pair, sigma)) == FRESH_STACKED
+    assert lapack_calls(monkeypatch, stacked_ml(pair)) == REUSED_STACKED
+
+
+def test_a_freed_pair_leaves_its_stacked_model_to_the_fresh_factor(monkeypatch):
+    pair = planted_pair(np.random.default_rng(46), 40, 30, 10)
+    joint_information(pair)
+    ml, noise = stacked_ml(pair), weakref.ref(pair.noise)
+    del pair
+    gc.collect()
+    assert noise() is None
+    assert lapack_calls(monkeypatch, ml) == FRESH_STACKED
+
+
+def test_threads_factoring_pairs_each_read_their_own_pair_factor():
+    # the last factored noise is one process-wide slot: a thread whose pair was
+    # replaced there between its factorization and its estimate must factor
+    # afresh, never read another pair's blocks
+    pairs = [planted_pair(np.random.default_rng(60 + k), 5, 4, 2) for k in range(8)]
+    want = [stacked_ml(pair)().s_hat for pair in pairs]  # none factored yet
+    errors = []
+
+    def work(k):
+        pair = pairs[k]
+        try:
+            for _ in range(25):
+                PairFactorization.from_pair(ModalityPair(pair.first, pair.second, pair.noise))
+                got = stacked_ml(pair)().s_hat
+                if np.linalg.norm(got - want[k]) > 1e-12 * np.linalg.norm(want[k]):
+                    errors.append((k, got))
+        except Exception as exc:  # a thread's failure is the test's
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
+@pytest.mark.parametrize("gap", [3e-12, 1e-12])
+def test_an_uncertified_assembled_factor_gives_the_fresh_answer(monkeypatch, gap):
+    # rho = 1 - gap: the pair factors (its Schur complement's condition is about
+    # 1 / (2 gap)), but the joint's bound is about 2 / gap, above the certificate,
+    # so the stacked model is factored afresh: its condition 6.7e11 passes the
+    # eigenvalue guard and 2e12 is refused
+    pair = ModalityPair(LinearModel([[1.0]]), LinearModel([[0.5]]),
+                        BlockCovariance([[1.0]], [[1.0]], [[1.0 - gap]]))
+
+    def outcome():
+        try:
+            est = stacked_ml(pair)()
+        except Singular as exc:
+            return type(exc), str(exc), exc.condition
+        return est.s_hat.tobytes(), est.error_cov.tobytes()
+
+    fresh = outcome()
+    factor_noise(pair.noise)
+    got = []
+    calls = lapack_calls(monkeypatch, lambda: got.append(outcome()))
+    assert got == [fresh] and (fresh[0] is Singular) == (gap == 1e-12)
+    assert calls["numpy.linalg.eigvalsh"] == 1  # the joint's, on the fresh path only
 
 
 def single_modality(rng, n=6, m=3):

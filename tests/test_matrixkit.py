@@ -517,7 +517,7 @@ def schur_complement_inverse(M, scale):
     times that: the norm stands in only inside the Cholesky bound, and where the
     bound is inconclusive the guard decides on the eigenvalue, with no retry.
     """
-    L_inv = _schur_factor(M, np.diag(np.full(len(M), scale)), "Schur complement")
+    L_inv = _schur_factor(M, np.diag(np.full(len(M), scale)), "Schur complement")[1]
     return L_inv.T @ L_inv
 
 
@@ -596,10 +596,12 @@ def test_noise_guard_sweep_smoke(tmp_path):
     out = tmp_path / "guard"
     run_script("noise_guard_sweep.py", "--sizes", "1", "3", "--trials", "2", "--out", out)
     summary = json.loads(out.with_suffix(".json").read_text())
-    # 2 sizes, 12 spectra, 2 guards (plain, parent), 2 trials each
-    assert summary["trials"] == 2 * 12 * 2 * 2 and summary["agreement_rate"] == 1.0
+    # 2 sizes, 12 spectra, 2 guards (plain, parent), 2 trials each; and the
+    # joint guard at 3 rows only (a pair needs two), on its 5 spectra
+    assert summary["trials"] == 2 * 12 * 2 * 2 + 5 * 2 and summary["agreement_rate"] == 1.0
+    assert summary["joint_trials_reusing_the_pair_factor"] > 0
     rows = out.with_suffix(".csv").read_text().splitlines()
-    assert len(rows) == 1 + 2 * 12 * 2
+    assert len(rows) == 1 + 2 * 12 * 2 + 5
 
 
 def test_whitening_accuracy_sweep_smoke(tmp_path):

@@ -377,6 +377,22 @@ def test_a_map_whose_output_is_not_real_is_refused_by_name(output):
             joint_information_nonlinear(h, g, noise, prior, N=10, seed=0)
 
 
+@pytest.mark.parametrize("s0", [1.0, 1.0001])
+def test_a_chunk_mixing_bool_and_real_outputs_is_refused(s0):
+    # at s0 = 1.0 the central differences straddle s[0] = 1: the outputs past it are
+    # bools among float ones, which the stacked chunk read as 0/1 ([[0.5, 0], [1.25e4, 1]])
+    def h(s):
+        return (s > 0.0) if s[0] > 1.0 else s
+
+    with pytest.raises(ValueError, match="^h returned entries of dtype bool, expected real numbers"):
+        numeric_jacobian(h, np.array([s0, 0.5]))
+    with pytest.raises(ValueError, match="^h returned entries of dtype bool"):
+        numeric_jacobian(lambda s: float(s[0]) if s[0] > 1.0 else bool(s[1]), np.array([1.0, 0.5]))
+    # Python ints among Python floats are real numbers, as a chunk of them is
+    J = numeric_jacobian(lambda s: float(s[0]) if s[0] > 1.0 else 1, np.array([1.0, 0.5]))
+    assert J.shape == (1, 2) and np.isfinite(J).all()
+
+
 def test_an_integer_map_keeps_its_shape_check():
     # an integer output is converted, then refused as a float output is
     with pytest.raises(ValueError, match=r"Jacobian has shape \(3, 2\), expected \(2, 2\)"):
