@@ -150,7 +150,7 @@ def cholesky_decision(M, against, guard):
             if guard == "parent":
                 L_inv = _schur_factor(M, against, "Schur complement")[1]
             elif guard == "joint":
-                _, L_inv = noise_whitener(LinearModel(np.ones((len(M), 1))), M)
+                L_inv = noise_whitener(LinearModel(np.ones((len(M), 1))), M).L_inv
             else:
                 _, L_inv = inverse_factor(M, "M")
             inverse = L_inv.T @ L_inv

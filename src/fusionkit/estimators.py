@@ -9,8 +9,9 @@ and the SNR matrix plus the prior's information for MMSE, whose offset is
 ``mu - gain A mu``. The error covariance is ``J^-1 = crlb(J)``. :func:`_affine`
 builds the three once, for both estimators and for the error campaign of
 :mod:`~fusionkit.harness`, so the campaign checks the estimators themselves.
-``L^-1``, ``W`` and ``W^T W`` are the model's memo for a bit-equal noise
-(:func:`~fusionkit.matrixkit._whitened_model`), so ML then MMSE on one model
+``L^-1``, ``W`` and ``W^T W`` are read by name off the model's one record of
+its whitened noise, memoized for a bit-equal noise
+(:func:`~fusionkit.matrixkit.noise_whitener`), so ML then MMSE on one model
 and noise factor the noise and whiten the model once. ``J`` is symmetric and
 finite as built, so it is wrapped as an
 :class:`~fusionkit.information.InfoMatrix` without being admitted again.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .information import InfoMatrix, crlb
-from .matrixkit import _whitened_model, require_array, require_finite
+from .matrixkit import noise_whitener, require_array, require_finite
 from .model import GaussianPrior, LinearModel, require_prior_size
 
 
@@ -39,8 +40,8 @@ class Estimate:
 def _affine(model: LinearModel, white, prior: GaussianPrior | None = None):
     """``(gain, offset, error_cov)`` of the estimator ``X gain^T + offset``.
 
-    ``white`` is the memo of the model's noise, ``(L, L^-1, W, W^T W)`` with
-    ``W = L^-1 A`` (:func:`~fusionkit.matrixkit._whitened_model`).
+    ``white`` is the record of the model's whitened noise, with ``L^-1``,
+    ``W = L^-1 A`` and ``W^T W`` (:func:`~fusionkit.matrixkit.noise_whitener`).
     ``gain = J^-1 W^T L^-1`` with ``J`` the SNR matrix ``W^T W``, plus the
     prior's information when a ``prior`` is given; the offset is then
     ``mu - gain A mu``, and 0 without one. ``J`` is symmetric as built: a Gram
@@ -51,23 +52,22 @@ def _affine(model: LinearModel, white, prior: GaussianPrior | None = None):
     overflows, :class:`SingularInformation`, with its null space, if ``J`` is
     numerically singular.
     """
-    _, L_inv, W, snr = white
-    require_finite(snr, "the SNR matrix")
+    require_finite(white.snr, "the SNR matrix")
     if prior is None:
-        J = snr
+        J = white.snr
     else:
         with np.errstate(over="ignore"):  # an overflow is refused by name below
-            J = snr + prior.info_matrix()
+            J = white.snr + prior.info_matrix()
         require_finite(J, "the posterior information")
     ref = crlb(InfoMatrix._built(J))
-    gain = ref @ W.T @ L_inv
+    gain = ref @ white.W.T @ white.L_inv
     offset = 0.0 if prior is None else prior.mean - gain @ (model.A @ prior.mean)
     return gain, offset, ref
 
 
 def _estimate(model: LinearModel, sigma, prior: GaussianPrior | None, x) -> Estimate:
     """The affine estimate of ``x``, admitted after the noise and before ``J`` is factored."""
-    white = _whitened_model(model, sigma)
+    white = noise_whitener(model, sigma)
     try:
         stacked = np.ndim(x) == 2
     except ValueError:  # a ragged x, which the array rule refuses by name

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import estimators
 from .information import DEFAULT_BLOCK
-from .matrixkit import _whitened_model, require_conditioned, require_finite, require_integer
+from .matrixkit import noise_whitener, require_conditioned, require_finite, require_integer
 from .model import (
     GaussianPrior,
     LinearModel,
@@ -119,7 +119,7 @@ def empirical_error_covariance(
         raise ValueError(f"unknown method {method!r}, expected 'ml', 'wls' or 'mmse'")
     if method == "mmse" and not isinstance(prior, GaussianPrior):
         raise ValueError("MMSE requires Gaussian prior")
-    white = _whitened_model(model, noise)
+    white = noise_whitener(model, noise)
     require_prior_size(prior, model.m)
     A = model.A
     gain, offset, ref = estimators._affine(model, white, prior if method == "mmse" else None)
@@ -127,7 +127,7 @@ def empirical_error_covariance(
     def estimate(X):
         return X @ gain.T + offset
 
-    emp, std_err, peak = _error_moments(A, prior, white[0], estimate, N, seed)
+    emp, std_err, peak = _error_moments(A, prior, white.L, estimate, N, seed)
     require_finite((emp, std_err), "the empirical error covariance or its standard errors")
     # a draw rounds, in the data and in its estimate, by eps times its size
     # through both: over the error's deviation, that size is the condition

@@ -44,10 +44,10 @@ from .matrixkit import (
     _form_scale,
     _frobenius,
     _require_pd_conditioned,
-    _whitened_model,
     admit_symmetric,
     factor_noise,
     inverse_factor,
+    noise_whitener,
     require_agreement,
     require_finite,
     require_integer,
@@ -250,9 +250,9 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     ``L`` is the Cholesky factor of the noise covariance (see
     :func:`~fusionkit.matrixkit.noise_whitener`). Its inverse, ``W`` and
     ``W^T W`` are memoized on ``model`` for a bit-equal ``sigma``, as a pair
-    memoizes its factorization, so the estimators on the same model and noise
-    reuse all three (:func:`~fusionkit.matrixkit._whitened_model`). The
-    returned matrix is that memo's, read-only.
+    memoizes its factorization, in one record, so the estimators on the same
+    model and noise reuse all three. The returned matrix is that record's
+    ``snr``, read-only.
 
     Raises
     ------
@@ -267,7 +267,7 @@ def snr_matrix(model: LinearModel, sigma) -> InfoMatrix:
     NonFinite
         If the product overflows.
     """
-    snr = _whitened_model(model, sigma)[3]
+    snr = noise_whitener(model, sigma).snr
     require_finite(snr, "the SNR matrix")
     return InfoMatrix._built(snr)
 
@@ -505,20 +505,22 @@ def block_plan(seed: int, N: int):
     return list(zip(children, counts))
 
 
-def mc_moments(prior, N: int, seed: int, integrand: Callable) -> tuple[np.ndarray, np.ndarray]:
+def mc_moments(prior, plan, integrand: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo mean and per-entry standard error of a matrix-valued integrand.
 
     ``integrand`` maps a (count, m) block of prior draws to the
-    (count, k, k) stack of its values. The blocks of :func:`block_plan`
-    run one after another, in block order, so the estimate depends only
-    on the seed. The mean is the sum of the block sums over ``N``. The
+    (count, k, k) stack of its values. The blocks of ``plan``, from
+    :func:`block_plan`, which the caller takes once its arguments are
+    admitted, run one after another, in block order, so the estimate
+    depends only on the seed. The mean is the sum of the block sums over
+    the ``N`` draws. The
     variance is exact to rounding, with no cancellation of two large
     moments: each block adds its squares about its own mean, and the
     blocks combine by the pairwise update of Chan, Golub & LeVeque (1983).
     Returns the symmetrized mean and ``sqrt(var / N)``.
     """
     s1 = m2 = n = 0
-    for ss, count in block_plan(seed, N):
+    for ss, count in plan:
         mats = integrand(prior.sample(np.random.default_rng(ss), count))
         b1 = mats.sum(axis=0)
         b2 = ((mats - b1 / count) ** 2).sum(axis=0)
@@ -527,7 +529,7 @@ def mc_moments(prior, N: int, seed: int, integrand: Callable) -> tuple[np.ndarra
         m2 = m2 + b2
         s1 += b1
         n += count
-    return symmetrize(s1 / N), np.sqrt(m2 / N / N)
+    return symmetrize(s1 / n), np.sqrt(m2 / n / n)
 
 
 def prior_information_mc(prior: SourcePrior, N: int, seed: int) -> McInfoEstimate:
@@ -550,5 +552,5 @@ def prior_information_mc(prior: SourcePrior, N: int, seed: int) -> McInfoEstimat
         g = prior.score(s)
         return np.einsum("ki,kj->kij", g, g)
 
-    J, std_err = mc_moments(prior, N, seed, score_outer_products)
+    J, std_err = mc_moments(prior, block_plan(seed, N), score_outer_products)
     return McInfoEstimate(J=J, std_err=std_err, N=N, seed=seed)

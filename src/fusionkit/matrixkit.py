@@ -30,11 +30,12 @@ the error campaign invert, goes through it, and so do a noise pair and its
 Schur complements:
 :func:`factor_noise`, the one place a noise pair is factorized, makes the
 pair's four refusals and whitens each marginal with its inverse Cholesky
-factor, as :func:`noise_whitener`, the one admission of a single
-modality's noise, whitens it, so whitening is decided in one place. Each
-caller builds from the pair's factors only the products it reads. A
-single modality's factors are memoized on its model for a bit-equal noise,
-and a linear model's whitened matrix and its Gram matrix beside them. A
+factor, as :func:`noise_whitener`, the one admission of a linear model's
+noise, whitens it, and ``nonlinear.fisher_nonlinear`` a nonlinear model's
+noise through the same two rules, so whitening is decided in one place. Each
+caller builds from the pair's factors only the products it reads. A linear
+model's noise factors, its whitened matrix and that matrix's Gram matrix are
+one record, filled whole and memoized on the model for a bit-equal noise. A
 stacked model's noise that is, block for block, the joint of the pair
 :func:`factor_noise` factored last takes its Cholesky factor from that
 pair's block factors (:func:`_pair_factor`) rather than a factorization of
@@ -70,6 +71,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -353,10 +355,23 @@ def inverse_factor(
     return L, L_inv
 
 
-def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """``(L, L^-1)`` for a modality's noise covariance ``sigma = L L^T``, as :func:`inverse_factor`.
+class _Whitener(NamedTuple):
+    """A linear model's whitened noise, all read-only: the copy ``key`` of
+    its noise ``sigma = L L^T``, ``L``, ``L^-1``, the whitened model ``W = L^-1 A``
+    and its Gram matrix ``W^T W``, the SNR matrix."""
 
-    The one admission of a single modality's noise: :func:`admit_symmetric`
+    key: np.ndarray
+    L: np.ndarray
+    L_inv: np.ndarray
+    W: np.ndarray
+    snr: np.ndarray
+
+
+def noise_whitener(model, sigma) -> _Whitener:
+    """The whitened noise of a linear model: ``L`` and ``L^-1`` of ``sigma = L L^T``, as
+    :func:`inverse_factor`, ``W = L^-1 A`` and the SNR matrix ``W^T W``.
+
+    The one admission of a linear model's noise: :func:`admit_symmetric`
     admits ``sigma`` as an ``n x n`` matrix of the model's ``n`` channels
     (``ValueError``) and symmetrizes one within the symmetry tolerance, then
     :func:`inverse_factor` refuses it as :class:`NotPD` or
@@ -366,35 +381,35 @@ def noise_whitener(model, sigma) -> tuple[np.ndarray, np.ndarray]:
     factored last, bit for bit, and that pair is alive, the factors are read
     off the pair's block factors by :func:`_pair_factor` instead, under the
     same certificate: the same decision, and factors within rounding of a
-    fresh factorization's.
+    fresh factorization's. The caller checks the SNR matrix for overflow.
 
-    The factors are memoized on ``model``, in its ``_whitener`` slot
-    ``(key, L, L^-1)``, as a pair memoizes its factorization; for a linear
-    model :func:`_whitened_model` adds ``W = L^-1 A`` and ``W^T W`` to it,
-    ``(key, L, L^-1, W, W^T W)``. The key is a
-    private copy of ``sigma`` as given when it is a float64 ``np.ndarray``,
-    and of ``sigma`` as admitted otherwise. Only a float64 ``np.ndarray`` is
-    compared with the key: one of its shape and bits (``-0.0`` is not
-    ``0.0``) returns the same read-only ``L`` and ``L^-1``, which is what a
-    fresh call would compute. Any other ``sigma`` (a list, an array of
-    another dtype, other bits) is admitted first and replaces the slot as a
-    whole, so a concurrent reader sees the old key and factors or the new
-    ones. A refusal is not memoized: every call on a refused ``sigma``
-    raises again.
+    The record is memoized on ``model``, in its ``_whitener`` slot, as a pair
+    memoizes its factorization, so the SNR matrix, both estimators, the error
+    campaign and ``simulate`` on one model and noise factor the noise and
+    whiten the model once, each reading the bits a fresh model gives. Its key
+    is a copy of ``sigma`` as given when it is a float64
+    ``np.ndarray``, and of ``sigma`` as admitted otherwise. Only a float64
+    ``np.ndarray`` is compared with the key: one of its shape and bits
+    (``-0.0`` is not ``0.0``) returns the same record, which is what a fresh
+    call would compute. Any other ``sigma`` (a list, an array of another
+    dtype, other bits) is admitted first and replaces the slot as a whole, so
+    a concurrent reader sees the old record or the new one. A refusal is not
+    memoized: every call on a refused ``sigma`` raises again.
     """
     memo = model._whitener
     given = type(sigma) is np.ndarray and sigma.dtype == np.float64  # only these may hit
-    if memo is not None and given:
-        key, L, L_inv = memo[:3]
-        if sigma.shape == key.shape and np.array_equal(sigma.view(np.int64), key.view(np.int64)):
-            return L, L_inv
+    if memo is not None and given and sigma.shape == memo.key.shape and np.array_equal(
+            sigma.view(np.int64), memo.key.view(np.int64)):
+        return memo
     admitted = admit_symmetric(sigma, "noise covariance", model.n)
     L, L_inv = _pair_factor(admitted) or inverse_factor(admitted, "noise covariance")
-    L.setflags(write=False)
-    L_inv.setflags(write=False)
-    key = (sigma if given else admitted).copy()  # private to the memo, never handed out
-    object.__setattr__(model, "_whitener", (key, L, L_inv))
-    return L, L_inv
+    W = L_inv @ model.A
+    key = (sigma if given else admitted).copy()  # a copy: writing to sigma leaves it as it was
+    white = _Whitener(key, L, L_inv, W, W.T @ W)
+    for part in white:
+        part.setflags(write=False)
+    object.__setattr__(model, "_whitener", white)
+    return white
 
 
 def _pair_factor(S: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -422,31 +437,6 @@ def _pair_factor(S: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     L_inv[n1:, :n1] = -L_F_inv @ (W_v.T @ L_v_inv)
     bound = float(np.linalg.norm(S)) * float(np.vdot(L_inv, L_inv))
     return (L, L_inv) if bound <= SINGULAR_CONDITION / _CERTIFY_MARGIN else None
-
-
-def _whitened_model(model, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(L, L^-1, W, W^T W)``: :func:`noise_whitener`'s factors of a linear model's noise,
-    the whitened model ``W = L^-1 A`` and its Gram matrix, the SNR matrix.
-
-    ``W`` and ``W^T W`` are formed once per memoized noise, read-only, and kept
-    in the memo beside the factor they came from, so the SNR matrix, both
-    estimators and the error campaign on one model and noise form them once,
-    each reading the same bits a fresh model gives. The caller checks the SNR
-    matrix for overflow. The slot is replaced as a whole, so a concurrent
-    reader sees a key with its own factors and products; products formed
-    after another noise replaced the slot are returned, not kept.
-    """
-    L, L_inv = noise_whitener(model, sigma)
-    memo = model._whitener
-    if len(memo) == 5 and memo[2] is L_inv:
-        return memo[1:]
-    W = L_inv @ model.A
-    snr = W.T @ W
-    W.setflags(write=False)
-    snr.setflags(write=False)
-    if memo[2] is L_inv:
-        object.__setattr__(model, "_whitener", (*memo[:3], W, snr))
-    return L, L_inv, W, snr
 
 
 def _frobenius(M) -> np.ndarray:

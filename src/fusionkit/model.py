@@ -17,6 +17,7 @@ from .errors import NoPriorInfo, NoScore, NotPD, NotSampleable
 from .matrixkit import (
     BlockCovariance,
     _read_only_copy,
+    _Whitener,
     _require_psd,
     admit_symmetric,
     callback_output,
@@ -39,14 +40,14 @@ class LinearModel:
     array with no empty axis, and kept as a read-only float copy: writing
     to the array passed in changes nothing here, and writing to ``A``
     raises ``ValueError``.
-    :func:`~fusionkit.matrixkit.noise_whitener` memoizes the last admitted
-    noise covariance, its Cholesky factor and that factor's inverse in
-    ``_whitener``, and the first estimator or SNR matrix on that noise adds
-    the whitened model ``L^-1 A`` and its Gram matrix beside them.
+    :func:`~fusionkit.matrixkit.noise_whitener` memoizes the whitened noise
+    of the last admitted noise covariance in ``_whitener``, one read-only
+    record, filled whole: the noise's Cholesky factor ``L``, its inverse, the
+    whitened model ``L^-1 A`` and that model's Gram matrix, the SNR matrix.
     """
 
     A: np.ndarray
-    _whitener: tuple[np.ndarray, ...] | None = field(
+    _whitener: _Whitener | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -310,8 +311,9 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
 
     Sources come from the prior; noise is jointly Gaussian with the
     configured (cross-)covariance, drawn as ``z L^T`` through its lower
-    Cholesky factor ``L``: for one model the factor that
-    :func:`~fusionkit.matrixkit.noise_whitener` memoizes on it, for a pair
+    Cholesky factor ``L``: for one model the factor of the record
+    :func:`~fusionkit.matrixkit.noise_whitener` memoizes on it (which the
+    estimators and the SNR matrix on the same noise then read), for a pair
     that of the assembled joint covariance. Source and noise streams use
     independent children of the seed, so each is reproducible on its own.
 
@@ -338,7 +340,7 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     if pair:
         L, _ = inverse_factor(model.noise.joint(), "joint noise covariance")
     else:
-        L, _ = noise_whitener(model, noise)
+        L = noise_whitener(model, noise).L
     require_prior_size(prior, model.m)
     sources, noise_rows = draw_rows(prior, L, N, draw_streams(seed))
     if not pair:

@@ -7,9 +7,11 @@ over seed-split sample blocks, run one after another by
 :func:`~fusionkit.information.mc_moments`, so they depend only on the
 seed; the variance of the estimate is reported, never hidden. Each
 block evaluates its integrand as stacked arrays: one (count, n, m)
-Jacobian array per model, whitened by one product with the linear
-module's whitener (the inverse Cholesky factor of the noise for one
-modality; for a pair, those of the marginals from
+Jacobian array per model, whitened by one product with the inverse
+Cholesky factor of its noise (for one modality, of the noise as
+:func:`~fusionkit.matrixkit.admit_symmetric` admits it and
+:func:`~fusionkit.matrixkit.inverse_factor` factors it, once per call; for
+a pair, those of the marginals from
 :func:`~fusionkit.matrixkit.factor_noise`, whose half-whitened
 cross-covariance one more product turns into ``rho``), then stacked
 matrix products. ``h`` itself is still called once per perturbed point.
@@ -19,16 +21,16 @@ because the integrand does not vary across samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import FormDisagreement, NonFinite
-from .information import McInfoEstimate, _CrossCorrelation, _whitened_fisher, mc_moments
+from .information import McInfoEstimate, _CrossCorrelation, _whitened_fisher, block_plan, mc_moments
 from .matrixkit import (
-    BlockCovariance, _form_scale, callback_output, factor_noise, noise_whitener, require_agreement,
-    require_array, require_integer, require_real,
+    BlockCovariance, _form_scale, admit_symmetric, callback_output, factor_noise, inverse_factor,
+    require_agreement, require_array, require_integer, require_real,
 )
 from .model import SourcePrior, require_pair_shapes, require_prior_size
 
@@ -46,18 +48,14 @@ class NonlinearModel:
     differences are used. ``n`` and ``m`` are admitted by
     :func:`~fusionkit.matrixkit.require_integer` as integers of at least 1, a
     ``ValueError`` naming the field otherwise, and kept as Python ``int``.
-    :func:`~fusionkit.matrixkit.noise_whitener` memoizes the last admitted
-    noise covariance, its Cholesky factor and that factor's inverse in
-    ``_whitener``, as for a linear model.
+    Unlike a linear model, it memoizes no noise: each Monte-Carlo call
+    factors its noise once, a small cost beside its ``N`` Jacobians.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
     n: int
     m: int
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    _whitener: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "n", require_integer(self.n, "n", 1))
@@ -181,8 +179,8 @@ def _stack(outputs, what: str) -> np.ndarray:
     string or object output refuses the chunk instead of being promoted with the
     real ones (a bool to 0 or 1); Python floats and ints are real by their type.
     """
+    outputs = list(outputs)  # a callback's own ValueError is not relabelled
     try:
-        outputs = list(outputs)
         stacked = np.array(outputs)
     except ValueError as exc:
         raise ValueError(f"{what} returned outputs of different shapes: {exc}") from exc
@@ -199,20 +197,15 @@ def fisher_nonlinear(
 
     Averages ``D_h(s)^T Sigma^-1 D_h(s) = W^T W`` over N prior draws, with
     ``W = L^-1 D_h(s)`` whitened by the inverse Cholesky factor of Sigma as
-    in :func:`~fusionkit.information.snr_matrix`; the result is
+    in :func:`~fusionkit.information.snr_matrix`: Sigma is admitted by
+    :func:`~fusionkit.matrixkit.admit_symmetric` as the model's ``n x n`` and
+    factored by :func:`~fusionkit.matrixkit.inverse_factor`, which refuses it
+    as :class:`NotPD` or :class:`Singular`, before any draw. The result is
     deterministic per seed. Whenever the Jacobian is constant it is exact:
     every draw gives the same matrix, and the standard error is zero to
     rounding, about machine epsilon times ``|J|`` at every scale.
     """
-    require_prior_size(prior, model.m)
-    _, L_inv = noise_whitener(model, sigma)
-
-    def fisher_integrand(S):
-        W = L_inv @ model.jacobians(S)
-        return np.swapaxes(W, 1, 2) @ W
-
-    J, std_err = mc_moments(prior, N, seed, fisher_integrand)
-    return McInfoEstimate(J=J, std_err=std_err, N=N, seed=seed)
+    return _fisher_moments(model, sigma, prior, N, seed, with_prior=False)
 
 
 def total_information_nonlinear(
@@ -222,12 +215,29 @@ def total_information_nonlinear(
 
     Both terms are expectations over the same source distribution: the
     measurement and prior contributions add, but they are not separable
-    the way they are in the linear case.
+    the way they are in the linear case. The arguments are admitted as
+    :func:`fisher_nonlinear` admits them; then a prior with no information
+    matrix is refused (:class:`NoPriorInfo`), before any draw or evaluation
+    of ``h``.
     """
-    est = fisher_nonlinear(model, sigma, prior, N, seed)
-    return McInfoEstimate(
-        J=est.J + prior.info_matrix(), std_err=est.std_err, N=N, seed=seed
-    )
+    return _fisher_moments(model, sigma, prior, N, seed, with_prior=True)
+
+
+def _fisher_moments(model, sigma, prior, N, seed, with_prior: bool) -> McInfoEstimate:
+    """:func:`fisher_nonlinear`'s estimate, plus the prior's information ``with_prior``,
+    which is read after every argument is admitted and before any draw."""
+    require_prior_size(prior, model.m)
+    _, L_inv = inverse_factor(admit_symmetric(sigma, "noise covariance", model.n),
+                              "noise covariance")
+    plan = block_plan(seed, N)
+    info = prior.info_matrix() if with_prior else None
+
+    def fisher_integrand(S):
+        W = L_inv @ model.jacobians(S)
+        return np.swapaxes(W, 1, 2) @ W
+
+    J, std_err = mc_moments(prior, plan, fisher_integrand)
+    return McInfoEstimate(J=J if info is None else J + info, std_err=std_err, N=N, seed=seed)
 
 
 def joint_information_nonlinear(
@@ -270,7 +280,7 @@ def joint_information_nonlinear(
                           "joint nonlinear information forms per sample", FormDisagreement)
         return form1
 
-    J, std_err = mc_moments(prior, N, seed, joint_integrand)
+    J, std_err = mc_moments(prior, block_plan(seed, N), joint_integrand)
     if prior.has_info:
         J = J + prior.info_matrix()
     return McInfoEstimate(J=J, std_err=std_err, N=N, seed=seed)

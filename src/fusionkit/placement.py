@@ -30,7 +30,9 @@ hold what a budget sweep on one pair repeats: the record of the last rho
 (:func:`_analysis_of`); the probe's first block of draws, by seed, count and shape
 (:func:`_first_draws`); and that block's ``<z, K z>``, by record and draws
 (:func:`_first_forms`). A sweep and the probes of its solutions take one SVD, one draw
-and one quadratic form per draw.
+and one quadratic form per draw. The record of rho is keyed by bytes, not kept in a slot
+as a linear model keeps its whitened noise, because placement's inputs are bare arrays,
+with no immutable owner to hold a slot.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ from fusionkit import (
 from fusionkit.information import _CrossCorrelation, _whitened_fisher, block_plan
 from fusionkit.matrixkit import (
     _form_scale,
+    admit_symmetric,
     factor_noise,
-    noise_whitener,
+    inverse_factor,
     require_agreement,
     symmetrize,
 )
@@ -175,7 +176,8 @@ def mc_per_sample(prior, N, seed, per_sample):
 
 def fisher_per_sample(model, sigma, prior, N, seed):
     """Per-sample reference for ``fisher_nonlinear``: (J, std_err)."""
-    _, L_inv = noise_whitener(model, sigma)
+    _, L_inv = inverse_factor(admit_symmetric(sigma, "noise covariance", model.n),
+                              "noise covariance")
 
     def per_sample(s):
         W = L_inv @ _per_sample_jac(model, s)

@@ -18,7 +18,7 @@ from fusionkit import LinearModel, NonFinite, NonlinearModel, crlb
 from fusionkit.harness import CrlbCheck, _crlb_check
 from fusionkit.information import _as_matrix
 from fusionkit.matrixkit import (
-    admit_symmetric, noise_whitener, require_array, require_real, symmetrize,
+    admit_symmetric, inverse_factor, require_array, require_real, symmetrize,
 )
 
 
@@ -56,7 +56,8 @@ def fisher_finite_difference(model, sigma, s0, step: float = 1e-4, x=None) -> np
     require_real(step, "step", "nonzero")
     s0 = require_array(s0, "s0", (model.m,))
     x = None if x is None else require_array(x, "x", (model.n,))
-    _, L_inv = noise_whitener(model, sigma)
+    _, L_inv = inverse_factor(admit_symmetric(sigma, "noise covariance", model.n),
+                              "noise covariance")
     sigma_inv = L_inv.T @ L_inv
     if x is None:
         x = _noise_free(model, s0)

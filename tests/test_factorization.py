@@ -280,12 +280,15 @@ def small_question(seed):
 # joint_information 38/61, synergy_matrices 29/59 and ml_estimate 19/30. Before
 # a stacked model's noise was looked up among the blocks of the last factored
 # pair (matrixkit._pair_factor; none is alive here), ml_estimate made 18/30.
+# While a linear model's memo was a 3- or 5-tuple, filled in two stages by
+# noise_whitener and _whitened_model, with a writable key, ml_estimate made 19/30;
+# the one record costs its constructor and the key's setflags.
 CALL_PINS = {
     "advise": {"fusionkit": 44, "from_fusionkit": 74},
     "joint_information": {"fusionkit": 37, "from_fusionkit": 58},
     "synergy_matrices": {"fusionkit": 29, "from_fusionkit": 57},
     "optimal_secondary": {"fusionkit": 29, "from_fusionkit": 64},
-    "ml_estimate": {"fusionkit": 19, "from_fusionkit": 30},
+    "ml_estimate": {"fusionkit": 18, "from_fusionkit": 31},
     "local_optimality_probe, slot miss": {"fusionkit": 21, "from_fusionkit": 33},
     "local_optimality_probe, slot hit": {"fusionkit": 11, "from_fusionkit": 20},
 }
@@ -793,7 +796,8 @@ def test_a_factored_pair_gives_its_stacked_model_the_noise_factor(monkeypatch):
     joint_information(pair)
     assert lapack_calls(monkeypatch, ml) == REUSED_STACKED
     assert noise_factorizations(monkeypatch, ml, 70) == 0
-    L, L_inv = matrixkit.noise_whitener(LinearModel(np.ones((70, 1))), pair.noise.joint())
+    white = matrixkit.noise_whitener(LinearModel(np.ones((70, 1))), pair.noise.joint())
+    L, L_inv = white.L, white.L_inv
     assert rel_fro(L @ L.T, pair.noise.joint()) <= 1e-15
     assert rel_fro(L_inv @ L, np.eye(70)) <= 1e-14
     assert np.array_equal(L, np.tril(L)) and np.array_equal(L_inv, np.tril(L_inv))
@@ -958,10 +962,18 @@ def test_memoized_whitener_answers_equal_a_fresh_model(rng, monkeypatch):
     fresh = single_answers(lambda: LinearModel(model.A), sigma, prior, x)
     for got, want in zip(memo, fresh):
         assert np.array_equal(got, want)
+
+
+def test_a_nonlinear_model_factors_its_noise_once_per_call(rng, monkeypatch):
+    # a nonlinear model keeps no memo: each call admits and factors its 6-row
+    # noise once, with the answers of a fresh model
+    model, sigma, prior, _ = single_modality(rng)
     h = NonlinearModel.linear(model.A)
-    hits = [fisher_nonlinear(h, sigma, prior, N=64, seed=5).J for _ in range(2)]
+    call = lambda: fisher_nonlinear(h, sigma, prior, N=64, seed=5).J  # noqa: E731
+    assert [noise_factorizations(monkeypatch, call, 6) for _ in range(2)] == [1, 1]
+    assert not hasattr(h, "_whitener")
     new = fisher_nonlinear(NonlinearModel.linear(model.A), sigma, prior, N=64, seed=5).J
-    assert np.array_equal(hits[0], new) and np.array_equal(hits[1], new)
+    assert np.array_equal(call(), new) and np.array_equal(call(), new)
 
 
 class CountedProducts(np.ndarray):
@@ -1051,10 +1063,20 @@ def test_a_different_sigma_replaces_the_slot(rng, monkeypatch):
         fresh = ml_estimate(LinearModel(model.A), noise, x)
         assert np.array_equal(call().s_hat, fresh.s_hat)
         assert np.array_equal(call().error_cov, fresh.error_cov)
-    # the memo (sigma, L, L^-1) hands out read-only factors
-    for factor in model._whitener[1:]:
+    # the memo is one record of read-only parts, the key among them
+    white = model._whitener
+    assert white._fields == ("key", "L", "L_inv", "W", "snr")
+    for part in white:
         with pytest.raises(ValueError, match="read-only"):
-            factor[0, 0] = 1.0
+            part[0, 0] = 1.0
+
+
+def test_the_snr_matrix_is_the_records_after_an_ml_call(rng):
+    model, sigma, prior, x = single_modality(rng)
+    ml_estimate(model, sigma, x)
+    white = model._whitener
+    assert snr_matrix(model, sigma).matrix is white.snr
+    assert model._whitener is white  # a hit returns the record, not a new one
 
 
 def ill_conditioned_marginal_pair():

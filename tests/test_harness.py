@@ -158,7 +158,7 @@ def campaign_scenario():
 
 def whole_array_campaign(method, model, prior, noise, N, seed):
     """The campaign's formulas on one N-row array of ``simulate``'s draws: the blockwise reference."""
-    _, L_inv = noise_whitener(model, noise)
+    L_inv = noise_whitener(model, noise).L_inv
     A = model.A
     W = L_inv @ A
     snr = W.T @ W
@@ -225,7 +225,7 @@ class TestStreamedCampaign:
         N = 2 * DEFAULT_BLOCK + 5
         batch = simulate(model, prior, N, seed=4, noise=sigma)
         # simulate draws the noise through the Cholesky factor memoized on the model
-        L, streams = model._whitener[1], draw_streams(4)
+        L, streams = model._whitener.L, draw_streams(4)
         blocks = [draw_rows(prior, L, min(block, N - start), streams)
                   for start in range(0, N, block)]
         assert np.array_equal(np.concatenate([S for S, _ in blocks]), batch.sources)

@@ -9,6 +9,7 @@ from fusionkit import (
     GaussianPrior,
     LinearModel,
     ModalityPair,
+    NoPriorInfo,
     NonFinite,
     NonlinearModel,
     SamplerPrior,
@@ -169,6 +170,19 @@ class TestTotalInformationNonlinear:
         prior = GaussianPrior(mean=np.zeros(1), cov=np.eye(1))
         est = total_information_nonlinear(squared_scalar(), np.eye(1), prior, N=100_000, seed=6)
         assert abs(est.J[0, 0] - 5.0) <= 3.0 * est.std_err[0, 0]
+
+    def test_a_prior_without_information_is_refused_before_any_draw(self):
+        calls = []
+
+        def h(s):
+            calls.append(1)
+            return s
+
+        prior = SamplerPrior(m=2, draw=lambda rng, n: rng.standard_normal((n, 2)))
+        with pytest.raises(NoPriorInfo):
+            total_information_nonlinear(NonlinearModel(h=h, n=2, m=2), np.eye(2), prior,
+                                        N=5000, seed=0)
+        assert calls == []
 
 
 class TestJointInformationNonlinear:
@@ -331,6 +345,15 @@ class TestBlockBatching:
         prior = self._edge_prior(4000, [0.0, 2.0])
         with pytest.raises(ValueError, match="different shapes"):
             fisher_nonlinear(model, np.eye(2), prior, N=4000, seed=0)
+
+    def test_h_raising_value_error_is_not_relabelled(self):
+        # only numpy's refusal of ragged outputs is reported as different shapes
+        def h(s):
+            raise ValueError("math domain: s must be positive")
+
+        with pytest.raises(ValueError) as info:
+            numeric_jacobian(h, np.array([0.1, 0.5]))
+        assert str(info.value) == "math domain: s must be positive"
 
     def test_non_finite_analytic_jacobian_raises(self, rng):
         model = NonlinearModel(
