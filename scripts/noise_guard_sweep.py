@@ -23,7 +23,12 @@ eigenvalue -1e-6, -1e-12, 0 and 1e-13, at several sizes, under two guards:
   factor off the pair's blocks when their bound certifies it and otherwise
   factors the joint afresh. ``reused`` counts the trials that read the pair's
   factor; a pair refused by ``factor_noise`` leaves the joint to the fresh
-  factor.
+  factor. Per trial on a factored pair, the block certificate
+  ``||S||_F (||L_F^-1||_F^2 + ||L_G^-1||_F^2)``, the sum the whitener reads,
+  is set against the assembled ``||S||_F ||L^-1||_F^2``, equal to it in exact
+  arithmetic: ``worst_certificate_ratio_error`` is the largest
+  ``|block / assembled - 1|`` of a cell, and ``certified_refusals`` counts the
+  trials that the block certificate passes and the eigenvalue guard refuses.
 
 It records how often the fallback runs (``fallbacks``, the ``eigvalsh``
 calls of a cell, and ``max_eigvalsh``, the most in one trial) and whether
@@ -32,8 +37,9 @@ guard, which it must on every trial; for ``parent`` that is the exact
 rule, with the parent's largest eigenvalue as the scale. A decision needs
 one ``eigvalsh`` of the matrix, and for ``parent`` one of the parent
 block. Emits a CSV (one row per size, spectrum and guard) and a JSON
-summary; exits 1 if any decision disagrees or any trial takes more
-``eigvalsh`` calls than its decision needs.
+summary; exits 1 if any decision disagrees, any trial takes more
+``eigvalsh`` calls than its decision needs, or the block certificate passes
+a trial that the eigenvalue guard refuses.
 """
 
 import argparse
@@ -48,6 +54,8 @@ from fusionkit import BlockCovariance, LinearModel, NotPD, Singular
 from fusionkit.matrixkit import (
     PSD_EIG_TOL,
     SINGULAR_CONDITION,
+    _CERTIFY_MARGIN,
+    _dense,
     _schur_factor,
     factor_noise,
     inverse_factor,
@@ -130,13 +138,30 @@ class Counted:
         setattr(np.linalg, self.name, self._original)
 
 
+def certificates(noise):
+    """(block, assembled) condition certificates of the joint of a factored ``noise``.
+
+    ``block`` is ``||S||_F (||L_F^-1||_F^2 + ||L_G^-1||_F^2)``, as
+    ``matrixkit._pair_factor`` reads it; ``assembled`` is ``||S||_F ||L^-1||_F^2``
+    of the joint's inverse factor assembled off the pair's blocks.
+    """
+    S, L_F_inv, L_G_inv = noise.joint(), *noise._factors[4:]
+    L_inv = _dense(noise._factors[:5], inverse=True)
+    scale = float(np.linalg.norm(S))
+    return (scale * float(np.vdot(L_F_inv, L_F_inv) + np.vdot(L_G_inv, L_G_inv)),
+            scale * float(np.vdot(L_inv, L_inv)))
+
+
 def cholesky_decision(M, against, guard):
-    """(error type, carried value, inverse or None, eigvalsh calls, reused) of the Cholesky guard.
+    """(error type, carried value, inverse or None, eigvalsh calls, reused, certificates).
 
     ``against`` is the parent block of the ``parent`` guard. For the ``joint``
-    guard the pair split off ``M`` is factored first, outside the counts, and
-    ``reused`` says whether the whitener took no Cholesky factorization of its own.
+    guard the pair split off ``M`` is factored first, outside the counts,
+    ``reused`` says whether the whitener took no Cholesky factorization of its
+    own, and ``certificates`` are the pair's (:func:`certificates`), or
+    ``None`` when ``factor_noise`` refused it.
     """
+    certified = None
     if guard == "joint":
         n1 = len(M) - len(M) // 2
         noise = BlockCovariance(M[:n1, :n1], M[n1:, n1:], M[:n1, n1:])
@@ -144,6 +169,8 @@ def cholesky_decision(M, against, guard):
             factor_noise(noise)
         except (NotPD, Singular):
             pass  # refused as a pair: the joint is factored afresh
+        else:
+            certified = certificates(noise)
         M = noise.joint()
     with Counted("eigvalsh") as eigvalsh, Counted("cholesky") as cholesky:
         try:
@@ -159,7 +186,7 @@ def cholesky_decision(M, against, guard):
             decision = (NotPD, exc.min_eigenvalue, None)
         except Singular as exc:
             decision = (type(exc), exc.condition, None)
-    return (*decision, eigvalsh.calls, guard == "joint" and cholesky.calls == 0)
+    return (*decision, eigvalsh.calls, guard == "joint" and cholesky.calls == 0, certified)
 
 
 def main() -> int:
@@ -173,7 +200,8 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     joint_rng = np.random.default_rng([args.seed, 1])  # the other guards' draws stay as they were
     fields = ["n", "spectrum", "guard", "trials", "fallbacks", "max_eigvalsh", "agreements",
-              "refusals", "reused", "worst_inverse_error_over_cond"]
+              "refusals", "reused", "worst_inverse_error_over_cond",
+              "worst_certificate_ratio_error", "certified_refusals"]
     rows = []
     for n in args.sizes:
         for spectrum in SPECTRA:
@@ -182,7 +210,7 @@ def main() -> int:
                     continue
                 row = dict.fromkeys(fields[3:], 0)
                 row.update(n=n, spectrum=spectrum, guard=guard, trials=args.trials)
-                row["worst_inverse_error_over_cond"] = 0.0
+                row["worst_inverse_error_over_cond"] = row["worst_certificate_ratio_error"] = 0.0
                 for _ in range(args.trials):
                     M = planted(joint_rng if guard == "joint" else rng, n, spectrum)
                     if guard == "parent":
@@ -191,8 +219,15 @@ def main() -> int:
                     else:
                         against = scale = 0.0
                     want, carried = eigen_decision(M, scale)
-                    got, got_carried, inverse, calls, reused = cholesky_decision(M, against, guard)
+                    got, got_carried, inverse, calls, reused, certified = cholesky_decision(
+                        M, against, guard)
                     row["reused"] += reused
+                    if certified is not None:
+                        block, assembled = certified
+                        row["worst_certificate_ratio_error"] = max(
+                            row["worst_certificate_ratio_error"], abs(block / assembled - 1.0))
+                        row["certified_refusals"] += (
+                            block <= SINGULAR_CONDITION / _CERTIFY_MARGIN and want is not None)
                     row["fallbacks"] += calls
                     row["max_eigvalsh"] = max(row["max_eigvalsh"], calls)
                     row["agreements"] += got is want and (want is None or got_carried == carried)
@@ -214,6 +249,7 @@ def main() -> int:
     trials = sum(r["trials"] for r in rows)
     agreements = sum(r["agreements"] for r in rows)
     over_need = sum(r["max_eigvalsh"] > GUARDS[r["guard"]] for r in rows)
+    certified_refusals = sum(r["certified_refusals"] for r in rows)
     summary = {
         "sizes": args.sizes,
         "trials_per_cell": args.trials,
@@ -224,7 +260,9 @@ def main() -> int:
         "cells_over_eigvalsh_need": over_need,
         "joint_trials_reusing_the_pair_factor": sum(r["reused"] for r in rows),
         "worst_inverse_error_over_cond": max(r["worst_inverse_error_over_cond"] for r in rows),
-        "passed": agreements == trials and over_need == 0,
+        "worst_certificate_ratio_error": max(r["worst_certificate_ratio_error"] for r in rows),
+        "certified_refusals": certified_refusals,
+        "passed": agreements == trials and over_need == 0 and certified_refusals == 0,
     }
     base.with_suffix(".json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(
@@ -232,7 +270,10 @@ def main() -> int:
         f"calls per trial, agreement with the eigenvalue guard "
         f"{summary['agreement_rate']:.1%}, {over_need} cells with a trial taking more "
         f"eigvalsh calls than its decision needs, "
-        f"{summary['joint_trials_reusing_the_pair_factor']} joint trials reading the pair's factor",
+        f"{summary['joint_trials_reusing_the_pair_factor']} joint trials reading the pair's "
+        f"factor, the block certificate within {summary['worst_certificate_ratio_error']:.1e} "
+        f"of the assembled one, {certified_refusals} trials it passes and the eigenvalue "
+        f"guard refuses",
         file=sys.stderr,
     )
     return 0 if summary["passed"] else 1

@@ -3,16 +3,20 @@
 For the linear model ``x = A s + v`` with noise covariance ``sigma = L L^T``,
 the Gaussian maximum likelihood estimate (weighted least squares with the
 weight ``sigma^-1``) and the Gaussian posterior mean are both affine in
-``x``: ``s_hat = gain x + offset`` with ``gain = J^-1 W^T L^-1`` and
-``W = L^-1 A``. ``J`` is the SNR matrix ``W^T W`` for ML, whose offset is 0,
-and the SNR matrix plus the prior's information for MMSE, whose offset is
-``mu - gain A mu``. The error covariance is ``J^-1 = crlb(J)``. :func:`_affine`
-builds the three once, for both estimators and for the error campaign of
-:mod:`~fusionkit.harness`, so the campaign checks the estimators themselves.
-``L^-1``, ``W`` and ``W^T W`` are read by name off the model's one record of
-its whitened noise, memoized for a bit-equal noise
+``x``: ``s_hat = mu + J^-1 W^T (L^-1 x - W mu)`` with ``W = L^-1 A``. ``J``
+is the SNR matrix ``W^T W`` for ML, whose ``mu`` is 0, and the SNR matrix
+plus the prior's information for MMSE, whose ``mu`` is the prior mean. The
+error covariance is ``J^-1 = crlb(J)`` (:func:`_information`). Fewer than
+``m`` observations, one among them, are whitened and estimated so, with no
+``m x n`` gain; a stack of at least ``m`` rows, and the error campaign of
+:mod:`~fusionkit.harness`, apply the gain ``J^-1 W^T L^-1`` and the offset
+``mu - gain A mu`` of :func:`_affine`, so the campaign checks the
+estimators' map itself. ``L^-1 x``, ``W`` and ``W^T W`` come off the
+model's one record of its whitened noise, memoized for a bit-equal noise
 (:func:`~fusionkit.matrixkit.noise_whitener`), so ML then MMSE on one model
-and noise factor the noise and whiten the model once. ``J`` is symmetric and
+and noise factor the noise and whiten the model once; on a stacked model of
+a factored pair that record whitens block by block off the pair's factors,
+and one observation forms no ``n x n`` matrix. ``J`` is symmetric and
 finite as built, so it is wrapped as an
 :class:`~fusionkit.information.InfoMatrix` without being admitted again.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .information import InfoMatrix, crlb
-from .matrixkit import noise_whitener, require_array, require_finite
+from .matrixkit import _whiten, noise_whitener, require_array, require_finite
 from .model import GaussianPrior, LinearModel, require_prior_size
 
 
@@ -37,45 +41,65 @@ class Estimate:
     method: str  # "ML" | "MMSE"
 
 
-def _affine(model: LinearModel, white, prior: GaussianPrior | None = None):
-    """``(gain, offset, error_cov)`` of the estimator ``X gain^T + offset``.
+def _information(white, prior: GaussianPrior | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(J^-1, mu)``: ``crlb(J)`` of the SNR matrix ``J = W^T W`` of the record ``white``, plus
+    the prior's information, and the prior's mean; without a ``prior``, ``mu = 0``.
 
-    ``white`` is the record of the model's whitened noise, with ``L^-1``,
-    ``W = L^-1 A`` and ``W^T W`` (:func:`~fusionkit.matrixkit.noise_whitener`).
-    ``gain = J^-1 W^T L^-1`` with ``J`` the SNR matrix ``W^T W``, plus the
-    prior's information when a ``prior`` is given; the offset is then
-    ``mu - gain A mu``, and 0 without one. ``J`` is symmetric as built: a Gram
-    product, or that plus the prior's Gram product, checked finite. So
-    ``error_cov = J^-1`` is :func:`~fusionkit.information.crlb` of ``J``
-    wrapped as an :class:`~fusionkit.information.InfoMatrix`, not admitted
-    again: :class:`NonFinite` if the SNR matrix, or the posterior information,
+    ``J`` is symmetric as built: a Gram product, or that plus the prior's
+    Gram product, checked finite. So it is wrapped as an
+    :class:`~fusionkit.information.InfoMatrix`, not admitted again:
+    :class:`NonFinite` if the SNR matrix, or the posterior information,
     overflows, :class:`SingularInformation`, with its null space, if ``J`` is
     numerically singular.
     """
     require_finite(white.snr, "the SNR matrix")
     if prior is None:
-        J = white.snr
-    else:
-        with np.errstate(over="ignore"):  # an overflow is refused by name below
-            J = white.snr + prior.info_matrix()
-        require_finite(J, "the posterior information")
-    ref = crlb(InfoMatrix._built(J))
+        return crlb(InfoMatrix._built(white.snr)), np.zeros(len(white.snr))
+    with np.errstate(over="ignore"):  # an overflow is refused by name below
+        J = white.snr + prior.info_matrix()
+    require_finite(J, "the posterior information")
+    return crlb(InfoMatrix._built(J)), prior.mean
+
+
+def _affine(model: LinearModel, white, prior: GaussianPrior | None = None):
+    """``(gain, offset, error_cov)`` of the estimator ``X gain^T + offset``.
+
+    ``white`` is the record of the model's whitened noise
+    (:func:`~fusionkit.matrixkit.noise_whitener`). ``gain = J^-1 W^T L^-1``
+    and ``error_cov = J^-1`` (:func:`_information`); the offset is
+    ``mu - gain A mu`` with a ``prior``, and 0 without one. Built for the
+    error campaign and for a stack of at least ``m`` observations, which
+    apply it; it reads ``L^-1``, which off a factored pair's blocks is then
+    assembled.
+    """
+    ref, mu = _information(white, prior)
     gain = ref @ white.W.T @ white.L_inv
-    offset = 0.0 if prior is None else prior.mean - gain @ (model.A @ prior.mean)
+    offset = 0.0 if prior is None else mu - gain @ (model.A @ mu)
     return gain, offset, ref
 
 
 def _estimate(model: LinearModel, sigma, prior: GaussianPrior | None, x) -> Estimate:
-    """The affine estimate of ``x``, admitted after the noise and before ``J`` is factored."""
+    """The affine estimate of ``x``, admitted after the noise and before ``J`` is factored.
+
+    A stack of at least ``m`` observations applies :func:`_affine`'s gain.
+    Fewer, one observation among them, are estimated without it, as
+    ``mu + J^-1 W^T (L^-1 x - W mu)`` (``mu = 0`` for ML): ``L^-1 x`` is the
+    record's whitening, so no ``m x n`` gain and, off a factored pair's
+    blocks, no ``n x n`` matrix is formed. The two differ in rounding only.
+    """
     white = noise_whitener(model, sigma)
     try:
         stacked = np.ndim(x) == 2
     except ValueError:  # a ragged x, which the array rule refuses by name
         stacked = False
     x = require_array(x, "x", (None, model.n) if stacked else (model.n,))
-    gain, offset, ref = _affine(model, white, prior)
-    return Estimate(s_hat=x @ gain.T + offset, error_cov=ref,
-                    method="ML" if prior is None else "MMSE")
+    method = "ML" if prior is None else "MMSE"
+    if stacked and len(x) >= model.m:
+        gain, offset, ref = _affine(model, white, prior)
+        return Estimate(s_hat=x @ gain.T + offset, error_cov=ref, method=method)
+    ref, mu = _information(white, prior)
+    s_hat = mu + (_whiten(white.factor, x.T).T - white.W @ mu) @ white.W @ ref
+    return Estimate(s_hat=s_hat, error_cov=ref, method=method)
 
 
 def ml_estimate(model: LinearModel, sigma, x) -> Estimate:

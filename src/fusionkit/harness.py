@@ -6,8 +6,9 @@ inverse total information, and checks that they dominate it. Every
 campaign applies the estimators' own affine map, gain, offset and error
 covariance from :func:`fusionkit.estimators._affine`, the map
 :func:`~fusionkit.estimators.ml_estimate` and
-:func:`~fusionkit.estimators.mmse_gaussian_estimate` apply, so it checks
-those estimators and no copy of them; the gain form of the posterior mean
+:func:`~fusionkit.estimators.mmse_gaussian_estimate` apply to a stack of
+at least ``m`` observations (fewer go through the same map unfolded, with no
+gain formed), so it checks those estimators and no copy of them; the gain form of the posterior mean
 is a test oracle and takes no part here. The slack for PSD
 dominance checks is five times the largest per-entry Monte-Carlo standard
 error. That is not a calibrated false-alarm rate: correct estimators fail

@@ -37,10 +37,13 @@ caller builds from the pair's factors only the products it reads. A linear
 model's noise factors, its whitened matrix and that matrix's Gram matrix are
 one record, filled whole and memoized on the model for a bit-equal noise. A
 stacked model's noise that is, block for block, the joint of the pair
-:func:`factor_noise` factored last takes its Cholesky factor from that
-pair's block factors (:func:`_pair_factor`) rather than a factorization of
-its own, when the assembled factor passes :func:`inverse_factor`'s
-certificate; otherwise it is factorized afresh, as any noise is.
+:func:`factor_noise` factored last takes that pair's block factors as its
+Cholesky factor (:func:`_pair_factor`) rather than a factorization of its
+own, when the joint passes :func:`inverse_factor`'s certificate, read off
+the pair's Schur factors; otherwise it is factorized afresh, as any noise
+is. Off the pair's blocks the model is whitened block by block, and the
+``(n1+n2)``-square factor and its inverse are assembled only for a reader
+of them, ``simulate`` and the error campaign.
 A whitened pair's answers do not depend on the basis of the whitening;
 the symmetric roots, which fix the basis that ``place`` prints, are taken by
 ``information.prewhiten`` alone.
@@ -71,7 +74,6 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -355,20 +357,56 @@ def inverse_factor(
     return L, L_inv
 
 
-class _Whitener(NamedTuple):
-    """A linear model's whitened noise, all read-only: the copy ``key`` of
-    its noise ``sigma = L L^T``, ``L``, ``L^-1``, the whitened model ``W = L^-1 A``
-    and its Gram matrix ``W^T W``, the SNR matrix."""
+@dataclass(frozen=True, eq=False)
+class _Whitener:
+    """A linear model's whitened noise, all read-only: the copy ``key`` of its noise
+    ``sigma = L L^T``, the whitened model ``W = L^-1 A``, its Gram matrix ``W^T W`` (the SNR
+    matrix) and the noise factor ``factor``: ``(L, L^-1)`` as :func:`inverse_factor` returns
+    them, or the factored pair's ``(L_v, L_v^-1, W_v, L_F, L_F^-1)`` read by :func:`_pair_factor`.
+
+    :func:`_whiten` applies ``L^-1``. Off a pair's blocks no ``(n1+n2)``-square matrix is
+    formed until ``L`` or ``L^-1`` is read, as ``simulate`` and the error campaign read them:
+    each is then assembled once (:func:`_dense`) and kept.
+    """
 
     key: np.ndarray
-    L: np.ndarray
-    L_inv: np.ndarray
     W: np.ndarray
     snr: np.ndarray
+    factor: tuple[np.ndarray, ...]
+    L = functools.cached_property(lambda self: _dense(self.factor, inverse=False))
+    L_inv = functools.cached_property(lambda self: _dense(self.factor, inverse=True))
+
+
+def _dense(factor: tuple[np.ndarray, ...], inverse: bool) -> np.ndarray:
+    """``L``, or ``L^-1`` if ``inverse``, of a :class:`_Whitener`'s noise factor ``factor``.
+
+    Off a pair's blocks, the read-only ``L = [[L_v, 0], [W_v^T, L_F]]`` or
+    ``L^-1 = [[L_v^-1, 0], [-L_F^-1 W_v^T L_v^-1, L_F^-1]]``.
+    """
+    if len(factor) == 2:
+        return factor[inverse]
+    L_v, L_v_inv, W_v, L_F, L_F_inv = factor
+    top, below, bottom = ((L_v_inv, -L_F_inv @ (W_v.T @ L_v_inv), L_F_inv) if inverse
+                          else (L_v, W_v.T, L_F))
+    return _read_only_copy(np.block([[top, np.zeros(W_v.shape)], [below, bottom]]))
+
+
+def _whiten(factor: tuple[np.ndarray, ...], X) -> np.ndarray:
+    """``L^-1 X`` of a vector or a matrix ``X`` of the noise's rows, for a :class:`_Whitener`'s
+    noise factor ``factor``.
+
+    Off a pair's blocks, ``[L_v^-1 X_1; L_F^-1 (X_2 - W_v^T (L_v^-1 X_1))]`` for ``X``'s first
+    ``n1`` rows ``X_1`` and the rest ``X_2``: no ``(n1+n2)``-square product.
+    """
+    if len(factor) == 2:
+        return factor[1] @ X
+    _, L_v_inv, W_v, _, L_F_inv = factor
+    top = L_v_inv @ X[:len(L_v_inv)]
+    return np.concatenate((top, L_F_inv @ (X[len(L_v_inv):] - W_v.T @ top)))
 
 
 def noise_whitener(model, sigma) -> _Whitener:
-    """The whitened noise of a linear model: ``L`` and ``L^-1`` of ``sigma = L L^T``, as
+    """The whitened noise of a linear model: the factor ``L`` of ``sigma = L L^T``, as
     :func:`inverse_factor`, ``W = L^-1 A`` and the SNR matrix ``W^T W``.
 
     The one admission of a linear model's noise: :func:`admit_symmetric`
@@ -378,10 +416,12 @@ def noise_whitener(model, sigma) -> _Whitener:
     :class:`Singular` and factorizes it. ``L^-1 X`` whitens ``X``,
     ``sigma^-1 = L^-T L^-1``, and ``simulate`` draws the noise as ``z L^T``.
     When the admitted ``sigma`` is the joint of the pair :func:`factor_noise`
-    factored last, bit for bit, and that pair is alive, the factors are read
-    off the pair's block factors by :func:`_pair_factor` instead, under the
-    same certificate: the same decision, and factors within rounding of a
-    fresh factorization's. The caller checks the SNR matrix for overflow.
+    factored last, bit for bit, and that pair is alive, the factor is that
+    pair's block factors instead (:func:`_pair_factor`), under the same
+    certificate: the same decision, and answers within rounding of a fresh
+    factorization's. ``W`` is then whitened block by block, and ``L`` and
+    ``L^-1`` are not formed unless read (:class:`_Whitener`). The caller
+    checks the SNR matrix for overflow.
 
     The record is memoized on ``model``, in its ``_whitener`` slot, as a pair
     memoizes its factorization, so the SNR matrix, both estimators, the error
@@ -402,25 +442,27 @@ def noise_whitener(model, sigma) -> _Whitener:
             sigma.view(np.int64), memo.key.view(np.int64)):
         return memo
     admitted = admit_symmetric(sigma, "noise covariance", model.n)
-    L, L_inv = _pair_factor(admitted) or inverse_factor(admitted, "noise covariance")
-    W = L_inv @ model.A
+    factor = _pair_factor(admitted) or inverse_factor(admitted, "noise covariance")
+    W = _whiten(factor, model.A)
     key = (sigma if given else admitted).copy()  # a copy: writing to sigma leaves it as it was
-    white = _Whitener(key, L, L_inv, W, W.T @ W)
-    for part in white:
+    white = _Whitener(key, W, W.T @ W, factor)
+    for part in (key, W, white.snr, *factor):
         part.setflags(write=False)
     object.__setattr__(model, "_whitener", white)
     return white
 
 
-def _pair_factor(S: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(L, L^-1)`` of the admitted ``S`` read off the last pair :func:`factor_noise` factored.
+def _pair_factor(S: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The block factors ``(L_v, L_v^-1, W_v, L_F, L_F^-1)`` of the admitted ``S``'s Cholesky
+    factor, read off the last pair :func:`factor_noise` factored.
 
     ``S`` must be that noise's joint, block for block to the last bit
-    (``-0.0`` is not ``0.0``). Then ``L = [[L_v, 0], [W_v^T, L_F]]`` and
-    ``L^-1 = [[L_v^-1, 0], [-L_F^-1 W_v^T L_v^-1, L_F^-1]]`` are its Cholesky
-    factor and inverse, kept only under :func:`inverse_factor`'s certificate
-    ``||S||_F ||L^-1||_F^2 <= SINGULAR_CONDITION / _CERTIFY_MARGIN``. ``None``
-    otherwise, and after that noise is freed: the caller factors ``S`` afresh.
+    (``-0.0`` is not ``0.0``). Then ``L = [[L_v, 0], [W_v^T, L_F]]`` is its
+    Cholesky factor, kept only under :func:`inverse_factor`'s certificate,
+    ``||S||_F ||L^-1||_F^2 <= SINGULAR_CONDITION / _CERTIFY_MARGIN``, read off
+    the Schur complements' inverse factors ``L_F^-1`` and ``L_G^-1`` with no
+    ``L^-1`` formed. ``None`` otherwise, and after that noise is freed: the
+    caller factors ``S`` afresh.
     """
     block = None if _last_noise is None else _last_noise()
     if block is None:
@@ -430,13 +472,11 @@ def _pair_factor(S: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
             (S[:n1, :n1], block.sigma_v), (S[:n1, n1:], block.sigma_vu),
             (S[n1:, :n1], block.sigma_vu.T), (S[n1:, n1:], block.sigma_u))):
         return None
-    L_v, L_v_inv, W_v, L_F, L_F_inv = block._factors
-    L, L_inv = np.zeros_like(S), np.zeros_like(S)
-    L[:n1, :n1], L[n1:, :n1], L[n1:, n1:] = L_v, W_v.T, L_F
-    L_inv[:n1, :n1], L_inv[n1:, n1:] = L_v_inv, L_F_inv
-    L_inv[n1:, :n1] = -L_F_inv @ (W_v.T @ L_v_inv)
-    bound = float(np.linalg.norm(S)) * float(np.vdot(L_inv, L_inv))
-    return (L, L_inv) if bound <= SINGULAR_CONDITION / _CERTIFY_MARGIN else None
+    # inverse_factor's bound ||S||_F ||L^-1||_F^2, with ||L^-1||_F^2 = tr(S^-1) = tr(F^-1) +
+    # tr(G^-1) = ||L_F^-1||_F^2 + ||L_G^-1||_F^2: the diagonal blocks of S^-1 are the inverses
+    # of the Schur complements
+    bound = float(np.linalg.norm(S)) * float(sum(np.vdot(M, M) for M in block._factors[4:]))
+    return block._factors[:5] if bound <= SINGULAR_CONDITION / _CERTIFY_MARGIN else None
 
 
 def _frobenius(M) -> np.ndarray:
@@ -516,7 +556,7 @@ class BlockCovariance:
     sigma_v: np.ndarray
     sigma_u: np.ndarray
     sigma_vu: np.ndarray
-    # factor_noise's (L_v, L_v^-1, W_v, L_F, L_F^-1), which _pair_factor reads
+    # factor_noise's (L_v, L_v^-1, W_v, L_F, L_F^-1, L_G^-1), which _pair_factor reads
     _factors: tuple[np.ndarray, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -571,10 +611,13 @@ def factor_noise(block: BlockCovariance):
     and those of the Schur complements ``sigma_u - W_v^T W_v = L_F L_F^T``
     and ``sigma_v - W_u W_u^T = L_G L_G^T``. No inverse is formed.
 
-    ``(L_v, L_v^-1, W_v, L_F, L_F^-1)`` are kept on ``block``, in its
-    ``_factors`` slot, and ``block`` is named, by a weak reference, as the
-    last noise factored: :func:`_pair_factor` assembles the joint's Cholesky
-    factor from them, for as long as the pair is alive.
+    ``(L_v, L_v^-1, W_v, L_F, L_F^-1, L_G^-1)`` are kept on ``block``, in its
+    ``_factors`` slot, once all four decisions have passed, and ``block`` is
+    named, by a weak reference, as the last noise factored: for as long as
+    the pair is alive, :func:`_pair_factor` gives a stacked model the first
+    five as the blocks of its joint's Cholesky factor, certified by the last
+    two. ``information.prewhiten`` reads a filled slot as the four decisions
+    passed.
     """
     global _last_noise
     sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
@@ -588,7 +631,7 @@ def factor_noise(block: BlockCovariance):
     W_u = svu @ L_u_inv.T
     L_F, L_F_inv = _schur_factor(su - W_v.T @ W_v, su, "Schur complement of sigma_u block")
     L_G_inv = _schur_factor(sv - W_u @ W_u.T, sv, "Schur complement of sigma_v block")[1]
-    object.__setattr__(block, "_factors", (L_v, L_v_inv, W_v, L_F, L_F_inv))
+    object.__setattr__(block, "_factors", (L_v, L_v_inv, W_v, L_F, L_F_inv, L_G_inv))
     _last_noise = weakref.ref(block)
     return L_v_inv, L_u_inv, W_v, W_u, L_F_inv, L_G_inv
 

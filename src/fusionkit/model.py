@@ -42,8 +42,9 @@ class LinearModel:
     raises ``ValueError``.
     :func:`~fusionkit.matrixkit.noise_whitener` memoizes the whitened noise
     of the last admitted noise covariance in ``_whitener``, one read-only
-    record, filled whole: the noise's Cholesky factor ``L``, its inverse, the
-    whitened model ``L^-1 A`` and that model's Gram matrix, the SNR matrix.
+    record, filled whole: the noise's Cholesky factor ``L`` with its inverse
+    (or, for a stacked model of a factored pair, that pair's block factors),
+    the whitened model ``L^-1 A`` and that model's Gram matrix, the SNR matrix.
     """
 
     A: np.ndarray
@@ -313,9 +314,11 @@ def simulate(model, prior: SourcePrior, N: int, seed: int, noise=None) -> Sample
     configured (cross-)covariance, drawn as ``z L^T`` through its lower
     Cholesky factor ``L``: for one model the factor of the record
     :func:`~fusionkit.matrixkit.noise_whitener` memoizes on it (which the
-    estimators and the SNR matrix on the same noise then read), for a pair
-    that of the assembled joint covariance. Source and noise streams use
-    independent children of the seed, so each is reproducible on its own.
+    estimators and the SNR matrix on the same noise then read; a stacked
+    model's, read off a factored pair's blocks, is assembled from them on the
+    first read), for a pair that of the assembled joint covariance. Source
+    and noise streams use independent children of the seed, so each is
+    reproducible on its own.
 
     A :class:`ModalityPair` carries its own noise, so ``noise`` must be
     ``None`` for one.

@@ -286,8 +286,11 @@ def test_an_overflowing_posterior_information_is_non_finite(call):
             call(LinearModel([[1.0]]), [[1e-308]], prior)
 
 
-def pair_of_rho(n1, n2, m, sigma_max, seed=11):
-    """A pair whose whitened cross-correlation has ``sigma_max``, a prior and two observations."""
+def pair_of_rho(n1, n2, m, sigma_max, seed=11, k=2):
+    """A pair whose whitened cross-correlation has ``sigma_max``, a prior and ``k`` observations.
+
+    ``k = 1`` gives one observation as a vector, any other ``k`` a ``(k, n1 + n2)`` stack.
+    """
     rng = np.random.default_rng(seed)
     sigma_v, sigma_u = random_pd(rng, n1), random_pd(rng, n2)
     rho = random_admissible_rho(rng, n1, n2, sigma_max)
@@ -295,7 +298,8 @@ def pair_of_rho(n1, n2, m, sigma_max, seed=11):
     pair = ModalityPair(LinearModel(rng.standard_normal((n1, m))),
                         LinearModel(rng.standard_normal((n2, m))), noise)
     prior = GaussianPrior(rng.standard_normal(m), random_pd(rng, m))
-    return pair, prior, rng.standard_normal((2, n1 + n2))
+    X = rng.standard_normal((k, n1 + n2))
+    return pair, prior, X[0] if k == 1 else X
 
 
 def stacked_estimates(pair, prior, X):
@@ -305,12 +309,15 @@ def stacked_estimates(pair, prior, X):
     return ml_estimate(model, sigma, X), mmse_gaussian_estimate(model, sigma, prior, X)
 
 
+@pytest.mark.parametrize("k", [1, 2, 10])
 @pytest.mark.parametrize("n1, n2, m, sigma_max", [
     (3, 2, 2, 0.8), (40, 30, 10, 0.8), (3, 2, 2, 1.0 - 5e-7), (40, 30, 10, 1.0 - 5e-7)])
-def test_a_factored_pair_whitens_its_stacked_model_as_a_fresh_one(n1, n2, m, sigma_max):
+def test_a_factored_pair_whitens_its_stacked_model_as_a_fresh_one(n1, n2, m, sigma_max, k):
     # the stacked model of a factored pair reads its noise factor off the pair's
-    # block factors; the never-factored pair's model factors the joint afresh
-    pair, prior, X = pair_of_rho(n1, n2, m, sigma_max)
+    # block factors; the never-factored pair's model factors the joint afresh. Fewer
+    # than m observations (one as a vector) are whitened through the factor, block by
+    # block off the pair's; m or more go through the gain J^-1 W^T L^-1
+    pair, prior, X = pair_of_rho(n1, n2, m, sigma_max, k=k)
     fresh = stacked_estimates(pair, prior, X)
     joint_information(pair, prior)
     reused = stacked_estimates(pair, prior, X)
@@ -319,11 +326,11 @@ def test_a_factored_pair_whitens_its_stacked_model_as_a_fresh_one(n1, n2, m, sig
     tol = max(1e-12, float(w[-1] / w[0]) * np.finfo(float).eps)
     for got, want in zip(reused, fresh):
         assert (got.method, got.s_hat.shape) == (want.method, want.s_hat.shape)
-        assert rel_fro(got.s_hat, want.s_hat) <= tol
+        assert rel_fro(np.atleast_2d(got.s_hat), np.atleast_2d(want.s_hat)) <= tol
         assert rel_fro(got.error_cov, want.error_cov) <= tol
     if n1 == 3:  # and as close to the exact ML estimate as the fresh factor
         H, sigma = np.vstack((pair.first.A, pair.second.A)), pair.noise.joint()
-        Hq, Sq = exact.rational(H), exact.rational(sigma)
+        Hq, Sq, Xq = exact.rational(H), exact.rational(sigma), exact.rational(np.atleast_2d(X).T)
         J = exact.matmul(exact.transpose(Hq), exact.solve(Sq, Hq))
-        s = exact.solve(J, exact.matmul(exact.transpose(Hq), exact.solve(Sq, exact.rational(X.T))))
-        assert rel_fro(reused[0].s_hat, np.array(s, dtype=float).T) <= tol
+        s = exact.solve(J, exact.matmul(exact.transpose(Hq), exact.solve(Sq, Xq)))
+        assert rel_fro(np.atleast_2d(reused[0].s_hat), np.array(s, dtype=float).T) <= tol

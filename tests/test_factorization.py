@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -38,13 +39,15 @@ from fusionkit import (
     mmse_gaussian_estimate,
     optimal_secondary,
     prewhiten,
+    simulate,
     snr_matrix,
     synergy_matrices,
 )
 import fusionkit
-from fusionkit import advisor, information, matrixkit, placement
+from fusionkit import advisor, estimators, information, matrixkit, placement
 from fusionkit.cli import main
 from fusionkit.matrixkit import factor_noise, symmetrize
+from fusionkit.model import draw_rows, draw_streams
 
 from conftest import (
     empty_placement_caches,
@@ -282,13 +285,16 @@ def small_question(seed):
 # pair (matrixkit._pair_factor; none is alive here), ml_estimate made 18/30.
 # While a linear model's memo was a 3- or 5-tuple, filled in two stages by
 # noise_whitener and _whitened_model, with a writable key, ml_estimate made 19/30;
-# the one record costs its constructor and the key's setflags.
+# the one record costs its constructor and the key's setflags. While one
+# observation was estimated through the m x n gain J^-1 W^T L^-1 (_affine),
+# ml_estimate made 18/31; it now whitens x through the record's factor
+# (_whiten, also the whitening of A) and takes J^-1 and mu from _information.
 CALL_PINS = {
     "advise": {"fusionkit": 44, "from_fusionkit": 74},
     "joint_information": {"fusionkit": 37, "from_fusionkit": 58},
     "synergy_matrices": {"fusionkit": 29, "from_fusionkit": 57},
     "optimal_secondary": {"fusionkit": 29, "from_fusionkit": 64},
-    "ml_estimate": {"fusionkit": 18, "from_fusionkit": 31},
+    "ml_estimate": {"fusionkit": 20, "from_fusionkit": 35},
     "local_optimality_probe, slot miss": {"fusionkit": 21, "from_fusionkit": 33},
     "local_optimality_probe, slot hit": {"fusionkit": 11, "from_fusionkit": 20},
 }
@@ -796,11 +802,91 @@ def test_a_factored_pair_gives_its_stacked_model_the_noise_factor(monkeypatch):
     joint_information(pair)
     assert lapack_calls(monkeypatch, ml) == REUSED_STACKED
     assert noise_factorizations(monkeypatch, ml, 70) == 0
+    # the record keeps the pair's blocks as its factor, the arrays themselves
     white = matrixkit.noise_whitener(LinearModel(np.ones((70, 1))), pair.noise.joint())
-    L, L_inv = white.L, white.L_inv
+    assert len(white.factor) == 5
+    assert all(mine is theirs for mine, theirs in zip(white.factor, pair.noise._factors))
+    L, L_inv = white.L, white.L_inv  # assembled on this first read
     assert rel_fro(L @ L.T, pair.noise.joint()) <= 1e-15
     assert rel_fro(L_inv @ L, np.eye(70)) <= 1e-14
     assert np.array_equal(L, np.tril(L)) and np.array_equal(L_inv, np.tril(L_inv))
+    assert white.L is L and white.L_inv is L_inv  # and kept
+
+
+def entrywise_factor(noise):
+    """The joint's ``(L, L^-1)`` assembled off a factored noise's blocks, entry by entry."""
+    L_v, L_v_inv, W_v, L_F, L_F_inv, _ = noise._factors
+    n1, n = noise.n1, noise.n1 + noise.n2
+    L, L_inv = np.zeros((n, n)), np.zeros((n, n))
+    L[:n1, :n1], L[n1:, :n1], L[n1:, n1:] = L_v, W_v.T, L_F
+    L_inv[:n1, :n1], L_inv[n1:, n1:] = L_v_inv, L_F_inv
+    L_inv[n1:, :n1] = -L_F_inv @ (W_v.T @ L_v_inv)
+    return L, L_inv
+
+
+def test_estimates_off_a_factored_pair_form_no_joint_factor_inverse_or_gain(monkeypatch):
+    # one observation by ML then MMSE on the stacked (200,150,20) model: no 350-row
+    # Cholesky, no 350-square L or L^-1 and no m x n gain; the memo's key, a copy
+    # of sigma, is the one 350-square float array, so the peak of traced
+    # allocations stays below two of them
+    pair = planted_pair(np.random.default_rng(47), 200, 150, 20)
+    prior = GaussianPrior(mean=np.zeros(20), cov=np.eye(20))
+    joint_information(pair)
+    model, sigma = LinearModel(np.vstack((pair.first.A, pair.second.A))), pair.noise.joint()
+    x = np.random.default_rng(0).standard_normal(350)
+    gains = []
+    monkeypatch.setattr(estimators, "_affine", lambda *args: gains.append(args))
+
+    def both():
+        tracemalloc.start()
+        try:
+            ml_estimate(model, sigma, x)
+            mmse_gaussian_estimate(model, sigma, prior, x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peaks = []
+    assert sized_calls(monkeypatch, lambda: peaks.append(both()))["cholesky", 350] == 0
+    assert gains == [] and peaks[0] < 2 * 350 * 350 * 8
+    assert "L" not in vars(model._whitener) and "L_inv" not in vars(model._whitener)
+
+
+def test_simulate_and_the_campaign_read_the_pair_factor_assembled_as_before():
+    # after ML then MMSE have left the record with the pair's blocks only, simulate
+    # draws through L and the campaign applies J^-1 W^T L^-1 with the L and L^-1
+    # that assembling the blocks entry by entry gives, bit for bit
+    pair = planted_pair(np.random.default_rng(48), 5, 4, 3)
+    prior = GaussianPrior(mean=np.ones(3), cov=np.eye(3))
+    joint_information(pair)
+    model, sigma = LinearModel(np.vstack((pair.first.A, pair.second.A))), pair.noise.joint()
+    ml_estimate(model, sigma, np.ones(9))
+    mmse_gaussian_estimate(model, sigma, prior, np.ones(9))
+    white = model._whitener
+    assert len(white.factor) == 5 and not {"L", "L_inv"} & set(vars(white))
+    L, L_inv = entrywise_factor(pair.noise)
+    batch = simulate(model, prior, 50, 7, noise=sigma)
+    sources, noise_rows = draw_rows(prior, L, 50, draw_streams(7))
+    assert np.array_equal(batch.observations, sources @ model.A.T + noise_rows)
+    assert np.array_equal(white.L, L) and "L_inv" not in vars(white)
+    for method in ("ml", "mmse"):
+        empirical_error_covariance(method, model, prior, sigma, N=1000, seed=3)
+        assert model._whitener is white and np.array_equal(white.L_inv, L_inv)
+    gain, _, ref = estimators._affine(model, white, prior)
+    assert np.array_equal(gain, ref @ white.W.T @ L_inv)
+
+
+def test_the_block_certificate_is_the_assembled_one():
+    # ||S||_F (||L_F^-1||_F^2 + ||L_G^-1||_F^2) is ||S||_F ||L^-1||_F^2 of the assembled
+    # L^-1: tr(S^-1) = tr(F^-1) + tr(G^-1)
+    for n1, n2, seed in ((3, 2, 49), (40, 30, 50), (200, 150, 51)):
+        pair = planted_pair(np.random.default_rng(seed), n1, n2, 2)  # sigma_max(rho) = 0.8
+        factor_noise(pair.noise)
+        S, (_, L_inv) = pair.noise.joint(), entrywise_factor(pair.noise)
+        L_F_inv, L_G_inv = pair.noise._factors[4:]
+        block = np.linalg.norm(S) * (np.vdot(L_F_inv, L_F_inv) + np.vdot(L_G_inv, L_G_inv))
+        assembled = np.linalg.norm(S) * np.vdot(L_inv, L_inv)
+        assert abs(block - assembled) <= 1e-12 * assembled
 
 
 @pytest.mark.parametrize("change", ["last bit", "-0.0 above", "-0.0 below"])
@@ -1063,10 +1149,12 @@ def test_a_different_sigma_replaces_the_slot(rng, monkeypatch):
         fresh = ml_estimate(LinearModel(model.A), noise, x)
         assert np.array_equal(call().s_hat, fresh.s_hat)
         assert np.array_equal(call().error_cov, fresh.error_cov)
-    # the memo is one record of read-only parts, the key among them
+    # the memo is one record of read-only parts, the key among them; a fresh
+    # factor is (L, L^-1), which the record reads as they are
     white = model._whitener
-    assert white._fields == ("key", "L", "L_inv", "W", "snr")
-    for part in white:
+    assert [f.name for f in dataclasses.fields(white)] == ["key", "W", "snr", "factor"]
+    assert white.L is white.factor[0] and white.L_inv is white.factor[1]
+    for part in (white.key, white.W, white.snr, *white.factor):
         with pytest.raises(ValueError, match="read-only"):
             part[0, 0] = 1.0
 
@@ -1092,6 +1180,27 @@ def test_every_whitening_applies_the_marginal_guard():
     prior = GaussianPrior(mean=np.zeros(2), cov=np.eye(2))
     with pytest.raises(Singular, match="sigma_v is numerically singular"):
         joint_information_nonlinear(h, g, pair.noise, prior, N=10, seed=0)
+
+
+def test_prewhiten_reads_the_decisions_of_a_factored_pair(monkeypatch):
+    # a noise whose four decisions passed keeps its factors: prewhiten then takes
+    # its two eigen-solves and no Cholesky factorization, with the answers of a
+    # never-factored noise; a refused noise keeps none and is refused every call
+    pair = planted_pair(np.random.default_rng(52), 40, 30, 10)
+    joint_information(pair)
+    calls = lapack_calls(monkeypatch, lambda: prewhiten(pair))
+    assert calls == {"numpy.linalg.eigh": 2}
+    noise = pair.noise
+    twin = BlockCovariance(noise.sigma_v, noise.sigma_u, noise.sigma_vu)
+    want = prewhiten(ModalityPair(pair.first, pair.second, twin))
+    got = prewhiten(pair)
+    for name in ("A_tilde", "B_tilde", "rho"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    bad = ill_conditioned_marginal_pair()
+    for call in (joint_information, prewhiten, prewhiten):
+        with pytest.raises(Singular, match="sigma_v is numerically singular"):
+            call(bad)
+        assert bad.noise._factors is None
 
 
 def test_place_applies_the_marginal_guard(tmp_path, capsys):

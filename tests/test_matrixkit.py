@@ -600,8 +600,11 @@ def test_noise_guard_sweep_smoke(tmp_path):
     # joint guard at 3 rows only (a pair needs two), on its 5 spectra
     assert summary["trials"] == 2 * 12 * 2 * 2 + 5 * 2 and summary["agreement_rate"] == 1.0
     assert summary["joint_trials_reusing_the_pair_factor"] > 0
+    # the block certificate the whitener reads against the assembled one
+    assert summary["certified_refusals"] == 0 and summary["worst_certificate_ratio_error"] < 1e-3
     rows = out.with_suffix(".csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 12 * 2 + 5
+    assert rows[0].endswith(",worst_certificate_ratio_error,certified_refusals")
 
 
 def test_whitening_accuracy_sweep_smoke(tmp_path):
