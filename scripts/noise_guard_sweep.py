@@ -145,7 +145,7 @@ def certificates(noise):
     ``matrixkit._pair_factor`` reads it; ``assembled`` is ``||S||_F ||L^-1||_F^2``
     of the joint's inverse factor assembled off the pair's blocks.
     """
-    S, L_F_inv, L_G_inv = noise.joint(), *noise._factors[4:]
+    S, L_F_inv, L_G_inv = noise.joint(), *noise._factors[4:6]
     L_inv = _dense(noise._factors[:5], inverse=True)
     scale = float(np.linalg.norm(S))
     return (scale * float(np.vdot(L_F_inv, L_F_inv) + np.vdot(L_G_inv, L_G_inv)),

@@ -6,17 +6,18 @@ weight ``sigma^-1``) and the Gaussian posterior mean are both affine in
 ``x``: ``s_hat = mu + J^-1 W^T (L^-1 x - W mu)`` with ``W = L^-1 A``. ``J``
 is the SNR matrix ``W^T W`` for ML, whose ``mu`` is 0, and the SNR matrix
 plus the prior's information for MMSE, whose ``mu`` is the prior mean. The
-error covariance is ``J^-1 = crlb(J)`` (:func:`_information`). Fewer than
-``m`` observations, one among them, are whitened and estimated so, with no
-``m x n`` gain; a stack of at least ``m`` rows, and the error campaign of
-:mod:`~fusionkit.harness`, apply the gain ``J^-1 W^T L^-1`` and the offset
-``mu - gain A mu`` of :func:`_affine`, so the campaign checks the
-estimators' map itself. ``L^-1 x``, ``W`` and ``W^T W`` come off the
-model's one record of its whitened noise, memoized for a bit-equal noise
+error covariance is ``J^-1 = crlb(J)`` (:func:`_information`). One
+observation or a stack of them is whitened and estimated so, with no
+``m x n`` gain formed. The error campaign of :mod:`~fusionkit.harness`
+applies the same map with the gain folded, ``J^-1 W^T L^-1``, and the
+offset ``mu - gain A mu`` (:func:`_affine`), from the same
+:func:`_information`: the two differ in rounding only. ``L^-1 x``, ``W``
+and ``W^T W`` come off the model's one record of its whitened noise,
+memoized for a bit-equal noise
 (:func:`~fusionkit.matrixkit.noise_whitener`), so ML then MMSE on one model
 and noise factor the noise and whiten the model once; on a stacked model of
 a factored pair that record whitens block by block off the pair's factors,
-and one observation forms no ``n x n`` matrix. ``J`` is symmetric and
+and no estimate forms an ``n x n`` matrix. ``J`` is symmetric and
 finite as built, so it is wrapped as an
 :class:`~fusionkit.information.InfoMatrix` without being admitted again.
 """
@@ -68,9 +69,8 @@ def _affine(model: LinearModel, white, prior: GaussianPrior | None = None):
     (:func:`~fusionkit.matrixkit.noise_whitener`). ``gain = J^-1 W^T L^-1``
     and ``error_cov = J^-1`` (:func:`_information`); the offset is
     ``mu - gain A mu`` with a ``prior``, and 0 without one. Built for the
-    error campaign and for a stack of at least ``m`` observations, which
-    apply it; it reads ``L^-1``, which off a factored pair's blocks is then
-    assembled.
+    error campaign, which applies it to each block of its draws; it reads
+    ``L^-1``, which off a factored pair's blocks is then assembled.
     """
     ref, mu = _information(white, prior)
     gain = ref @ white.W.T @ white.L_inv
@@ -81,11 +81,11 @@ def _affine(model: LinearModel, white, prior: GaussianPrior | None = None):
 def _estimate(model: LinearModel, sigma, prior: GaussianPrior | None, x) -> Estimate:
     """The affine estimate of ``x``, admitted after the noise and before ``J`` is factored.
 
-    A stack of at least ``m`` observations applies :func:`_affine`'s gain.
-    Fewer, one observation among them, are estimated without it, as
-    ``mu + J^-1 W^T (L^-1 x - W mu)`` (``mu = 0`` for ML): ``L^-1 x`` is the
-    record's whitening, so no ``m x n`` gain and, off a factored pair's
-    blocks, no ``n x n`` matrix is formed. The two differ in rounding only.
+    ``mu + J^-1 W^T (L^-1 x - W mu)`` (``mu = 0`` for ML), for one
+    observation or a stack: ``L^-1 x`` is the record's whitening, so no
+    ``m x n`` gain and, off a factored pair's blocks, no ``n x n`` matrix is
+    formed. :func:`_affine`'s gain, which the campaign applies, is the same
+    map folded; the two differ in rounding only.
     """
     white = noise_whitener(model, sigma)
     try:
@@ -93,13 +93,9 @@ def _estimate(model: LinearModel, sigma, prior: GaussianPrior | None, x) -> Esti
     except ValueError:  # a ragged x, which the array rule refuses by name
         stacked = False
     x = require_array(x, "x", (None, model.n) if stacked else (model.n,))
-    method = "ML" if prior is None else "MMSE"
-    if stacked and len(x) >= model.m:
-        gain, offset, ref = _affine(model, white, prior)
-        return Estimate(s_hat=x @ gain.T + offset, error_cov=ref, method=method)
     ref, mu = _information(white, prior)
     s_hat = mu + (_whiten(white.factor, x.T).T - white.W @ mu) @ white.W @ ref
-    return Estimate(s_hat=s_hat, error_cov=ref, method=method)
+    return Estimate(s_hat=s_hat, error_cov=ref, method="ML" if prior is None else "MMSE")
 
 
 def ml_estimate(model: LinearModel, sigma, x) -> Estimate:

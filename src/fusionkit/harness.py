@@ -3,13 +3,13 @@
 :func:`empirical_error_covariance` simulates, estimates and accumulates
 second moments, then compares them with the theoretical reference, the
 inverse total information, and checks that they dominate it. Every
-campaign applies the estimators' own affine map, gain, offset and error
-covariance from :func:`fusionkit.estimators._affine`, the map
+campaign applies the estimators' affine map folded into a gain, with its
+offset and error covariance, from :func:`fusionkit.estimators._affine`:
 :func:`~fusionkit.estimators.ml_estimate` and
-:func:`~fusionkit.estimators.mmse_gaussian_estimate` apply to a stack of
-at least ``m`` observations (fewer go through the same map unfolded, with no
-gain formed), so it checks those estimators and no copy of them; the gain form of the posterior mean
-is a test oracle and takes no part here. The slack for PSD
+:func:`~fusionkit.estimators.mmse_gaussian_estimate` apply the same map
+unfolded, on the same ``J^-1``, so the two differ in rounding only, and a
+test holds each estimator's errors to the campaign's. The gain form of the
+posterior mean is a test oracle and takes no part here. The slack for PSD
 dominance checks is five times the largest per-entry Monte-Carlo standard
 error. That is not a calibrated false-alarm rate: correct estimators fail
 it in about 1 campaign in 240 in the benchmark (3 of 3000 at N = 2000 in
@@ -90,7 +90,7 @@ def empirical_error_covariance(
     the posterior covariance). Either reference is the inverse total
     information ``J^-1``, so the CRLB dominance check compares the empirical
     covariance against it, with Monte-Carlo slack, and inverts nothing more.
-    Both apply the estimators' affine map ``X gain^T + offset`` with
+    Both apply the estimators' affine map folded, ``X gain^T + offset`` with
     ``gain = J^-1 A^T Sigma^-1`` (:func:`fusionkit.estimators._affine`): the
     offset is 0 for ML and ``mu - gain A mu`` for MMSE, so no LU solve of the
     innovation covariance ``A G A^T + Sigma`` runs and its conditioning does

@@ -331,11 +331,10 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
     reports ``B_star``. After whitening the noises have identity
     covariance and cross correlation ``rho``; the joint covariance being PD
     forces every singular value of rho below one. Raises :class:`NotPD` or
-    :class:`Singular` as :func:`factor_noise` does: on a noise not factored
-    before it runs the same four decisions (two marginal inverse factors, two
-    Schur factors) before its one eigen-solve per marginal, and none of the
-    products built on them; a noise that keeps the factors of an earlier
-    :func:`factor_noise` has passed them, so it takes the eigen-solves alone.
+    :class:`Singular` as :func:`factor_noise` does: it takes the same four
+    decisions (two marginal inverse factors, two Schur factors), or their
+    kept factors on a noise that passed them before, ahead of its one
+    eigen-solve per marginal, and none of the products built on them.
     """
     return _prewhiten_with_root(pair)[0]
 
@@ -343,8 +342,7 @@ def prewhiten(pair: ModalityPair) -> WhitenedPair:
 def _prewhiten_with_root(pair: ModalityPair) -> tuple[WhitenedPair, np.ndarray]:
     """:func:`prewhiten`, and the root ``L_u`` of ``sigma_u`` that maps ``B_tilde`` back."""
     noise = pair.noise
-    if noise._factors is None:  # a factored noise has passed the pair's four decisions
-        factor_noise(noise)  # refuses what the pair's factorization refuses
+    factor_noise(noise)  # refuses what the pair's factorization refuses
     w_v, V_v = np.linalg.eigh(noise.sigma_v)
     w_u, V_u = np.linalg.eigh(noise.sigma_u)
     L_v_inv = symmetrize((V_v / np.sqrt(w_v)) @ V_v.T)

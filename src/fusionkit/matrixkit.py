@@ -475,7 +475,7 @@ def _pair_factor(S: np.ndarray) -> tuple[np.ndarray, ...] | None:
     # inverse_factor's bound ||S||_F ||L^-1||_F^2, with ||L^-1||_F^2 = tr(S^-1) = tr(F^-1) +
     # tr(G^-1) = ||L_F^-1||_F^2 + ||L_G^-1||_F^2: the diagonal blocks of S^-1 are the inverses
     # of the Schur complements
-    bound = float(np.linalg.norm(S)) * float(sum(np.vdot(M, M) for M in block._factors[4:]))
+    bound = float(np.linalg.norm(S)) * float(sum(np.vdot(M, M) for M in block._factors[4:6]))
     return block._factors[:5] if bound <= SINGULAR_CONDITION / _CERTIFY_MARGIN else None
 
 
@@ -556,7 +556,8 @@ class BlockCovariance:
     sigma_v: np.ndarray
     sigma_u: np.ndarray
     sigma_vu: np.ndarray
-    # factor_noise's (L_v, L_v^-1, W_v, L_F, L_F^-1, L_G^-1), which _pair_factor reads
+    # factor_noise's (L_v, L_v^-1, W_v, L_F, L_F^-1, L_G^-1, L_u^-1, W_u), the first six of
+    # which _pair_factor reads
     _factors: tuple[np.ndarray, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -611,28 +612,32 @@ def factor_noise(block: BlockCovariance):
     and those of the Schur complements ``sigma_u - W_v^T W_v = L_F L_F^T``
     and ``sigma_v - W_u W_u^T = L_G L_G^T``. No inverse is formed.
 
-    ``(L_v, L_v^-1, W_v, L_F, L_F^-1, L_G^-1)`` are kept on ``block``, in its
-    ``_factors`` slot, once all four decisions have passed, and ``block`` is
-    named, by a weak reference, as the last noise factored: for as long as
-    the pair is alive, :func:`_pair_factor` gives a stacked model the first
-    five as the blocks of its joint's Cholesky factor, certified by the last
-    two. ``information.prewhiten`` reads a filled slot as the four decisions
-    passed.
+    ``(L_v, L_v^-1, W_v, L_F, L_F^-1, L_G^-1, L_u^-1, W_u)`` are kept on
+    ``block``, in its ``_factors`` slot, once all four decisions have passed,
+    so a later call on ``block`` returns them with no factorization. Each
+    call that passes names ``block``, by a weak reference, as the last noise
+    factored: for as long as the pair is alive, :func:`_pair_factor` gives a
+    stacked model the first five as the blocks of its joint's Cholesky
+    factor, certified by ``L_F^-1`` and ``L_G^-1``. A refusal keeps nothing,
+    so every call on a refused noise refuses it again.
     """
     global _last_noise
-    sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
-    L_v, L_v_inv = inverse_factor(sv, "sigma_v")
-    _, L_u_inv = inverse_factor(su, "sigma_u")
-    # Each Schur complement subtracts a Gram matrix of a half-whitened
-    # cross-covariance: sigma_uv sigma_v^-1 sigma_vu = W_v^T W_v. Near the
-    # condition limit its smallest eigenvalue is far more accurate than with
-    # the explicit inverse in the middle.
-    W_v = L_v_inv @ svu
-    W_u = svu @ L_u_inv.T
-    L_F, L_F_inv = _schur_factor(su - W_v.T @ W_v, su, "Schur complement of sigma_u block")
-    L_G_inv = _schur_factor(sv - W_u @ W_u.T, sv, "Schur complement of sigma_v block")[1]
-    object.__setattr__(block, "_factors", (L_v, L_v_inv, W_v, L_F, L_F_inv, L_G_inv))
+    if block._factors is None:
+        sv, su, svu = block.sigma_v, block.sigma_u, block.sigma_vu
+        L_v, L_v_inv = inverse_factor(sv, "sigma_v")
+        _, L_u_inv = inverse_factor(su, "sigma_u")
+        # Each Schur complement subtracts a Gram matrix of a half-whitened
+        # cross-covariance: sigma_uv sigma_v^-1 sigma_vu = W_v^T W_v. Near the
+        # condition limit its smallest eigenvalue is far more accurate than with
+        # the explicit inverse in the middle.
+        W_v = L_v_inv @ svu
+        W_u = svu @ L_u_inv.T
+        L_F, L_F_inv = _schur_factor(su - W_v.T @ W_v, su, "Schur complement of sigma_u block")
+        L_G_inv = _schur_factor(sv - W_u @ W_u.T, sv, "Schur complement of sigma_v block")[1]
+        object.__setattr__(block, "_factors",
+                           (L_v, L_v_inv, W_v, L_F, L_F_inv, L_G_inv, L_u_inv, W_u))
     _last_noise = weakref.ref(block)
+    _, L_v_inv, W_v, _, L_F_inv, L_G_inv, L_u_inv, W_u = block._factors
     return L_v_inv, L_u_inv, W_v, W_u, L_F_inv, L_G_inv
 
 

@@ -314,9 +314,9 @@ def stacked_estimates(pair, prior, X):
     (3, 2, 2, 0.8), (40, 30, 10, 0.8), (3, 2, 2, 1.0 - 5e-7), (40, 30, 10, 1.0 - 5e-7)])
 def test_a_factored_pair_whitens_its_stacked_model_as_a_fresh_one(n1, n2, m, sigma_max, k):
     # the stacked model of a factored pair reads its noise factor off the pair's
-    # block factors; the never-factored pair's model factors the joint afresh. Fewer
-    # than m observations (one as a vector) are whitened through the factor, block by
-    # block off the pair's; m or more go through the gain J^-1 W^T L^-1
+    # block factors; the never-factored pair's model factors the joint afresh. Below
+    # and above m observations (one as a vector), each is whitened through the factor,
+    # block by block off the pair's
     pair, prior, X = pair_of_rho(n1, n2, m, sigma_max, k=k)
     fresh = stacked_estimates(pair, prior, X)
     joint_information(pair, prior)

@@ -815,7 +815,7 @@ def test_a_factored_pair_gives_its_stacked_model_the_noise_factor(monkeypatch):
 
 def entrywise_factor(noise):
     """The joint's ``(L, L^-1)`` assembled off a factored noise's blocks, entry by entry."""
-    L_v, L_v_inv, W_v, L_F, L_F_inv, _ = noise._factors
+    L_v, L_v_inv, W_v, L_F, L_F_inv, *_ = noise._factors
     n1, n = noise.n1, noise.n1 + noise.n2
     L, L_inv = np.zeros((n, n)), np.zeros((n, n))
     L[:n1, :n1], L[n1:, :n1], L[n1:, n1:] = L_v, W_v.T, L_F
@@ -883,7 +883,7 @@ def test_the_block_certificate_is_the_assembled_one():
         pair = planted_pair(np.random.default_rng(seed), n1, n2, 2)  # sigma_max(rho) = 0.8
         factor_noise(pair.noise)
         S, (_, L_inv) = pair.noise.joint(), entrywise_factor(pair.noise)
-        L_F_inv, L_G_inv = pair.noise._factors[4:]
+        L_F_inv, L_G_inv = pair.noise._factors[4:6]
         block = np.linalg.norm(S) * (np.vdot(L_F_inv, L_F_inv) + np.vdot(L_G_inv, L_G_inv))
         assembled = np.linalg.norm(S) * np.vdot(L_inv, L_inv)
         assert abs(block - assembled) <= 1e-12 * assembled
@@ -1201,6 +1201,27 @@ def test_prewhiten_reads_the_decisions_of_a_factored_pair(monkeypatch):
         with pytest.raises(Singular, match="sigma_v is numerically singular"):
             call(bad)
         assert bad.noise._factors is None
+
+
+def test_a_factored_noise_is_read_back_and_named_last_on_every_call(monkeypatch):
+    # factor_noise keeps a noise's factors once its four decisions pass: prewhiten,
+    # a new pair on that noise and the nonlinear joint information then factor no
+    # 40- or 30-row matrix, and each names the noise the last factored, so its
+    # stacked model reads the pair's blocks though another pair was factored between
+    pair = planted_pair(np.random.default_rng(53), 40, 30, 10)
+    other = planted_pair(np.random.default_rng(54), 40, 30, 10)
+    joint_information(pair)
+    h, g = NonlinearModel.linear(pair.first.A), NonlinearModel.linear(pair.second.A)
+    prior = GaussianPrior(mean=np.zeros(10), cov=np.eye(10))
+    for call in (lambda: prewhiten(pair),
+                 lambda: joint_information(ModalityPair(pair.first, pair.second, pair.noise)),
+                 lambda: joint_information_nonlinear(h, g, pair.noise, prior, N=8, seed=0)):
+        joint_information(other)
+        assert not {rows for _, rows in sized_calls(monkeypatch, call)} & {40, 30}
+        assert lapack_calls(monkeypatch, stacked_ml(pair)) == REUSED_STACKED
+    assert len(pair.noise._factors) == 8
+    assert all(got is kept for got, kept in zip(
+        factor_noise(pair.noise), (pair.noise._factors[i] for i in (1, 6, 2, 7, 4, 5))))
 
 
 def test_place_applies_the_marginal_guard(tmp_path, capsys):

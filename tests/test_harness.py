@@ -15,17 +15,19 @@ from fusionkit import (
     campaign_to_csv,
     crlb,
     empirical_error_covariance,
+    joint_information,
     ml_estimate,
     mmse_gaussian_estimate,
     simulate,
     snr_matrix,
 )
+from fusionkit import estimators
 from fusionkit.cli import load_scenario
 from fusionkit.information import DEFAULT_BLOCK
 from fusionkit.matrixkit import noise_whitener, symmetrize
 from fusionkit.model import draw_rows, draw_streams
 
-from conftest import random_pd, readme_demo, rel_fro
+from conftest import random_pair, random_pd, readme_demo, rel_fro
 from oracles import check_crlb_dominance, fisher_finite_difference
 
 
@@ -258,11 +260,24 @@ class TestStreamedCampaign:
         assert peak < 4e6, peak
 
 
-@pytest.mark.parametrize("method", ["ml", "mmse"])
-def test_the_campaign_measures_the_estimators_own_errors(method):
-    # N = 5000 draws are one block: the campaign's second moments are those of
-    # the errors of ml_estimate or mmse_gaussian_estimate on simulate's rows
-    model, sigma, prior = campaign_scenario()
+def factored_pair_scenario():
+    """A stacked model of a factored (5,4) pair, its noise factor the pair's blocks; the pair last."""
+    rng = np.random.default_rng(26)
+    pair = random_pair(rng, 5, 4, 3)
+    joint_information(pair)
+    model = LinearModel(np.vstack((pair.first.A, pair.second.A)))
+    prior = GaussianPrior(mean=rng.standard_normal(3), cov=random_pd(rng, 3))
+    assert len(noise_whitener(model, pair.noise.joint()).factor) == 5
+    return model, pair.noise.joint(), prior, pair
+
+
+def estimators_off_the_campaign(method, scenario):
+    """Relative distance of the second moments of the estimators' errors from the campaign's.
+
+    N = 5000 draws are one block, on ``simulate``'s rows; the estimators' error
+    covariance is the campaign's reference, bit for bit.
+    """
+    model, sigma, prior, *_ = scenario()  # the pair stays alive until the return
     N = 5000
     res = empirical_error_covariance(method, model, prior, sigma, N=N, seed=11)
     batch = simulate(model, prior, N, 11, noise=sigma)
@@ -270,15 +285,33 @@ def test_the_campaign_measures_the_estimators_own_errors(method):
         est = ml_estimate(model, sigma, batch.observations)
     else:
         est = mmse_gaussian_estimate(model, sigma, prior, batch.observations)
-    E = batch.sources - est.s_hat
-    assert rel_fro(res.empirical_error_cov, E.T @ E / N) <= 1e-12
     assert np.array_equal(res.theoretical_ref, est.error_cov)
+    E = batch.sources - est.s_hat
+    return rel_fro(res.empirical_error_cov, E.T @ E / N)
+
+
+@pytest.mark.parametrize("method", ["ml", "mmse"])
+def test_the_campaign_measures_the_estimators_own_errors(method):
+    # the estimators apply the campaign's map unfolded, on a fresh noise factor
+    # and on a factored pair's blocks: their errors are the campaign's to rounding
+    for scenario in (campaign_scenario, factored_pair_scenario):
+        assert estimators_off_the_campaign(method, scenario) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["ml", "mmse"])
+def test_a_planted_fault_in_the_unfolded_estimators_moves_them_off_the_campaign(
+        monkeypatch, method):
+    # a whitening of x off by 1e-6 in the estimators alone, where the campaign's
+    # gain does not reach, shows against the campaign on either noise factor
+    whiten = estimators._whiten
+    monkeypatch.setattr(estimators, "_whiten", lambda factor, X: whiten(factor, X) * (1 + 1e-6))
+    for scenario in (campaign_scenario, factored_pair_scenario):
+        assert estimators_off_the_campaign(method, scenario) > 1e-9
 
 
 def test_a_planted_estimator_gain_moves_the_simulate_report(tmp_path, monkeypatch, capsys):
     # the campaign applies the estimators' gain, so a gain off by 1e-3 shows
     # in its report; a copy of the gain in the campaign would hide it
-    from fusionkit import estimators
     from fusionkit.cli import main
 
     path = tmp_path / "demo.json"
